@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys as _sys
 from fractions import Fraction
@@ -197,6 +198,8 @@ def _parse_x0(text: str, n: int) -> list[float]:
         raise InputError(f"cannot parse --x0 {text!r}: {exc}") from exc
     if len(values) != n:
         raise InputError(f"--x0 has {len(values)} entries, system has n={n}")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError("--x0 entries must be finite")
     if any(v <= 0 for v in values):
         raise InputError("--x0 must be strictly positive")
     return values

@@ -3,41 +3,76 @@
 Entries are arbitrary-precision rationals, so no pivoting heuristics are
 needed; the first nonzero candidate in each column is taken as pivot,
 which keeps the elimination fully deterministic.
+
+Rows are eliminated in sparse form, as dicts {column: nonzero entry}: a
+forward pass takes the pivots in column order and clears each pivot column
+below its pivot, then a backward pass clears each pivot column above its
+pivot, last pivot first, so every row it subtracts is already reduced and
+carries only its pivot and free columns. The cost then follows the nonzeros
+and their fill rather than the full matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 Row = list[Fraction]
 
 __all__ = ["rref", "rank", "nullspace_basis"]
 
+_ZERO = Fraction(0)
+
+
+def _subtract_multiple(
+    target: dict[int, Fraction], pivot: dict[int, Fraction], c: int
+) -> None:
+    """target -= target[c] * pivot, for a pivot row whose entry at c is 1."""
+    f = target[c]
+    for j, v in pivot.items():
+        updated = target.get(j, _ZERO) - f * v
+        if updated:
+            target[j] = updated
+        else:
+            del target[j]
+
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form. Returns (matrix, pivot column indices)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+    # compress keeps the columns whose entry is truthy, i.e. nonzero
+    m = [{j: Fraction(row[j]) for j in compress(range(len(row)), row)} for row in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    ncols = len(rows[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if c in m[i]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r] = pivot = {j: v / pv for j, v in m[r].items()}
+        for i in range(r + 1, nrows):
+            if c in m[i]:
+                _subtract_multiple(m[i], pivot, c)
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    for k in range(r - 1, 0, -1):
+        c = pivots[k]
+        for i in range(k):
+            if c in m[i]:
+                _subtract_multiple(m[i], m[k], c)
+    return [_dense(row, ncols) for row in m], pivots
+
+
+def _dense(row: dict[int, Fraction], ncols: int) -> Row:
+    out = [_ZERO] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return out
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -54,7 +89,8 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
         return []
     m, pivots = rref(rows)
     ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Row] = []
     for f in free:
         v = [Fraction(0)] * ncols

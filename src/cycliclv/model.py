@@ -15,9 +15,10 @@ summed, e.g. dx1/dt = (k1 - k2) x1 x2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from decimal import Decimal
+from itertools import compress
 from typing import Sequence, Union
 
 from .errors import (
@@ -89,16 +90,29 @@ class CyclicLVSystem:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Homogeneous degree-1 polynomial sum_j coeffs[j] * x_{j+1}."""
+    """Homogeneous degree-1 polynomial sum_j coeffs[j] * x_{j+1}.
+
+    ``terms`` holds the (j, coeffs[j]) pairs with a nonzero coefficient, so
+    evaluating a cofactor, which has at most two, costs O(1) rather than O(n).
+    """
 
     coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        c = self.coeffs
+        # compress keeps the indices whose coefficient is truthy, i.e. nonzero
+        terms = tuple((j, c[j]) for j in compress(range(len(c)), c))
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, state: Sequence) -> object:
         if len(state) != len(self.coeffs):
             raise DimensionMismatch(
                 f"form has {len(self.coeffs)} coefficients, state has {len(state)}"
             )
-        return sum(c * x for c, x in zip(self.coeffs, state))
+        return sum(c * state[j] for j, c in self.terms)
 
 
 def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:

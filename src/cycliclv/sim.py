@@ -54,7 +54,8 @@ class IntegratorConfig:
     ``step`` is the fixed step for RK4 and the initial trial step for the
     adaptive pair; ``rel_tol``/``abs_tol``/``min_step`` apply to the
     adaptive pair only. Any state coordinate dropping below
-    ``positivity_floor`` aborts the run.
+    ``positivity_floor`` aborts the run. Every field but ``method`` must be
+    finite and positive; NaN and infinity raise ValueError.
     """
 
     method: Method = Method.RK4_FIXED
@@ -66,11 +67,12 @@ class IntegratorConfig:
     positivity_floor: float = 1e-12
 
     def __post_init__(self):
-        for name in ("step", "t_end", "rel_tol", "abs_tol", "min_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.positivity_floor <= 0:
-            raise ValueError("positivity_floor must be positive")
+        for name in (
+            "step", "t_end", "rel_tol", "abs_tol", "min_step", "positivity_floor"
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,13 @@ from .errors import (
     EmptySampleSet,
     ZeroCoordinate,
 )
-from .model import CyclicLVSystem, as_fraction, cofactor, _row_quadratic
+from .model import (
+    CyclicLVSystem,
+    LinearForm,
+    as_fraction,
+    cofactor,
+    _row_quadratic,
+)
 
 __all__ = [
     "VerificationReport",
@@ -64,7 +70,7 @@ def cofactor_combination(
         lam = Fraction(exponents[i])
         if lam == 0:
             continue
-        for j, c in enumerate(cofactor(sys, i + 1).coeffs):
+        for j, c in cofactor(sys, i + 1).terms:
             total[j] += lam * c
     return tuple(total)
 
@@ -138,8 +144,21 @@ def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
     M * dP_i/dx_i + P_i * dM/dx_i with dM/dx_i = -M/x_i; the identity
     emerges from the cancellation rather than being assumed.
     """
+    return _jacobi_divergence(_cofactors(sys), state)
+
+
+def _cofactors(sys: CyclicLVSystem) -> list[LinearForm]:
+    return [cofactor(sys, i) for i in range(1, sys.n + 1)]
+
+
+def _jacobi_divergence(forms: Sequence[LinearForm], state: Sequence) -> Fraction:
+    """jacobi_divergence for the system whose cofactors K_1..K_n are forms.
+
+    Taking the cofactors built once per system keeps the cost per sample
+    at O(n) Fraction operations.
+    """
     x = _rational_point(state)
-    if len(x) != sys.n:
+    if len(x) != len(forms):
         raise DimensionMismatch("state length does not match the system")
     for i0, v in enumerate(x):
         if v == 0:
@@ -149,10 +168,10 @@ def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
         prod *= v
     multiplier = 1 / prod
     total = Fraction(0)
-    for i0 in range(sys.n):
-        form = cofactor(sys, i0 + 1)
-        p_i = x[i0] * form.evaluate(x)
-        dp_i = form.evaluate(x) + x[i0] * form.coeffs[i0]
+    for i0, form in enumerate(forms):
+        k_i = form.evaluate(x)
+        p_i = x[i0] * k_i
+        dp_i = k_i + x[i0] * form.coeffs[i0]
         total += multiplier * dp_i + p_i * (-multiplier / x[i0])
     return total
 
@@ -167,8 +186,9 @@ def check_jacobi_multiplier(
     """
     if not samples:
         raise EmptySampleSet("at least one sample point is required")
+    forms = _cofactors(sys)
     for idx, sample in enumerate(samples):
-        residual = jacobi_divergence(sys, sample)
+        residual = _jacobi_divergence(forms, sample)
         if residual != 0:
             return VerificationReport(
                 subject="jacobi-multiplier",

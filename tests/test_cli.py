@@ -1,13 +1,14 @@
 """Exit codes, output formats, round-trips, and byte-level determinism."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from cycliclv import VerificationReport, integral_basis, make_system
-from cycliclv.cli import main
-from helpers import run_cli, stderr_of
+from cycliclv.cli import main, run_check_battery
+from helpers import random_system, resonant_system, run_cli, stderr_of
 
 
 def write_spec(tmp_path, name, entries):
@@ -107,6 +108,16 @@ class TestCheck:
         assert main(["check", "--system", spec]) == 0
         assert "SKIP (n=2)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "n, make, classification",
+        [(301, random_system, "ODD"), (300, resonant_system, "EVEN_RESONANT")],
+    )
+    def test_battery_passes_at_scale(self, n, make, classification):
+        system = make(random.Random(n), n)
+        assert integral_basis(system).classification.name == classification
+        lines, ok = run_check_battery(system, seed=0)
+        assert ok, lines
+
     def test_verification_failure_exit_1(self, wheel3, capsys, monkeypatch):
         from cycliclv import cli as cli_mod
 
@@ -190,6 +201,23 @@ class TestSimulate:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--x0", "0.2,0.3,nan"],
+            ["--x0", "0.2,inf,0.5"],
+            ["--x0", "0.2,0.3,0.5", "--t-end", "nan"],
+            ["--x0", "0.2,0.3,0.5", "--t-end", "inf"],
+            ["--x0", "0.2,0.3,0.5", "--step", "inf"],
+        ],
+    )
+    def test_non_finite_input_exit_2(self, wheel3, tmp_path, capsys, flags):
+        out_csv = tmp_path / "t.csv"
+        code = main(["simulate", "--system", wheel3, *flags, "--out", str(out_csv)])
+        assert code == 2
+        assert not out_csv.exists()
+        assert "status=ok" not in capsys.readouterr().out
 
     def test_wrong_length_x0_exit_2(self, wheel3, tmp_path):
         code = main(

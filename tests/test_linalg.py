@@ -3,15 +3,20 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 
-from cycliclv import linalg
+from cycliclv import build_exponent_system, integral_basis, linalg
+from helpers import random_system, resonant_system
 
 
-def _random_matrix(rng, nrows, ncols, singularish=False):
+def _random_matrix(rng, nrows, ncols, singularish=False, density=1.0):
+    """Entries in [-5, 5]; below density 1 each is kept with that probability."""
     m = [
         [Fraction(rng.randint(-5, 5)) for _ in range(ncols)] for _ in range(nrows)
     ]
+    if density < 1:
+        m = [[v if rng.random() < density else Fraction(0) for v in row] for row in m]
     if singularish and nrows >= 2:
         # force a dependent row so the nullspace is nontrivial
         m[-1] = [2 * v for v in m[0]]
@@ -71,6 +76,46 @@ def test_nullspace_span_matches_sympy():
                 [Fraction(str(e)) for e in v] for v in theirs
             ]
             assert linalg.rank(stacked) == len(mine)
+
+
+def _sympy_rref(m):
+    reduced, pivots = sp.Matrix(m).rref()
+    rows = [[Fraction(str(e)) for e in reduced.row(i)] for i in range(reduced.rows)]
+    return rows, list(pivots)
+
+
+# square, wide and tall, including single rows and columns
+SHAPES = [(1, 1), (1, 6), (2, 7), (3, 9), (4, 4), (6, 6), (6, 1), (7, 2), (9, 3)]
+
+
+def test_rref_matches_sympy_exactly():
+    rng = random.Random(11)
+    for nrows, ncols in SHAPES:
+        for density in (1.0, 0.5, 0.2):
+            for blanked in (False, True):
+                m = _random_matrix(rng, nrows, ncols, density=density)
+                if blanked:
+                    m[rng.randrange(nrows)] = [Fraction(0)] * ncols
+                    col = rng.randrange(ncols)
+                    for row in m:
+                        row[col] = Fraction(0)
+                assert linalg.rref(m) == _sympy_rref(m), m
+
+
+@pytest.mark.parametrize(
+    "n, make, classification",
+    [
+        (41, random_system, "ODD"),
+        # resonance is a condition on even n only
+        (40, resonant_system, "EVEN_RESONANT"),
+        (40, random_system, "EVEN_NONRESONANT"),
+    ],
+)
+def test_rref_matches_sympy_on_cyclic_exponent_matrix(n, make, classification):
+    sys = make(random.Random(n), n)
+    assert integral_basis(sys).classification.name == classification
+    m = [list(row) for row in build_exponent_system(sys).matrix]
+    assert linalg.rref(m) == _sympy_rref(m)
 
 
 def test_deterministic():

@@ -33,6 +33,14 @@ class TestConfig:
             {"abs_tol": -1e-9},
             {"min_step": 0.0},
             {"positivity_floor": 0.0},
+            {"step": math.inf},
+            {"step": math.nan},
+            {"t_end": math.inf},
+            {"t_end": math.nan},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"min_step": math.nan},
+            {"positivity_floor": math.inf},
         ],
     )
     def test_positive_fields_enforced(self, kwargs):
