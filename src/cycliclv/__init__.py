@@ -6,113 +6,18 @@ admits, computes monomial-integral exponents two independent ways (exact
 nullspace and closed-form chains), verifies conservation and independence
 symbolically in rational arithmetic, and monitors conservation drift along
 numerically integrated trajectories.
+
+The public names are those of each module's ``__all__``; the package
+re-exports them all and lists none of them itself.
 """
 
-from .darboux import (
-    Classification,
-    ExponentSystem,
-    IntegralBasis,
-    LinearIntegral,
-    MonomialIntegral,
-    build_exponent_system,
-    evaluate_integral,
-    exponents_even,
-    exponents_odd,
-    integral_basis,
-    nullspace,
-    resonance_condition,
-)
-from .errors import (
-    CyclicLVError,
-    DimensionMismatch,
-    DimensionTooSmall,
-    DomainViolation,
-    EmptySampleSet,
-    IndexOutOfRange,
-    IntegrationAborted,
-    NonPositiveInitialState,
-    NotMeasurable,
-    PositivityBreached,
-    ResonanceViolated,
-    StepUnderflow,
-    UnsupportedDimension,
-    WrongParity,
-    ZeroCoordinate,
-    ZeroParameter,
-)
-from .model import (
-    CyclicLVSystem,
-    LinearForm,
-    as_fraction,
-    cofactor,
-    make_system,
-    vector_field,
-    verify_hyperplane_invariance,
-)
-from .sim import IntegratorConfig, Method, TrajectoryRecord, convergence_order, integrate
-from .verify import (
-    VerificationReport,
-    check_independence,
-    check_jacobi_multiplier,
-    check_linear_integral,
-    check_xh_zero,
-    field_divergence,
-    independence_rank,
-    jacobi_divergence,
-    random_rational_state,
-)
+from . import darboux, errors, model, sim, verify
+from .darboux import *
+from .errors import *
+from .model import *
+from .sim import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "CyclicLVSystem",
-    "ExponentSystem",
-    "IntegralBasis",
-    "IntegratorConfig",
-    "LinearForm",
-    "LinearIntegral",
-    "Method",
-    "MonomialIntegral",
-    "TrajectoryRecord",
-    "VerificationReport",
-    "as_fraction",
-    "build_exponent_system",
-    "check_independence",
-    "check_jacobi_multiplier",
-    "check_linear_integral",
-    "check_xh_zero",
-    "cofactor",
-    "convergence_order",
-    "evaluate_integral",
-    "exponents_even",
-    "exponents_odd",
-    "field_divergence",
-    "independence_rank",
-    "integral_basis",
-    "integrate",
-    "jacobi_divergence",
-    "make_system",
-    "nullspace",
-    "random_rational_state",
-    "resonance_condition",
-    "vector_field",
-    "verify_hyperplane_invariance",
-    # errors
-    "CyclicLVError",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "DomainViolation",
-    "EmptySampleSet",
-    "IndexOutOfRange",
-    "IntegrationAborted",
-    "NonPositiveInitialState",
-    "NotMeasurable",
-    "PositivityBreached",
-    "ResonanceViolated",
-    "StepUnderflow",
-    "UnsupportedDimension",
-    "WrongParity",
-    "ZeroCoordinate",
-    "ZeroParameter",
-]
+__all__ = darboux.__all__ + errors.__all__ + model.__all__ + sim.__all__ + verify.__all__

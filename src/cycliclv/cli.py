@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys as _sys
 from fractions import Fraction
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import darboux, sim, verify
-from .errors import CyclicLVError, IntegrationAborted
+from .errors import CyclicLVError, IntegrationAborted, ZeroParameter
 from .model import CyclicLVSystem, as_fraction
 
 EXIT_OK = 0
@@ -34,12 +33,16 @@ EXIT_RUNTIME_ERROR = 3
 DEFAULT_CHECK_SAMPLES = 32
 
 
-class InputError(Exception):
+class InputError(CyclicLVError):
     """Anything wrong with the spec file or the flags (exit code 2)."""
 
 
 def load_system_spec(path: str | Path) -> CyclicLVSystem:
-    """Read a {"k": [...]} JSON file into a validated system."""
+    """Read a {"k": [...]} JSON file into a system.
+
+    The file is parsed here, entry by entry so that a parse error names its
+    position; the rate count and nonzero rates are CyclicLVSystem's checks.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -49,21 +52,18 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
         data = json.loads(text, parse_float=Fraction)
     except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "k" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("k"), list):
         raise InputError(f'{path} must be a JSON object with a "k" list')
-    entries = data["k"]
-    if not isinstance(entries, list) or len(entries) < 2:
-        raise InputError('"k" must be a list with at least 2 entries')
     rates = []
-    for pos, entry in enumerate(entries, start=1):
+    for pos, entry in enumerate(data["k"], start=1):
         try:
-            value = as_fraction(entry)
+            rates.append(as_fraction(entry))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"entry {pos}: cannot parse {entry!r} as a rational ({exc})")
-        if value == 0:
-            raise InputError(f"entry {pos}: rate parameters must be nonzero")
-        rates.append(value)
-    return CyclicLVSystem(n=len(rates), rates=tuple(rates))
+    try:
+        return CyclicLVSystem(n=len(rates), rates=tuple(rates))
+    except ZeroParameter as exc:
+        raise InputError(f"entry {exc.index}: rate parameters must be nonzero") from exc
 
 
 def _fmt(value: float) -> str:
@@ -112,12 +112,6 @@ def cmd_integrals(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_line(label: str, report: verify.VerificationReport) -> tuple[str, bool]:
-    if report.passed:
-        return f"check {label}: PASS", True
-    return f"check {label}: FAIL ({report.witness})", False
-
-
 def run_check_battery(
     system: CyclicLVSystem, seed: int, samples: int = DEFAULT_CHECK_SAMPLES
 ) -> tuple[list[str], bool]:
@@ -128,58 +122,53 @@ def run_check_battery(
     lines: list[str] = []
     ok = True
 
-    line, passed = _report_line("linear-integral", verify.check_linear_integral(system))
-    lines.append(line)
-    ok &= passed
+    def record(label: str, report: verify.VerificationReport) -> None:
+        nonlocal ok
+        if report.passed:
+            lines.append(f"check {label}: PASS")
+        else:
+            lines.append(f"check {label}: FAIL ({report.witness})")
+            ok = False
 
+    record("linear-integral", verify.check_linear_integral(system))
     for name, mono in zip(names[1:], basis.monomials):
-        line, passed = _report_line(
-            f"cofactor-cancellation[{name}]", verify.check_xh_zero(system, mono)
-        )
-        lines.append(line)
-        ok &= passed
+        record(f"cofactor-cancellation[{name}]", verify.check_xh_zero(system, mono))
 
     if system.n == 2:
         lines.append("check nullspace-formula-equivalence: SKIP (n=2)")
     else:
         space = darboux.nullspace(darboux.build_exponent_system(system))
         formulas = [mono.exponents for mono in basis.monomials]
+        label = "nullspace-formula-equivalence"
         if space == formulas:
-            lines.append("check nullspace-formula-equivalence: PASS")
+            record(label, verify.VerificationReport(label, True))
         else:
-            lines.append(
-                "check nullspace-formula-equivalence: FAIL "
-                f"(nullspace {space} vs formulas {formulas})"
-            )
-            ok = False
+            witness = f"nullspace {space} vs formulas {formulas}"
+            record(label, verify.VerificationReport(label, False, witness))
 
     jacobi_points = [
         verify.random_rational_state(rng, system.n, positive=False)
         for _ in range(samples)
     ]
-    line, passed = _report_line(
+    record(
         f"jacobi-multiplier[samples={samples}]",
         verify.check_jacobi_multiplier(system, jacobi_points),
     )
-    lines.append(line)
-    ok &= passed
 
     rank_points = [
         verify.random_rational_state(rng, system.n, positive=True)
         for _ in range(samples)
     ]
-    line, passed = _report_line(
+    record(
         f"independence[samples={samples}]",
         verify.check_independence(system, basis, rank_points),
     )
-    lines.append(line)
-    ok &= passed
 
     if not basis.monomials:
         lines.append(
             f"note: no monomial integrals (classification {basis.classification.name})"
         )
-    return lines, bool(ok)
+    return lines, ok
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -191,18 +180,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _parse_x0(text: str, n: int) -> list[float]:
+def _parse_x0(text: str) -> list[float]:
+    """Comma-separated floats; sim.integrate checks length, finiteness and sign."""
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputError(f"cannot parse --x0 {text!r}: {exc}") from exc
-    if len(values) != n:
-        raise InputError(f"--x0 has {len(values)} entries, system has n={n}")
-    if not all(math.isfinite(v) for v in values):
-        raise InputError("--x0 entries must be finite")
-    if any(v <= 0 for v in values):
-        raise InputError("--x0 must be strictly positive")
-    return values
 
 
 def _write_csv(
@@ -237,7 +220,7 @@ def _write_csv(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     system = load_system_spec(args.system)
-    x0 = _parse_x0(args.x0, system.n)
+    x0 = _parse_x0(args.x0)
     if args.sample_every < 1:
         raise InputError("--sample-every must be a positive integer")
     try:
@@ -311,9 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT_ERROR
     except IntegrationAborted as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_RUNTIME_ERROR

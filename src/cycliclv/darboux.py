@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import linalg
 from .errors import (
@@ -167,12 +167,17 @@ def nullspace(sysmat: ExponentSystem) -> list[tuple[Fraction, ...]]:
     return [vec for _, vec in normalized]
 
 
-def _chain_product(k: Sequence[Fraction], start: int, stop: int) -> Fraction:
-    """Product of k_j for j = start, start+2, ..., stop (1-based); empty -> 1."""
-    out = Fraction(1)
-    for j in range(start, stop + 1, 2):
-        out *= k[j - 1]
-    return out
+def _chain_products(k: Sequence[Fraction]) -> Callable[[int, int], Fraction]:
+    """Products k_start k_{start+2} ... k_stop (1-based; empty -> 1) in O(1) each.
+
+    prefix[j + 1] is the running product of k_i over i <= j with i of the
+    parity of j, built in one pass; a chain is then the quotient of the
+    prefixes ending at stop and at start - 2, which share that parity.
+    """
+    prefix = [Fraction(1), Fraction(1)]
+    for j, kj in enumerate(k, start=1):
+        prefix.append(prefix[j - 1] * kj)
+    return lambda start, stop: prefix[stop + 1] / prefix[start - 1]
 
 
 def exponents_odd(sys: CyclicLVSystem) -> MonomialIntegral:
@@ -187,13 +192,13 @@ def exponents_odd(sys: CyclicLVSystem) -> MonomialIntegral:
     n = sys.n
     if n % 2 == 0:
         raise WrongParity(f"odd-n formulas requested for even n={n}")
-    k = sys.rates
+    chain = _chain_products(sys.rates)
     lam = [Fraction(1)]
     for j in range(2, n + 1):
         if j % 2 == 1:
-            lam.append(_chain_product(k, 1, j - 2) / _chain_product(k, 2, j - 1))
+            lam.append(chain(1, j - 2) / chain(2, j - 1))
         else:
-            lam.append(_chain_product(k, j + 1, n) / _chain_product(k, j, n - 1))
+            lam.append(chain(j + 1, n) / chain(j, n - 1))
     return MonomialIntegral(exponents=tuple(lam))
 
 
@@ -204,8 +209,8 @@ def resonance_condition(sys: CyclicLVSystem) -> bool:
         raise UnsupportedDimension("resonance condition requires n >= 4")
     if n % 2 == 1:
         raise WrongParity(f"resonance condition is an even-n notion, got n={n}")
-    k = sys.rates
-    return _chain_product(k, 1, n - 1) == _chain_product(k, 2, n)
+    chain = _chain_products(sys.rates)
+    return chain(1, n - 1) == chain(2, n)
 
 
 def exponents_even(sys: CyclicLVSystem) -> tuple[MonomialIntegral, MonomialIntegral]:
@@ -229,15 +234,15 @@ def exponents_even(sys: CyclicLVSystem) -> tuple[MonomialIntegral, MonomialInteg
         raise ResonanceViolated(
             "k1*k3*...*k(n-1) != k2*k4*...*kn; no monomial integrals exist"
         )
-    k = sys.rates
+    chain = _chain_products(sys.rates)
     odd_support = [Fraction(0)] * n
     odd_support[0] = Fraction(1)
     for j in range(3, n, 2):
-        odd_support[j - 1] = _chain_product(k, j + 1, n) / _chain_product(k, j, n - 1)
+        odd_support[j - 1] = chain(j + 1, n) / chain(j, n - 1)
     even_support = [Fraction(0)] * n
     even_support[1] = Fraction(1)
     for j in range(4, n + 1, 2):
-        even_support[j - 1] = _chain_product(k, 2, j - 2) / _chain_product(k, 3, j - 1)
+        even_support[j - 1] = chain(2, j - 2) / chain(3, j - 1)
     return (
         MonomialIntegral(exponents=tuple(odd_support)),
         MonomialIntegral(exponents=tuple(even_support)),

@@ -6,6 +6,25 @@ coordinate labels x1..xn used everywhere in the public interface.
 
 from __future__ import annotations
 
+__all__ = [
+    "CyclicLVError",
+    "DimensionTooSmall",
+    "ZeroParameter",
+    "DimensionMismatch",
+    "IndexOutOfRange",
+    "UnsupportedDimension",
+    "WrongParity",
+    "ResonanceViolated",
+    "DomainViolation",
+    "EmptySampleSet",
+    "ZeroCoordinate",
+    "NonPositiveInitialState",
+    "IntegrationAborted",
+    "PositivityBreached",
+    "StepUnderflow",
+    "NotMeasurable",
+]
+
 
 class CyclicLVError(Exception):
     """Base class for every error raised by this package."""
@@ -64,7 +83,7 @@ class ZeroCoordinate(CyclicLVError):
 # -- simulation ---------------------------------------------------------------
 
 class NonPositiveInitialState(CyclicLVError):
-    """Trajectory initial conditions must be strictly positive."""
+    """Trajectory initial conditions must be finite and strictly positive."""
 
 
 class IntegrationAborted(CyclicLVError):

@@ -67,7 +67,11 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class CyclicLVSystem:
-    """Dimension n >= 2 and the n nonzero rational rate constants."""
+    """Dimension n >= 2 and the n nonzero rational rate constants.
+
+    This is the one place rates are validated; every constructor path,
+    ``make_system`` and the CLI spec loader included, ends here.
+    """
 
     n: int
     rates: tuple[Fraction, ...]
@@ -116,13 +120,11 @@ class LinearForm:
 
 
 def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
-    """Validate rate parameters and build the system.
+    """Convert rate parameters exactly and build the system.
 
-    Raises DimensionTooSmall for fewer than two rates and ZeroParameter
-    (with the 1-based position) for a zero rate.
+    CyclicLVSystem validates the rates: it raises DimensionTooSmall for
+    fewer than two and ZeroParameter (with the 1-based position) for a zero.
     """
-    if len(k) < 2:
-        raise DimensionTooSmall(f"need at least 2 rate parameters, got {len(k)}")
     rates = tuple(as_fraction(v) for v in k)
     return CyclicLVSystem(n=len(rates), rates=rates)
 

@@ -142,9 +142,10 @@ def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
         raise DimensionMismatch(
             f"initial state has length {len(x)}, system has n={sys.n}"
         )
-    if np.any(x <= 0):
+    # NaN fails every comparison, so test for the one good range, not x <= 0
+    if not np.all(np.isfinite(x) & (x > 0)):
         raise NonPositiveInitialState(
-            "initial state must be strictly positive"
+            "initial state must be finite and strictly positive"
         )
     return x
 
@@ -190,7 +191,9 @@ def integrate(
     """Integrate from a strictly positive initial state up to cfg.t_end.
 
     Returns a record per accepted step, the initial state included. Raises
-    NonPositiveInitialState up front, PositivityBreached if a coordinate
+    DimensionMismatch for an x0 of the wrong length and
+    NonPositiveInitialState for a NaN, infinite or nonpositive entry, both
+    up front, then PositivityBreached if a coordinate
     falls below the floor, and StepUnderflow if the adaptive controller
     cannot satisfy its tolerances above min_step; the last two carry the
     records accumulated so far.

@@ -53,6 +53,14 @@ class TestIntegrals:
         err = capsys.readouterr().err
         assert "entry 2" in err
 
+    @pytest.mark.parametrize("entries", [["3"], []])
+    def test_too_few_rates_exit_2(self, tmp_path, capsys, entries):
+        spec = write_spec(tmp_path, "short.json", entries)
+        assert main(["integrals", "--system", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["integrals", "--system", str(tmp_path / "nope.json")]) == 2
 

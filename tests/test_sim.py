@@ -97,7 +97,12 @@ class TestIntegrate:
     def test_nonpositive_initial_state(self):
         sys = make_system([1, 2, 3])
         cfg = IntegratorConfig()
-        for bad in ([0.0, 0.5, 0.5], [0.5, -0.1, 0.6]):
+        for bad in (
+            [0.0, 0.5, 0.5],
+            [0.5, -0.1, 0.6],
+            [0.2, math.nan, 0.5],
+            [math.inf, 0.3, 0.5],
+        ):
             with pytest.raises(NonPositiveInitialState):
                 integrate(sys, bad, cfg, integral_basis(sys))
 
