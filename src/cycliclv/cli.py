@@ -21,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import darboux, sim, verify
 from .errors import CyclicLVError, IntegrationAborted, ZeroParameter
 from .model import CyclicLVSystem, as_fraction
@@ -190,31 +192,26 @@ def _parse_x0(text: str) -> list[float]:
 
 def _write_csv(
     path: str | Path,
-    n: int,
     names: list[str],
-    records: Sequence[sim.TrajectoryRecord],
+    trajectory: sim.Trajectory,
     sample_every: int,
 ) -> int:
-    indices = list(range(0, len(records), sample_every))
-    if indices[-1] != len(records) - 1:
-        indices.append(len(records) - 1)
+    rows = len(trajectory.t)
+    indices = list(range(0, rows, sample_every))
+    if indices[-1] != rows - 1:
+        indices.append(rows - 1)
     header = (
         ["t"]
-        + [f"x{i}" for i in range(1, n + 1)]
+        + [f"x{i}" for i in range(1, trajectory.x.shape[1] + 1)]
         + names
         + [f"drift_{name}" for name in names]
     )
+    columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
+    table = np.column_stack([column[indices] for column in columns])
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(",".join(header) + "\n")
-        for idx in indices:
-            rec = records[idx]
-            cells = (
-                [_fmt(rec.t)]
-                + [_fmt(v) for v in rec.x]
-                + [_fmt(v) for v in rec.integral_values]
-                + [_fmt(v) for v in rec.relative_drift]
-            )
-            out.write(",".join(cells) + "\n")
+        for row in table:
+            out.write(",".join(map(_fmt, row.tolist())) + "\n")
     return len(indices)
 
 
@@ -237,19 +234,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     status = "ok"
     exit_code = EXIT_OK
     try:
-        records = sim.integrate(system, x0, cfg, basis)
+        trajectory = sim.integrate(system, x0, cfg, basis)
     except IntegrationAborted as exc:
-        records = exc.records
+        trajectory = exc.trajectory
         status = f"{type(exc).__name__}({exc})"
         exit_code = EXIT_RUNTIME_ERROR
 
-    rows = _write_csv(args.out, system.n, names, records, args.sample_every)
+    rows = _write_csv(args.out, names, trajectory, args.sample_every)
+    # ndarray.max propagates NaN, where max() over floats depends on order
     drift_parts = [
-        f"max_drift_{name}={_fmt(max(r.relative_drift[j] for r in records))}"
-        for j, name in enumerate(names)
+        f"max_drift_{name}={_fmt(value)}"
+        for name, value in zip(names, trajectory.drift.max(axis=0).tolist())
     ]
     print(
-        f"summary: rows={rows} t_final={_fmt(records[-1].t)} "
+        f"summary: rows={rows} t_final={_fmt(trajectory.t[-1])} "
         + " ".join(drift_parts)
         + f" status={status}"
     )

@@ -19,9 +19,12 @@ __all__ = [
     "EmptySampleSet",
     "ZeroCoordinate",
     "NonPositiveInitialState",
+    "TooManySteps",
     "IntegrationAborted",
     "PositivityBreached",
+    "NonFiniteState",
     "StepUnderflow",
+    "StepLimitReached",
     "NotMeasurable",
 ]
 
@@ -86,34 +89,66 @@ class NonPositiveInitialState(CyclicLVError):
     """Trajectory initial conditions must be finite and strictly positive."""
 
 
-class IntegrationAborted(CyclicLVError):
-    """Base for runtime integration failures; carries the partial trajectory."""
+class TooManySteps(CyclicLVError):
+    """A fixed-step run needs more steps than sim.MAX_STEPS; refused up front."""
 
-    def __init__(self, message: str, records: list):
-        self.records = records
+
+class IntegrationAborted(CyclicLVError):
+    """Base for runtime integration failures; carries the partial trajectory.
+
+    ``trajectory`` is the sim.Trajectory of every accepted state before the
+    failure, the initial state included.
+    """
+
+    def __init__(self, message: str, trajectory):
+        self.trajectory = trajectory
         super().__init__(message)
 
 
 class PositivityBreached(IntegrationAborted):
     """A coordinate fell below the positivity floor during integration."""
 
-    def __init__(self, t: float, coordinate: int, records: list):
+    def __init__(self, t: float, coordinate: int, trajectory):
         self.t = t
         self.coordinate = coordinate
         super().__init__(
             f"coordinate x{coordinate} fell below the positivity floor at t={t:.17g}",
-            records,
+            trajectory,
+        )
+
+
+class NonFiniteState(IntegrationAborted):
+    """A coordinate became NaN or infinite during integration."""
+
+    def __init__(self, t: float, coordinate: int, trajectory):
+        self.t = t
+        self.coordinate = coordinate
+        super().__init__(
+            f"coordinate x{coordinate} became non-finite at t={t:.17g}", trajectory
         )
 
 
 class StepUnderflow(IntegrationAborted):
     """The adaptive step size fell below the configured minimum."""
 
-    def __init__(self, t: float, step: float, records: list):
+    def __init__(self, t: float, step: float, trajectory):
         self.t = t
         self.step = step
         super().__init__(
-            f"adaptive step {step:.17g} fell below the minimum at t={t:.17g}", records
+            f"adaptive step {step:.17g} fell below the minimum at t={t:.17g}",
+            trajectory,
+        )
+
+
+class StepLimitReached(IntegrationAborted):
+    """An adaptive run accepted sim.MAX_STEPS steps before reaching t_end."""
+
+    def __init__(self, t: float, steps: int, trajectory):
+        self.t = t
+        self.steps = steps
+        super().__init__(
+            f"adaptive run reached the limit of {steps} steps at t={t:.17g}",
+            trajectory,
         )
 
 

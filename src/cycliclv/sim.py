@@ -1,14 +1,17 @@
 """Trajectory integration with conservation-drift monitoring.
 
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
-the embedded Fehlberg 4(5) pair with proportional step control. Every
-accepted step emits a record holding the state, the value of each first
-integral in the basis, and its relative drift from the initial value.
+the embedded Fehlberg 4(5) pair with proportional step control. Accepted
+states are written into preallocated arrays; one vectorised pass after the
+last step gives a Trajectory holding the times, the states, the value of
+each first integral in the basis, and its relative drift from the initial
+value.
 
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
 PositivityBreached as soon as any coordinate falls below a configurable
-floor. Runtime aborts carry the partial trajectory on the exception.
+floor, and with NonFiniteState when one becomes NaN or infinite. Runtime
+aborts carry the partial Trajectory on the exception.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,23 +27,33 @@ import numpy as np
 from .darboux import IntegralBasis, integral_basis
 from .errors import (
     DimensionMismatch,
+    NonFiniteState,
     NonPositiveInitialState,
     NotMeasurable,
     PositivityBreached,
+    StepLimitReached,
     StepUnderflow,
+    TooManySteps,
 )
 from .model import CyclicLVSystem
 
 __all__ = [
     "Method",
     "IntegratorConfig",
-    "TrajectoryRecord",
+    "Trajectory",
     "integrate",
     "convergence_order",
 ]
 
 # denominator floor for the relative drift of near-zero integrals
 DRIFT_DENOMINATOR_FLOOR = 1e-300
+
+# Most steps one run may take. A fixed-step run that needs more is refused
+# before any array is allocated; an adaptive run that reaches it aborts.
+MAX_STEPS = 10_000_000
+
+# Rows an adaptive run allocates first; the arrays double when full.
+_ADAPTIVE_ROWS = 1024
 
 
 class Method(Enum):
@@ -75,14 +89,20 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One accepted step: time, state, integral values, relative drift."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Every accepted state in time order, the initial state first.
 
-    t: float
+    ``t`` has shape (rows,) and ``x`` shape (rows, n). ``values`` and
+    ``drift`` have shape (rows, 1 + m): column 0 is the linear integral H1,
+    column j the j-th monomial of the basis, and ``drift`` is each value's
+    relative distance from row 0.
+    """
+
+    t: np.ndarray
     x: np.ndarray
-    integral_values: tuple[float, ...]
-    relative_drift: tuple[float, ...]
+    values: np.ndarray
+    drift: np.ndarray
 
 
 def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
@@ -98,42 +118,32 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _evaluators(basis: IntegralBasis) -> list[Callable[[np.ndarray], float]]:
-    evals: list[Callable[[np.ndarray], float]] = [lambda x: float(np.sum(x))]
+def _trajectory(t: np.ndarray, x: np.ndarray, basis: IntegralBasis) -> Trajectory:
+    """Evaluate H1, each monomial and the drift for every row in one pass.
+
+    Each value has the same bits as evaluating that state alone with
+    sum(x) and exp(lam . log x). Batched forms (x @ lam, np.exp) round
+    differently, and np.dot's rounding depends on the alignment of its
+    operands, so each row of logs is copied to a fresh array before the dot.
+    """
+    columns = [x.sum(axis=1)]
     for mono in basis.monomials:
         lam = np.array([float(e) for e in mono.exponents])
         support = lam != 0.0
-
-        def value(x: np.ndarray, lam=lam[support], support=support) -> float:
-            return float(math.exp(np.dot(lam, np.log(x[support]))))
-
-        evals.append(value)
-    return evals
-
-
-class _Monitor:
-    """Builds records and enforces the positivity floor."""
-
-    def __init__(self, basis: IntegralBasis, x0: np.ndarray, floor: float):
-        self._evals = _evaluators(basis)
-        self._floor = floor
-        initial = tuple(ev(x0) for ev in self._evals)
-        self._baseline = initial
-        self._dens = tuple(max(abs(v), DRIFT_DENOMINATOR_FLOOR) for v in initial)
-        self.records: list[TrajectoryRecord] = [
-            TrajectoryRecord(0.0, x0.copy(), initial, (0.0,) * len(initial))
-        ]
-
-    def accept(self, t: float, x: np.ndarray) -> None:
-        low = int(np.argmin(x))
-        if x[low] < self._floor:
-            raise PositivityBreached(t, low + 1, self.records)
-        values = tuple(ev(x) for ev in self._evals)
-        drift = tuple(
-            abs(v - v0) / den
-            for v, v0, den in zip(values, self._baseline, self._dens)
+        lam = lam[support]
+        logs = np.log(x[:, support])
+        columns.append(
+            np.fromiter(
+                (math.exp(np.dot(lam, row.copy())) for row in logs),
+                dtype=float,
+                count=len(logs),
+            )
         )
-        self.records.append(TrajectoryRecord(t, x.copy(), values, drift))
+    values = np.column_stack(columns)
+    start = values[0]
+    drift = np.abs(values - start) / np.maximum(np.abs(start), DRIFT_DENOMINATOR_FLOOR)
+    drift[0] = 0.0  # the baseline, also when H1(x0) overflows and inf - inf is NaN
+    return Trajectory(t, x, values, drift)
 
 
 def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
@@ -182,41 +192,43 @@ def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return x_new, err
 
 
-def integrate(
-    sys: CyclicLVSystem,
-    x0: Sequence,
-    cfg: IntegratorConfig,
-    basis: IntegralBasis,
-) -> list[TrajectoryRecord]:
-    """Integrate from a strictly positive initial state up to cfg.t_end.
+def _run_rk4(f, x: np.ndarray, cfg: IntegratorConfig):
+    """Fixed-step RK4 into arrays sized up front; returns (t, x, None)."""
+    h = cfg.step
+    # the negated test also refuses an infinite ratio, before floor() sees it
+    if not cfg.t_end / h <= MAX_STEPS:
+        raise TooManySteps(
+            f"t_end/step = {cfg.t_end / h:.17g} exceeds the limit of {MAX_STEPS} steps"
+        )
+    n_full = int(math.floor(cfg.t_end / h + 1e-9))
+    remainder = cfg.t_end - n_full * h
+    tail = remainder > 1e-12 * max(1.0, abs(cfg.t_end))
+    steps = n_full + tail
+    t = np.arange(steps + 1) * h
+    if tail:
+        t[-1] = cfg.t_end
+    xs = np.empty((steps + 1, x.size))
+    xs[0] = x
+    floor = cfg.positivity_floor
+    for i in range(1, steps + 1):
+        x = _rk4_step(f, x, h if i <= n_full else remainder)
+        xs[i] = x
+        if not x.min() >= floor:
+            return t[: i + 1], xs[: i + 1], None
+    return t, xs, None
 
-    Returns a record per accepted step, the initial state included. Raises
-    DimensionMismatch for an x0 of the wrong length and
-    NonPositiveInitialState for a NaN, infinite or nonpositive entry, both
-    up front, then PositivityBreached if a coordinate
-    falls below the floor, and StepUnderflow if the adaptive controller
-    cannot satisfy its tolerances above min_step; the last two carry the
-    records accumulated so far.
-    """
-    x = _validate_x0(sys, x0)
-    f = _rhs(sys)
-    monitor = _Monitor(basis, x, cfg.positivity_floor)
 
-    if cfg.method is Method.RK4_FIXED:
-        h = cfg.step
-        n_full = int(math.floor(cfg.t_end / h + 1e-9))
-        for i in range(n_full):
-            x = _rk4_step(f, x, h)
-            monitor.accept((i + 1) * h, x)
-        t = n_full * h
-        remainder = cfg.t_end - t
-        if remainder > 1e-12 * max(1.0, abs(cfg.t_end)):
-            x = _rk4_step(f, x, remainder)
-            monitor.accept(cfg.t_end, x)
-        return monitor.records
-
+def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
+    """Fehlberg 4(5) into arrays that double when full; returns (t, x, abort)."""
+    ts = np.empty(min(_ADAPTIVE_ROWS, MAX_STEPS + 1))
+    xs = np.empty((len(ts), x.size))
+    ts[0] = 0.0
+    xs[0] = x
+    rows = 1
+    floor = cfg.positivity_floor
     t = 0.0
     h = min(cfg.step, cfg.t_end)
+    abort = None
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)
         x_new, err = _rkf45_step(f, x, h)
@@ -226,13 +238,66 @@ def integrate(
         if enorm <= 1.0:
             t += h
             x = x_new
-            monitor.accept(t, x)
+            if rows == len(ts):
+                if rows > MAX_STEPS:
+                    abort = partial(StepLimitReached, t, MAX_STEPS)
+                    break
+                more = min(rows, MAX_STEPS + 1 - rows)
+                ts = np.concatenate((ts, np.empty(more)))
+                xs = np.concatenate((xs, np.empty((more, x.size))))
+            ts[rows] = t
+            xs[rows] = x
+            rows += 1
+            if not x.min() >= floor:
+                break
             h *= factor
         else:
             h *= factor
             if h < cfg.min_step:
-                raise StepUnderflow(t, h, monitor.records)
-    return monitor.records
+                abort = partial(StepUnderflow, t, h)
+                break
+    return ts[:rows], xs[:rows], abort
+
+
+def integrate(
+    sys: CyclicLVSystem,
+    x0: Sequence,
+    cfg: IntegratorConfig,
+    basis: IntegralBasis,
+) -> Trajectory:
+    """Integrate from a strictly positive initial state up to cfg.t_end.
+
+    Returns the Trajectory of every accepted step, the initial state
+    included. Raises up front DimensionMismatch for an x0 of the wrong
+    length, NonPositiveInitialState for a NaN, infinite or nonpositive
+    entry, and TooManySteps when a fixed-step run needs more than MAX_STEPS
+    steps. During the run it raises PositivityBreached if a coordinate falls
+    below the floor, NonFiniteState if one becomes NaN or infinite,
+    StepUnderflow if the adaptive controller cannot satisfy its tolerances
+    above min_step, and StepLimitReached if an adaptive run accepts
+    MAX_STEPS steps; these carry the Trajectory up to the failure.
+    """
+    x = _validate_x0(sys, x0)
+    f = _rhs(sys)
+    run = _run_rk4 if cfg.method is Method.RK4_FIXED else _run_rkf45
+    t, xs, abort = run(f, x, cfg)
+    # The loops stop at a state that fails x.min() >= floor: one below the
+    # floor, NaN or -inf. A +inf passes that test, so every step's row is
+    # screened here; x0 is only required to be positive, as before.
+    finite = np.isfinite(xs)
+    bad = ~finite.all(axis=1) | (xs.min(axis=1) < cfg.positivity_floor)
+    bad[0] = False
+    if bad.any():
+        row = int(np.argmax(bad))
+        if finite[row].all():
+            abort = partial(PositivityBreached, float(t[row]), int(np.argmin(xs[row])) + 1)
+        else:
+            abort = partial(NonFiniteState, float(t[row]), int(np.argmin(finite[row])) + 1)
+        t, xs = t[:row], xs[:row]
+    trajectory = _trajectory(t, xs, basis)
+    if abort is not None:
+        raise abort(trajectory)
+    return trajectory
 
 
 def convergence_order(
@@ -266,8 +331,8 @@ def convergence_order(
     drifts = []
     for h in (h_coarse, h_fine):
         cfg = IntegratorConfig(method=Method.RK4_FIXED, step=h, t_end=t_end)
-        records = integrate(sys, x0, cfg, basis)
-        drifts.append(max(r.relative_drift[integral_index] for r in records))
+        drift = integrate(sys, x0, cfg, basis).drift[:, integral_index]
+        drifts.append(float(drift.max()))
     floor = 100.0 * np.finfo(float).eps
     if drifts[0] <= floor or drifts[1] <= floor:
         raise NotMeasurable(

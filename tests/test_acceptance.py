@@ -226,13 +226,9 @@ def test_criterion_7_numerical_conservation_sweep():
         sys = random_system(rng, n, lo=-3, hi=3)
         basis = integral_basis(sys)
         x0 = simplex_point(rng, n)
-        records = integrate(
-            sys, x0, IntegratorConfig(step=1e-3, t_end=10.0), basis
-        )
-        drifts = [
-            max(r.relative_drift[j] for r in records)
-            for j in range(1 + len(basis.monomials))
-        ]
+        traj = integrate(sys, x0, IntegratorConfig(step=1e-3, t_end=10.0), basis)
+        drifts = traj.drift.max(axis=0).tolist()
+        assert len(drifts) == 1 + len(basis.monomials)
         max_linear = max(max_linear, drifts[0])
         if len(drifts) > 1:
             max_monomial = max(max_monomial, *drifts[1:])
@@ -242,8 +238,8 @@ def test_criterion_7_numerical_conservation_sweep():
 
         halving = []
         for h in (1e-2, 5e-3):
-            recs = integrate(sys, x0, IntegratorConfig(step=h, t_end=10.0), basis)
-            halving.append(max(r.relative_drift[0] for r in recs))
+            run = integrate(sys, x0, IntegratorConfig(step=h, t_end=10.0), basis)
+            halving.append(run.drift[:, 0].max())
         if halving[0] > EPS_FLOOR and halving[1] > EPS_FLOOR:
             ratio = halving[0] / halving[1]
             assert 8.0 <= ratio <= 32.0, f"halving ratio {ratio:.2f} for {sys.rates}"

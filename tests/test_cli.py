@@ -4,9 +4,10 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cycliclv import VerificationReport, integral_basis, make_system
+from cycliclv import VerificationReport, integral_basis, make_system, sim
 from cycliclv.cli import main, run_check_battery
 from helpers import random_system, resonant_system, run_cli, stderr_of
 
@@ -255,6 +256,78 @@ class TestSimulate:
         assert "status=PositivityBreached" in capsys.readouterr().out
         lines = out_csv.read_text().splitlines()
         assert len(lines) > 100
+
+    def test_non_finite_state_exit_3_keeps_finite_rows(self, wheel3, tmp_path, capsys):
+        out_csv = tmp_path / "blowup.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel3,
+                "--x0", "0.2,0.3,0.5",
+                "--step", "1e200",
+                "--t-end", "1e202",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 3
+        assert "status=NonFiniteState(coordinate x1" in capsys.readouterr().out
+        lines = out_csv.read_text().splitlines()
+        assert lines[1:] == [
+            "0,0.20000000000000001,0.29999999999999999,0.5,1,0.0013499999999999988,0,0"
+        ]
+
+    def test_summary_max_propagates_nan(self, wheel3, tmp_path, capsys, monkeypatch):
+        t = np.array([0.0, 1.0, 2.0])
+        x = np.full((3, 3), 0.5)
+        drift = np.array([[0.0, 0.0], [np.nan, 1e-9], [1e-12, 0.0]])
+
+        def fake(system, x0, cfg, basis):
+            return sim.Trajectory(t, x, np.ones((3, 2)), drift)
+
+        monkeypatch.setattr(sim, "integrate", fake)
+        code = main(
+            ["simulate", "--system", wheel3, "--x0", "0.2,0.3,0.5",
+             "--out", str(tmp_path / "t.csv")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "max_drift_H1=nan max_drift_H2=1.0000000000000001e-09" in out
+
+    def test_step_count_over_limit_exit_2(self, wheel3, tmp_path, capsys):
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel3,
+                "--x0", "0.2,0.3,0.5",
+                "--step", "1e-3",
+                "--t-end", "1e300",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the limit" in captured.err
+        assert not out_csv.exists()
+
+    def test_adaptive_step_limit_exit_3(self, wheel3, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_STEPS", 50)
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel3,
+                "--x0", "0.2,0.3,0.5",
+                "--method", "rk45",
+                "--step", "1e-2",
+                "--t-end", "1000",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 3
+        assert "status=StepLimitReached(" in capsys.readouterr().out
+        assert len(out_csv.read_text().splitlines()) == 1 + 51
 
     def test_rk45_method(self, wheel3, tmp_path, capsys):
         out_csv = tmp_path / "traj45.csv"

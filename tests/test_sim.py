@@ -9,6 +9,7 @@ import pytest
 from cycliclv import (
     IntegratorConfig,
     Method,
+    NonFiniteState,
     NonPositiveInitialState,
     NotMeasurable,
     PositivityBreached,
@@ -19,8 +20,9 @@ from cycliclv import (
     make_system,
     vector_field,
 )
+from cycliclv import sim
 from cycliclv.sim import _rhs
-from helpers import random_system, simplex_point
+from helpers import random_system, resonant_system, simplex_point
 
 
 class TestConfig:
@@ -63,36 +65,36 @@ class TestIntegrate:
     def test_equilibrium(self):
         sys = make_system([1, 1, 1])
         cfg = IntegratorConfig(step=1e-2, t_end=1.0)
-        records = integrate(sys, [1.0, 1.0, 1.0], cfg, integral_basis(sys))
-        assert len(records) == 101
-        assert all((r.x == 1.0).all() for r in records)
-        assert all(d == 0.0 for r in records for d in r.relative_drift)
+        traj = integrate(sys, [1.0, 1.0, 1.0], cfg, integral_basis(sys))
+        assert len(traj.t) == 101
+        assert (traj.x == 1.0).all()
+        assert (traj.drift == 0.0).all()
 
     def test_drift_bounds_example(self):
         sys = make_system([1, 1, 1])
         cfg = IntegratorConfig(step=1e-3, t_end=10.0)
-        records = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
-        assert max(r.relative_drift[0] for r in records) <= 1e-10
-        assert max(r.relative_drift[1] for r in records) <= 1e-6
+        traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert traj.drift[:, 0].max() <= 1e-10
+        assert traj.drift[:, 1].max() <= 1e-6
 
     def test_nonresonant_tracks_linear_only(self):
         sys = make_system([1, 1, 1, 2])
         cfg = IntegratorConfig(step=1e-3, t_end=5.0)
-        records = integrate(sys, [0.3, 0.3, 0.2, 0.2], cfg, integral_basis(sys))
-        assert all(len(r.integral_values) == 1 for r in records)
-        assert max(r.relative_drift[0] for r in records) <= 1e-10
+        traj = integrate(sys, [0.3, 0.3, 0.2, 0.2], cfg, integral_basis(sys))
+        assert traj.values.shape == traj.drift.shape == (len(traj.t), 1)
+        assert traj.drift[:, 0].max() <= 1e-10
 
     def test_partial_final_step(self):
         sys = make_system([1, 2, 3])
         cfg = IntegratorConfig(step=3e-3, t_end=0.01)
-        records = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
-        assert [round(r.t, 6) for r in records] == [0.0, 0.003, 0.006, 0.009, 0.01]
+        traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert [round(t, 6) for t in traj.t.tolist()] == [0.0, 0.003, 0.006, 0.009, 0.01]
 
     def test_positive_records_only(self):
         sys = make_system([1, 2, 3])
         cfg = IntegratorConfig(step=1e-2, t_end=5.0)
-        records = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
-        assert all((r.x > 0).all() for r in records)
+        traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert (traj.x > 0).all()
 
     def test_nonpositive_initial_state(self):
         sys = make_system([1, 2, 3])
@@ -116,8 +118,43 @@ class TestIntegrate:
         event = exc.value
         assert event.coordinate == 1
         assert 0 < event.t <= 20.0
-        assert len(event.records) > 100
-        assert all((r.x > 0).all() for r in event.records)
+        assert len(event.trajectory.t) > 100
+        assert (event.trajectory.x > 0).all()
+
+    def test_non_finite_state_aborts(self):
+        # a step of 1e200 overflows the first RK4 stage: every coordinate of
+        # the next state is NaN, which x < floor alone would let through
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig(step=1e200, t_end=1e202)
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        event = exc.value
+        assert event.t == 1e200
+        assert event.coordinate == 1
+        assert event.trajectory.t.tolist() == [0.0]
+        assert np.isfinite(event.trajectory.values).all()
+
+    def test_infinite_coordinate_aborts(self, monkeypatch):
+        # +inf passes x.min() >= floor, so the stored states are screened too
+        step = sim._rk4_step
+
+        def blow_up(f, x, h):
+            x = step(f, x, h)
+            if len(calls) == 3:
+                x[1] = math.inf
+            calls.append(h)
+            return x
+
+        calls = []
+        monkeypatch.setattr(sim, "_rk4_step", blow_up)
+        sys = make_system([2, 1, 3])
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(step=0.1, t_end=1.0),
+                      integral_basis(sys))
+        assert exc.value.coordinate == 2
+        assert exc.value.t == pytest.approx(0.4)
+        assert len(exc.value.trajectory.t) == 4
+        assert np.isfinite(exc.value.trajectory.x).all()
 
     def test_configurable_floor(self):
         sys = make_system([1, 5])
@@ -141,10 +178,10 @@ class TestAdaptive:
             rel_tol=1e-9,
             abs_tol=1e-12,
         )
-        records = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
-        assert records[-1].t == pytest.approx(10.0, abs=1e-12)
-        assert max(r.relative_drift[0] for r in records) <= 1e-10
-        assert max(r.relative_drift[1] for r in records) <= 1e-6
+        traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert traj.t[-1] == pytest.approx(10.0, abs=1e-12)
+        assert traj.drift[:, 0].max() <= 1e-10
+        assert traj.drift[:, 1].max() <= 1e-6
 
     def test_tolerance_controls_step_count(self):
         sys = make_system([1, 2, 3])
@@ -157,7 +194,7 @@ class TestAdaptive:
                 rel_tol=rel,
                 abs_tol=1e-14,
             )
-            counts.append(len(integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))))
+            counts.append(len(integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys)).t))
         assert counts[1] > counts[0]
 
     def test_step_underflow(self):
@@ -172,7 +209,7 @@ class TestAdaptive:
         )
         with pytest.raises(StepUnderflow) as exc:
             integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
-        assert exc.value.records
+        assert len(exc.value.trajectory.t) >= 1
 
 
 class TestConvergenceOrder:
@@ -222,12 +259,52 @@ def test_halving_band_for_monomial_drift():
         drifts = []
         for h in (1e-2, 5e-3):
             cfg = IntegratorConfig(step=h, t_end=10.0)
-            records = integrate(sys, x0, cfg, basis)
-            drifts.append(max(r.relative_drift[1] for r in records))
+            drifts.append(integrate(sys, x0, cfg, basis).drift[:, 1].max())
         if drifts[0] > eps_floor and drifts[1] > eps_floor:
             assert 8.0 <= drifts[0] / drifts[1] <= 32.0
             checked += 1
     assert checked >= 1
+
+
+def _per_state(x, basis):
+    """Reference: each integral of one state evaluated alone, as a 1-D array.
+
+    Batched forms round differently (x @ lam, np.exp, np.dot on unaligned
+    row views), so the one-pass evaluation in integrate must match this
+    bit for bit.
+    """
+    values = [float(np.sum(x))]
+    for mono in basis.monomials:
+        lam = np.array([float(e) for e in mono.exponents])
+        support = lam != 0.0
+        values.append(float(math.exp(np.dot(lam[support], np.log(x[support])))))
+    return values
+
+
+@pytest.mark.parametrize(
+    "make, n, method",
+    [
+        (random_system, 9, Method.RK4_FIXED),
+        (resonant_system, 4, Method.RK4_FIXED),
+        (random_system, 9, Method.ADAPTIVE_RK45),
+    ],
+)
+def test_values_and_drift_match_per_state_formula(make, n, method):
+    rng = random.Random(109)
+    sys = make(rng, n, lo=1, hi=9)
+    basis = integral_basis(sys)
+    assert len(basis.monomials) == (1 if n % 2 else 2)
+    cfg = IntegratorConfig(method=method, step=2e-3, t_end=2.0, rel_tol=1e-12)
+    traj = integrate(sys, simplex_point(rng, n), cfg, basis)
+    assert len(traj.t) > 300
+    expect = [_per_state(x.copy(), basis) for x in traj.x]
+    assert traj.values.tolist() == expect
+    start = expect[0]
+    drift = [
+        [abs(v - v0) / max(abs(v0), 1e-300) for v, v0 in zip(row, start)]
+        for row in expect
+    ]
+    assert traj.drift.tolist() == drift
 
 
 def test_monomial_values_match_evaluate_integral():
@@ -236,11 +313,12 @@ def test_monomial_values_match_evaluate_integral():
     sys = make_system([2, 1, 3])
     basis = integral_basis(sys)
     cfg = IntegratorConfig(step=1e-2, t_end=0.5)
-    records = integrate(sys, [0.2, 0.3, 0.5], cfg, basis)
-    for r in records[:: len(records) // 5]:
-        assert r.integral_values[0] == pytest.approx(float(sum(r.x)), rel=1e-15)
-        assert r.integral_values[1] == pytest.approx(
-            evaluate_integral(basis.monomials[0], list(r.x)), rel=1e-12
+    traj = integrate(sys, [0.2, 0.3, 0.5], cfg, basis)
+    every = len(traj.t) // 5
+    for x, values in zip(traj.x[::every], traj.values[::every]):
+        assert values[0] == pytest.approx(float(sum(x)), rel=1e-15)
+        assert values[1] == pytest.approx(
+            evaluate_integral(basis.monomials[0], list(x)), rel=1e-12
         )
 
 
@@ -249,10 +327,10 @@ def test_rk4_state_error_is_fourth_order():
     sys = make_system([1, 2, 3])
     basis = integral_basis(sys)
     x0 = [0.2, 0.3, 0.5]
-    ref = integrate(sys, x0, IntegratorConfig(step=1.25e-3, t_end=2.0), basis)[-1].x
+    ref = integrate(sys, x0, IntegratorConfig(step=1.25e-3, t_end=2.0), basis).x[-1]
     errs = []
     for h in (2e-2, 1e-2):
-        end = integrate(sys, x0, IntegratorConfig(step=h, t_end=2.0), basis)[-1].x
+        end = integrate(sys, x0, IntegratorConfig(step=h, t_end=2.0), basis).x[-1]
         errs.append(float(np.max(np.abs(end - ref))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert 3.5 <= order <= 4.5
