@@ -95,7 +95,7 @@ def cmd_integrals(args: argparse.Namespace) -> int:
             "n": system.n,
             "k": [str(v) for v in system.rates],
             "classification": basis.classification.name,
-            "linear": {"name": "H1", "weights": [str(w) for w in basis.linear.weights]},
+            "linear": {"name": "H1", "weights": ["1"] * basis.linear.n},
             "monomials": [
                 {"name": name, "exponents": [str(e) for e in mono.exponents]}
                 for name, mono in zip(_integral_names(basis)[1:], basis.monomials)
@@ -222,7 +222,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InputError("--sample-every must be a positive integer")
     try:
         cfg = sim.IntegratorConfig(
-            method=sim.Method(args.method),
+            method=args.method,
             step=args.step,
             t_end=args.t_end,
         )

@@ -10,10 +10,13 @@ linear system
 which links exponents two indices apart. For odd n the chain closes into a
 single cycle and the solution space is one-dimensional; for even n it
 splits into an odd-index and an even-index chain, each of which closes only
-under the resonance condition k1 k3 ... k_{n-1} = k2 k4 ... kn. This module
-builds that linear system, solves it by exact elimination, evaluates the
-closed-form exponent expressions, and assembles the classified basis of
-first integrals (the linear integral x1 + ... + xn is always present).
+under the resonance condition k1 k3 ... k_{n-1} = k2 k4 ... kn. The
+system's matrix is the transpose of the structure matrix A of
+``model.structure_matrix``, so the monomial integrals are the vectors A
+sends to zero. This module builds that matrix as sparse rows, solves it by
+exact elimination, evaluates the closed-form exponent expressions, and
+assembles the classified basis of first integrals (the linear integral
+x1 + ... + xn is always present).
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ from .errors import (
     UnsupportedDimension,
     WrongParity,
 )
-from .model import CyclicLVSystem
+from .model import CyclicLVSystem, structure_matrix
 
 __all__ = [
     "Classification",
     "MonomialIntegral",
     "LinearIntegral",
     "IntegralBasis",
-    "ExponentSystem",
     "build_exponent_system",
     "nullspace",
     "exponents_odd",
@@ -80,17 +82,9 @@ class MonomialIntegral:
 
 @dataclass(frozen=True)
 class LinearIntegral:
-    """The integral x1 + ... + xn; weights are all exactly 1."""
+    """The integral x1 + ... + xn of an n-dimensional system."""
 
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if any(w != 1 for w in self.weights):
-            raise ValueError("linear integral weights must all be 1")
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "LinearIntegral":
-        return cls(weights=(Fraction(1),) * n)
+    n: int
 
 
 @dataclass(frozen=True)
@@ -115,50 +109,34 @@ class IntegralBasis:
             )
 
 
-@dataclass(frozen=True)
-class ExponentSystem:
-    """Coefficient matrix M of the exponent equations M lambda = 0.
+def build_exponent_system(sys: CyclicLVSystem) -> list[linalg.Row]:
+    """The cyclic exponent equations for n >= 3, as sparse rows {column: entry}.
 
-    Row i (the coefficient of x_i in sum lambda_j K_j) carries exactly two
-    entries for n >= 3: +k_{i-1} in column i-1 and -k_i in column i+1,
-    cyclically.
-    """
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-
-def build_exponent_system(sys: CyclicLVSystem) -> ExponentSystem:
-    """Assemble the cyclic exponent equations for n >= 3.
-
-    For n = 2 the two neighbor contributions of each row collide on the
-    same exponent and the two-entry structure degenerates, so the system
-    is not built; dimension 2 is classified separately.
+    Row i, the coefficient of x_i in sum_j lambda_j K_j, is column i of the
+    structure matrix: +k_{i-1} in column i-1 and -k_i in column i+1,
+    cyclically. For n >= 3 these are distinct entries. For n = 2 the two
+    neighbor contributions of each row collide on the same exponent and the
+    two-entry structure degenerates, so the system is not built; dimension 2
+    is classified separately.
     """
     n = sys.n
     if n < 3:
         raise UnsupportedDimension("exponent system requires n >= 3")
-    k = sys.rates
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[(i - 1) % n] += k[(i - 1) % n]
-        row[(i + 1) % n] -= k[i]
-        rows.append(tuple(row))
-    return ExponentSystem(matrix=tuple(rows))
+    rows: list[linalg.Row] = [{} for _ in range(n)]
+    for i, terms in enumerate(structure_matrix(sys)):
+        for j, c in terms:
+            rows[j][i] = c
+    return rows
 
 
-def nullspace(sysmat: ExponentSystem) -> list[tuple[Fraction, ...]]:
-    """Exact nullspace basis, normalized and deterministically ordered.
+def nullspace(rows: linalg.Rows) -> list[tuple[Fraction, ...]]:
+    """Exact nullspace basis of n sparse rows in n unknowns, normalized and ordered.
 
     Each basis vector is scaled so its first nonzero entry is 1, and the
     vectors are sorted by the index of that entry. An empty list means the
     nullspace is trivial.
     """
-    raw = linalg.nullspace_basis(sysmat.matrix)
+    raw = linalg.nullspace_basis(rows, len(rows))
     normalized = []
     for v in raw:
         lead = next(i for i, e in enumerate(v) if e != 0)
@@ -255,7 +233,7 @@ def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
     n = 2 and even non-resonant systems report only the linear integral;
     odd n adds one monomial integral and even resonant n adds two.
     """
-    linear = LinearIntegral.for_dimension(sys.n)
+    linear = LinearIntegral(sys.n)
     if sys.n == 2:
         return IntegralBasis(Classification.N2, linear, ())
     if sys.n % 2 == 1:
@@ -279,7 +257,7 @@ def evaluate_integral(integral: Integral, state: Sequence) -> Union[Fraction, fl
     in floating point.
     """
     if isinstance(integral, LinearIntegral):
-        if len(state) != len(integral.weights):
+        if len(state) != integral.n:
             raise DimensionMismatch("state length does not match the integral")
         return sum(state)
     if len(state) != len(integral.exponents):

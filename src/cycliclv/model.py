@@ -35,6 +35,7 @@ __all__ = [
     "LinearForm",
     "as_fraction",
     "make_system",
+    "structure_matrix",
     "vector_field",
     "cofactor",
     "verify_hyperplane_invariance",
@@ -87,10 +88,6 @@ class CyclicLVSystem:
             if k == 0:
                 raise ZeroParameter(i + 1)
 
-    def rate(self, i: int) -> Fraction:
-        """Rate k_i with 1-based cyclic index (k_0 means k_n)."""
-        return self.rates[(i - 1) % self.n]
-
 
 @dataclass(frozen=True)
 class LinearForm:
@@ -129,37 +126,59 @@ def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
     return CyclicLVSystem(n=len(rates), rates=rates)
 
 
+Term = tuple[int, Fraction]
+
+
+def _structure_row(sys: CyclicLVSystem, i0: int) -> tuple[Term, Term]:
+    """Row i0 (0-based) of the structure matrix; see ``structure_matrix``."""
+    n = sys.n
+    k = sys.rates
+    return ((i0 + 1) % n, k[i0]), ((i0 - 1) % n, -k[i0 - 1])
+
+
+def structure_matrix(sys: CyclicLVSystem) -> tuple[tuple[Term, Term], ...]:
+    """The n rows of the structure matrix A, each as two (column, entry) terms.
+
+    With u = log x the system is u' = A e^u for this constant antisymmetric
+    A. Row i holds (i+1, k_i) then (i-1, -k_{i-1}), cyclically and 0-based,
+    in the order of the field's terms; it is the cofactor K_i. The terms
+    stay unsummed: for n = 2 both land on one column, where a consumer that
+    needs the entry adds them and the float right-hand side keeps two products.
+    """
+    return tuple(_structure_row(sys, i0) for i0 in range(sys.n))
+
+
 def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
     """Right-hand side of the system at a state.
 
     Component i is x_i * (k_i x_{i+1} - k_{i-1} x_{i-1}) with cyclic
-    indices. Arithmetic follows the state's scalar type, so Fraction
-    states give exact Fraction output and float states give floats.
+    indices, read off row i of the structure matrix. Arithmetic follows the
+    state's scalar type, so Fraction states give exact Fraction output and
+    float states give floats.
     """
     n = sys.n
     if len(state) != n:
         raise DimensionMismatch(f"state has length {len(state)}, system has n={n}")
-    k = sys.rates
     x = state
     return [
-        x[i] * (k[i] * x[(i + 1) % n] - k[i - 1] * x[(i - 1) % n]) for i in range(n)
+        x[i] * (c1 * x[j1] + c2 * x[j2])
+        for i, ((j1, c1), (j2, c2)) in enumerate(structure_matrix(sys))
     ]
 
 
 def cofactor(sys: CyclicLVSystem, i: int) -> LinearForm:
     """Cofactor of the invariant hyperplane x_i = 0 (1-based i).
 
-    The hyperplane satisfies X(x_i) = K_i * x_i with
-    K_i = k_i x_{i+1} - k_{i-1} x_{i-1}. For n = 2 both contributions hit
-    the same coordinate and are summed.
+    The hyperplane satisfies X(x_i) = K_i * x_i, where K_i is row i of the
+    structure matrix, k_i x_{i+1} - k_{i-1} x_{i-1}. For n = 2 both terms
+    hit the same coordinate and are summed.
     """
     n = sys.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"coordinate index {i} outside 1..{n}")
-    i0 = i - 1
     coeffs = [Fraction(0)] * n
-    coeffs[(i0 + 1) % n] += sys.rates[i0]
-    coeffs[(i0 - 1) % n] -= sys.rates[(i0 - 1) % n]
+    for j, c in _structure_row(sys, i - 1):
+        coeffs[j] += c
     return LinearForm(coeffs=tuple(coeffs))
 
 

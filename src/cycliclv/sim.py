@@ -35,7 +35,7 @@ from .errors import (
     StepUnderflow,
     TooManySteps,
 )
-from .model import CyclicLVSystem
+from .model import CyclicLVSystem, structure_matrix
 
 __all__ = [
     "Method",
@@ -68,8 +68,9 @@ class IntegratorConfig:
     ``step`` is the fixed step for RK4 and the initial trial step for the
     adaptive pair; ``rel_tol``/``abs_tol``/``min_step`` apply to the
     adaptive pair only. Any state coordinate dropping below
-    ``positivity_floor`` aborts the run. Every field but ``method`` must be
-    finite and positive; NaN and infinity raise ValueError.
+    ``positivity_floor`` aborts the run. ``method`` takes a Method or its
+    value ("rk4", "rk45"). Every other field must be finite and positive.
+    Anything else, NaN and infinity included, raises ValueError.
     """
 
     method: Method = Method.RK4_FIXED
@@ -81,6 +82,7 @@ class IntegratorConfig:
     positivity_floor: float = 1e-12
 
     def __post_init__(self):
+        object.__setattr__(self, "method", Method(self.method))
         for name in (
             "step", "t_end", "rel_tol", "abs_tol", "min_step", "positivity_floor"
         ):
@@ -106,14 +108,16 @@ class Trajectory:
 
 
 def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
-    n = sys.n
-    k = np.array([float(v) for v in sys.rates])
-    ip1 = np.roll(np.arange(n), -1)
-    im1 = np.roll(np.arange(n), 1)
-    k_im1 = k[im1]
+    """The field x * (A x) in floats, A the structure matrix.
+
+    Each row's two terms stay two products; summing them changes n = 2's bits.
+    """
+    first, second = zip(*structure_matrix(sys))
+    j1, j2 = (np.array([j for j, _ in terms]) for terms in (first, second))
+    c1, c2 = (np.array([float(c) for _, c in terms]) for terms in (first, second))
 
     def f(x: np.ndarray) -> np.ndarray:
-        return x * (k * x[ip1] - k_im1 * x[im1])
+        return x * (c1 * x[j1] + c2 * x[j2])
 
     return f
 

@@ -213,10 +213,12 @@ def independence_rank(
         raise DimensionMismatch("state length does not match the system")
     if any(v <= 0 for v in x):
         raise DomainViolation("independence samples must be strictly positive")
-    rows: list[list[Fraction]] = [[Fraction(1)] * sys.n]
+    rows: list[linalg.Row] = [dict.fromkeys(range(sys.n), Fraction(1))]
     for mono in basis.monomials:
-        rows.append([lam / v for lam, v in zip(mono.exponents, x)])
-    return linalg.rank(rows)
+        rows.append(
+            {j: lam / v for j, (lam, v) in enumerate(zip(mono.exponents, x)) if lam}
+        )
+    return linalg.rank(rows, sys.n)
 
 
 def check_independence(

@@ -45,6 +45,26 @@ def resonant_system(rng: random.Random, n: int, lo: int = -9, hi: int = 9):
     return make_system(k)
 
 
+def dense(rows, ncols: int) -> list[list[Fraction]]:
+    """Sparse rows as dense lists, zeros filled in.
+
+    A row is a dict {column: entry} or a sequence of (column, entry) terms,
+    as in ``structure_matrix``; terms that share a column are summed.
+    """
+    out = []
+    for row in rows:
+        line = [Fraction(0)] * ncols
+        for j, v in row.items() if isinstance(row, dict) else row:
+            line[j] += v
+        out.append(line)
+    return out
+
+
+def sparse(matrix) -> list[dict[int, Fraction]]:
+    """Dense rows as dicts {column: nonzero entry}."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
 def simplex_point(rng: random.Random, n: int, margin: float = 0.2) -> list[float]:
     """Random point with positive coordinates summing to 1, away from faces."""
     raw = [margin + rng.random() for _ in range(n)]

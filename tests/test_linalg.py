@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from cycliclv import build_exponent_system, integral_basis, linalg
-from helpers import random_system, resonant_system
+from helpers import dense, random_system, resonant_system, sparse
 
 
 def _random_matrix(rng, nrows, ncols, singularish=False, density=1.0):
@@ -23,11 +23,39 @@ def _random_matrix(rng, nrows, ncols, singularish=False, density=1.0):
     return m
 
 
+def _rref(m):
+    """linalg.rref of a dense matrix, read back dense; no zero is stored."""
+    ncols = len(m[0])
+    reduced, pivots = linalg.rref(sparse(m), ncols)
+    assert all(v != 0 for row in reduced for v in row.values())
+    return dense(reduced, ncols), pivots
+
+
+def _rank(m):
+    return linalg.rank(sparse(m), len(m[0]))
+
+
+def _nullspace_basis(m):
+    return linalg.nullspace_basis(sparse(m), len(m[0]))
+
+
 def test_rref_identity_passthrough():
     m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    reduced, pivots = linalg.rref(m)
+    reduced, pivots = _rref(m)
     assert reduced == m
     assert pivots == [0, 1]
+
+
+def test_input_rows_left_unchanged():
+    rows = sparse([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]])
+    before = [dict(row) for row in rows]
+    linalg.rref(rows, 2)
+    assert rows == before
+
+
+def test_no_rows_leave_every_column_free():
+    assert linalg.nullspace_basis([], 2) == [[1, 0], [0, 1]]
+    assert linalg.nullspace_basis([{}], 2) == [[1, 0], [0, 1]]
 
 
 def test_rank_frozen():
@@ -36,7 +64,7 @@ def test_rank_frozen():
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    assert linalg.rank(m) == 2
+    assert _rank(m) == 2
 
 
 def test_nullspace_vectors_annihilate():
@@ -45,7 +73,7 @@ def test_nullspace_vectors_annihilate():
         nrows = rng.randint(2, 6)
         ncols = rng.randint(2, 6)
         m = _random_matrix(rng, nrows, ncols, singularish=trial % 2 == 0)
-        for v in linalg.nullspace_basis(m):
+        for v in _nullspace_basis(m):
             assert all(
                 sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m
             )
@@ -57,7 +85,7 @@ def test_rank_matches_sympy():
         nrows = rng.randint(2, 6)
         ncols = rng.randint(2, 6)
         m = _random_matrix(rng, nrows, ncols, singularish=trial % 3 == 0)
-        assert linalg.rank(m) == sp.Matrix(m).rank()
+        assert _rank(m) == sp.Matrix(m).rank()
 
 
 def test_nullspace_span_matches_sympy():
@@ -66,7 +94,7 @@ def test_nullspace_span_matches_sympy():
         nrows = rng.randint(2, 6)
         ncols = rng.randint(2, 6)
         m = _random_matrix(rng, nrows, ncols, singularish=trial % 2 == 0)
-        mine = linalg.nullspace_basis(m)
+        mine = _nullspace_basis(m)
         theirs = sp.Matrix(m).nullspace()
         assert len(mine) == len(theirs)
         if mine:
@@ -75,7 +103,7 @@ def test_nullspace_span_matches_sympy():
             stacked += [
                 [Fraction(str(e)) for e in v] for v in theirs
             ]
-            assert linalg.rank(stacked) == len(mine)
+            assert _rank(stacked) == len(mine)
 
 
 def _sympy_rref(m):
@@ -99,7 +127,7 @@ def test_rref_matches_sympy_exactly():
                     col = rng.randrange(ncols)
                     for row in m:
                         row[col] = Fraction(0)
-                assert linalg.rref(m) == _sympy_rref(m), m
+                assert _rref(m) == _sympy_rref(m), m
 
 
 @pytest.mark.parametrize(
@@ -114,8 +142,9 @@ def test_rref_matches_sympy_exactly():
 def test_rref_matches_sympy_on_cyclic_exponent_matrix(n, make, classification):
     sys = make(random.Random(n), n)
     assert integral_basis(sys).classification.name == classification
-    m = [list(row) for row in build_exponent_system(sys).matrix]
-    assert linalg.rref(m) == _sympy_rref(m)
+    rows = build_exponent_system(sys)
+    reduced, pivots = linalg.rref(rows, n)
+    assert (dense(reduced, n), pivots) == _sympy_rref(dense(rows, n))
 
 
 def test_deterministic():
@@ -123,8 +152,8 @@ def test_deterministic():
         [Fraction(0), Fraction(1), Fraction(-1)],
         [Fraction(0), Fraction(2), Fraction(-2)],
     ]
-    assert linalg.nullspace_basis(m) == linalg.nullspace_basis(m)
-    assert linalg.nullspace_basis(m) == [
+    assert _nullspace_basis(m) == _nullspace_basis(m)
+    assert _nullspace_basis(m) == [
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]

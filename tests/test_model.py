@@ -16,11 +16,13 @@ from cycliclv import (
     ZeroParameter,
     as_fraction,
     cofactor,
+    build_exponent_system,
     make_system,
+    structure_matrix,
     vector_field,
     verify_hyperplane_invariance,
 )
-from helpers import random_system
+from helpers import dense, random_system
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
 rate_lists = st.integers(min_value=2, max_value=12).flatmap(
@@ -170,6 +172,37 @@ class TestCofactor:
                 assert nonzero == 2
             else:
                 assert nonzero == (0 if rates[0] == rates[1] else 1)
+
+
+class TestStructureMatrix:
+    def test_frozen_rows_in_field_order(self):
+        assert structure_matrix(make_system([1, 2, 3])) == (
+            ((1, 1), (2, -3)),
+            ((2, 2), (0, -1)),
+            ((0, 3), (1, -2)),
+        )
+
+    def test_n2_terms_stay_unsummed(self):
+        assert structure_matrix(make_system([5, 7])) == (
+            ((1, 5), (1, -7)),
+            ((0, 7), (0, -5)),
+        )
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_antisymmetric_with_cofactor_rows(self, n):
+        sys = random_system(random.Random(300 + n), n)
+        a = dense(structure_matrix(sys), n)
+        assert all(a[i][j] == -a[j][i] for i in range(n) for j in range(n))
+        for i in range(n):
+            assert list(cofactor(sys, i + 1).coeffs) == a[i]
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_exponent_system_is_the_transpose(self, n):
+        sys = random_system(random.Random(400 + n), n)
+        a = dense(structure_matrix(sys), n)
+        transpose = [[a[j][i] for j in range(n)] for i in range(n)]
+        assert dense(build_exponent_system(sys), n) == transpose
+        assert transpose == [[-v for v in row] for row in a]
 
 
 class TestLinearForm:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,8 +50,44 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
+    def test_method_given_by_value(self):
+        assert IntegratorConfig(method="rk45").method is Method.ADAPTIVE_RK45
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=1.0)
+        assert cfg.method is Method.RK4_FIXED
+        traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert len(traj.t) == 101
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            IntegratorConfig(method="bogus")
+
+
+def _reference_rhs(sys, x):
+    """The float field as it was first written, term by term."""
+    n = sys.n
+    k = np.array([float(v) for v in sys.rates])
+    ip1 = np.roll(np.arange(n), -1)
+    im1 = np.roll(np.arange(n), 1)
+    k_im1 = k[im1]
+    return x * (k * x[ip1] - k_im1 * x[im1])
+
 
 class TestRhsAgreesWithModel:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_bits_match_reference(self, n):
+        # rational rates make float(k) inexact; n = 2 is where a summed
+        # entry k1 - k2 would change the bits
+        rng = random.Random(500 + n)
+        for _ in range(50):
+            rates = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+                for _ in range(n)
+            ]
+            sys = make_system(rates)
+            x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
+            assert _rhs(sys)(x).tobytes() == _reference_rhs(sys, x).tobytes()
+
     def test_matches_vector_field(self):
         rng = random.Random(103)
         for _ in range(25):
