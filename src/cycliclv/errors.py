@@ -19,10 +19,12 @@ __all__ = [
     "EmptySampleSet",
     "ZeroCoordinate",
     "NonPositiveInitialState",
+    "InitialIntegralOutOfRange",
     "TooManySteps",
     "IntegrationAborted",
     "PositivityBreached",
     "NonFiniteState",
+    "IntegralOutOfRange",
     "StepUnderflow",
     "StepLimitReached",
     "NotMeasurable",
@@ -89,6 +91,20 @@ class NonPositiveInitialState(CyclicLVError):
     """Trajectory initial conditions must be finite and strictly positive."""
 
 
+class InitialIntegralOutOfRange(CyclicLVError):
+    """A first integral's value at x0 leaves the float range; refused up front.
+
+    ``integral`` is the 1-based position of the integral: 1 for H1, j + 1
+    for the j-th monomial. sim.integrate states the range.
+    """
+
+    def __init__(self, integral: int):
+        self.integral = integral
+        super().__init__(
+            f"integral H{integral} is outside the float range at the initial state"
+        )
+
+
 class TooManySteps(CyclicLVError):
     """A fixed-step run needs more steps than sim.MAX_STEPS; refused up front."""
 
@@ -125,6 +141,17 @@ class NonFiniteState(IntegrationAborted):
         self.coordinate = coordinate
         super().__init__(
             f"coordinate x{coordinate} became non-finite at t={t:.17g}", trajectory
+        )
+
+
+class IntegralOutOfRange(IntegrationAborted):
+    """A first integral's value or drift left the float range during integration."""
+
+    def __init__(self, t: float, integral: int, trajectory):
+        self.t = t
+        self.integral = integral
+        super().__init__(
+            f"integral H{integral} left the float range at t={t:.17g}", trajectory
         )
 
 

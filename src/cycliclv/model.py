@@ -15,10 +15,9 @@ summed, e.g. dx1/dt = (k1 - k2) x1 x2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from decimal import Decimal
-from itertools import compress
 from typing import Sequence, Union
 
 from .errors import (
@@ -32,7 +31,6 @@ RationalLike = Union[int, str, Fraction, Decimal]
 
 __all__ = [
     "CyclicLVSystem",
-    "LinearForm",
     "as_fraction",
     "make_system",
     "structure_matrix",
@@ -89,33 +87,6 @@ class CyclicLVSystem:
                 raise ZeroParameter(i + 1)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Homogeneous degree-1 polynomial sum_j coeffs[j] * x_{j+1}.
-
-    ``terms`` holds the (j, coeffs[j]) pairs with a nonzero coefficient, so
-    evaluating a cofactor, which has at most two, costs O(1) rather than O(n).
-    """
-
-    coeffs: tuple[Fraction, ...]
-    terms: tuple[tuple[int, Fraction], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        c = self.coeffs
-        # compress keeps the indices whose coefficient is truthy, i.e. nonzero
-        terms = tuple((j, c[j]) for j in compress(range(len(c)), c))
-        object.__setattr__(self, "terms", terms)
-
-    def evaluate(self, state: Sequence) -> object:
-        if len(state) != len(self.coeffs):
-            raise DimensionMismatch(
-                f"form has {len(self.coeffs)} coefficients, state has {len(state)}"
-            )
-        return sum(c * state[j] for j, c in self.terms)
-
-
 def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
     """Convert rate parameters exactly and build the system.
 
@@ -129,10 +100,19 @@ def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
 Term = tuple[int, Fraction]
 
 
-def _structure_row(sys: CyclicLVSystem, i0: int) -> tuple[Term, Term]:
-    """Row i0 (0-based) of the structure matrix; see ``structure_matrix``."""
+def cofactor(sys: CyclicLVSystem, i: int) -> tuple[Term, Term]:
+    """Cofactor K_i of the invariant hyperplane x_i = 0 (1-based i).
+
+    The hyperplane satisfies X(x_i) = K_i * x_i, where
+    K_i = k_i x_{i+1} - k_{i-1} x_{i-1} is row i of the structure matrix.
+    It is returned as that row's two (0-based column, entry) terms, the
+    x_{i+1} term first as in the field; for n = 2 they share a column.
+    """
     n = sys.n
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"coordinate index {i} outside 1..{n}")
     k = sys.rates
+    i0 = i - 1
     return ((i0 + 1) % n, k[i0]), ((i0 - 1) % n, -k[i0 - 1])
 
 
@@ -140,12 +120,11 @@ def structure_matrix(sys: CyclicLVSystem) -> tuple[tuple[Term, Term], ...]:
     """The n rows of the structure matrix A, each as two (column, entry) terms.
 
     With u = log x the system is u' = A e^u for this constant antisymmetric
-    A. Row i holds (i+1, k_i) then (i-1, -k_{i-1}), cyclically and 0-based,
-    in the order of the field's terms; it is the cofactor K_i. The terms
-    stay unsummed: for n = 2 both land on one column, where a consumer that
-    needs the entry adds them and the float right-hand side keeps two products.
+    A. Row i is the cofactor K_i (see ``cofactor``). The terms stay
+    unsummed: for n = 2 both land on one column, where a consumer that needs
+    the entry adds them and the float right-hand side keeps two products.
     """
-    return tuple(_structure_row(sys, i0) for i0 in range(sys.n))
+    return tuple(cofactor(sys, i) for i in range(1, sys.n + 1))
 
 
 def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
@@ -164,22 +143,6 @@ def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
         x[i] * (c1 * x[j1] + c2 * x[j2])
         for i, ((j1, c1), (j2, c2)) in enumerate(structure_matrix(sys))
     ]
-
-
-def cofactor(sys: CyclicLVSystem, i: int) -> LinearForm:
-    """Cofactor of the invariant hyperplane x_i = 0 (1-based i).
-
-    The hyperplane satisfies X(x_i) = K_i * x_i, where K_i is row i of the
-    structure matrix, k_i x_{i+1} - k_{i-1} x_{i-1}. For n = 2 both terms
-    hit the same coordinate and are summed.
-    """
-    n = sys.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"coordinate index {i} outside 1..{n}")
-    coeffs = [Fraction(0)] * n
-    for j, c in _structure_row(sys, i - 1):
-        coeffs[j] += c
-    return LinearForm(coeffs=tuple(coeffs))
 
 
 def _row_quadratic(sys: CyclicLVSystem, i0: int) -> dict[tuple[int, int], Fraction]:
@@ -201,25 +164,24 @@ def _row_quadratic(sys: CyclicLVSystem, i0: int) -> dict[tuple[int, int], Fracti
 
 
 def _form_times_coordinate(
-    form: LinearForm, i0: int
+    form: Sequence[Term], i0: int
 ) -> dict[tuple[int, int], Fraction]:
     """Quadratic monomial coefficients of x_{i0+1} * form (0-based i0)."""
     terms: dict[tuple[int, int], Fraction] = {}
-    for j0, c in enumerate(form.coeffs):
-        if c != 0:
-            key = tuple(sorted((i0, j0)))
-            terms[key] = terms.get(key, Fraction(0)) + c
+    for j0, c in form:
+        key = tuple(sorted((i0, j0)))
+        terms[key] = terms.get(key, Fraction(0)) + c
     return {key: c for key, c in terms.items() if c != 0}
 
 
 def verify_hyperplane_invariance(
-    sys: CyclicLVSystem, i: int, cof: LinearForm | None = None
+    sys: CyclicLVSystem, i: int, cof: Sequence[Term] | None = None
 ) -> bool:
     """Exact symbolic check that X(x_i) - K_i * x_i is the zero polynomial.
 
     Always true for this family; kept as a regression guard on the cyclic
-    index conventions. Passing an explicit cofactor lets callers probe the
-    check with a corrupted form.
+    index conventions. Passing explicit (column, entry) terms as the
+    cofactor lets callers probe the check with a corrupted form.
     """
     n = sys.n
     if not 1 <= i <= n:

@@ -10,8 +10,13 @@ value.
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
 PositivityBreached as soon as any coordinate falls below a configurable
-floor, and with NonFiniteState when one becomes NaN or infinite. Runtime
-aborts carry the partial Trajectory on the exception.
+floor, and with NonFiniteState when one becomes NaN or infinite. Every
+value and drift of a row must be finite, and each monomial's
+s = lam . log x must lie in LOG_RANGE, so that exp(s) neither overflows nor
+underflows: an initial state that breaks this is refused with
+InitialIntegralOutOfRange, and a later row ends the run with
+IntegralOutOfRange. Runtime aborts carry the partial Trajectory, cut
+before the failing row, on the exception.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +33,8 @@ import numpy as np
 from .darboux import IntegralBasis, integral_basis
 from .errors import (
     DimensionMismatch,
+    InitialIntegralOutOfRange,
+    IntegralOutOfRange,
     NonFiniteState,
     NonPositiveInitialState,
     NotMeasurable,
@@ -47,6 +55,9 @@ __all__ = [
 
 # denominator floor for the relative drift of near-zero integrals
 DRIFT_DENOMINATOR_FLOOR = 1e-300
+
+# The range of s = lam . log x whose exp(s) is a finite normal float.
+LOG_RANGE = (math.log(float_info.min), math.log(float_info.max))
 
 # Most steps one run may take. A fixed-step run that needs more is refused
 # before any array is allocated; an adaptive run that reaches it aborts.
@@ -122,32 +133,38 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _trajectory(t: np.ndarray, x: np.ndarray, basis: IntegralBasis) -> Trajectory:
-    """Evaluate H1, each monomial and the drift for every row in one pass.
+def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray]:
+    """H1 and each monomial for every row, and where they leave the float range.
 
-    Each value has the same bits as evaluating that state alone with
-    sum(x) and exp(lam . log x). Batched forms (x @ lam, np.exp) round
-    differently, and np.dot's rounding depends on the alignment of its
-    operands, so each row of logs is copied to a fresh array before the dot.
+    Returns the values, shape (rows, 1 + m), and a mask of the same shape
+    that marks an H1 that is not finite and a monomial whose
+    s = lam . log x lies outside LOG_RANGE; a masked monomial's value is a
+    placeholder. Each value has the same bits as evaluating that state
+    alone with sum(x) and exp(lam . log x). Batched forms (x @ lam, np.exp)
+    round differently, and np.dot's rounding depends on the alignment of
+    its operands, so each row of logs is copied to a fresh array before the
+    dot.
     """
-    columns = [x.sum(axis=1)]
+    h1 = x.sum(axis=1)
+    columns, outside = [h1], [~np.isfinite(h1)]
     for mono in basis.monomials:
         lam = np.array([float(e) for e in mono.exponents])
         support = lam != 0.0
         lam = lam[support]
         logs = np.log(x[:, support])
+        s = np.fromiter(
+            (np.dot(lam, row.copy()) for row in logs), dtype=float, count=len(logs)
+        )
+        inside = (s >= LOG_RANGE[0]) & (s <= LOG_RANGE[1])
+        outside.append(~inside)
         columns.append(
             np.fromiter(
-                (math.exp(np.dot(lam, row.copy())) for row in logs),
+                map(math.exp, np.where(inside, s, 0.0).tolist()),
                 dtype=float,
-                count=len(logs),
+                count=len(s),
             )
         )
-    values = np.column_stack(columns)
-    start = values[0]
-    drift = np.abs(values - start) / np.maximum(np.abs(start), DRIFT_DENOMINATOR_FLOOR)
-    drift[0] = 0.0  # the baseline, also when H1(x0) overflows and inf - inf is NaN
-    return Trajectory(t, x, values, drift)
+    return np.column_stack(columns), np.column_stack(outside)
 
 
 def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
@@ -274,14 +291,19 @@ def integrate(
     Returns the Trajectory of every accepted step, the initial state
     included. Raises up front DimensionMismatch for an x0 of the wrong
     length, NonPositiveInitialState for a NaN, infinite or nonpositive
-    entry, and TooManySteps when a fixed-step run needs more than MAX_STEPS
+    entry, InitialIntegralOutOfRange when an integral at x0 leaves the float
+    range, and TooManySteps when a fixed-step run needs more than MAX_STEPS
     steps. During the run it raises PositivityBreached if a coordinate falls
     below the floor, NonFiniteState if one becomes NaN or infinite,
-    StepUnderflow if the adaptive controller cannot satisfy its tolerances
-    above min_step, and StepLimitReached if an adaptive run accepts
-    MAX_STEPS steps; these carry the Trajectory up to the failure.
+    IntegralOutOfRange if an integral's value or drift leaves the float
+    range, StepUnderflow if the adaptive controller cannot satisfy its
+    tolerances above min_step, and StepLimitReached if an adaptive run
+    accepts MAX_STEPS steps; these carry the Trajectory up to the failure.
     """
     x = _validate_x0(sys, x0)
+    outside = _values(x[None], basis)[1][0]
+    if outside.any():
+        raise InitialIntegralOutOfRange(int(np.argmax(outside)) + 1)
     f = _rhs(sys)
     run = _run_rk4 if cfg.method is Method.RK4_FIXED else _run_rkf45
     t, xs, abort = run(f, x, cfg)
@@ -298,7 +320,16 @@ def integrate(
         else:
             abort = partial(NonFiniteState, float(t[row]), int(np.argmin(finite[row])) + 1)
         t, xs = t[:row], xs[:row]
-    trajectory = _trajectory(t, xs, basis)
+    values, outside = _values(xs, basis)
+    start = values[0]
+    drift = np.abs(values - start) / np.maximum(np.abs(start), DRIFT_DENOMINATOR_FLOOR)
+    outside |= ~np.isfinite(drift)
+    if outside.any():
+        # the first row out of range, and its first integral out of range
+        row, column = divmod(int(np.argmax(outside)), outside.shape[1])
+        abort = partial(IntegralOutOfRange, float(t[row]), column + 1)
+        t, xs, values, drift = t[:row], xs[:row], values[:row], drift[:row]
+    trajectory = Trajectory(t, xs, values, drift)
     if abort is not None:
         raise abort(trajectory)
     return trajectory

@@ -26,9 +26,9 @@ from .errors import (
 )
 from .model import (
     CyclicLVSystem,
-    LinearForm,
+    Term,
     as_fraction,
-    cofactor,
+    structure_matrix,
     _row_quadratic,
 )
 
@@ -66,11 +66,11 @@ def cofactor_combination(
     if len(exponents) != sys.n:
         raise DimensionMismatch("exponent vector length does not match the system")
     total = [Fraction(0)] * sys.n
-    for i in range(sys.n):
-        lam = Fraction(exponents[i])
+    for lam, row in zip(exponents, structure_matrix(sys)):
+        lam = Fraction(lam)
         if lam == 0:
             continue
-        for j, c in cofactor(sys, i + 1).terms:
+        for j, c in row:
             total[j] += lam * c
     return tuple(total)
 
@@ -130,11 +130,16 @@ def field_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
     if len(x) != sys.n:
         raise DimensionMismatch("state length does not match the system")
     total = Fraction(0)
-    for i0 in range(sys.n):
-        form = cofactor(sys, i0 + 1)
+    for i0, row in enumerate(structure_matrix(sys)):
+        k_i, dk_i = _cofactor_at(row, x, i0)
         # d/dx_i [x_i * K_i] = K_i + x_i * dK_i/dx_i  (product rule)
-        total += form.evaluate(x) + x[i0] * form.coeffs[i0]
+        total += k_i + x[i0] * dk_i
     return total
+
+
+def _cofactor_at(row: Sequence[Term], x: Sequence, i0: int) -> tuple:
+    """K_i = sum c * x_j over the row's terms, and dK_i/dx_i from those on column i0."""
+    return sum(c * x[j] for j, c in row), sum(c for j, c in row if j == i0)
 
 
 def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
@@ -144,21 +149,17 @@ def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
     M * dP_i/dx_i + P_i * dM/dx_i with dM/dx_i = -M/x_i; the identity
     emerges from the cancellation rather than being assumed.
     """
-    return _jacobi_divergence(_cofactors(sys), state)
+    return _jacobi_divergence(structure_matrix(sys), state)
 
 
-def _cofactors(sys: CyclicLVSystem) -> list[LinearForm]:
-    return [cofactor(sys, i) for i in range(1, sys.n + 1)]
+def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
+    """jacobi_divergence for the system whose structure matrix is rows.
 
-
-def _jacobi_divergence(forms: Sequence[LinearForm], state: Sequence) -> Fraction:
-    """jacobi_divergence for the system whose cofactors K_1..K_n are forms.
-
-    Taking the cofactors built once per system keeps the cost per sample
-    at O(n) Fraction operations.
+    Taking the rows (the cofactors K_1..K_n) built once per system keeps
+    the cost per sample at O(n) Fraction operations.
     """
     x = _rational_point(state)
-    if len(x) != len(forms):
+    if len(x) != len(rows):
         raise DimensionMismatch("state length does not match the system")
     for i0, v in enumerate(x):
         if v == 0:
@@ -168,10 +169,10 @@ def _jacobi_divergence(forms: Sequence[LinearForm], state: Sequence) -> Fraction
         prod *= v
     multiplier = 1 / prod
     total = Fraction(0)
-    for i0, form in enumerate(forms):
-        k_i = form.evaluate(x)
+    for i0, row in enumerate(rows):
+        k_i, dk_i = _cofactor_at(row, x, i0)
         p_i = x[i0] * k_i
-        dp_i = k_i + x[i0] * form.coeffs[i0]
+        dp_i = k_i + x[i0] * dk_i
         total += multiplier * dp_i + p_i * (-multiplier / x[i0])
     return total
 
@@ -186,9 +187,9 @@ def check_jacobi_multiplier(
     """
     if not samples:
         raise EmptySampleSet("at least one sample point is required")
-    forms = _cofactors(sys)
+    rows = structure_matrix(sys)
     for idx, sample in enumerate(samples):
-        residual = _jacobi_divergence(forms, sample)
+        residual = _jacobi_divergence(rows, sample)
         if residual != 0:
             return VerificationReport(
                 subject="jacobi-multiplier",

@@ -1,11 +1,19 @@
 """Exit codes, output formats, round-trips, and byte-level determinism."""
 
+import contextlib
+import io
 import json
+import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycliclv import VerificationReport, integral_basis, make_system, sim
 from cycliclv.cli import main, run_check_battery
@@ -31,6 +39,20 @@ def resonant4(tmp_path):
 @pytest.fixture
 def nonresonant4(tmp_path):
     return write_spec(tmp_path, "nonres4.json", ["1", "1", "1", "2"])
+
+
+# n = 41 with rates 7, 1, 7, ..., 7: the monomial's exponents reach 7^20, so
+# lam . log x leaves the float range unless every x_i is very close to 1
+RATES_41 = [7, 1] * 20 + [7]
+# x2 = exp(-700 / lam_2) puts H2 at exp(-700), below the drift denominator's
+# 1e-300 floor; at step 8e-4 the third step's H2 is a finite 3.4e205, whose
+# drift overflows
+X0_41_TINY_H2 = ",".join(["1", "0.9999999999999912"] + ["1"] * 39)
+
+
+@pytest.fixture
+def wheel41(tmp_path):
+    return write_spec(tmp_path, "wheel41.json", RATES_41)
 
 
 class TestIntegrals:
@@ -329,6 +351,65 @@ class TestSimulate:
         assert "status=StepLimitReached(" in capsys.readouterr().out
         assert len(out_csv.read_text().splitlines()) == 1 + 51
 
+    @pytest.mark.parametrize("x0", [[2.0] * 41, [0.999, 1.001] * 20 + [0.999]])
+    def test_integral_out_of_range_at_x0_exit_2(self, wheel41, tmp_path, capsys, x0):
+        # all 2: exp(lam . log x0) overflows; alternating: lam . log x0 is
+        # about -9.3e10 and H2 underflows to 0, which read as zero drift
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel41,
+                "--x0", ",".join(map(str, x0)),
+                "--step", "1e-3",
+                "--t-end", "0.01",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integral H2 is outside the float range at the initial state" in captured.err
+        assert not out_csv.exists()
+
+    def test_integral_out_of_range_mid_run_exit_3(self, wheel41, tmp_path, capsys):
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel41,
+                "--x0", ",".join(["1"] * 41),
+                "--step", "1e-3",
+                "--t-end", "0.01",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "status=IntegralOutOfRange(integral H2 left the float range at t=0.002)" in out
+        lines = out_csv.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.001"]
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
+    def test_drift_out_of_range_mid_run_exit_3(self, wheel41, tmp_path, capsys):
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel41,
+                "--x0", X0_41_TINY_H2,
+                "--step", "8e-4",
+                "--t-end", "0.0024",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "max_drift_H2=6.5120276890673659e+213 status=IntegralOutOfRange(" in out
+        lines = out_csv.read_text().splitlines()
+        assert len(lines) == 1 + 3
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
     def test_rk45_method(self, wheel3, tmp_path, capsys):
         out_csv = tmp_path / "traj45.csv"
         code = main(
@@ -387,3 +468,89 @@ class TestDeterminism:
         lines = (tmp_path / "c.csv").read_text().splitlines()
         row = lines[1].split(",")
         assert float(row[1]) == 0.2
+
+
+# -- fuzzing cli.main -------------------------------------------------------
+
+_GOOD_RATE = st.one_of(
+    st.integers(1, 9), st.integers(-9, -1), st.sampled_from(["1/2", "0.75", "-7/3"])
+)
+_BAD_RATE = st.sampled_from([0, "0", "x", "1/0", "", None, [1], True, 1e400])
+_BAD_FILE = st.one_of(
+    st.sampled_from(["", "{", "[]", "null", '{"k": 3}', '{"k": [5]}', '{"q": [1, 2]}']),
+    st.text(max_size=12),
+)
+_ODD_X0 = st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-300, 1e-12, 1e6, 1e300])
+# step >= 2.5e-3 and t_end <= 5 keep a fixed-step run within 2000 steps
+_ODD_STEP = st.sampled_from([math.nan, math.inf, -1e-3, 0.0, 1e-300, 1e300])
+_ODD_T_END = st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e300])
+
+
+@st.composite
+def simulate_inputs(draw):
+    """(spec file text, --x0, --step, --t-end, --method) for a simulate call.
+
+    A sound call, or one with a single flaw: a malformed spec file, a bad
+    rate entry, an x0 of the wrong length, unparseable, or with NaN,
+    negative, tiny or huge entries, an odd step or end time, or an unknown
+    method.
+    """
+    flaw = draw(st.sampled_from(
+        [None] * 8 + ["file", "rate", "x0 length", "x0 entries", "x0 text", "step",
+                      "t_end", "method"]
+    ))
+    n = draw(st.integers(2, 8))
+    rates = draw(st.lists(_GOOD_RATE, min_size=n, max_size=n))
+    if flaw == "rate":
+        rates[draw(st.integers(0, n - 1))] = draw(_BAD_RATE)
+    spec = draw(_BAD_FILE) if flaw == "file" else json.dumps({"k": rates})
+    length = n + draw(st.sampled_from([-1, 1])) if flaw == "x0 length" else n
+    x0 = draw(st.lists(st.floats(0.05, 5.0), min_size=length, max_size=length))
+    if flaw == "x0 entries":
+        x0 = [draw(_ODD_X0) if draw(st.booleans()) else v for v in x0]
+    x0_text = ",".join(map(repr, x0))
+    if flaw == "x0 text":
+        x0_text = draw(st.sampled_from(["", "1,,2", "a,b", "0x1p-3"]))
+    step = draw(_ODD_STEP if flaw == "step" else st.floats(2.5e-3, 0.5))
+    t_end = draw(_ODD_T_END if flaw == "t_end" else st.floats(1e-3, 5.0))
+    method = draw(st.sampled_from(["euler", ""] if flaw == "method" else ["rk4", "rk45"]))
+    return spec, x0_text, step, t_end, method
+
+
+@given(simulate_inputs())
+@example((json.dumps({"k": RATES_41}), ",".join(["2"] * 41), 1e-3, 0.01, "rk4"))
+@example((json.dumps({"k": RATES_41}), ",".join(["1"] * 41), 1e-3, 0.01, "rk4"))
+@example((json.dumps({"k": RATES_41}), X0_41_TINY_H2, 8e-4, 0.0024, "rk4"))
+@settings(max_examples=80, deadline=None)
+def test_simulate_fuzz_exit_code_and_finite_ok_output(inputs):
+    spec, x0, step, t_end, method = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(spec, encoding="utf-8")
+        out_csv = Path(tmp) / "out.csv"
+        argv = [
+            "simulate",
+            "--system", str(spec_path),
+            f"--x0={x0}",
+            f"--step={step!r}",
+            f"--t-end={t_end!r}",
+            f"--method={method}",
+            "--out", str(out_csv),
+        ]
+        stdout = io.StringIO()
+        # the step cap bounds an adaptive run too; no example exceeds it
+        with mock.patch.object(sim, "MAX_STEPS", 2000), contextlib.redirect_stdout(
+            stdout
+        ), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing a flag
+                code = exc.code
+        assert code in {0, 1, 2, 3}
+        out = stdout.getvalue()
+        assert (code == 0) == ("status=ok" in out)
+        if code == 0:
+            fields = [part.split("=", 1) for part in out.split()[1:-1]]
+            assert all(math.isfinite(float(value)) for _, value in fields), out
+            rows = out_csv.read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

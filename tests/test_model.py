@@ -12,7 +12,6 @@ from cycliclv import (
     DimensionMismatch,
     DimensionTooSmall,
     IndexOutOfRange,
-    LinearForm,
     ZeroParameter,
     as_fraction,
     cofactor,
@@ -133,20 +132,25 @@ def _division_oracle(rates, i):
     return tuple(Fraction(str(poly.coeff_monomial(x))) for x in xs)
 
 
+def _coeffs(sys, i):
+    """Dense coefficients of the cofactor K_i, terms on one column summed."""
+    return tuple(dense([cofactor(sys, i)], sys.n)[0])
+
+
 class TestCofactor:
     def test_frozen_examples(self):
         sys = make_system([1, 2, 3])
-        assert cofactor(sys, 1).coeffs == (0, 1, -3)
-        assert cofactor(sys, 2).coeffs == (-1, 0, 2)
+        assert _coeffs(sys, 1) == (0, 1, -3)
+        assert _coeffs(sys, 2) == (-1, 0, 2)
 
     def test_n2_collision(self):
         sys = make_system([5, 7])
-        assert cofactor(sys, 1).coeffs == (0, -2)
-        assert cofactor(sys, 2).coeffs == (2, 0)
+        assert _coeffs(sys, 1) == (0, -2)
+        assert _coeffs(sys, 2) == (2, 0)
 
     def test_n2_cancel(self):
         sys = make_system([4, 4])
-        assert cofactor(sys, 1).coeffs == (0, 0)
+        assert _coeffs(sys, 1) == (0, 0)
 
     def test_out_of_range(self):
         sys = make_system([1, 2, 3])
@@ -160,14 +164,14 @@ class TestCofactor:
             n = rng.randint(2, 7)
             sys = random_system(rng, n)
             i = rng.randint(1, n)
-            assert cofactor(sys, i).coeffs == _division_oracle(sys.rates, i)
+            assert _coeffs(sys, i) == _division_oracle(sys.rates, i)
 
     @given(rate_lists)
     @settings(max_examples=60, deadline=None)
     def test_nonzero_entry_count(self, rates):
         sys = make_system(rates)
         for i in range(1, sys.n + 1):
-            nonzero = sum(1 for c in cofactor(sys, i).coeffs if c != 0)
+            nonzero = sum(1 for c in _coeffs(sys, i) if c != 0)
             if sys.n >= 3:
                 assert nonzero == 2
             else:
@@ -191,10 +195,12 @@ class TestStructureMatrix:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_antisymmetric_with_cofactor_rows(self, n):
         sys = random_system(random.Random(300 + n), n)
-        a = dense(structure_matrix(sys), n)
+        rows = structure_matrix(sys)
+        a = dense(rows, n)
         assert all(a[i][j] == -a[j][i] for i in range(n) for j in range(n))
         for i in range(n):
-            assert list(cofactor(sys, i + 1).coeffs) == a[i]
+            assert dense([cofactor(sys, i + 1)], n)[0] == a[i]
+            assert cofactor(sys, i + 1) == rows[i]
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_exponent_system_is_the_transpose(self, n):
@@ -203,16 +209,6 @@ class TestStructureMatrix:
         transpose = [[a[j][i] for j in range(n)] for i in range(n)]
         assert dense(build_exponent_system(sys), n) == transpose
         assert transpose == [[-v for v in row] for row in a]
-
-
-class TestLinearForm:
-    def test_evaluate(self):
-        form = LinearForm(coeffs=(Fraction(2), Fraction(-1), Fraction(0)))
-        assert form.evaluate([Fraction(1), Fraction(5), Fraction(9)]) == -3
-
-    def test_evaluate_length_check(self):
-        with pytest.raises(DimensionMismatch):
-            LinearForm(coeffs=(Fraction(1),)).evaluate([1, 2])
 
 
 class TestHyperplaneInvariance:
@@ -229,11 +225,9 @@ class TestHyperplaneInvariance:
     def test_corrupted_cofactor_detected(self):
         sys = make_system([1, 2, 3])
         good = cofactor(sys, 1)
-        bad = LinearForm(
-            coeffs=tuple(
-                c + 1 if j == 1 else c for j, c in enumerate(good.coeffs)
-            )
-        )
+        bad = tuple((j, c + 1 if j == 1 else c) for j, c in good)
+        assert good == ((1, 1), (2, -3))
+        assert bad == ((1, 2), (2, -3))
         assert not verify_hyperplane_invariance(sys, 1, bad)
 
     def test_out_of_range(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cycliclv import (
+    InitialIntegralOutOfRange,
     IntegratorConfig,
     Method,
     NonFiniteState,
@@ -192,6 +193,12 @@ class TestIntegrate:
         assert exc.value.t == pytest.approx(0.4)
         assert len(exc.value.trajectory.t) == 4
         assert np.isfinite(exc.value.trajectory.x).all()
+
+    def test_initial_h1_overflow_refused(self):
+        sys = make_system([2, 1, 3])
+        with pytest.raises(InitialIntegralOutOfRange) as exc:
+            integrate(sys, [1e308] * 3, IntegratorConfig(), integral_basis(sys))
+        assert exc.value.integral == 1
 
     def test_configurable_floor(self):
         sys = make_system([1, 5])

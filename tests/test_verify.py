@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from cycliclv import (
+    DimensionMismatch,
     DomainViolation,
     EmptySampleSet,
     MonomialIntegral,
@@ -123,25 +124,36 @@ class TestJacobiMultiplier:
         with pytest.raises(EmptySampleSet):
             check_jacobi_multiplier(make_system([1, 2, 3]), [])
 
+    def test_state_length_mismatch(self):
+        sys = make_system([1, 2, 3])
+        for divergence in (jacobi_divergence, field_divergence):
+            with pytest.raises(DimensionMismatch):
+                divergence(sys, [1, 2])
+
     def test_against_sympy_differentiation(self):
         rng = random.Random(83)
         for _ in range(6):
-            n = rng.randint(3, 6)
-            sys = random_system(rng, n)
-            xs = sp.symbols(f"x1:{n + 1}", positive=True)
-            k = [sp.Rational(v) for v in sys.rates]
-            p = [
-                xs[i] * (k[i] * xs[(i + 1) % n] - k[(i - 1) % n] * xs[(i - 1) % n])
-                for i in range(n)
-            ]
-            multiplier = 1 / sp.prod(xs)
-            divergence = sum(sp.diff(multiplier * p[i], xs[i]) for i in range(n))
-            raw = sum(sp.diff(p[i], xs[i]) for i in range(n))
-            assert sp.simplify(divergence) == 0
-            point = random_rational_state(rng, n, positive=True)
-            subs = {x: sp.Rational(str(v)) for x, v in zip(xs, point)}
-            assert jacobi_divergence(sys, point) == 0
-            assert field_divergence(sys, point) == Fraction(str(raw.subs(subs)))
+            _check_divergences_against_sympy(rng, rng.randint(3, 6))
+        # n = 2: both terms of a cofactor fall on one column
+        _check_divergences_against_sympy(rng, 2)
+
+
+def _check_divergences_against_sympy(rng, n):
+    sys = random_system(rng, n)
+    xs = sp.symbols(f"x1:{n + 1}", positive=True)
+    k = [sp.Rational(v) for v in sys.rates]
+    p = [
+        xs[i] * (k[i] * xs[(i + 1) % n] - k[(i - 1) % n] * xs[(i - 1) % n])
+        for i in range(n)
+    ]
+    multiplier = 1 / sp.prod(xs)
+    divergence = sum(sp.diff(multiplier * p[i], xs[i]) for i in range(n))
+    raw = sum(sp.diff(p[i], xs[i]) for i in range(n))
+    assert sp.simplify(divergence) == 0
+    point = random_rational_state(rng, n, positive=True)
+    subs = {x: sp.Rational(str(v)) for x, v in zip(xs, point)}
+    assert jacobi_divergence(sys, point) == 0
+    assert field_divergence(sys, point) == Fraction(str(raw.subs(subs)))
 
 
 class TestIndependence:
