@@ -19,6 +19,7 @@ __all__ = [
     "EmptySampleSet",
     "ZeroCoordinate",
     "NonPositiveInitialState",
+    "FloatOutOfRange",
     "InitialIntegralOutOfRange",
     "TooManySteps",
     "IntegrationAborted",
@@ -88,7 +89,19 @@ class ZeroCoordinate(CyclicLVError):
 # -- simulation ---------------------------------------------------------------
 
 class NonPositiveInitialState(CyclicLVError):
-    """Trajectory initial conditions must be finite and strictly positive."""
+    """Every initial coordinate must be finite and at least sim.POSITIVITY_FLOOR."""
+
+
+class FloatOutOfRange(CyclicLVError):
+    """A nonzero rate or exponent has no finite nonzero float; refused up front.
+
+    ``what`` names it, e.g. "rate k1" or "exponent of x2 in H3".
+    """
+
+    def __init__(self, what: str):
+        super().__init__(
+            f"{what} has no finite nonzero float (it overflows or rounds to zero)"
+        )
 
 
 class InitialIntegralOutOfRange(CyclicLVError):
@@ -122,7 +135,7 @@ class IntegrationAborted(CyclicLVError):
 
 
 class PositivityBreached(IntegrationAborted):
-    """A coordinate fell below the positivity floor during integration."""
+    """A coordinate fell below sim.POSITIVITY_FLOOR during integration."""
 
     def __init__(self, t: float, coordinate: int, trajectory):
         self.t = t
@@ -156,7 +169,7 @@ class IntegralOutOfRange(IntegrationAborted):
 
 
 class StepUnderflow(IntegrationAborted):
-    """The adaptive step size fell below the configured minimum."""
+    """The adaptive step size fell below sim.MIN_STEP."""
 
     def __init__(self, t: float, step: float, trajectory):
         self.t = t

@@ -66,22 +66,21 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class CyclicLVSystem:
-    """Dimension n >= 2 and the n nonzero rational rate constants.
+    """The n >= 2 nonzero rational rate constants; n is their count.
 
     This is the one place rates are validated; every constructor path,
     ``make_system`` and the CLI spec loader included, ends here.
     """
 
-    n: int
     rates: tuple[Fraction, ...]
 
+    @property
+    def n(self) -> int:
+        return len(self.rates)
+
     def __post_init__(self):
-        if self.n < 2 or len(self.rates) < 2:
+        if self.n < 2:
             raise DimensionTooSmall(f"need n >= 2, got n={self.n}")
-        if len(self.rates) != self.n:
-            raise DimensionMismatch(
-                f"n={self.n} but {len(self.rates)} rates were supplied"
-            )
         for i, k in enumerate(self.rates):
             if k == 0:
                 raise ZeroParameter(i + 1)
@@ -93,8 +92,7 @@ def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
     CyclicLVSystem validates the rates: it raises DimensionTooSmall for
     fewer than two and ZeroParameter (with the 1-based position) for a zero.
     """
-    rates = tuple(as_fraction(v) for v in k)
-    return CyclicLVSystem(n=len(rates), rates=rates)
+    return CyclicLVSystem(tuple(as_fraction(v) for v in k))
 
 
 Term = tuple[int, Fraction]

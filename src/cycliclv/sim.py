@@ -9,8 +9,9 @@ value.
 
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
-PositivityBreached as soon as any coordinate falls below a configurable
-floor, and with NonFiniteState when one becomes NaN or infinite. Every
+PositivityBreached as soon as any coordinate falls below POSITIVITY_FLOOR,
+and with NonFiniteState when one becomes NaN or infinite. The initial state
+must meet the same floor, or it is refused with NonPositiveInitialState. Every
 value and drift of a row must be finite, and each monomial's
 s = lam . log x must lie in LOG_RANGE, so that exp(s) neither overflows nor
 underflows: an initial state that breaks this is refused with
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 from sys import float_info
 from typing import Callable, Sequence
@@ -33,6 +35,7 @@ import numpy as np
 from .darboux import IntegralBasis, integral_basis
 from .errors import (
     DimensionMismatch,
+    FloatOutOfRange,
     InitialIntegralOutOfRange,
     IntegralOutOfRange,
     NonFiniteState,
@@ -63,6 +66,14 @@ LOG_RANGE = (math.log(float_info.min), math.log(float_info.max))
 # before any array is allocated; an adaptive run that reaches it aborts.
 MAX_STEPS = 10_000_000
 
+# Every coordinate of every row, x0 included, must stay at or above this.
+POSITIVITY_FLOOR = 1e-12
+
+# The adaptive pair's error tolerances, and the step below which it gives up.
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+MIN_STEP = 1e-10
+
 # Rows an adaptive run allocates first; the arrays double when full.
 _ADAPTIVE_ROWS = 1024
 
@@ -74,29 +85,22 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and control knobs.
+    """The stepper, its step and the end time.
 
     ``step`` is the fixed step for RK4 and the initial trial step for the
-    adaptive pair; ``rel_tol``/``abs_tol``/``min_step`` apply to the
-    adaptive pair only. Any state coordinate dropping below
-    ``positivity_floor`` aborts the run. ``method`` takes a Method or its
-    value ("rk4", "rk45"). Every other field must be finite and positive.
-    Anything else, NaN and infinity included, raises ValueError.
+    adaptive pair, which controls it with REL_TOL, ABS_TOL and MIN_STEP.
+    ``method`` takes a Method or its value ("rk4", "rk45"). ``step`` and
+    ``t_end`` must be finite and positive. Anything else, NaN and infinity
+    included, raises ValueError.
     """
 
     method: Method = Method.RK4_FIXED
     step: float = 1e-3
     t_end: float = 10.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    min_step: float = 1e-10
-    positivity_floor: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        for name in (
-            "step", "t_end", "rel_tol", "abs_tol", "min_step", "positivity_floor"
-        ):
+        for name in ("step", "t_end"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -118,14 +122,37 @@ class Trajectory:
     drift: np.ndarray
 
 
+def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
+    """The floats of exact rationals, each nonzero one finite and nonzero.
+
+    float(q) raises OverflowError past float_info.max and rounds a q below
+    the smallest subnormal to 0.0; either raises FloatOutOfRange naming
+    what(i) for the 1-based position i.
+    """
+    out = []
+    for i, q in enumerate(qs, start=1):
+        try:
+            v = float(q)
+        except OverflowError:
+            raise FloatOutOfRange(what(i)) from None
+        if v == 0.0 and q != 0:
+            raise FloatOutOfRange(what(i))
+        out.append(v)
+    return np.array(out, dtype=float)
+
+
 def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     """The field x * (A x) in floats, A the structure matrix.
 
     Each row's two terms stay two products; summing them changes n = 2's bits.
+    Raises FloatOutOfRange for a rate whose float overflows or rounds to zero.
     """
     first, second = zip(*structure_matrix(sys))
     j1, j2 = (np.array([j for j, _ in terms]) for terms in (first, second))
-    c1, c2 = (np.array([float(c) for _, c in terms]) for terms in (first, second))
+    # row i's first entry is k_i, so this column holds every rate once and
+    # the second column's -k_{i-1} then always has a float
+    c1 = _floats([c for _, c in first], lambda i: f"rate k{i}")
+    c2 = np.array([float(c) for _, c in second])
 
     def f(x: np.ndarray) -> np.ndarray:
         return x * (c1 * x[j1] + c2 * x[j2])
@@ -143,12 +170,13 @@ def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray
     alone with sum(x) and exp(lam . log x). Batched forms (x @ lam, np.exp)
     round differently, and np.dot's rounding depends on the alignment of
     its operands, so each row of logs is copied to a fresh array before the
-    dot.
+    dot. Raises FloatOutOfRange for an exponent whose float overflows or
+    rounds to zero.
     """
     h1 = x.sum(axis=1)
     columns, outside = [h1], [~np.isfinite(h1)]
-    for mono in basis.monomials:
-        lam = np.array([float(e) for e in mono.exponents])
+    for j, mono in enumerate(basis.monomials, start=2):
+        lam = _floats(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
         support = lam != 0.0
         lam = lam[support]
         logs = np.log(x[:, support])
@@ -173,10 +201,11 @@ def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
         raise DimensionMismatch(
             f"initial state has length {len(x)}, system has n={sys.n}"
         )
-    # NaN fails every comparison, so test for the one good range, not x <= 0
-    if not np.all(np.isfinite(x) & (x > 0)):
+    # NaN fails every comparison, so test for the one good range
+    if not np.all(np.isfinite(x) & (x >= POSITIVITY_FLOOR)):
         raise NonPositiveInitialState(
-            "initial state must be finite and strictly positive"
+            "initial state must be finite and at least the positivity floor "
+            f"{POSITIVITY_FLOOR:g}"
         )
     return x
 
@@ -230,11 +259,10 @@ def _run_rk4(f, x: np.ndarray, cfg: IntegratorConfig):
         t[-1] = cfg.t_end
     xs = np.empty((steps + 1, x.size))
     xs[0] = x
-    floor = cfg.positivity_floor
     for i in range(1, steps + 1):
         x = _rk4_step(f, x, h if i <= n_full else remainder)
         xs[i] = x
-        if not x.min() >= floor:
+        if not x.min() >= POSITIVITY_FLOOR:
             return t[: i + 1], xs[: i + 1], None
     return t, xs, None
 
@@ -246,14 +274,13 @@ def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
     ts[0] = 0.0
     xs[0] = x
     rows = 1
-    floor = cfg.positivity_floor
     t = 0.0
     h = min(cfg.step, cfg.t_end)
     abort = None
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)
         x_new, err = _rkf45_step(f, x, h)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
         enorm = float(np.max(np.abs(err) / scale))
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
@@ -269,12 +296,12 @@ def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
             ts[rows] = t
             xs[rows] = x
             rows += 1
-            if not x.min() >= floor:
+            if not x.min() >= POSITIVITY_FLOOR:
                 break
             h *= factor
         else:
             h *= factor
-            if h < cfg.min_step:
+            if h < MIN_STEP:
                 abort = partial(StepUnderflow, t, h)
                 break
     return ts[:rows], xs[:rows], abort
@@ -286,33 +313,34 @@ def integrate(
     cfg: IntegratorConfig,
     basis: IntegralBasis,
 ) -> Trajectory:
-    """Integrate from a strictly positive initial state up to cfg.t_end.
+    """Integrate from an initial state at or above the floor up to cfg.t_end.
 
     Returns the Trajectory of every accepted step, the initial state
     included. Raises up front DimensionMismatch for an x0 of the wrong
-    length, NonPositiveInitialState for a NaN, infinite or nonpositive
-    entry, InitialIntegralOutOfRange when an integral at x0 leaves the float
-    range, and TooManySteps when a fixed-step run needs more than MAX_STEPS
-    steps. During the run it raises PositivityBreached if a coordinate falls
-    below the floor, NonFiniteState if one becomes NaN or infinite,
-    IntegralOutOfRange if an integral's value or drift leaves the float
-    range, StepUnderflow if the adaptive controller cannot satisfy its
-    tolerances above min_step, and StepLimitReached if an adaptive run
-    accepts MAX_STEPS steps; these carry the Trajectory up to the failure.
+    length, NonPositiveInitialState for a NaN or infinite entry or one below
+    POSITIVITY_FLOOR, FloatOutOfRange for a nonzero rate or exponent whose
+    float overflows or rounds to zero, InitialIntegralOutOfRange when an
+    integral at x0 leaves the float range, and TooManySteps when a
+    fixed-step run needs more than MAX_STEPS steps. During the run it
+    raises PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
+    NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
+    integral's value or drift leaves the float range, StepUnderflow if the
+    adaptive controller cannot satisfy its tolerances above MIN_STEP, and
+    StepLimitReached if an adaptive run accepts MAX_STEPS steps; these carry
+    the Trajectory up to the failure.
     """
     x = _validate_x0(sys, x0)
+    f = _rhs(sys)
     outside = _values(x[None], basis)[1][0]
     if outside.any():
         raise InitialIntegralOutOfRange(int(np.argmax(outside)) + 1)
-    f = _rhs(sys)
     run = _run_rk4 if cfg.method is Method.RK4_FIXED else _run_rkf45
     t, xs, abort = run(f, x, cfg)
-    # The loops stop at a state that fails x.min() >= floor: one below the
-    # floor, NaN or -inf. A +inf passes that test, so every step's row is
-    # screened here; x0 is only required to be positive, as before.
+    # The loops stop at a state that fails x.min() >= POSITIVITY_FLOOR: one
+    # below the floor, NaN or -inf. A +inf passes that test, so every row is
+    # screened here.
     finite = np.isfinite(xs)
-    bad = ~finite.all(axis=1) | (xs.min(axis=1) < cfg.positivity_floor)
-    bad[0] = False
+    bad = ~finite.all(axis=1) | (xs.min(axis=1) < POSITIVITY_FLOOR)
     if bad.any():
         row = int(np.argmax(bad))
         if finite[row].all():

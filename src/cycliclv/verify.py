@@ -50,7 +50,6 @@ __all__ = [
 class VerificationReport:
     """Outcome of one check; witness holds the first failure, if any."""
 
-    subject: str
     passed: bool
     witness: Optional[str] = None
 
@@ -86,11 +85,10 @@ def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> Verificati
     for j, c in enumerate(combo):
         if c != 0:
             return VerificationReport(
-                subject="cofactor-cancellation",
                 passed=False,
                 witness=f"coefficient of x{j + 1} is {c}",
             )
-    return VerificationReport(subject="cofactor-cancellation", passed=True)
+    return VerificationReport(passed=True)
 
 
 def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
@@ -109,11 +107,10 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
         if total[key] != 0:
             a, b = key
             return VerificationReport(
-                subject="linear-integral",
                 passed=False,
                 witness=f"coefficient of x{a + 1}*x{b + 1} is {total[key]}",
             )
-    return VerificationReport(subject="linear-integral", passed=True)
+    return VerificationReport(passed=True)
 
 
 def _rational_point(state: Sequence) -> list[Fraction]:
@@ -192,11 +189,10 @@ def check_jacobi_multiplier(
         residual = _jacobi_divergence(rows, sample)
         if residual != 0:
             return VerificationReport(
-                subject="jacobi-multiplier",
                 passed=False,
                 witness=f"sample {idx}: residual {residual}",
             )
-    return VerificationReport(subject="jacobi-multiplier", passed=True)
+    return VerificationReport(passed=True)
 
 
 def independence_rank(
@@ -233,20 +229,22 @@ def check_independence(
         got = independence_rank(sys, basis, sample)
         if got != required:
             return VerificationReport(
-                subject="independence",
                 passed=False,
                 witness=f"sample {idx}: rank {got}, expected {required}",
             )
-    return VerificationReport(subject="independence", passed=True)
+    return VerificationReport(passed=True)
 
 
 def random_rational_state(
-    rng: random.Random, n: int, *, positive: bool = True, max_part: int = 99
+    rng: random.Random, n: int, *, positive: bool = True
 ) -> tuple[Fraction, ...]:
-    """Random exact-rational point with nonzero (optionally positive) parts."""
+    """Random exact-rational point with nonzero (optionally positive) parts.
+
+    Each numerator and denominator is drawn from 1..99.
+    """
     out = []
     for _ in range(n):
-        q = Fraction(rng.randint(1, max_part), rng.randint(1, max_part))
+        q = Fraction(rng.randint(1, 99), rng.randint(1, 99))
         if not positive and rng.random() < 0.5:
             q = -q
         out.append(q)

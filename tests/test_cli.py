@@ -155,9 +155,7 @@ class TestCheck:
         monkeypatch.setattr(
             cli_mod.verify,
             "check_linear_integral",
-            lambda sys: VerificationReport(
-                subject="linear-integral", passed=False, witness="forced"
-            ),
+            lambda sys: VerificationReport(passed=False, witness="forced"),
         )
         assert main(["check", "--system", wheel3]) == 1
         out = capsys.readouterr().out
@@ -249,6 +247,40 @@ class TestSimulate:
         assert code == 2
         assert not out_csv.exists()
         assert "status=ok" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec, x0, t_end, named",
+        [
+            ('{"k": [1e400, 1, 3]}', "0.2,0.3,0.5", "0.01", "rate k1"),
+            # the monomial's exponent k1/k2 is 1e400
+            ('{"k": ["1e200", "1e-200", 1]}', "0.2,0.3,0.5", "0.01", "in H2"),
+            ('{"k": ["1e-400", 1, 3]}', "0.2,0.3,0.5", "0.01", "rate k1"),
+            ('{"k": [2, 1, 3]}', "1e-13,0.5,0.5", "1", "floor 1e-12"),
+        ],
+        ids=["rate-overflow", "exponent-overflow", "rate-underflow", "x0-below-floor"],
+    )
+    def test_refused_before_any_step_exit_2(
+        self, tmp_path, capsys, spec, x0, t_end, named
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(spec, encoding="utf-8")
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", str(path),
+                "--x0", x0,
+                "--step", "1e-3",
+                "--t-end", t_end,
+                "--out", str(out_csv),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert not out_csv.exists()
+        assert captured.out == ""
+        assert named in captured.err
+        assert "Traceback" not in captured.err
 
     def test_wrong_length_x0_exit_2(self, wheel3, tmp_path):
         code = main(
@@ -475,7 +507,9 @@ class TestDeterminism:
 _GOOD_RATE = st.one_of(
     st.integers(1, 9), st.integers(-9, -1), st.sampled_from(["1/2", "0.75", "-7/3"])
 )
-_BAD_RATE = st.sampled_from([0, "0", "x", "1/0", "", None, [1], True, 1e400])
+_BAD_RATE = st.sampled_from(
+    [0, "0", "x", "1/0", "", None, [1], True, 1e400, "1e400", "1e-400"]
+)
 _BAD_FILE = st.one_of(
     st.sampled_from(["", "{", "[]", "null", '{"k": 3}', '{"k": [5]}', '{"q": [1, 2]}']),
     st.text(max_size=12),
@@ -521,6 +555,7 @@ def simulate_inputs(draw):
 @example((json.dumps({"k": RATES_41}), ",".join(["2"] * 41), 1e-3, 0.01, "rk4"))
 @example((json.dumps({"k": RATES_41}), ",".join(["1"] * 41), 1e-3, 0.01, "rk4"))
 @example((json.dumps({"k": RATES_41}), X0_41_TINY_H2, 8e-4, 0.0024, "rk4"))
+@example((json.dumps({"k": ["1e200", "1e-200", 1]}), "0.2,0.3,0.5", 1e-3, 0.01, "rk4"))
 @settings(max_examples=80, deadline=None)
 def test_simulate_fuzz_exit_code_and_finite_ok_output(inputs):
     spec, x0, step, t_end, method = inputs

@@ -33,18 +33,10 @@ class TestConfig:
         [
             {"step": 0.0},
             {"t_end": -1.0},
-            {"rel_tol": 0.0},
-            {"abs_tol": -1e-9},
-            {"min_step": 0.0},
-            {"positivity_floor": 0.0},
             {"step": math.inf},
             {"step": math.nan},
             {"t_end": math.inf},
             {"t_end": math.nan},
-            {"rel_tol": math.nan},
-            {"abs_tol": math.inf},
-            {"min_step": math.nan},
-            {"positivity_floor": math.inf},
         ],
     )
     def test_positive_fields_enforced(self, kwargs):
@@ -142,6 +134,7 @@ class TestIntegrate:
             [0.5, -0.1, 0.6],
             [0.2, math.nan, 0.5],
             [math.inf, 0.3, 0.5],
+            [1e-13, 0.5, 0.5],
         ):
             with pytest.raises(NonPositiveInitialState):
                 integrate(sys, bad, cfg, integral_basis(sys))
@@ -200,57 +193,44 @@ class TestIntegrate:
             integrate(sys, [1e308] * 3, IntegratorConfig(), integral_basis(sys))
         assert exc.value.integral == 1
 
-    def test_configurable_floor(self):
+    def test_configurable_floor(self, monkeypatch):
         sys = make_system([1, 5])
-        tight = IntegratorConfig(step=1e-3, t_end=20.0, positivity_floor=1e-3)
-        with pytest.raises(PositivityBreached) as exc:
-            integrate(sys, [0.5, 0.5], tight, integral_basis(sys))
-        loose_t = exc.value.t
-        default = IntegratorConfig(step=1e-3, t_end=20.0)
-        with pytest.raises(PositivityBreached) as exc2:
-            integrate(sys, [0.5, 0.5], default, integral_basis(sys))
-        assert loose_t < exc2.value.t
+        cfg = IntegratorConfig(step=1e-3, t_end=20.0)
+        with pytest.raises(PositivityBreached) as default:
+            integrate(sys, [0.5, 0.5], cfg, integral_basis(sys))
+        monkeypatch.setattr(sim, "POSITIVITY_FLOOR", 1e-3)
+        with pytest.raises(PositivityBreached) as tight:
+            integrate(sys, [0.5, 0.5], cfg, integral_basis(sys))
+        assert tight.value.t < default.value.t
 
 
 class TestAdaptive:
-    def test_reaches_t_end_and_conserves(self):
+    def test_reaches_t_end_and_conserves(self, monkeypatch):
         sys = make_system([1, 2, 3])
-        cfg = IntegratorConfig(
-            method=Method.ADAPTIVE_RK45,
-            step=1e-2,
-            t_end=10.0,
-            rel_tol=1e-9,
-            abs_tol=1e-12,
-        )
+        monkeypatch.setattr(sim, "REL_TOL", 1e-9)
+        monkeypatch.setattr(sim, "ABS_TOL", 1e-12)
+        cfg = IntegratorConfig(method=Method.ADAPTIVE_RK45, step=1e-2, t_end=10.0)
         traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
         assert traj.t[-1] == pytest.approx(10.0, abs=1e-12)
         assert traj.drift[:, 0].max() <= 1e-10
         assert traj.drift[:, 1].max() <= 1e-6
 
-    def test_tolerance_controls_step_count(self):
+    def test_tolerance_controls_step_count(self, monkeypatch):
         sys = make_system([1, 2, 3])
+        monkeypatch.setattr(sim, "ABS_TOL", 1e-14)
+        cfg = IntegratorConfig(method=Method.ADAPTIVE_RK45, step=1e-2, t_end=5.0)
         counts = []
         for rel in (1e-6, 1e-10):
-            cfg = IntegratorConfig(
-                method=Method.ADAPTIVE_RK45,
-                step=1e-2,
-                t_end=5.0,
-                rel_tol=rel,
-                abs_tol=1e-14,
-            )
+            monkeypatch.setattr(sim, "REL_TOL", rel)
             counts.append(len(integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys)).t))
         assert counts[1] > counts[0]
 
-    def test_step_underflow(self):
+    def test_step_underflow(self, monkeypatch):
         sys = make_system([1, 2, 3])
-        cfg = IntegratorConfig(
-            method=Method.ADAPTIVE_RK45,
-            step=1e-2,
-            t_end=1.0,
-            rel_tol=1e-14,
-            abs_tol=1e-16,
-            min_step=1e-3,
-        )
+        monkeypatch.setattr(sim, "REL_TOL", 1e-14)
+        monkeypatch.setattr(sim, "ABS_TOL", 1e-16)
+        monkeypatch.setattr(sim, "MIN_STEP", 1e-3)
+        cfg = IntegratorConfig(method=Method.ADAPTIVE_RK45, step=1e-2, t_end=1.0)
         with pytest.raises(StepUnderflow) as exc:
             integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
         assert len(exc.value.trajectory.t) >= 1
@@ -333,12 +313,13 @@ def _per_state(x, basis):
         (random_system, 9, Method.ADAPTIVE_RK45),
     ],
 )
-def test_values_and_drift_match_per_state_formula(make, n, method):
+def test_values_and_drift_match_per_state_formula(make, n, method, monkeypatch):
     rng = random.Random(109)
     sys = make(rng, n, lo=1, hi=9)
     basis = integral_basis(sys)
     assert len(basis.monomials) == (1 if n % 2 else 2)
-    cfg = IntegratorConfig(method=method, step=2e-3, t_end=2.0, rel_tol=1e-12)
+    monkeypatch.setattr(sim, "REL_TOL", 1e-12)
+    cfg = IntegratorConfig(method=method, step=2e-3, t_end=2.0)
     traj = integrate(sys, simplex_point(rng, n), cfg, basis)
     assert len(traj.t) > 300
     expect = [_per_state(x.copy(), basis) for x in traj.x]

@@ -30,7 +30,7 @@ from helpers import random_system, resonant_system
 
 def test_report_invariant():
     with pytest.raises(ValueError):
-        VerificationReport(subject="x", passed=True, witness="should not be here")
+        VerificationReport(passed=True, witness="should not be here")
 
 
 class TestXhZero:
