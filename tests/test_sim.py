@@ -33,6 +33,10 @@ class TestConfig:
         [
             {"step": 0.0},
             {"t_end": -1.0},
+            {"t_end": 0.0},
+            {"step": -1e-3},
+            {"step": -math.inf},
+            {"t_end": -math.inf},
             {"step": math.inf},
             {"step": math.nan},
             {"t_end": math.inf},
