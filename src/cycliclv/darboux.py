@@ -21,16 +21,13 @@ x1 + ... + xn is always present).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import (
-    DimensionMismatch,
-    DomainViolation,
     ResonanceViolated,
     UnsupportedDimension,
     WrongParity,
@@ -48,7 +45,6 @@ __all__ = [
     "resonance_condition",
     "exponents_even",
     "integral_basis",
-    "evaluate_integral",
 ]
 
 
@@ -244,44 +240,3 @@ def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
         )
     return IntegralBasis(Classification.EVEN_NONRESONANT, linear, ())
 
-
-Integral = Union[LinearIntegral, MonomialIntegral]
-
-
-def evaluate_integral(integral: Integral, state: Sequence) -> Union[Fraction, float]:
-    """Value of an integral at a state.
-
-    The linear integral is a plain sum. A monomial integral with integer
-    exponents over a rational state is computed exactly; otherwise the
-    state must be strictly positive and the value is exp(sum lam_i ln x_i)
-    in floating point.
-    """
-    if isinstance(integral, LinearIntegral):
-        if len(state) != integral.n:
-            raise DimensionMismatch("state length does not match the integral")
-        return sum(state)
-    if len(state) != len(integral.exponents):
-        raise DimensionMismatch("state length does not match the integral")
-    lam = integral.exponents
-    if all(e.denominator == 1 for e in lam):
-        for e, x in zip(lam, state):
-            if e < 0 and x == 0:
-                raise DomainViolation(
-                    "zero coordinate under a negative integer exponent"
-                )
-        if all(isinstance(x, (int, Fraction)) for x in state):
-            out = Fraction(1)
-            for e, x in zip(lam, state):
-                if e != 0:
-                    out *= Fraction(x) ** int(e)
-            return out
-        out_f = 1.0
-        for e, x in zip(lam, state):
-            if e != 0:
-                out_f *= float(x) ** int(e)
-        return out_f
-    if any(x <= 0 for x in state):
-        raise DomainViolation(
-            "fractional exponents require a strictly positive state"
-        )
-    return math.exp(sum(float(e) * math.log(float(x)) for e, x in zip(lam, state) if e))

@@ -65,6 +65,15 @@ def sparse(matrix) -> list[dict[int, Fraction]]:
     return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
+# n = 41 with rates 7, 1, 7, ..., 7: the monomial's exponents reach 7^20, so
+# lam . log x leaves the float range unless every x_i is very close to 1
+RATES_41 = [7, 1] * 20 + [7]
+# x2 = exp(-700 / lam_2) puts H2(x0) at exp(-700), about 1.16e-304, so drift
+# is measured against a start below 1e-300; at step 8e-4 the third step's H2
+# is a finite 3.4e205, whose drift overflows
+X0_41_TINY_H2 = ",".join(["1", "0.9999999999999912"] + ["1"] * 39)
+
+
 def simplex_point(rng: random.Random, n: int, margin: float = 0.2) -> list[float]:
     """Random point with positive coordinates summing to 1, away from faces."""
     raw = [margin + rng.random() for _ in range(n)]

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from cycliclv import VerificationReport, integral_basis, make_system, sim
 from cycliclv.cli import main, run_check_battery
-from helpers import random_system, resonant_system, run_cli, stderr_of
+from helpers import (
+    RATES_41,
+    X0_41_TINY_H2,
+    random_system,
+    resonant_system,
+    run_cli,
+    stderr_of,
+)
 
 
 def write_spec(tmp_path, name, entries):
@@ -39,15 +46,6 @@ def resonant4(tmp_path):
 @pytest.fixture
 def nonresonant4(tmp_path):
     return write_spec(tmp_path, "nonres4.json", ["1", "1", "1", "2"])
-
-
-# n = 41 with rates 7, 1, 7, ..., 7: the monomial's exponents reach 7^20, so
-# lam . log x leaves the float range unless every x_i is very close to 1
-RATES_41 = [7, 1] * 20 + [7]
-# x2 = exp(-700 / lam_2) puts H2 at exp(-700), below the drift denominator's
-# 1e-300 floor; at step 8e-4 the third step's H2 is a finite 3.4e205, whose
-# drift overflows
-X0_41_TINY_H2 = ",".join(["1", "0.9999999999999912"] + ["1"] * 39)
 
 
 @pytest.fixture
@@ -437,10 +435,36 @@ class TestSimulate:
         )
         assert code == 3
         out = capsys.readouterr().out
-        assert "max_drift_H2=6.5120276890673659e+213 status=IntegralOutOfRange(" in out
+        assert "max_drift_H2=5.6223590324367674e+217 status=IntegralOutOfRange(" in out
         lines = out_csv.read_text().splitlines()
         assert len(lines) == 1 + 3
         assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
+    @pytest.mark.parametrize(
+        "rates, x0, step, t_end",
+        [
+            ([2, 1, 3], "0.2,0.3,0.5", "1e200", "1e202"),
+            (RATES_41, X0_41_TINY_H2, "8e-4", "0.0024"),
+        ],
+        ids=["non-finite-state", "drift-overflow"],
+    )
+    def test_exit_3_prints_nothing_on_stderr(self, tmp_path, rates, x0, step, t_end):
+        # the overflow is reported as the status, not as numpy warnings
+        spec = write_spec(tmp_path, "spec.json", rates)
+        result = run_cli(
+            [
+                "simulate",
+                "--system", spec,
+                "--x0", x0,
+                "--step", step,
+                "--t-end", t_end,
+                "--out", "t.csv",
+            ],
+            tmp_path,
+        )
+        assert result.returncode == 3, stderr_of(result)
+        assert b"status=" in result.stdout
+        assert result.stderr == b""
 
     def test_rk45_method(self, wheel3, tmp_path, capsys):
         out_csv = tmp_path / "traj45.csv"

@@ -1,6 +1,5 @@
 """Exponent system, nullspace, closed-form exponents, basis assembly."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -11,8 +10,6 @@ from hypothesis import strategies as st
 
 from cycliclv import (
     Classification,
-    DimensionMismatch,
-    DomainViolation,
     IntegralBasis,
     LinearIntegral,
     MonomialIntegral,
@@ -20,7 +17,6 @@ from cycliclv import (
     UnsupportedDimension,
     WrongParity,
     build_exponent_system,
-    evaluate_integral,
     exponents_even,
     exponents_odd,
     integral_basis,
@@ -271,70 +267,6 @@ class TestMonomialIntegralInvariants:
             MonomialIntegral(exponents=(Fraction(2), Fraction(1)))
 
 
-class TestEvaluateIntegral:
-    def test_linear_sum(self):
-        h1 = LinearIntegral(3)
-        assert evaluate_integral(h1, [1, 2, 3]) == 6
-
-    def test_all_ones_state(self):
-        mono = MonomialIntegral(exponents=(Fraction(1), Fraction(3), Fraction(2)))
-        assert evaluate_integral(mono, [Fraction(1)] * 3) == 1
-
-    def test_exact_integer_exponents(self):
-        mono = MonomialIntegral(
-            exponents=(Fraction(1), Fraction(0), Fraction(2), Fraction(0))
-        )
-        value = evaluate_integral(mono, [Fraction(2), Fraction(5), Fraction(3), Fraction(7)])
-        assert value == 18
-        assert isinstance(value, Fraction)
-
-    def test_float_path_matches_exact(self):
-        mono = MonomialIntegral(
-            exponents=(Fraction(1), Fraction(3, 2), Fraction(1, 2))
-        )
-        got = evaluate_integral(mono, [4.0, 9.0, 16.0])
-        assert got == pytest.approx(4.0 * 27.0 * 4.0, rel=1e-12)
-
-    def test_negative_exponent_exact(self):
-        mono = MonomialIntegral(exponents=(Fraction(1), Fraction(-2)))
-        assert evaluate_integral(mono, [Fraction(3), Fraction(2)]) == Fraction(3, 4)
-
-    def test_fractional_needs_positive(self):
-        mono = MonomialIntegral(exponents=(Fraction(1), Fraction(1, 2)))
-        with pytest.raises(DomainViolation):
-            evaluate_integral(mono, [1.0, -2.0])
-
-    def test_negative_integer_exponent_needs_nonzero(self):
-        mono = MonomialIntegral(exponents=(Fraction(1), Fraction(-1)))
-        with pytest.raises(DomainViolation):
-            evaluate_integral(mono, [Fraction(1), Fraction(0)])
-
-    def test_dimension_mismatch(self):
-        mono = MonomialIntegral(exponents=(Fraction(1), Fraction(1)))
-        with pytest.raises(DimensionMismatch):
-            evaluate_integral(mono, [1.0, 2.0, 3.0])
-        with pytest.raises(DimensionMismatch):
-            evaluate_integral(LinearIntegral(3), [1.0, 2.0])
-
-    def test_conserved_along_field_direction(self):
-        # directional derivative of H along the field vanishes: finite
-        # difference along an integrated micro-step stays near constant
-        sys = make_system([2, 1, 3])
-        mono = integral_basis(sys).monomials[0]
-        x = [0.4, 0.35, 0.25]
-        from cycliclv import vector_field
-
-        v = vector_field(sys, x)
-        eps = 1e-7
-        before = evaluate_integral(mono, x)
-        after = evaluate_integral(mono, [xi + eps * vi for xi, vi in zip(x, v)])
-        # first-order change is O(eps^2) because grad H . v = 0
-        assert abs(after - before) / before < 1e-12
-        # a non-invariant direction moves H at first order
-        moved = evaluate_integral(mono, [x[0] + eps, x[1], x[2]])
-        assert abs(moved - before) / before > 1e-8
-
-
 def test_cofactor_combination_is_zero_for_basis_members():
     from cycliclv.verify import cofactor_combination
 
@@ -345,14 +277,3 @@ def test_cofactor_combination_is_zero_for_basis_members():
         for mono in integral_basis(sys).monomials:
             assert all(c == 0 for c in cofactor_combination(sys, mono.exponents))
 
-
-def test_evaluate_matches_log_sum_identity():
-    rng = random.Random(53)
-    for _ in range(10):
-        sys = random_system(rng, 5)
-        mono = integral_basis(sys).monomials[0]
-        x = [0.1 + rng.random() for _ in range(5)]
-        direct = math.exp(
-            sum(float(e) * math.log(v) for e, v in zip(mono.exponents, x))
-        )
-        assert evaluate_integral(mono, x) == pytest.approx(direct, rel=1e-13)
