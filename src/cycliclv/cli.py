@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a trajectory and write CSV")
     p_sim.add_argument("--system", required=True)
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    p_sim.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
+    p_sim.add_argument("--method", choices=[m.value for m in sim.Method], default="rk4")
     p_sim.add_argument("--step", type=float, default=1e-3)
     p_sim.add_argument("--t-end", type=float, default=10.0)
     p_sim.add_argument("--out", required=True, help="CSV output path")
@@ -290,9 +290,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except IntegrationAborted as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_RUNTIME_ERROR
     except CyclicLVError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR

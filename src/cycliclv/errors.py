@@ -21,7 +21,6 @@ __all__ = [
     "NonPositiveInitialState",
     "FloatOutOfRange",
     "InitialIntegralOutOfRange",
-    "TooManySteps",
     "IntegrationAborted",
     "PositivityBreached",
     "NonFiniteState",
@@ -118,78 +117,58 @@ class InitialIntegralOutOfRange(CyclicLVError):
         )
 
 
-class TooManySteps(CyclicLVError):
-    """A fixed-step run needs more steps than sim.MAX_STEPS; refused up front."""
-
-
 class IntegrationAborted(CyclicLVError):
-    """Base for runtime integration failures; carries the partial trajectory.
+    """Base for runtime integration failures at time ``t``.
 
-    ``trajectory`` is the sim.Trajectory of every accepted state before the
-    failure, the initial state included.
+    ``trajectory`` is None until sim.integrate, just before raising, sets it
+    to the sim.Trajectory of every accepted state before the failure.
     """
 
-    def __init__(self, message: str, trajectory):
-        self.trajectory = trajectory
-        super().__init__(message)
+    trajectory = None
+
+    def __init__(self, t: float, message: str):
+        self.t = t
+        super().__init__(f"{message} at t={t:.17g}")
 
 
 class PositivityBreached(IntegrationAborted):
     """A coordinate fell below sim.POSITIVITY_FLOOR during integration."""
 
-    def __init__(self, t: float, coordinate: int, trajectory):
-        self.t = t
+    def __init__(self, t: float, coordinate: int):
         self.coordinate = coordinate
-        super().__init__(
-            f"coordinate x{coordinate} fell below the positivity floor at t={t:.17g}",
-            trajectory,
-        )
+        super().__init__(t, f"coordinate x{coordinate} fell below the positivity floor")
 
 
 class NonFiniteState(IntegrationAborted):
     """A coordinate became NaN or infinite during integration."""
 
-    def __init__(self, t: float, coordinate: int, trajectory):
-        self.t = t
+    def __init__(self, t: float, coordinate: int):
         self.coordinate = coordinate
-        super().__init__(
-            f"coordinate x{coordinate} became non-finite at t={t:.17g}", trajectory
-        )
+        super().__init__(t, f"coordinate x{coordinate} became non-finite")
 
 
 class IntegralOutOfRange(IntegrationAborted):
     """A first integral's value or drift left the float range during integration."""
 
-    def __init__(self, t: float, integral: int, trajectory):
-        self.t = t
+    def __init__(self, t: float, integral: int):
         self.integral = integral
-        super().__init__(
-            f"integral H{integral} left the float range at t={t:.17g}", trajectory
-        )
+        super().__init__(t, f"integral H{integral} left the float range")
 
 
 class StepUnderflow(IntegrationAborted):
     """The adaptive step size fell below sim.MIN_STEP."""
 
-    def __init__(self, t: float, step: float, trajectory):
-        self.t = t
+    def __init__(self, t: float, step: float):
         self.step = step
-        super().__init__(
-            f"adaptive step {step:.17g} fell below the minimum at t={t:.17g}",
-            trajectory,
-        )
+        super().__init__(t, f"adaptive step {step:.17g} fell below the minimum")
 
 
 class StepLimitReached(IntegrationAborted):
     """An adaptive run accepted sim.MAX_STEPS steps before reaching t_end."""
 
-    def __init__(self, t: float, steps: int, trajectory):
-        self.t = t
+    def __init__(self, t: float, steps: int):
         self.steps = steps
-        super().__init__(
-            f"adaptive run reached the limit of {steps} steps at t={t:.17g}",
-            trajectory,
-        )
+        super().__init__(t, f"adaptive run reached the limit of {steps} steps")
 
 
 class NotMeasurable(CyclicLVError):

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from sys import float_info
 from typing import Callable, Sequence
 
@@ -47,7 +46,6 @@ from .errors import (
     PositivityBreached,
     StepLimitReached,
     StepUnderflow,
-    TooManySteps,
 )
 from .model import CyclicLVSystem, structure_matrix
 
@@ -62,8 +60,8 @@ __all__ = [
 # The range of s = lam . log x whose exp(s) is a finite normal float.
 LOG_RANGE = (math.log(float_info.min), math.log(float_info.max))
 
-# Most steps one run may take. A fixed-step run that needs more is refused
-# before any array is allocated; an adaptive run that reaches it aborts.
+# Most steps one run may take. IntegratorConfig refuses a fixed-step run that
+# needs more; an adaptive run that reaches it aborts.
 MAX_STEPS = 10_000_000
 
 # Every coordinate of every row, x0 included, must stay at or above this.
@@ -90,8 +88,9 @@ class IntegratorConfig:
     ``step`` is the fixed step for RK4 and the initial trial step for the
     adaptive pair, which controls it with REL_TOL, ABS_TOL and MIN_STEP.
     ``method`` takes a Method or its value ("rk4", "rk45"). ``step`` and
-    ``t_end`` must be finite and positive. Anything else, NaN and infinity
-    included, raises ValueError.
+    ``t_end`` must be finite and positive, and an RK4 run may need at most
+    MAX_STEPS steps. Anything else, NaN and infinity included, raises
+    ValueError.
     """
 
     method: Method = Method.RK4_FIXED
@@ -104,6 +103,10 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        ratio = self.t_end / self.step
+        # the negated test also refuses an infinite ratio
+        if self.method is Method.RK4_FIXED and not ratio <= MAX_STEPS:
+            raise ValueError(f"t_end/step = {ratio:.17g} exceeds the limit of {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,18 +248,12 @@ def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 def _run_rk4(f, x: np.ndarray, cfg: IntegratorConfig):
     """Fixed-step RK4 into arrays sized up front; returns (t, x, None)."""
     h = cfg.step
-    # the negated test also refuses an infinite ratio, before floor() sees it
-    if not cfg.t_end / h <= MAX_STEPS:
-        raise TooManySteps(
-            f"t_end/step = {cfg.t_end / h:.17g} exceeds the limit of {MAX_STEPS} steps"
-        )
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
     remainder = cfg.t_end - n_full * h
     tail = remainder > 1e-12 * cfg.t_end
     steps = n_full + tail
     t = np.arange(steps + 1) * h
-    if tail:
-        t[-1] = cfg.t_end
+    t[-1] = cfg.t_end
     xs = np.empty((steps + 1, x.size))
     xs[0] = x
     for i in range(1, steps + 1):
@@ -288,7 +285,7 @@ def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
             x = x_new
             if rows == len(ts):
                 if rows > MAX_STEPS:
-                    abort = partial(StepLimitReached, t, MAX_STEPS)
+                    abort = StepLimitReached(t, MAX_STEPS)
                     break
                 more = min(rows, MAX_STEPS + 1 - rows)
                 ts = np.concatenate((ts, np.empty(more)))
@@ -302,7 +299,7 @@ def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
         else:
             h *= factor
             if h < MIN_STEP:
-                abort = partial(StepUnderflow, t, h)
+                abort = StepUnderflow(t, h)
                 break
     return ts[:rows], xs[:rows], abort
 
@@ -319,15 +316,14 @@ def integrate(
     included. Raises up front DimensionMismatch for an x0 of the wrong
     length, NonPositiveInitialState for a NaN or infinite entry or one below
     POSITIVITY_FLOOR, FloatOutOfRange for a nonzero rate or exponent whose
-    float overflows or rounds to zero, InitialIntegralOutOfRange when an
-    integral at x0 leaves the float range, and TooManySteps when a
-    fixed-step run needs more than MAX_STEPS steps. During the run it
-    raises PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
+    float overflows or rounds to zero, and InitialIntegralOutOfRange when an
+    integral at x0 leaves the float range. During the run it raises
+    PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
     NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
     integral's value or drift leaves the float range, StepUnderflow if the
     adaptive controller cannot satisfy its tolerances above MIN_STEP, and
-    StepLimitReached if an adaptive run accepts MAX_STEPS steps; these carry
-    the Trajectory up to the failure.
+    StepLimitReached if an adaptive run accepts MAX_STEPS steps; each
+    carries the Trajectory up to the failure as ``trajectory``.
     """
     x = _validate_x0(sys, x0)
     f = _rhs(sys)
@@ -337,31 +333,32 @@ def integrate(
             raise InitialIntegralOutOfRange(int(np.argmax(outside)) + 1)
         run = _run_rk4 if cfg.method is Method.RK4_FIXED else _run_rkf45
         t, xs, abort = run(f, x, cfg)
-        # The loops stop at a state that fails x.min() >= POSITIVITY_FLOOR: one
-        # below the floor, NaN or -inf. A +inf passes that test, so every row is
-        # screened here.
-        finite = np.isfinite(xs)
-        bad = ~finite.all(axis=1) | (xs.min(axis=1) < POSITIVITY_FLOOR)
-        if bad.any():
-            row = int(np.argmax(bad))
-            if finite[row].all():
-                abort = partial(PositivityBreached, float(t[row]), int(np.argmin(xs[row])) + 1)
-            else:
-                abort = partial(NonFiniteState, float(t[row]), int(np.argmin(finite[row])) + 1)
-            t, xs = t[:row], xs[:row]
         values, outside = _values(xs, basis)
         # row 0 passed the range rule, so every start is a positive float
         start = values[0]
         drift = np.abs(values - start) / start
-        outside |= ~np.isfinite(drift)
-    if outside.any():
-        # the first row out of range, and its first integral out of range
-        row, column = divmod(int(np.argmax(outside)), outside.shape[1])
-        abort = partial(IntegralOutOfRange, float(t[row]), column + 1)
+        # +inf passes the loops' x.min() >= POSITIVITY_FLOOR, so every row is screened,
+        # in order: a coordinate not finite, one below the floor, an integral out of range
+        fails = np.column_stack((
+            ~np.isfinite(xs),
+            xs.min(axis=1) < POSITIVITY_FLOOR,
+            outside | ~np.isfinite(drift),
+        ))
+    if fails.any():
+        # the first failing row, and its first failure
+        row, column = divmod(int(np.argmax(fails)), fails.shape[1])
+        n, when = xs.shape[1], float(t[row])
+        if column < n:
+            abort = NonFiniteState(when, column + 1)
+        elif column == n:
+            abort = PositivityBreached(when, int(np.argmin(xs[row])) + 1)
+        else:
+            abort = IntegralOutOfRange(when, column - n)
         t, xs, values, drift = t[:row], xs[:row], values[:row], drift[:row]
     trajectory = Trajectory(t, xs, values, drift)
     if abort is not None:
-        raise abort(trajectory)
+        abort.trajectory = trajectory
+        raise abort
     return trajectory
 
 

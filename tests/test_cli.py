@@ -305,7 +305,10 @@ class TestSimulate:
             ]
         )
         assert code == 3
-        assert "status=PositivityBreached" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(
+            " status=PositivityBreached(coordinate x1 fell below the positivity floor"
+            " at t=6.9080000000000004)\n"
+        )
         lines = out_csv.read_text().splitlines()
         assert len(lines) > 100
 
@@ -322,7 +325,10 @@ class TestSimulate:
             ]
         )
         assert code == 3
-        assert "status=NonFiniteState(coordinate x1" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(
+            " status=NonFiniteState(coordinate x1 became non-finite"
+            " at t=9.9999999999999997e+199)\n"
+        )
         lines = out_csv.read_text().splitlines()
         assert lines[1:] == [
             "0,0.20000000000000001,0.29999999999999999,0.5,1,0.0013499999999999988,0,0"
@@ -378,8 +384,34 @@ class TestSimulate:
             ]
         )
         assert code == 3
-        assert "status=StepLimitReached(" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(
+            " status=StepLimitReached(adaptive run reached the limit of 50 steps"
+            " at t=0.1420139568530934)\n"
+        )
         assert len(out_csv.read_text().splitlines()) == 1 + 51
+
+    def test_adaptive_step_underflow_exit_3(self, wheel3, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "REL_TOL", 1e-14)
+        monkeypatch.setattr(sim, "ABS_TOL", 1e-16)
+        monkeypatch.setattr(sim, "MIN_STEP", 1e-3)
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", wheel3,
+                "--x0", "0.2,0.3,0.5",
+                "--method", "rk45",
+                "--step", "1e-2",
+                "--t-end", "1",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().out.endswith(
+            " status=StepUnderflow(adaptive step 0.00040000000000000002 fell below the"
+            " minimum at t=0)\n"
+        )
+        assert len(out_csv.read_text().splitlines()) == 1 + 1
 
     @pytest.mark.parametrize("x0", [[2.0] * 41, [0.999, 1.001] * 20 + [0.999]])
     def test_integral_out_of_range_at_x0_exit_2(self, wheel41, tmp_path, capsys, x0):

@@ -65,6 +65,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(method="bogus")
 
+    def test_rk4_step_count_over_limit_rejected(self):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {sim.MAX_STEPS} steps"):
+            IntegratorConfig(method="rk4", step=1e-3, t_end=1e300)
+
+    def test_rk45_step_count_is_not_checked_up_front(self):
+        cfg = IntegratorConfig(method="rk45", step=1e-3, t_end=1e300)
+        assert cfg.method is Method.ADAPTIVE_RK45
+
 
 def _reference_rhs(sys, x):
     """The float field as it was first written, term by term."""
@@ -129,6 +137,15 @@ class TestIntegrate:
         cfg = IntegratorConfig(step=3e-3, t_end=0.01)
         traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
         assert [round(t, 6) for t in traj.t.tolist()] == [0.0, 0.003, 0.006, 0.009, 0.01]
+
+    @pytest.mark.parametrize("t_end", [0.3, 0.7])
+    def test_last_row_is_at_t_end(self, t_end):
+        # 3 x 0.1 and 7 x 0.1 round one ulp past 0.3 and 0.7
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig(step=0.1, t_end=t_end)
+        traj = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert len(traj.t) == round(t_end / 0.1) + 1
+        assert traj.t[-1] == cfg.t_end
 
     @pytest.mark.parametrize("t_end", [1e-13, 5e-13])
     def test_t_end_below_one_step_is_reached(self, t_end):
