@@ -7,17 +7,19 @@ Subcommands:
 
 The system is described by a JSON file {"k": [...]} whose entries are
 integers, exact decimal literals, or "p/q" strings; the dimension is the
-list length. Exit codes: 0 success, 1 verification failure, 2 input error,
+list length, and no literal's numerator or denominator may have more than
+4300 digits. Exit codes: 0 success, 1 verification failure, 2 input error,
 3 runtime integration failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys as _sys
-from fractions import Fraction
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,10 +52,15 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
     except OSError as exc:
         raise InputError(f"cannot read system file {path}: {exc}") from exc
     try:
-        # parse_float sees the raw literal, so decimals convert exactly
-        data = json.loads(text, parse_float=Fraction)
-    except ValueError as exc:
+        # parse_float sees the raw literal, so decimals convert exactly; a
+        # Decimal costs the same for any exponent, and as_fraction refuses
+        # one too long to build
+        data = json.loads(text, parse_float=Decimal)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except InvalidOperation as exc:
+        raise InputError(f"{path} holds a number with an out-of-range exponent") from exc
     if not isinstance(data, dict) or not isinstance(data.get("k"), list):
         raise InputError(f'{path} must be a JSON object with a "k" list')
     rates = []
@@ -87,28 +94,48 @@ def _integral_names(basis: darboux.IntegralBasis) -> list[str]:
     return ["H1"] + [f"H{j + 2}" for j in range(len(basis.monomials))]
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on the digits of an int turned to str, then restore it.
+
+    Exact exponents can be far longer than the limit, which is meant for
+    untrusted input, so it stays on while the spec file is parsed.
+    Interpreters older than the limit have nothing to lift.
+    """
+    if not hasattr(_sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        _sys.set_int_max_str_digits(limit)
+
+
 def cmd_integrals(args: argparse.Namespace) -> int:
     system = load_system_spec(args.system)
     basis = darboux.integral_basis(system)
-    if args.format == "json":
-        payload = {
-            "n": system.n,
-            "k": [str(v) for v in system.rates],
-            "classification": basis.classification.name,
-            "linear": {"name": "H1", "weights": ["1"] * basis.linear.n},
-            "monomials": [
-                {"name": name, "exponents": [str(e) for e in mono.exponents]}
-                for name, mono in zip(_integral_names(basis)[1:], basis.monomials)
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"n: {system.n}")
-    print(f"classification: {basis.classification.name}")
-    print("H1 = " + " + ".join(f"x{i}" for i in range(1, system.n + 1)))
-    for name, mono in zip(_integral_names(basis)[1:], basis.monomials):
-        for line in _monomial_text(name, mono):
-            print(line)
+    with _unlimited_int_digits():
+        if args.format == "json":
+            payload = {
+                "n": system.n,
+                "k": [str(v) for v in system.rates],
+                "classification": basis.classification.name,
+                "linear": {"name": "H1", "weights": ["1"] * basis.linear.n},
+                "monomials": [
+                    {"name": name, "exponents": [str(e) for e in mono.exponents]}
+                    for name, mono in zip(_integral_names(basis)[1:], basis.monomials)
+                ],
+            }
+            print(json.dumps(payload, indent=2))
+            return EXIT_OK
+        print(f"n: {system.n}")
+        print(f"classification: {basis.classification.name}")
+        print("H1 = " + " + ".join(f"x{i}" for i in range(1, system.n + 1)))
+        for name, mono in zip(_integral_names(basis)[1:], basis.monomials):
+            for line in _monomial_text(name, mono):
+                print(line)
     if not basis.monomials:
         print("no monomial integrals")
     return EXIT_OK

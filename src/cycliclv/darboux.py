@@ -1,9 +1,9 @@
 """Monomial first integrals of the cyclic system, exactly.
 
 A product of coordinate powers prod x_i^(lambda_i) is a first integral
-precisely when the cofactor combination sum_i lambda_i K_i vanishes as a
-polynomial. Collecting the coefficient of x_i turns that into the cyclic
-linear system
+precisely when sum_i lambda_i K_i vanishes as a polynomial, where K_i is
+row i of the structure matrix A of ``model.structure_matrix``. Collecting
+the coefficient of x_i turns that into the cyclic linear system
 
     k_{i-1} lambda_{i-1} - k_i lambda_{i+1} = 0,    i = 1..n,
 
@@ -11,12 +11,11 @@ which links exponents two indices apart. For odd n the chain closes into a
 single cycle and the solution space is one-dimensional; for even n it
 splits into an odd-index and an even-index chain, each of which closes only
 under the resonance condition k1 k3 ... k_{n-1} = k2 k4 ... kn. The
-system's matrix is the transpose of the structure matrix A of
-``model.structure_matrix``, so the monomial integrals are the vectors A
-sends to zero. This module builds that matrix as sparse rows, solves it by
-exact elimination, evaluates the closed-form exponent expressions, and
-assembles the classified basis of first integrals (the linear integral
-x1 + ... + xn is always present).
+system's matrix is the transpose of A, so the monomial integrals are the
+vectors A sends to zero. ``integral_basis`` classifies the system and
+takes the exponents from closed-form chains; ``build_exponent_system`` and
+``nullspace`` solve the system by exact elimination, the independent route
+that checks them.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import (
-    ResonanceViolated,
-    UnsupportedDimension,
-    WrongParity,
-)
+from .errors import UnsupportedDimension
 from .model import CyclicLVSystem, structure_matrix
 
 __all__ = [
@@ -41,9 +36,6 @@ __all__ = [
     "IntegralBasis",
     "build_exponent_system",
     "nullspace",
-    "exponents_odd",
-    "resonance_condition",
-    "exponents_even",
     "integral_basis",
 ]
 
@@ -154,7 +146,7 @@ def _chain_products(k: Sequence[Fraction]) -> Callable[[int, int], Fraction]:
     return lambda start, stop: prefix[stop + 1] / prefix[start - 1]
 
 
-def exponents_odd(sys: CyclicLVSystem) -> MonomialIntegral:
+def _odd_exponents(chain: Callable[[int, int], Fraction], n: int) -> MonomialIntegral:
     """Closed-form exponents of the single monomial integral for odd n >= 3.
 
     With the first exponent set to 1:
@@ -163,10 +155,6 @@ def exponents_odd(sys: CyclicLVSystem) -> MonomialIntegral:
         lambda_j = (k_{j+1} k_{j+3} ... kn) / (kj k_{j+2} ... k_{n-1})
                                                                  j >= 2 even.
     """
-    n = sys.n
-    if n % 2 == 0:
-        raise WrongParity(f"odd-n formulas requested for even n={n}")
-    chain = _chain_products(sys.rates)
     lam = [Fraction(1)]
     for j in range(2, n + 1):
         if j % 2 == 1:
@@ -176,18 +164,9 @@ def exponents_odd(sys: CyclicLVSystem) -> MonomialIntegral:
     return MonomialIntegral(exponents=tuple(lam))
 
 
-def resonance_condition(sys: CyclicLVSystem) -> bool:
-    """Exact test of k1 k3 ... k_{n-1} == k2 k4 ... kn for even n >= 4."""
-    n = sys.n
-    if n < 3:
-        raise UnsupportedDimension("resonance condition requires n >= 4")
-    if n % 2 == 1:
-        raise WrongParity(f"resonance condition is an even-n notion, got n={n}")
-    chain = _chain_products(sys.rates)
-    return chain(1, n - 1) == chain(2, n)
-
-
-def exponents_even(sys: CyclicLVSystem) -> tuple[MonomialIntegral, MonomialIntegral]:
+def _even_exponents(
+    chain: Callable[[int, int], Fraction], n: int
+) -> tuple[MonomialIntegral, MonomialIntegral]:
     """Closed-form exponent pair for even n >= 4 under the resonance condition.
 
     The first integral is supported on odd coordinates:
@@ -201,14 +180,6 @@ def exponents_even(sys: CyclicLVSystem) -> tuple[MonomialIntegral, MonomialInteg
         lambda_2 = 1,
         lambda_j = (k2 k4 ... k_{j-2}) / (k3 k5 ... k_{j-1})    j >= 4 even.
     """
-    n = sys.n
-    if n % 2 == 1 or n < 4:
-        raise WrongParity(f"even-n formulas requested for n={n}")
-    if not resonance_condition(sys):
-        raise ResonanceViolated(
-            "k1*k3*...*k(n-1) != k2*k4*...*kn; no monomial integrals exist"
-        )
-    chain = _chain_products(sys.rates)
     odd_support = [Fraction(0)] * n
     odd_support[0] = Fraction(1)
     for j in range(3, n, 2):
@@ -226,17 +197,19 @@ def exponents_even(sys: CyclicLVSystem) -> tuple[MonomialIntegral, MonomialInteg
 def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
     """Classify the system and collect every first integral it is known to have.
 
-    n = 2 and even non-resonant systems report only the linear integral;
-    odd n adds one monomial integral and even resonant n adds two.
+    Every basis holds the linear integral x1 + ... + xn. Odd n adds one
+    monomial integral and even n at resonance, k1 k3 ... k_{n-1} ==
+    k2 k4 ... kn exactly, adds two; n = 2 and even n off resonance add none.
     """
-    linear = LinearIntegral(sys.n)
-    if sys.n == 2:
+    n = sys.n
+    linear = LinearIntegral(n)
+    if n == 2:
         return IntegralBasis(Classification.N2, linear, ())
-    if sys.n % 2 == 1:
-        return IntegralBasis(Classification.ODD, linear, (exponents_odd(sys),))
-    if resonance_condition(sys):
+    chain = _chain_products(sys.rates)
+    if n % 2 == 1:
+        return IntegralBasis(Classification.ODD, linear, (_odd_exponents(chain, n),))
+    if chain(1, n - 1) == chain(2, n):
         return IntegralBasis(
-            Classification.EVEN_RESONANT, linear, exponents_even(sys)
+            Classification.EVEN_RESONANT, linear, _even_exponents(chain, n)
         )
     return IntegralBasis(Classification.EVEN_NONRESONANT, linear, ())
-

@@ -11,10 +11,7 @@ __all__ = [
     "DimensionTooSmall",
     "ZeroParameter",
     "DimensionMismatch",
-    "IndexOutOfRange",
     "UnsupportedDimension",
-    "WrongParity",
-    "ResonanceViolated",
     "DomainViolation",
     "EmptySampleSet",
     "ZeroCoordinate",
@@ -27,7 +24,6 @@ __all__ = [
     "IntegralOutOfRange",
     "StepUnderflow",
     "StepLimitReached",
-    "NotMeasurable",
 ]
 
 
@@ -53,22 +49,10 @@ class DimensionMismatch(CyclicLVError):
     """A state or exponent vector does not match the system dimension."""
 
 
-class IndexOutOfRange(CyclicLVError):
-    """A 1-based coordinate index lies outside 1..n."""
-
-
 # -- exponent machinery -----------------------------------------------------
 
 class UnsupportedDimension(CyclicLVError):
     """The exponent linear system is not defined for n = 2."""
-
-
-class WrongParity(CyclicLVError):
-    """An odd-n formula was requested for even n, or vice versa."""
-
-
-class ResonanceViolated(CyclicLVError):
-    """The even-n product condition k1*k3*...*k(n-1) = k2*k4*...*kn fails."""
 
 
 class DomainViolation(CyclicLVError):
@@ -170,6 +154,3 @@ class StepLimitReached(IntegrationAborted):
         self.steps = steps
         super().__init__(t, f"adaptive run reached the limit of {steps} steps")
 
-
-class NotMeasurable(CyclicLVError):
-    """A convergence-order measurement is dominated by roundoff or is 0/0."""

@@ -1,4 +1,4 @@
-"""Cyclic Lotka-Volterra system definition and invariant-hyperplane cofactors.
+"""Cyclic Lotka-Volterra system definition and its structure matrix.
 
 The family under study is the n-dimensional cyclic system
 
@@ -9,23 +9,20 @@ nonzero rate constants k_i. Rates are exact rationals throughout; the
 classification of first integrals is discontinuous in the rates, so
 floating-point parameters would misclassify.
 
-For n = 2 both neighbor terms of a row land on the same coordinate and are
-summed, e.g. dx1/dt = (k1 - k2) x1 x2.
+The field is x_i K_i, where the cofactor K_i of the invariant hyperplane
+x_i = 0 is row i of the structure matrix A. For n = 2 both neighbor terms
+of a row land on the same coordinate and are summed, e.g.
+dx1/dt = (k1 - k2) x1 x2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from decimal import Decimal
 from typing import Sequence, Union
 
-from .errors import (
-    DimensionMismatch,
-    DimensionTooSmall,
-    IndexOutOfRange,
-    ZeroParameter,
-)
+from .errors import DimensionMismatch, DimensionTooSmall, ZeroParameter
 
 RationalLike = Union[int, str, Fraction, Decimal]
 
@@ -35,9 +32,12 @@ __all__ = [
     "make_system",
     "structure_matrix",
     "vector_field",
-    "cofactor",
-    "verify_hyperplane_invariance",
 ]
+
+# Most digits a decimal literal's numerator or denominator may have: the
+# limit Python puts on int literals, here also on decimal exponents, whose
+# power of ten would otherwise cost time without bound to build.
+MAX_LITERAL_DIGITS = 4300
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -47,21 +47,46 @@ def as_fraction(value: RationalLike) -> Fraction:
     an exact decimal literal ("0.25" -> 1/4), or a "p/q" quotient. Floats
     are rejected: a float has already lost the decimal literal, so the
     caller must pass the literal as a string to convert it exactly.
+
+    A decimal m * 10^e, as a string or a Decimal, raises ValueError before
+    it is built when its unreduced numerator or denominator (m * 10^e over 1
+    for e >= 0, m over 10^-e otherwise) has more than MAX_LITERAL_DIGITS
+    digits, as "1e5000" does; the int parts of "p/q" meet Python's own limit.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational parameters")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, Decimal)):
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        if "/" not in text:
+            try:
+                _refuse_long_decimal(Decimal(text))
+            except InvalidOperation:
+                raise ValueError(f"invalid literal for a rational: {text!r}") from None
+        return Fraction(text)
+    if isinstance(value, Decimal):
+        _refuse_long_decimal(value)
+        return Fraction(value)
     if isinstance(value, float):
         raise TypeError(
             f"refusing to convert float {value!r}; pass the decimal literal as a "
             "string (e.g. '0.25') for an exact conversion"
         )
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _refuse_long_decimal(value: Decimal) -> None:
+    """Raise ValueError for a non-finite decimal or one as_fraction refuses."""
+    if not value.is_finite():
+        raise ValueError(f"{value} is not a finite rational")
+    _, m, e = value.as_tuple()
+    if value and max(len(m) + e, len(m), 1 - e) > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"numerator or denominator has more than {MAX_LITERAL_DIGITS} digits"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,31 +123,17 @@ def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
 Term = tuple[int, Fraction]
 
 
-def cofactor(sys: CyclicLVSystem, i: int) -> tuple[Term, Term]:
-    """Cofactor K_i of the invariant hyperplane x_i = 0 (1-based i).
-
-    The hyperplane satisfies X(x_i) = K_i * x_i, where
-    K_i = k_i x_{i+1} - k_{i-1} x_{i-1} is row i of the structure matrix.
-    It is returned as that row's two (0-based column, entry) terms, the
-    x_{i+1} term first as in the field; for n = 2 they share a column.
-    """
-    n = sys.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"coordinate index {i} outside 1..{n}")
-    k = sys.rates
-    i0 = i - 1
-    return ((i0 + 1) % n, k[i0]), ((i0 - 1) % n, -k[i0 - 1])
-
-
 def structure_matrix(sys: CyclicLVSystem) -> tuple[tuple[Term, Term], ...]:
     """The n rows of the structure matrix A, each as two (column, entry) terms.
 
     With u = log x the system is u' = A e^u for this constant antisymmetric
-    A. Row i is the cofactor K_i (see ``cofactor``). The terms stay
+    A. Row i is the cofactor K_i = k_i x_{i+1} - k_{i-1} x_{i-1}, with
+    X(x_i) = K_i x_i, its x_{i+1} term first as in the field. The terms stay
     unsummed: for n = 2 both land on one column, where a consumer that needs
     the entry adds them and the float right-hand side keeps two products.
     """
-    return tuple(cofactor(sys, i) for i in range(1, sys.n + 1))
+    n, k = sys.n, sys.rates
+    return tuple((((i + 1) % n, k[i]), ((i - 1) % n, -k[i - 1])) for i in range(n))
 
 
 def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
@@ -147,8 +158,8 @@ def _row_quadratic(sys: CyclicLVSystem, i0: int) -> dict[tuple[int, int], Fracti
     """Quadratic monomial coefficients of row i0 (0-based) of the field.
 
     Row i expands to k_i x_i x_{i+1} - k_{i-1} x_{i-1} x_i; keys are sorted
-    0-based coordinate pairs. Built straight from the index rules so it can
-    serve as an independent expansion when cross-checking cofactors.
+    0-based coordinate pairs. Built straight from the index rules, not from
+    ``structure_matrix``, so it can serve as an independent expansion.
     """
     n = sys.n
     k = sys.rates
@@ -159,31 +170,3 @@ def _row_quadratic(sys: CyclicLVSystem, i0: int) -> dict[tuple[int, int], Fracti
     ):
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return {key: c for key, c in terms.items() if c != 0}
-
-
-def _form_times_coordinate(
-    form: Sequence[Term], i0: int
-) -> dict[tuple[int, int], Fraction]:
-    """Quadratic monomial coefficients of x_{i0+1} * form (0-based i0)."""
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j0, c in form:
-        key = tuple(sorted((i0, j0)))
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return {key: c for key, c in terms.items() if c != 0}
-
-
-def verify_hyperplane_invariance(
-    sys: CyclicLVSystem, i: int, cof: Sequence[Term] | None = None
-) -> bool:
-    """Exact symbolic check that X(x_i) - K_i * x_i is the zero polynomial.
-
-    Always true for this family; kept as a regression guard on the cyclic
-    index conventions. Passing explicit (column, entry) terms as the
-    cofactor lets callers probe the check with a corrupted form.
-    """
-    n = sys.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"coordinate index {i} outside 1..{n}")
-    if cof is None:
-        cof = cofactor(sys, i)
-    return _row_quadratic(sys, i - 1) == _form_times_coordinate(cof, i - 1)

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .darboux import IntegralBasis, integral_basis
+from .darboux import IntegralBasis
 from .errors import (
     DimensionMismatch,
     FloatOutOfRange,
@@ -42,7 +42,6 @@ from .errors import (
     IntegralOutOfRange,
     NonFiniteState,
     NonPositiveInitialState,
-    NotMeasurable,
     PositivityBreached,
     StepLimitReached,
     StepUnderflow,
@@ -54,7 +53,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "integrate",
-    "convergence_order",
 ]
 
 # The range of s = lam . log x whose exp(s) is a finite normal float.
@@ -360,44 +358,3 @@ def integrate(
         abort.trajectory = trajectory
         raise abort
     return trajectory
-
-
-def convergence_order(
-    sys: CyclicLVSystem,
-    x0: Sequence,
-    t_end: float,
-    steps: tuple[float, float],
-    integral_index: int = 0,
-) -> float:
-    """Empirical order of the fixed-step scheme from drift at two resolutions.
-
-    Integrates with RK4 at the coarse and fine steps (intended as h and
-    h/2) and returns log(drift_coarse / drift_fine) / log(coarse / fine)
-    for the selected integral, index 0 being the linear one. Raises
-    NotMeasurable when either drift sits at roundoff level (below 100x
-    machine epsilon), where the ratio says nothing about the scheme.
-
-    Runge-Kutta steps conserve the linear integral exactly in real
-    arithmetic, so its drift is pure roundoff at any step size and the
-    order is typically NotMeasurable at index 0; a monomial integral
-    (index 1 and up) drifts at the scheme's true order.
-    """
-    h_coarse, h_fine = steps
-    if h_coarse <= 0 or h_fine <= 0:
-        raise ValueError("steps must be positive")
-    if h_fine >= h_coarse:
-        raise ValueError("the second step must be the finer one")
-    basis = integral_basis(sys)
-    if not 0 <= integral_index <= len(basis.monomials):
-        raise IndexError(f"integral index {integral_index} outside the basis")
-    drifts = []
-    for h in (h_coarse, h_fine):
-        cfg = IntegratorConfig(method=Method.RK4_FIXED, step=h, t_end=t_end)
-        drift = integrate(sys, x0, cfg, basis).drift[:, integral_index]
-        drifts.append(float(drift.max()))
-    floor = 100.0 * np.finfo(float).eps
-    if drifts[0] <= floor or drifts[1] <= floor:
-        raise NotMeasurable(
-            f"drifts {drifts[0]:.3g}, {drifts[1]:.3g} are roundoff-dominated"
-        )
-    return math.log(drifts[0] / drifts[1]) / math.log(h_coarse / h_fine)

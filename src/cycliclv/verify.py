@@ -39,8 +39,6 @@ __all__ = [
     "check_jacobi_multiplier",
     "check_independence",
     "cofactor_combination",
-    "jacobi_divergence",
-    "field_divergence",
     "independence_rank",
     "random_rational_state",
 ]
@@ -117,43 +115,19 @@ def _rational_point(state: Sequence) -> list[Fraction]:
     return [as_fraction(x) for x in state]
 
 
-def field_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
-    """Exact divergence sum_i dP_i/dx_i of the raw field at a rational point.
-
-    Serves as the multiplier-equals-one control: generically nonzero, which
-    is what makes the reciprocal-product multiplier informative.
-    """
-    x = _rational_point(state)
-    if len(x) != sys.n:
-        raise DimensionMismatch("state length does not match the system")
-    total = Fraction(0)
-    for i0, row in enumerate(structure_matrix(sys)):
-        k_i, dk_i = _cofactor_at(row, x, i0)
-        # d/dx_i [x_i * K_i] = K_i + x_i * dK_i/dx_i  (product rule)
-        total += k_i + x[i0] * dk_i
-    return total
-
-
 def _cofactor_at(row: Sequence[Term], x: Sequence, i0: int) -> tuple:
     """K_i = sum c * x_j over the row's terms, and dK_i/dx_i from those on column i0."""
     return sum(c * x[j] for j, c in row), sum(c for j, c in row if j == i0)
 
 
-def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
+def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
     """Exact value of sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn).
 
-    Each term is computed by the generic product rule
-    M * dP_i/dx_i + P_i * dM/dx_i with dM/dx_i = -M/x_i; the identity
-    emerges from the cancellation rather than being assumed.
-    """
-    return _jacobi_divergence(structure_matrix(sys), state)
-
-
-def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
-    """jacobi_divergence for the system whose structure matrix is rows.
-
-    Taking the rows (the cofactors K_1..K_n) built once per system keeps
-    the cost per sample at O(n) Fraction operations.
+    rows is the structure matrix, the cofactors K_1..K_n, built once per
+    system so that each sample costs O(n) Fraction operations. Each term is
+    computed by the generic product rule M * dP_i/dx_i + P_i * dM/dx_i with
+    dM/dx_i = -M/x_i; the identity emerges from the cancellation rather
+    than being assumed.
     """
     x = _rational_point(state)
     if len(x) != len(rows):

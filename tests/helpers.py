@@ -1,16 +1,39 @@
-"""Shared test helpers: seed-driven generators and the CLI subprocess runner."""
+"""Shared test helpers: seed-driven generators, the CLI subprocess runner,
+and the oracles that only tests call.
+
+The oracles check the package by routes other than its own: hyperplane
+invariance by an independent expansion of each field row, the raw field's
+divergence as the control for the Jacobi multiplier, and the empirical
+order of RK4 from drift at two step sizes.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 import cycliclv
-from cycliclv import CyclicLVSystem, make_system
+from cycliclv import (
+    CyclicLVSystem,
+    DimensionMismatch,
+    IntegratorConfig,
+    Method,
+    as_fraction,
+    integral_basis,
+    integrate,
+    make_system,
+    structure_matrix,
+)
+from cycliclv.model import _row_quadratic
+from cycliclv.verify import _cofactor_at, _jacobi_divergence
 
 
 def random_system(
@@ -81,13 +104,17 @@ def simplex_point(rng: random.Random, n: int, margin: float = 0.2) -> list[float
     return [v / total for v in raw]
 
 
-def run_cli(args: list[str], cwd) -> subprocess.CompletedProcess:
+def run_cli(
+    args: list[str], cwd, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     """Run `python -m cycliclv.cli *args` in a child process started in `cwd`.
 
     The directory holding the `cycliclv` package that this process imported
     goes first on the child's PYTHONPATH, ahead of any inherited entries, so
     the child runs the code under test whether it came from `src/` or from an
-    install, and a relative PYTHONPATH cannot break when `cwd` differs.
+    install, and a relative PYTHONPATH cannot break when `cwd` differs. A
+    child still running after `timeout` seconds is killed and
+    subprocess.TimeoutExpired raised.
     """
     package_root = str(Path(cycliclv.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -99,9 +126,106 @@ def run_cli(args: list[str], cwd) -> subprocess.CompletedProcess:
         capture_output=True,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
 
 
 def stderr_of(*results: subprocess.CompletedProcess) -> str:
     """The children's decoded stderr, for the message of a failed assertion."""
     return "\n".join(r.stderr.decode(errors="replace") for r in results)
+
+
+# -- oracles ---------------------------------------------------------------
+
+
+def _form_times_coordinate(form, i0: int) -> dict[tuple[int, int], Fraction]:
+    """Quadratic monomial coefficients of x_{i0+1} * form (0-based i0)."""
+    terms: dict[tuple[int, int], Fraction] = {}
+    for j0, c in form:
+        key = tuple(sorted((i0, j0)))
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:
+    """Exact symbolic check that X(x_i) - K_i * x_i is the zero polynomial.
+
+    K_i is row i (1-based) of the structure matrix unless explicit
+    (column, entry) terms are passed, which lets a test probe the check
+    with a corrupted form. X(x_i) comes from model._row_quadratic, an
+    expansion built from the index rules and not from the structure matrix.
+    """
+    if cof is None:
+        cof = structure_matrix(sys)[i - 1]
+    return _row_quadratic(sys, i - 1) == _form_times_coordinate(cof, i - 1)
+
+
+def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
+    """Exact sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn) at one point.
+
+    The same product-rule evaluation check_jacobi_multiplier applies to
+    each of its samples.
+    """
+    return _jacobi_divergence(structure_matrix(sys), state)
+
+
+def field_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
+    """Exact divergence sum_i dP_i/dx_i of the raw field at a rational point.
+
+    Serves as the multiplier-equals-one control: generically nonzero, which
+    is what makes the reciprocal-product multiplier informative.
+    """
+    x = [as_fraction(v) for v in state]
+    if len(x) != sys.n:
+        raise DimensionMismatch("state length does not match the system")
+    total = Fraction(0)
+    for i0, row in enumerate(structure_matrix(sys)):
+        k_i, dk_i = _cofactor_at(row, x, i0)
+        # d/dx_i [x_i * K_i] = K_i + x_i * dK_i/dx_i  (product rule)
+        total += k_i + x[i0] * dk_i
+    return total
+
+
+class NotMeasurable(Exception):
+    """A convergence-order measurement is dominated by roundoff or is 0/0."""
+
+
+def convergence_order(
+    sys: CyclicLVSystem,
+    x0: Sequence,
+    t_end: float,
+    steps: tuple[float, float],
+    integral_index: int = 0,
+) -> float:
+    """Empirical order of the fixed-step scheme from drift at two resolutions.
+
+    Integrates with RK4 at the coarse and fine steps (intended as h and
+    h/2) and returns log(drift_coarse / drift_fine) / log(coarse / fine)
+    for the selected integral, index 0 being the linear one. Raises
+    NotMeasurable when either drift sits at roundoff level (below 100x
+    machine epsilon), where the ratio says nothing about the scheme.
+
+    Runge-Kutta steps conserve the linear integral exactly in real
+    arithmetic, so its drift is pure roundoff at any step size and the
+    order is typically NotMeasurable at index 0; a monomial integral
+    (index 1 and up) drifts at the scheme's true order.
+    """
+    h_coarse, h_fine = steps
+    if h_coarse <= 0 or h_fine <= 0:
+        raise ValueError("steps must be positive")
+    if h_fine >= h_coarse:
+        raise ValueError("the second step must be the finer one")
+    basis = integral_basis(sys)
+    if not 0 <= integral_index <= len(basis.monomials):
+        raise IndexError(f"integral index {integral_index} outside the basis")
+    drifts = []
+    for h in (h_coarse, h_fine):
+        cfg = IntegratorConfig(method=Method.RK4_FIXED, step=h, t_end=t_end)
+        drift = integrate(sys, x0, cfg, basis).drift[:, integral_index]
+        drifts.append(float(drift.max()))
+    floor = 100.0 * np.finfo(float).eps
+    if drifts[0] <= floor or drifts[1] <= floor:
+        raise NotMeasurable(
+            f"drifts {drifts[0]:.3g}, {drifts[1]:.3g} are roundoff-dominated"
+        )
+    return math.log(drifts[0] / drifts[1]) / math.log(h_coarse / h_fine)

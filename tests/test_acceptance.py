@@ -16,26 +16,24 @@ import numpy as np
 import pytest
 
 from cycliclv import (
+    Classification,
     IntegratorConfig,
     VerificationReport,
     build_exponent_system,
     check_independence,
     check_linear_integral,
     check_xh_zero,
-    exponents_even,
-    exponents_odd,
-    field_divergence,
     independence_rank,
     integral_basis,
     integrate,
-    jacobi_divergence,
     make_system,
     nullspace,
     random_rational_state,
-    resonance_condition,
 )
 from cycliclv.cli import main
 from helpers import (
+    field_divergence,
+    jacobi_divergence,
     random_system,
     resonant_system,
     run_cli,
@@ -80,7 +78,7 @@ def test_criterion_1_formula_nullspace_equivalence_odd():
     for sys in odd_sweep():
         space = nullspace(build_exponent_system(sys))
         assert len(space) == 1, f"nullspace not 1-dimensional for rates {sys.rates}"
-        assert space == [exponents_odd(sys).exponents], (
+        assert space == [m.exponents for m in integral_basis(sys).monomials], (
             f"nullspace/formula mismatch for rates {sys.rates}"
         )
         checked += 1
@@ -100,7 +98,7 @@ def test_criterion_2_even_dichotomy():
     broken_ok = 0
     for sys in even_sweep():
         space = nullspace(build_exponent_system(sys))
-        pair = exponents_even(sys)
+        pair = integral_basis(sys).monomials
         assert len(space) == 2, f"expected 2-dim nullspace for rates {sys.rates}"
         assert space == [pair[0].exponents, pair[1].exponents]
         resonant_ok += 1
@@ -109,7 +107,8 @@ def test_criterion_2_even_dichotomy():
         perturbed_rates = list(sys.rates)
         perturbed_rates[0] *= rng.choice([2, 3, 5])
         perturbed = make_system(perturbed_rates)
-        assert not resonance_condition(perturbed)
+        classification = integral_basis(perturbed).classification
+        assert classification is Classification.EVEN_NONRESONANT
         assert nullspace(build_exponent_system(perturbed)) == []
         broken_ok += 1
     elapsed = time.perf_counter() - start
@@ -134,10 +133,11 @@ def test_criterion_3_closed_form_instances():
     three_systems, four_systems = closed_form_instances()
     for sys in three_systems:
         k1, k2, k3 = sys.rates
-        assert exponents_odd(sys).exponents == (1, k3 / k2, k1 / k2)
+        (mono,) = integral_basis(sys).monomials
+        assert mono.exponents == (1, k3 / k2, k1 / k2)
     for sys in four_systems:
         k1, k2, k3, k4 = sys.rates
-        first, second = exponents_even(sys)
+        first, second = integral_basis(sys).monomials
         assert first.exponents == (1, 0, k4 / k3, 0)
         assert second.exponents == (0, 1, 0, k2 / k3)
     _report(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys as _sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -105,6 +106,42 @@ class TestIntegrals:
         basis = integral_basis(make_system([2, 1, 3, 6]))
         assert parsed == [mono.exponents for mono in basis.monomials]
         assert payload["classification"] == "EVEN_RESONANT"
+
+    @pytest.mark.parametrize(
+        "literal", ['"1e999999999"', "1e999999999"], ids=["string", "bare"]
+    )
+    def test_huge_decimal_exponent_exit_2(self, tmp_path, literal):
+        spec = '{"k": [%s, 1, 2]}' % literal
+        (tmp_path / "huge.json").write_text(spec, encoding="utf-8")
+        # building 10^999999999 takes far longer than the timeout: fail, not hang
+        result = run_cli(["integrals", "--system", "huge.json"], tmp_path, timeout=30)
+        err = stderr_of(result)
+        assert result.returncode == 2, err
+        assert err.startswith("error: entry 1: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exact_values_past_the_int_digit_limit(self, tmp_path, capsys, fmt):
+        rates = [123456789, 1] * 550 + [123456789]
+        spec = write_spec(tmp_path, "long.json", rates)
+        limit = _sys.get_int_max_str_digits()
+        assert main(["integrals", "--system", spec, "--format", fmt]) == 0
+        assert _sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        (mono,) = integral_basis(make_system(rates)).monomials
+        _sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(e) for e in mono.exponents]
+        finally:
+            _sys.set_int_max_str_digits(limit)
+        assert max(map(len, expected)) > limit
+        if fmt == "json":
+            assert json.loads(out)["monomials"][0]["exponents"] == expected
+        else:
+            assert "H2 exponents: " + ", ".join(expected) in out.splitlines()
+        # the limit still holds while a spec is parsed
+        long_int = tmp_path / "long_int.json"
+        long_int.write_text('{"k": [%s, 1, 2]}' % ("7" * 5000), encoding="utf-8")
+        assert main(["integrals", "--system", str(long_int)]) == 2
 
     def test_exact_decimal_entries(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "dec.json", [0.25, "1/2", 3])
@@ -564,7 +601,7 @@ _GOOD_RATE = st.one_of(
     st.integers(1, 9), st.integers(-9, -1), st.sampled_from(["1/2", "0.75", "-7/3"])
 )
 _BAD_RATE = st.sampled_from(
-    [0, "0", "x", "1/0", "", None, [1], True, 1e400, "1e400", "1e-400"]
+    [0, "0", "x", "1/0", "", None, [1], True, 1e400, "1e400", "1e-400", "1e5000"]
 )
 _BAD_FILE = st.one_of(
     st.sampled_from(["", "{", "[]", "null", '{"k": 3}', '{"k": [5]}', '{"q": [1, 2]}']),
@@ -574,6 +611,18 @@ _ODD_X0 = st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-300, 1e-12, 1e6, 1e
 # step >= 2.5e-3 and t_end <= 5 keep a fixed-step run within 2000 steps
 _ODD_STEP = st.sampled_from([math.nan, math.inf, -1e-3, 0.0, 1e-300, 1e300])
 _ODD_T_END = st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e300])
+
+
+def _draw_spec(draw, n, flaw):
+    """Spec file text for n sound rates, or with a "file" or "rate" flaw."""
+    rates = draw(st.lists(_GOOD_RATE, min_size=n, max_size=n))
+    if flaw == "rate":
+        rates[draw(st.integers(0, n - 1))] = draw(_BAD_RATE)
+    return draw(_BAD_FILE) if flaw == "file" else json.dumps({"k": rates})
+
+
+# nesting far deeper than the JSON parser's recursion limit
+_NESTED_SPEC = '{"k": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 @st.composite
@@ -590,10 +639,7 @@ def simulate_inputs(draw):
                       "t_end", "method"]
     ))
     n = draw(st.integers(2, 8))
-    rates = draw(st.lists(_GOOD_RATE, min_size=n, max_size=n))
-    if flaw == "rate":
-        rates[draw(st.integers(0, n - 1))] = draw(_BAD_RATE)
-    spec = draw(_BAD_FILE) if flaw == "file" else json.dumps({"k": rates})
+    spec = _draw_spec(draw, n, flaw)
     length = n + draw(st.sampled_from([-1, 1])) if flaw == "x0 length" else n
     x0 = draw(st.lists(st.floats(0.05, 5.0), min_size=length, max_size=length))
     if flaw == "x0 entries":
@@ -612,6 +658,7 @@ def simulate_inputs(draw):
 @example((json.dumps({"k": RATES_41}), ",".join(["1"] * 41), 1e-3, 0.01, "rk4"))
 @example((json.dumps({"k": RATES_41}), X0_41_TINY_H2, 8e-4, 0.0024, "rk4"))
 @example((json.dumps({"k": ["1e200", "1e-200", 1]}), "0.2,0.3,0.5", 1e-3, 0.01, "rk4"))
+@example((_NESTED_SPEC, "0.2,0.3,0.5", 1e-3, 0.01, "rk4"))
 @settings(max_examples=80, deadline=None)
 def test_simulate_fuzz_exit_code_and_finite_ok_output(inputs):
     spec, x0, step, t_end, method = inputs
@@ -645,3 +692,36 @@ def test_simulate_fuzz_exit_code_and_finite_ok_output(inputs):
             assert all(math.isfinite(float(value)) for _, value in fields), out
             rows = out_csv.read_text().splitlines()[1:]
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@st.composite
+def exact_inputs(draw):
+    """(spec file text, argv without --system) for an integrals or check call.
+
+    A sound spec with 2 to 6 rates, or one with a malformed file or a bad
+    rate entry.
+    """
+    flaw = draw(st.sampled_from([None] * 4 + ["file", "rate"]))
+    spec = _draw_spec(draw, draw(st.integers(2, 6)), flaw)
+    argv = draw(st.sampled_from(
+        [["integrals"], ["integrals", "--format", "json"], ["check"]]
+    ))
+    return spec, argv
+
+
+@given(exact_inputs())
+@example((_NESTED_SPEC, ["integrals"]))
+@example((_NESTED_SPEC, ["check"]))
+@example(('{"k": [1e5000, 1, 1]}', ["integrals"]))
+@example(('{"k": [1e5000, 1, 1]}', ["integrals", "--format", "json"]))
+@settings(max_examples=60, deadline=None)
+def test_exact_fuzz_exit_code(inputs):
+    spec, argv = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(spec, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main([*argv, "--system", str(spec_path)])
+    assert code in {0, 1, 2, 3}

@@ -13,21 +13,21 @@ from cycliclv import (
     IntegralBasis,
     LinearIntegral,
     MonomialIntegral,
-    ResonanceViolated,
     UnsupportedDimension,
-    WrongParity,
     build_exponent_system,
-    exponents_even,
-    exponents_odd,
     integral_basis,
     make_system,
     nullspace,
-    resonance_condition,
 )
-from cycliclv import linalg
+from cycliclv import darboux, linalg
 from helpers import dense, random_system, resonant_system
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
+
+
+def closed_forms(sys):
+    """The closed-form exponent vectors, as integral_basis reports them."""
+    return [mono.exponents for mono in integral_basis(sys).monomials]
 
 
 def _sympy_exponent_rows(rates):
@@ -128,13 +128,13 @@ class TestExponentsOdd:
         for _ in range(20):
             sys = random_system(rng, 3)
             k1, k2, k3 = sys.rates
-            assert exponents_odd(sys).exponents == (1, k3 / k2, k1 / k2)
+            assert closed_forms(sys) == [(1, k3 / k2, k1 / k2)]
 
     def test_five_all_ones(self):
-        assert exponents_odd(make_system([1] * 5)).exponents == (1, 1, 1, 1, 1)
+        assert closed_forms(make_system([1] * 5)) == [(1, 1, 1, 1, 1)]
 
     def test_five_frozen(self):
-        got = exponents_odd(make_system([1, 2, 3, 4, 5])).exponents
+        (got,) = closed_forms(make_system([1, 2, 3, 4, 5]))
         assert got == (
             1,
             Fraction(15, 8),
@@ -143,67 +143,46 @@ class TestExponentsOdd:
             Fraction(3, 8),
         )
 
-    def test_wrong_parity(self):
-        with pytest.raises(WrongParity):
-            exponents_odd(make_system([1, 1, 1, 1]))
-
     @given(st.sampled_from([3, 5, 7, 9]), st.data())
     @settings(max_examples=40, deadline=None)
     def test_equals_nullspace(self, n, data):
         rates = [data.draw(nonzero_int) for _ in range(n)]
         sys = make_system(rates)
-        assert nullspace(build_exponent_system(sys)) == [exponents_odd(sys).exponents]
+        assert nullspace(build_exponent_system(sys)) == closed_forms(sys)
 
 
 class TestResonance:
     def test_frozen(self):
-        assert resonance_condition(make_system([2, 1, 3, 6]))
-        assert not resonance_condition(make_system([1, 1, 1, 2]))
-        assert resonance_condition(make_system([1] * 6))
-
-    def test_wrong_parity(self):
-        with pytest.raises(WrongParity):
-            resonance_condition(make_system([1, 2, 3]))
-
-    def test_n2_unsupported(self):
-        with pytest.raises(UnsupportedDimension):
-            resonance_condition(make_system([1, 2]))
+        cases = (([2, 1, 3, 6], True), ([1, 1, 1, 2], False), ([1] * 6, True))
+        for rates, resonant in cases:
+            got = integral_basis(make_system(rates)).classification
+            assert (got is Classification.EVEN_RESONANT) == resonant
 
 
 class TestExponentsEven:
     def test_frozen_four(self):
-        first, second = exponents_even(make_system([2, 1, 3, 6]))
-        assert first.exponents == (1, 0, 2, 0)
-        assert second.exponents == (0, 1, 0, Fraction(1, 3))
+        first, second = closed_forms(make_system([2, 1, 3, 6]))
+        assert first == (1, 0, 2, 0)
+        assert second == (0, 1, 0, Fraction(1, 3))
 
     def test_six_all_ones(self):
-        first, second = exponents_even(make_system([1] * 6))
-        assert first.exponents == (1, 0, 1, 0, 1, 0)
-        assert second.exponents == (0, 1, 0, 1, 0, 1)
-
-    def test_resonance_violated(self):
-        with pytest.raises(ResonanceViolated):
-            exponents_even(make_system([1, 1, 1, 2]))
-
-    def test_wrong_parity(self):
-        with pytest.raises(WrongParity):
-            exponents_even(make_system([1, 2, 3]))
+        first, second = closed_forms(make_system([1] * 6))
+        assert first == (1, 0, 1, 0, 1, 0)
+        assert second == (0, 1, 0, 1, 0, 1)
 
     @given(st.sampled_from([4, 6, 8]), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
     def test_equals_nullspace(self, n, seed):
         sys = resonant_system(random.Random(seed), n)
-        pair = exponents_even(sys)
-        assert nullspace(build_exponent_system(sys)) == [
-            pair[0].exponents,
-            pair[1].exponents,
-        ]
+        forms = closed_forms(sys)
+        assert len(forms) == 2
+        assert nullspace(build_exponent_system(sys)) == forms
 
     def test_supports_are_disjoint(self):
         rng = random.Random(43)
         for _ in range(15):
-            first, second = exponents_even(resonant_system(rng, rng.choice([4, 6, 8, 10])))
-            for j, (a, b) in enumerate(zip(first.exponents, second.exponents)):
+            first, second = closed_forms(resonant_system(rng, rng.choice([4, 6, 8, 10])))
+            for j, (a, b) in enumerate(zip(first, second)):
                 if j % 2 == 0:
                     assert b == 0
                 else:
@@ -251,6 +230,17 @@ class TestIntegralBasis:
         basis = integral_basis(make_system([5, 7]))
         assert basis.classification is Classification.N2
         assert basis.monomials == ()
+
+    def test_chain_products_built_once(self, monkeypatch):
+        calls = []
+        real = darboux._chain_products
+        monkeypatch.setattr(
+            darboux, "_chain_products", lambda k: calls.append(k) or real(k)
+        )
+        for rates in ([2, 1, 3], [2, 1, 3, 6], [1, 1, 1, 2]):
+            calls.clear()
+            integral_basis(make_system(rates))
+            assert len(calls) == 1, rates
 
     def test_monomial_count_enforced(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""The package surface is exactly the union of the module ``__all__`` lists."""
+"""The package surface is exactly the union of the module ``__all__`` lists,
+and that union is the pinned list below."""
 
 import cycliclv
 from cycliclv import darboux, errors, model, sim, verify
@@ -18,3 +19,26 @@ def test_every_exported_name_resolves_to_its_module_object():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(cycliclv, name) is getattr(mod, name), name
+
+
+# Adding a name here is a deliberate change to the public surface: a name
+# only tests need belongs in tests/helpers.py instead.
+EXPORTS = [
+    "Classification", "CyclicLVError", "CyclicLVSystem", "DimensionMismatch",
+    "DimensionTooSmall", "DomainViolation", "EmptySampleSet", "FloatOutOfRange",
+    "InitialIntegralOutOfRange", "IntegralBasis", "IntegralOutOfRange",
+    "IntegrationAborted", "IntegratorConfig", "LinearIntegral", "Method",
+    "MonomialIntegral", "NonFiniteState", "NonPositiveInitialState",
+    "PositivityBreached", "StepLimitReached", "StepUnderflow", "Trajectory",
+    "UnsupportedDimension", "VerificationReport", "ZeroCoordinate", "ZeroParameter",
+    "as_fraction", "build_exponent_system", "check_independence",
+    "check_jacobi_multiplier", "check_linear_integral", "check_xh_zero",
+    "cofactor_combination", "independence_rank", "integral_basis", "integrate",
+    "make_system", "nullspace", "random_rational_state", "structure_matrix",
+    "vector_field",
+]
+
+
+def test_export_list_is_pinned():
+    assert sorted(cycliclv.__all__) == EXPORTS
+    assert len(EXPORTS) == 41

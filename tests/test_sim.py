@@ -13,10 +13,8 @@ from cycliclv import (
     Method,
     NonFiniteState,
     NonPositiveInitialState,
-    NotMeasurable,
     PositivityBreached,
     StepUnderflow,
-    convergence_order,
     integral_basis,
     integrate,
     make_system,
@@ -27,6 +25,8 @@ from cycliclv.sim import _rhs
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
+    NotMeasurable,
+    convergence_order,
     random_system,
     resonant_system,
     simplex_point,

@@ -17,15 +17,18 @@ from cycliclv import (
     check_jacobi_multiplier,
     check_linear_integral,
     check_xh_zero,
-    field_divergence,
     independence_rank,
     integral_basis,
-    jacobi_divergence,
     make_system,
     random_rational_state,
 )
 from cycliclv import verify as verify_mod
-from helpers import random_system, resonant_system
+from helpers import (
+    field_divergence,
+    jacobi_divergence,
+    random_system,
+    resonant_system,
+)
 
 
 def test_report_invariant():
