@@ -8,8 +8,9 @@ Subcommands:
 The system is described by a JSON file {"k": [...]} whose entries are
 integers, exact decimal literals, or "p/q" strings; the dimension is the
 list length, and no literal's numerator or denominator may have more than
-4300 digits. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 runtime integration failure.
+4300 digits. Exit codes: 0 success, 1 verification failure, 2 input error
+(an InputError, printed as one bounded "error: " line on stderr), 3 runtime
+integration failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import darboux, sim, verify
-from .errors import CyclicLVError, IntegrationAborted, ZeroParameter
+from .errors import InputError, IntegrationAborted, ZeroParameter
 from .model import CyclicLVSystem, as_fraction
 
 EXIT_OK = 0
@@ -36,9 +37,21 @@ EXIT_RUNTIME_ERROR = 3
 
 DEFAULT_CHECK_SAMPLES = 32
 
+# Most bytes of a refused value that an error line echoes, and of a reason
+# that may repeat the value; longer text is cut to its head and its size,
+# which keeps every error line under 300 bytes.
+VALUE_BYTES = 64
+REASON_BYTES = 2 * VALUE_BYTES
 
-class InputError(CyclicLVError):
-    """Anything wrong with the spec file or the flags (exit code 2)."""
+
+def _excerpt(text: object, limit: int = VALUE_BYTES) -> str:
+    """str(text) if its UTF-8 form fits in limit bytes, else its head and its size."""
+    text = str(text)
+    data = text.encode("utf-8", "backslashreplace")
+    if len(data) <= limit:
+        return text
+    tail = f"... ({len(data)} bytes)"
+    return data[: limit - len(tail)].decode("utf-8", "ignore") + tail
 
 
 def load_system_spec(path: str | Path) -> CyclicLVSystem:
@@ -46,11 +59,14 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
 
     The file is parsed here, entry by entry so that a parse error names its
     position; the rate count and nonzero rates are CyclicLVSystem's checks.
+    Each message echoes at most a bounded excerpt of the path and the entry.
     """
+    name = _excerpt(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read system file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = _excerpt(exc, REASON_BYTES)
+        raise InputError(f"cannot read system file {name}: {reason}") from exc
     try:
         # parse_float sees the raw literal, so decimals convert exactly; a
         # Decimal costs the same for any exponent, and as_fraction refuses
@@ -58,17 +74,21 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
         data = json.loads(text, parse_float=Decimal)
     except (ValueError, RecursionError) as exc:
         # RecursionError: nesting deeper than the parser's recursion limit
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        reason = _excerpt(exc, REASON_BYTES)
+        raise InputError(f"{name} is not valid JSON: {reason}") from exc
     except InvalidOperation as exc:
-        raise InputError(f"{path} holds a number with an out-of-range exponent") from exc
+        raise InputError(f"{name} holds a number with an out-of-range exponent") from exc
     if not isinstance(data, dict) or not isinstance(data.get("k"), list):
-        raise InputError(f'{path} must be a JSON object with a "k" list')
+        raise InputError(f'{name} must be a JSON object with a "k" list')
     rates = []
     for pos, entry in enumerate(data["k"], start=1):
         try:
             rates.append(as_fraction(entry))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"entry {pos}: cannot parse {entry!r} as a rational ({exc})")
+            raise InputError(
+                f"entry {pos}: cannot parse {_excerpt(repr(entry))} as a rational "
+                f"({_excerpt(exc, REASON_BYTES)})"
+            )
     try:
         return CyclicLVSystem(tuple(rates))
     except ZeroParameter as exc:
@@ -212,7 +232,9 @@ def _parse_x0(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"cannot parse --x0 {text!r}: {exc}") from exc
+        raise InputError(
+            f"cannot parse --x0 {_excerpt(repr(text))}: {_excerpt(exc, REASON_BYTES)}"
+        ) from exc
 
 
 def _write_csv(
@@ -233,10 +255,14 @@ def _write_csv(
     )
     columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
     table = np.column_stack([column[indices] for column in columns])
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(header) + "\n")
-        for row in table:
-            out.write(",".join(map(_fmt, row.tolist())) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(",".join(header) + "\n")
+            for row in table:
+                out.write(",".join(map(_fmt, row.tolist())) + "\n")
+    except OSError as exc:
+        reason = _excerpt(exc, REASON_BYTES)
+        raise InputError(f"cannot write --out {_excerpt(path)}: {reason}") from exc
     return len(indices)
 
 
@@ -245,14 +271,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     x0 = _parse_x0(args.x0)
     if args.sample_every < 1:
         raise InputError("--sample-every must be a positive integer")
-    try:
-        cfg = sim.IntegratorConfig(
-            method=args.method,
-            step=args.step,
-            t_end=args.t_end,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cfg = sim.IntegratorConfig(method=args.method, step=args.step, t_end=args.t_end)
     basis = darboux.integral_basis(system)
     names = _integral_names(basis)
 
@@ -317,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CyclicLVError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import UnsupportedDimension
+from .errors import InputError
 from .model import CyclicLVSystem, structure_matrix
 
 __all__ = [
@@ -109,7 +109,7 @@ def build_exponent_system(sys: CyclicLVSystem) -> list[linalg.Row]:
     """
     n = sys.n
     if n < 3:
-        raise UnsupportedDimension("exponent system requires n >= 3")
+        raise InputError("exponent system requires n >= 3")
     rows: list[linalg.Row] = [{} for _ in range(n)]
     for i, terms in enumerate(structure_matrix(sys)):
         for j, c in terms:

@@ -8,16 +8,8 @@ from __future__ import annotations
 
 __all__ = [
     "CyclicLVError",
-    "DimensionTooSmall",
+    "InputError",
     "ZeroParameter",
-    "DimensionMismatch",
-    "UnsupportedDimension",
-    "DomainViolation",
-    "EmptySampleSet",
-    "ZeroCoordinate",
-    "NonPositiveInitialState",
-    "FloatOutOfRange",
-    "InitialIntegralOutOfRange",
     "IntegrationAborted",
     "PositivityBreached",
     "NonFiniteState",
@@ -31,74 +23,16 @@ class CyclicLVError(Exception):
     """Base class for every error raised by this package."""
 
 
-# -- system construction / model ------------------------------------------
-
-class DimensionTooSmall(CyclicLVError):
-    """Fewer than two rate parameters were supplied."""
+class InputError(CyclicLVError, ValueError):
+    """A refused rate, state, sample set, setting, spec file or flag (exit code 2)."""
 
 
-class ZeroParameter(CyclicLVError):
+class ZeroParameter(InputError):
     """A rate parameter is zero (every k_i must be nonzero)."""
 
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"rate parameter k{index} is zero; all rates must be nonzero")
-
-
-class DimensionMismatch(CyclicLVError):
-    """A state or exponent vector does not match the system dimension."""
-
-
-# -- exponent machinery -----------------------------------------------------
-
-class UnsupportedDimension(CyclicLVError):
-    """The exponent linear system is not defined for n = 2."""
-
-
-class DomainViolation(CyclicLVError):
-    """A state lies outside the domain of the requested evaluation."""
-
-
-# -- verification ------------------------------------------------------------
-
-class EmptySampleSet(CyclicLVError):
-    """A pointwise check was invoked with no sample points."""
-
-
-class ZeroCoordinate(CyclicLVError):
-    """A sample point has a zero coordinate where nonzero is required."""
-
-
-# -- simulation ---------------------------------------------------------------
-
-class NonPositiveInitialState(CyclicLVError):
-    """Every initial coordinate must be finite and at least sim.POSITIVITY_FLOOR."""
-
-
-class FloatOutOfRange(CyclicLVError):
-    """A nonzero rate or exponent has no finite nonzero float; refused up front.
-
-    ``what`` names it, e.g. "rate k1" or "exponent of x2 in H3".
-    """
-
-    def __init__(self, what: str):
-        super().__init__(
-            f"{what} has no finite nonzero float (it overflows or rounds to zero)"
-        )
-
-
-class InitialIntegralOutOfRange(CyclicLVError):
-    """A first integral's value at x0 leaves the float range; refused up front.
-
-    ``integral`` is the 1-based position of the integral: 1 for H1, j + 1
-    for the j-th monomial. sim.integrate states the range.
-    """
-
-    def __init__(self, integral: int):
-        self.integral = integral
-        super().__init__(
-            f"integral H{integral} is outside the float range at the initial state"
-        )
 
 
 class IntegrationAborted(CyclicLVError):

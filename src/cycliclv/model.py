@@ -22,7 +22,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DimensionMismatch, DimensionTooSmall, ZeroParameter
+from .errors import InputError, ZeroParameter
 
 RationalLike = Union[int, str, Fraction, Decimal]
 
@@ -105,7 +105,7 @@ class CyclicLVSystem:
 
     def __post_init__(self):
         if self.n < 2:
-            raise DimensionTooSmall(f"need n >= 2, got n={self.n}")
+            raise InputError(f"need n >= 2, got n={self.n}")
         for i, k in enumerate(self.rates):
             if k == 0:
                 raise ZeroParameter(i + 1)
@@ -114,8 +114,8 @@ class CyclicLVSystem:
 def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
     """Convert rate parameters exactly and build the system.
 
-    CyclicLVSystem validates the rates: it raises DimensionTooSmall for
-    fewer than two and ZeroParameter (with the 1-based position) for a zero.
+    CyclicLVSystem validates the rates: it raises InputError for fewer than
+    two and its subclass ZeroParameter (with the 1-based position) for a zero.
     """
     return CyclicLVSystem(tuple(as_fraction(v) for v in k))
 
@@ -146,7 +146,7 @@ def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
     """
     n = sys.n
     if len(state) != n:
-        raise DimensionMismatch(f"state has length {len(state)}, system has n={n}")
+        raise InputError(f"state has length {len(state)}, system has n={n}")
     x = state
     return [
         x[i] * (c1 * x[j1] + c2 * x[j2])

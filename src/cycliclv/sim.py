@@ -12,12 +12,11 @@ The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
 PositivityBreached as soon as any coordinate falls below POSITIVITY_FLOOR,
 and with NonFiniteState when one becomes NaN or infinite. The initial state
-must meet the same floor, or it is refused with NonPositiveInitialState. Every
-value and drift of a row must be finite, and each monomial's
-s = lam . log x must lie in LOG_RANGE, so that exp(s) neither overflows nor
-underflows: an initial state that breaks this is refused with
-InitialIntegralOutOfRange, and a later row ends the run with
-IntegralOutOfRange. Runtime aborts carry the partial Trajectory, cut
+must meet the same floor, or it is refused with InputError. Every value and
+drift of a row must be finite, and each monomial's s = lam . log x must lie
+in LOG_RANGE, so that exp(s) neither overflows nor underflows: an initial
+state that breaks this is refused with InputError, and a later row ends the
+run with IntegralOutOfRange. Runtime aborts carry the partial Trajectory, cut
 before the failing row, on the exception. The float work runs with numpy's
 floating-point warnings off: an overflow or NaN it meets is reported by one
 of these exceptions, not printed.
@@ -36,12 +35,9 @@ import numpy as np
 
 from .darboux import IntegralBasis
 from .errors import (
-    DimensionMismatch,
-    FloatOutOfRange,
-    InitialIntegralOutOfRange,
+    InputError,
     IntegralOutOfRange,
     NonFiniteState,
-    NonPositiveInitialState,
     PositivityBreached,
     StepLimitReached,
     StepUnderflow,
@@ -87,8 +83,8 @@ class IntegratorConfig:
     adaptive pair, which controls it with REL_TOL, ABS_TOL and MIN_STEP.
     ``method`` takes a Method or its value ("rk4", "rk45"). ``step`` and
     ``t_end`` must be finite and positive, and an RK4 run may need at most
-    MAX_STEPS steps. Anything else, NaN and infinity included, raises
-    ValueError.
+    MAX_STEPS steps. Anything else, an unknown method, NaN and infinity
+    included, raises InputError, which is a ValueError.
     """
 
     method: Method = Method.RK4_FIXED
@@ -96,15 +92,18 @@ class IntegratorConfig:
     t_end: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "method", Method(self.method))
+        try:
+            object.__setattr__(self, "method", Method(self.method))
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         for name in ("step", "t_end"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+                raise InputError(f"{name} must be finite and positive, got {value}")
         ratio = self.t_end / self.step
         # the negated test also refuses an infinite ratio
         if self.method is Method.RK4_FIXED and not ratio <= MAX_STEPS:
-            raise ValueError(f"t_end/step = {ratio:.17g} exceeds the limit of {MAX_STEPS} steps")
+            raise InputError(f"t_end/step = {ratio:.17g} exceeds the limit of {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,17 +126,19 @@ def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
     """The floats of exact rationals, each nonzero one finite and nonzero.
 
     float(q) raises OverflowError past float_info.max and rounds a q below
-    the smallest subnormal to 0.0; either raises FloatOutOfRange naming
-    what(i) for the 1-based position i.
+    the smallest subnormal to 0.0; either raises InputError naming what(i)
+    for the 1-based position i.
     """
     out = []
     for i, q in enumerate(qs, start=1):
         try:
             v = float(q)
         except OverflowError:
-            raise FloatOutOfRange(what(i)) from None
+            v = 0.0  # no finite float either
         if v == 0.0 and q != 0:
-            raise FloatOutOfRange(what(i))
+            raise InputError(
+                f"{what(i)} has no finite nonzero float (it overflows or rounds to zero)"
+            )
         out.append(v)
     return np.array(out, dtype=float)
 
@@ -146,7 +147,7 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     """The field x * (A x) in floats, A the structure matrix.
 
     Each row's two terms stay two products; summing them changes n = 2's bits.
-    Raises FloatOutOfRange for a rate whose float overflows or rounds to zero.
+    Raises InputError for a rate whose float overflows or rounds to zero.
     """
     first, second = zip(*structure_matrix(sys))
     j1, j2 = (np.array([j for j, _ in terms]) for terms in (first, second))
@@ -171,8 +172,8 @@ def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray
     alone with sum(x) and exp(lam . log x). Batched forms (x @ lam, np.exp)
     round differently, and np.dot's rounding depends on the alignment of
     its operands, so each row of logs is copied to a fresh array before the
-    dot. Raises FloatOutOfRange for an exponent whose float overflows or
-    rounds to zero.
+    dot. Raises InputError for an exponent whose float overflows or rounds
+    to zero.
     """
     h1 = x.sum(axis=1)
     columns, outside = [h1], [~np.isfinite(h1)]
@@ -199,12 +200,10 @@ def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray
 def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
     x = np.asarray([float(v) for v in x0], dtype=float)
     if x.shape != (sys.n,):
-        raise DimensionMismatch(
-            f"initial state has length {len(x)}, system has n={sys.n}"
-        )
+        raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     # NaN fails every comparison, so test for the one good range
     if not np.all(np.isfinite(x) & (x >= POSITIVITY_FLOOR)):
-        raise NonPositiveInitialState(
+        raise InputError(
             "initial state must be finite and at least the positivity floor "
             f"{POSITIVITY_FLOOR:g}"
         )
@@ -311,11 +310,10 @@ def integrate(
     """Integrate from an initial state at or above the floor up to cfg.t_end.
 
     Returns the Trajectory of every accepted step, the initial state
-    included. Raises up front DimensionMismatch for an x0 of the wrong
-    length, NonPositiveInitialState for a NaN or infinite entry or one below
-    POSITIVITY_FLOOR, FloatOutOfRange for a nonzero rate or exponent whose
-    float overflows or rounds to zero, and InitialIntegralOutOfRange when an
-    integral at x0 leaves the float range. During the run it raises
+    included. Raises InputError up front for an x0 of the wrong length, a
+    NaN or infinite x0 entry or one below POSITIVITY_FLOOR, a nonzero rate
+    or exponent whose float overflows or rounds to zero, and an integral
+    that leaves the float range at x0. During the run it raises
     PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
     NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
     integral's value or drift leaves the float range, StepUnderflow if the
@@ -328,7 +326,10 @@ def integrate(
     with np.errstate(all="ignore"):
         outside = _values(x[None], basis)[1][0]
         if outside.any():
-            raise InitialIntegralOutOfRange(int(np.argmax(outside)) + 1)
+            raise InputError(
+                f"integral H{int(np.argmax(outside)) + 1} is outside the float range "
+                "at the initial state"
+            )
         run = _run_rk4 if cfg.method is Method.RK4_FIXED else _run_rkf45
         t, xs, abort = run(f, x, cfg)
         values, outside = _values(xs, basis)

@@ -18,12 +18,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .darboux import IntegralBasis, MonomialIntegral
-from .errors import (
-    DimensionMismatch,
-    DomainViolation,
-    EmptySampleSet,
-    ZeroCoordinate,
-)
+from .errors import InputError
 from .model import (
     CyclicLVSystem,
     Term,
@@ -61,7 +56,7 @@ def cofactor_combination(
 ) -> tuple[Fraction, ...]:
     """Coefficients of the linear form sum_i lambda_i K_i."""
     if len(exponents) != sys.n:
-        raise DimensionMismatch("exponent vector length does not match the system")
+        raise InputError("exponent vector length does not match the system")
     total = [Fraction(0)] * sys.n
     for lam, row in zip(exponents, structure_matrix(sys)):
         lam = Fraction(lam)
@@ -131,10 +126,10 @@ def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fract
     """
     x = _rational_point(state)
     if len(x) != len(rows):
-        raise DimensionMismatch("state length does not match the system")
+        raise InputError("state length does not match the system")
     for i0, v in enumerate(x):
         if v == 0:
-            raise ZeroCoordinate(f"coordinate x{i0 + 1} is zero")
+            raise InputError(f"coordinate x{i0 + 1} is zero")
     prod = Fraction(1)
     for v in x:
         prod *= v
@@ -157,7 +152,7 @@ def check_jacobi_multiplier(
     every sample; all coordinates must be nonzero rationals.
     """
     if not samples:
-        raise EmptySampleSet("at least one sample point is required")
+        raise InputError("at least one sample point is required")
     rows = structure_matrix(sys)
     for idx, sample in enumerate(samples):
         residual = _jacobi_divergence(rows, sample)
@@ -181,9 +176,9 @@ def independence_rank(
     """
     x = _rational_point(state)
     if len(x) != sys.n:
-        raise DimensionMismatch("state length does not match the system")
+        raise InputError("state length does not match the system")
     if any(v <= 0 for v in x):
-        raise DomainViolation("independence samples must be strictly positive")
+        raise InputError("independence samples must be strictly positive")
     rows: list[linalg.Row] = [dict.fromkeys(range(sys.n), Fraction(1))]
     for mono in basis.monomials:
         rows.append(
@@ -197,7 +192,7 @@ def check_independence(
 ) -> VerificationReport:
     """Require full rank 1 + #monomials at every sample point."""
     if not samples:
-        raise EmptySampleSet("at least one sample point is required")
+        raise InputError("at least one sample point is required")
     required = 1 + len(basis.monomials)
     for idx, sample in enumerate(samples):
         got = independence_rank(sys, basis, sample)

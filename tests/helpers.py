@@ -23,7 +23,7 @@ import numpy as np
 import cycliclv
 from cycliclv import (
     CyclicLVSystem,
-    DimensionMismatch,
+    InputError,
     IntegratorConfig,
     Method,
     as_fraction,
@@ -177,7 +177,7 @@ def field_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
     """
     x = [as_fraction(v) for v in state]
     if len(x) != sys.n:
-        raise DimensionMismatch("state length does not match the system")
+        raise InputError("state length does not match the system")
     total = Fraction(0)
     for i0, row in enumerate(structure_matrix(sys)):
         k_i, dk_i = _cofactor_at(row, x, i0)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycliclv import VerificationReport, integral_basis, make_system, sim
+from cycliclv import cli
 from cycliclv.cli import main, run_check_battery
 from helpers import (
     RATES_41,
@@ -82,14 +83,6 @@ class TestIntegrals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-
-    def test_missing_file_exit_2(self, tmp_path, capsys):
-        assert main(["integrals", "--system", str(tmp_path / "nope.json")]) == 2
-
-    def test_malformed_json_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["integrals", "--system", str(path)]) == 2
 
     def test_unparseable_entry_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "bad.json", ["2", "abc", "3"])
@@ -317,17 +310,6 @@ class TestSimulate:
         assert named in captured.err
         assert "Traceback" not in captured.err
 
-    def test_wrong_length_x0_exit_2(self, wheel3, tmp_path):
-        code = main(
-            [
-                "simulate",
-                "--system", wheel3,
-                "--x0", "0.5,0.5",
-                "--out", str(tmp_path / "t.csv"),
-            ]
-        )
-        assert code == 2
-
     def test_positivity_breach_exit_3_keeps_partial_csv(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "decay.json", ["1", "5"])
         out_csv = tmp_path / "partial.csv"
@@ -387,24 +369,6 @@ class TestSimulate:
         assert code == 0
         out = capsys.readouterr().out
         assert "max_drift_H1=nan max_drift_H2=1.0000000000000001e-09" in out
-
-    def test_step_count_over_limit_exit_2(self, wheel3, tmp_path, capsys):
-        out_csv = tmp_path / "t.csv"
-        code = main(
-            [
-                "simulate",
-                "--system", wheel3,
-                "--x0", "0.2,0.3,0.5",
-                "--step", "1e-3",
-                "--t-end", "1e300",
-                "--out", str(out_csv),
-            ]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "exceeds the limit" in captured.err
-        assert not out_csv.exists()
 
     def test_adaptive_step_limit_exit_3(self, wheel3, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sim, "MAX_STEPS", 50)
@@ -552,6 +516,129 @@ class TestSimulate:
         assert out_csv.exists()
 
 
+WHEEL3 = '{"k": [2, 1, 3]}'
+SIM = ["simulate", "--system", "spec.json", "--out", "t.csv"]
+
+
+def assert_one_error_line(err: str) -> None:
+    """An exit 2 from main prints exactly one bounded error line."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err[:400]
+    assert len(lines[0].encode("utf-8", "backslashreplace")) <= 300, lines[0][:400]
+
+
+class TestRefusals:
+    """Each refusal path, with the exact line it prints on stderr."""
+
+    @pytest.mark.parametrize(
+        "spec, argv, message",
+        [
+            (None, ["integrals", "--system", "nope.json"],
+             "cannot read system file nope.json: "
+             "[Errno 2] No such file or directory: 'nope.json'"),
+            ("{not json", ["integrals", "--system", "spec.json"],
+             "spec.json is not valid JSON: Expecting property name enclosed in "
+             "double quotes: line 1 column 2 (char 1)"),
+            ('{"k": 3}', ["integrals", "--system", "spec.json"],
+             'spec.json must be a JSON object with a "k" list'),
+            ('{"k": ["2", "abc", "3"]}', ["integrals", "--system", "spec.json"],
+             "entry 2: cannot parse 'abc' as a rational "
+             "(invalid literal for a rational: 'abc')"),
+            ('{"k": [1, 0, 3]}', ["check", "--system", "spec.json"],
+             "entry 2: rate parameters must be nonzero"),
+            ('{"k": [3]}', ["integrals", "--system", "spec.json"],
+             "need n >= 2, got n=1"),
+            ('{"k": ["1e-400", 1, 3]}', [*SIM, "--x0", "0.2,0.3,0.5"],
+             "rate k1 has no finite nonzero float (it overflows or rounds to zero)"),
+            (WHEEL3, [*SIM, "--x0", "a,b"],
+             "cannot parse --x0 'a,b': could not convert string to float: 'a'"),
+            (WHEEL3, [*SIM, "--x0", "0.5,0.5"],
+             "initial state has length 2, system has n=3"),
+            (WHEEL3, [*SIM, "--x0", "1e-13,0.5,0.5"],
+             "initial state must be finite and at least the positivity floor 1e-12"),
+            (WHEEL3, [*SIM, "--x0", "1e308,1e308,1e308"],
+             "integral H1 is outside the float range at the initial state"),
+            (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--step", "nan"],
+             "step must be finite and positive, got nan"),
+            (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--step", "1e-3", "--t-end", "1e300"],
+             "t_end/step = 1e+303 exceeds the limit of 10000000 steps"),
+            (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--sample-every", "0"],
+             "--sample-every must be a positive integer"),
+        ],
+        ids=[
+            "missing-file", "invalid-json", "wrong-shape", "unparseable-entry",
+            "zero-rate", "single-rate", "rate-underflow", "x0-unparseable",
+            "x0-short", "x0-below-floor", "x0-integral-overflow", "step-nan",
+            "rk4-over-max-steps", "sample-every-0",
+        ],
+    )
+    def test_exact_stderr_line_exit_2(self, tmp_path, monkeypatch, capsys, spec, argv,
+                                      message):
+        monkeypatch.chdir(tmp_path)
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(spec, encoding="utf-8")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec, out, message",
+        [
+            (WHEEL3.encode(), "nodir/t.csv",
+             "cannot write --out nodir/t.csv: "
+             "[Errno 2] No such file or directory: 'nodir/t.csv'"),
+            (WHEEL3.encode(), "adir", "cannot write --out adir: [Errno 21] Is a directory: 'adir'"),
+            (b'{"k":[2,1,\xff3]}', "t.csv",
+             "cannot read system file spec.json: 'utf-8' codec can't decode byte 0xff "
+             "in position 10: invalid start byte"),
+        ],
+        ids=["out-directory-missing", "out-is-a-directory", "spec-not-utf8"],
+    )
+    def test_unwritable_out_or_undecodable_spec_exit_2(self, tmp_path, spec, out, message):
+        (tmp_path / "spec.json").write_bytes(spec)
+        (tmp_path / "adir").mkdir()
+        result = run_cli(
+            ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5", "--t-end", "1",
+             "--out", out],
+            tmp_path,
+        )
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stdout == b""
+        assert result.stderr.decode() == f"error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rates, x0, head, rest",
+        [
+            (["7" * 5000, 1, 2], "0.2,0.3,0.5", "error: entry 1: cannot parse '777",
+             "... (5002 bytes) as a rational "
+             "(numerator or denominator has more than 4300 digits)"),
+            ([[1] * 20000, 1, 2], "0.2,0.3,0.5", "error: entry 1: cannot parse [1, 1, ",
+             " as a rational (cannot interpret [1, 1, "),
+            ([2, 1, 3], "x" * 100_000, "error: cannot parse --x0 'xxx",
+             "... (100002 bytes): could not convert string to float: 'xxx"),
+        ],
+        ids=["5000-digit-rate", "20000-element-entry", "100000-character-x0"],
+    )
+    def test_long_value_is_echoed_as_an_excerpt(self, tmp_path, monkeypatch, capsys,
+                                                rates, x0, head, rest):
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path, "spec.json", rates)
+        assert main([*SIM, "--x0", x0]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(head) and rest in err
+
+    def test_excerpt_bound_is_in_bytes(self):
+        fits = "\u00e9" * (cli.VALUE_BYTES // 2)
+        assert cli._excerpt(fits) == fits
+        cut = cli._excerpt(fits + "\u00e9")
+        assert cut.endswith(f"... ({cli.VALUE_BYTES + 2} bytes)")
+        assert len(cut.encode()) <= cli.VALUE_BYTES
+
+
 class TestDeterminism:
     def test_check_runs_byte_identical(self, wheel3, tmp_path):
         first = run_cli(["check", "--system", wheel3, "--seed", "0"], tmp_path)
@@ -601,7 +688,8 @@ _GOOD_RATE = st.one_of(
     st.integers(1, 9), st.integers(-9, -1), st.sampled_from(["1/2", "0.75", "-7/3"])
 )
 _BAD_RATE = st.sampled_from(
-    [0, "0", "x", "1/0", "", None, [1], True, 1e400, "1e400", "1e-400", "1e5000"]
+    [0, "0", "x", "1/0", "", None, [1], True, 1e400, "1e400", "1e-400", "1e5000",
+     "7" * 5000, [1] * 20000]
 )
 _BAD_FILE = st.one_of(
     st.sampled_from(["", "{", "[]", "null", '{"k": 3}', '{"k": [5]}', '{"q": [1, 2]}']),
@@ -646,7 +734,7 @@ def simulate_inputs(draw):
         x0 = [draw(_ODD_X0) if draw(st.booleans()) else v for v in x0]
     x0_text = ",".join(map(repr, x0))
     if flaw == "x0 text":
-        x0_text = draw(st.sampled_from(["", "1,,2", "a,b", "0x1p-3"]))
+        x0_text = draw(st.sampled_from(["", "1,,2", "a,b", "0x1p-3", "x" * 100_000]))
     step = draw(_ODD_STEP if flaw == "step" else st.floats(2.5e-3, 0.5))
     t_end = draw(_ODD_T_END if flaw == "t_end" else st.floats(1e-3, 5.0))
     method = draw(st.sampled_from(["euler", ""] if flaw == "method" else ["rk4", "rk45"]))
@@ -659,6 +747,7 @@ def simulate_inputs(draw):
 @example((json.dumps({"k": RATES_41}), X0_41_TINY_H2, 8e-4, 0.0024, "rk4"))
 @example((json.dumps({"k": ["1e200", "1e-200", 1]}), "0.2,0.3,0.5", 1e-3, 0.01, "rk4"))
 @example((_NESTED_SPEC, "0.2,0.3,0.5", 1e-3, 0.01, "rk4"))
+@example((WHEEL3, "x" * 100_000, 1e-3, 0.01, "rk4"))
 @settings(max_examples=80, deadline=None)
 def test_simulate_fuzz_exit_code_and_finite_ok_output(inputs):
     spec, x0, step, t_end, method = inputs
@@ -675,15 +764,18 @@ def test_simulate_fuzz_exit_code_and_finite_ok_output(inputs):
             f"--method={method}",
             "--out", str(out_csv),
         ]
-        stdout = io.StringIO()
+        stdout, stderr = io.StringIO(), io.StringIO()
         # the step cap bounds an adaptive run too; no example exceeds it
         with mock.patch.object(sim, "MAX_STEPS", 2000), contextlib.redirect_stdout(
             stdout
-        ), contextlib.redirect_stderr(io.StringIO()):
+        ), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse refusing a flag
                 code = exc.code
+            else:
+                if code == 2:
+                    assert_one_error_line(stderr.getvalue())
         assert code in {0, 1, 2, 3}
         out = stdout.getvalue()
         assert (code == 0) == ("status=ok" in out)
@@ -714,14 +806,17 @@ def exact_inputs(draw):
 @example((_NESTED_SPEC, ["check"]))
 @example(('{"k": [1e5000, 1, 1]}', ["integrals"]))
 @example(('{"k": [1e5000, 1, 1]}', ["integrals", "--format", "json"]))
+@example((json.dumps({"k": ["7" * 5000, 1, 2]}), ["integrals"]))
+@example((json.dumps({"k": [[1] * 20000, 1, 2]}), ["check"]))
 @settings(max_examples=60, deadline=None)
 def test_exact_fuzz_exit_code(inputs):
     spec, argv = inputs
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = Path(tmp) / "spec.json"
         spec_path.write_text(spec, encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-            io.StringIO()
-        ):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main([*argv, "--system", str(spec_path)])
     assert code in {0, 1, 2, 3}
+    if code == 2:
+        assert_one_error_line(stderr.getvalue())

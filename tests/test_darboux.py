@@ -12,8 +12,8 @@ from cycliclv import (
     Classification,
     IntegralBasis,
     LinearIntegral,
+    InputError,
     MonomialIntegral,
-    UnsupportedDimension,
     build_exponent_system,
     integral_basis,
     make_system,
@@ -79,7 +79,7 @@ class TestBuildExponentSystem:
             ]
 
     def test_n2_unsupported(self):
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(InputError, match="exponent system requires n >= 3"):
             build_exponent_system(make_system([1, 2]))
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycliclv import (
-    DimensionMismatch,
-    DimensionTooSmall,
+    InputError,
     ZeroParameter,
     as_fraction,
     build_exponent_system,
@@ -72,7 +71,7 @@ class TestMakeSystem:
         assert exc.value.index == 2
 
     def test_too_small(self):
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(InputError, match="need n >= 2, got n=1"):
             make_system([5])
 
     def test_string_rates(self):
@@ -97,7 +96,7 @@ class TestVectorField:
         assert sum(out) == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="state has length 2, system has n=3"):
             vector_field(make_system([1, 1, 1]), [1, 2])
 
     @given(rate_lists, st.data())
