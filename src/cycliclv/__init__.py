@@ -11,13 +11,12 @@ The public names are those of each module's ``__all__``; the package
 re-exports them all and lists none of them itself.
 """
 
-from . import darboux, errors, model, sim, verify
+from . import darboux, model, sim, verify
 from .darboux import *
-from .errors import *
 from .model import *
 from .sim import *
 from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = darboux.__all__ + errors.__all__ + model.__all__ + sim.__all__ + verify.__all__
+__all__ = darboux.__all__ + model.__all__ + sim.__all__ + verify.__all__

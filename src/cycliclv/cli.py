@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys as _sys
 from decimal import Decimal, InvalidOperation
@@ -27,8 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import darboux, sim, verify
-from .errors import InputError, IntegrationAborted, ZeroParameter
-from .model import CyclicLVSystem, as_fraction
+from .model import CyclicLVSystem, InputError, ZeroParameter, as_fraction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,9 +45,16 @@ REASON_BYTES = 2 * VALUE_BYTES
 
 
 def _excerpt(text: object, limit: int = VALUE_BYTES) -> str:
-    """str(text) if its UTF-8 form fits in limit bytes, else its head and its size."""
-    text = str(text)
-    data = text.encode("utf-8", "backslashreplace")
+    """str(text) if its UTF-8 form fits in limit bytes, else its head and its size.
+
+    Each non-printable character, a line break included, is escaped as repr
+    escapes it, so the text stays on one line.
+    """
+    text = "".join(
+        c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+        for c in str(text)
+    )
+    data = text.encode("utf-8")
     if len(data) <= limit:
         return text
     tail = f"... ({len(data)} bytes)"
@@ -166,51 +173,47 @@ def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], boo
     rng = random.Random(seed)
     basis = darboux.integral_basis(system)
     names = _integral_names(basis)
-    lines: list[str] = []
-    ok = True
-
-    def record(label: str, report: verify.VerificationReport) -> None:
-        nonlocal ok
-        if report.passed:
-            lines.append(f"check {label}: PASS")
-        else:
-            lines.append(f"check {label}: FAIL ({report.witness})")
-            ok = False
-
-    record("linear-integral", verify.check_linear_integral(system))
+    checks: list[tuple[str, Optional[verify.VerificationReport]]] = [
+        ("linear-integral", verify.check_linear_integral(system))
+    ]
     for name, mono in zip(names[1:], basis.monomials):
-        record(f"cofactor-cancellation[{name}]", verify.check_xh_zero(system, mono))
+        checks.append((f"cofactor-cancellation[{name}]", verify.check_xh_zero(system, mono)))
 
+    label = "nullspace-formula-equivalence"
     if system.n == 2:
-        lines.append("check nullspace-formula-equivalence: SKIP (n=2)")
+        checks.append((label, None))
     else:
         space = darboux.nullspace(darboux.build_exponent_system(system))
         formulas = [mono.exponents for mono in basis.monomials]
-        label = "nullspace-formula-equivalence"
-        if space == formulas:
-            record(label, verify.VerificationReport(True))
-        else:
-            witness = f"nullspace {space} vs formulas {formulas}"
-            record(label, verify.VerificationReport(False, witness))
+        witness = None if space == formulas else f"nullspace {space} vs formulas {formulas}"
+        checks.append((label, verify.VerificationReport(witness)))
 
     jacobi_points = [
         verify.random_rational_state(rng, system.n, positive=False)
         for _ in range(DEFAULT_CHECK_SAMPLES)
     ]
-    record(
+    checks.append((
         f"jacobi-multiplier[samples={DEFAULT_CHECK_SAMPLES}]",
         verify.check_jacobi_multiplier(system, jacobi_points),
-    )
-
+    ))
     rank_points = [
         verify.random_rational_state(rng, system.n, positive=True)
         for _ in range(DEFAULT_CHECK_SAMPLES)
     ]
-    record(
+    checks.append((
         f"independence[samples={DEFAULT_CHECK_SAMPLES}]",
         verify.check_independence(system, basis, rank_points),
-    )
+    ))
 
+    lines, ok = [], True
+    for label, report in checks:
+        if report is None:
+            lines.append(f"check {label}: SKIP (n=2)")
+        elif report.passed:
+            lines.append(f"check {label}: PASS")
+        else:
+            lines.append(f"check {label}: FAIL ({report.witness})")
+            ok = False
     if not basis.monomials:
         lines.append(
             f"note: no monomial integrals (classification {basis.classification.name})"
@@ -261,9 +264,12 @@ def _write_csv(
             for row in table:
                 out.write(",".join(map(_fmt, row.tolist())) + "\n")
     except OSError as exc:
-        reason = _excerpt(exc, REASON_BYTES)
-        raise InputError(f"cannot write --out {_excerpt(path)}: {reason}") from exc
+        raise _out_error(path, exc) from exc
     return len(indices)
+
+
+def _out_error(path: str | Path, exc: OSError) -> InputError:
+    return InputError(f"cannot write --out {_excerpt(path)}: {_excerpt(exc, REASON_BYTES)}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -275,14 +281,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     basis = darboux.integral_basis(system)
     names = _integral_names(basis)
 
+    # opening for append creates a missing file but changes nothing in an
+    # existing one, so an unwritable --out is refused before the first step
+    created = not os.path.lexists(args.out)
+    try:
+        open(args.out, "a").close()
+    except OSError as exc:
+        raise _out_error(args.out, exc) from exc
+
     status = "ok"
     exit_code = EXIT_OK
     try:
         trajectory = sim.integrate(system, x0, cfg, basis)
-    except IntegrationAborted as exc:
+    except sim.IntegrationAborted as exc:
         trajectory = exc.trajectory
         status = f"{type(exc).__name__}({exc})"
         exit_code = EXIT_RUNTIME_ERROR
+    except BaseException:
+        # a run refused or cut short leaves no file it created
+        if created:
+            os.remove(args.out)
+        raise
 
     rows = _write_csv(args.out, names, trajectory, args.sample_every)
     # ndarray.max propagates NaN, where max() over floats depends on order

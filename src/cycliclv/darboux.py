@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import InputError
-from .model import CyclicLVSystem, structure_matrix
+from .model import CyclicLVSystem, InputError, structure_matrix
 
 __all__ = [
     "Classification",

@@ -13,6 +13,9 @@ The field is x_i K_i, where the cofactor K_i of the invariant hyperplane
 x_i = 0 is row i of the structure matrix A. For n = 2 both neighbor terms
 of a row land on the same coordinate and are summed, e.g.
 dx1/dt = (k1 - k2) x1 x2.
+
+Every error the package raises is a CyclicLVError; refused input of any
+kind is an InputError, defined here with the rate checks that raise it.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InputError, ZeroParameter
-
 RationalLike = Union[int, str, Fraction, Decimal]
 
 __all__ = [
+    "CyclicLVError",
+    "InputError",
+    "ZeroParameter",
     "CyclicLVSystem",
     "as_fraction",
     "make_system",
@@ -38,6 +42,22 @@ __all__ = [
 # limit Python puts on int literals, here also on decimal exponents, whose
 # power of ten would otherwise cost time without bound to build.
 MAX_LITERAL_DIGITS = 4300
+
+
+class CyclicLVError(Exception):
+    """Base class for every error raised by this package."""
+
+
+class InputError(CyclicLVError, ValueError):
+    """A refused rate, state, sample set, setting, spec file or flag (exit code 2)."""
+
+
+class ZeroParameter(InputError):
+    """A rate parameter is zero (every k_i must be nonzero)."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"rate parameter k{index} is zero; all rates must be nonzero")
 
 
 def as_fraction(value: RationalLike) -> Fraction:

@@ -16,8 +16,9 @@ must meet the same floor, or it is refused with InputError. Every value and
 drift of a row must be finite, and each monomial's s = lam . log x must lie
 in LOG_RANGE, so that exp(s) neither overflows nor underflows: an initial
 state that breaks this is refused with InputError, and a later row ends the
-run with IntegralOutOfRange. Runtime aborts carry the partial Trajectory, cut
-before the failing row, on the exception. The float work runs with numpy's
+run with IntegralOutOfRange. These runtime aborts, the IntegrationAborted
+subclasses defined here, carry the partial Trajectory, cut before the
+failing row, on the exception. The float work runs with numpy's
 floating-point warnings off: an overflow or NaN it meets is reported by one
 of these exceptions, not printed.
 """
@@ -34,17 +35,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .darboux import IntegralBasis
-from .errors import (
-    InputError,
-    IntegralOutOfRange,
-    NonFiniteState,
-    PositivityBreached,
-    StepLimitReached,
-    StepUnderflow,
-)
-from .model import CyclicLVSystem, structure_matrix
+from .model import CyclicLVError, CyclicLVSystem, InputError, structure_matrix
 
 __all__ = [
+    "IntegrationAborted",
+    "PositivityBreached",
+    "NonFiniteState",
+    "IntegralOutOfRange",
+    "StepUnderflow",
+    "StepLimitReached",
     "Method",
     "IntegratorConfig",
     "Trajectory",
@@ -68,6 +67,60 @@ MIN_STEP = 1e-10
 
 # Rows an adaptive run allocates first; the arrays double when full.
 _ADAPTIVE_ROWS = 1024
+
+
+class IntegrationAborted(CyclicLVError):
+    """Base for runtime integration failures at time ``t``.
+
+    ``trajectory`` is None until integrate, just before raising, sets it
+    to the Trajectory of every accepted state before the failure.
+    """
+
+    trajectory = None
+
+    def __init__(self, t: float, message: str):
+        self.t = t
+        super().__init__(f"{message} at t={t:.17g}")
+
+
+class PositivityBreached(IntegrationAborted):
+    """A coordinate fell below POSITIVITY_FLOOR during integration."""
+
+    def __init__(self, t: float, coordinate: int):
+        self.coordinate = coordinate
+        super().__init__(t, f"coordinate x{coordinate} fell below the positivity floor")
+
+
+class NonFiniteState(IntegrationAborted):
+    """A coordinate became NaN or infinite during integration."""
+
+    def __init__(self, t: float, coordinate: int):
+        self.coordinate = coordinate
+        super().__init__(t, f"coordinate x{coordinate} became non-finite")
+
+
+class IntegralOutOfRange(IntegrationAborted):
+    """A first integral's value or drift left the float range during integration."""
+
+    def __init__(self, t: float, integral: int):
+        self.integral = integral
+        super().__init__(t, f"integral H{integral} left the float range")
+
+
+class StepUnderflow(IntegrationAborted):
+    """The adaptive step size fell below MIN_STEP."""
+
+    def __init__(self, t: float, step: float):
+        self.step = step
+        super().__init__(t, f"adaptive step {step:.17g} fell below the minimum")
+
+
+class StepLimitReached(IntegrationAborted):
+    """An adaptive run accepted MAX_STEPS steps before reaching t_end."""
+
+    def __init__(self, t: float, steps: int):
+        self.steps = steps
+        super().__init__(t, f"adaptive run reached the limit of {steps} steps")
 
 
 class Method(Enum):

@@ -14,13 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .darboux import IntegralBasis, MonomialIntegral
-from .errors import InputError
 from .model import (
     CyclicLVSystem,
+    InputError,
     Term,
     as_fraction,
     structure_matrix,
@@ -43,12 +43,11 @@ __all__ = [
 class VerificationReport:
     """Outcome of one check; witness holds the first failure, if any."""
 
-    passed: bool
     witness: Optional[str] = None
 
-    def __post_init__(self):
-        if self.passed and self.witness is not None:
-            raise ValueError("a passing report carries no witness")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def cofactor_combination(
@@ -77,11 +76,8 @@ def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> Verificati
     combo = cofactor_combination(sys, integral.exponents)
     for j, c in enumerate(combo):
         if c != 0:
-            return VerificationReport(
-                passed=False,
-                witness=f"coefficient of x{j + 1} is {c}",
-            )
-    return VerificationReport(passed=True)
+            return VerificationReport(f"coefficient of x{j + 1} is {c}")
+    return VerificationReport()
 
 
 def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
@@ -99,11 +95,8 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
     for key in sorted(total):
         if total[key] != 0:
             a, b = key
-            return VerificationReport(
-                passed=False,
-                witness=f"coefficient of x{a + 1}*x{b + 1} is {total[key]}",
-            )
-    return VerificationReport(passed=True)
+            return VerificationReport(f"coefficient of x{a + 1}*x{b + 1} is {total[key]}")
+    return VerificationReport()
 
 
 def _rational_point(state: Sequence) -> list[Fraction]:
@@ -143,6 +136,19 @@ def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fract
     return total
 
 
+def _first_failing_sample(
+    samples: Sequence[Sequence], failure: Callable[[Sequence], Optional[str]]
+) -> VerificationReport:
+    """The report of the first sample whose failure(sample) is not None."""
+    if not samples:
+        raise InputError("at least one sample point is required")
+    for idx, sample in enumerate(samples):
+        reason = failure(sample)
+        if reason is not None:
+            return VerificationReport(f"sample {idx}: {reason}")
+    return VerificationReport()
+
+
 def check_jacobi_multiplier(
     sys: CyclicLVSystem, samples: Sequence[Sequence]
 ) -> VerificationReport:
@@ -151,17 +157,13 @@ def check_jacobi_multiplier(
     Passes iff the divergence of the multiplied field is exactly zero at
     every sample; all coordinates must be nonzero rationals.
     """
-    if not samples:
-        raise InputError("at least one sample point is required")
     rows = structure_matrix(sys)
-    for idx, sample in enumerate(samples):
-        residual = _jacobi_divergence(rows, sample)
-        if residual != 0:
-            return VerificationReport(
-                passed=False,
-                witness=f"sample {idx}: residual {residual}",
-            )
-    return VerificationReport(passed=True)
+
+    def residual(sample: Sequence) -> Optional[str]:
+        value = _jacobi_divergence(rows, sample)
+        return f"residual {value}" if value != 0 else None
+
+    return _first_failing_sample(samples, residual)
 
 
 def independence_rank(
@@ -191,17 +193,13 @@ def check_independence(
     sys: CyclicLVSystem, basis: IntegralBasis, samples: Sequence[Sequence]
 ) -> VerificationReport:
     """Require full rank 1 + #monomials at every sample point."""
-    if not samples:
-        raise InputError("at least one sample point is required")
     required = 1 + len(basis.monomials)
-    for idx, sample in enumerate(samples):
+
+    def rank_shortfall(sample: Sequence) -> Optional[str]:
         got = independence_rank(sys, basis, sample)
-        if got != required:
-            return VerificationReport(
-                passed=False,
-                witness=f"sample {idx}: rank {got}, expected {required}",
-            )
-    return VerificationReport(passed=True)
+        return f"rank {got}, expected {required}" if got != required else None
+
+    return _first_failing_sample(samples, rank_shortfall)
 
 
 def random_rational_state(

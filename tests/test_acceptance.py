@@ -278,7 +278,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
         patch.setattr(
             cli_mod.verify,
             "check_linear_integral",
-            lambda s: VerificationReport(False, "forced"),
+            lambda s: VerificationReport("forced"),
         )
         assert main(["check", "--system", str(spec)]) == 1
 

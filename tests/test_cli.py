@@ -183,7 +183,7 @@ class TestCheck:
         monkeypatch.setattr(
             cli_mod.verify,
             "check_linear_integral",
-            lambda sys: VerificationReport(passed=False, witness="forced"),
+            lambda sys: VerificationReport(witness="forced"),
         )
         assert main(["check", "--system", wheel3]) == 1
         out = capsys.readouterr().out
@@ -564,12 +564,15 @@ class TestRefusals:
              "t_end/step = 1e+303 exceeds the limit of 10000000 steps"),
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--sample-every", "0"],
              "--sample-every must be a positive integer"),
+            (None, ["integrals", "--system", "no\nsuch.json"],
+             "cannot read system file no\\nsuch.json: "
+             "[Errno 2] No such file or directory: 'no\\nsuch.json'"),
         ],
         ids=[
             "missing-file", "invalid-json", "wrong-shape", "unparseable-entry",
             "zero-rate", "single-rate", "rate-underflow", "x0-unparseable",
             "x0-short", "x0-below-floor", "x0-integral-overflow", "step-nan",
-            "rk4-over-max-steps", "sample-every-0",
+            "rk4-over-max-steps", "sample-every-0", "system-path-newline",
         ],
     )
     def test_exact_stderr_line_exit_2(self, tmp_path, monkeypatch, capsys, spec, argv,
@@ -593,8 +596,12 @@ class TestRefusals:
             (b'{"k":[2,1,\xff3]}', "t.csv",
              "cannot read system file spec.json: 'utf-8' codec can't decode byte 0xff "
              "in position 10: invalid start byte"),
+            (WHEEL3.encode(), "bad\ndir/t.csv",
+             "cannot write --out bad\\ndir/t.csv: "
+             "[Errno 2] No such file or directory: 'bad\\ndir/t.csv'"),
         ],
-        ids=["out-directory-missing", "out-is-a-directory", "spec-not-utf8"],
+        ids=["out-directory-missing", "out-is-a-directory", "spec-not-utf8",
+             "out-path-newline"],
     )
     def test_unwritable_out_or_undecodable_spec_exit_2(self, tmp_path, spec, out, message):
         (tmp_path / "spec.json").write_bytes(spec)
@@ -608,6 +615,24 @@ class TestRefusals:
         assert result.stdout == b""
         assert result.stderr.decode() == f"error: {message}\n"
         assert not (tmp_path / "t.csv").exists()
+
+    def test_unwritable_out_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
+        monkeypatch.setattr(cli.sim, "integrate", mock.Mock(side_effect=AssertionError))
+        argv = ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5"]
+        assert main([*argv, "--out", "nodir/t.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write --out nodir/t.csv: "
+            "[Errno 2] No such file or directory: 'nodir/t.csv'\n"
+        )
+
+    def test_refused_run_leaves_an_existing_out_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
+        (tmp_path / "t.csv").write_text("kept\n", encoding="utf-8")
+        assert main([*SIM, "--x0", "1e-13,0.5,0.5"]) == 2
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize(
         "rates, x0, head, rest",
@@ -630,6 +655,9 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert err.startswith(head) and rest in err
+
+    def test_excerpt_escapes_what_does_not_print(self):
+        assert cli._excerpt("a\nb\rc\td\x00\u2028\u00e9") == "a\\nb\\rc\\td\\x00\\u2028\u00e9"
 
     def test_excerpt_bound_is_in_bytes(self):
         fits = "\u00e9" * (cli.VALUE_BYTES // 2)

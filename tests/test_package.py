@@ -2,9 +2,9 @@
 and that union is the pinned list below."""
 
 import cycliclv
-from cycliclv import darboux, errors, model, sim, verify
+from cycliclv import darboux, model, sim, verify
 
-MODULES = (darboux, errors, model, sim, verify)
+MODULES = (darboux, model, sim, verify)
 
 
 def test_all_is_the_concatenation_of_module_lists():
@@ -19,6 +19,12 @@ def test_every_exported_name_resolves_to_its_module_object():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(cycliclv, name) is getattr(mod, name), name
+
+
+def test_every_exported_name_is_defined_by_the_module_that_lists_it():
+    for mod in MODULES:
+        for name in mod.__all__:
+            assert getattr(mod, name).__module__ == mod.__name__, name
 
 
 # Adding a name here is a deliberate change to the public surface: a name

@@ -28,9 +28,9 @@ from helpers import (
 )
 
 
-def test_report_invariant():
-    with pytest.raises(ValueError):
-        VerificationReport(passed=True, witness="should not be here")
+def test_report_passes_exactly_without_a_witness():
+    assert VerificationReport().passed
+    assert not VerificationReport("w").passed
 
 
 class TestXhZero:
