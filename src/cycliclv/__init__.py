@@ -3,7 +3,8 @@
 The package classifies each system of the cyclic family
 dx_i/dt = x_i (k_i x_{i+1} - k_{i-1} x_{i-1}) by the first integrals it
 admits, computes monomial-integral exponents two independent ways (exact
-nullspace and closed-form chains), verifies conservation and independence
+nullspace, and closed-form chains walked from lambda_1 = 1 by the recurrence
+lambda_{j+2} = k_j lambda_j / k_{j+1}), verifies conservation and independence
 symbolically in rational arithmetic, and monitors conservation drift along
 numerically integrated trajectories.
 

@@ -91,7 +91,7 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
     for pos, entry in enumerate(data["k"], start=1):
         try:
             rates.append(as_fraction(entry))
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except InputError as exc:
             raise InputError(
                 f"entry {pos}: cannot parse {_excerpt(repr(entry))} as a rational "
                 f"({_excerpt(exc, REASON_BYTES)})"

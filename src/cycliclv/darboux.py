@@ -7,15 +7,17 @@ the coefficient of x_i turns that into the cyclic linear system
 
     k_{i-1} lambda_{i-1} - k_i lambda_{i+1} = 0,    i = 1..n,
 
-which links exponents two indices apart. For odd n the chain closes into a
-single cycle and the solution space is one-dimensional; for even n it
-splits into an odd-index and an even-index chain, each of which closes only
-under the resonance condition k1 k3 ... k_{n-1} = k2 k4 ... kn. The
-system's matrix is the transpose of A, so the monomial integrals are the
-vectors A sends to zero. ``integral_basis`` classifies the system and
-takes the exponents from closed-form chains; ``build_exponent_system`` and
-``nullspace`` solve the system by exact elimination, the independent route
-that checks them.
+which links exponents two indices apart. Solved forward it is the
+recurrence lambda_{j+2} = k_j lambda_j / k_{j+1}: from lambda_1 = 1,
+lambda_j = (k1 k3 ... k_{j-2}) / (k2 k4 ... k_{j-1}) for odd j. For odd n
+this walk goes on past xn through the even indices and closes for any
+rates, so the solution space is one-dimensional; for even n a second walk
+from lambda_2 = 1 covers the even indices, and each closes (comes back to
+1) only under the resonance condition k1 k3 ... k_{n-1} = k2 k4 ... kn.
+The system's matrix is the transpose of A, so the monomial integrals are
+the vectors A sends to zero. ``integral_basis`` takes the exponents from
+these walks; ``build_exponent_system`` and ``nullspace`` solve the system
+by exact elimination, the independent route that checks them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .model import CyclicLVSystem, InputError, structure_matrix
@@ -132,65 +134,22 @@ def nullspace(rows: linalg.Rows) -> list[tuple[Fraction, ...]]:
     return [vec for _, vec in normalized]
 
 
-def _chain_products(k: Sequence[Fraction]) -> Callable[[int, int], Fraction]:
-    """Products k_start k_{start+2} ... k_stop (1-based; empty -> 1) in O(1) each.
+def _walk(k: Sequence[Fraction], start: int) -> tuple[MonomialIntegral, bool]:
+    """Exponents walked from lambda = 1 at coordinate start (0-based), and closure.
 
-    prefix[j + 1] is the running product of k_i over i <= j with i of the
-    parity of j, built in one pass; a chain is then the quotient of the
-    prefixes ending at stop and at start - 2, which share that parity.
+    The walk steps j -> j + 2 (mod n) with lambda_{j+2} = k_j lambda_j / k_{j+1}
+    until it is back at start, and closes when its value is back at 1: always
+    for odd n, and at resonance for even n.
     """
-    prefix = [Fraction(1), Fraction(1)]
-    for j, kj in enumerate(k, start=1):
-        prefix.append(prefix[j - 1] * kj)
-    return lambda start, stop: prefix[stop + 1] / prefix[start - 1]
-
-
-def _odd_exponents(chain: Callable[[int, int], Fraction], n: int) -> MonomialIntegral:
-    """Closed-form exponents of the single monomial integral for odd n >= 3.
-
-    With the first exponent set to 1:
-
-        lambda_j = (k1 k3 ... k_{j-2}) / (k2 k4 ... k_{j-1})     j >= 3 odd,
-        lambda_j = (k_{j+1} k_{j+3} ... kn) / (kj k_{j+2} ... k_{n-1})
-                                                                 j >= 2 even.
-    """
-    lam = [Fraction(1)]
-    for j in range(2, n + 1):
-        if j % 2 == 1:
-            lam.append(chain(1, j - 2) / chain(2, j - 1))
-        else:
-            lam.append(chain(j + 1, n) / chain(j, n - 1))
-    return MonomialIntegral(exponents=tuple(lam))
-
-
-def _even_exponents(
-    chain: Callable[[int, int], Fraction], n: int
-) -> tuple[MonomialIntegral, MonomialIntegral]:
-    """Closed-form exponent pair for even n >= 4 under the resonance condition.
-
-    The first integral is supported on odd coordinates:
-
-        lambda_1 = 1,
-        lambda_j = (k_{j+1} k_{j+3} ... kn) / (kj k_{j+2} ... k_{n-1})
-                                                                j >= 3 odd,
-
-    the second on even coordinates:
-
-        lambda_2 = 1,
-        lambda_j = (k2 k4 ... k_{j-2}) / (k3 k5 ... k_{j-1})    j >= 4 even.
-    """
-    odd_support = [Fraction(0)] * n
-    odd_support[0] = Fraction(1)
-    for j in range(3, n, 2):
-        odd_support[j - 1] = chain(j + 1, n) / chain(j, n - 1)
-    even_support = [Fraction(0)] * n
-    even_support[1] = Fraction(1)
-    for j in range(4, n + 1, 2):
-        even_support[j - 1] = chain(2, j - 2) / chain(3, j - 1)
-    return (
-        MonomialIntegral(exponents=tuple(odd_support)),
-        MonomialIntegral(exponents=tuple(even_support)),
-    )
+    n = len(k)
+    lam = [Fraction(0)] * n
+    i, value = start, Fraction(1)
+    while True:
+        lam[i] = value
+        value = value * k[i] / k[(i + 1) % n]
+        i = (i + 2) % n
+        if i == start:
+            return MonomialIntegral(exponents=tuple(lam)), value == 1
 
 
 def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
@@ -199,16 +158,17 @@ def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
     Every basis holds the linear integral x1 + ... + xn. Odd n adds one
     monomial integral and even n at resonance, k1 k3 ... k_{n-1} ==
     k2 k4 ... kn exactly, adds two; n = 2 and even n off resonance add none.
+    The exponents walk lambda_{j+2} = k_j lambda_j / k_{j+1} from lambda_1 = 1,
+    and from lambda_2 = 1 too when even n's first walk closes (resonance).
     """
     n = sys.n
     linear = LinearIntegral(n)
     if n == 2:
         return IntegralBasis(Classification.N2, linear, ())
-    chain = _chain_products(sys.rates)
+    odd_chain, closes = _walk(sys.rates, 0)
     if n % 2 == 1:
-        return IntegralBasis(Classification.ODD, linear, (_odd_exponents(chain, n),))
-    if chain(1, n - 1) == chain(2, n):
-        return IntegralBasis(
-            Classification.EVEN_RESONANT, linear, _even_exponents(chain, n)
-        )
-    return IntegralBasis(Classification.EVEN_NONRESONANT, linear, ())
+        return IntegralBasis(Classification.ODD, linear, (odd_chain,))
+    if not closes:
+        return IntegralBasis(Classification.EVEN_NONRESONANT, linear, ())
+    even_chain, _ = _walk(sys.rates, 1)
+    return IntegralBasis(Classification.EVEN_RESONANT, linear, (odd_chain, even_chain))

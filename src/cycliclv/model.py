@@ -68,13 +68,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     are rejected: a float has already lost the decimal literal, so the
     caller must pass the literal as a string to convert it exactly.
 
-    A decimal m * 10^e, as a string or a Decimal, raises ValueError before
-    it is built when its unreduced numerator or denominator (m * 10^e over 1
-    for e >= 0, m over 10^-e otherwise) has more than MAX_LITERAL_DIGITS
-    digits, as "1e5000" does; the int parts of "p/q" meet Python's own limit.
+    A decimal m * 10^e, as a string or a Decimal, is refused before it is
+    built when its unreduced numerator or denominator (m * 10^e over 1 for
+    e >= 0, m over 10^-e otherwise) has more than MAX_LITERAL_DIGITS digits,
+    as "1e5000" is; the int parts of "p/q" meet Python's own limit. Every
+    refusal is an InputError.
     """
     if isinstance(value, bool):
-        raise TypeError("booleans are not rational parameters")
+        raise InputError("booleans are not rational parameters")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -85,26 +86,29 @@ def as_fraction(value: RationalLike) -> Fraction:
             try:
                 _refuse_long_decimal(Decimal(text))
             except InvalidOperation:
-                raise ValueError(f"invalid literal for a rational: {text!r}") from None
-        return Fraction(text)
+                raise InputError(f"invalid literal for a rational: {text!r}") from None
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(str(exc)) from exc
     if isinstance(value, Decimal):
         _refuse_long_decimal(value)
         return Fraction(value)
     if isinstance(value, float):
-        raise TypeError(
+        raise InputError(
             f"refusing to convert float {value!r}; pass the decimal literal as a "
             "string (e.g. '0.25') for an exact conversion"
         )
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 
 def _refuse_long_decimal(value: Decimal) -> None:
-    """Raise ValueError for a non-finite decimal or one as_fraction refuses."""
+    """Raise InputError for a non-finite decimal or one as_fraction refuses."""
     if not value.is_finite():
-        raise ValueError(f"{value} is not a finite rational")
+        raise InputError(f"{value} is not a finite rational")
     _, m, e = value.as_tuple()
     if value and max(len(m) + e, len(m), 1 - e) > MAX_LITERAL_DIGITS:
-        raise ValueError(
+        raise InputError(
             f"numerator or denominator has more than {MAX_LITERAL_DIGITS} digits"
         )
 

@@ -544,6 +544,11 @@ class TestRefusals:
             ('{"k": ["2", "abc", "3"]}', ["integrals", "--system", "spec.json"],
              "entry 2: cannot parse 'abc' as a rational "
              "(invalid literal for a rational: 'abc')"),
+            ('{"k": ["2", "1/0", "3"]}', ["integrals", "--system", "spec.json"],
+             "entry 2: cannot parse '1/0' as a rational (Fraction(1, 0))"),
+            ('{"k": ["2", null, "3"]}', ["integrals", "--system", "spec.json"],
+             "entry 2: cannot parse None as a rational "
+             "(cannot interpret None as an exact rational)"),
             ('{"k": [1, 0, 3]}', ["check", "--system", "spec.json"],
              "entry 2: rate parameters must be nonzero"),
             ('{"k": [3]}', ["integrals", "--system", "spec.json"],
@@ -570,6 +575,7 @@ class TestRefusals:
         ],
         ids=[
             "missing-file", "invalid-json", "wrong-shape", "unparseable-entry",
+            "zero-denominator-entry", "null-entry",
             "zero-rate", "single-rate", "rate-underflow", "x0-unparseable",
             "x0-short", "x0-below-floor", "x0-integral-overflow", "step-nan",
             "rk4-over-max-steps", "sample-every-0", "system-path-newline",

@@ -1,5 +1,6 @@
 """Exponent system, nullspace, closed-form exponents, basis assembly."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from cycliclv import (
     make_system,
     nullspace,
 )
-from cycliclv import darboux, linalg
+from cycliclv import linalg
 from helpers import dense, random_system, resonant_system
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
@@ -28,6 +29,41 @@ nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
 def closed_forms(sys):
     """The closed-form exponent vectors, as integral_basis reports them."""
     return [mono.exponents for mono in integral_basis(sys).monomials]
+
+
+def chain(k, a, b):
+    """k_a k_{a+2} ... k_b (1-based), multiplied out over a slice; empty -> 1."""
+    return math.prod(k[a - 1:b:2], start=Fraction(1))
+
+
+def paper_exponents(k):
+    """The paper's explicit exponents, for odd n or for even n at resonance.
+
+    Odd n, one integral:
+        lambda_1 = 1,
+        lambda_j = (k1 k3 ... k_{j-2}) / (k2 k4 ... k_{j-1})             j >= 3 odd,
+        lambda_j = (k_{j+1} k_{j+3} ... kn) / (kj k_{j+2} ... k_{n-1})    j >= 2 even.
+    Even n, two integrals, each zero off its parity:
+        lambda_1 = 1, lambda_j = (k_{j+1} k_{j+3} ... kn) / (kj k_{j+2} ... k_{n-1})
+                                                                      j >= 3 odd,
+        lambda_2 = 1, lambda_j = (k2 k4 ... k_{j-2}) / (k3 k5 ... k_{j-1})  j >= 4 even.
+    """
+    n = len(k)
+    if n % 2 == 1:
+        lam = [Fraction(1)]
+        for j in range(2, n + 1):
+            if j % 2:
+                lam.append(chain(k, 1, j - 2) / chain(k, 2, j - 1))
+            else:
+                lam.append(chain(k, j + 1, n) / chain(k, j, n - 1))
+        return [tuple(lam)]
+    odd, even = [Fraction(0)] * n, [Fraction(0)] * n
+    odd[0] = even[1] = Fraction(1)
+    for j in range(3, n, 2):
+        odd[j - 1] = chain(k, j + 1, n) / chain(k, j, n - 1)
+    for j in range(4, n + 1, 2):
+        even[j - 1] = chain(k, 2, j - 2) / chain(k, 3, j - 1)
+    return [tuple(odd), tuple(even)]
 
 
 def _sympy_exponent_rows(rates):
@@ -149,11 +185,16 @@ class TestExponentsOdd:
         rates = [data.draw(nonzero_int) for _ in range(n)]
         sys = make_system(rates)
         assert nullspace(build_exponent_system(sys)) == closed_forms(sys)
+        assert closed_forms(sys) == paper_exponents(sys.rates)
 
 
 class TestResonance:
     def test_frozen(self):
-        cases = (([2, 1, 3, 6], True), ([1, 1, 1, 2], False), ([1] * 6, True))
+        # (1/3, 1/7, 3/7, 1) is resonant exactly, though its rounded floats
+        # are not: fl(k1)fl(k3) - fl(k2)fl(k4) = -7.9e-18
+        near = [Fraction(1, 3), Fraction(1, 7), Fraction(3, 7)]
+        cases = (([2, 1, 3, 6], True), ([1, 1, 1, 2], False), ([1] * 6, True),
+                 (near + [1], True), (near + [1 + Fraction(1, 10**30)], False))
         for rates, resonant in cases:
             got = integral_basis(make_system(rates)).classification
             assert (got is Classification.EVEN_RESONANT) == resonant
@@ -177,6 +218,7 @@ class TestExponentsEven:
         forms = closed_forms(sys)
         assert len(forms) == 2
         assert nullspace(build_exponent_system(sys)) == forms
+        assert forms == paper_exponents(sys.rates)
 
     def test_supports_are_disjoint(self):
         rng = random.Random(43)
@@ -230,17 +272,6 @@ class TestIntegralBasis:
         basis = integral_basis(make_system([5, 7]))
         assert basis.classification is Classification.N2
         assert basis.monomials == ()
-
-    def test_chain_products_built_once(self, monkeypatch):
-        calls = []
-        real = darboux._chain_products
-        monkeypatch.setattr(
-            darboux, "_chain_products", lambda k: calls.append(k) or real(k)
-        )
-        for rates in ([2, 1, 3], [2, 1, 3, 6], [1, 1, 1, 2]):
-            calls.clear()
-            integral_basis(make_system(rates))
-            assert len(calls) == 1, rates
 
     def test_monomial_count_enforced(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """System construction, vector field, structure-matrix rows, hyperplane invariance."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from cycliclv import (
     ZeroParameter,
     as_fraction,
     build_exponent_system,
+    check_jacobi_multiplier,
     make_system,
     structure_matrix,
     vector_field,
@@ -37,11 +39,11 @@ class TestAsFraction:
         assert as_fraction(-7) == Fraction(-7)
 
     def test_float_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError):
             as_fraction(0.25)
 
     def test_bool_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError):
             as_fraction(True)
 
     def test_literal_digit_limit(self):
@@ -73,6 +75,20 @@ class TestMakeSystem:
     def test_too_small(self):
         with pytest.raises(InputError, match="need n >= 2, got n=1"):
             make_system([5])
+
+    def test_every_refusal_is_an_input_error(self):
+        # each with the message it carried as a TypeError, ZeroDivisionError
+        # or plain ValueError
+        for rate, message in (
+            (0.5, "refusing to convert float 0.5; pass the decimal literal"),
+            ("1/0", "Fraction(1, 0)"),
+            ("abc", "invalid literal for a rational: 'abc'"),
+            (None, "cannot interpret None as an exact rational"),
+        ):
+            with pytest.raises(InputError, match=re.escape(message)):
+                make_system([rate, 1, 1])
+        with pytest.raises(InputError, match="refusing to convert float 0.5"):
+            check_jacobi_multiplier(make_system([1, 1, 1]), [[0.5] * 3])
 
     def test_string_rates(self):
         sys = make_system(["1/2", "0.75", "-3"])
