@@ -23,12 +23,13 @@ import random
 import sys as _sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from . import darboux, sim, verify
+from . import darboux, verify
 from .model import CyclicLVSystem, InputError, ZeroParameter, as_fraction
+
+if TYPE_CHECKING:
+    from . import sim
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -246,6 +247,8 @@ def _write_csv(
     trajectory: sim.Trajectory,
     sample_every: int,
 ) -> int:
+    import numpy as np
+
     rows = len(trajectory.t)
     indices = list(range(0, rows, sample_every))
     if indices[-1] != rows - 1:
@@ -273,6 +276,9 @@ def _out_error(path: str | Path, exc: OSError) -> InputError:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # numpy and sim load here, so integrals and check never import them
+    from . import sim
+
     system = load_system_spec(args.system)
     x0 = _parse_x0(args.x0)
     if args.sample_every < 1:
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a trajectory and write CSV")
     p_sim.add_argument("--system", required=True)
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    p_sim.add_argument("--method", choices=[m.value for m in sim.Method], default="rk4")
+    p_sim.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
     p_sim.add_argument("--step", type=float, default=1e-3)
     p_sim.add_argument("--t-end", type=float, default=10.0)
     p_sim.add_argument("--out", required=True, help="CSV output path")

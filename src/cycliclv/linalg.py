@@ -15,6 +15,7 @@ follows the nonzeros and their fill rather than the full matrix.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -45,27 +46,48 @@ def rref(rows: Rows, ncols: int) -> tuple[list[Row], list[int]]:
     """
     m = [{j: Fraction(v) for j, v in row.items() if v} for row in rows]
     nrows = len(m)
+    # column -> every row that holds it, and perhaps rows whose entry there
+    # has since cancelled; rows are named by input index and swapped by
+    # position, so the pivot taken is the first candidate in position order
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(m):
+        for j in row:
+            holders[j].add(i)
+    order = list(range(nrows))  # the row at each position
+    where = list(range(nrows))  # the position of each row
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if c in m[i]), None)
-        if pivot_row is None:
+        below = [i for i in holders.pop(c, ()) if where[i] >= r and c in m[i]]
+        if not below:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = pivot = {j: v / pv for j, v in m[r].items()}
-        for i in range(r + 1, nrows):
-            if c in m[i]:
+        p = min(below, key=where.__getitem__)
+        q = order[r]
+        order[r], order[where[p]] = p, q
+        where[q], where[p] = where[p], r
+        pv = m[p][c]
+        m[p] = pivot = {j: v / pv for j, v in m[p].items()}
+        for i in below:
+            if i != p:
                 _subtract_multiple(m[i], pivot, c)
+                for j in pivot:
+                    holders[j].add(i)
         pivots.append(c)
         r += 1
+    m = [m[i] for i in order]
+    # each row subtracted here already holds only its own pivot and free
+    # columns, so no pivot column fills in and one index serves the pass
+    above: dict[int, list[int]] = {c: [] for c in pivots}
+    for i in range(r):
+        for j in m[i]:
+            if j in above and j != pivots[i]:
+                above[j].append(i)
     for k in range(r - 1, 0, -1):
         c = pivots[k]
-        for i in range(k):
-            if c in m[i]:
-                _subtract_multiple(m[i], m[k], c)
+        for i in above[c]:
+            _subtract_multiple(m[i], m[k], c)
     return m, pivots
 
 

@@ -104,10 +104,10 @@ def simplex_point(rng: random.Random, n: int, margin: float = 0.2) -> list[float
     return [v / total for v in raw]
 
 
-def run_cli(
+def run_python(
     args: list[str], cwd, timeout: float | None = None
 ) -> subprocess.CompletedProcess:
-    """Run `python -m cycliclv.cli *args` in a child process started in `cwd`.
+    """Run `python *args` in a child process started in `cwd`.
 
     The directory holding the `cycliclv` package that this process imported
     goes first on the child's PYTHONPATH, ahead of any inherited entries, so
@@ -122,12 +122,19 @@ def run_cli(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "cycliclv.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         cwd=cwd,
         env=env,
         timeout=timeout,
     )
+
+
+def run_cli(
+    args: list[str], cwd, timeout: float | None = None
+) -> subprocess.CompletedProcess:
+    """Run `python -m cycliclv.cli *args` in a child process, as run_python does."""
+    return run_python(["-m", "cycliclv.cli", *args], cwd, timeout)
 
 
 def stderr_of(*results: subprocess.CompletedProcess) -> str:

@@ -192,6 +192,12 @@ class TestCheck:
 
 
 class TestSimulate:
+    def test_method_choices_are_the_method_enum(self):
+        # the parser lists the methods literally, so that building it loads no sim
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        method = next(a for a in sub.choices["simulate"]._actions if a.dest == "method")
+        assert list(method.choices) == [m.value for m in sim.Method]
+
     def test_equilibrium_row_count(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "sym.json", ["1", "1", "1"])
         out_csv = tmp_path / "traj.csv"
@@ -625,7 +631,7 @@ class TestRefusals:
     def test_unwritable_out_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
-        monkeypatch.setattr(cli.sim, "integrate", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(sim, "integrate", mock.Mock(side_effect=AssertionError))
         argv = ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5"]
         assert main([*argv, "--out", "nodir/t.csv"]) == 2
         assert capsys.readouterr().err == (

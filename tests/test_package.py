@@ -1,8 +1,12 @@
 """The package surface is exactly the union of the module ``__all__`` lists,
-and that union is the pinned list below."""
+and that union is the pinned list below; ``sim`` and numpy load only for
+simulation."""
+
+import json
 
 import cycliclv
 from cycliclv import darboux, model, sim, verify
+from helpers import run_python, stderr_of
 
 MODULES = (darboux, model, sim, verify)
 
@@ -46,3 +50,38 @@ EXPORTS = [
 def test_export_list_is_pinned():
     assert sorted(cycliclv.__all__) == EXPORTS
     assert len(EXPORTS) == 33
+
+
+# Run in a fresh interpreter: which modules load depends on what ran first.
+# Each stage records whether numpy and cycliclv.sim are loaded yet.
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+import cycliclv, cycliclv.cli as cli
+
+def loaded():
+    return ["numpy" in sys.modules, "cycliclv.sim" in sys.modules]
+
+stages = {"import": loaded()}
+for argv in (["integrals", "--system", "spec.json", "--format", "json"],
+             ["check", "--system", "spec.json"],
+             ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5",
+              "--t-end", "0.01", "--out", "t.csv"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    stages[argv[0]] = loaded()
+stages["same integrate"] = cycliclv.integrate is cycliclv.sim.integrate
+print(json.dumps(stages))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_sim(tmp_path):
+    (tmp_path / "spec.json").write_text('{"k": [2, 1, 3]}', encoding="utf-8")
+    result = run_python(["-c", IMPORT_GUARD], tmp_path, timeout=120)
+    assert result.returncode == 0, stderr_of(result)
+    assert json.loads(result.stdout) == {
+        "import": [False, False],
+        "integrals": [False, False],
+        "check": [False, False],
+        "simulate": [True, True],
+        "same integrate": True,
+    }
