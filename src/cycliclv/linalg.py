@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over Fraction: RREF, rank, nullspace.
+"""Exact Gaussian elimination over Fraction: RREF and nullspace.
 
 Entries are arbitrary-precision rationals, so no pivoting heuristics are
 needed; the first nonzero candidate in each column is taken as pivot,
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 Row = dict[int, Fraction]
 Rows = Sequence[Mapping[int, Fraction]]
 
-__all__ = ["rref", "rank", "nullspace_basis"]
+__all__ = ["rref", "nullspace_basis"]
 
 _ZERO = Fraction(0)
 
@@ -89,10 +89,6 @@ def rref(rows: Rows, ncols: int) -> tuple[list[Row], list[int]]:
         for i in above[c]:
             _subtract_multiple(m[i], m[k], c)
     return m, pivots
-
-
-def rank(rows: Rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
 
 
 def nullspace_basis(rows: Rows, ncols: int) -> list[list[Fraction]]:

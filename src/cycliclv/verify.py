@@ -7,6 +7,12 @@ polynomial sum_i x_i K_i, the reciprocal-product multiplier identity is
 evaluated through the generic product and quotient rules (letting the
 cancellation emerge rather than assuming it), and gradient independence is
 an exact rank computation.
+
+The two sample-based checks keep those routes but shed Fraction's
+per-operation cost: the multiplier's product-rule terms run on unreduced
+int pairs, reduced once each, and the rank scans the gradient matrix's
+columns only until they span its 1 + m rows. Both return what plain
+Fraction arithmetic over the whole matrix returns, witnesses included.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence
 
-from . import linalg
 from .darboux import IntegralBasis, MonomialIntegral
 from .model import (
     CyclicLVSystem,
@@ -33,8 +39,6 @@ __all__ = [
     "check_linear_integral",
     "check_jacobi_multiplier",
     "check_independence",
-    "cofactor_combination",
-    "independence_rank",
     "random_rational_state",
 ]
 
@@ -50,7 +54,7 @@ class VerificationReport:
         return self.witness is None
 
 
-def cofactor_combination(
+def _cofactor_combination(
     sys: CyclicLVSystem, exponents: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """Coefficients of the linear form sum_i lambda_i K_i."""
@@ -73,7 +77,7 @@ def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> Verificati
     product itself times sum lambda_i K_i, so the integral is conserved iff
     that linear form has all coefficients exactly zero.
     """
-    combo = cofactor_combination(sys, integral.exponents)
+    combo = _cofactor_combination(sys, integral.exponents)
     for j, c in enumerate(combo):
         if c != 0:
             return VerificationReport(f"coefficient of x{j + 1} is {c}")
@@ -103,19 +107,17 @@ def _rational_point(state: Sequence) -> list[Fraction]:
     return [as_fraction(x) for x in state]
 
 
-def _cofactor_at(row: Sequence[Term], x: Sequence, i0: int) -> tuple:
-    """K_i = sum c * x_j over the row's terms, and dK_i/dx_i from those on column i0."""
-    return sum(c * x[j] for j, c in row), sum(c for j, c in row if j == i0)
-
-
 def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
     """Exact value of sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn).
 
     rows is the structure matrix, the cofactors K_1..K_n, built once per
-    system so that each sample costs O(n) Fraction operations. Each term is
-    computed by the generic product rule M * dP_i/dx_i + P_i * dM/dx_i with
-    dM/dx_i = -M/x_i; the identity emerges from the cancellation rather
-    than being assumed.
+    system. Each term is the generic product rule M * dP_i/dx_i +
+    P_i * dM/dx_i with dM/dx_i = -M/x_i; M is common to every term, so by
+    linearity the sum is M * sum_i (dP_i/dx_i - P_i/x_i). K_i, dK_i/dx_i,
+    P_i = x_i K_i, dP_i/dx_i = K_i + x_i dK_i/dx_i and P_i/x_i are unreduced
+    (numerator, denominator) int pairs, and each term is reduced once. The
+    K_i - K_i cancellation is left to the arithmetic, not assumed, so the
+    check does not rest on the structure matrix having a zero diagonal.
     """
     x = _rational_point(state)
     if len(x) != len(rows):
@@ -123,17 +125,31 @@ def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fract
     for i0, v in enumerate(x):
         if v == 0:
             raise InputError(f"coordinate x{i0 + 1} is zero")
-    prod = Fraction(1)
-    for v in x:
-        prod *= v
-    multiplier = 1 / prod
-    total = Fraction(0)
+    pairs = [(v.numerator, v.denominator) for v in x]
+    sum_n, sum_d = 0, 1
     for i0, row in enumerate(rows):
-        k_i, dk_i = _cofactor_at(row, x, i0)
-        p_i = x[i0] * k_i
-        dp_i = k_i + x[i0] * dk_i
-        total += multiplier * dp_i + p_i * (-multiplier / x[i0])
-    return total
+        k_n, k_d, dk_n, dk_d = 0, 1, 0, 1
+        for j, c in row:
+            c_n, c_d = c.numerator, c.denominator
+            a, b = pairs[j]
+            k_n, k_d = k_n * c_d * b + c_n * a * k_d, k_d * c_d * b
+            if j == i0:
+                dk_n, dk_d = dk_n * c_d + c_n * dk_d, dk_d * c_d
+        a, b = pairs[i0]
+        p_n, p_d = a * k_n, b * k_d
+        dp_n, dp_d = k_n * b * dk_d + a * dk_n * k_d, k_d * b * dk_d
+        px_n, px_d = p_n * b, p_d * a
+        t_n, t_d = dp_n * px_d - px_n * dp_d, dp_d * px_d
+        if t_n:
+            g = gcd(t_n, t_d)
+            t_n, t_d = t_n // g, t_d // g
+            sum_n, sum_d = sum_n * t_d + t_n * sum_d, sum_d * t_d
+    if not sum_n:
+        return Fraction(0)
+    prod_n, prod_d = 1, 1
+    for a, b in pairs:
+        prod_n, prod_d = prod_n * a, prod_d * b
+    return Fraction(sum_n * prod_d, sum_d * prod_n)
 
 
 def _first_failing_sample(
@@ -166,7 +182,7 @@ def check_jacobi_multiplier(
     return _first_failing_sample(samples, residual)
 
 
-def independence_rank(
+def _independence_rank(
     sys: CyclicLVSystem, basis: IntegralBasis, state: Sequence
 ) -> int:
     """Exact rank of the scaled gradient matrix at a positive rational point.
@@ -175,18 +191,33 @@ def independence_rank(
     each monomial integral. The monomial row is its gradient divided by the
     integral's (nonzero) value, and scaling a row by a nonzero scalar
     preserves rank, so this restates gradient independence exactly.
+
+    Row rank equals column rank, and the matrix has only 1 + m rows for m
+    monomials, so the columns (1, lambda_j / x_j, mu_j / x_j, ...) are
+    built one at a time and eliminated against an echelon basis of at most
+    1 + m short vectors. The scan stops once that basis is full; at a
+    rank-deficient point it reaches every column, and the rank it returns
+    is still exact.
     """
     x = _rational_point(state)
     if len(x) != sys.n:
         raise InputError("state length does not match the system")
     if any(v <= 0 for v in x):
         raise InputError("independence samples must be strictly positive")
-    rows: list[linalg.Row] = [dict.fromkeys(range(sys.n), Fraction(1))]
-    for mono in basis.monomials:
-        rows.append(
-            {j: lam / v for j, (lam, v) in enumerate(zip(mono.exponents, x)) if lam}
-        )
-    return linalg.rank(rows, sys.n)
+    full = 1 + len(basis.monomials)
+    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot, vector with 1 there)
+    for j, v in enumerate(x):
+        col = [Fraction(1)] + [mono.exponents[j] / v for mono in basis.monomials]
+        for p, vec in echelon:
+            f = col[p]
+            if f:
+                col = [a - f * b for a, b in zip(col, vec)]
+        p = next((i for i, a in enumerate(col) if a), None)
+        if p is not None:
+            echelon.append((p, [a / col[p] for a in col]))
+            if len(echelon) == full:
+                break
+    return len(echelon)
 
 
 def check_independence(
@@ -196,7 +227,7 @@ def check_independence(
     required = 1 + len(basis.monomials)
 
     def rank_shortfall(sample: Sequence) -> Optional[str]:
-        got = independence_rank(sys, basis, sample)
+        got = _independence_rank(sys, basis, sample)
         return f"rank {got}, expected {required}" if got != required else None
 
     return _first_failing_sample(samples, rank_shortfall)

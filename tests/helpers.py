@@ -4,7 +4,10 @@ and the oracles that only tests call.
 The oracles check the package by routes other than its own: hyperplane
 invariance by an independent expansion of each field row, the raw field's
 divergence as the control for the Jacobi multiplier, and the empirical
-order of RK4 from drift at two step sizes.
+order of RK4 from drift at two step sizes. The reference routes are the
+plain Fraction forms of what ``verify`` computes on int pairs or with an
+early exit: the Jacobi divergence term by term in Fraction arithmetic, and
+the independence rank as the RREF rank of the dense gradient rows.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import cycliclv
 from cycliclv import (
     CyclicLVSystem,
     InputError,
+    IntegralBasis,
     IntegratorConfig,
     Method,
     as_fraction,
@@ -32,8 +36,9 @@ from cycliclv import (
     make_system,
     structure_matrix,
 )
-from cycliclv.model import _row_quadratic
-from cycliclv.verify import _cofactor_at, _jacobi_divergence
+from cycliclv import linalg
+from cycliclv.model import Term, _row_quadratic
+from cycliclv.verify import _jacobi_divergence
 
 
 def random_system(
@@ -174,6 +179,54 @@ def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
     each of its samples.
     """
     return _jacobi_divergence(structure_matrix(sys), state)
+
+
+def _cofactor_at(row: Sequence[Term], x: Sequence, i0: int) -> tuple:
+    """K_i = sum c * x_j over the row's terms, and dK_i/dx_i from those on column i0."""
+    return sum(c * x[j] for j, c in row), sum(c for j, c in row if j == i0)
+
+
+def fraction_jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
+    """The reference for verify._jacobi_divergence, in Fraction arithmetic.
+
+    Each term is M * dP_i/dx_i + P_i * dM/dx_i with dM/dx_i = -M/x_i, every
+    operation a Fraction operation and M multiplied into every term.
+    """
+    x = [as_fraction(v) for v in state]
+    if len(x) != len(rows):
+        raise InputError("state length does not match the system")
+    for i0, v in enumerate(x):
+        if v == 0:
+            raise InputError(f"coordinate x{i0 + 1} is zero")
+    prod = Fraction(1)
+    for v in x:
+        prod *= v
+    multiplier = 1 / prod
+    total = Fraction(0)
+    for i0, row in enumerate(rows):
+        k_i, dk_i = _cofactor_at(row, x, i0)
+        p_i = x[i0] * k_i
+        dp_i = k_i + x[i0] * dk_i
+        total += multiplier * dp_i + p_i * (-multiplier / x[i0])
+    return total
+
+
+def rank(rows, ncols: int) -> int:
+    """Rank of sparse rows over columns 0..ncols-1, from the RREF's pivots."""
+    return len(linalg.rref(rows, ncols)[1])
+
+
+def dense_gradient_rank(sys: CyclicLVSystem, basis: IntegralBasis, state: Sequence) -> int:
+    """The reference for verify._independence_rank: the rank of every row.
+
+    Rows are (1,...,1) and (lambda_i / x_i)_i for each monomial, all of
+    them built, and the rank is read off their full RREF.
+    """
+    x = [as_fraction(v) for v in state]
+    rows = [dict.fromkeys(range(sys.n), Fraction(1))]
+    for mono in basis.monomials:
+        rows.append({j: lam / v for j, (lam, v) in enumerate(zip(mono.exponents, x)) if lam})
+    return rank(rows, sys.n)
 
 
 def field_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:

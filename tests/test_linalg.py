@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from cycliclv import build_exponent_system, integral_basis, linalg
-from helpers import dense, random_system, resonant_system, sparse
+from helpers import dense, random_system, rank, resonant_system, sparse
 
 
 def _random_matrix(rng, nrows, ncols, singularish=False, density=1.0):
@@ -32,7 +32,7 @@ def _rref(m):
 
 
 def _rank(m):
-    return linalg.rank(sparse(m), len(m[0]))
+    return rank(sparse(m), len(m[0]))
 
 
 def _nullspace_basis(m):

@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from cycliclv import (
+    Classification,
     InputError,
     MonomialIntegral,
     VerificationReport,
@@ -14,14 +15,17 @@ from cycliclv import (
     check_jacobi_multiplier,
     check_linear_integral,
     check_xh_zero,
-    independence_rank,
     integral_basis,
     make_system,
     random_rational_state,
+    structure_matrix,
 )
 from cycliclv import verify as verify_mod
+from cycliclv.verify import _independence_rank, _jacobi_divergence
 from helpers import (
+    dense_gradient_rank,
     field_divergence,
+    fraction_jacobi_divergence,
     jacobi_divergence,
     random_system,
     resonant_system,
@@ -138,6 +142,58 @@ class TestJacobiMultiplier:
         _check_divergences_against_sympy(rng, 2)
 
 
+def _signed_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
+
+
+def _planted(rows, i0, c):
+    """The structure rows with an extra diagonal term c at row and column i0."""
+    return tuple(row + ((i0, c),) if i == i0 else row for i, row in enumerate(rows))
+
+
+class TestJacobiIntPairs:
+    """verify._jacobi_divergence against the Fraction reference in helpers."""
+
+    def test_matches_reference_on_signed_rational_fields(self):
+        rng = random.Random(103)
+        for n in range(2, 13):
+            for _ in range(6):
+                rows = structure_matrix(make_system([_signed_rational(rng) for _ in range(n)]))
+                point = random_rational_state(rng, n, positive=False)
+                got = _jacobi_divergence(rows, point)
+                assert got == fraction_jacobi_divergence(rows, point) == 0
+
+    def test_planted_diagonal_gives_the_same_nonzero_residual(self):
+        rng = random.Random(107)
+        for n in range(2, 13):
+            for _ in range(6):
+                rows = structure_matrix(make_system([_signed_rational(rng) for _ in range(n)]))
+                rows = _planted(rows, rng.randrange(n), _signed_rational(rng))
+                point = random_rational_state(rng, n, positive=False)
+                got = _jacobi_divergence(rows, point)
+                assert got != 0
+                assert got == fraction_jacobi_divergence(rows, point)
+
+    def test_planted_terms_that_cancel_give_zero(self):
+        # x1 * 2 + x2 * (-1) vanishes at x1 = 1, x2 = 2, so the per-term
+        # residuals are nonzero and only their sum is zero
+        rows = structure_matrix(make_system([1, 2, 3]))
+        rows = _planted(_planted(rows, 0, Fraction(2)), 1, Fraction(-1))
+        point = (1, 2, Fraction(5, 7))
+        assert _jacobi_divergence(rows, point) == fraction_jacobi_divergence(rows, point) == 0
+        assert _jacobi_divergence(rows, (1, 3, Fraction(5, 7))) == Fraction(-7, 15)
+
+    def test_failing_witness_bytes(self, monkeypatch):
+        # x2 * 5/7 = -15/7 and M = 1/(1/2 * -3 * 4/5) = -5/6
+        original = verify_mod.structure_matrix
+        monkeypatch.setattr(
+            verify_mod, "structure_matrix", lambda sys: _planted(original(sys), 1, Fraction(5, 7))
+        )
+        sample = (Fraction(1, 2), Fraction(-3), Fraction(4, 5))
+        report = check_jacobi_multiplier(make_system([1, 2, 3]), [sample, (1, 1, 1)])
+        assert report.witness == "sample 0: residual 25/14"
+
+
 def _check_divergences_against_sympy(rng, n):
     sys = random_system(rng, n)
     xs = sp.symbols(f"x1:{n + 1}", positive=True)
@@ -165,7 +221,7 @@ class TestIndependence:
             (Fraction(1), Fraction(2), Fraction(3)),
         ]
         assert check_independence(sys, basis, samples).passed
-        assert independence_rank(sys, basis, samples[0]) == 2
+        assert _independence_rank(sys, basis, samples[0]) == 2
 
     def test_rank_three_resonant(self):
         sys = make_system([2, 1, 3, 6])
@@ -179,7 +235,8 @@ class TestIndependence:
         basis = integral_basis(sys)
         assert basis.monomials[0].exponents == (1, 1, 1)
         sample = (Fraction(2), Fraction(2), Fraction(2))
-        assert independence_rank(sys, basis, sample) == 1
+        assert _independence_rank(sys, basis, sample) == 1
+        assert dense_gradient_rank(sys, basis, sample) == 1
         report = check_independence(sys, basis, [sample])
         assert not report.passed
         assert "rank 1" in report.witness
@@ -194,7 +251,7 @@ class TestIndependence:
         with pytest.raises(
             InputError, match="independence samples must be strictly positive"
         ):
-            independence_rank(
+            _independence_rank(
                 sys, integral_basis(sys), (Fraction(1), Fraction(-1), Fraction(2))
             )
 
@@ -204,6 +261,32 @@ class TestIndependence:
         rng = random.Random(97)
         samples = [random_rational_state(rng, 4) for _ in range(5)]
         assert check_independence(sys, basis, samples).passed
+
+
+class TestRankEarlyExit:
+    """verify._independence_rank against the full dense RREF rank in helpers."""
+
+    def test_matches_dense_rank_in_every_class(self):
+        rng = random.Random(109)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            sys = resonant_system(rng, n) if n % 4 == 0 and n >= 4 else random_system(rng, n)
+            basis = integral_basis(sys)
+            seen.add(basis.classification)
+            for _ in range(4):
+                point = random_rational_state(rng, n)
+                got = _independence_rank(sys, basis, point)
+                assert got == dense_gradient_rank(sys, basis, point)
+        assert {Classification.ODD, Classification.EVEN_RESONANT,
+                Classification.EVEN_NONRESONANT} <= seen
+
+    def test_deficient_resonant_point_scans_every_column(self):
+        # at k = x = (1,1,1,1) the gradients of x1*x3 and x2*x4 sum to H1's
+        sys = make_system([1, 1, 1, 1])
+        basis = integral_basis(sys)
+        assert _independence_rank(sys, basis, (1, 1, 1, 1)) == 2
+        assert dense_gradient_rank(sys, basis, (1, 1, 1, 1)) == 2
 
 
 def test_random_rational_state_properties():
