@@ -35,7 +35,6 @@ __all__ = [
     "as_fraction",
     "make_system",
     "structure_matrix",
-    "vector_field",
 ]
 
 # Most digits a decimal literal's numerator or denominator may have: the
@@ -158,24 +157,6 @@ def structure_matrix(sys: CyclicLVSystem) -> tuple[tuple[Term, Term], ...]:
     """
     n, k = sys.n, sys.rates
     return tuple((((i + 1) % n, k[i]), ((i - 1) % n, -k[i - 1])) for i in range(n))
-
-
-def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
-    """Right-hand side of the system at a state.
-
-    Component i is x_i * (k_i x_{i+1} - k_{i-1} x_{i-1}) with cyclic
-    indices, read off row i of the structure matrix. Arithmetic follows the
-    state's scalar type, so Fraction states give exact Fraction output and
-    float states give floats.
-    """
-    n = sys.n
-    if len(state) != n:
-        raise InputError(f"state has length {len(state)}, system has n={n}")
-    x = state
-    return [
-        x[i] * (c1 * x[j1] + c2 * x[j2])
-        for i, ((j1, c1), (j2, c2)) in enumerate(structure_matrix(sys))
-    ]
 
 
 def _row_quadratic(sys: CyclicLVSystem, i0: int) -> dict[tuple[int, int], Fraction]:

@@ -8,6 +8,22 @@ each first integral in the basis, and its relative drift |H - H(x0)| / H(x0)
 from its value at the initial state, which the range rule below keeps a
 positive float.
 
+Each driver has one loop and two kernels for the right-hand side and its
+steps, picked once from n. Up to _SCALAR_MAX_N coordinates a state is a list
+of Python floats: there a step's cost is the count of numpy calls, about 38
+for RK4, and not their length, and plain floats step about twice as fast at
+n = 4. The list kernel's cost grows with n, and numpy arrays step faster
+from about 20 coordinates for RK4 and about 32 for RKF45 (measured on a
+2-vCPU x86-64 host), so the bound sits below RK4's crossover. Both kernels
+give the same bits. The list kernel does the array kernel's operations per
+entry in the same order: (0.5*h)*k, then (h/6)*(((k1 + 2 k2) + 2 k3) + k4),
+and each Fehlberg sum left to right from int 0, as sum() adds the arrays,
+never with sum() over floats, which rounds with compensation from Python
+3.12 on, or math.fsum. Its error norm keeps a NaN as np.maximum and np.max
+do, and its floor test checks every entry, since min() can skip a NaN: a
+lost NaN would turn a StepUnderflow into a NonFiniteState. Accepted states
+go straight into the float64 arrays in both kernels.
+
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
 PositivityBreached as soon as any coordinate falls below POSITIVITY_FLOOR,
@@ -67,6 +83,10 @@ MIN_STEP = 1e-10
 
 # Rows an adaptive run allocates first; the arrays double when full.
 _ADAPTIVE_ROWS = 1024
+
+# Systems with at most this many coordinates step on lists of Python floats,
+# larger ones on numpy arrays (see the module docstring).
+_SCALAR_MAX_N = 16
 
 
 class IntegrationAborted(CyclicLVError):
@@ -196,10 +216,9 @@ def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """The field x * (A x) in floats, A the structure matrix.
+def _terms(sys: CyclicLVSystem) -> tuple[np.ndarray, ...]:
+    """Arrays j1, c1, j2, c2 of each structure-matrix row's two columns and float entries.
 
-    Each row's two terms stay two products; summing them changes n = 2's bits.
     Raises InputError for a rate whose float overflows or rounds to zero.
     """
     first, second = zip(*structure_matrix(sys))
@@ -208,9 +227,28 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     # the second column's -k_{i-1} then always has a float
     c1 = _floats([c for _, c in first], lambda i: f"rate k{i}")
     c2 = np.array([float(c) for _, c in second])
+    return j1, c1, j2, c2
+
+
+def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """The field x * (A x) on a float array, A the structure matrix.
+
+    Each row's two terms stay two products; summing them changes n = 2's bits.
+    """
+    j1, c1, j2, c2 = _terms(sys)
 
     def f(x: np.ndarray) -> np.ndarray:
         return x * (c1 * x[j1] + c2 * x[j2])
+
+    return f
+
+
+def _scalar_rhs(sys: CyclicLVSystem) -> Callable[[list], list]:
+    """_rhs on a list of Python floats, with the same operations per entry."""
+    rows = list(zip(*(v.tolist() for v in _terms(sys))))
+
+    def f(x: list) -> list:
+        return [v * (a * x[j] + b * x[k]) for v, (j, a, k, b) in zip(x, rows)]
 
     return f
 
@@ -271,6 +309,18 @@ def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _scalar_rk4_step(f, x: list, h: float) -> list:
+    """_rk4_step on lists, each entry by the same operations in the same order."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = f(x)
+    k2 = f([v + half * k for v, k in zip(x, k1)])
+    k3 = f([v + half * k for v, k in zip(x, k2)])
+    k4 = f([v + h * k for v, k in zip(x, k3)])
+    return [
+        v + sixth * (p + 2.0 * q + 2.0 * r + s) for v, p, q, r, s in zip(x, k1, k2, k3, k4)
+    ]
+
+
 # Fehlberg 4(5): the fourth-order solution is propagated, the fifth-order
 # companion supplies the local error estimate.
 _FEHLBERG_A = (
@@ -285,17 +335,71 @@ _FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FEHLBERG_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """One Fehlberg 4(5) step: the fourth-order state and its error norm."""
     stages = [f(x)]
     for row in _FEHLBERG_A[1:]:
         xs = x + h * sum(a * s for a, s in zip(row, stages))
         stages.append(f(xs))
     x_new = x + h * sum(b * s for b, s in zip(_FEHLBERG_B4, stages))
     err = h * sum(e * s for e, s in zip(_FEHLBERG_ERR, stages))
-    return x_new, err
+    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
+    return x_new, float(np.max(np.abs(err) / scale))
 
 
-def _run_rk4(f, x: np.ndarray, cfg: IntegratorConfig):
+def _scalar_rkf45_step(f, x: list, h: float) -> tuple[list, float]:
+    """_rkf45_step on lists, each entry by the same operations in the same order.
+
+    Each sum runs left to right from int 0, as sum() adds the arrays; the
+    zero coefficients stay, so a NaN or inf stage still reaches every sum.
+    The norm keeps a NaN as np.maximum and np.max do.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
+        _FEHLBERG_A[1:]
+    )
+    b1, b2, b3, b4, b5, b6 = _FEHLBERG_B4
+    e1, e2, e3, e4, e5, e6 = _FEHLBERG_ERR
+    k1 = f(x)
+    k2 = f([v + h * (0 + a21 * p) for v, p in zip(x, k1)])
+    k3 = f([v + h * (0 + a31 * p + a32 * q) for v, p, q in zip(x, k1, k2)])
+    k4 = f([v + h * (0 + a41 * p + a42 * q + a43 * r) for v, p, q, r in zip(x, k1, k2, k3)])
+    k5 = f([
+        v + h * (0 + a51 * p + a52 * q + a53 * r + a54 * s)
+        for v, p, q, r, s in zip(x, k1, k2, k3, k4)
+    ])
+    k6 = f([
+        v + h * (0 + a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+        for v, p, q, r, s, u in zip(x, k1, k2, k3, k4, k5)
+    ])
+    stages = list(zip(k1, k2, k3, k4, k5, k6))
+    x_new = [
+        v + h * (0 + b1 * p + b2 * q + b3 * r + b4 * s + b5 * u + b6 * w)
+        for v, (p, q, r, s, u, w) in zip(x, stages)
+    ]
+    atol, rtol = ABS_TOL, REL_TOL
+    enorm = 0.0
+    for v, v_new, (p, q, r, s, u, w) in zip(x, x_new, stages):
+        err = h * (0 + e1 * p + e2 * q + e3 * r + e4 * s + e5 * u + e6 * w)
+        # x passed the floor test, so only x_new can be NaN, and a >= NaN is False
+        a, b = abs(v), abs(v_new)
+        ratio = abs(err) / (atol + rtol * (a if a >= b else b))
+        # a NaN ratio replaces enorm, and a NaN enorm stays
+        if enorm == enorm and not ratio <= enorm:
+            enorm = ratio
+    return x_new, enorm
+
+
+def _above_floor(x: np.ndarray) -> bool:
+    # np.min propagates NaN, which fails the comparison
+    return x.min() >= POSITIVITY_FLOOR
+
+
+def _scalar_above_floor(x: list) -> bool:
+    # min() of a list can skip a NaN, so test every entry
+    return all(v >= POSITIVITY_FLOOR for v in x)
+
+
+def _run_rk4(f, step, above_floor, x, cfg: IntegratorConfig):
     """Fixed-step RK4 into arrays sized up front; returns (t, x, None)."""
     h = cfg.step
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
@@ -304,20 +408,20 @@ def _run_rk4(f, x: np.ndarray, cfg: IntegratorConfig):
     steps = n_full + tail
     t = np.arange(steps + 1) * h
     t[-1] = cfg.t_end
-    xs = np.empty((steps + 1, x.size))
+    xs = np.empty((steps + 1, len(x)))
     xs[0] = x
     for i in range(1, steps + 1):
-        x = _rk4_step(f, x, h if i <= n_full else remainder)
+        x = step(f, x, h if i <= n_full else remainder)
         xs[i] = x
-        if not x.min() >= POSITIVITY_FLOOR:
+        if not above_floor(x):
             return t[: i + 1], xs[: i + 1], None
     return t, xs, None
 
 
-def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
+def _run_rkf45(f, step, above_floor, x, cfg: IntegratorConfig):
     """Fehlberg 4(5) into arrays that double when full; returns (t, x, abort)."""
     ts = np.empty(min(_ADAPTIVE_ROWS, MAX_STEPS + 1))
-    xs = np.empty((len(ts), x.size))
+    xs = np.empty((len(ts), len(x)))
     ts[0] = 0.0
     xs[0] = x
     rows = 1
@@ -326,9 +430,7 @@ def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
     abort = None
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)
-        x_new, err = _rkf45_step(f, x, h)
-        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-        enorm = float(np.max(np.abs(err) / scale))
+        x_new, enorm = step(f, x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
@@ -339,11 +441,11 @@ def _run_rkf45(f, x: np.ndarray, cfg: IntegratorConfig):
                     break
                 more = min(rows, MAX_STEPS + 1 - rows)
                 ts = np.concatenate((ts, np.empty(more)))
-                xs = np.concatenate((xs, np.empty((more, x.size))))
+                xs = np.concatenate((xs, np.empty((more, xs.shape[1]))))
             ts[rows] = t
             xs[rows] = x
             rows += 1
-            if not x.min() >= POSITIVITY_FLOOR:
+            if not above_floor(x):
                 break
             h *= factor
         else:
@@ -375,7 +477,13 @@ def integrate(
     carries the Trajectory up to the failure as ``trajectory``.
     """
     x = _validate_x0(sys, x0)
-    f = _rhs(sys)
+    rk4 = cfg.method is Method.RK4_FIXED
+    if sys.n <= _SCALAR_MAX_N:
+        f, state, above_floor = _scalar_rhs(sys), x.tolist(), _scalar_above_floor
+        step = _scalar_rk4_step if rk4 else _scalar_rkf45_step
+    else:
+        f, state, above_floor = _rhs(sys), x, _above_floor
+        step = _rk4_step if rk4 else _rkf45_step
     with np.errstate(all="ignore"):
         outside = _values(x[None], basis)[1][0]
         if outside.any():
@@ -383,13 +491,13 @@ def integrate(
                 f"integral H{int(np.argmax(outside)) + 1} is outside the float range "
                 "at the initial state"
             )
-        run = _run_rk4 if cfg.method is Method.RK4_FIXED else _run_rkf45
-        t, xs, abort = run(f, x, cfg)
+        run = _run_rk4 if rk4 else _run_rkf45
+        t, xs, abort = run(f, step, above_floor, state, cfg)
         values, outside = _values(xs, basis)
         # row 0 passed the range rule, so every start is a positive float
         start = values[0]
         drift = np.abs(values - start) / start
-        # +inf passes the loops' x.min() >= POSITIVITY_FLOOR, so every row is screened,
+        # +inf passes the loops' floor test, so every row is screened,
         # in order: a coordinate not finite, one below the floor, an integral out of range
         fails = np.column_stack((
             ~np.isfinite(xs),

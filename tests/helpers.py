@@ -1,13 +1,15 @@
 """Shared test helpers: seed-driven generators, the CLI subprocess runner,
 and the oracles that only tests call.
 
-The oracles check the package by routes other than its own: hyperplane
-invariance by an independent expansion of each field row, the raw field's
-divergence as the control for the Jacobi multiplier, and the empirical
-order of RK4 from drift at two step sizes. The reference routes are the
-plain Fraction forms of what ``verify`` computes on int pairs or with an
-early exit: the Jacobi divergence term by term in Fraction arithmetic, and
-the independence rank as the RREF rank of the dense gradient rows.
+The oracles check the package by routes other than its own: the vector
+field in the state's own arithmetic for both of ``sim``'s RHS kernels,
+hyperplane invariance by an independent expansion of each field row, the
+raw field's divergence as the control for the Jacobi multiplier, and the
+empirical order of RK4 from drift at two step sizes. The reference routes
+are the plain Fraction forms of what ``verify`` computes on int pairs or
+with an early exit: the Jacobi divergence term by term in Fraction
+arithmetic, and the independence rank as the RREF rank of the dense
+gradient rows.
 """
 
 from __future__ import annotations
@@ -157,6 +159,24 @@ def _form_times_coordinate(form, i0: int) -> dict[tuple[int, int], Fraction]:
         key = tuple(sorted((i0, j0)))
         terms[key] = terms.get(key, Fraction(0)) + c
     return {key: c for key, c in terms.items() if c != 0}
+
+
+def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
+    """Right-hand side of the system at a state, the oracle for sim's RHS kernels.
+
+    Component i is x_i * (k_i x_{i+1} - k_{i-1} x_{i-1}) with cyclic
+    indices, read off row i of the structure matrix. Arithmetic follows the
+    state's scalar type, so Fraction states give exact Fraction output and
+    float states give floats.
+    """
+    n = sys.n
+    if len(state) != n:
+        raise InputError(f"state has length {len(state)}, system has n={n}")
+    x = state
+    return [
+        x[i] * (c1 * x[j1] + c2 * x[j2])
+        for i, ((j1, c1), (j2, c2)) in enumerate(structure_matrix(sys))
+    ]
 
 
 def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:

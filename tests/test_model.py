@@ -18,9 +18,8 @@ from cycliclv import (
     check_jacobi_multiplier,
     make_system,
     structure_matrix,
-    vector_field,
 )
-from helpers import dense, random_system, verify_hyperplane_invariance
+from helpers import dense, random_system, vector_field, verify_hyperplane_invariance
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
 rate_lists = st.integers(min_value=2, max_value=12).flatmap(

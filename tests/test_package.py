@@ -42,13 +42,13 @@ EXPORTS = [
     "as_fraction", "build_exponent_system", "check_independence",
     "check_jacobi_multiplier", "check_linear_integral", "check_xh_zero",
     "integral_basis", "integrate", "make_system", "nullspace",
-    "random_rational_state", "structure_matrix", "vector_field",
+    "random_rational_state", "structure_matrix",
 ]
 
 
 def test_export_list_is_pinned():
     assert sorted(cycliclv.__all__) == EXPORTS
-    assert len(EXPORTS) == 31
+    assert len(EXPORTS) == 30
 
 
 # Run in a fresh interpreter: which modules load depends on what ran first.

@@ -17,10 +17,9 @@ from cycliclv import (
     integral_basis,
     integrate,
     make_system,
-    vector_field,
 )
 from cycliclv import sim
-from cycliclv.sim import _rhs
+from cycliclv.sim import _rhs, _scalar_rhs
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -29,6 +28,7 @@ from helpers import (
     random_system,
     resonant_system,
     simplex_point,
+    vector_field,
 )
 
 
@@ -83,6 +83,25 @@ def _reference_rhs(sys, x):
     return x * (k * x[ip1] - k_im1 * x[im1])
 
 
+# The two stepping kernels, and the name of each one's RK4 step.
+KERNELS = {"array": "_rk4_step", "scalar": "_scalar_rk4_step"}
+
+
+def _force_kernel(monkeypatch, kernel, n):
+    """Make integrate step an n-coordinate system on the named kernel."""
+    monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "scalar" else n - 1)
+
+
+def _outcome(sys, x0, cfg, basis):
+    """The trajectory's arrays as bytes, and the abort's class and time or None."""
+    try:
+        traj, abort = integrate(sys, x0, cfg, basis), None
+    except sim.IntegrationAborted as exc:
+        traj, abort = exc.trajectory, (type(exc), exc.t)
+    arrays = (traj.t, traj.x, traj.values, traj.drift)
+    return [a.tobytes() for a in arrays], len(traj.t), abort
+
+
 class TestRhsAgreesWithModel:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_bits_match_reference(self, n):
@@ -96,16 +115,18 @@ class TestRhsAgreesWithModel:
             ]
             sys = make_system(rates)
             x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
-            assert _rhs(sys)(x).tobytes() == _reference_rhs(sys, x).tobytes()
+            expect = _reference_rhs(sys, x).tobytes()
+            assert _rhs(sys)(x).tobytes() == expect
+            assert np.array(_scalar_rhs(sys)(x.tolist())).tobytes() == expect
 
     def test_matches_vector_field(self):
         rng = random.Random(103)
         for _ in range(25):
             sys = random_system(rng, rng.randint(2, 9))
-            f = _rhs(sys)
             x = np.array([0.05 + rng.random() for _ in range(sys.n)])
             expect = [float(v) for v in vector_field(sys, list(x))]
-            assert f(x) == pytest.approx(expect, rel=1e-14, abs=1e-300)
+            for out in (_rhs(sys)(x), _scalar_rhs(sys)(x.tolist())):
+                assert out == pytest.approx(expect, rel=1e-14, abs=1e-300)
 
 
 class TestIntegrate:
@@ -212,26 +233,29 @@ class TestIntegrate:
         assert np.isfinite(event.trajectory.values).all()
 
     def test_infinite_coordinate_aborts(self, monkeypatch):
-        # +inf passes x.min() >= floor, so the stored states are screened too
-        step = sim._rk4_step
-
-        def blow_up(f, x, h):
-            x = step(f, x, h)
-            if len(calls) == 3:
-                x[1] = math.inf
-            calls.append(h)
-            return x
-
-        calls = []
-        monkeypatch.setattr(sim, "_rk4_step", blow_up)
+        # +inf passes the floor test, so the stored states are screened too
         sys = make_system([2, 1, 3])
-        with pytest.raises(NonFiniteState) as exc:
-            integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(step=0.1, t_end=1.0),
-                      integral_basis(sys))
-        assert exc.value.coordinate == 2
-        assert exc.value.t == pytest.approx(0.4)
-        assert len(exc.value.trajectory.t) == 4
-        assert np.isfinite(exc.value.trajectory.x).all()
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, sys.n)
+            name = KERNELS[kernel]
+            step = getattr(sim, name)
+
+            def blow_up(f, x, h, step=step):
+                x = step(f, x, h)
+                if len(calls) == 3:
+                    x[1] = math.inf
+                calls.append(h)
+                return x
+
+            calls = []
+            monkeypatch.setattr(sim, name, blow_up)
+            with pytest.raises(NonFiniteState) as exc:
+                integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(step=0.1, t_end=1.0),
+                          integral_basis(sys))
+            assert exc.value.coordinate == 2
+            assert exc.value.t == pytest.approx(0.4)
+            assert len(exc.value.trajectory.t) == 4
+            assert np.isfinite(exc.value.trajectory.x).all()
 
     def test_initial_h1_overflow_refused(self):
         sys = make_system([2, 1, 3])
@@ -281,6 +305,70 @@ class TestAdaptive:
         with pytest.raises(StepUnderflow) as exc:
             integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
         assert len(exc.value.trajectory.t) >= 1
+
+
+class TestKernelsAgree:
+    """The scalar and array kernels give the same bits, aborts included."""
+
+    @pytest.mark.parametrize("n", range(2, sim._SCALAR_MAX_N + 3))
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 20 full steps and a tail of 0.013
+            IntegratorConfig(method="rk4", step=0.05, t_end=1.013),
+            IntegratorConfig(method="rk45", step=1e-2, t_end=1.0),
+        ],
+        ids=["rk4-tail", "rk45"],
+    )
+    def test_bits_match(self, n, cfg, monkeypatch):
+        rng = random.Random(700 + n)
+        sys = random_system(rng, n, lo=1, hi=2)
+        basis = integral_basis(sys)
+        x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
+        got = {}
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, n)
+            got[kernel] = _outcome(sys, x0, cfg, basis)
+        assert got["scalar"] == got["array"]
+        _, rows, abort = got["array"]
+        assert abort is None
+        if cfg.method is Method.RK4_FIXED:
+            assert rows == 22  # x0, 20 full steps and the tail
+
+    def test_nan_stage_underflows_on_both_kernels(self, monkeypatch):
+        # From the seventh step tried on, x2 of every sixth stage is NaN. The
+        # sixth stage's weight in the propagated sum is 0.0, so x2 alone of
+        # the new state and the error is NaN: the norm must keep it, reject
+        # every retry and end in StepUnderflow. A max() that skips the NaN
+        # accepts the NaN state and ends in NonFiniteState instead.
+        sys = make_system([2, 1, 3])
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1.0)
+        got = {}
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, sys.n)
+            name = "_scalar_rhs" if kernel == "scalar" else "_rhs"
+            build = getattr(sim, name)
+
+            def poisoned(sys, build=build):
+                f, calls = build(sys), []
+
+                def g(x):
+                    k = f(x)
+                    calls.append(None)
+                    if len(calls) > 6 * 6 and len(calls) % 6 == 0:
+                        k[1] = math.nan
+                    return k
+
+                return g
+
+            monkeypatch.setattr(sim, name, poisoned)
+            got[kernel] = _outcome(sys, [0.2, 0.3, 0.5], cfg, basis)
+        assert got["scalar"] == got["array"]
+        _, rows, (kind, t) = got["array"]
+        assert kind is StepUnderflow
+        assert rows > 1
+        assert 0.0 < t < 1.0
 
 
 class TestConvergenceOrder:
