@@ -261,11 +261,14 @@ def _write_csv(
     )
     columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
     table = np.column_stack([column[indices] for column in columns])
+    # "%.17g" % v gives the bytes of _fmt(v), nan, inf and -0.0 included
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as out:
             out.write(",".join(header) + "\n")
+            # row by row: one list of the whole table would raise peak memory
             for row in table:
-                out.write(",".join(map(_fmt, row.tolist())) + "\n")
+                out.write(template % tuple(row.tolist()))
     except OSError as exc:
         raise _out_error(path, exc) from exc
     return len(indices)

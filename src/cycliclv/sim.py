@@ -8,21 +8,27 @@ each first integral in the basis, and its relative drift |H - H(x0)| / H(x0)
 from its value at the initial state, which the range rule below keeps a
 positive float.
 
-Each driver has one loop and two kernels for the right-hand side and its
-steps, picked once from n. Up to _SCALAR_MAX_N coordinates a state is a list
-of Python floats: there a step's cost is the count of numpy calls, about 38
-for RK4, and not their length, and plain floats step about twice as fast at
-n = 4. The list kernel's cost grows with n, and numpy arrays step faster
-from about 20 coordinates for RK4 and about 32 for RKF45 (measured on a
-2-vCPU x86-64 host), so the bound sits below RK4's crossover. Both kernels
-give the same bits. The list kernel does the array kernel's operations per
-entry in the same order: (0.5*h)*k, then (h/6)*(((k1 + 2 k2) + 2 k3) + k4),
-and each Fehlberg sum left to right from int 0, as sum() adds the arrays,
-never with sum() over floats, which rounds with compensation from Python
-3.12 on, or math.fsum. Its error norm keeps a NaN as np.maximum and np.max
-do, and its floor test checks every entry, since min() can skip a NaN: a
-lost NaN would turn a StepUnderflow into a NonFiniteState. Accepted states
-go straight into the float64 arrays in both kernels.
+Each driver has one loop and two kernels for its step, picked once from n.
+Up to _SCALAR_MAX_N coordinates a state is a list of Python floats, and
+_compiled_step writes the system's RK4 or Fehlberg step as straight-line
+Python source over the locals x0 ... x{n-1}, compiled once per integrate
+call: no numpy call, no loop and no list but the new state. Each rate,
+tolerance and tableau entry enters that source as its repr, the shortest
+decimal that reads back as the same float, so each literal is exactly the
+float the array kernel multiplies by. The bound is 16, where the
+benchmarked systems sit. Long runs step faster compiled up to about 40
+coordinates, but compiling costs milliseconds per run, so larger systems
+keep the array kernel until short runs there are measured. Both kernels
+give the same bits. The compiled code does the array kernel's operations
+per entry in the same order: each RHS entry as xi * (a * xj + b * xk),
+(0.5*h)*k, then (h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum
+left to right from int 0, as sum() adds the arrays, zero weights kept so
+that a NaN or inf stage still reaches every sum, never with sum() over
+floats, which rounds with compensation from Python 3.12 on, or math.fsum.
+Its error norm keeps a NaN as np.maximum and np.max do, and its floor test
+checks every entry, since min() can skip a NaN: a lost NaN would turn a
+StepUnderflow into a NonFiniteState. Accepted states go straight into the
+float64 arrays in both kernels.
 
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
@@ -45,6 +51,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from sys import float_info
 from typing import Callable, Sequence
 
@@ -84,8 +91,8 @@ MIN_STEP = 1e-10
 # Rows an adaptive run allocates first; the arrays double when full.
 _ADAPTIVE_ROWS = 1024
 
-# Systems with at most this many coordinates step on lists of Python floats,
-# larger ones on numpy arrays (see the module docstring).
+# Systems with at most this many coordinates step on compiled straight-line
+# code over Python floats, larger ones on numpy arrays (see the module docstring).
 _SCALAR_MAX_N = 16
 
 
@@ -243,16 +250,6 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _scalar_rhs(sys: CyclicLVSystem) -> Callable[[list], list]:
-    """_rhs on a list of Python floats, with the same operations per entry."""
-    rows = list(zip(*(v.tolist() for v in _terms(sys))))
-
-    def f(x: list) -> list:
-        return [v * (a * x[j] + b * x[k]) for v, (j, a, k, b) in zip(x, rows)]
-
-    return f
-
-
 def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray]:
     """H1 and each monomial for every row, and where they leave the float range.
 
@@ -309,18 +306,6 @@ def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _scalar_rk4_step(f, x: list, h: float) -> list:
-    """_rk4_step on lists, each entry by the same operations in the same order."""
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = f(x)
-    k2 = f([v + half * k for v, k in zip(x, k1)])
-    k3 = f([v + half * k for v, k in zip(x, k2)])
-    k4 = f([v + h * k for v, k in zip(x, k3)])
-    return [
-        v + sixth * (p + 2.0 * q + 2.0 * r + s) for v, p, q, r, s in zip(x, k1, k2, k3, k4)
-    ]
-
-
 # Fehlberg 4(5): the fourth-order solution is propagated, the fifth-order
 # companion supplies the local error estimate.
 _FEHLBERG_A = (
@@ -347,46 +332,54 @@ def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
     return x_new, float(np.max(np.abs(err) / scale))
 
 
-def _scalar_rkf45_step(f, x: list, h: float) -> tuple[list, float]:
-    """_rkf45_step on lists, each entry by the same operations in the same order.
+def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
+    """_rk4_step or _rkf45_step of sys as one straight-line function of (x, h).
 
-    Each sum runs left to right from int 0, as sum() adds the arrays; the
-    zero coefficients stay, so a NaN or inf stage still reaches every sum.
-    The norm keeps a NaN as np.maximum and np.max do.
+    x is a list of Python floats, and so is the new state the function
+    returns, with the error norm for RKF45. The source holds only integer
+    indices, the names of locals and float literals: each rate, tolerance
+    and tableau entry is the repr of a float, never text from the spec
+    file, and the names inf and nan in its namespace make every repr an
+    expression. Each entry takes the array kernel's operations in its order.
     """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
-        _FEHLBERG_A[1:]
-    )
-    b1, b2, b3, b4, b5, b6 = _FEHLBERG_B4
-    e1, e2, e3, e4, e5, e6 = _FEHLBERG_ERR
-    k1 = f(x)
-    k2 = f([v + h * (0 + a21 * p) for v, p in zip(x, k1)])
-    k3 = f([v + h * (0 + a31 * p + a32 * q) for v, p, q in zip(x, k1, k2)])
-    k4 = f([v + h * (0 + a41 * p + a42 * q + a43 * r) for v, p, q, r in zip(x, k1, k2, k3)])
-    k5 = f([
-        v + h * (0 + a51 * p + a52 * q + a53 * r + a54 * s)
-        for v, p, q, r, s in zip(x, k1, k2, k3, k4)
-    ])
-    k6 = f([
-        v + h * (0 + a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
-        for v, p, q, r, s, u in zip(x, k1, k2, k3, k4, k5)
-    ])
-    stages = list(zip(k1, k2, k3, k4, k5, k6))
-    x_new = [
-        v + h * (0 + b1 * p + b2 * q + b3 * r + b4 * s + b5 * u + b6 * w)
-        for v, (p, q, r, s, u, w) in zip(x, stages)
-    ]
-    atol, rtol = ABS_TOL, REL_TOL
-    enorm = 0.0
-    for v, v_new, (p, q, r, s, u, w) in zip(x, x_new, stages):
-        err = h * (0 + e1 * p + e2 * q + e3 * r + e4 * s + e5 * u + e6 * w)
-        # x passed the floor test, so only x_new can be NaN, and a >= NaN is False
-        a, b = abs(v), abs(v_new)
-        ratio = abs(err) / (atol + rtol * (a if a >= b else b))
-        # a NaN ratio replaces enorm, and a NaN enorm stays
-        if enorm == enorm and not ratio <= enorm:
-            enorm = ratio
-    return x_new, enorm
+    rows = list(zip(*(v.tolist() for v in _terms(sys))))
+    ix = range(len(rows))
+
+    def rhs(stage, y):
+        return [f"k{stage}_{i} = {y}{i} * ({a!r} * {y}{j} + {b!r} * {y}{k})"
+                for i, (j, a, k, b) in enumerate(rows)]
+
+    def weighted(weights, i):
+        # left to right from int 0, as sum() adds the arrays, zero weights kept
+        return "(0" + "".join(f" + {w!r} * k{s}_{i}" for s, w in enumerate(weights, 1)) + ")"
+
+    src = ["def step(x, h):", "".join(f"x{i}, " for i in ix) + "= x"]
+    if rk4:
+        src += ["half = 0.5 * h", "sixth = h / 6.0", *rhs(1, "x")]
+        for stage, c in ((2, "half"), (3, "half"), (4, "h")):
+            src += [f"y{i} = x{i} + {c} * k{stage - 1}_{i}" for i in ix] + rhs(stage, "y")
+        src.append("return [" + ", ".join(
+            f"x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})" for i in ix
+        ) + "]")
+    else:
+        src += rhs(1, "x")
+        for stage, row in enumerate(_FEHLBERG_A[1:], 2):
+            src += [f"y{i} = x{i} + h * {weighted(row, i)}" for i in ix] + rhs(stage, "y")
+        src += [f"z{i} = x{i} + h * {weighted(_FEHLBERG_B4, i)}" for i in ix] + ["m = 0.0"]
+        for i in ix:
+            # x passed the floor test, so only z can be NaN, and a >= NaN is
+            # False; a NaN ratio replaces m, and a NaN m stays, as in np.max
+            src += [
+                f"a = abs(x{i})",
+                f"b = abs(z{i})",
+                f"r = abs(h * {weighted(_FEHLBERG_ERR, i)})"
+                f" / ({ABS_TOL!r} + {REL_TOL!r} * (a if a >= b else b))",
+                "m = r if m == m and not r <= m else m",
+            ]
+        src.append("return [" + ", ".join(f"z{i}" for i in ix) + "], m")
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec("\n    ".join(src), namespace)
+    return namespace["step"]
 
 
 def _above_floor(x: np.ndarray) -> bool:
@@ -399,7 +392,7 @@ def _scalar_above_floor(x: list) -> bool:
     return all(v >= POSITIVITY_FLOOR for v in x)
 
 
-def _run_rk4(f, step, above_floor, x, cfg: IntegratorConfig):
+def _run_rk4(step, above_floor, x, cfg: IntegratorConfig):
     """Fixed-step RK4 into arrays sized up front; returns (t, x, None)."""
     h = cfg.step
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
@@ -411,14 +404,14 @@ def _run_rk4(f, step, above_floor, x, cfg: IntegratorConfig):
     xs = np.empty((steps + 1, len(x)))
     xs[0] = x
     for i in range(1, steps + 1):
-        x = step(f, x, h if i <= n_full else remainder)
+        x = step(x, h if i <= n_full else remainder)
         xs[i] = x
         if not above_floor(x):
             return t[: i + 1], xs[: i + 1], None
     return t, xs, None
 
 
-def _run_rkf45(f, step, above_floor, x, cfg: IntegratorConfig):
+def _run_rkf45(step, above_floor, x, cfg: IntegratorConfig):
     """Fehlberg 4(5) into arrays that double when full; returns (t, x, abort)."""
     ts = np.empty(min(_ADAPTIVE_ROWS, MAX_STEPS + 1))
     xs = np.empty((len(ts), len(x)))
@@ -430,7 +423,7 @@ def _run_rkf45(f, step, above_floor, x, cfg: IntegratorConfig):
     abort = None
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)
-        x_new, enorm = step(f, x, h)
+        x_new, enorm = step(x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
@@ -479,11 +472,10 @@ def integrate(
     x = _validate_x0(sys, x0)
     rk4 = cfg.method is Method.RK4_FIXED
     if sys.n <= _SCALAR_MAX_N:
-        f, state, above_floor = _scalar_rhs(sys), x.tolist(), _scalar_above_floor
-        step = _scalar_rk4_step if rk4 else _scalar_rkf45_step
+        step, state, above_floor = _compiled_step(sys, rk4), x.tolist(), _scalar_above_floor
     else:
-        f, state, above_floor = _rhs(sys), x, _above_floor
-        step = _rk4_step if rk4 else _rkf45_step
+        step = partial(_rk4_step if rk4 else _rkf45_step, _rhs(sys))
+        state, above_floor = x, _above_floor
     with np.errstate(all="ignore"):
         outside = _values(x[None], basis)[1][0]
         if outside.any():
@@ -492,7 +484,7 @@ def integrate(
                 "at the initial state"
             )
         run = _run_rk4 if rk4 else _run_rkf45
-        t, xs, abort = run(f, step, above_floor, state, cfg)
+        t, xs, abort = run(step, above_floor, state, cfg)
         values, outside = _values(xs, basis)
         # row 0 passed the range rule, so every start is a positive float
         start = values[0]

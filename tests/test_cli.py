@@ -521,6 +521,30 @@ class TestSimulate:
         assert code == 0
         assert out_csv.exists()
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["bound", "bound+1"])
+    def test_both_sides_of_the_compiled_kernel_bound(self, tmp_path, capsys, side, method):
+        # no benchmark workload goes past sim._SCALAR_MAX_N, so this runs
+        # the compiled kernel at the bound and the array kernel one above it
+        n = sim._SCALAR_MAX_N + side
+        spec = write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(n)])
+        x0 = ",".join(repr((1 + 0.1 * (i % 5)) / n) for i in range(n))
+        code = main(
+            [
+                "simulate",
+                "--system", spec,
+                "--x0", x0,
+                "--method", method,
+                "--step", "1e-2",
+                "--t-end", "2",
+                "--out", str(tmp_path / "out.csv"),
+            ]
+        )
+        summary = capsys.readouterr().out
+        assert code == 0
+        assert "status=ok" in summary.split()
+        assert float(summary.split("max_drift_H1=")[1].split()[0]) < 1e-11
+
 
 WHEEL3 = '{"k": [2, 1, 3]}'
 SIM = ["simulate", "--system", "spec.json", "--out", "t.csv"]
@@ -720,6 +744,22 @@ class TestDeterminism:
         lines = (tmp_path / "c.csv").read_text().splitlines()
         row = lines[1].split(",")
         assert float(row[1]) == 0.2
+
+    def test_csv_bytes_are_each_value_to_17_digits(self, tmp_path):
+        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -1e308, 1 / 3, 0.1, 1e22, 2.5]
+        rng = random.Random(11)
+        table = np.array([special] + [[rng.uniform(-1e3, 1e3) for _ in special] for _ in range(3)])
+        traj = sim.Trajectory(table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:])
+        names = ["H1", "H2", "H3"]
+        path = tmp_path / "t.csv"
+        assert cli._write_csv(path, names, traj, 1) == 4
+        header = "t,x1,x2,x3,H1,H2,H3,drift_H1,drift_H2,drift_H3\n"
+        rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
+        assert path.read_bytes() == (header + rows).encode()
+        assert path.read_text().splitlines()[1] == (
+            "-0,nan,inf,-inf,4.9406564584124654e-324,-1e+308,"
+            "0.33333333333333331,0.10000000000000001,1e+22,2.5"
+        )
 
 
 # -- fuzzing cli.main -------------------------------------------------------

@@ -19,7 +19,7 @@ from cycliclv import (
     make_system,
 )
 from cycliclv import sim
-from cycliclv.sim import _rhs, _scalar_rhs
+from cycliclv.sim import _compiled_step, _rhs, _rk4_step
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -83,13 +83,13 @@ def _reference_rhs(sys, x):
     return x * (k * x[ip1] - k_im1 * x[im1])
 
 
-# The two stepping kernels, and the name of each one's RK4 step.
-KERNELS = {"array": "_rk4_step", "scalar": "_scalar_rk4_step"}
+# The two stepping kernels: numpy arrays, and straight-line code over floats.
+KERNELS = ("array", "compiled")
 
 
 def _force_kernel(monkeypatch, kernel, n):
     """Make integrate step an n-coordinate system on the named kernel."""
-    monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "scalar" else n - 1)
+    monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "compiled" else n - 1)
 
 
 def _outcome(sys, x0, cfg, basis):
@@ -117,7 +117,10 @@ class TestRhsAgreesWithModel:
             x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
             expect = _reference_rhs(sys, x).tobytes()
             assert _rhs(sys)(x).tobytes() == expect
-            assert np.array(_scalar_rhs(sys)(x.tolist())).tobytes() == expect
+            # the compiled kernel has no RHS of its own: its RK4 step must
+            # match the array step on the reference field
+            step = _rk4_step(lambda y: _reference_rhs(sys, y), x, 0.01).tobytes()
+            assert np.array(_compiled_step(sys, True)(x.tolist(), 0.01)).tobytes() == step
 
     def test_matches_vector_field(self):
         rng = random.Random(103)
@@ -125,8 +128,7 @@ class TestRhsAgreesWithModel:
             sys = random_system(rng, rng.randint(2, 9))
             x = np.array([0.05 + rng.random() for _ in range(sys.n)])
             expect = [float(v) for v in vector_field(sys, list(x))]
-            for out in (_rhs(sys)(x), _scalar_rhs(sys)(x.tolist())):
-                assert out == pytest.approx(expect, rel=1e-14, abs=1e-300)
+            assert _rhs(sys)(x) == pytest.approx(expect, rel=1e-14, abs=1e-300)
 
 
 class TestIntegrate:
@@ -235,20 +237,24 @@ class TestIntegrate:
     def test_infinite_coordinate_aborts(self, monkeypatch):
         # +inf passes the floor test, so the stored states are screened too
         sys = make_system([2, 1, 3])
-        for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, sys.n)
-            name = KERNELS[kernel]
-            step = getattr(sim, name)
+        run_rk4 = sim._run_rk4
 
-            def blow_up(f, x, h, step=step):
-                x = step(f, x, h)
+        def blow_up(step, above_floor, x, cfg):
+            # the fourth call of the kernel's step sets x2 to +inf
+            calls = []
+
+            def wrapped(x, h):
+                x = step(x, h)
                 if len(calls) == 3:
                     x[1] = math.inf
                 calls.append(h)
                 return x
 
-            calls = []
-            monkeypatch.setattr(sim, name, blow_up)
+            return run_rk4(wrapped, above_floor, x, cfg)
+
+        monkeypatch.setattr(sim, "_run_rk4", blow_up)
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, sys.n)
             with pytest.raises(NonFiniteState) as exc:
                 integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(step=0.1, t_end=1.0),
                           integral_basis(sys))
@@ -308,7 +314,7 @@ class TestAdaptive:
 
 
 class TestKernelsAgree:
-    """The scalar and array kernels give the same bits, aborts included."""
+    """The compiled and array kernels give the same bits, aborts included."""
 
     @pytest.mark.parametrize("n", range(2, sim._SCALAR_MAX_N + 3))
     @pytest.mark.parametrize(
@@ -329,46 +335,93 @@ class TestKernelsAgree:
         for kernel in KERNELS:
             _force_kernel(monkeypatch, kernel, n)
             got[kernel] = _outcome(sys, x0, cfg, basis)
-        assert got["scalar"] == got["array"]
+        assert got["compiled"] == got["array"]
         _, rows, abort = got["array"]
         assert abort is None
         if cfg.method is Method.RK4_FIXED:
             assert rows == 22  # x0, 20 full steps and the tail
 
-    def test_nan_stage_underflows_on_both_kernels(self, monkeypatch):
-        # From the seventh step tried on, x2 of every sixth stage is NaN. The
-        # sixth stage's weight in the propagated sum is 0.0, so x2 alone of
-        # the new state and the error is NaN: the norm must keep it, reject
-        # every retry and end in StepUnderflow. A max() that skips the NaN
-        # accepts the NaN state and ends in NonFiniteState instead.
-        sys = make_system([2, 1, 3])
+    # rates whose floats are not dyadic, are signed, or sit near the top or
+    # the bottom of the float range, each with the unit of time that keeps a
+    # step's change of state near 1e-2; at n = 2 both terms of a row land on
+    # one column
+    LITERALS = {
+        "n2-signed": ([Fraction(1, 3), Fraction(-7, 5)], 1.0),
+        "n5-signed": ([Fraction(1, 3), Fraction(-7, 5), 2, Fraction(1, 3), 1], 1.0),
+        "n2-huge": ([10**300, 3 * 10**300], 1e-300),
+        "n3-huge": ([10**300, Fraction(10**300, 3), 2 * 10**300], 1e-300),
+        "n2-tiny": ([Fraction(1, 10**300), Fraction(-7, 5 * 10**300)], 1e300),
+        "n4-tiny": ([Fraction(1, 10**300), Fraction(1, 3 * 10**300), 2 * Fraction(1, 10**300),
+                     Fraction(7, 5 * 10**300)], 1e300),
+    }
+
+    @pytest.mark.parametrize("rates, unit", LITERALS.values(), ids=LITERALS)
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_literal_rates(self, rates, unit, method, monkeypatch):
+        sys = make_system(rates)
         basis = integral_basis(sys)
-        cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1.0)
+        x0 = [0.5 + 0.1 * i for i in range(sys.n)]
+        if method == "rk4":
+            cfg = IntegratorConfig(method, step=0.05 * unit, t_end=1.013 * unit)
+        else:
+            cfg = IntegratorConfig(method, step=1e-3 * unit, t_end=unit)
         got = {}
         for kernel in KERNELS:
             _force_kernel(monkeypatch, kernel, sys.n)
-            name = "_scalar_rhs" if kernel == "scalar" else "_rhs"
-            build = getattr(sim, name)
+            got[kernel] = _outcome(sys, x0, cfg, basis)
+        assert got["compiled"] == got["array"]
+        _, rows, abort = got["array"]
+        assert abort is None
+        assert rows == 22 if method == "rk4" else rows > 100
 
-            def poisoned(sys, build=build):
-                f, calls = build(sys), []
+    def test_nan_stage_underflows_on_both_kernels(self, monkeypatch):
+        # The coefficient of x7 in x8's row is NaN, so x8 of every first
+        # stage is NaN, and each later stage spreads the NaN one coordinate
+        # further each way: the new state and the error are NaN in x3 to
+        # x13 and finite at both ends. The norm must keep the NaN, reject
+        # every retry and end in StepUnderflow at t = 0. A max() that skips
+        # the NaN accepts the NaN state and ends in NonFiniteState instead.
+        sys = make_system([1, 2] * 8)
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1.0)
+        terms = sim._terms
 
-                def g(x):
-                    k = f(x)
-                    calls.append(None)
-                    if len(calls) > 6 * 6 and len(calls) % 6 == 0:
-                        k[1] = math.nan
-                    return k
+        def poisoned(sys):
+            j1, c1, j2, c2 = terms(sys)
+            c2 = c2.copy()
+            c2[7] = math.nan
+            return j1, c1, j2, c2
 
-                return g
-
-            monkeypatch.setattr(sim, name, poisoned)
-            got[kernel] = _outcome(sys, [0.2, 0.3, 0.5], cfg, basis)
-        assert got["scalar"] == got["array"]
+        monkeypatch.setattr(sim, "_terms", poisoned)
+        got = {}
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, sys.n)
+            got[kernel] = _outcome(sys, [1 / 16] * 16, cfg, basis)
+        assert got["compiled"] == got["array"]
         _, rows, (kind, t) = got["array"]
         assert kind is StepUnderflow
-        assert rows > 1
-        assert 0.0 < t < 1.0
+        assert rows == 1
+        assert t == 0.0
+
+    @pytest.mark.parametrize(
+        "rates, x",
+        [([1, 2, 3], [1e153, 5e153, 3e153]), ([1, 2, 3, 1], [1e153, 1e153, 3e153, 3e153])],
+        ids=["n3", "n4"],
+    )
+    def test_overflowing_stage_reaches_zero_weights(self, rates, x):
+        # Near 1e153 a stage entry is near 1e307, so a tableau row's weighted
+        # sum overflows before h scales it and a later stage is inf or NaN.
+        # Its 0.0 weight in the fourth-order sum turns that into NaN in every
+        # entry, as in the array step; dropping the zero-weight terms leaves
+        # +-inf in the n3 state and a finite x2 in the n4 one. A NaN's sign
+        # bit is not compared.
+        sys = make_system(rates)
+        h = 1e-306
+        z, m = _compiled_step(sys, False)(x, h)
+        with np.errstate(all="ignore"):
+            want = np.append(*sim._rkf45_step(_rhs(sys), np.array(x), h))
+        assert np.isnan(want).all()
+        assert np.isnan([*z, m]).all()
 
 
 class TestConvergenceOrder:
