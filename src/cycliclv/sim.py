@@ -8,25 +8,31 @@ each first integral in the basis, and its relative drift |H - H(x0)| / H(x0)
 from its value at the initial state, which the range rule below keeps a
 positive float.
 
-Each driver has one loop and two kernels for its step, picked once from n.
-Up to _SCALAR_MAX_N coordinates a state is a list of Python floats, and
-_compiled_step writes the system's RK4 or Fehlberg step as straight-line
-Python source over the locals x0 ... x{n-1}, compiled once per integrate
-call: no numpy call, no loop and no list but the new state. Each rate,
-tolerance and tableau entry enters that source as its repr, the shortest
-decimal that reads back as the same float, so each literal is exactly the
-float the array kernel multiplies by. The bound is 16, where the
-benchmarked systems sit. Long runs step faster compiled up to about 40
-coordinates, but compiling costs milliseconds per run, so larger systems
-keep the array kernel until short runs there are measured. Both kernels
-give the same bits. The compiled code does the array kernel's operations
-per entry in the same order: each RHS entry as xi * (a * xj + b * xk),
-(0.5*h)*k, then (h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum
-left to right from int 0, as sum() adds the arrays, zero weights kept so
-that a NaN or inf stage still reaches every sum, never with sum() over
-floats, which rounds with compensation from Python 3.12 on, or math.fsum.
-Its error norm keeps a NaN as np.maximum and np.max do, and its floor test
-checks every entry, since min() can skip a NaN: a lost NaN would turn a
+Each driver has two kernels, picked once from n. Up to _SCALAR_MAX_N
+coordinates, _compiled_step writes straight-line Python source over the
+locals x0 ... x{n-1} and compiles it once per integrate call. For RK4 that
+source is the whole fixed-step loop: the locals carry the state from step
+to step, each new state goes into the float64 row array through a
+memoryview, and the floor test is inline, x0 >= floor and x1 >= floor ...,
+which a NaN fails. Each step makes no numpy call and no list. For RKF45
+it is one step on a list of floats, which the driver's loop calls. Each
+rate, tolerance, tableau entry and the floor enters the source as its
+repr, the shortest decimal that reads back as the same float, so each
+literal is exactly the float the array kernel uses. Because the floor and
+tolerances are baked in, the source is generated again on every call, not
+cached. The bound is 16, where the benchmarked systems sit. Long runs step
+faster compiled up to about 40 coordinates, but compiling costs
+milliseconds per run, so larger systems keep the array kernel until short
+runs there are measured. There the RK4 loop is _rk4_steps, which takes the
+compiled loop's arguments and returns its result. Both kernels give the
+same bits. The compiled code does the array kernel's operations per entry
+in the same order: each RHS entry as xi * (a * xj + b * xk), (0.5*h)*k,
+then (h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum left to
+right from int 0, as sum() adds the arrays, zero weights kept so that a
+NaN or inf stage still reaches every sum, never with sum() over floats,
+which rounds with compensation from Python 3.12 on, or math.fsum. Its
+error norm keeps a NaN as np.maximum and np.max do, and its floor tests
+check every entry, since min() can skip a NaN: a lost NaN would turn a
 StepUnderflow into a NonFiniteState. Accepted states go straight into the
 float64 arrays in both kernels.
 
@@ -257,22 +263,30 @@ def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray
     that marks an H1 that is not finite and a monomial whose
     s = lam . log x lies outside LOG_RANGE; a masked monomial's value is a
     placeholder. Each value has the same bits as evaluating that state
-    alone with sum(x) and exp(lam . log x). Batched forms (x @ lam, np.exp)
-    round differently, and np.dot's rounding depends on the alignment of
-    its operands, so each row of logs is copied to a fresh array before the
-    dot. Raises InputError for an exponent whose float overflows or rounds
-    to zero.
+    alone with sum(x) and math.exp(np.dot(lam, log x)). x @ lam sums in
+    another order and np.exp rounds differently from math.exp. np.dot sends
+    contiguous operands to BLAS ddot, which uses FMA, and strided ones to
+    numpy's own loop: the rows of the F-ordered x[:, support] are strided,
+    and on one n=9 trajectory of 1001 rows, 479 of their dots differed from
+    those of contiguous copies. So the support columns are taken with
+    np.compress, whose result is C-ordered, and one np.matmul of
+    (rows, 1, m) by (m, 1) sends each contiguous row of logs through the
+    same ddot. np.log runs on contiguous memory either way, and gives each
+    entry the bits it gives that entry alone. x may have any layout: it is
+    made C-contiguous first, since sum(axis=1) adds the entries of an
+    F-ordered row in another order. Raises InputError for an exponent whose
+    float overflows or rounds to zero.
     """
+    x = np.ascontiguousarray(x)
     h1 = x.sum(axis=1)
     columns, outside = [h1], [~np.isfinite(h1)]
     for j, mono in enumerate(basis.monomials, start=2):
         lam = _floats(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
         support = lam != 0.0
         lam = lam[support]
-        logs = np.log(x[:, support])
-        s = np.fromiter(
-            (np.dot(lam, row.copy()) for row in logs), dtype=float, count=len(logs)
-        )
+        # C-ordered, where x[:, support] would be F-ordered
+        logs = np.log(np.compress(support, x, axis=1))
+        s = np.matmul(logs[:, None, :], lam[:, None])[:, 0, 0]
         inside = (s >= LOG_RANGE[0]) & (s <= LOG_RANGE[1])
         outside.append(~inside)
         columns.append(
@@ -332,18 +346,35 @@ def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
     return x_new, float(np.max(np.abs(err) / scale))
 
 
-def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
-    """_rk4_step or _rkf45_step of sys as one straight-line function of (x, h).
+def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> int:
+    """count RK4 steps of h from row ``row`` of xs, each new state in the next row.
 
-    x is a list of Python floats, and so is the new state the function
-    returns, with the error norm for RKF45. The source holds only integer
-    indices, the names of locals and float literals: each rate, tolerance
-    and tableau entry is the repr of a float, never text from the spec
-    file, and the names inf and nan in its namespace make every repr an
+    Returns the rows written: count, or fewer when a state falls below
+    POSITIVITY_FLOOR or is NaN, that state's row the last one written.
+    """
+    x = xs[row]
+    for r in range(1, count + 1):
+        x = _rk4_step(f, x, h)
+        xs[row + r] = x
+        if not _above_floor(x):
+            return r
+    return count
+
+
+def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
+    """_rk4_steps or _rkf45_step of sys as compiled straight-line Python.
+
+    For RK4 it takes the (xs, row, count, h) of _rk4_steps and returns its
+    result. For RKF45 it takes (x, h), x a list of Python floats, and returns
+    the new state as a list and the error norm. The source holds only integer
+    indices, the names of locals and float literals: each rate, tolerance,
+    tableau entry and the floor is the repr of a float, never text from the
+    spec file, and the names inf and nan in its namespace make every repr an
     expression. Each entry takes the array kernel's operations in its order.
     """
     rows = list(zip(*(v.tolist() for v in _terms(sys))))
-    ix = range(len(rows))
+    n = len(rows)
+    ix = range(n)
 
     def rhs(stage, y):
         return [f"k{stage}_{i} = {y}{i} * ({a!r} * {y}{j} + {b!r} * {y}{k})"
@@ -353,16 +384,31 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
         # left to right from int 0, as sum() adds the arrays, zero weights kept
         return "(0" + "".join(f" + {w!r} * k{s}_{i}" for s, w in enumerate(weights, 1)) + ")"
 
-    src = ["def step(x, h):", "".join(f"x{i}, " for i in ix) + "= x"]
+    unpack = "".join(f"x{i}, " for i in ix) + "= "
     if rk4:
-        src += ["half = 0.5 * h", "sixth = h / 6.0", *rhs(1, "x")]
+        body = rhs(1, "x")
         for stage, c in ((2, "half"), (3, "half"), (4, "h")):
-            src += [f"y{i} = x{i} + {c} * k{stage - 1}_{i}" for i in ix] + rhs(stage, "y")
-        src.append("return [" + ", ".join(
-            f"x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})" for i in ix
-        ) + "]")
+            body += [f"y{i} = x{i} + {c} * k{stage - 1}_{i}" for i in ix] + rhs(stage, "y")
+        # each new x{i} reads only x{i} and the stages, so it can replace x{i} at once
+        body += [f"x{i} = x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
+                 for i in ix]
+        body += [f"buf[p + {i}] = x{i}" for i in ix]
+        body += [
+            "if not (" + " and ".join(f"x{i} >= {POSITIVITY_FLOOR!r}" for i in ix) + "):",
+            f"    return p // {n} - row",
+        ]
+        src = [
+            "def step(xs, row, count, h):",
+            'buf = memoryview(xs).cast("B").cast("d")',
+            unpack + "xs[row].tolist()",
+            "half = 0.5 * h",
+            "sixth = h / 6.0",
+            f"for p in range((row + 1) * {n}, (row + 1 + count) * {n}, {n}):",
+            *("    " + line for line in body),
+            "return count",
+        ]
     else:
-        src += rhs(1, "x")
+        src = ["def step(x, h):", unpack + "x", *rhs(1, "x")]
         for stage, row in enumerate(_FEHLBERG_A[1:], 2):
             src += [f"y{i} = x{i} + h * {weighted(row, i)}" for i in ix] + rhs(stage, "y")
         src += [f"z{i} = x{i} + h * {weighted(_FEHLBERG_B4, i)}" for i in ix] + ["m = 0.0"]
@@ -392,23 +438,24 @@ def _scalar_above_floor(x: list) -> bool:
     return all(v >= POSITIVITY_FLOOR for v in x)
 
 
-def _run_rk4(step, above_floor, x, cfg: IntegratorConfig):
-    """Fixed-step RK4 into arrays sized up front; returns (t, x, None)."""
+def _run_rk4(steps, x: np.ndarray, cfg: IntegratorConfig):
+    """Fixed-step RK4 into arrays sized up front; returns (t, x, None).
+
+    steps(xs, row, count, h) is _rk4_steps or its compiled form: the full
+    steps take one call and the tail step, if any, a second.
+    """
     h = cfg.step
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
     remainder = cfg.t_end - n_full * h
     tail = remainder > 1e-12 * cfg.t_end
-    steps = n_full + tail
-    t = np.arange(steps + 1) * h
+    t = np.arange(n_full + tail + 1) * h
     t[-1] = cfg.t_end
-    xs = np.empty((steps + 1, len(x)))
+    xs = np.empty((len(t), len(x)))
     xs[0] = x
-    for i in range(1, steps + 1):
-        x = step(x, h if i <= n_full else remainder)
-        xs[i] = x
-        if not above_floor(x):
-            return t[: i + 1], xs[: i + 1], None
-    return t, xs, None
+    rows = 1 + steps(xs, 0, n_full, h)
+    if tail and rows == n_full + 1:
+        rows += steps(xs, n_full, 1, remainder)
+    return t[:rows], xs[:rows], None
 
 
 def _run_rkf45(step, above_floor, x, cfg: IntegratorConfig):
@@ -474,7 +521,7 @@ def integrate(
     if sys.n <= _SCALAR_MAX_N:
         step, state, above_floor = _compiled_step(sys, rk4), x.tolist(), _scalar_above_floor
     else:
-        step = partial(_rk4_step if rk4 else _rkf45_step, _rhs(sys))
+        step = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys))
         state, above_floor = x, _above_floor
     with np.errstate(all="ignore"):
         outside = _values(x[None], basis)[1][0]
@@ -483,8 +530,10 @@ def integrate(
                 f"integral H{int(np.argmax(outside)) + 1} is outside the float range "
                 "at the initial state"
             )
-        run = _run_rk4 if rk4 else _run_rkf45
-        t, xs, abort = run(step, above_floor, state, cfg)
+        if rk4:
+            t, xs, abort = _run_rk4(step, x, cfg)
+        else:
+            t, xs, abort = _run_rkf45(step, above_floor, state, cfg)
         values, outside = _values(xs, basis)
         # row 0 passed the range rule, so every start is a positive float
         start = values[0]

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cycliclv import (
     make_system,
 )
 from cycliclv import sim
-from cycliclv.sim import _compiled_step, _rhs, _rk4_step
+from cycliclv.sim import _compiled_step, _rhs, _rk4_step, _rk4_steps
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -117,10 +118,12 @@ class TestRhsAgreesWithModel:
             x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
             expect = _reference_rhs(sys, x).tobytes()
             assert _rhs(sys)(x).tobytes() == expect
-            # the compiled kernel has no RHS of its own: its RK4 step must
-            # match the array step on the reference field
+            # the compiled kernel has no RHS of its own: a one-step run of it
+            # must match the array step on the reference field
             step = _rk4_step(lambda y: _reference_rhs(sys, y), x, 0.01).tobytes()
-            assert np.array(_compiled_step(sys, True)(x.tolist(), 0.01)).tobytes() == step
+            xs = np.array([x, np.nan * x])
+            assert _compiled_step(sys, True)(xs, 0, 1, 0.01) == 1
+            assert xs[1].tobytes() == step
 
     def test_matches_vector_field(self):
         rng = random.Random(103)
@@ -235,24 +238,18 @@ class TestIntegrate:
         assert np.isfinite(event.trajectory.values).all()
 
     def test_infinite_coordinate_aborts(self, monkeypatch):
-        # +inf passes the floor test, so the stored states are screened too
-        sys = make_system([2, 1, 3])
-        run_rk4 = sim._run_rk4
+        # +inf passes the floor test, so the stored states are screened too.
+        # Poisoned terms hold x1 and x3 fixed and make x2' = 1e27 * x1 * x2,
+        # whose RK4 step of 0.1 multiplies x2 by about 7e99: the fourth step
+        # overflows x2 to +inf, which stays +inf to t_end. With rates 1,
+        # H2 = x1 x2 x3 stays in range while x2 is finite.
+        sys = make_system([1, 1, 1])
 
-        def blow_up(step, above_floor, x, cfg):
-            # the fourth call of the kernel's step sets x2 to +inf
-            calls = []
+        def poisoned(sys):
+            j1, j2 = np.array([0, 0, 2]), np.array([0, 2, 2])
+            return j1, np.array([0.0, 1e27, 0.0]), j2, np.zeros(3)
 
-            def wrapped(x, h):
-                x = step(x, h)
-                if len(calls) == 3:
-                    x[1] = math.inf
-                calls.append(h)
-                return x
-
-            return run_rk4(wrapped, above_floor, x, cfg)
-
-        monkeypatch.setattr(sim, "_run_rk4", blow_up)
+        monkeypatch.setattr(sim, "_terms", poisoned)
         for kernel in KERNELS:
             _force_kernel(monkeypatch, kernel, sys.n)
             with pytest.raises(NonFiniteState) as exc:
@@ -403,6 +400,40 @@ class TestKernelsAgree:
         assert rows == 1
         assert t == 0.0
 
+    # k = (1, 5) from (0.5, 0.5): x1 decays at a rate near 4, and at step
+    # 0.05 row 138 (t = 6.9) is the last above the floor, at about 1.03e-12.
+    # k = (5, 1) is its mirror image, where x2 decays. A step of 1e200
+    # overflows the first step's stages to NaN.
+    EXITS = {
+        "breach-full": (0.05, 7.013, PositivityBreached, 6.95),
+        "breach-tail": (0.05, 6.94, PositivityBreached, 6.94),
+        "nan": (1e200, 1e202, NonFiniteState, 1e200),
+    }
+
+    @pytest.mark.parametrize("step, t_end, kind, t", EXITS.values(), ids=EXITS)
+    @pytest.mark.parametrize("rates", [(1, 5), (5, 1)], ids=["x1-decays", "x2-decays"])
+    def test_rk4_exits(self, rates, step, t_end, kind, t, monkeypatch):
+        sys = make_system(rates)
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig("rk4", step=step, t_end=t_end)
+        got = {}
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, sys.n)
+            got[kernel] = _outcome(sys, [0.5, 0.5], cfg, basis)
+        assert got["compiled"] == got["array"]
+        _, rows, abort = got["array"]
+        assert abort == (kind, t)
+        assert rows == round(t / step)
+        # the screen cuts a run that went on past the failing row to the same
+        # trajectory, so each loop's own exit is checked on its rows: it
+        # stops at the failing row, and on the tail only if the full steps
+        # all passed
+        for steps in (_compiled_step(sys, True), partial(_rk4_steps, _rhs(sys))):
+            with np.errstate(all="ignore"):
+                ts, xs, _ = sim._run_rk4(steps, np.array([0.5, 0.5]), cfg)
+            assert ts.tolist() == [i * step for i in range(rows)] + [t]
+            assert not (xs[-1] >= sim.POSITIVITY_FLOOR).all()
+
     @pytest.mark.parametrize(
         "rates, x",
         [([1, 2, 3], [1e153, 5e153, 3e153]), ([1, 2, 3, 1], [1e153, 1e153, 3e153, 3e153])],
@@ -481,9 +512,11 @@ def test_halving_band_for_monomial_drift():
 def _per_state(x, basis):
     """Reference: each integral of one state evaluated alone, as a 1-D array.
 
-    Batched forms round differently (x @ lam, np.exp, np.dot on unaligned
-    row views), so the one-pass evaluation in integrate must match this
-    bit for bit.
+    Batched forms round differently: x @ lam sums in another order, np.exp
+    is not math.exp, and np.dot on a strided row view takes numpy's own
+    loop, not BLAS ddot with its FMA (on one n=9 trajectory, 479 of 1001
+    F-ordered row views gave other bits than their contiguous copies). So
+    the one-pass evaluation in integrate must match this bit for bit.
     """
     values = [float(np.sum(x))]
     for mono in basis.monomials:
@@ -491,6 +524,27 @@ def _per_state(x, basis):
         support = lam != 0.0
         values.append(float(math.exp(np.dot(lam[support], np.log(x[support])))))
     return values
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 16, 17, 33, 41, 64])
+def test_values_match_per_state_in_any_layout(n):
+    # _values takes every row's s from one np.matmul, which gives np.dot's
+    # bits only on contiguous rows, so it must lay x out again whatever
+    # layout it is given. Each state is drawn so that |lam . log x| <= 700
+    # for every monomial, and so stays in range.
+    rng = random.Random(900 + n)
+    if n % 2 == 0 and n >= 4:
+        sys = resonant_system(rng, n, lo=1, hi=3)
+    else:
+        sys = random_system(rng, n, lo=1, hi=3)
+    basis = integral_basis(sys)
+    assert len(basis.monomials) == (0 if n == 2 else 1 if n % 2 else 2)
+    widest = max([sum(abs(float(e)) for e in m.exponents) for m in basis.monomials], default=1.0)
+    xs = np.array([[math.exp(rng.uniform(-700.0, 700.0) / widest) for _ in range(n)]
+                   for _ in range(301)])
+    expect = np.array([_per_state(x.copy(), basis) for x in xs])
+    for x, want in ((xs, expect), (np.asfortranarray(xs), expect), (xs[::3], expect[::3])):
+        assert sim._values(x, basis)[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
