@@ -19,17 +19,16 @@ import argparse
 import contextlib
 import json
 import os
-import random
 import sys as _sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import darboux, verify
+from . import darboux
 from .model import CyclicLVSystem, InputError, ZeroParameter, as_fraction
 
 if TYPE_CHECKING:
-    from . import sim
+    from . import sim, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -171,6 +170,11 @@ def cmd_integrals(args: argparse.Namespace) -> int:
 
 def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], bool]:
     """Every exact check against one system; returns (lines, all passed)."""
+    # verify, linalg and random load here, so integrals never imports them
+    import random
+
+    from . import verify
+
     rng = random.Random(seed)
     basis = darboux.integral_basis(system)
     names = _integral_names(basis)

@@ -22,13 +22,14 @@ by exact elimination, the independent route that checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import linalg
-from .model import CyclicLVSystem, InputError, structure_matrix
+from .model import CyclicLVSystem, InputError, _Record, structure_matrix
+
+if TYPE_CHECKING:
+    from . import linalg
 
 __all__ = [
     "Classification",
@@ -50,8 +51,7 @@ class Classification(Enum):
     EVEN_NONRESONANT = "EVEN_NONRESONANT"
 
 
-@dataclass(frozen=True)
-class MonomialIntegral:
+class MonomialIntegral(_Record):
     """Exponent vector of a first integral prod x_i^(exponents[i-1]).
 
     Not all exponents are zero, and the first nonzero exponent is 1 (any
@@ -59,43 +59,49 @@ class MonomialIntegral:
     representative is normalized).
     """
 
-    exponents: tuple[Fraction, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        first = next((e for e in self.exponents if e != 0), None)
+    def __init__(self, exponents: tuple[Fraction, ...]):
+        first = next((e for e in exponents if e != 0), None)
         if first is None:
             raise ValueError("exponent vector must not be identically zero")
         if first != 1:
             raise ValueError("first nonzero exponent must be normalized to 1")
+        super().__init__(exponents)
 
 
-@dataclass(frozen=True)
-class LinearIntegral:
+class LinearIntegral(_Record):
     """The integral x1 + ... + xn of an n-dimensional system."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__(n)
 
 
-@dataclass(frozen=True)
-class IntegralBasis:
+class IntegralBasis(_Record):
     """Classification plus the integrals: one linear, 0..2 monomial."""
 
-    classification: Classification
-    linear: LinearIntegral
-    monomials: tuple[MonomialIntegral, ...]
+    __slots__ = ("classification", "linear", "monomials")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        classification: Classification,
+        linear: LinearIntegral,
+        monomials: tuple[MonomialIntegral, ...],
+    ):
         expected = {
             Classification.N2: 0,
             Classification.ODD: 1,
             Classification.EVEN_RESONANT: 2,
             Classification.EVEN_NONRESONANT: 0,
-        }[self.classification]
-        if len(self.monomials) != expected:
+        }[classification]
+        if len(monomials) != expected:
             raise ValueError(
-                f"{self.classification.name} basis must hold {expected} monomial "
-                f"integrals, got {len(self.monomials)}"
+                f"{classification.name} basis must hold {expected} monomial "
+                f"integrals, got {len(monomials)}"
             )
+        super().__init__(classification, linear, monomials)
 
 
 def build_exponent_system(sys: CyclicLVSystem) -> list[linalg.Row]:
@@ -123,8 +129,11 @@ def nullspace(rows: linalg.Rows) -> list[tuple[Fraction, ...]]:
 
     Each basis vector is scaled so its first nonzero entry is 1, and the
     vectors are sorted by the index of that entry. An empty list means the
-    nullspace is trivial.
+    nullspace is trivial. linalg loads on the first call, so integrals never
+    imports it.
     """
+    from . import linalg
+
     raw = linalg.nullspace_basis(rows, len(rows))
     normalized = []
     for v in raw:

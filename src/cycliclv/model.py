@@ -16,11 +16,11 @@ dx1/dt = (k1 - k2) x1 x2.
 
 Every error the package raises is a CyclicLVError; refused input of any
 kind is an InputError, defined here with the rate checks that raise it.
+The package's immutable value types share the base _Record defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence, Union
@@ -112,26 +112,66 @@ def _refuse_long_decimal(value: Decimal) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CyclicLVSystem:
+class _Record:
+    """Base of the package's immutable records, each field a slot set once.
+
+    A subclass lists its fields in __slots__, checks its arguments in its
+    own __init__ and passes them on here in that order. Records compare
+    and hash by type and fields, and assigning or deleting a field raises
+    AttributeError; copy and pickle rebuild a record through its __init__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class CyclicLVSystem(_Record):
     """The n >= 2 nonzero rational rate constants; n is their count.
 
     This is the one place rates are validated; every constructor path,
     ``make_system`` and the CLI spec loader included, ends here.
     """
 
-    rates: tuple[Fraction, ...]
+    __slots__ = ("rates",)
+
+    def __init__(self, rates: tuple[Fraction, ...]):
+        if len(rates) < 2:
+            raise InputError(f"need n >= 2, got n={len(rates)}")
+        for i, k in enumerate(rates):
+            if k == 0:
+                raise ZeroParameter(i + 1)
+        super().__init__(rates)
 
     @property
     def n(self) -> int:
         return len(self.rates)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"need n >= 2, got n={self.n}")
-        for i, k in enumerate(self.rates):
-            if k == 0:
-                raise ZeroParameter(i + 1)
 
 
 def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:

@@ -28,9 +28,12 @@ compiled loop's arguments and returns its result. Both kernels give the
 same bits. The compiled code does the array kernel's operations per entry
 in the same order: each RHS entry as xi * (a * xj + b * xk), (0.5*h)*k,
 then (h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum left to
-right from int 0, as sum() adds the arrays, zero weights kept so that a
-NaN or inf stage still reaches every sum, never with sum() over floats,
-which rounds with compensation from Python 3.12 on, or math.fsum. Its
+right, as sum() adds the arrays, zero weights kept so that a NaN or inf
+stage still reaches every sum, never with sum() over floats, which rounds
+with compensation from Python 3.12 on, or math.fsum. sum() starts from int
+0 and the compiled sum from its first term, which saves a slow int + float
+add per sum; the two differ only in the sign of an exact zero sum, which
+x + h * sum drops for the positive x and abs drops from the error. Its
 error norm keeps a NaN as np.maximum and np.max do, and its floor tests
 check every entry, since min() can skip a NaN: a lost NaN would turn a
 StepUnderflow into a NonFiniteState. Accepted states go straight into the
@@ -54,7 +57,6 @@ of these exceptions, not printed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -64,7 +66,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .darboux import IntegralBasis
-from .model import CyclicLVError, CyclicLVSystem, InputError, structure_matrix
+from .model import CyclicLVError, CyclicLVSystem, InputError, _Record, structure_matrix
 
 __all__ = [
     "IntegrationAborted",
@@ -161,8 +163,7 @@ class Method(Enum):
     ADAPTIVE_RK45 = "rk45"
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(_Record):
     """The stepper, its step and the end time.
 
     ``step`` is the fixed step for RK4 and the initial trial step for the
@@ -173,39 +174,41 @@ class IntegratorConfig:
     included, raises InputError, which is a ValueError.
     """
 
-    method: Method = Method.RK4_FIXED
-    step: float = 1e-3
-    t_end: float = 10.0
+    __slots__ = ("method", "step", "t_end")
 
-    def __post_init__(self):
+    def __init__(
+        self, method: Method | str = Method.RK4_FIXED, step: float = 1e-3, t_end: float = 10.0
+    ):
         try:
-            object.__setattr__(self, "method", Method(self.method))
+            method = Method(method)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        for name in ("step", "t_end"):
-            value = getattr(self, name)
+        for name, value in (("step", step), ("t_end", t_end)):
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
-        ratio = self.t_end / self.step
+        ratio = t_end / step
         # the negated test also refuses an infinite ratio
-        if self.method is Method.RK4_FIXED and not ratio <= MAX_STEPS:
+        if method is Method.RK4_FIXED and not ratio <= MAX_STEPS:
             raise InputError(f"t_end/step = {ratio:.17g} exceeds the limit of {MAX_STEPS} steps")
+        super().__init__(method, step, t_end)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Record):
     """Every accepted state in time order, the initial state first.
 
     ``t`` has shape (rows,) and ``x`` shape (rows, n). ``values`` and
     ``drift`` have shape (rows, 1 + m): column 0 is the linear integral H1,
     column j the j-th monomial of the basis, and ``drift`` is each value's
-    relative distance from row 0.
+    relative distance from row 0. Trajectories compare by identity, as
+    arrays have no single truth value.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    values: np.ndarray
-    drift: np.ndarray
+    __slots__ = ("t", "x", "values", "drift")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, t: np.ndarray, x: np.ndarray, values: np.ndarray, drift: np.ndarray):
+        super().__init__(t, x, values, drift)
 
 
 def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
@@ -381,8 +384,8 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
                 for i, (j, a, k, b) in enumerate(rows)]
 
     def weighted(weights, i):
-        # left to right from int 0, as sum() adds the arrays, zero weights kept
-        return "(0" + "".join(f" + {w!r} * k{s}_{i}" for s, w in enumerate(weights, 1)) + ")"
+        # left to right from the first term, zero weights kept (module docstring)
+        return "(" + " + ".join(f"{w!r} * k{s}_{i}" for s, w in enumerate(weights, 1)) + ")"
 
     unpack = "".join(f"x{i}, " for i in ix) + "= "
     if rk4:

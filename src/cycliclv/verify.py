@@ -17,21 +17,23 @@ Fraction arithmetic over the whole matrix returns, witnesses included.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .darboux import IntegralBasis, MonomialIntegral
 from .model import (
     CyclicLVSystem,
     InputError,
     Term,
+    _Record,
     as_fraction,
     structure_matrix,
     _row_quadratic,
 )
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = [
     "VerificationReport",
@@ -43,11 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one check; witness holds the first failure, if any."""
 
-    witness: Optional[str] = None
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: Optional[str] = None):
+        super().__init__(witness)
 
     @property
     def passed(self) -> bool:

@@ -272,11 +272,11 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
     assert main(["check", "--system", str(spec)]) == 0
 
     # exit 1: a failing verification must propagate
-    from cycliclv import cli as cli_mod
+    from cycliclv import verify
 
     with monkeypatch.context() as patch:
         patch.setattr(
-            cli_mod.verify,
+            verify,
             "check_linear_integral",
             lambda s: VerificationReport("forced"),
         )

@@ -178,10 +178,11 @@ class TestCheck:
         assert ok, lines
 
     def test_verification_failure_exit_1(self, wheel3, capsys, monkeypatch):
-        from cycliclv import cli as cli_mod
+        # run_check_battery looks the checks up on the verify module at each call
+        from cycliclv import verify
 
         monkeypatch.setattr(
-            cli_mod.verify,
+            verify,
             "check_linear_integral",
             lambda sys: VerificationReport(witness="forced"),
         )

@@ -1,21 +1,35 @@
-"""System construction, vector field, structure-matrix rows, hyperplane invariance."""
+"""System construction, immutable records, vector field, structure-matrix rows,
+hyperplane invariance."""
 
+import copy
+import pickle
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycliclv import (
+    Classification,
+    CyclicLVSystem,
     InputError,
+    IntegralBasis,
+    IntegratorConfig,
+    LinearIntegral,
+    Method,
+    MonomialIntegral,
+    Trajectory,
+    VerificationReport,
     ZeroParameter,
     as_fraction,
     build_exponent_system,
     check_jacobi_multiplier,
+    integral_basis,
     make_system,
     structure_matrix,
 )
@@ -92,6 +106,64 @@ class TestMakeSystem:
     def test_string_rates(self):
         sys = make_system(["1/2", "0.75", "-3"])
         assert sys.rates == (Fraction(1, 2), Fraction(3, 4), -3)
+
+
+class TestRecords:
+    """Every value type is an immutable record that compares by its fields."""
+
+    def records(self):
+        basis = integral_basis(make_system([2, 1, 3]))
+        return [
+            make_system(["1/2", 3, 5]),
+            basis.monomials[0],
+            LinearIntegral(3),
+            basis,
+            VerificationReport("witness"),
+            IntegratorConfig("rk45", 0.01, 2.0),
+        ]
+
+    def test_equal_fields_make_equal_hashable_values(self):
+        for a, b in zip(self.records(), self.records()):
+            assert a is not b and a == b and hash(a) == hash(b), a
+            assert a != LinearIntegral(4)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for record in self.records():
+            field = type(record).__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_copy_and_pickle_rebuild_equal_values(self):
+        for record in self.records():
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_repr_names_each_field(self):
+        assert repr(LinearIntegral(3)) == "LinearIntegral(n=3)"
+        assert repr(VerificationReport()) == "VerificationReport(witness=None)"
+
+    def test_keyword_positional_and_default_construction(self):
+        assert IntegratorConfig() == IntegratorConfig(Method.RK4_FIXED, 1e-3, 10.0)
+        assert IntegratorConfig(method="rk4", step=1e-3, t_end=10.0) == IntegratorConfig()
+        assert IntegratorConfig("rk45").method is Method.ADAPTIVE_RK45
+        assert VerificationReport().passed and not VerificationReport(witness="w").passed
+        assert CyclicLVSystem(rates=(1, 2)) == CyclicLVSystem((1, 2))
+        one = (Fraction(1), Fraction(0), Fraction(0))
+        assert MonomialIntegral(exponents=one) == MonomialIntegral(one)
+        basis = IntegralBasis(Classification.N2, LinearIntegral(2), ())
+        assert basis.monomials == () and basis.linear.n == 2
+
+    def test_trajectories_compare_by_identity(self):
+        arrays = [np.zeros(1), np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1))]
+        a, b = Trajectory(*arrays), Trajectory(*arrays)
+        assert a == a and a != b and len({a, b}) == 2
+        with pytest.raises(AttributeError):
+            a.t = None
 
 
 class TestVectorField:

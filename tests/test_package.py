@@ -1,8 +1,11 @@
 """The package surface is exactly the union of the module ``__all__`` lists,
-and that union is the pinned list below; ``sim`` and numpy load only for
-simulation."""
+and that union is the pinned list below; ``verify`` and ``linalg`` load only
+for ``check``, ``sim`` and numpy only for simulation."""
 
 import json
+from pathlib import Path
+
+import numpy as np
 
 import cycliclv
 from cycliclv import darboux, model, sim, verify
@@ -51,20 +54,28 @@ def test_export_list_is_pinned():
     assert len(EXPORTS) == 30
 
 
-# Run in a fresh interpreter: which modules load depends on what ran first.
-# Each stage records whether numpy and cycliclv.sim are loaded yet.
+# Run in a fresh interpreter under python -S, so that no site hook loads a
+# module first: which modules load depends on what ran first. Each stage
+# records which of MODULES are loaded yet. site-packages is off the path
+# under -S, so numpy's directory comes in as argv[1], added just before
+# simulate.
 IMPORT_GUARD = """
 import contextlib, io, json, sys
 import cycliclv, cycliclv.cli as cli
 
+MODULES = ("numpy", "cycliclv.sim", "cycliclv.verify", "cycliclv.linalg", "random",
+           "dataclasses", "inspect")
+
 def loaded():
-    return ["numpy" in sys.modules, "cycliclv.sim" in sys.modules]
+    return [name for name in MODULES if name in sys.modules]
 
 stages = {"import": loaded()}
 for argv in (["integrals", "--system", "spec.json", "--format", "json"],
              ["check", "--system", "spec.json"],
              ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5",
               "--t-end", "0.01", "--out", "t.csv"]):
+    if argv[0] == "simulate":
+        sys.path.append(sys.argv[1])
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     stages[argv[0]] = loaded()
@@ -74,13 +85,17 @@ print(json.dumps(stages))
 
 
 def test_exact_commands_load_neither_numpy_nor_sim(tmp_path):
+    """integrals loads no module it does not run; check adds verify and linalg."""
     (tmp_path / "spec.json").write_text('{"k": [2, 1, 3]}', encoding="utf-8")
-    result = run_python(["-c", IMPORT_GUARD], tmp_path, timeout=120)
+    numpy_dir = str(Path(np.__file__).resolve().parent.parent)
+    result = run_python(["-S", "-c", IMPORT_GUARD, numpy_dir], tmp_path, timeout=120)
     assert result.returncode == 0, stderr_of(result)
-    assert json.loads(result.stdout) == {
-        "import": [False, False],
-        "integrals": [False, False],
-        "check": [False, False],
-        "simulate": [True, True],
+    stages = json.loads(result.stdout)
+    # what numpy itself imports is numpy's business
+    assert stages.pop("simulate")[:2] == ["numpy", "cycliclv.sim"]
+    assert stages == {
+        "import": [],
+        "integrals": [],
+        "check": ["cycliclv.verify", "cycliclv.linalg", "random"],
         "same integrate": True,
     }
