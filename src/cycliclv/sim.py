@@ -1,12 +1,11 @@
 """Trajectory integration with conservation-drift monitoring.
 
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
-the embedded Fehlberg 4(5) pair with proportional step control. Accepted
-states are written into preallocated arrays; one vectorised pass after the
-last step gives a Trajectory holding the times, the states, the value of
-each first integral in the basis, and its relative drift |H - H(x0)| / H(x0)
-from its value at the initial state, which the range rule below keeps a
-positive float.
+the embedded Fehlberg 4(5) pair with proportional step control. One
+vectorised pass after the last step gives a Trajectory holding the times,
+the states, the value of each first integral in the basis, and its relative
+drift |H - H(x0)| / H(x0) from its value at the initial state, which the
+range rule below keeps a positive float.
 
 Each driver has two kernels, picked once from n. Up to _SCALAR_MAX_N
 coordinates, _compiled_step writes straight-line Python source over the
@@ -36,8 +35,9 @@ add per sum; the two differ only in the sign of an exact zero sum, which
 x + h * sum drops for the positive x and abs drops from the error. Its
 error norm keeps a NaN as np.maximum and np.max do, and its floor tests
 check every entry, since min() can skip a NaN: a lost NaN would turn a
-StepUnderflow into a NonFiniteState. Accepted states go straight into the
-float64 arrays in both kernels.
+StepUnderflow into a NonFiniteState. On both kernels RK4 writes its rows
+into arrays preallocated for the whole run, and RKF45 appends each accepted
+row to array('d') buffers.
 
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
@@ -84,9 +84,11 @@ __all__ = [
 # The range of s = lam . log x whose exp(s) is a finite normal float.
 LOG_RANGE = (math.log(float_info.min), math.log(float_info.max))
 
-# Most steps one run may take. IntegratorConfig refuses a fixed-step run that
-# needs more; an adaptive run that reaches it aborts.
+# Most steps one run may take, and most state floats it may store, so that
+# only n > 16 gets fewer steps. A fixed-step run that needs more is refused;
+# an adaptive run that reaches the limit aborts.
 MAX_STEPS = 10_000_000
+MAX_STORED_FLOATS = 16 * MAX_STEPS
 
 # Every coordinate of every row, x0 included, must stay at or above this.
 POSITIVITY_FLOOR = 1e-12
@@ -95,9 +97,6 @@ POSITIVITY_FLOOR = 1e-12
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MIN_STEP = 1e-10
-
-# Rows an adaptive run allocates first; the arrays double when full.
-_ADAPTIVE_ROWS = 1024
 
 # Systems with at most this many coordinates step on compiled straight-line
 # code over Python floats, larger ones on numpy arrays (see the module docstring).
@@ -151,7 +150,7 @@ class StepUnderflow(IntegrationAborted):
 
 
 class StepLimitReached(IntegrationAborted):
-    """An adaptive run accepted MAX_STEPS steps before reaching t_end."""
+    """An adaptive run accepted its step limit, MAX_STEPS or fewer, before reaching t_end."""
 
     def __init__(self, t: float, steps: int):
         self.steps = steps
@@ -337,8 +336,9 @@ _FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FEHLBERG_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """One Fehlberg 4(5) step: the fourth-order state and its error norm."""
+def _rkf45_step(f, x: list, h: float) -> tuple[list, float]:
+    """One Fehlberg 4(5) step: the fourth-order state as a list, and its error norm."""
+    x = np.array(x)
     stages = [f(x)]
     for row in _FEHLBERG_A[1:]:
         xs = x + h * sum(a * s for a, s in zip(row, stages))
@@ -346,7 +346,7 @@ def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
     x_new = x + h * sum(b * s for b, s in zip(_FEHLBERG_B4, stages))
     err = h * sum(e * s for e, s in zip(_FEHLBERG_ERR, stages))
     scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-    return x_new, float(np.max(np.abs(err) / scale))
+    return x_new.tolist(), float(np.max(np.abs(err) / scale))
 
 
 def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> int:
@@ -359,7 +359,8 @@ def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> int:
     for r in range(1, count + 1):
         x = _rk4_step(f, x, h)
         xs[row + r] = x
-        if not _above_floor(x):
+        # np.min propagates NaN, which fails the comparison
+        if not x.min() >= POSITIVITY_FLOOR:
             return r
     return count
 
@@ -431,26 +432,25 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
     return namespace["step"]
 
 
-def _above_floor(x: np.ndarray) -> bool:
-    # np.min propagates NaN, which fails the comparison
-    return x.min() >= POSITIVITY_FLOOR
+def _step_limit(n: int) -> int:
+    """Most steps a run of n coordinates may take: MAX_STEPS, or fewer for large n."""
+    return min(MAX_STEPS, MAX_STORED_FLOATS // n)
 
 
-def _scalar_above_floor(x: list) -> bool:
-    # min() of a list can skip a NaN, so test every entry
-    return all(v >= POSITIVITY_FLOOR for v in x)
-
-
-def _run_rk4(steps, x: np.ndarray, cfg: IntegratorConfig):
-    """Fixed-step RK4 into arrays sized up front; returns (t, x, None).
+def _run_rk4(steps, x: list, cfg: IntegratorConfig):
+    """Fixed-step RK4 into arrays preallocated for every row; returns (t, x, None).
 
     steps(xs, row, count, h) is _rk4_steps or its compiled form: the full
-    steps take one call and the tail step, if any, a second.
+    steps take one call and the tail step, if any, a second. A run of more
+    steps than _step_limit is refused with InputError before any allocation.
     """
     h = cfg.step
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
     remainder = cfg.t_end - n_full * h
     tail = remainder > 1e-12 * cfg.t_end
+    limit = _step_limit(len(x))
+    if n_full + tail > limit:
+        raise InputError(f"{n_full + tail} steps exceed the limit of {limit} at n={len(x)}")
     t = np.arange(n_full + tail + 1) * h
     t[-1] = cfg.t_end
     xs = np.empty((len(t), len(x)))
@@ -461,13 +461,16 @@ def _run_rk4(steps, x: np.ndarray, cfg: IntegratorConfig):
     return t[:rows], xs[:rows], None
 
 
-def _run_rkf45(step, above_floor, x, cfg: IntegratorConfig):
-    """Fehlberg 4(5) into arrays that double when full; returns (t, x, abort)."""
-    ts = np.empty(min(_ADAPTIVE_ROWS, MAX_STEPS + 1))
-    xs = np.empty((len(ts), len(x)))
-    ts[0] = 0.0
-    xs[0] = x
-    rows = 1
+def _run_rkf45(step, x: list, cfg: IntegratorConfig):
+    """Fehlberg 4(5), each accepted row appended to array('d'); returns (t, x, abort).
+
+    step(x, h) is _rkf45_step or its compiled form; _step_limit bounds the steps.
+    """
+    # imported here, so that an RK4 run does not load it (0.1 MB of peak RSS)
+    from array import array
+
+    limit = _step_limit(len(x))
+    ts, xs = array("d", [0.0]), array("d", x)
     t = 0.0
     h = min(cfg.step, cfg.t_end)
     abort = None
@@ -478,17 +481,13 @@ def _run_rkf45(step, above_floor, x, cfg: IntegratorConfig):
         if enorm <= 1.0:
             t += h
             x = x_new
-            if rows == len(ts):
-                if rows > MAX_STEPS:
-                    abort = StepLimitReached(t, MAX_STEPS)
-                    break
-                more = min(rows, MAX_STEPS + 1 - rows)
-                ts = np.concatenate((ts, np.empty(more)))
-                xs = np.concatenate((xs, np.empty((more, xs.shape[1]))))
-            ts[rows] = t
-            xs[rows] = x
-            rows += 1
-            if not above_floor(x):
+            if len(ts) > limit:
+                abort = StepLimitReached(t, limit)
+                break
+            ts.append(t)
+            xs.fromlist(x)
+            # min() of a list can skip a NaN, so test every entry
+            if not all(v >= POSITIVITY_FLOOR for v in x):
                 break
             h *= factor
         else:
@@ -496,7 +495,7 @@ def _run_rkf45(step, above_floor, x, cfg: IntegratorConfig):
             if h < MIN_STEP:
                 abort = StepUnderflow(t, h)
                 break
-    return ts[:rows], xs[:rows], abort
+    return np.frombuffer(ts), np.frombuffer(xs).reshape(len(ts), -1), abort
 
 
 def integrate(
@@ -510,22 +509,22 @@ def integrate(
     Returns the Trajectory of every accepted step, the initial state
     included. Raises InputError up front for an x0 of the wrong length, a
     NaN or infinite x0 entry or one below POSITIVITY_FLOOR, a nonzero rate
-    or exponent whose float overflows or rounds to zero, and an integral
-    that leaves the float range at x0. During the run it raises
+    or exponent whose float overflows or rounds to zero, an integral that
+    leaves the float range at x0, and an RK4 run over its step limit, the
+    lower of MAX_STEPS and MAX_STORED_FLOATS // n. During the run it raises
     PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
     NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
     integral's value or drift leaves the float range, StepUnderflow if the
     adaptive controller cannot satisfy its tolerances above MIN_STEP, and
-    StepLimitReached if an adaptive run accepts MAX_STEPS steps; each
+    StepLimitReached if an adaptive run reaches its step limit; each
     carries the Trajectory up to the failure as ``trajectory``.
     """
     x = _validate_x0(sys, x0)
     rk4 = cfg.method is Method.RK4_FIXED
     if sys.n <= _SCALAR_MAX_N:
-        step, state, above_floor = _compiled_step(sys, rk4), x.tolist(), _scalar_above_floor
+        step = _compiled_step(sys, rk4)
     else:
         step = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys))
-        state, above_floor = x, _above_floor
     with np.errstate(all="ignore"):
         outside = _values(x[None], basis)[1][0]
         if outside.any():
@@ -533,10 +532,7 @@ def integrate(
                 f"integral H{int(np.argmax(outside)) + 1} is outside the float range "
                 "at the initial state"
             )
-        if rk4:
-            t, xs, abort = _run_rk4(step, x, cfg)
-        else:
-            t, xs, abort = _run_rkf45(step, above_floor, state, cfg)
+        t, xs, abort = (_run_rk4 if rk4 else _run_rkf45)(step, x.tolist(), cfg)
         values, outside = _values(xs, basis)
         # row 0 passed the range rule, so every start is a positive float
         start = values[0]

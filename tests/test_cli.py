@@ -25,6 +25,7 @@ from helpers import (
     random_system,
     resonant_system,
     run_cli,
+    run_python,
     stderr_of,
 )
 
@@ -670,6 +671,29 @@ class TestRefusals:
         (tmp_path / "t.csv").write_text("kept\n", encoding="utf-8")
         assert main([*SIM, "--x0", "1e-13,0.5,0.5"]) == 2
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "kept\n"
+
+    def test_rk4_over_the_stored_floats_is_refused(self, tmp_path):
+        # 10^7 steps pass IntegratorConfig, but 10^7 rows of 1000 floats would
+        # take 74.5 GiB. The child's address space is capped at 3 GiB, so
+        # code that tried to allocate them fails there with a MemoryError
+        # instead of filling the machine's memory.
+        n = 1000
+        write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(n)])
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            "from cycliclv.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        result = run_python(
+            ["-c", child, *SIM, "--x0", ",".join(["1"] * n), "--step", "1e-6", "--t-end", "10"],
+            tmp_path,
+            timeout=60,
+        )
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stdout == b""
+        assert result.stderr.decode() == (
+            f"error: 10000000 steps exceed the limit of {sim.MAX_STORED_FLOATS // n} at n={n}\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
         "rates, x0, head, rest",

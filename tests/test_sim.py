@@ -14,6 +14,7 @@ from cycliclv import (
     Method,
     NonFiniteState,
     PositivityBreached,
+    StepLimitReached,
     StepUnderflow,
     integral_basis,
     integrate,
@@ -299,6 +300,23 @@ class TestAdaptive:
             counts.append(len(integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys)).t))
         assert counts[1] > counts[0]
 
+    def test_stored_floats_bound_the_steps_above_16_coordinates(self, monkeypatch):
+        assert sim._step_limit(16) == sim.MAX_STEPS > sim._step_limit(17)
+        n = 17
+        monkeypatch.setattr(sim, "MAX_STORED_FLOATS", 50 * n + n - 1)
+        assert sim._step_limit(n) == 50
+        sys = make_system([i % 3 + 1 for i in range(n)])
+        basis = integral_basis(sys)
+        x0 = [1.0 / n] * n
+        with pytest.raises(StepLimitReached, match="limit of 50 steps") as exc:
+            integrate(sys, x0, IntegratorConfig("rk45", step=1e-2, t_end=1e3), basis)
+        assert exc.value.steps == 50
+        assert len(exc.value.trajectory.t) == 51
+        rk4 = integrate(sys, x0, IntegratorConfig("rk4", step=0.02, t_end=1.0), basis)
+        assert rk4.x.shape == (51, n)
+        with pytest.raises(InputError, match=f"^51 steps exceed the limit of 50 at n={n}$"):
+            integrate(sys, x0, IntegratorConfig("rk4", step=0.02, t_end=1.01), basis)
+
     def test_step_underflow(self, monkeypatch):
         sys = make_system([1, 2, 3])
         monkeypatch.setattr(sim, "REL_TOL", 1e-14)
@@ -433,6 +451,25 @@ class TestKernelsAgree:
                 ts, xs, _ = sim._run_rk4(steps, np.array([0.5, 0.5]), cfg)
             assert ts.tolist() == [i * step for i in range(rows)] + [t]
             assert not (xs[-1] >= sim.POSITIVITY_FLOOR).all()
+
+    def test_step_limit_on_both_kernels(self, monkeypatch):
+        # 1100 steps go past the 1024 rows an adaptive run once allocated
+        # first, so the limit is met after the storage has grown
+        monkeypatch.setattr(sim, "MAX_STEPS", 1100)
+        n = sim._SCALAR_MAX_N
+        rng = random.Random(716)
+        sys = random_system(rng, n, lo=1, hi=2)
+        basis = integral_basis(sys)
+        x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
+        cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1e3)
+        got = {}
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, n)
+            got[kernel] = _outcome(sys, x0, cfg, basis)
+        assert got["compiled"] == got["array"]
+        _, rows, (kind, _) = got["array"]
+        assert kind is StepLimitReached
+        assert rows == sim.MAX_STEPS + 1
 
     @pytest.mark.parametrize(
         "rates, x",
