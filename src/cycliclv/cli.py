@@ -37,6 +37,9 @@ EXIT_RUNTIME_ERROR = 3
 
 DEFAULT_CHECK_SAMPLES = 32
 
+# Rows of a trajectory that _write_csv formats at a time.
+_CSV_BLOCK_ROWS = 4096
+
 # Most bytes of a refused value that an error line echoes, and of a reason
 # that may repeat the value; longer text is cut to its head and its size,
 # which keeps every error line under 300 bytes.
@@ -245,18 +248,11 @@ def _parse_x0(text: str) -> list[float]:
         ) from exc
 
 
-def _write_csv(
-    path: str | Path,
-    names: list[str],
-    trajectory: sim.Trajectory,
-    sample_every: int,
-) -> int:
+def _write_csv(path: str | Path, names: list[str], trajectory: sim.Trajectory) -> int:
+    """Write every row of trajectory to path as CSV; returns the row count."""
     import numpy as np
 
     rows = len(trajectory.t)
-    indices = list(range(0, rows, sample_every))
-    if indices[-1] != rows - 1:
-        indices.append(rows - 1)
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, trajectory.x.shape[1] + 1)]
@@ -264,18 +260,20 @@ def _write_csv(
         + [f"drift_{name}" for name in names]
     )
     columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
-    table = np.column_stack([column[indices] for column in columns])
     # "%.17g" % v gives the bytes of _fmt(v), nan, inf and -0.0 included
     template = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as out:
             out.write(",".join(header) + "\n")
-            # row by row: one list of the whole table would raise peak memory
-            for row in table:
-                out.write(template % tuple(row.tolist()))
+            # _CSV_BLOCK_ROWS rows at a time: one table of every row would
+            # copy the whole trajectory
+            for lo in range(0, rows, _CSV_BLOCK_ROWS):
+                table = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
+                for row in table:
+                    out.write(template % tuple(row.tolist()))
     except OSError as exc:
         raise _out_error(path, exc) from exc
-    return len(indices)
+    return rows
 
 
 def _out_error(path: str | Path, exc: OSError) -> InputError:
@@ -305,7 +303,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     status = "ok"
     exit_code = EXIT_OK
     try:
-        trajectory = sim.integrate(system, x0, cfg, basis)
+        trajectory = sim.integrate(system, x0, cfg, basis, args.sample_every)
     except sim.IntegrationAborted as exc:
         trajectory = exc.trajectory
         status = f"{type(exc).__name__}({exc})"
@@ -316,11 +314,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             os.remove(args.out)
         raise
 
-    rows = _write_csv(args.out, names, trajectory, args.sample_every)
-    # ndarray.max propagates NaN, where max() over floats depends on order
+    rows = _write_csv(args.out, names, trajectory)
     drift_parts = [
         f"max_drift_{name}={_fmt(value)}"
-        for name, value in zip(names, trajectory.drift.max(axis=0).tolist())
+        for name, value in zip(names, trajectory.max_drift.tolist())
     ]
     print(
         f"summary: rows={rows} t_final={_fmt(trajectory.t[-1])} "

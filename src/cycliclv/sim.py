@@ -1,20 +1,27 @@
 """Trajectory integration with conservation-drift monitoring.
 
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
-the embedded Fehlberg 4(5) pair with proportional step control. One
-vectorised pass after the last step gives a Trajectory holding the times,
-the states, the value of each first integral in the basis, and its relative
-drift |H - H(x0)| / H(x0) from its value at the initial state, which the
-range rule below keeps a positive float.
+the embedded Fehlberg 4(5) pair with proportional step control. A run goes
+in blocks of _BLOCK_ROWS rows. Either driver steps into one reused block
+buffer, where RK4 starts each block from the last row of the one before;
+then one vectorised pass over the block evaluates each first integral of the
+basis, its relative drift |H - H(x0)| / H(x0) from its value at the initial
+state, which the range rule below keeps a positive float, and the screen
+below. The Trajectory keeps the times, states, values and drifts of every
+sample_every-th row and of the last, and each integral's largest drift over
+every row, so a run's memory is the rows it keeps and one block. Each row's
+figures do not depend on the block it falls in.
 
 Each driver has two kernels, picked once from n. Up to _SCALAR_MAX_N
 coordinates, _compiled_step writes straight-line Python source over the
 locals x0 ... x{n-1} and compiles it once per integrate call. For RK4 that
 source is the whole fixed-step loop: the locals carry the state from step
-to step, each new state goes into the float64 row array through a
-memoryview, and the floor test is inline, x0 >= floor and x1 >= floor ...,
-which a NaN fails. Each step makes no numpy call and no list. For RKF45
-it is one step on a list of floats, which the driver's loop calls. Each
+to step, each new state goes into the block buffer through a memoryview,
+and the floor test is inline, x0 >= floor and x1 >= floor ..., which a NaN
+fails. Each step makes no numpy call and no list. For RKF45 it is one step
+on a list of floats, which the driver's loop calls, with the same inline
+floor test of the new state; the array step keeps its state an array and
+tests x.min() >= floor, where np.min propagates NaN. Each
 rate, tolerance, tableau entry and the floor enters the source as its
 repr, the shortest decimal that reads back as the same float, so each
 literal is exactly the float the array kernel uses. Because the floor and
@@ -35,9 +42,7 @@ add per sum; the two differ only in the sign of an exact zero sum, which
 x + h * sum drops for the positive x and abs drops from the error. Its
 error norm keeps a NaN as np.maximum and np.max do, and its floor tests
 check every entry, since min() can skip a NaN: a lost NaN would turn a
-StepUnderflow into a NonFiniteState. On both kernels RK4 writes its rows
-into arrays preallocated for the whole run, and RKF45 appends each accepted
-row to array('d') buffers.
+StepUnderflow into a NonFiniteState.
 
 The positive orthant is invariant for the true flow; a coordinate crossing
 zero can only be a numerical artifact, so integration halts with
@@ -101,6 +106,9 @@ MIN_STEP = 1e-10
 # Systems with at most this many coordinates step on compiled straight-line
 # code over Python floats, larger ones on numpy arrays (see the module docstring).
 _SCALAR_MAX_N = 16
+
+# Rows that integrate steps, evaluates and screens at a time.
+_BLOCK_ROWS = 4096
 
 
 class IntegrationAborted(CyclicLVError):
@@ -193,21 +201,32 @@ class IntegratorConfig(_Record):
 
 
 class Trajectory(_Record):
-    """Every accepted state in time order, the initial state first.
+    """The kept states in time order, the initial state first.
 
     ``t`` has shape (rows,) and ``x`` shape (rows, n). ``values`` and
     ``drift`` have shape (rows, 1 + m): column 0 is the linear integral H1,
     column j the j-th monomial of the basis, and ``drift`` is each value's
-    relative distance from row 0. Trajectories compare by identity, as
-    arrays have no single truth value.
+    relative distance from row 0. ``max_drift``, shape (1 + m,), is each
+    integral's largest drift over every row the run took, kept or not; it
+    defaults to ``drift.max(axis=0)``, which propagates NaN. Trajectories
+    compare by identity, as arrays have no single truth value.
     """
 
-    __slots__ = ("t", "x", "values", "drift")
+    __slots__ = ("t", "x", "values", "drift", "max_drift")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, t: np.ndarray, x: np.ndarray, values: np.ndarray, drift: np.ndarray):
-        super().__init__(t, x, values, drift)
+    def __init__(
+        self,
+        t: np.ndarray,
+        x: np.ndarray,
+        values: np.ndarray,
+        drift: np.ndarray,
+        max_drift: np.ndarray | None = None,
+    ):
+        if max_drift is None:
+            max_drift = drift.max(axis=0)
+        super().__init__(t, x, values, drift, max_drift)
 
 
 def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
@@ -336,9 +355,12 @@ _FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FEHLBERG_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_step(f, x: list, h: float) -> tuple[list, float]:
-    """One Fehlberg 4(5) step: the fourth-order state as a list, and its error norm."""
-    x = np.array(x)
+def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float, bool]:
+    """One Fehlberg 4(5) step: the fourth-order state, its error norm, and the floor test.
+
+    The floor test is x_new.min() >= POSITIVITY_FLOOR; np.min propagates
+    NaN, which fails it.
+    """
     stages = [f(x)]
     for row in _FEHLBERG_A[1:]:
         xs = x + h * sum(a * s for a, s in zip(row, stages))
@@ -346,7 +368,8 @@ def _rkf45_step(f, x: list, h: float) -> tuple[list, float]:
     x_new = x + h * sum(b * s for b, s in zip(_FEHLBERG_B4, stages))
     err = h * sum(e * s for e, s in zip(_FEHLBERG_ERR, stages))
     scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-    return x_new.tolist(), float(np.max(np.abs(err) / scale))
+    above = bool(x_new.min() >= POSITIVITY_FLOOR)
+    return x_new, float(np.max(np.abs(err) / scale)), above
 
 
 def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> int:
@@ -370,8 +393,8 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
 
     For RK4 it takes the (xs, row, count, h) of _rk4_steps and returns its
     result. For RKF45 it takes (x, h), x a list of Python floats, and returns
-    the new state as a list and the error norm. The source holds only integer
-    indices, the names of locals and float literals: each rate, tolerance,
+    what _rkf45_step returns, the new state as a list. The source holds only
+    integer indices, the names of locals and float literals: each rate, tolerance,
     tableau entry and the floor is the repr of a float, never text from the
     spec file, and the names inf and nan in its namespace make every repr an
     expression. Each entry takes the array kernel's operations in its order.
@@ -383,6 +406,10 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
     def rhs(stage, y):
         return [f"k{stage}_{i} = {y}{i} * ({a!r} * {y}{j} + {b!r} * {y}{k})"
                 for i, (j, a, k, b) in enumerate(rows)]
+
+    def above(y):
+        # a NaN fails its comparison
+        return "(" + " and ".join(f"{y}{i} >= {POSITIVITY_FLOOR!r}" for i in ix) + ")"
 
     def weighted(weights, i):
         # left to right from the first term, zero weights kept (module docstring)
@@ -397,10 +424,7 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
         body += [f"x{i} = x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
                  for i in ix]
         body += [f"buf[p + {i}] = x{i}" for i in ix]
-        body += [
-            "if not (" + " and ".join(f"x{i} >= {POSITIVITY_FLOOR!r}" for i in ix) + "):",
-            f"    return p // {n} - row",
-        ]
+        body += ["if not " + above("x") + ":", f"    return p // {n} - row"]
         src = [
             "def step(xs, row, count, h):",
             'buf = memoryview(xs).cast("B").cast("d")',
@@ -426,7 +450,7 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
                 f" / ({ABS_TOL!r} + {REL_TOL!r} * (a if a >= b else b))",
                 "m = r if m == m and not r <= m else m",
             ]
-        src.append("return [" + ", ".join(f"z{i}" for i in ix) + "], m")
+        src.append("return [" + ", ".join(f"z{i}" for i in ix) + "], m, " + above("z"))
     namespace = {"inf": math.inf, "nan": math.nan}
     exec("\n    ".join(src), namespace)
     return namespace["step"]
@@ -437,65 +461,81 @@ def _step_limit(n: int) -> int:
     return min(MAX_STEPS, MAX_STORED_FLOATS // n)
 
 
-def _run_rk4(steps, x: list, cfg: IntegratorConfig):
-    """Fixed-step RK4 into arrays preallocated for every row; returns (t, x, None).
+def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
+    """Fixed-step RK4 from the state in xs[0]; yields (rows, None) for each block.
 
-    steps(xs, row, count, h) is _rk4_steps or its compiled form: the full
-    steps take one call and the tail step, if any, a second. A run of more
-    steps than _step_limit is refused with InputError before any allocation.
+    Each block writes up to len(xs) - 1 new rows after xs[0], and their
+    times into ts. steps(xs, row, count, h) is _rk4_steps or its compiled
+    form: a block's full steps take one call and the tail step, if any, a
+    second. A block that stopped at a failing row ends the run; otherwise its
+    last row is carried into xs[0] for the next. A run of more steps than
+    _step_limit is refused with InputError before the first step.
     """
     h = cfg.step
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
     remainder = cfg.t_end - n_full * h
-    tail = remainder > 1e-12 * cfg.t_end
-    limit = _step_limit(len(x))
-    if n_full + tail > limit:
-        raise InputError(f"{n_full + tail} steps exceed the limit of {limit} at n={len(x)}")
-    t = np.arange(n_full + tail + 1) * h
-    t[-1] = cfg.t_end
-    xs = np.empty((len(t), len(x)))
-    xs[0] = x
-    rows = 1 + steps(xs, 0, n_full, h)
-    if tail and rows == n_full + 1:
-        rows += steps(xs, n_full, 1, remainder)
-    return t[:rows], xs[:rows], None
+    total = n_full + (remainder > 1e-12 * cfg.t_end)
+    n = xs.shape[1]
+    if total > _step_limit(n):
+        raise InputError(f"{total} steps exceed the limit of {_step_limit(n)} at n={n}")
+    base = 0
+    while base < total:
+        count = min(len(xs) - 1, total - base)
+        full = min(count, n_full - base)
+        rows = steps(xs, 0, full, h)
+        if rows == full < count:
+            rows += steps(xs, full, 1, remainder)
+        ts[: rows + 1] = np.arange(base, base + rows + 1) * h
+        if base + rows == total:
+            ts[rows] = cfg.t_end
+        yield rows, None
+        if rows < count:
+            return
+        xs[0] = xs[rows]
+        base += rows
 
 
-def _run_rkf45(step, x: list, cfg: IntegratorConfig):
-    """Fehlberg 4(5), each accepted row appended to array('d'); returns (t, x, abort).
+def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
+    """Fehlberg 4(5) from the state x, which xs[0] holds; yields (rows, abort) per block.
 
-    step(x, h) is _rkf45_step or its compiled form; _step_limit bounds the steps.
+    step(x, h) is _rkf45_step, x an array, or its compiled form, x a list:
+    it returns the new state, its error norm and whether the state meets
+    POSITIVITY_FLOOR. Each accepted row goes into the next row of xs[1:]
+    and its time into ts. A block is yielded full, just before the row that
+    would not fit, so only the last one can be short. A row below the floor
+    ends the run; StepUnderflow, and StepLimitReached at _step_limit steps,
+    come with the last block.
     """
-    # imported here, so that an RK4 run does not load it (0.1 MB of peak RSS)
-    from array import array
-
-    limit = _step_limit(len(x))
-    ts, xs = array("d", [0.0]), array("d", x)
+    limit = _step_limit(xs.shape[1])
+    size = len(xs) - 1
     t = 0.0
     h = min(cfg.step, cfg.t_end)
-    abort = None
+    row = accepted = 0
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)
-        x_new, enorm = step(x, h)
+        x_new, enorm, above = step(x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
             x = x_new
-            if len(ts) > limit:
-                abort = StepLimitReached(t, limit)
-                break
-            ts.append(t)
-            xs.fromlist(x)
-            # min() of a list can skip a NaN, so test every entry
-            if not all(v >= POSITIVITY_FLOOR for v in x):
+            if accepted == limit:
+                yield row, StepLimitReached(t, limit)
+                return
+            if row == size:
+                yield row, None
+                row = 0
+            accepted += 1
+            row += 1
+            ts[row], xs[row] = t, x
+            if not above:
                 break
             h *= factor
         else:
             h *= factor
             if h < MIN_STEP:
-                abort = StepUnderflow(t, h)
-                break
-    return np.frombuffer(ts), np.frombuffer(xs).reshape(len(ts), -1), abort
+                yield row, StepUnderflow(t, h)
+                return
+    yield row, None
 
 
 def integrate(
@@ -503,12 +543,16 @@ def integrate(
     x0: Sequence,
     cfg: IntegratorConfig,
     basis: IntegralBasis,
+    sample_every: int = 1,
 ) -> Trajectory:
     """Integrate from an initial state at or above the floor up to cfg.t_end.
 
-    Returns the Trajectory of every accepted step, the initial state
-    included. Raises InputError up front for an x0 of the wrong length, a
-    NaN or infinite x0 entry or one below POSITIVITY_FLOOR, a nonzero rate
+    Returns the Trajectory of rows 0, sample_every, 2 * sample_every, ...
+    and the last row, and the largest drift of every row. The run steps,
+    evaluates and screens _BLOCK_ROWS rows at a time, so its memory is the
+    rows it keeps and one block. Raises InputError up front for a
+    sample_every that is not a positive integer, an x0 of the wrong length,
+    a NaN or infinite x0 entry or one below POSITIVITY_FLOOR, a nonzero rate
     or exponent whose float overflows or rounds to zero, an integral that
     leaves the float range at x0, and an RK4 run over its step limit, the
     lower of MAX_STEPS and MAX_STORED_FLOATS // n. During the run it raises
@@ -517,45 +561,68 @@ def integrate(
     integral's value or drift leaves the float range, StepUnderflow if the
     adaptive controller cannot satisfy its tolerances above MIN_STEP, and
     StepLimitReached if an adaptive run reaches its step limit; each
-    carries the Trajectory up to the failure as ``trajectory``.
+    carries the Trajectory up to the failure as ``trajectory``, sampled the
+    same way.
     """
+    if not (isinstance(sample_every, int) and sample_every >= 1):
+        raise InputError(f"sample_every must be a positive integer, got {sample_every!r}")
     x = _validate_x0(sys, x0)
     rk4 = cfg.method is Method.RK4_FIXED
     if sys.n <= _SCALAR_MAX_N:
-        step = _compiled_step(sys, rk4)
+        step, state = _compiled_step(sys, rk4), x.tolist()
     else:
-        step = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys))
+        step, state = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys)), x
+    xs, ts = np.empty((_BLOCK_ROWS + 1, sys.n)), np.empty(_BLOCK_ROWS + 1)
+    xs[0], ts[0] = x, 0.0
+    blocks = _rk4_blocks(step, xs, ts, cfg) if rk4 else _rkf45_blocks(step, state, xs, ts, cfg)
+    kept, max_drift = [], np.zeros(1 + len(basis.monomials))
+    # the index of xs[0] in the run, and the first row of xs a block adds
+    base = first = 0
     with np.errstate(all="ignore"):
-        outside = _values(x[None], basis)[1][0]
+        start, outside = _values(x[None], basis)
         if outside.any():
             raise InputError(
                 f"integral H{int(np.argmax(outside)) + 1} is outside the float range "
                 "at the initial state"
             )
-        t, xs, abort = (_run_rk4 if rk4 else _run_rkf45)(step, x.tolist(), cfg)
-        values, outside = _values(xs, basis)
-        # row 0 passed the range rule, so every start is a positive float
-        start = values[0]
-        drift = np.abs(values - start) / start
-        # +inf passes the loops' floor test, so every row is screened,
-        # in order: a coordinate not finite, one below the floor, an integral out of range
-        fails = np.column_stack((
-            ~np.isfinite(xs),
-            xs.min(axis=1) < POSITIVITY_FLOOR,
-            outside | ~np.isfinite(drift),
-        ))
-    if fails.any():
-        # the first failing row, and its first failure
-        row, column = divmod(int(np.argmax(fails)), fails.shape[1])
-        n, when = xs.shape[1], float(t[row])
-        if column < n:
-            abort = NonFiniteState(when, column + 1)
-        elif column == n:
-            abort = PositivityBreached(when, int(np.argmin(xs[row])) + 1)
-        else:
-            abort = IntegralOutOfRange(when, column - n)
-        t, xs, values, drift = t[:row], xs[:row], values[:row], drift[:row]
-    trajectory = Trajectory(t, xs, values, drift)
+        start = start[0]
+        for rows, abort in blocks:
+            block = xs[first : rows + 1]
+            values, outside = _values(block, basis)
+            # row 0 passed the range rule, so every start is a positive float
+            drift = np.abs(values - start) / start
+            # +inf passes the loops' floor test, so every row is screened,
+            # in order: a coordinate not finite, one below the floor, an integral out of range
+            fails = np.column_stack((
+                ~np.isfinite(block),
+                block.min(axis=1) < POSITIVITY_FLOOR,
+                outside | ~np.isfinite(drift),
+            ))
+            good = len(block)
+            if fails.any():
+                # the first failing row, and its first failure
+                row, column = divmod(int(np.argmax(fails)), fails.shape[1])
+                when = float(ts[first + row])
+                if column < sys.n:
+                    abort = NonFiniteState(when, column + 1)
+                elif column == sys.n:
+                    abort = PositivityBreached(when, int(np.argmin(block[row])) + 1)
+                else:
+                    abort = IntegralOutOfRange(when, column - sys.n)
+                good = row
+            if good:
+                # copies, as the next block overwrites xs and ts
+                columns = (ts[first : rows + 1], block, values, drift)
+                kept.append([c[-(base + first) % sample_every : good : sample_every].copy()
+                             for c in columns])
+                last = (base + first + good - 1, [c[good - 1 : good].copy() for c in columns])
+                max_drift = np.maximum(max_drift, drift[:good].max(axis=0))
+            if good < len(block):
+                break
+            base, first = base + rows, 1
+    if last[0] % sample_every:
+        kept.append(last[1])
+    trajectory = Trajectory(*map(np.concatenate, zip(*kept)), max_drift)
     if abort is not None:
         abort.trajectory = trajectory
         raise abort

@@ -366,8 +366,8 @@ class TestSimulate:
         x = np.full((3, 3), 0.5)
         drift = np.array([[0.0, 0.0], [np.nan, 1e-9], [1e-12, 0.0]])
 
-        def fake(system, x0, cfg, basis):
-            return sim.Trajectory(t, x, np.ones((3, 2)), drift)
+        def fake(system, x0, cfg, basis, sample_every):
+            return sim.Trajectory(t, x, np.ones((3, 2)), drift, np.array([np.nan, 1e-9]))
 
         monkeypatch.setattr(sim, "integrate", fake)
         code = main(
@@ -546,6 +546,35 @@ class TestSimulate:
         assert code == 0
         assert "status=ok" in summary.split()
         assert float(summary.split("max_drift_H1=")[1].split()[0]) < 1e-11
+
+    @pytest.mark.skipif(not _sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_sampled_run_memory_does_not_grow_with_steps(self, tmp_path):
+        # A run keeps only the rows it writes and one block, so 2e5 RK4 steps
+        # written every 1000th peak within 8 MB of 100 steps. Keeping every
+        # row costs 2e5 x 9 floats of state alone, 14 MB, and more for the
+        # integrals and the screen. The child reports VmHWM, the peak RSS of
+        # its own memory: its ru_maxrss would also count this process's RSS,
+        # which Linux carries across the exec that starts the child.
+        write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(9)])
+        child = (
+            "import sys; from cycliclv.cli import main; code = main(sys.argv[1:]); "
+            "status = open('/proc/self/status').read(); "
+            "print(code, status.split('VmHWM:')[1].split()[0])"
+        )
+        x0 = ",".join(repr(1 + 0.01 * (i % 5)) for i in range(9))
+        peaks = []
+        for t_end in ("0.1", "200"):
+            result = run_python(
+                ["-c", child, *SIM, "--x0", x0, "--step", "1e-3", "--t-end", t_end,
+                 "--sample-every", "1000"],
+                tmp_path,
+                timeout=120,
+            )
+            code, kib = result.stdout.splitlines()[-1].split()
+            assert code == b"0", stderr_of(result)
+            peaks.append(int(kib))
+        assert (tmp_path / "t.csv").read_text().count("\n") == 1 + 201
+        assert peaks[1] - peaks[0] < 8 * 1024, peaks
 
 
 WHEEL3 = '{"k": [2, 1, 3]}'
@@ -777,7 +806,7 @@ class TestDeterminism:
         traj = sim.Trajectory(table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:])
         names = ["H1", "H2", "H3"]
         path = tmp_path / "t.csv"
-        assert cli._write_csv(path, names, traj, 1) == 4
+        assert cli._write_csv(path, names, traj) == 4
         header = "t,x1,x2,x3,H1,H2,H3,drift_H1,drift_H2,drift_H3\n"
         rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
         assert path.read_bytes() == (header + rows).encode()

@@ -94,13 +94,13 @@ def _force_kernel(monkeypatch, kernel, n):
     monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "compiled" else n - 1)
 
 
-def _outcome(sys, x0, cfg, basis):
-    """The trajectory's arrays as bytes, and the abort's class and time or None."""
+def _outcome(sys, x0, cfg, basis, sample_every=1):
+    """The trajectory's arrays as bytes, its rows, and the abort's class and time or None."""
     try:
-        traj, abort = integrate(sys, x0, cfg, basis), None
+        traj, abort = integrate(sys, x0, cfg, basis, sample_every), None
     except sim.IntegrationAborted as exc:
         traj, abort = exc.trajectory, (type(exc), exc.t)
-    arrays = (traj.t, traj.x, traj.values, traj.drift)
+    arrays = (traj.t, traj.x, traj.values, traj.drift, traj.max_drift)
     return [a.tobytes() for a in arrays], len(traj.t), abort
 
 
@@ -447,10 +447,13 @@ class TestKernelsAgree:
         # stops at the failing row, and on the tail only if the full steps
         # all passed
         for steps in (_compiled_step(sys, True), partial(_rk4_steps, _rhs(sys))):
+            # one block holds the whole run
+            xs, ts = np.empty((round(t_end / step) + 2, 2)), np.empty(round(t_end / step) + 2)
+            xs[0] = 0.5
             with np.errstate(all="ignore"):
-                ts, xs, _ = sim._run_rk4(steps, np.array([0.5, 0.5]), cfg)
-            assert ts.tolist() == [i * step for i in range(rows)] + [t]
-            assert not (xs[-1] >= sim.POSITIVITY_FLOOR).all()
+                [(end, _)] = sim._rk4_blocks(steps, xs, ts, cfg)
+            assert ts[: end + 1].tolist() == [i * step for i in range(rows)] + [t]
+            assert not (xs[end] >= sim.POSITIVITY_FLOOR).all()
 
     def test_step_limit_on_both_kernels(self, monkeypatch):
         # 1100 steps go past the 1024 rows an adaptive run once allocated
@@ -485,11 +488,96 @@ class TestKernelsAgree:
         # bit is not compared.
         sys = make_system(rates)
         h = 1e-306
-        z, m = _compiled_step(sys, False)(x, h)
+        z, m, above = _compiled_step(sys, False)(x, h)
         with np.errstate(all="ignore"):
-            want = np.append(*sim._rkf45_step(_rhs(sys), np.array(x), h))
-        assert np.isnan(want).all()
+            want, norm, want_above = sim._rkf45_step(_rhs(sys), np.array(x), h)
+        assert np.isnan([*want, norm]).all()
         assert np.isnan([*z, m]).all()
+        assert above is want_above is False
+
+
+class TestBlocks:
+    """Blocks of any size give the bits of one block that holds the whole run.
+
+    A run's rows after row 0 fall in blocks of _BLOCK_ROWS, so with 7 a
+    failing row g is a block's first row when g % 7 == 1 and its last when
+    g % 7 == 0; with 1 it is both, and with 2 one or the other.
+    """
+
+    # rates, x0, method, step, t_end, and the row that fails or None
+    RUNS = {
+        # 20 full steps and a tail of 0.013
+        "rk4-n5": ([1, 2, 2, 1, 2], [1.0, 1.1, 0.9, 1.0, 1.05], "rk4", 0.05, 1.013, None),
+        "rk45-n5": ([1, 2, 2, 1, 2], [1.0, 1.1, 0.9, 1.0, 1.05], "rk45", 0.01, 1.0, None),
+        "rk4-n17": ([i % 3 + 1 for i in range(17)], [1 + 0.01 * (i % 5) for i in range(17)],
+                    "rk4", 0.05, 1.013, None),
+        "rk45-n17": ([i % 3 + 1 for i in range(17)], [1 + 0.01 * (i % 5) for i in range(17)],
+                     "rk45", 0.01, 0.5, None),
+        # x1 decays below the floor (see TestKernelsAgree.EXITS)
+        "rk4-mid": ([1, 5], [0.5, 0.5], "rk4", 0.05, 8.0, 139),
+        "rk4-first": ([1, 5], [0.5, 0.5], "rk4", 0.049, 8.0, 141),
+        "rk4-last": ([1, 5], [0.5, 0.5], "rk4", 0.047, 8.0, 147),
+        "rk45-mid": ([1, 5], [1e-7, 0.5], "rk45", 0.05, 20.0, 20),
+        "rk45-first": ([1, 5], [1e-9, 0.5], "rk45", 0.05, 20.0, 8),
+        "rk45-last": ([1, 5], [2e-8, 0.5], "rk45", 0.05, 20.0, 14),
+        "rk4-n17-mid": ([1, 5] + [1] * 15, [1e-6] + [0.5] * 16, "rk4", 0.05, 20.0, 136),
+    }
+
+    @staticmethod
+    def _same_in_any_block(sys, x0, cfg, sample_every, monkeypatch):
+        """The outcome of one 10 000-row block, required of blocks of 1, 2 and 7 rows."""
+        basis = integral_basis(sys)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 10_000)
+        want = _outcome(sys, x0, cfg, basis, sample_every)
+        for size in (1, 2, 7):
+            monkeypatch.setattr(sim, "_BLOCK_ROWS", size)
+            assert _outcome(sys, x0, cfg, basis, sample_every) == want
+        return want
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    @pytest.mark.parametrize("rates, x0, method, step, t_end, fails", RUNS.values(), ids=RUNS)
+    def test_bits_match_one_block(self, rates, x0, method, step, t_end, fails, sample_every,
+                                  monkeypatch):
+        cfg = IntegratorConfig(method, step=step, t_end=t_end)
+        _, rows, abort = self._same_in_any_block(make_system(rates), x0, cfg, sample_every,
+                                                 monkeypatch)
+        if fails is None:
+            assert abort is None
+        else:
+            assert abort[0] is PositivityBreached
+            # the rows before the failing one: 0, ..., fails - 1
+            assert rows == len({*range(0, fails, sample_every), fails - 1})
+
+    def test_step_limit_on_the_array_kernel(self, monkeypatch):
+        # the driver's abort comes with the last block; 20 steps fill the
+        # 2-row blocks exactly
+        monkeypatch.setattr(sim, "MAX_STEPS", 20)
+        sys = make_system([i % 3 + 1 for i in range(17)])
+        cfg = IntegratorConfig("rk45", step=0.01, t_end=10.0)
+        x0 = [1 + 0.01 * (i % 5) for i in range(17)]
+        # rows 0 to 20, or 0, 3, ..., 18 and 20
+        for sample_every, rows in ((1, 21), (3, 8)):
+            _, got, (kind, _) = self._same_in_any_block(sys, x0, cfg, sample_every, monkeypatch)
+            assert (got, kind) == (rows, StepLimitReached)
+
+    def test_sampled_rows_and_max_drift(self):
+        # every sample_every-th row and the last, and the drift maximum of every row
+        sys = make_system([2, 1, 3])
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig("rk4", step=0.01, t_end=1.0)
+        full = integrate(sys, [0.2, 0.3, 0.5], cfg, basis)
+        for k in (1, 3, 7, 100, 1000):
+            part = integrate(sys, [0.2, 0.3, 0.5], cfg, basis, k)
+            rows = sorted({*range(0, 101, k), 100})
+            for name in ("t", "x", "values", "drift"):
+                assert getattr(part, name).tobytes() == getattr(full, name)[rows].tobytes()
+            assert part.max_drift.tobytes() == full.drift.max(axis=0).tobytes()
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
+    def test_sample_every_must_be_a_positive_integer(self, bad):
+        sys = make_system([2, 1, 3])
+        with pytest.raises(InputError, match="sample_every must be a positive integer, got "):
+            integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(), integral_basis(sys), bad)
 
 
 class TestConvergenceOrder:
