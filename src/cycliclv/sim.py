@@ -16,43 +16,43 @@ Each driver has two kernels, picked once from n. Up to _SCALAR_MAX_N
 coordinates, _compiled_step writes straight-line Python source over the
 locals x0 ... x{n-1} and compiles it once per integrate call. For RK4 that
 source is the whole fixed-step loop: the locals carry the state from step
-to step, each new state goes into the block buffer through a memoryview,
-and the floor test is inline, x0 >= floor and x1 >= floor ..., which a NaN
-fails. Each step makes no numpy call and no list. For RKF45 it is one step
-on a list of floats, which the driver's loop calls, with the same inline
-floor test of the new state; the array step keeps its state an array and
-tests x.min() >= floor, where np.min propagates NaN. Each
-rate, tolerance, tableau entry and the floor enters the source as its
-repr, the shortest decimal that reads back as the same float, so each
-literal is exactly the float the array kernel uses. Because the floor and
-tolerances are baked in, the source is generated again on every call, not
-cached. The bound is 16, where the benchmarked systems sit. Long runs step
-faster compiled up to about 40 coordinates, but compiling costs
+to step, and each new state goes into the block buffer through a
+memoryview. Each step makes no numpy call and no list. For RKF45 it is one
+step on a list of floats, which _rkf45_blocks calls; the array step
+keeps its state an array. Each rate, tolerance and tableau entry enters the
+source as its repr, the shortest decimal that reads back as the same
+float, so each literal is exactly the float the array kernel uses. Because
+the tolerances are baked in, the source is generated again on every call,
+not cached. The bound is 16, where the benchmarked systems sit. Long runs
+step faster compiled up to about 40 coordinates, but compiling costs
 milliseconds per run, so larger systems keep the array kernel until short
 runs there are measured. There the RK4 loop is _rk4_steps, which takes the
-compiled loop's arguments and returns its result. Both kernels give the
-same bits. The compiled code does the array kernel's operations per entry
-in the same order: each RHS entry as xi * (a * xj + b * xk), (0.5*h)*k,
-then (h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum left to
-right, as sum() adds the arrays, zero weights kept so that a NaN or inf
-stage still reaches every sum, never with sum() over floats, which rounds
-with compensation from Python 3.12 on, or math.fsum. sum() starts from int
-0 and the compiled sum from its first term, which saves a slow int + float
+compiled loop's arguments. Both kernels give the same bits. The compiled
+code does the array kernel's operations per entry in the same order: each
+RHS entry as xi * (a * xj + b * xk), (0.5*h)*k, then
+(h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum left to right, as
+sum() adds the arrays, zero weights kept so that a NaN or inf stage still
+reaches every sum, never with sum() over floats, which rounds with
+compensation from Python 3.12 on, or math.fsum. sum() starts from int 0
+and the compiled sum from its first term, which saves a slow int + float
 add per sum; the two differ only in the sign of an exact zero sum, which
 x + h * sum drops for the positive x and abs drops from the error. Its
-error norm keeps a NaN as np.maximum and np.max do, and its floor tests
-check every entry, since min() can skip a NaN: a lost NaN would turn a
-StepUnderflow into a NonFiniteState.
+error norm keeps a NaN as np.maximum and np.max do, so neither kernel
+accepts a NaN state: a lost NaN would turn a StepUnderflow into a
+NonFiniteState.
 
-The positive orthant is invariant for the true flow; a coordinate crossing
-zero can only be a numerical artifact, so integration halts with
-PositivityBreached as soon as any coordinate falls below POSITIVITY_FLOOR,
-and with NonFiniteState when one becomes NaN or infinite. The initial state
-must meet the same floor, or it is refused with InputError. Every value and
-drift of a row must be finite, and each monomial's s = lam . log x must lie
-in LOG_RANGE, so that exp(s) neither overflows nor underflows: an initial
-state that breaks this is refused with InputError, and a later row ends the
-run with IntegralOutOfRange. These runtime aborts, the IntegrationAborted
+The kernels only step; integrate screens every row. The positive orthant
+is invariant for the true flow; a coordinate crossing zero can only be a
+numerical artifact, so the run ends with PositivityBreached at the first
+row with a coordinate below POSITIVITY_FLOOR, and with NonFiniteState at
+the first with a NaN or infinite one. A run that fails steps on to the end
+of the failing row's block, at most _BLOCK_ROWS rows, before the screen
+finds that row. The initial state must meet the same floor, or it is
+refused with InputError. Every value and drift of a row must be finite,
+and each monomial's s = lam . log x must lie in LOG_RANGE, so that exp(s)
+neither overflows nor underflows: an initial state that breaks this is
+refused with InputError, and a later row ends the run with
+IntegralOutOfRange. These runtime aborts, the IntegrationAborted
 subclasses defined here, carry the partial Trajectory, cut before the
 failing row, on the exception. The float work runs with numpy's
 floating-point warnings off: an overflow or NaN it meets is reported by one
@@ -65,6 +65,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from numbers import Real
 from sys import float_info
 from typing import Callable, Sequence
 
@@ -89,9 +90,11 @@ __all__ = [
 # The range of s = lam . log x whose exp(s) is a finite normal float.
 LOG_RANGE = (math.log(float_info.min), math.log(float_info.max))
 
-# Most steps one run may take, and most state floats it may store, so that
-# only n > 16 gets fewer steps. A fixed-step run that needs more is refused;
-# an adaptive run that reaches the limit aborts.
+# Most steps one run may take, and most state floats, n per step, it may
+# compute, so that only n > 16 gets fewer steps. MAX_STORED_FLOATS // n
+# bounds n * steps, a run's work, not only the floats a run that kept every
+# row would store, so it holds for a sampled run too. A fixed-step run that
+# needs more is refused; an adaptive run that reaches the limit aborts.
 MAX_STEPS = 10_000_000
 MAX_STORED_FLOATS = 16 * MAX_STEPS
 
@@ -176,9 +179,9 @@ class IntegratorConfig(_Record):
     ``step`` is the fixed step for RK4 and the initial trial step for the
     adaptive pair, which controls it with REL_TOL, ABS_TOL and MIN_STEP.
     ``method`` takes a Method or its value ("rk4", "rk45"). ``step`` and
-    ``t_end`` must be finite and positive, and an RK4 run may need at most
-    MAX_STEPS steps. Anything else, an unknown method, NaN and infinity
-    included, raises InputError, which is a ValueError.
+    ``t_end`` must be real numbers, finite and positive, and an RK4 run may
+    need at most MAX_STEPS steps. Anything else, an unknown method, a str,
+    NaN and infinity included, raises InputError, which is a ValueError.
     """
 
     __slots__ = ("method", "step", "t_end")
@@ -190,11 +193,15 @@ class IntegratorConfig(_Record):
             method = Method(method)
         except ValueError as exc:
             raise InputError(str(exc)) from None
+        step, t_end = _float(step, "step"), _float(t_end, "t_end")
         for name, value in (("step", step), ("t_end", t_end)):
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
         ratio = t_end / step
-        # the negated test also refuses an infinite ratio
+        # This test needs no n, so it runs here, before _rk4_blocks'
+        # stricter _step_limit(n). The negated test also refuses an infinite
+        # ratio, such as 1e300 / 1e-300, on which _rk4_blocks'
+        # int(math.floor(...)) would raise OverflowError.
         if method is Method.RK4_FIXED and not ratio <= MAX_STEPS:
             raise InputError(f"t_end/step = {ratio:.17g} exceeds the limit of {MAX_STEPS} steps")
         super().__init__(method, step, t_end)
@@ -227,6 +234,16 @@ class Trajectory(_Record):
         if max_drift is None:
             max_drift = drift.max(axis=0)
         super().__init__(t, x, values, drift, max_drift)
+
+
+def _float(value, what: str) -> float:
+    """float(value) for a real number in the float range, else InputError naming what."""
+    if isinstance(value, Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InputError(f"{what} is not a real number within the float range")
 
 
 def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
@@ -321,7 +338,7 @@ def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray
 
 
 def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
-    x = np.asarray([float(v) for v in x0], dtype=float)
+    x = np.asarray([_float(v, f"initial state entry x{i}") for i, v in enumerate(x0, 1)])
     if x.shape != (sys.n,):
         raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     # NaN fails every comparison, so test for the one good range
@@ -355,12 +372,8 @@ _FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FEHLBERG_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float, bool]:
-    """One Fehlberg 4(5) step: the fourth-order state, its error norm, and the floor test.
-
-    The floor test is x_new.min() >= POSITIVITY_FLOOR; np.min propagates
-    NaN, which fails it.
-    """
+def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """One Fehlberg 4(5) step: the fourth-order state and its error norm."""
     stages = [f(x)]
     for row in _FEHLBERG_A[1:]:
         xs = x + h * sum(a * s for a, s in zip(row, stages))
@@ -368,36 +381,27 @@ def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float, bool]:
     x_new = x + h * sum(b * s for b, s in zip(_FEHLBERG_B4, stages))
     err = h * sum(e * s for e, s in zip(_FEHLBERG_ERR, stages))
     scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-    above = bool(x_new.min() >= POSITIVITY_FLOOR)
-    return x_new, float(np.max(np.abs(err) / scale)), above
+    return x_new, float(np.max(np.abs(err) / scale))
 
 
-def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> int:
-    """count RK4 steps of h from row ``row`` of xs, each new state in the next row.
-
-    Returns the rows written: count, or fewer when a state falls below
-    POSITIVITY_FLOOR or is NaN, that state's row the last one written.
-    """
+def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
+    """count RK4 steps of h from row ``row`` of xs, each new state in the next row."""
     x = xs[row]
-    for r in range(1, count + 1):
+    for r in range(row + 1, row + count + 1):
         x = _rk4_step(f, x, h)
-        xs[row + r] = x
-        # np.min propagates NaN, which fails the comparison
-        if not x.min() >= POSITIVITY_FLOOR:
-            return r
-    return count
+        xs[r] = x
 
 
 def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
     """_rk4_steps or _rkf45_step of sys as compiled straight-line Python.
 
-    For RK4 it takes the (xs, row, count, h) of _rk4_steps and returns its
-    result. For RKF45 it takes (x, h), x a list of Python floats, and returns
-    what _rkf45_step returns, the new state as a list. The source holds only
-    integer indices, the names of locals and float literals: each rate, tolerance,
-    tableau entry and the floor is the repr of a float, never text from the
-    spec file, and the names inf and nan in its namespace make every repr an
-    expression. Each entry takes the array kernel's operations in its order.
+    For RK4 it takes the (xs, row, count, h) of _rk4_steps. For RKF45 it
+    takes (x, h), x a list of Python floats, and returns what _rkf45_step
+    returns, the new state as a list. The source holds only integer indices,
+    the names of locals and float literals: each rate, tolerance and tableau
+    entry is the repr of a float, never text from the spec file, and the
+    names inf and nan in its namespace make every repr an expression. Each
+    entry takes the array kernel's operations in its order.
     """
     rows = list(zip(*(v.tolist() for v in _terms(sys))))
     n = len(rows)
@@ -406,10 +410,6 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
     def rhs(stage, y):
         return [f"k{stage}_{i} = {y}{i} * ({a!r} * {y}{j} + {b!r} * {y}{k})"
                 for i, (j, a, k, b) in enumerate(rows)]
-
-    def above(y):
-        # a NaN fails its comparison
-        return "(" + " and ".join(f"{y}{i} >= {POSITIVITY_FLOOR!r}" for i in ix) + ")"
 
     def weighted(weights, i):
         # left to right from the first term, zero weights kept (module docstring)
@@ -424,7 +424,6 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
         body += [f"x{i} = x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
                  for i in ix]
         body += [f"buf[p + {i}] = x{i}" for i in ix]
-        body += ["if not " + above("x") + ":", f"    return p // {n} - row"]
         src = [
             "def step(xs, row, count, h):",
             'buf = memoryview(xs).cast("B").cast("d")',
@@ -433,7 +432,6 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
             "sixth = h / 6.0",
             f"for p in range((row + 1) * {n}, (row + 1 + count) * {n}, {n}):",
             *("    " + line for line in body),
-            "return count",
         ]
     else:
         src = ["def step(x, h):", unpack + "x", *rhs(1, "x")]
@@ -441,8 +439,10 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
             src += [f"y{i} = x{i} + h * {weighted(row, i)}" for i in ix] + rhs(stage, "y")
         src += [f"z{i} = x{i} + h * {weighted(_FEHLBERG_B4, i)}" for i in ix] + ["m = 0.0"]
         for i in ix:
-            # x passed the floor test, so only z can be NaN, and a >= NaN is
-            # False; a NaN ratio replaces m, and a NaN m stays, as in np.max
+            # a >= NaN is False, so a NaN in z makes its ratio NaN; a NaN
+            # ratio replaces m, and a NaN m stays, as in np.max. So
+            # _rkf45_blocks never accepts a NaN state, and x, an accepted
+            # state, is not NaN.
             src += [
                 f"a = abs(x{i})",
                 f"b = abs(z{i})",
@@ -450,7 +450,7 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
                 f" / ({ABS_TOL!r} + {REL_TOL!r} * (a if a >= b else b))",
                 "m = r if m == m and not r <= m else m",
             ]
-        src.append("return [" + ", ".join(f"z{i}" for i in ix) + "], m, " + above("z"))
+        src.append("return [" + ", ".join(f"z{i}" for i in ix) + "], m")
     namespace = {"inf": math.inf, "nan": math.nan}
     exec("\n    ".join(src), namespace)
     return namespace["step"]
@@ -467,9 +467,9 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
     times into ts. steps(xs, row, count, h) is _rk4_steps or its compiled
     form: a block's full steps take one call and the tail step, if any, a
-    second. A block that stopped at a failing row ends the run; otherwise its
-    last row is carried into xs[0] for the next. A run of more steps than
-    _step_limit is refused with InputError before the first step.
+    second. Each block's last row is carried into xs[0] for the next. A run
+    of more steps than _step_limit is refused with InputError before the
+    first step.
     """
     h = cfg.step
     n_full = int(math.floor(cfg.t_end / h + 1e-9))
@@ -482,29 +482,26 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     while base < total:
         count = min(len(xs) - 1, total - base)
         full = min(count, n_full - base)
-        rows = steps(xs, 0, full, h)
-        if rows == full < count:
-            rows += steps(xs, full, 1, remainder)
-        ts[: rows + 1] = np.arange(base, base + rows + 1) * h
-        if base + rows == total:
-            ts[rows] = cfg.t_end
-        yield rows, None
-        if rows < count:
-            return
-        xs[0] = xs[rows]
-        base += rows
+        steps(xs, 0, full, h)
+        if full < count:
+            steps(xs, full, 1, remainder)
+        ts[: count + 1] = np.arange(base, base + count + 1) * h
+        if base + count == total:
+            ts[count] = cfg.t_end
+        yield count, None
+        xs[0] = xs[count]
+        base += count
 
 
 def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     """Fehlberg 4(5) from the state x, which xs[0] holds; yields (rows, abort) per block.
 
     step(x, h) is _rkf45_step, x an array, or its compiled form, x a list:
-    it returns the new state, its error norm and whether the state meets
-    POSITIVITY_FLOOR. Each accepted row goes into the next row of xs[1:]
-    and its time into ts. A block is yielded full, just before the row that
-    would not fit, so only the last one can be short. A row below the floor
-    ends the run; StepUnderflow, and StepLimitReached at _step_limit steps,
-    come with the last block.
+    it returns the new state and its error norm. Each accepted row goes into
+    the next row of xs[1:] and its time into ts. A block is yielded full,
+    just before the row that would not fit, so only the last one can be
+    short. StepUnderflow, and StepLimitReached at _step_limit steps, come
+    with the last block.
     """
     limit = _step_limit(xs.shape[1])
     size = len(xs) - 1
@@ -513,7 +510,7 @@ def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig
     row = accepted = 0
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)
-        x_new, enorm, above = step(x, h)
+        x_new, enorm = step(x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
@@ -527,14 +524,10 @@ def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig
             accepted += 1
             row += 1
             ts[row], xs[row] = t, x
-            if not above:
-                break
-            h *= factor
-        else:
-            h *= factor
-            if h < MIN_STEP:
-                yield row, StepUnderflow(t, h)
-                return
+        elif h * factor < MIN_STEP:
+            yield row, StepUnderflow(t, h * factor)
+            return
+        h *= factor
     yield row, None
 
 
@@ -552,10 +545,11 @@ def integrate(
     evaluates and screens _BLOCK_ROWS rows at a time, so its memory is the
     rows it keeps and one block. Raises InputError up front for a
     sample_every that is not a positive integer, an x0 of the wrong length,
-    a NaN or infinite x0 entry or one below POSITIVITY_FLOOR, a nonzero rate
-    or exponent whose float overflows or rounds to zero, an integral that
-    leaves the float range at x0, and an RK4 run over its step limit, the
-    lower of MAX_STEPS and MAX_STORED_FLOATS // n. During the run it raises
+    an x0 entry that is not a real number in the float range, is NaN or
+    infinite, or is below POSITIVITY_FLOOR, a nonzero rate or exponent
+    whose float overflows or rounds to zero, an integral that leaves the
+    float range at x0, and an RK4 run over its step limit, the lower of
+    MAX_STEPS and MAX_STORED_FLOATS // n. During the run it raises
     PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
     NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
     integral's value or drift leaves the float range, StepUnderflow if the
@@ -591,8 +585,8 @@ def integrate(
             values, outside = _values(block, basis)
             # row 0 passed the range rule, so every start is a positive float
             drift = np.abs(values - start) / start
-            # +inf passes the loops' floor test, so every row is screened,
-            # in order: a coordinate not finite, one below the floor, an integral out of range
+            # each row, in order: a coordinate not finite, one below the
+            # floor, an integral out of range
             fails = np.column_stack((
                 ~np.isfinite(block),
                 block.min(axis=1) < POSITIVITY_FLOOR,

@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from cycliclv import (
     make_system,
 )
 from cycliclv import sim
-from cycliclv.sim import _compiled_step, _rhs, _rk4_step, _rk4_steps
+from cycliclv.sim import _compiled_step, _rhs, _rk4_step
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -75,6 +74,36 @@ class TestConfig:
         assert cfg.method is Method.ADAPTIVE_RK45
 
 
+class TestFloatInput:
+    """x0 entries and config fields are real numbers with a float, or an InputError names them."""
+
+    # float() overflows, cannot parse, or takes no such type; a str is
+    # refused even when it would parse
+    BAD = {"int-10e400": 10**400, "fraction-10e400": Fraction(10**400), "str": "a",
+           "numeric-str": "1e-3", "none": None, "complex": 1j}
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD)
+    def test_initial_state_entry(self, bad):
+        sys = make_system([2, 1, 3])
+        refused = "^initial state entry x2 is not a real number within the float range$"
+        with pytest.raises(InputError, match=refused):
+            integrate(sys, [0.5, bad, 0.5], IntegratorConfig(), integral_basis(sys))
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD)
+    @pytest.mark.parametrize("field", ["step", "t_end"])
+    def test_config_field(self, field, bad):
+        refused = f"^{field} is not a real number within the float range$"
+        with pytest.raises(InputError, match=refused):
+            IntegratorConfig(**{field: bad})
+
+    def test_real_numbers_of_any_type_are_taken(self):
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig(step=Fraction(1, 100), t_end=np.float32(1))
+        assert (cfg.step, cfg.t_end) == (0.01, 1.0)
+        traj = integrate(sys, [Fraction(1, 5), np.float64(0.3), 1], cfg, integral_basis(sys))
+        assert traj.x[0].tolist() == [0.2, 0.3, 1.0]
+
+
 def _reference_rhs(sys, x):
     """The float field as it was first written, term by term."""
     n = sys.n
@@ -104,6 +133,17 @@ def _outcome(sys, x0, cfg, basis, sample_every=1):
     return [a.tobytes() for a in arrays], len(traj.t), abort
 
 
+def _on_both_kernels(monkeypatch, sys, x0, cfg):
+    """The rows and abort of a run, whose outcome both kernels must give in the same bits."""
+    basis = integral_basis(sys)
+    got = []
+    for kernel in KERNELS:
+        _force_kernel(monkeypatch, kernel, sys.n)
+        got.append(_outcome(sys, x0, cfg, basis))
+    assert got[0] == got[1]
+    return got[0][1:]
+
+
 class TestRhsAgreesWithModel:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_bits_match_reference(self, n):
@@ -123,7 +163,7 @@ class TestRhsAgreesWithModel:
             # must match the array step on the reference field
             step = _rk4_step(lambda y: _reference_rhs(sys, y), x, 0.01).tobytes()
             xs = np.array([x, np.nan * x])
-            assert _compiled_step(sys, True)(xs, 0, 1, 0.01) == 1
+            _compiled_step(sys, True)(xs, 0, 1, 0.01)
             assert xs[1].tobytes() == step
 
     def test_matches_vector_field(self):
@@ -239,7 +279,7 @@ class TestIntegrate:
         assert np.isfinite(event.trajectory.values).all()
 
     def test_infinite_coordinate_aborts(self, monkeypatch):
-        # +inf passes the floor test, so the stored states are screened too.
+        # +inf is not below the floor, so only the finite test catches it.
         # Poisoned terms hold x1 and x3 fixed and make x2' = 1e27 * x1 * x2,
         # whose RK4 step of 0.1 multiplies x2 by about 7e99: the fourth step
         # overflows x2 to +inf, which stays +inf to t_end. With rates 1,
@@ -344,14 +384,8 @@ class TestKernelsAgree:
     def test_bits_match(self, n, cfg, monkeypatch):
         rng = random.Random(700 + n)
         sys = random_system(rng, n, lo=1, hi=2)
-        basis = integral_basis(sys)
         x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
-        got = {}
-        for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, n)
-            got[kernel] = _outcome(sys, x0, cfg, basis)
-        assert got["compiled"] == got["array"]
-        _, rows, abort = got["array"]
+        rows, abort = _on_both_kernels(monkeypatch, sys, x0, cfg)
         assert abort is None
         if cfg.method is Method.RK4_FIXED:
             assert rows == 22  # x0, 20 full steps and the tail
@@ -374,18 +408,12 @@ class TestKernelsAgree:
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_literal_rates(self, rates, unit, method, monkeypatch):
         sys = make_system(rates)
-        basis = integral_basis(sys)
         x0 = [0.5 + 0.1 * i for i in range(sys.n)]
         if method == "rk4":
             cfg = IntegratorConfig(method, step=0.05 * unit, t_end=1.013 * unit)
         else:
             cfg = IntegratorConfig(method, step=1e-3 * unit, t_end=unit)
-        got = {}
-        for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, sys.n)
-            got[kernel] = _outcome(sys, x0, cfg, basis)
-        assert got["compiled"] == got["array"]
-        _, rows, abort = got["array"]
+        rows, abort = _on_both_kernels(monkeypatch, sys, x0, cfg)
         assert abort is None
         assert rows == 22 if method == "rk4" else rows > 100
 
@@ -397,7 +425,6 @@ class TestKernelsAgree:
         # every retry and end in StepUnderflow at t = 0. A max() that skips
         # the NaN accepts the NaN state and ends in NonFiniteState instead.
         sys = make_system([1, 2] * 8)
-        basis = integral_basis(sys)
         cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1.0)
         terms = sim._terms
 
@@ -408,12 +435,7 @@ class TestKernelsAgree:
             return j1, c1, j2, c2
 
         monkeypatch.setattr(sim, "_terms", poisoned)
-        got = {}
-        for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, sys.n)
-            got[kernel] = _outcome(sys, [1 / 16] * 16, cfg, basis)
-        assert got["compiled"] == got["array"]
-        _, rows, (kind, t) = got["array"]
+        rows, (kind, t) = _on_both_kernels(monkeypatch, sys, [1 / 16] * 16, cfg)
         assert kind is StepUnderflow
         assert rows == 1
         assert t == 0.0
@@ -431,29 +453,60 @@ class TestKernelsAgree:
     @pytest.mark.parametrize("step, t_end, kind, t", EXITS.values(), ids=EXITS)
     @pytest.mark.parametrize("rates", [(1, 5), (5, 1)], ids=["x1-decays", "x2-decays"])
     def test_rk4_exits(self, rates, step, t_end, kind, t, monkeypatch):
-        sys = make_system(rates)
-        basis = integral_basis(sys)
         cfg = IntegratorConfig("rk4", step=step, t_end=t_end)
-        got = {}
-        for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, sys.n)
-            got[kernel] = _outcome(sys, [0.5, 0.5], cfg, basis)
-        assert got["compiled"] == got["array"]
-        _, rows, abort = got["array"]
+        rows, abort = _on_both_kernels(monkeypatch, make_system(rates), [0.5, 0.5], cfg)
         assert abort == (kind, t)
         assert rows == round(t / step)
-        # the screen cuts a run that went on past the failing row to the same
-        # trajectory, so each loop's own exit is checked on its rows: it
-        # stops at the failing row, and on the tail only if the full steps
-        # all passed
-        for steps in (_compiled_step(sys, True), partial(_rk4_steps, _rhs(sys))):
-            # one block holds the whole run
-            xs, ts = np.empty((round(t_end / step) + 2, 2)), np.empty(round(t_end / step) + 2)
-            xs[0] = 0.5
-            with np.errstate(all="ignore"):
-                [(end, _)] = sim._rk4_blocks(steps, xs, ts, cfg)
-            assert ts[: end + 1].tolist() == [i * step for i in range(rows)] + [t]
-            assert not (xs[end] >= sim.POSITIVITY_FLOOR).all()
+
+    # The adaptive pair on the same systems from (x1, 0.5) and its mirror
+    # image: the step grows while the small coordinate decays, and the
+    # failing row comes after `rows` rows at t.
+    RK45_BREACHES = {
+        "from-1e-7": (1e-7, 6.505346296972088, 20),
+        "from-1e-9": (1e-9, 3.9581986048469178, 8),
+    }
+
+    @pytest.mark.parametrize("x1, t, rows", RK45_BREACHES.values(), ids=RK45_BREACHES)
+    @pytest.mark.parametrize("mirror", [False, True], ids=["x1-decays", "x2-decays"])
+    def test_rk45_breaches(self, mirror, x1, t, rows, monkeypatch):
+        rates, x0 = ((5, 1), [0.5, x1]) if mirror else ((1, 5), [x1, 0.5])
+        cfg = IntegratorConfig("rk45", step=0.05, t_end=20.0)
+        assert _on_both_kernels(monkeypatch, make_system(rates), x0, cfg) == (
+            rows, (PositivityBreached, t))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "method, x1, t_end, fails", [("rk4", 0.5, 8.0, 139), ("rk45", 1e-7, 20.0, 20)],
+        ids=["rk4", "rk45"],
+    )
+    def test_failing_run_steps_at_most_one_block_past(self, method, x1, t_end, fails, kernel,
+                                                      monkeypatch):
+        # The kernels step on past the failing row to the end of its block,
+        # where the screen finds it. Each wrapped kernel counts the steps it
+        # takes: for RK4 the count it is asked for, for RKF45 each step whose
+        # error norm _rkf45_blocks accepts.
+        rk4 = method == "rk4"
+        taken = 0
+
+        def counted(step):
+            def counting(*args):
+                nonlocal taken
+                out = step(*args)
+                taken += args[-2] if rk4 else out[1] <= 1.0
+                return out
+            return counting
+
+        compiled = sim._compiled_step
+        monkeypatch.setattr(sim, "_compiled_step", lambda s, fixed: counted(compiled(s, fixed)))
+        monkeypatch.setattr(sim, "_rk4_steps", counted(sim._rk4_steps))
+        monkeypatch.setattr(sim, "_rkf45_step", counted(sim._rkf45_step))
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
+        _force_kernel(monkeypatch, kernel, 2)
+        sys = make_system([1, 5])
+        cfg = IntegratorConfig(method, step=0.05, t_end=t_end)
+        _, rows, abort = _outcome(sys, [x1, 0.5], cfg, integral_basis(sys))
+        assert (rows, abort[0]) == (fails, PositivityBreached)
+        assert fails <= taken <= fails + 7
 
     def test_step_limit_on_both_kernels(self, monkeypatch):
         # 1100 steps go past the 1024 rows an adaptive run once allocated
@@ -462,15 +515,9 @@ class TestKernelsAgree:
         n = sim._SCALAR_MAX_N
         rng = random.Random(716)
         sys = random_system(rng, n, lo=1, hi=2)
-        basis = integral_basis(sys)
         x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
         cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1e3)
-        got = {}
-        for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, n)
-            got[kernel] = _outcome(sys, x0, cfg, basis)
-        assert got["compiled"] == got["array"]
-        _, rows, (kind, _) = got["array"]
+        rows, (kind, _) = _on_both_kernels(monkeypatch, sys, x0, cfg)
         assert kind is StepLimitReached
         assert rows == sim.MAX_STEPS + 1
 
@@ -488,12 +535,11 @@ class TestKernelsAgree:
         # bit is not compared.
         sys = make_system(rates)
         h = 1e-306
-        z, m, above = _compiled_step(sys, False)(x, h)
+        z, m = _compiled_step(sys, False)(x, h)
         with np.errstate(all="ignore"):
-            want, norm, want_above = sim._rkf45_step(_rhs(sys), np.array(x), h)
+            want, norm = sim._rkf45_step(_rhs(sys), np.array(x), h)
         assert np.isnan([*want, norm]).all()
         assert np.isnan([*z, m]).all()
-        assert above is want_above is False
 
 
 class TestBlocks:
@@ -521,6 +567,9 @@ class TestBlocks:
         "rk45-first": ([1, 5], [1e-9, 0.5], "rk45", 0.05, 20.0, 8),
         "rk45-last": ([1, 5], [2e-8, 0.5], "rk45", 0.05, 20.0, 14),
         "rk4-n17-mid": ([1, 5] + [1] * 15, [1e-6] + [0.5] * 16, "rk4", 0.05, 20.0, 136),
+        # x3 decays below the floor on the array kernel's adaptive pair
+        "rk45-n17-mid": ([1, 5] + [1] * 15, [1e-6, 0.5, 2e-12] + [0.5] * 14, "rk45", 0.05, 20.0,
+                         90),
     }
 
     @staticmethod
