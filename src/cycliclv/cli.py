@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import darboux
-from .model import CyclicLVSystem, InputError, ZeroParameter, as_fraction
+from .model import REASON_BYTES, CyclicLVSystem, InputError, _excerpt, make_system
 
 if TYPE_CHECKING:
     from . import sim, verify
@@ -40,36 +40,14 @@ DEFAULT_CHECK_SAMPLES = 32
 # Rows of a trajectory that _write_csv formats at a time.
 _CSV_BLOCK_ROWS = 4096
 
-# Most bytes of a refused value that an error line echoes, and of a reason
-# that may repeat the value; longer text is cut to its head and its size,
-# which keeps every error line under 300 bytes.
-VALUE_BYTES = 64
-REASON_BYTES = 2 * VALUE_BYTES
-
-
-def _excerpt(text: object, limit: int = VALUE_BYTES) -> str:
-    """str(text) if its UTF-8 form fits in limit bytes, else its head and its size.
-
-    Each non-printable character, a line break included, is escaped as repr
-    escapes it, so the text stays on one line.
-    """
-    text = "".join(
-        c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
-        for c in str(text)
-    )
-    data = text.encode("utf-8")
-    if len(data) <= limit:
-        return text
-    tail = f"... ({len(data)} bytes)"
-    return data[: limit - len(tail)].decode("utf-8", "ignore") + tail
-
 
 def load_system_spec(path: str | Path) -> CyclicLVSystem:
     """Read a {"k": [...]} JSON file into a system.
 
-    The file is parsed here, entry by entry so that a parse error names its
-    position; the rate count and nonzero rates are CyclicLVSystem's checks.
-    Each message echoes at most a bounded excerpt of the path and the entry.
+    The file is read and parsed as JSON here, and each message echoes at
+    most a bounded excerpt of the path. The "k" list goes to make_system,
+    which converts and names a refused entry, and CyclicLVSystem refuses
+    fewer than two rates or a zero one.
     """
     name = _excerpt(path)
     try:
@@ -79,7 +57,7 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
         raise InputError(f"cannot read system file {name}: {reason}") from exc
     try:
         # parse_float sees the raw literal, so decimals convert exactly; a
-        # Decimal costs the same for any exponent, and as_fraction refuses
+        # Decimal costs the same for any exponent, and make_system refuses
         # one too long to build
         data = json.loads(text, parse_float=Decimal)
     except (ValueError, RecursionError) as exc:
@@ -90,24 +68,7 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
         raise InputError(f"{name} holds a number with an out-of-range exponent") from exc
     if not isinstance(data, dict) or not isinstance(data.get("k"), list):
         raise InputError(f'{name} must be a JSON object with a "k" list')
-    rates = []
-    for pos, entry in enumerate(data["k"], start=1):
-        try:
-            rates.append(as_fraction(entry))
-        except InputError as exc:
-            raise InputError(
-                f"entry {pos}: cannot parse {_excerpt(repr(entry))} as a rational "
-                f"({_excerpt(exc, REASON_BYTES)})"
-            )
-    try:
-        return CyclicLVSystem(tuple(rates))
-    except ZeroParameter as exc:
-        raise InputError(f"entry {exc.index}: rate parameters must be nonzero") from exc
-
-
-def _fmt(value: float) -> str:
-    """Round-trip-safe float rendering (17 significant digits)."""
-    return format(float(value), ".17g")
+    return make_system(data["k"])
 
 
 def _monomial_text(name: str, mono: darboux.MonomialIntegral) -> list[str]:
@@ -260,7 +221,6 @@ def _write_csv(path: str | Path, names: list[str], trajectory: sim.Trajectory) -
         + [f"drift_{name}" for name in names]
     )
     columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
-    # "%.17g" % v gives the bytes of _fmt(v), nan, inf and -0.0 included
     template = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -315,15 +275,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise
 
     rows = _write_csv(args.out, names, trajectory)
-    drift_parts = [
-        f"max_drift_{name}={_fmt(value)}"
-        for name, value in zip(names, trajectory.max_drift.tolist())
-    ]
-    print(
-        f"summary: rows={rows} t_final={_fmt(trajectory.t[-1])} "
-        + " ".join(drift_parts)
-        + f" status={status}"
+    drift = " ".join(
+        "max_drift_%s=%.17g" % pair for pair in zip(names, trajectory.max_drift.tolist())
     )
+    print("summary: rows=%d t_final=%.17g %s status=%s" % (rows, trajectory.t[-1], drift, status))
     return exit_code
 
 

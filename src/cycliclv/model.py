@@ -15,7 +15,8 @@ of a row land on the same coordinate and are summed, e.g.
 dx1/dt = (k1 - k2) x1 x2.
 
 Every error the package raises is a CyclicLVError; refused input of any
-kind is an InputError, defined here with the rate checks that raise it.
+kind is an InputError, defined here with the rate checks that raise it and
+the bound on how much of a refused value its message echoes.
 The package's immutable value types share the base _Record defined here.
 """
 
@@ -30,7 +31,6 @@ RationalLike = Union[int, str, Fraction, Decimal]
 __all__ = [
     "CyclicLVError",
     "InputError",
-    "ZeroParameter",
     "CyclicLVSystem",
     "as_fraction",
     "make_system",
@@ -51,12 +51,28 @@ class InputError(CyclicLVError, ValueError):
     """A refused rate, state, sample set, setting, spec file or flag (exit code 2)."""
 
 
-class ZeroParameter(InputError):
-    """A rate parameter is zero (every k_i must be nonzero)."""
+# Most bytes of a refused value that an error message echoes, and of a
+# reason that may repeat the value; longer text is cut to its head and its
+# size, which keeps every error line under 300 bytes.
+VALUE_BYTES = 64
+REASON_BYTES = 2 * VALUE_BYTES
 
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"rate parameter k{index} is zero; all rates must be nonzero")
+
+def _excerpt(text: object, limit: int = VALUE_BYTES) -> str:
+    """str(text) if its UTF-8 form fits in limit bytes, else its head and its size.
+
+    Each non-printable character, a line break included, is escaped as repr
+    escapes it, so the text stays on one line.
+    """
+    text = "".join(
+        c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+        for c in str(text)
+    )
+    data = text.encode("utf-8")
+    if len(data) <= limit:
+        return text
+    tail = f"... ({len(data)} bytes)"
+    return data[: limit - len(tail)].decode("utf-8", "ignore") + tail
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -155,8 +171,9 @@ class _Record:
 class CyclicLVSystem(_Record):
     """The n >= 2 nonzero rational rate constants; n is their count.
 
-    This is the one place rates are validated; every constructor path,
-    ``make_system`` and the CLI spec loader included, ends here.
+    It takes Fractions and owns the checks on them: at least two rates, and
+    none zero, each refusal an InputError naming the 1-based entry. Turning
+    raw entries into Fractions is ``make_system``'s work.
     """
 
     __slots__ = ("rates",)
@@ -166,7 +183,7 @@ class CyclicLVSystem(_Record):
             raise InputError(f"need n >= 2, got n={len(rates)}")
         for i, k in enumerate(rates):
             if k == 0:
-                raise ZeroParameter(i + 1)
+                raise InputError(f"entry {i + 1}: rate parameters must be nonzero")
         super().__init__(rates)
 
     @property
@@ -177,10 +194,21 @@ class CyclicLVSystem(_Record):
 def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
     """Convert rate parameters exactly and build the system.
 
-    CyclicLVSystem validates the rates: it raises InputError for fewer than
-    two and its subclass ZeroParameter (with the 1-based position) for a zero.
+    This is the one path from raw entries to a system; the CLI spec loader
+    ends here too. An entry as_fraction refuses raises InputError naming its
+    1-based position with bounded excerpts of the entry and the reason;
+    CyclicLVSystem then refuses fewer than two rates or a zero one.
     """
-    return CyclicLVSystem(tuple(as_fraction(v) for v in k))
+    rates = []
+    for pos, entry in enumerate(k, start=1):
+        try:
+            rates.append(as_fraction(entry))
+        except InputError as exc:
+            raise InputError(
+                f"entry {pos}: cannot parse {_excerpt(repr(entry))} as a rational "
+                f"({_excerpt(exc, REASON_BYTES)})"
+            ) from exc
+    return CyclicLVSystem(tuple(rates))
 
 
 Term = tuple[int, Fraction]

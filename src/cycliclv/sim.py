@@ -237,8 +237,8 @@ class Trajectory(_Record):
 
 
 def _float(value, what: str) -> float:
-    """float(value) for a real number in the float range, else InputError naming what."""
-    if isinstance(value, Real):
+    """float(value) for a non-bool real in the float range, else InputError naming what."""
+    if isinstance(value, Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:

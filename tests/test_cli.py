@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycliclv import VerificationReport, integral_basis, make_system, sim
+from cycliclv import InputError, VerificationReport, integral_basis, make_system, model, sim
 from cycliclv import cli
 from cycliclv.cli import main, run_check_battery
 from helpers import (
@@ -616,6 +616,8 @@ class TestRefusals:
              "need n >= 2, got n=1"),
             ('{"k": ["1e-400", 1, 3]}', [*SIM, "--x0", "0.2,0.3,0.5"],
              "rate k1 has no finite nonzero float (it overflows or rounds to zero)"),
+            ('{"k": ["1e200", "1e-200", 1]}', [*SIM, "--x0", "0.2,0.3,0.5"],
+             "exponent of x3 in H2 has no finite nonzero float (it overflows or rounds to zero)"),
             (WHEEL3, [*SIM, "--x0", "a,b"],
              "cannot parse --x0 'a,b': could not convert string to float: 'a'"),
             (WHEEL3, [*SIM, "--x0", "0.5,0.5"],
@@ -637,7 +639,7 @@ class TestRefusals:
         ids=[
             "missing-file", "invalid-json", "wrong-shape", "unparseable-entry",
             "zero-denominator-entry", "null-entry",
-            "zero-rate", "single-rate", "rate-underflow", "x0-unparseable",
+            "zero-rate", "single-rate", "rate-underflow", "exponent-overflow", "x0-unparseable",
             "x0-short", "x0-below-floor", "x0-integral-overflow", "step-nan",
             "rk4-over-max-steps", "sample-every-0", "system-path-newline",
         ],
@@ -747,14 +749,29 @@ class TestRefusals:
         assert err.startswith(head) and rest in err
 
     def test_excerpt_escapes_what_does_not_print(self):
-        assert cli._excerpt("a\nb\rc\td\x00\u2028\u00e9") == "a\\nb\\rc\\td\\x00\\u2028\u00e9"
+        assert model._excerpt("a\nb\rc\td\x00\u2028\u00e9") == "a\\nb\\rc\\td\\x00\\u2028\u00e9"
 
     def test_excerpt_bound_is_in_bytes(self):
-        fits = "\u00e9" * (cli.VALUE_BYTES // 2)
-        assert cli._excerpt(fits) == fits
-        cut = cli._excerpt(fits + "\u00e9")
-        assert cut.endswith(f"... ({cli.VALUE_BYTES + 2} bytes)")
-        assert len(cut.encode()) <= cli.VALUE_BYTES
+        fits = "\u00e9" * (model.VALUE_BYTES // 2)
+        assert model._excerpt(fits) == fits
+        cut = model._excerpt(fits + "\u00e9")
+        assert cut.endswith(f"... ({model.VALUE_BYTES + 2} bytes)")
+        assert len(cut.encode()) <= model.VALUE_BYTES
+
+    @pytest.mark.parametrize(
+        "rates",
+        [["2", "abc", "3"], ["2", "1/0", "3"], ["2", None, "3"], [1, 0, 3], [3],
+         ["7" * 5000, 1, 2]],
+        ids=["unparseable", "zero-denominator", "null", "zero", "single", "5000-digit"],
+    )
+    def test_library_and_cli_refuse_a_rate_in_the_same_words(self, tmp_path, monkeypatch,
+                                                             capsys, rates):
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path, "spec.json", rates)
+        with pytest.raises(InputError) as refused:
+            make_system(rates)
+        assert main(["integrals", "--system", "spec.json"]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 class TestDeterminism:

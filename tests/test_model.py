@@ -25,7 +25,6 @@ from cycliclv import (
     MonomialIntegral,
     Trajectory,
     VerificationReport,
-    ZeroParameter,
     as_fraction,
     build_exponent_system,
     check_jacobi_multiplier,
@@ -81,9 +80,8 @@ class TestMakeSystem:
         assert sys.n == 4
 
     def test_zero_parameter(self):
-        with pytest.raises(ZeroParameter) as exc:
+        with pytest.raises(InputError, match="^entry 2: rate parameters must be nonzero$"):
             make_system([1, 0, 3])
-        assert exc.value.index == 2
 
     def test_too_small(self):
         with pytest.raises(InputError, match="need n >= 2, got n=1"):

@@ -78,9 +78,9 @@ class TestFloatInput:
     """x0 entries and config fields are real numbers with a float, or an InputError names them."""
 
     # float() overflows, cannot parse, or takes no such type; a str is
-    # refused even when it would parse
+    # refused even when it would parse, and a bool though float() takes it
     BAD = {"int-10e400": 10**400, "fraction-10e400": Fraction(10**400), "str": "a",
-           "numeric-str": "1e-3", "none": None, "complex": 1j}
+           "numeric-str": "1e-3", "none": None, "complex": 1j, "bool": True}
 
     @pytest.mark.parametrize("bad", BAD.values(), ids=BAD)
     def test_initial_state_entry(self, bad):
