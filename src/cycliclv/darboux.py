@@ -75,9 +75,6 @@ class LinearIntegral(_Record):
 
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        super().__init__(n)
-
 
 class IntegralBasis(_Record):
     """Classification plus the integrals: one linear, 0..2 monomial."""

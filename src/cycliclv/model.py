@@ -132,7 +132,8 @@ class _Record:
     """Base of the package's immutable records, each field a slot set once.
 
     A subclass lists its fields in __slots__, checks its arguments in its
-    own __init__ and passes them on here in that order. Records compare
+    own __init__, if it has any to check, and passes them on here in that
+    order; a wrong number of them raises TypeError. Records compare
     and hash by type and fields, and assigning or deleting a field raises
     AttributeError; copy and pickle rebuild a record through its __init__.
     """
@@ -140,6 +141,8 @@ class _Record:
     __slots__ = ()
 
     def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

@@ -48,11 +48,13 @@ row with a coordinate below POSITIVITY_FLOOR, and with NonFiniteState at
 the first with a NaN or infinite one. A run that fails steps on to the end
 of the failing row's block, at most _BLOCK_ROWS rows, before the screen
 finds that row. The initial state must meet the same floor, or it is
-refused with InputError. Every value and drift of a row must be finite,
-and each monomial's s = lam . log x must lie in LOG_RANGE, so that exp(s)
-neither overflows nor underflows: an initial state that breaks this is
-refused with InputError, and a later row ends the run with
-IntegralOutOfRange. These runtime aborts, the IntegrationAborted
+refused with InputError. Each monomial's s = lam . log x must lie in
+LOG_RANGE, so that exp(s) neither overflows nor underflows; one outside it
+is evaluated as NaN, so the one integral test is that every drift of a row
+is finite. An initial state that fails it is refused with InputError, and
+a later row ends the run with IntegralOutOfRange. A basis whose exponent
+vectors have another length than the system is refused with InputError.
+These runtime aborts, the IntegrationAborted
 subclasses defined here, carry the partial Trajectory, cut before the
 failing row, on the exception. The float work runs with numpy's
 floating-point warnings off: an overflow or NaN it meets is reported by one
@@ -214,26 +216,14 @@ class Trajectory(_Record):
     ``drift`` have shape (rows, 1 + m): column 0 is the linear integral H1,
     column j the j-th monomial of the basis, and ``drift`` is each value's
     relative distance from row 0. ``max_drift``, shape (1 + m,), is each
-    integral's largest drift over every row the run took, kept or not; it
-    defaults to ``drift.max(axis=0)``, which propagates NaN. Trajectories
-    compare by identity, as arrays have no single truth value.
+    integral's largest drift over every row the run took, kept or not,
+    which only integrate knows. Trajectories compare by identity, as arrays
+    have no single truth value.
     """
 
     __slots__ = ("t", "x", "values", "drift", "max_drift")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        t: np.ndarray,
-        x: np.ndarray,
-        values: np.ndarray,
-        drift: np.ndarray,
-        max_drift: np.ndarray | None = None,
-    ):
-        if max_drift is None:
-            max_drift = drift.max(axis=0)
-        super().__init__(t, x, values, drift, max_drift)
 
 
 def _float(value, what: str) -> float:
@@ -294,47 +284,34 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _values(x: np.ndarray, basis: IntegralBasis) -> tuple[np.ndarray, np.ndarray]:
-    """H1 and each monomial for every row, and where they leave the float range.
+def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
+    """H1 and each monomial for every row, shape (rows, 1 + m).
 
-    Returns the values, shape (rows, 1 + m), and a mask of the same shape
-    that marks an H1 that is not finite and a monomial whose
-    s = lam . log x lies outside LOG_RANGE; a masked monomial's value is a
-    placeholder. Each value has the same bits as evaluating that state
-    alone with sum(x) and math.exp(np.dot(lam, log x)). x @ lam sums in
-    another order and np.exp rounds differently from math.exp. np.dot sends
-    contiguous operands to BLAS ddot, which uses FMA, and strided ones to
-    numpy's own loop: the rows of the F-ordered x[:, support] are strided,
-    and on one n=9 trajectory of 1001 rows, 479 of their dots differed from
-    those of contiguous copies. So the support columns are taken with
-    np.compress, whose result is C-ordered, and one np.matmul of
-    (rows, 1, m) by (m, 1) sends each contiguous row of logs through the
-    same ddot. np.log runs on contiguous memory either way, and gives each
-    entry the bits it gives that entry alone. x may have any layout: it is
-    made C-contiguous first, since sum(axis=1) adds the entries of an
-    F-ordered row in another order. Raises InputError for an exponent whose
-    float overflows or rounds to zero.
+    exponents holds each monomial's float exponent vector. A monomial whose
+    s = lam . log x lies outside LOG_RANGE is NaN, as math.exp(nan) is.
+    Each other value has the same bits as evaluating that state alone with
+    sum(x) and math.exp(np.dot(lam, log x)). x @ lam sums in another order
+    and np.exp rounds differently from math.exp. np.dot sends contiguous
+    operands to BLAS ddot, which uses FMA, and strided ones to numpy's own
+    loop: the rows of the F-ordered x[:, support] are strided, and on one
+    n=9 trajectory of 1001 rows, 479 of their dots differed from those of
+    contiguous copies. So the support columns are taken with np.compress,
+    whose result is C-ordered, and one np.matmul of (rows, 1, m) by (m, 1)
+    sends each contiguous row of logs through the same ddot. np.log runs on
+    contiguous memory either way, and gives each entry the bits it gives
+    that entry alone. x may have any layout: it is made C-contiguous first,
+    since sum(axis=1) adds the entries of an F-ordered row in another order.
     """
     x = np.ascontiguousarray(x)
-    h1 = x.sum(axis=1)
-    columns, outside = [h1], [~np.isfinite(h1)]
-    for j, mono in enumerate(basis.monomials, start=2):
-        lam = _floats(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
+    columns = [x.sum(axis=1)]
+    for lam in exponents:
         support = lam != 0.0
-        lam = lam[support]
         # C-ordered, where x[:, support] would be F-ordered
         logs = np.log(np.compress(support, x, axis=1))
-        s = np.matmul(logs[:, None, :], lam[:, None])[:, 0, 0]
-        inside = (s >= LOG_RANGE[0]) & (s <= LOG_RANGE[1])
-        outside.append(~inside)
-        columns.append(
-            np.fromiter(
-                map(math.exp, np.where(inside, s, 0.0).tolist()),
-                dtype=float,
-                count=len(s),
-            )
-        )
-    return np.column_stack(columns), np.column_stack(outside)
+        s = np.matmul(logs[:, None, :], lam[support][:, None])[:, 0, 0]
+        s[(s < LOG_RANGE[0]) | (s > LOG_RANGE[1])] = math.nan
+        columns.append(np.fromiter(map(math.exp, s.tolist()), dtype=float, count=len(s)))
+    return np.column_stack(columns)
 
 
 def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
@@ -547,18 +524,19 @@ def integrate(
     sample_every that is not a positive integer, an x0 of the wrong length,
     an x0 entry that is not a real number in the float range, is NaN or
     infinite, or is below POSITIVITY_FLOOR, a nonzero rate or exponent
-    whose float overflows or rounds to zero, an integral that leaves the
-    float range at x0, and an RK4 run over its step limit, the lower of
+    whose float overflows or rounds to zero, a basis whose exponent vectors
+    have another length than the system, an integral that leaves the float
+    range at x0, and an RK4 run over its step limit, the lower of
     MAX_STEPS and MAX_STORED_FLOATS // n. During the run it raises
     PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
     NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
-    integral's value or drift leaves the float range, StepUnderflow if the
-    adaptive controller cannot satisfy its tolerances above MIN_STEP, and
-    StepLimitReached if an adaptive run reaches its step limit; each
-    carries the Trajectory up to the failure as ``trajectory``, sampled the
-    same way.
+    integral's drift is not finite, a monomial outside LOG_RANGE being NaN,
+    StepUnderflow if the adaptive controller cannot satisfy its tolerances
+    above MIN_STEP, and StepLimitReached if an adaptive run reaches its step
+    limit; each carries the Trajectory up to the failure as ``trajectory``,
+    sampled the same way.
     """
-    if not (isinstance(sample_every, int) and sample_every >= 1):
+    if isinstance(sample_every, bool) or not (isinstance(sample_every, int) and sample_every >= 1):
         raise InputError(f"sample_every must be a positive integer, got {sample_every!r}")
     x = _validate_x0(sys, x0)
     rk4 = cfg.method is Method.RK4_FIXED
@@ -566,31 +544,37 @@ def integrate(
         step, state = _compiled_step(sys, rk4), x.tolist()
     else:
         step, state = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys)), x
-    xs, ts = np.empty((_BLOCK_ROWS + 1, sys.n)), np.empty(_BLOCK_ROWS + 1)
+    # after the kernel, so that a bad rate is refused before a bad exponent
+    if any(len(mono.exponents) != sys.n for mono in basis.monomials):
+        raise InputError("exponent vector length does not match the system")
+    exponents = [_floats(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
+                 for j, mono in enumerate(basis.monomials, start=2)]
+    # no run takes more steps than its limit, so no block needs more rows
+    size = min(_BLOCK_ROWS, _step_limit(sys.n)) + 1
+    xs, ts = np.empty((size, sys.n)), np.empty(size)
     xs[0], ts[0] = x, 0.0
     blocks = _rk4_blocks(step, xs, ts, cfg) if rk4 else _rkf45_blocks(step, state, xs, ts, cfg)
-    kept, max_drift = [], np.zeros(1 + len(basis.monomials))
+    kept, max_drift = [], np.zeros(1 + len(exponents))
     # the index of xs[0] in the run, and the first row of xs a block adds
     base = first = 0
     with np.errstate(all="ignore"):
-        start, outside = _values(x[None], basis)
-        if outside.any():
+        start = _values(x[None], exponents)[0]
+        if not np.isfinite(start).all():
             raise InputError(
-                f"integral H{int(np.argmax(outside)) + 1} is outside the float range "
+                f"integral H{int(np.argmin(np.isfinite(start))) + 1} is outside the float range "
                 "at the initial state"
             )
-        start = start[0]
         for rows, abort in blocks:
             block = xs[first : rows + 1]
-            values, outside = _values(block, basis)
+            values = _values(block, exponents)
             # row 0 passed the range rule, so every start is a positive float
             drift = np.abs(values - start) / start
             # each row, in order: a coordinate not finite, one below the
-            # floor, an integral out of range
+            # floor, a drift not finite
             fails = np.column_stack((
                 ~np.isfinite(block),
                 block.min(axis=1) < POSITIVITY_FLOOR,
-                outside | ~np.isfinite(drift),
+                ~np.isfinite(drift),
             ))
             good = len(block)
             if fails.any():

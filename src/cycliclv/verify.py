@@ -227,7 +227,13 @@ def _independence_rank(
 def check_independence(
     sys: CyclicLVSystem, basis: IntegralBasis, samples: Sequence[Sequence]
 ) -> VerificationReport:
-    """Require full rank 1 + #monomials at every sample point."""
+    """Require full rank 1 + #monomials at every sample point.
+
+    Raises InputError for a basis whose exponent vectors have another
+    length than the system.
+    """
+    if any(len(mono.exponents) != sys.n for mono in basis.monomials):
+        raise InputError("exponent vector length does not match the system")
     required = 1 + len(basis.monomials)
 
     def rank_shortfall(sample: Sequence) -> Optional[str]:

@@ -481,6 +481,29 @@ class TestSimulate:
         assert len(lines) == 1 + 3
         assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
 
+    def test_integral_underflow_mid_run_exit_3(self, tmp_path, capsys):
+        # H2's s falls below LOG_RANGE at t=0.007, where math.exp(s) is 0.0
+        # and its drift a finite 1.0: the run must still end there
+        spec = write_spec(tmp_path, "spec.json", [7, 1] * 20 + [1])
+        out_csv = tmp_path / "t.csv"
+        code = main(
+            [
+                "simulate",
+                "--system", spec,
+                "--x0", ",".join(["1"] * 41),
+                "--step", "1e-3",
+                "--t-end", "0.05",
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert ("max_drift_H2=1 status=IntegralOutOfRange(integral H2 left the float range "
+                "at t=0.0070000000000000001)") in out
+        lines = out_csv.read_text().splitlines()
+        assert len(lines) == 1 + 7
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
     @pytest.mark.parametrize(
         "rates, x0, step, t_end",
         [
@@ -820,7 +843,8 @@ class TestDeterminism:
         special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -1e308, 1 / 3, 0.1, 1e22, 2.5]
         rng = random.Random(11)
         table = np.array([special] + [[rng.uniform(-1e3, 1e3) for _ in special] for _ in range(3)])
-        traj = sim.Trajectory(table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:])
+        traj = sim.Trajectory(table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:],
+                              table[:, 7:].max(axis=0))
         names = ["H1", "H2", "H3"]
         path = tmp_path / "t.csv"
         assert cli._write_csv(path, names, traj) == 4

@@ -157,11 +157,16 @@ class TestRecords:
         assert basis.monomials == () and basis.linear.n == 2
 
     def test_trajectories_compare_by_identity(self):
-        arrays = [np.zeros(1), np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1))]
+        arrays = [np.zeros(1), np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1)]
         a, b = Trajectory(*arrays), Trajectory(*arrays)
         assert a == a and a != b and len({a, b}) == 2
         with pytest.raises(AttributeError):
             a.t = None
+
+    def test_trajectory_max_drift_has_no_default(self):
+        # only integrate knows the drift maximum of the rows it did not keep
+        with pytest.raises(TypeError, match="^Trajectory takes 5 fields$"):
+            Trajectory(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 class TestVectorField:

@@ -622,11 +622,33 @@ class TestBlocks:
                 assert getattr(part, name).tobytes() == getattr(full, name)[rows].tobytes()
             assert part.max_drift.tobytes() == full.drift.max(axis=0).tobytes()
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True])
     def test_sample_every_must_be_a_positive_integer(self, bad):
         sys = make_system([2, 1, 3])
         with pytest.raises(InputError, match="sample_every must be a positive integer, got "):
             integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(), integral_basis(sys), bad)
+
+
+    def test_block_buffer_is_bounded_by_the_step_limit(self, monkeypatch):
+        # a run never writes more rows than its step limit, so a block size
+        # past it allocates no more than the limit and gives the same bits
+        sys = make_system([2, 1, 3])
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig("rk4", step=0.01, t_end=0.1)
+        want = _outcome(sys, [0.2, 0.3, 0.5], cfg, basis)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 10**15)
+        assert _outcome(sys, [0.2, 0.3, 0.5], cfg, basis) == want
+        assert want[1] == 11
+
+
+class TestBasisDimension:
+    @pytest.mark.parametrize("system_n, basis_n", [(3, 5), (5, 3)])
+    def test_basis_of_another_dimension_is_refused(self, system_n, basis_n):
+        sys = make_system([1, 2, 3, 4, 5][:system_n])
+        basis = integral_basis(make_system([1, 2, 3, 4, 5][:basis_n]))
+        x0 = [1.0] * system_n
+        with pytest.raises(InputError, match="^exponent vector length does not match the system$"):
+            integrate(sys, x0, IntegratorConfig(step=0.01, t_end=0.1), basis)
 
 
 class TestConvergenceOrder:
@@ -717,8 +739,9 @@ def test_values_match_per_state_in_any_layout(n):
     xs = np.array([[math.exp(rng.uniform(-700.0, 700.0) / widest) for _ in range(n)]
                    for _ in range(301)])
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
+    exponents = [np.array([float(e) for e in m.exponents]) for m in basis.monomials]
     for x, want in ((xs, expect), (np.asfortranarray(xs), expect), (xs[::3], expect[::3])):
-        assert sim._values(x, basis)[0].tobytes() == want.tobytes()
+        assert sim._values(x, exponents).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,14 @@ class TestIndependence:
                 sys, integral_basis(sys), (Fraction(1), Fraction(-1), Fraction(2))
             )
 
+    @pytest.mark.parametrize("system_n, basis_n", [(3, 5), (5, 3)])
+    def test_basis_of_another_dimension_is_refused(self, system_n, basis_n):
+        sys = make_system([1, 2, 3, 4, 5][:system_n])
+        basis = integral_basis(make_system([1, 2, 3, 4, 5][:basis_n]))
+        samples = [random_rational_state(random.Random(5), system_n)]
+        with pytest.raises(InputError, match="^exponent vector length does not match the system$"):
+            check_independence(sys, basis, samples)
+
     def test_linear_only_basis_has_rank_one(self):
         sys = make_system([1, 1, 1, 2])
         basis = integral_basis(sys)
