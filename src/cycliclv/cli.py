@@ -7,10 +7,10 @@ Subcommands:
 
 The system is described by a JSON file {"k": [...]} whose entries are
 integers, exact decimal literals, or "p/q" strings; the dimension is the
-list length, and no literal's numerator or denominator may have more than
-4300 digits. Exit codes: 0 success, 1 verification failure, 2 input error
-(an InputError, printed as one bounded "error: " line on stderr), 3 runtime
-integration failure.
+list length. No literal's numerator or denominator may have more than 4300
+digits, nor the file more than MAX_SPEC_BYTES (4 MiB). Exit codes: 0
+success, 1 verification failure, 2 input error (an InputError, printed as
+one bounded "error: " line on stderr), 3 runtime integration failure.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
 
 DEFAULT_CHECK_SAMPLES = 32
+MAX_SPEC_BYTES = 4 << 20  # a spec of a million rates takes about 3 MB
 
 # Rows of a trajectory that _write_csv formats at a time.
 _CSV_BLOCK_ROWS = 4096
@@ -44,14 +45,19 @@ _CSV_BLOCK_ROWS = 4096
 def load_system_spec(path: str | Path) -> CyclicLVSystem:
     """Read a {"k": [...]} JSON file into a system.
 
-    The file is read and parsed as JSON here, and each message echoes at
-    most a bounded excerpt of the path. The "k" list goes to make_system,
-    which converts and names a refused entry, and CyclicLVSystem refuses
-    fewer than two rates or a zero one.
+    At most MAX_SPEC_BYTES of the file are read and parsed as JSON here,
+    and each message echoes at most a bounded excerpt of the path. The "k"
+    list goes to make_system, which converts and names a refused entry, and
+    CyclicLVSystem refuses fewer than two rates or a zero one.
     """
     name = _excerpt(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as spec:
+            raw = spec.read(MAX_SPEC_BYTES + 1)
+        if len(raw) > MAX_SPEC_BYTES:
+            raise InputError(f"{name} is larger than {MAX_SPEC_BYTES} bytes")
+        # newlines as a text-mode read gives them, which JSON error positions count
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         reason = _excerpt(exc, REASON_BYTES)
         raise InputError(f"cannot read system file {name}: {reason}") from exc
@@ -222,22 +228,15 @@ def _write_csv(path: str | Path, names: list[str], trajectory: sim.Trajectory) -
     )
     columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
     template = ",".join(["%.17g"] * len(header)) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write(",".join(header) + "\n")
-            # _CSV_BLOCK_ROWS rows at a time: one table of every row would
-            # copy the whole trajectory
-            for lo in range(0, rows, _CSV_BLOCK_ROWS):
-                table = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
-                for row in table:
-                    out.write(template % tuple(row.tolist()))
-    except OSError as exc:
-        raise _out_error(path, exc) from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        # _CSV_BLOCK_ROWS rows at a time: one table of every row would
+        # copy the whole trajectory
+        for lo in range(0, rows, _CSV_BLOCK_ROWS):
+            table = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
+            for row in table:
+                out.write(template % tuple(row.tolist()))
     return rows
-
-
-def _out_error(path: str | Path, exc: OSError) -> InputError:
-    return InputError(f"cannot write --out {_excerpt(path)}: {_excerpt(exc, REASON_BYTES)}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -246,35 +245,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     system = load_system_spec(args.system)
     x0 = _parse_x0(args.x0)
-    if args.sample_every < 1:
-        raise InputError("--sample-every must be a positive integer")
     cfg = sim.IntegratorConfig(method=args.method, step=args.step, t_end=args.t_end)
     basis = darboux.integral_basis(system)
     names = _integral_names(basis)
 
-    # opening for append creates a missing file but changes nothing in an
-    # existing one, so an unwritable --out is refused before the first step
-    created = not os.path.lexists(args.out)
-    try:
-        open(args.out, "a").close()
-    except OSError as exc:
-        raise _out_error(args.out, exc) from exc
-
     status = "ok"
     exit_code = EXIT_OK
+    created = not os.path.lexists(args.out)
     try:
-        trajectory = sim.integrate(system, x0, cfg, basis, args.sample_every)
-    except sim.IntegrationAborted as exc:
-        trajectory = exc.trajectory
-        status = f"{type(exc).__name__}({exc})"
-        exit_code = EXIT_RUNTIME_ERROR
-    except BaseException:
-        # a run refused or cut short leaves no file it created
-        if created:
+        # opening for append creates a missing file but changes nothing in an
+        # existing one, so an unwritable --out is refused before the first step
+        open(args.out, "a").close()
+        try:
+            trajectory = sim.integrate(system, x0, cfg, basis, args.sample_every)
+        except sim.IntegrationAborted as exc:
+            trajectory = exc.trajectory
+            status = f"{type(exc).__name__}({exc})"
+            exit_code = EXIT_RUNTIME_ERROR
+        rows = _write_csv(args.out, names, trajectory)
+    except BaseException as exc:
+        # a run refused, interrupted or unwritten leaves no file it created
+        if created and os.path.lexists(args.out):
             os.remove(args.out)
+        if isinstance(exc, OSError):
+            reason = _excerpt(exc, REASON_BYTES)
+            raise InputError(f"cannot write --out {_excerpt(args.out)}: {reason}") from exc
         raise
-
-    rows = _write_csv(args.out, names, trajectory)
     drift = " ".join(
         "max_drift_%s=%.17g" % pair for pair in zip(names, trajectory.max_drift.tolist())
     )
@@ -305,11 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a trajectory and write CSV")
     p_sim.add_argument("--system", required=True)
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    p_sim.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-    p_sim.add_argument("--step", type=float, default=1e-3)
-    p_sim.add_argument("--t-end", type=float, default=10.0)
+    p_sim.add_argument("--method", choices=("rk4", "rk45"), default="rk4",
+                       help="fixed-step RK4 or adaptive RKF45")
+    p_sim.add_argument("--step", type=float, default=1e-3,
+                       help="RK4's fixed step, or RKF45's first trial step")
+    p_sim.add_argument("--t-end", type=float, default=10.0, help="end time of the run")
     p_sim.add_argument("--out", required=True, help="CSV output path")
-    p_sim.add_argument("--sample-every", type=int, default=1)
+    p_sim.add_argument("--sample-every", type=int, default=1, metavar="N",
+                       help="write rows 0, N, 2N, ... and the last; max drift covers every row")
     p_sim.set_defaults(handler=cmd_simulate)
 
     return parser

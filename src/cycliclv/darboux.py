@@ -64,9 +64,9 @@ class MonomialIntegral(_Record):
     def __init__(self, exponents: tuple[Fraction, ...]):
         first = next((e for e in exponents if e != 0), None)
         if first is None:
-            raise ValueError("exponent vector must not be identically zero")
+            raise InputError("exponent vector must not be identically zero")
         if first != 1:
-            raise ValueError("first nonzero exponent must be normalized to 1")
+            raise InputError("first nonzero exponent must be normalized to 1")
         super().__init__(exponents)
 
 
@@ -94,7 +94,7 @@ class IntegralBasis(_Record):
             Classification.EVEN_NONRESONANT: 0,
         }[classification]
         if len(monomials) != expected:
-            raise ValueError(
+            raise InputError(
                 f"{classification.name} basis must hold {expected} monomial "
                 f"integrals, got {len(monomials)}"
             )

@@ -654,7 +654,7 @@ class TestRefusals:
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--step", "1e-3", "--t-end", "1e300"],
              "t_end/step = 1e+303 exceeds the limit of 10000000 steps"),
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--sample-every", "0"],
-             "--sample-every must be a positive integer"),
+             "sample_every must be a positive integer, got 0"),
             (None, ["integrals", "--system", "no\nsuch.json"],
              "cannot read system file no\\nsuch.json: "
              "[Errno 2] No such file or directory: 'no\\nsuch.json'"),
@@ -795,6 +795,109 @@ class TestRefusals:
             make_system(rates)
         assert main(["integrals", "--system", "spec.json"]) == 2
         assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+    @pytest.mark.parametrize(
+        "flags, x0, config, sample_every",
+        [
+            (["--sample-every", "0"], [0.2, 0.3, 0.5], {}, 0),
+            (["--sample-every", "-1"], [0.2, 0.3, 0.5], {}, -1),
+            (["--step", "nan"], [0.2, 0.3, 0.5], {"step": math.nan}, 1),
+            (["--t-end", "0"], [0.2, 0.3, 0.5], {"t_end": 0.0}, 1),
+            ([], [1e-13, 0.5, 0.5], {}, 1),
+        ],
+        ids=["sample-every-0", "sample-every-negative", "step-nan", "t-end-0",
+             "x0-below-floor"],
+    )
+    def test_library_and_cli_refuse_a_simulate_value_in_the_same_words(
+        self, tmp_path, monkeypatch, capsys, flags, x0, config, sample_every
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
+        system = make_system([2, 1, 3])
+        with pytest.raises(InputError) as refused:
+            sim.integrate(system, x0, sim.IntegratorConfig(**config), integral_basis(system),
+                          sample_every)
+        assert main([*SIM, "--x0", ",".join(map(repr, x0)), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["created", "pre-existing"])
+    def test_failed_write_removes_only_a_file_the_run_created(self, tmp_path, existed):
+        # a child may write files of at most 4096 bytes; with SIGXFSZ ignored,
+        # a longer write fails with EFBIG instead of killing the child
+        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
+        if existed:
+            (tmp_path / "t.csv").write_text("kept\n", encoding="utf-8")
+        child = (
+            "import resource, signal, sys; "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)); "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "from cycliclv.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        result = run_python(["-c", child, *SIM, "--x0", "0.2,0.3,0.5", "--t-end", "1"],
+                            tmp_path, timeout=60)
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stdout == b""
+        assert result.stderr.decode() == (
+            "error: cannot write --out t.csv: [Errno 27] File too large\n"
+        )
+        assert (tmp_path / "t.csv").exists() == existed
+
+    def test_interrupted_write_removes_the_file_it_created(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
+        write_csv = cli._write_csv
+
+        def write_then_interrupt(path, *args):
+            write_csv(path, *args)
+            assert Path(path).stat().st_size > 0
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_write_csv", write_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main([*SIM, "--x0", "0.2,0.3,0.5", "--t-end", "0.01"])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_endless_spec_is_refused_in_bounded_memory(self, tmp_path):
+        # the child's address space is capped at 1 GiB, so a reader that
+        # tried to hold all of /dev/zero fails there with a MemoryError
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from cycliclv.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        result = run_python(["-c", child, "integrals", "--system", "/dev/zero"], tmp_path,
+                            timeout=60)
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stdout == b""
+        err = result.stderr.decode()
+        assert_one_error_line(err)
+        assert err == f"error: /dev/zero is larger than {cli.MAX_SPEC_BYTES} bytes\n"
+
+    def test_spec_of_the_byte_bound_loads_and_one_byte_more_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = WHEEL3.encode()
+        monkeypatch.setattr(cli, "MAX_SPEC_BYTES", len(spec))
+        Path("spec.json").write_bytes(spec)
+        assert cli.load_system_spec("spec.json").rates == make_system([2, 1, 3]).rates
+        Path("spec.json").write_bytes(spec + b" ")
+        with pytest.raises(InputError) as refused:
+            cli.load_system_spec("spec.json")
+        assert str(refused.value) == f"spec.json is larger than {len(spec)} bytes"
+
+    def test_json_error_positions_count_each_line_break_as_one_newline(
+        self, tmp_path, monkeypatch
+    ):
+        # "\r\n" and a lone "\r" each count as one "\n", as a text-mode read
+        # translates them
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_bytes(b'{"k": [2,\r\n1,\r3,\r\n]}')
+        with pytest.raises(InputError) as refused:
+            cli.load_system_spec("spec.json")
+        assert str(refused.value) == (
+            "spec.json is not valid JSON: Expecting value: line 4 column 1 (char 16)"
+        )
 
 
 class TestDeterminism:

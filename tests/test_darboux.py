@@ -287,6 +287,22 @@ class TestMonomialIntegralInvariants:
             MonomialIntegral(exponents=(Fraction(2), Fraction(1)))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MonomialIntegral((0, 0, 0)), "exponent vector must not be identically zero"),
+        (lambda: MonomialIntegral((2, 1, 0)), "first nonzero exponent must be normalized to 1"),
+        (lambda: IntegralBasis(Classification.ODD, LinearIntegral(3), ()),
+         "ODD basis must hold 1 monomial integrals, got 0"),
+    ],
+    ids=["zero-exponents", "unnormalized", "wrong-monomial-count"],
+)
+def test_integral_records_refuse_with_input_error(build, message):
+    with pytest.raises(InputError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_cofactor_combination_is_zero_for_basis_members():
     from cycliclv.verify import _cofactor_combination
 
