@@ -41,6 +41,11 @@ __all__ = [
     "integral_basis",
 ]
 
+# Most bits, numerators and denominators together, one basis's exponents may
+# take: alternating rates [2, 3, 2, ...], whose exponents grow as n^2, pass it
+# at n = 7205, and the n = 1001 benchmark inputs take about 6e4.
+MAX_EXPONENT_BITS = 1 << 25
+
 
 class Classification(Enum):
     """How many monomial integrals the system admits, and why."""
@@ -140,22 +145,27 @@ def nullspace(rows: linalg.Rows) -> list[tuple[Fraction, ...]]:
     return [vec for _, vec in normalized]
 
 
-def _walk(k: Sequence[Fraction], start: int) -> tuple[MonomialIntegral, bool]:
-    """Exponents walked from lambda = 1 at coordinate start (0-based), and closure.
+def _walk(k: Sequence[Fraction], start: int, bits: int = 0) -> tuple[MonomialIntegral, bool, int]:
+    """Exponents walked from lambda = 1 at coordinate start (0-based), closure, and bits.
 
     The walk steps j -> j + 2 (mod n) with lambda_{j+2} = k_j lambda_j / k_{j+1}
     until it is back at start, and closes when its value is back at 1: always
-    for odd n, and at resonance for even n.
+    for odd n, and at resonance for even n. bits adds each exponent's
+    numerator and denominator bit lengths to the bits passed in; past
+    MAX_EXPONENT_BITS it raises InputError before the next product.
     """
     n = len(k)
     lam = [Fraction(0)] * n
     i, value = start, Fraction(1)
     while True:
         lam[i] = value
+        bits += value.numerator.bit_length() + value.denominator.bit_length()
+        if bits > MAX_EXPONENT_BITS:
+            raise InputError(f"the integrals' exponents take more than {MAX_EXPONENT_BITS} bits")
         value = value * k[i] / k[(i + 1) % n]
         i = (i + 2) % n
         if i == start:
-            return MonomialIntegral(exponents=tuple(lam)), value == 1
+            return MonomialIntegral(exponents=tuple(lam)), value == 1, bits
 
 
 def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
@@ -166,15 +176,16 @@ def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
     k2 k4 ... kn exactly, adds two; n = 2 and even n off resonance add none.
     The exponents walk lambda_{j+2} = k_j lambda_j / k_{j+1} from lambda_1 = 1,
     and from lambda_2 = 1 too when even n's first walk closes (resonance).
+    Exponents of more than MAX_EXPONENT_BITS bits in all raise InputError.
     """
     n = sys.n
     linear = LinearIntegral(n)
     if n == 2:
         return IntegralBasis(Classification.N2, linear, ())
-    odd_chain, closes = _walk(sys.rates, 0)
+    odd_chain, closes, bits = _walk(sys.rates, 0)
     if n % 2 == 1:
         return IntegralBasis(Classification.ODD, linear, (odd_chain,))
     if not closes:
         return IntegralBasis(Classification.EVEN_NONRESONANT, linear, ())
-    even_chain, _ = _walk(sys.rates, 1)
+    even_chain, _, _ = _walk(sys.rates, 1, bits)
     return IntegralBasis(Classification.EVEN_RESONANT, linear, (odd_chain, even_chain))

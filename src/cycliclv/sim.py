@@ -2,8 +2,8 @@
 
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
 the embedded Fehlberg 4(5) pair with proportional step control. A run goes
-in blocks of _BLOCK_ROWS rows. Either driver steps into one reused block
-buffer, where RK4 starts each block from the last row of the one before;
+in blocks of at most _BLOCK_ROWS rows. Either driver steps into one reused
+block buffer, where RK4 starts each block from the last row of the one before;
 then one vectorised pass over the block evaluates each first integral of the
 basis, its relative drift |H - H(x0)| / H(x0) from its value at the initial
 state, which the range rule below keeps a positive float, and the screen
@@ -47,13 +47,13 @@ numerical artifact, so the run ends with PositivityBreached at the first
 row with a coordinate below POSITIVITY_FLOOR, and with NonFiniteState at
 the first with a NaN or infinite one. A run that fails steps on to the end
 of the failing row's block, at most _BLOCK_ROWS rows, before the screen
-finds that row. The initial state must meet the same floor, or it is
-refused with InputError. Each monomial's s = lam . log x must lie in
-LOG_RANGE, so that exp(s) neither overflows nor underflows; one outside it
-is evaluated as NaN, so the one integral test is that every drift of a row
-is finite. An initial state that fails it is refused with InputError, and
-a later row ends the run with IntegralOutOfRange. A basis whose exponent
-vectors have another length than the system is refused with InputError.
+finds that row. Each monomial's s = lam . log x must lie in LOG_RANGE, so
+that exp(s) neither overflows nor underflows; one outside it is evaluated
+as NaN, so the one integral test is that every drift of a row is finite,
+and a row that fails it ends the run with IntegralOutOfRange. The screen
+sees row 0, x0, alone before the first step, and refuses it with
+InputError. A basis whose exponent vectors have another length than the
+system is refused with InputError.
 These runtime aborts, the IntegrationAborted
 subclasses defined here, carry the partial Trajectory, cut before the
 failing row, on the exception. The float work runs with numpy's
@@ -67,6 +67,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from numbers import Real
 from sys import float_info
 from typing import Callable, Sequence
@@ -112,8 +113,10 @@ MIN_STEP = 1e-10
 # code over Python floats, larger ones on numpy arrays (see the module docstring).
 _SCALAR_MAX_N = 16
 
-# Rows that integrate steps, evaluates and screens at a time.
+# Rows that integrate steps, evaluates and screens at a time, fewer above 16
+# coordinates, so that no block holds more than _BLOCK_FLOATS state floats.
 _BLOCK_ROWS = 4096
+_BLOCK_FLOATS = 16 * _BLOCK_ROWS
 
 
 class IntegrationAborted(CyclicLVError):
@@ -181,9 +184,9 @@ class IntegratorConfig(_Record):
     ``step`` is the fixed step for RK4 and the initial trial step for the
     adaptive pair, which controls it with REL_TOL, ABS_TOL and MIN_STEP.
     ``method`` takes a Method or its value ("rk4", "rk45"). ``step`` and
-    ``t_end`` must be real numbers, finite and positive, and an RK4 run may
-    need at most MAX_STEPS steps. Anything else, an unknown method, a str,
-    NaN and infinity included, raises InputError, which is a ValueError.
+    ``t_end`` must be real numbers, finite and positive; anything else, an
+    unknown method, a str, NaN and infinity included, raises InputError, a
+    ValueError. The RK4 step budget needs n, so integrate tests it.
     """
 
     __slots__ = ("method", "step", "t_end")
@@ -199,13 +202,6 @@ class IntegratorConfig(_Record):
         for name, value in (("step", step), ("t_end", t_end)):
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
-        ratio = t_end / step
-        # This test needs no n, so it runs here, before _rk4_blocks'
-        # stricter _step_limit(n). The negated test also refuses an infinite
-        # ratio, such as 1e300 / 1e-300, on which _rk4_blocks'
-        # int(math.floor(...)) would raise OverflowError.
-        if method is Method.RK4_FIXED and not ratio <= MAX_STEPS:
-            raise InputError(f"t_end/step = {ratio:.17g} exceeds the limit of {MAX_STEPS} steps")
         super().__init__(method, step, t_end)
 
 
@@ -312,19 +308,6 @@ def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
         s[(s < LOG_RANGE[0]) | (s > LOG_RANGE[1])] = math.nan
         columns.append(np.fromiter(map(math.exp, s.tolist()), dtype=float, count=len(s)))
     return np.column_stack(columns)
-
-
-def _validate_x0(sys: CyclicLVSystem, x0: Sequence) -> np.ndarray:
-    x = np.asarray([_float(v, f"initial state entry x{i}") for i, v in enumerate(x0, 1)])
-    if x.shape != (sys.n,):
-        raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
-    # NaN fails every comparison, so test for the one good range
-    if not np.all(np.isfinite(x) & (x >= POSITIVITY_FLOOR)):
-        raise InputError(
-            "initial state must be finite and at least the positivity floor "
-            f"{POSITIVITY_FLOOR:g}"
-        )
-    return x
 
 
 def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -444,17 +427,17 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
     times into ts. steps(xs, row, count, h) is _rk4_steps or its compiled
     form: a block's full steps take one call and the tail step, if any, a
-    second. Each block's last row is carried into xs[0] for the next. A run
-    of more steps than _step_limit is refused with InputError before the
-    first step.
+    second. Each block's last row is carried into xs[0] for the next. A
+    t_end / step over _step_limit(n), an infinite one that math.floor cannot
+    take included, is refused with InputError: the one test of a run's length.
     """
-    h = cfg.step
-    n_full = int(math.floor(cfg.t_end / h + 1e-9))
+    h, n, ratio = cfg.step, xs.shape[1], cfg.t_end / cfg.step
+    if not ratio <= _step_limit(n):
+        raise InputError(
+            f"t_end/step = {ratio:.17g} exceeds the limit of {_step_limit(n)} steps at n={n}")
+    n_full = int(math.floor(ratio + 1e-9))
     remainder = cfg.t_end - n_full * h
     total = n_full + (remainder > 1e-12 * cfg.t_end)
-    n = xs.shape[1]
-    if total > _step_limit(n):
-        raise InputError(f"{total} steps exceed the limit of {_step_limit(n)} at n={n}")
     base = 0
     while base < total:
         count = min(len(xs) - 1, total - base)
@@ -519,15 +502,17 @@ def integrate(
 
     Returns the Trajectory of rows 0, sample_every, 2 * sample_every, ...
     and the last row, and the largest drift of every row. The run steps,
-    evaluates and screens _BLOCK_ROWS rows at a time, so its memory is the
-    rows it keeps and one block. Raises InputError up front for a
-    sample_every that is not a positive integer, an x0 of the wrong length,
-    an x0 entry that is not a real number in the float range, is NaN or
-    infinite, or is below POSITIVITY_FLOOR, a nonzero rate or exponent
-    whose float overflows or rounds to zero, a basis whose exponent vectors
-    have another length than the system, an integral that leaves the float
-    range at x0, and an RK4 run over its step limit, the lower of
-    MAX_STEPS and MAX_STORED_FLOATS // n. During the run it raises
+    evaluates and screens a block of at most _BLOCK_ROWS rows and
+    _BLOCK_FLOATS state floats at a time, so its memory is the rows it keeps
+    and one block. Raises InputError up front, in this order, for a
+    sample_every that is not a positive integer, an x0 of the wrong length
+    or with an entry that is not a real number in the float range, a
+    nonzero rate or exponent whose float overflows or rounds to zero, a
+    basis whose exponent vectors have another length than the system, an x0
+    that the row screen fails (an entry NaN, infinite or below
+    POSITIVITY_FLOOR, or an integral outside the float range), and an RK4
+    run whose t_end / step passes its step limit, the lower of MAX_STEPS
+    and MAX_STORED_FLOATS // n. During the run it raises
     PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
     NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
     integral's drift is not finite, a monomial outside LOG_RANGE being NaN,
@@ -538,7 +523,9 @@ def integrate(
     """
     if isinstance(sample_every, bool) or not (isinstance(sample_every, int) and sample_every >= 1):
         raise InputError(f"sample_every must be a positive integer, got {sample_every!r}")
-    x = _validate_x0(sys, x0)
+    x = np.asarray([_float(v, f"initial state entry x{i}") for i, v in enumerate(x0, 1)])
+    if x.shape != (sys.n,):
+        raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     rk4 = cfg.method is Method.RK4_FIXED
     if sys.n <= _SCALAR_MAX_N:
         step, state = _compiled_step(sys, rk4), x.tolist()
@@ -549,8 +536,7 @@ def integrate(
         raise InputError("exponent vector length does not match the system")
     exponents = [_floats(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
                  for j, mono in enumerate(basis.monomials, start=2)]
-    # no run takes more steps than its limit, so no block needs more rows
-    size = min(_BLOCK_ROWS, _step_limit(sys.n)) + 1
+    size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
     xs, ts = np.empty((size, sys.n)), np.empty(size)
     xs[0], ts[0] = x, 0.0
     blocks = _rk4_blocks(step, xs, ts, cfg) if rk4 else _rkf45_blocks(step, state, xs, ts, cfg)
@@ -559,15 +545,11 @@ def integrate(
     base = first = 0
     with np.errstate(all="ignore"):
         start = _values(x[None], exponents)[0]
-        if not np.isfinite(start).all():
-            raise InputError(
-                f"integral H{int(np.argmin(np.isfinite(start))) + 1} is outside the float range "
-                "at the initial state"
-            )
-        for rows, abort in blocks:
+        # row 0 alone before the first step, then the driver's blocks from row 1
+        for rows, abort in chain([(0, None)], blocks):
             block = xs[first : rows + 1]
             values = _values(block, exponents)
-            # row 0 passed the range rule, so every start is a positive float
+            # once row 0 passed the range rule, every start is a positive float
             drift = np.abs(values - start) / start
             # each row, in order: a coordinate not finite, one below the
             # floor, a drift not finite
@@ -580,6 +562,13 @@ def integrate(
             if fails.any():
                 # the first failing row, and its first failure
                 row, column = divmod(int(np.argmax(fails)), fails.shape[1])
+                if not first:  # row 0, x0
+                    raise InputError(
+                        ("initial state must be finite and at least the positivity floor "
+                         f"{POSITIVITY_FLOOR:g}") if column <= sys.n else
+                        (f"integral H{column - sys.n} is outside the float range "
+                         "at the initial state")
+                    )
                 when = float(ts[first + row])
                 if column < sys.n:
                     abort = NonFiniteState(when, column + 1)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycliclv import InputError, VerificationReport, integral_basis, make_system, model, sim
-from cycliclv import cli
+from cycliclv import cli, darboux
 from cycliclv.cli import main, run_check_battery
 from helpers import (
     RATES_41,
@@ -27,6 +27,23 @@ from helpers import (
     run_cli,
     run_python,
     stderr_of,
+)
+
+
+# A child that runs main on its argv, then prints the exit code and its
+# VmHWM, the peak RSS of its own memory in KiB: its ru_maxrss would also
+# count the parent's RSS, which Linux carries across the exec that starts it.
+PEAK_CHILD = (
+    "import sys; from cycliclv.cli import main; code = main(sys.argv[1:]); "
+    "status = open('/proc/self/status').read(); "
+    "print(code, status.split('VmHWM:')[1].split()[0])"
+)
+
+
+# A child that runs main on its argv with its address space capped at 1 GiB.
+CAPPED_CHILD = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from cycliclv.cli import main; sys.exit(main(sys.argv[1:]))"
 )
 
 
@@ -575,20 +592,13 @@ class TestSimulate:
         # A run keeps only the rows it writes and one block, so 2e5 RK4 steps
         # written every 1000th peak within 8 MB of 100 steps. Keeping every
         # row costs 2e5 x 9 floats of state alone, 14 MB, and more for the
-        # integrals and the screen. The child reports VmHWM, the peak RSS of
-        # its own memory: its ru_maxrss would also count this process's RSS,
-        # which Linux carries across the exec that starts the child.
+        # integrals and the screen.
         write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(9)])
-        child = (
-            "import sys; from cycliclv.cli import main; code = main(sys.argv[1:]); "
-            "status = open('/proc/self/status').read(); "
-            "print(code, status.split('VmHWM:')[1].split()[0])"
-        )
         x0 = ",".join(repr(1 + 0.01 * (i % 5)) for i in range(9))
         peaks = []
         for t_end in ("0.1", "200"):
             result = run_python(
-                ["-c", child, *SIM, "--x0", x0, "--step", "1e-3", "--t-end", t_end,
+                ["-c", PEAK_CHILD, *SIM, "--x0", x0, "--step", "1e-3", "--t-end", t_end,
                  "--sample-every", "1000"],
                 tmp_path,
                 timeout=120,
@@ -598,6 +608,26 @@ class TestSimulate:
             peaks.append(int(kib))
         assert (tmp_path / "t.csv").read_text().count("\n") == 1 + 201
         assert peaks[1] - peaks[0] < 8 * 1024, peaks
+
+    @pytest.mark.skipif(not _sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_block_memory_is_bounded_by_floats_above_16_coordinates(self, tmp_path):
+        # A block holds at most 16 * 4096 state floats, 32 rows at n=2001.
+        # Blocks of 4097 rows there, with the support columns and logs that
+        # the drift pass copies, peaked at 217.8 MB.
+        n = 2001
+        write_spec(tmp_path, "spec.json", [i % 9 + 1 for i in range(n)])
+        x0 = ",".join(repr(1 + 0.01 * (i % 5)) for i in range(n))
+        result = run_python(
+            ["-c", PEAK_CHILD, *SIM, "--x0", x0, "--step", "1e-3", "--t-end", "4.2",
+             "--sample-every", "1000"],
+            tmp_path,
+            timeout=120,
+        )
+        *out, last = result.stdout.decode().splitlines()
+        code, kib = last.split()
+        assert code == "0", stderr_of(result)
+        assert out[-1].endswith(" status=ok"), out
+        assert int(kib) < 64 * 1024, kib
 
 
 WHEEL3 = '{"k": [2, 1, 3]}'
@@ -652,7 +682,7 @@ class TestRefusals:
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--step", "nan"],
              "step must be finite and positive, got nan"),
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--step", "1e-3", "--t-end", "1e300"],
-             "t_end/step = 1e+303 exceeds the limit of 10000000 steps"),
+             "t_end/step = 1e+303 exceeds the limit of 10000000 steps at n=3"),
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--sample-every", "0"],
              "sample_every must be a positive integer, got 0"),
             (None, ["integrals", "--system", "no\nsuch.json"],
@@ -727,7 +757,7 @@ class TestRefusals:
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "kept\n"
 
     def test_rk4_over_the_stored_floats_is_refused(self, tmp_path):
-        # 10^7 steps pass IntegratorConfig, but 10^7 rows of 1000 floats would
+        # 10^7 steps are within MAX_STEPS, but 10^7 rows of 1000 floats would
         # take 74.5 GiB. The child's address space is capped at 3 GiB, so
         # code that tried to allocate them fails there with a MemoryError
         # instead of filling the machine's memory.
@@ -745,7 +775,40 @@ class TestRefusals:
         assert result.returncode == 2, stderr_of(result)
         assert result.stdout == b""
         assert result.stderr.decode() == (
-            f"error: 10000000 steps exceed the limit of {sim.MAX_STORED_FLOATS // n} at n={n}\n"
+            f"error: t_end/step = 10000000 exceeds the limit of {sim.MAX_STORED_FLOATS // n} "
+            f"steps at n={n}\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_one_rk4_step_budget(self, tmp_path, monkeypatch, capsys, n):
+        # _step_limit(n) is the one budget: MAX_STEPS at n=3, and the
+        # stored-float bound 800 // 17 = 47 at n=17
+        monkeypatch.setattr(sim, "MAX_STEPS", 50)
+        monkeypatch.setattr(sim, "MAX_STORED_FLOATS", 800)
+        limit = sim._step_limit(n)
+        assert limit == {3: 50, 17: 47}[n]
+        system = make_system([i % 3 + 1 for i in range(n)])
+        basis = integral_basis(system)
+        x0 = [1 + 0.01 * (i % 5) for i in range(n)]
+        # a step of 2^-6 makes t_end / step exact
+        h = 2.0**-6
+        run = sim.integrate(system, x0, sim.IntegratorConfig("rk4", h, limit * h), basis)
+        assert len(run.t) == limit + 1
+        refused = f"t_end/step = {limit + 1} exceeds the limit of {limit} steps at n={n}"
+        with pytest.raises(InputError, match=f"^{refused}$"):
+            sim.integrate(system, x0, sim.IntegratorConfig("rk4", h, (limit + 1) * h), basis)
+        # the config alone takes an infinite ratio; the budget needs n
+        assert sim.IntegratorConfig("rk4", 1e-300, 1e300).t_end == 1e300
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(n)])
+        argv = [*SIM, "--x0", ",".join(map(repr, x0)), "--step", "1e-300", "--t-end", "1e300"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+        assert captured.err == (
+            f"error: t_end/step = inf exceeds the limit of {limit} steps at n={n}\n"
         )
         assert not (tmp_path / "t.csv").exists()
 
@@ -861,17 +924,33 @@ class TestRefusals:
     def test_endless_spec_is_refused_in_bounded_memory(self, tmp_path):
         # the child's address space is capped at 1 GiB, so a reader that
         # tried to hold all of /dev/zero fails there with a MemoryError
-        child = (
-            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from cycliclv.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        result = run_python(["-c", child, "integrals", "--system", "/dev/zero"], tmp_path,
+        result = run_python(["-c", CAPPED_CHILD, "integrals", "--system", "/dev/zero"], tmp_path,
                             timeout=60)
         assert result.returncode == 2, stderr_of(result)
         assert result.stdout == b""
         err = result.stderr.decode()
         assert_one_error_line(err)
         assert err == f"error: /dev/zero is larger than {cli.MAX_SPEC_BYTES} bytes\n"
+
+    @pytest.mark.parametrize("command", ["integrals", "check", "simulate"])
+    def test_exponents_past_the_bit_budget_are_refused_in_bounded_memory(self, tmp_path,
+                                                                          command):
+        # The exponents of alternating rates at n=20001 take 2.6e8 bits, and
+        # integrals --format json printed 78.5 MB of them. The child's address
+        # space is capped at 1 GiB, so a walk that went on past the budget
+        # fails there with a MemoryError instead of filling the machine's memory.
+        n = 20001
+        write_spec(tmp_path, "spec.json", [2, 3] * (n // 2) + [2])
+        argv = {"integrals": ["integrals", "--system", "spec.json", "--format", "json"],
+                "check": ["check", "--system", "spec.json"],
+                "simulate": [*SIM, "--x0", ",".join(["1"] * n)]}[command]
+        result = run_python(["-c", CAPPED_CHILD, *argv], tmp_path, timeout=60)
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stdout == b""
+        assert result.stderr.decode() == (
+            f"error: the integrals' exponents take more than {darboux.MAX_EXPONENT_BITS} bits\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
 
     def test_spec_of_the_byte_bound_loads_and_one_byte_more_is_refused(
         self, tmp_path, monkeypatch

@@ -20,6 +20,7 @@ from cycliclv import (
     make_system,
     nullspace,
 )
+from cycliclv import darboux
 from helpers import dense, random_system, rank, resonant_system
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
@@ -275,6 +276,16 @@ class TestIntegralBasis:
     def test_monomial_count_enforced(self):
         with pytest.raises(ValueError):
             IntegralBasis(Classification.ODD, LinearIntegral(3), ())
+
+    def test_exponent_bits_are_bounded_over_the_basis(self, monkeypatch):
+        # (1, 0, 2, 0) and (0, 1, 0, 1/3) take 2 + 3 and 2 + 3 bits; the
+        # second walk counts on from the first, so its 1/3 passes a budget of 9
+        sys = make_system([2, 1, 3, 6])
+        monkeypatch.setattr(darboux, "MAX_EXPONENT_BITS", 10)
+        assert len(integral_basis(sys).monomials) == 2
+        monkeypatch.setattr(darboux, "MAX_EXPONENT_BITS", 9)
+        with pytest.raises(InputError, match="^the integrals' exponents take more than 9 bits$"):
+            integral_basis(sys)
 
 
 class TestMonomialIntegralInvariants:

@@ -66,8 +66,12 @@ class TestConfig:
             IntegratorConfig(method="bogus")
 
     def test_rk4_step_count_over_limit_rejected(self):
-        with pytest.raises(InputError, match=f"exceeds the limit of {sim.MAX_STEPS} steps"):
-            IntegratorConfig(method="rk4", step=1e-3, t_end=1e300)
+        # the config takes the run; its step budget needs n, so integrate refuses it
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=1e300)
+        refused = f"^t_end/step = 1e\\+303 exceeds the limit of {sim.MAX_STEPS} steps at n=3$"
+        with pytest.raises(InputError, match=refused):
+            integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
 
     def test_rk45_step_count_is_not_checked_up_front(self):
         cfg = IntegratorConfig(method="rk45", step=1e-3, t_end=1e300)
@@ -252,6 +256,29 @@ class TestIntegrate:
             ):
                 integrate(sys, bad, cfg, integral_basis(sys))
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_initial_state_is_screened_before_any_step(self, method, monkeypatch):
+        # row 0 goes through the row screen alone, before either driver
+        # runs; a generator, entered stops the run as a driver starts
+        def entered(*args):
+            raise AssertionError("a driver was entered")
+            yield
+
+        monkeypatch.setattr(sim, "_rk4_blocks", entered)
+        monkeypatch.setattr(sim, "_rkf45_blocks", entered)
+        cfg = IntegratorConfig(method, step=1e-3, t_end=0.01)
+        sys = make_system(RATES_41)
+        for x0, message in (
+            ([1e-13] + [0.5] * 40, "initial state must be finite and at least the positivity"),
+            ([2.0] * 41, "integral H2 is outside the float range at the initial state"),
+        ):
+            with pytest.raises(InputError, match=f"^{message}"):
+                integrate(sys, x0, cfg, integral_basis(sys))
+        # a bad rate is refused before an x0 below the floor
+        bad_rate = make_system(["1e-400", 1, 3])
+        with pytest.raises(InputError, match="^rate k1 has no finite nonzero float"):
+            integrate(bad_rate, [1e-13, 0.5, 0.5], cfg, integral_basis(bad_rate))
+
     def test_positivity_breach_carries_partial_records(self):
         # with k1 < k2 the first coordinate of the n=2 system decays
         # monotonically toward the boundary and must trip the floor
@@ -354,7 +381,8 @@ class TestAdaptive:
         assert len(exc.value.trajectory.t) == 51
         rk4 = integrate(sys, x0, IntegratorConfig("rk4", step=0.02, t_end=1.0), basis)
         assert rk4.x.shape == (51, n)
-        with pytest.raises(InputError, match=f"^51 steps exceed the limit of 50 at n={n}$"):
+        refused = f"^t_end/step = 50.5 exceeds the limit of 50 steps at n={n}$"
+        with pytest.raises(InputError, match=refused):
             integrate(sys, x0, IntegratorConfig("rk4", step=0.02, t_end=1.01), basis)
 
     def test_step_underflow(self, monkeypatch):
