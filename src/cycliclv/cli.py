@@ -10,13 +10,15 @@ integers, exact decimal literals, or "p/q" strings; the dimension is the
 list length. No literal's numerator or denominator may have more than 4300
 digits, nor the file more than MAX_SPEC_BYTES (4 MiB). Exit codes: 0
 success, 1 verification failure, 2 input error (an InputError, printed as
-one bounded "error: " line on stderr), 3 runtime integration failure.
+one bounded "error: " line on stderr) or a stdout that cannot be written
+("error: cannot write stdout: REASON"), 3 runtime integration failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys as _sys
@@ -77,6 +79,18 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
     return make_system(data["k"])
 
 
+class _StdoutUnwritable(Exception):
+    """An OSError from writing or flushing stdout, its __cause__; console_main reports it."""
+
+
+def _print(*lines: str) -> None:
+    """Write lines to stdout and flush them: the one writer of a command's output."""
+    try:
+        print("\n".join(lines), flush=True)
+    except OSError as exc:
+        raise _StdoutUnwritable from exc
+
+
 def _monomial_text(name: str, mono: darboux.MonomialIntegral) -> list[str]:
     factors = []
     for i, e in enumerate(mono.exponents, start=1):
@@ -125,16 +139,18 @@ def cmd_integrals(args: argparse.Namespace) -> int:
                     for name, mono in zip(_integral_names(basis)[1:], basis.monomials)
                 ],
             }
-            print(json.dumps(payload, indent=2))
+            _print(json.dumps(payload, indent=2))
             return EXIT_OK
-        print(f"n: {system.n}")
-        print(f"classification: {basis.classification.name}")
-        print("H1 = " + " + ".join(f"x{i}" for i in range(1, system.n + 1)))
+        lines = [
+            f"n: {system.n}",
+            f"classification: {basis.classification.name}",
+            "H1 = " + " + ".join(f"x{i}" for i in range(1, system.n + 1)),
+        ]
         for name, mono in zip(_integral_names(basis)[1:], basis.monomials):
-            for line in _monomial_text(name, mono):
-                print(line)
+            lines += _monomial_text(name, mono)
     if not basis.monomials:
-        print("no monomial integrals")
+        lines.append("no monomial integrals")
+    _print(*lines)
     return EXIT_OK
 
 
@@ -199,9 +215,7 @@ def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], boo
 def cmd_check(args: argparse.Namespace) -> int:
     system = load_system_spec(args.system)
     lines, ok = run_check_battery(system, seed=args.seed)
-    for line in lines:
-        print(line)
-    print(f"result: {'PASS' if ok else 'FAIL'}")
+    _print(*lines, f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -274,7 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     drift = " ".join(
         "max_drift_%s=%.17g" % pair for pair in zip(names, trajectory.max_drift.tolist())
     )
-    print("summary: rows=%d t_final=%.17g %s status=%s" % (rows, trajectory.t[-1], drift, status))
+    _print("summary: rows=%d t_final=%.17g %s status=%s" % (rows, trajectory.t[-1], drift, status))
     return exit_code
 
 
@@ -324,5 +338,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def console_main() -> None:
+    """The process entry of `python -m cycliclv.cli` and the `cycliclv` script.
+
+    Runs main, reports an unwritable stdout with exit 2, freezes the heap and exits
+    with main's code. main changes nothing process-wide, so tests call it.
+    """
+    try:
+        code = main()
+    except _StdoutUnwritable as exc:
+        print(f"error: cannot write stdout: {_excerpt(exc.__cause__, REASON_BYTES)}",
+              file=_sys.stderr)
+        # the interpreter's final flush of what is still buffered must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = EXIT_INPUT_ERROR
+    # Freeing the import heap object by object takes most of the exit; the
+    # shutdown collections skip frozen objects and the OS takes the memory back.
+    gc.freeze()
+    _sys.exit(code)
+
+
 if __name__ == "__main__":
-    _sys.exit(main())
+    console_main()

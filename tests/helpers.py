@@ -112,7 +112,7 @@ def simplex_point(rng: random.Random, n: int, margin: float = 0.2) -> list[float
 
 
 def run_python(
-    args: list[str], cwd, timeout: float | None = None
+    args: list[str], cwd, timeout: float | None = None, stdout=subprocess.PIPE
 ) -> subprocess.CompletedProcess:
     """Run `python *args` in a child process started in `cwd`.
 
@@ -121,7 +121,8 @@ def run_python(
     the child runs the code under test whether it came from `src/` or from an
     install, and a relative PYTHONPATH cannot break when `cwd` differs. A
     child still running after `timeout` seconds is killed and
-    subprocess.TimeoutExpired raised.
+    subprocess.TimeoutExpired raised. stderr is captured; stdout is too,
+    unless `stdout` names a file or descriptor for it.
     """
     package_root = str(Path(cycliclv.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -130,7 +131,8 @@ def run_python(
     )
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         cwd=cwd,
         env=env,
         timeout=timeout,
@@ -138,10 +140,10 @@ def run_python(
 
 
 def run_cli(
-    args: list[str], cwd, timeout: float | None = None
+    args: list[str], cwd, timeout: float | None = None, stdout=subprocess.PIPE
 ) -> subprocess.CompletedProcess:
     """Run `python -m cycliclv.cli *args` in a child process, as run_python does."""
-    return run_python(["-m", "cycliclv.cli", *args], cwd, timeout)
+    return run_python(["-m", "cycliclv.cli", *args], cwd, timeout, stdout)
 
 
 def stderr_of(*results: subprocess.CompletedProcess) -> str:

@@ -1,10 +1,14 @@
 """Exit codes, output formats, round-trips, and byte-level determinism."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import math
+import os
 import random
+import re
 import sys as _sys
 import tempfile
 from fractions import Fraction
@@ -977,6 +981,116 @@ class TestRefusals:
         assert str(refused.value) == (
             "spec.json is not valid JSON: Expecting value: line 4 column 1 (char 16)"
         )
+
+
+# One call per exit code, each from a directory holding spec.json (the wheel),
+# zero.json (a zero rate) and decay.json (a system whose x1 falls to the floor).
+ENTRY_CALLS = [
+    (["integrals", "--system", "spec.json"], 0),
+    (["check", "--system", "zero.json"], 2),
+    (["simulate", "--system", "decay.json", "--x0", "0.5,0.5", "--step", "1e-2",
+      "--t-end", "20", "--out", "t.csv"], 3),
+]
+ENTRY_CALL_IDS = ["exit-0", "exit-2", "exit-3"]
+
+# A child that calls the entry function as the installed console script does.
+SCRIPT_CHILD = "import sys; from cycliclv.cli import console_main; sys.exit(console_main())"
+
+# A child that runs the module as `python -m` does and reports, at exit, how
+# many objects the collector holds frozen.
+FROZEN_CHILD = (
+    "import atexit, gc, runpy, sys; "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+    "runpy.run_module('cycliclv.cli', run_name='__main__')"
+)
+
+
+@pytest.fixture
+def entry_specs(tmp_path):
+    (tmp_path / "spec.json").write_text(WHEEL3)
+    (tmp_path / "zero.json").write_text('{"k": [1, 0, 3]}')
+    (tmp_path / "decay.json").write_text('{"k": [1, 5]}')
+    return tmp_path
+
+
+class TestProcessEntry:
+    """console_main is the one process entry; main stays free of its effects."""
+
+    @pytest.mark.parametrize("argv, code", ENTRY_CALLS, ids=ENTRY_CALL_IDS)
+    def test_main_leaves_the_heap_unfrozen(self, entry_specs, monkeypatch, capsys, argv,
+                                           code):
+        monkeypatch.chdir(entry_specs)
+        frozen = gc.get_freeze_count()
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_entry_freezes_the_heap_before_exit(self, entry_specs):
+        result = run_python(["-c", FROZEN_CHILD, "integrals", "--system", "spec.json"],
+                            entry_specs)
+        assert result.returncode == 0, stderr_of(result)
+        assert result.stdout.startswith(b"n: 3\n")
+        frozen = re.fullmatch(rb"frozen (\d+)\n", result.stderr)
+        assert frozen and int(frozen.group(1)) > 0, stderr_of(result)
+
+    def test_console_script_is_the_main_block_entry(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        if _sys.version_info >= (3, 11):
+            import tomllib
+
+            target = tomllib.loads(text)["project"]["scripts"]["cycliclv"]
+        else:
+            target = re.search(r'^cycliclv = "(.*)"$', text, re.M).group(1)
+        blocks = [
+            node.body for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [
+            [target.replace("cycliclv.cli:", "") + "()"]
+        ]
+        assert target.startswith("cycliclv.cli:")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        ENTRY_CALLS + [(["--help"], 0), (["integrals", "--bogus"], 2)],
+        ids=ENTRY_CALL_IDS + ["help", "bad-flag"],
+    )
+    def test_both_launchers_give_the_same_bytes(self, entry_specs, argv, code):
+        module = run_cli(argv, entry_specs)
+        script = run_python(["-c", SCRIPT_CHILD, *argv], entry_specs)
+        assert module.returncode == script.returncode == code, stderr_of(module, script)
+        assert module.stdout == script.stdout
+        assert module.stderr == script.stderr
+
+    @pytest.mark.parametrize("target, reason", [
+        ("/dev/full", "[Errno 28] No space left on device"),
+        ("closed-pipe", "[Errno 32] Broken pipe"),
+    ], ids=["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("argv", [
+        ["integrals", "--system", "spec.json"],
+        ["integrals", "--system", "spec.json", "--format", "json"],
+        ["check", "--system", "spec.json"],
+        ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5", "--t-end", "0.5",
+         "--out", "t.csv"],
+    ], ids=["integrals", "integrals-json", "check", "simulate"])
+    def test_unwritable_stdout_exit_2(self, entry_specs, target, reason, argv):
+        if target == "/dev/full":
+            if not os.path.exists(target):
+                pytest.skip("no /dev/full on this platform")
+            with open(target, "wb") as full:
+                result = run_cli(argv, entry_specs, stdout=full)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                result = run_cli(argv, entry_specs, stdout=write)
+            finally:
+                os.close(write)
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stderr.decode() == f"error: cannot write stdout: {reason}\n"
+        if argv[0] == "simulate":
+            # the run and its CSV were complete before stdout was written
+            rows = (entry_specs / "t.csv").read_text().splitlines()
+            assert len(rows) == 502 and rows[-1].startswith("0.5,")
 
 
 class TestDeterminism:
