@@ -83,12 +83,26 @@ class _StdoutUnwritable(Exception):
     """An OSError from writing or flushing stdout, its __cause__; console_main reports it."""
 
 
-def _print(*lines: str) -> None:
-    """Write lines to stdout and flush them: the one writer of a command's output."""
+def _print(*lines: str, end: str = "\n") -> None:
+    """Write lines to stdout and flush them: the one writer of stdout."""
     try:
-        print("\n".join(lines), flush=True)
+        print("\n".join(lines), end=end, flush=True)
     except OSError as exc:
         raise _StdoutUnwritable from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose stdout text, --help's, goes out through _print.
+
+    argparse's own writer drops an OSError. Subparsers are made of the
+    parser's own class, so they write through _print too.
+    """
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is _sys.stdout:
+            _print(message, end="")
+        else:
+            super()._print_message(message, file)
 
 
 def _monomial_text(name: str, mono: darboux.MonomialIntegral) -> list[str]:
@@ -293,7 +307,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cycliclv",
         description=(
             "First integrals of cyclic Lotka-Volterra systems: exact "

@@ -88,6 +88,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     e >= 0, m over 10^-e otherwise) has more than MAX_LITERAL_DIGITS digits,
     as "1e5000" is; the int parts of "p/q" meet Python's own limit. Every
     refusal is an InputError.
+
+    A string that is, past surrounding whitespace, an optional sign and at
+    most MAX_LITERAL_DIGITS ASCII digits goes straight through int, to the
+    value that _literal_fraction, the route of every other string, gives
+    it. A digit string that int refuses under a lowered int digit limit
+    takes that route too, and is refused there in its words.
     """
     if isinstance(value, bool):
         raise InputError("booleans are not rational parameters")
@@ -97,15 +103,13 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if "/" not in text:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit() and len(digits) <= MAX_LITERAL_DIGITS:
             try:
-                _refuse_long_decimal(Decimal(text))
-            except InvalidOperation:
-                raise InputError(f"invalid literal for a rational: {text!r}") from None
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(str(exc)) from exc
+                return Fraction(int(text))
+            except ValueError:
+                pass
+        return _literal_fraction(text)
     if isinstance(value, Decimal):
         _refuse_long_decimal(value)
         return Fraction(value)
@@ -115,6 +119,19 @@ def as_fraction(value: RationalLike) -> Fraction:
             "string (e.g. '0.25') for an exact conversion"
         )
     raise InputError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _literal_fraction(text: str) -> Fraction:
+    """as_fraction's general route for a stripped str: a decimal literal or "p/q"."""
+    if "/" not in text:
+        try:
+            _refuse_long_decimal(Decimal(text))
+        except InvalidOperation:
+            raise InputError(f"invalid literal for a rational: {text!r}") from None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _refuse_long_decimal(value: Decimal) -> None:

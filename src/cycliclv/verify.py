@@ -4,21 +4,24 @@ Every check here works by a route different from the construction it
 verifies: cofactor cancellation is checked coefficient by coefficient,
 conservation of the sum is checked by expanding the full quadratic
 polynomial sum_i x_i K_i, the reciprocal-product multiplier identity is
-evaluated through the generic product and quotient rules (letting the
+expanded through the generic product, power and quotient rules (letting the
 cancellation emerge rather than assuming it), and gradient independence is
 an exact rank computation.
 
-The two sample-based checks keep those routes but shed Fraction's
-per-operation cost: the multiplier's product-rule terms run on unreduced
-int pairs, reduced once each, and the rank scans the gradient matrix's
-columns only until they span its 1 + m rows. Both return what plain
-Fraction arithmetic over the whole matrix returns, witnesses included.
+The multiplier identity is proved once per system: its divergence sum is
+built as one sparse polynomial S, and the check passes when S is the zero
+form, which holds at every point. Its samples are still read and checked
+in order, and when S is not zero they only name the witness, the first
+sample where S does not vanish. The rank is taken at each sample on int
+columns, built from the coordinates' numerators and denominators, and
+scans the gradient matrix's columns only until they span its 1 + m rows;
+it returns what plain Fraction arithmetic over the whole matrix returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import prod
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .darboux import IntegralBasis, MonomialIntegral
@@ -107,53 +110,62 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
     return VerificationReport()
 
 
-def _rational_point(state: Sequence) -> list[Fraction]:
-    return [as_fraction(x) for x in state]
+def _rational_point(state: Sequence, n: int) -> list[Fraction]:
+    """Each coordinate as as_fraction reads it.
 
-
-def _jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
-    """Exact value of sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn).
-
-    rows is the structure matrix, the cofactors K_1..K_n, built once per
-    system. Each term is the generic product rule M * dP_i/dx_i +
-    P_i * dM/dx_i with dM/dx_i = -M/x_i; M is common to every term, so by
-    linearity the sum is M * sum_i (dP_i/dx_i - P_i/x_i). K_i, dK_i/dx_i,
-    P_i = x_i K_i, dP_i/dx_i = K_i + x_i dK_i/dx_i and P_i/x_i are unreduced
-    (numerator, denominator) int pairs, and each term is reduced once. The
-    K_i - K_i cancellation is left to the arithmetic, not assumed, so the
-    check does not rest on the structure matrix having a zero diagonal.
+    Raises InputError for a coordinate as_fraction refuses, then for a point
+    of another length than n.
     """
-    x = _rational_point(state)
-    if len(x) != len(rows):
+    x = [as_fraction(v) for v in state]
+    if len(x) != n:
         raise InputError("state length does not match the system")
-    for i0, v in enumerate(x):
-        if v == 0:
-            raise InputError(f"coordinate x{i0 + 1} is zero")
-    pairs = [(v.numerator, v.denominator) for v in x]
-    sum_n, sum_d = 0, 1
+    return x
+
+
+# A monomial as its coordinates in ascending order, each as often as its power.
+Monomial = tuple[int, ...]
+
+
+def _multiplier_form(rows: Sequence[Sequence[Term]]) -> dict[Monomial, Fraction]:
+    """S = sum_i (dP_i/dx_i - P_i/x_i), P_i = x_i K_i, as {monomial: nonzero coefficient}.
+
+    rows is the structure matrix, the cofactors K_1..K_n. By the product
+    rule with dM/dx_i = -M/x_i, the divergence of the field times
+    M = 1/(x1*...*xn) is M * sum_i (dP_i/dx_i - P_i/x_i) = S / (x1*...*xn),
+    so M is a Jacobi multiplier exactly when S is the zero form. Each term
+    c x_j of K_i gives P_i the term c x^a = c x_i x_j, whose derivative by
+    the power rule is c a_i x^a / x_i and whose quotient by x_i is c x^a / x_i.
+    The K_i - K_i cancellation is left to the arithmetic, not assumed, so
+    the form does not rest on the structure matrix having a zero diagonal:
+    an entry c there survives as c x_i. Coefficients add up as unreduced
+    (numerator, denominator) int pairs, each made a Fraction once.
+    """
+    total: dict[Monomial, tuple[int, int]] = {}
     for i0, row in enumerate(rows):
-        k_n, k_d, dk_n, dk_d = 0, 1, 0, 1
         for j, c in row:
-            c_n, c_d = c.numerator, c.denominator
-            a, b = pairs[j]
-            k_n, k_d = k_n * c_d * b + c_n * a * k_d, k_d * c_d * b
-            if j == i0:
-                dk_n, dk_d = dk_n * c_d + c_n * dk_d, dk_d * c_d
-        a, b = pairs[i0]
-        p_n, p_d = a * k_n, b * k_d
-        dp_n, dp_d = k_n * b * dk_d + a * dk_n * k_d, k_d * b * dk_d
-        px_n, px_d = p_n * b, p_d * a
-        t_n, t_d = dp_n * px_d - px_n * dp_d, dp_d * px_d
-        if t_n:
-            g = gcd(t_n, t_d)
-            t_n, t_d = t_n // g, t_d // g
-            sum_n, sum_d = sum_n * t_d + t_n * sum_d, sum_d * t_d
-    if not sum_n:
+            term = sorted((i0, j))
+            power = term.count(i0)
+            term.remove(i0)
+            lowered = tuple(term)
+            p, q = c.numerator, c.denominator
+            for value in (power * p, -p):
+                num, den = total.get(lowered, (0, 1))
+                total[lowered] = (num * q + value * den, den * q)
+    return {m: Fraction(num, den) for m, (num, den) in total.items() if num}
+
+
+def _jacobi_divergence(form: dict[Monomial, Fraction], state: Sequence, n: int) -> Fraction:
+    """The multiplied field's divergence S(x) / (x1*...*xn) at one point, S the form.
+
+    Raises InputError as _rational_point does, then for a zero coordinate.
+    """
+    x = _rational_point(state, n)
+    for i0, v in enumerate(x):
+        if not v:
+            raise InputError(f"coordinate x{i0 + 1} is zero")
+    if not form:
         return Fraction(0)
-    prod_n, prod_d = 1, 1
-    for a, b in pairs:
-        prod_n, prod_d = prod_n * a, prod_d * b
-    return Fraction(sum_n * prod_d, sum_d * prod_n)
+    return sum(c * prod(x[j] for j in mono) for mono, c in form.items()) / prod(x)
 
 
 def _first_failing_sample(
@@ -172,16 +184,20 @@ def _first_failing_sample(
 def check_jacobi_multiplier(
     sys: CyclicLVSystem, samples: Sequence[Sequence]
 ) -> VerificationReport:
-    """Verify the reciprocal-product multiplier identity at rational samples.
+    """Verify the reciprocal-product multiplier identity, naming a failing sample.
 
-    Passes iff the divergence of the multiplied field is exactly zero at
-    every sample; all coordinates must be nonzero rationals.
+    Passes when S of _multiplier_form is the zero form, which proves the
+    identity at every point. Every sample is converted and checked in order
+    all the same: its coordinates must be nonzero rationals. When S is not
+    zero, the check fails at the first sample where the multiplied field's
+    divergence S(x) / (x1*...*xn) is not zero, with that value as witness,
+    and passes if there is none.
     """
-    rows = structure_matrix(sys)
+    form = _multiplier_form(structure_matrix(sys))
 
     def residual(sample: Sequence) -> Optional[str]:
-        value = _jacobi_divergence(rows, sample)
-        return f"residual {value}" if value != 0 else None
+        value = _jacobi_divergence(form, sample, sys.n)
+        return f"residual {value}" if value else None
 
     return _first_failing_sample(samples, residual)
 
@@ -199,26 +215,29 @@ def _independence_rank(
     Row rank equals column rank, and the matrix has only 1 + m rows for m
     monomials, so the columns (1, lambda_j / x_j, mu_j / x_j, ...) are
     built one at a time and eliminated against an echelon basis of at most
-    1 + m short vectors. The scan stops once that basis is full; at a
-    rank-deficient point it reaches every column, and the rank it returns
-    is still exact.
+    1 + m short vectors. Each column is scaled by x_j's numerator and the
+    denominators of its exponents, which keeps the rank and makes it an int
+    vector, and elimination cross-multiplies, so no Fraction is built. The
+    scan stops once that basis is full; at a rank-deficient point it
+    reaches every column, and the rank it returns is still exact.
     """
-    x = _rational_point(state)
-    if len(x) != sys.n:
-        raise InputError("state length does not match the system")
-    if any(v <= 0 for v in x):
+    x = _rational_point(state, sys.n)
+    if any(v.numerator <= 0 for v in x):
         raise InputError("independence samples must be strictly positive")
     full = 1 + len(basis.monomials)
-    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot, vector with 1 there)
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, vector nonzero there)
     for j, v in enumerate(x):
-        col = [Fraction(1)] + [mono.exponents[j] / v for mono in basis.monomials]
+        a, b = v.numerator, v.denominator
+        lams = [mono.exponents[j] for mono in basis.monomials]
+        scale = a * prod(lam.denominator for lam in lams)
+        col = [scale] + [lam.numerator * b * (scale // (a * lam.denominator)) for lam in lams]
         for p, vec in echelon:
-            f = col[p]
+            f, g = col[p], vec[p]
             if f:
-                col = [a - f * b for a, b in zip(col, vec)]
-        p = next((i for i, a in enumerate(col) if a), None)
+                col = [g * c - f * v for c, v in zip(col, vec)]
+        p = next((i for i, c in enumerate(col) if c), None)
         if p is not None:
-            echelon.append((p, [a / col[p] for a in col]))
+            echelon.append((p, col))
             if len(echelon) == full:
                 break
     return len(echelon)
@@ -248,12 +267,23 @@ def random_rational_state(
 ) -> tuple[Fraction, ...]:
     """Random exact-rational point with nonzero (optionally positive) parts.
 
-    Each numerator and denominator is drawn from 1..99.
+    Each numerator and denominator is drawn from 1..99 as rng.randint(1, 99)
+    draws it, a getrandbits(7) drawn again while it is 99 or more, so the
+    point and the generator's state after it are randint's. Unless positive,
+    a part is then negative when rng.random() < 0.5.
     """
+    bits = rng.getrandbits
+
+    def part() -> int:
+        r = bits(7)
+        while r >= 99:
+            r = bits(7)
+        return r + 1
+
     out = []
     for _ in range(n):
-        q = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+        p, q = part(), part()
         if not positive and rng.random() < 0.5:
-            q = -q
-        out.append(q)
+            p = -p
+        out.append(Fraction(p, q))
     return tuple(out)

@@ -6,10 +6,11 @@ field in the state's own arithmetic for both of ``sim``'s RHS kernels,
 hyperplane invariance by an independent expansion of each field row, the
 raw field's divergence as the control for the Jacobi multiplier, and the
 empirical order of RK4 from drift at two step sizes. The reference routes
-are the plain Fraction forms of what ``verify`` computes on int pairs or
-with an early exit: the Jacobi divergence term by term in Fraction
-arithmetic, and the independence rank as the RREF rank of the dense
-gradient rows.
+are the plain forms of what the package computes on int pairs, once, or
+with an early exit: the Jacobi divergence term by term at one point in
+Fraction arithmetic, the independence rank as the RREF rank of the dense
+gradient rows, the exponent walks of ``integral_basis`` on Fractions, and
+``random_rational_state``'s draws through ``randint``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 import cycliclv
 from cycliclv import (
+    Classification,
     CyclicLVSystem,
     InputError,
     IntegralBasis,
@@ -40,7 +42,7 @@ from cycliclv import (
 )
 from cycliclv import linalg
 from cycliclv.model import Term, _row_quadratic
-from cycliclv.verify import _jacobi_divergence
+from cycliclv.verify import _jacobi_divergence, _multiplier_form
 
 
 def random_system(
@@ -195,12 +197,12 @@ def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:
 
 
 def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
-    """Exact sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn) at one point.
+    """Exact sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn) at one point of a system.
 
-    The same product-rule evaluation check_jacobi_multiplier applies to
-    each of its samples.
+    verify's own route: the system's multiplier form, evaluated and
+    validated at the point as check_jacobi_multiplier does each sample.
     """
-    return _jacobi_divergence(structure_matrix(sys), state)
+    return _jacobi_divergence(_multiplier_form(structure_matrix(sys)), state, sys.n)
 
 
 def _cofactor_at(row: Sequence[Term], x: Sequence, i0: int) -> tuple:
@@ -209,10 +211,11 @@ def _cofactor_at(row: Sequence[Term], x: Sequence, i0: int) -> tuple:
 
 
 def fraction_jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) -> Fraction:
-    """The reference for verify._jacobi_divergence, in Fraction arithmetic.
+    """The reference for verify's multiplier check, at one point in Fraction arithmetic.
 
     Each term is M * dP_i/dx_i + P_i * dM/dx_i with dM/dx_i = -M/x_i, every
-    operation a Fraction operation and M multiplied into every term.
+    operation a Fraction operation and M multiplied into every term. A
+    failing check's residual is this value at its witness sample.
     """
     x = [as_fraction(v) for v in state]
     if len(x) != len(rows):
@@ -231,6 +234,57 @@ def fraction_jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) 
         dp_i = k_i + x[i0] * dk_i
         total += multiplier * dp_i + p_i * (-multiplier / x[i0])
     return total
+
+
+def randint_rational_state(
+    rng: random.Random, n: int, *, positive: bool = True
+) -> tuple[Fraction, ...]:
+    """The reference for verify.random_rational_state: each part from rng.randint(1, 99)."""
+    out = []
+    for _ in range(n):
+        q = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+        if not positive and rng.random() < 0.5:
+            q = -q
+        out.append(q)
+    return tuple(out)
+
+
+def fraction_integral_basis(
+    sys: CyclicLVSystem, max_bits: int
+) -> tuple[Classification, list[tuple[Fraction, ...]]]:
+    """The reference for darboux.integral_basis: its walks in Fraction arithmetic.
+
+    Returns the classification and each monomial's exponents. The walk from
+    x1, and for even n at resonance the one from x2, each take
+    lambda_{j+2} = k_j lambda_j / k_{j+1} as two Fraction operations, and
+    InputError is raised once the exponents stored so far take more than
+    max_bits bits, numerators and denominators together.
+    """
+    n, k = sys.n, sys.rates
+    bits = 0
+
+    def walk(start: int) -> tuple[tuple[Fraction, ...], bool]:
+        nonlocal bits
+        lam = [Fraction(0)] * n
+        i, value = start, Fraction(1)
+        while True:
+            lam[i] = value
+            bits += value.numerator.bit_length() + value.denominator.bit_length()
+            if bits > max_bits:
+                raise InputError(f"the integrals' exponents take more than {max_bits} bits")
+            value = value * k[i] / k[(i + 1) % n]
+            i = (i + 2) % n
+            if i == start:
+                return tuple(lam), value == 1
+
+    if n == 2:
+        return Classification.N2, []
+    odd_chain, closes = walk(0)
+    if n % 2 == 1:
+        return Classification.ODD, [odd_chain]
+    if not closes:
+        return Classification.EVEN_NONRESONANT, []
+    return Classification.EVEN_RESONANT, [odd_chain, walk(1)[0]]
 
 
 def rank(rows, ncols: int) -> int:

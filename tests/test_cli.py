@@ -1092,6 +1092,22 @@ class TestProcessEntry:
             rows = (entry_specs / "t.csv").read_text().splitlines()
             assert len(rows) == 502 and rows[-1].startswith("0.5,")
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["integrals", "--help"]],
+                             ids=["help", "integrals-help"])
+    def test_help_into_a_full_stdout_exit_2(self, entry_specs, monkeypatch, argv, unbuffered):
+        # argparse's own writer drops the OSError: exit 0 and silence
+        # unbuffered, exit 120 and an "Exception ignored" line buffered
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        with open("/dev/full", "wb") as full:
+            result = run_cli(argv, entry_specs, stdout=full)
+        assert result.returncode == 2, stderr_of(result)
+        assert result.stderr.decode() == (
+            "error: cannot write stdout: [Errno 28] No space left on device\n"
+        )
+
 
 class TestDeterminism:
     def test_check_runs_byte_identical(self, wheel3, tmp_path):

@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -21,9 +23,14 @@ from cycliclv import (
     nullspace,
 )
 from cycliclv import darboux
-from helpers import dense, random_system, rank, resonant_system
+from helpers import dense, fraction_integral_basis, random_system, rank, resonant_system
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
+# signed rationals whose parts run to 2^70, past any machine word
+large_part = st.integers(min_value=1, max_value=1 << 70)
+large_rational = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q), st.sampled_from((-1, 1)), large_part, large_part
+)
 
 
 def closed_forms(sys):
@@ -286,6 +293,46 @@ class TestIntegralBasis:
         monkeypatch.setattr(darboux, "MAX_EXPONENT_BITS", 9)
         with pytest.raises(InputError, match="^the integrals' exponents take more than 9 bits$"):
             integral_basis(sys)
+
+
+class TestIntPairWalk:
+    """integral_basis against the Fraction walks of helpers.fraction_integral_basis."""
+
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda n: st.lists(large_rational, min_size=n, max_size=n)
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exponents_and_classification_match(self, rates, resonant):
+        if resonant and len(rates) % 2 == 0 and len(rates) >= 4:
+            # solve the last rate from k1 k3 ... k_{n-1} = k2 k4 ... kn
+            rates[-1] = math.prod(rates[0::2]) / math.prod(rates[1:-1:2])
+        sys = make_system(rates)
+        basis = integral_basis(sys)
+        classification, exponents = fraction_integral_basis(sys, darboux.MAX_EXPONENT_BITS)
+        assert basis.classification is classification
+        assert [mono.exponents for mono in basis.monomials] == exponents
+        for e in (e for mono in basis.monomials for e in mono.exponents):
+            assert type(e) is Fraction and e.denominator > 0
+            assert math.gcd(e.numerator, e.denominator) == 1
+
+    @given(large_rational, large_rational, st.integers(min_value=1, max_value=6000))
+    @settings(max_examples=25, deadline=None)
+    def test_alternating_rates_meet_the_bit_budget_at_the_same_n(self, a, b, budget):
+        with mock.patch.object(darboux, "MAX_EXPONENT_BITS", budget):
+            for n in range(2, 41):
+                sys = make_system([a, b] * (n // 2) + [a] * (n % 2))
+                try:
+                    want = fraction_integral_basis(sys, budget)
+                except InputError as exc:
+                    with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                        integral_basis(sys)
+                else:
+                    basis = integral_basis(sys)
+                    assert (basis.classification,
+                            [m.exponents for m in basis.monomials]) == want
 
 
 class TestMonomialIntegralInvariants:

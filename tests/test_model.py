@@ -5,6 +5,7 @@ import copy
 import pickle
 import random
 import re
+import sys as _sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from cycliclv import (
     make_system,
     structure_matrix,
 )
+from cycliclv import model
 from helpers import dense, random_system, vector_field, verify_hyperplane_invariance
 
 nonzero_int = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
@@ -67,6 +69,41 @@ class TestAsFraction:
                         "7" * 5000, "Infinity", Decimal("NaN")):
             with pytest.raises(ValueError):
                 as_fraction(literal)
+
+
+# Strings on and around as_fraction's digit-string fast path
+LITERAL_CORPUS = [
+    "5", "+5", "-5", "+-5", "-+5", "--5", "+", "-", "", " ", "0", "-0", "+0", "007",
+    "-0042", " 12 ", "\t-3\n", "1_000", "-1_0", "1 000", "\u0661\u0662\u0663",
+    "\uff15", "\u00b2", "5.", "5e0", "3/4", "9" * 4300, "-" + "9" * 4300,
+    "0" + "9" * 4300, "9" * 4301,
+]
+
+
+def _outcome(convert, text):
+    """convert(text), or the type and message of the InputError it raises."""
+    try:
+        return convert(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", LITERAL_CORPUS, ids=range(len(LITERAL_CORPUS)))
+def test_digit_strings_give_the_general_route_value_or_message(text):
+    want = _outcome(model._literal_fraction, text.strip())
+    assert _outcome(as_fraction, text) == want
+
+
+@pytest.mark.skipif(not hasattr(_sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_digit_string_past_a_lowered_int_limit_takes_the_general_route():
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(640)
+    try:
+        for text in ("7" * 700, "-" + "7" * 640):
+            assert _outcome(as_fraction, text) == _outcome(model._literal_fraction, text)
+        assert isinstance(_outcome(as_fraction, "7" * 700), tuple)
+    finally:
+        _sys.set_int_max_str_digits(limit)
 
 
 class TestMakeSystem:

@@ -1,6 +1,7 @@
 """Symbolic conservation checks, multiplier identity, gradient independence."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,13 @@ from cycliclv import (
     structure_matrix,
 )
 from cycliclv import verify as verify_mod
-from cycliclv.verify import _independence_rank, _jacobi_divergence
+from cycliclv.verify import _independence_rank, _multiplier_form
 from helpers import (
     dense_gradient_rank,
     field_divergence,
     fraction_jacobi_divergence,
     jacobi_divergence,
+    randint_rational_state,
     random_system,
     resonant_system,
 )
@@ -128,6 +130,18 @@ class TestJacobiMultiplier:
         with pytest.raises(InputError, match="at least one sample point is required"):
             check_jacobi_multiplier(make_system([1, 2, 3]), [])
 
+    @pytest.mark.parametrize("samples, message", [
+        ([], "at least one sample point is required"),
+        ([(1, 2, 3), (1, 2)], "state length does not match the system"),
+        ([(1, 2, 3), (Fraction(1, 2), 0, 3)], "coordinate x2 is zero"),
+        ([(1, 2, 3), (1, 0.5, 3)], "refusing to convert float 0.5"),
+    ], ids=["empty", "wrong-length", "zero-coordinate", "float-coordinate"])
+    def test_samples_are_checked_when_the_form_is_zero(self, samples, message):
+        sys = make_system([1, 2, 3])
+        assert _multiplier_form(structure_matrix(sys)) == {}
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            check_jacobi_multiplier(sys, samples)
+
     def test_state_length_mismatch(self):
         sys = make_system([1, 2, 3])
         for divergence in (jacobi_divergence, field_divergence):
@@ -152,36 +166,47 @@ def _planted(rows, i0, c):
 
 
 class TestJacobiIntPairs:
-    """verify._jacobi_divergence against the Fraction reference in helpers."""
+    """verify's multiplier form, and its witness against the Fraction reference in helpers."""
 
     def test_matches_reference_on_signed_rational_fields(self):
+        # S is the zero form, so the identity holds at every point
         rng = random.Random(103)
         for n in range(2, 13):
             for _ in range(6):
-                rows = structure_matrix(make_system([_signed_rational(rng) for _ in range(n)]))
+                sys = make_system([_signed_rational(rng) for _ in range(n)])
+                assert _multiplier_form(structure_matrix(sys)) == {}
                 point = random_rational_state(rng, n, positive=False)
-                got = _jacobi_divergence(rows, point)
-                assert got == fraction_jacobi_divergence(rows, point) == 0
+                assert fraction_jacobi_divergence(structure_matrix(sys), point) == 0
+                assert check_jacobi_multiplier(sys, [point]).passed
 
-    def test_planted_diagonal_gives_the_same_nonzero_residual(self):
+    def test_planted_diagonal_gives_the_same_nonzero_residual(self, monkeypatch):
         rng = random.Random(107)
+        original = verify_mod.structure_matrix
         for n in range(2, 13):
             for _ in range(6):
-                rows = structure_matrix(make_system([_signed_rational(rng) for _ in range(n)]))
-                rows = _planted(rows, rng.randrange(n), _signed_rational(rng))
+                sys = make_system([_signed_rational(rng) for _ in range(n)])
+                i0, c = rng.randrange(n), _signed_rational(rng)
+                rows = _planted(original(sys), i0, c)
+                assert _multiplier_form(rows) == {(i0,): c}
+                monkeypatch.setattr(verify_mod, "structure_matrix", lambda _, rows=rows: rows)
                 point = random_rational_state(rng, n, positive=False)
-                got = _jacobi_divergence(rows, point)
-                assert got != 0
-                assert got == fraction_jacobi_divergence(rows, point)
+                residual = fraction_jacobi_divergence(rows, point)
+                assert residual != 0
+                report = check_jacobi_multiplier(sys, [point, (1,) * n])
+                assert report.witness == f"sample 0: residual {residual}"
 
-    def test_planted_terms_that_cancel_give_zero(self):
-        # x1 * 2 + x2 * (-1) vanishes at x1 = 1, x2 = 2, so the per-term
-        # residuals are nonzero and only their sum is zero
+    def test_planted_terms_that_cancel_give_zero(self, monkeypatch):
+        # S = 2 x1 - x2 vanishes at x1 = 1, x2 = 2, so sample 0 passes and
+        # the witness is sample 1
         rows = structure_matrix(make_system([1, 2, 3]))
         rows = _planted(_planted(rows, 0, Fraction(2)), 1, Fraction(-1))
+        assert _multiplier_form(rows) == {(0,): 2, (1,): -1}
         point = (1, 2, Fraction(5, 7))
-        assert _jacobi_divergence(rows, point) == fraction_jacobi_divergence(rows, point) == 0
-        assert _jacobi_divergence(rows, (1, 3, Fraction(5, 7))) == Fraction(-7, 15)
+        assert fraction_jacobi_divergence(rows, point) == 0
+        assert fraction_jacobi_divergence(rows, (1, 3, Fraction(5, 7))) == Fraction(-7, 15)
+        monkeypatch.setattr(verify_mod, "structure_matrix", lambda sys: rows)
+        report = check_jacobi_multiplier(make_system([1, 2, 3]), [point, (1, 3, Fraction(5, 7))])
+        assert report.witness == "sample 1: residual -7/15"
 
     def test_failing_witness_bytes(self, monkeypatch):
         # x2 * 5/7 = -15/7 and M = 1/(1/2 * -3 * 4/5) = -5/6
@@ -295,6 +320,17 @@ class TestRankEarlyExit:
         basis = integral_basis(sys)
         assert _independence_rank(sys, basis, (1, 1, 1, 1)) == 2
         assert dense_gradient_rank(sys, basis, (1, 1, 1, 1)) == 2
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_random_rational_state_draws_randints_stream(n, positive):
+    for seed in range(500):
+        ours, reference = random.Random(seed), random.Random(seed)
+        got = random_rational_state(ours, n, positive=positive)
+        assert got == randint_rational_state(reference, n, positive=positive)
+        assert all(type(v) is Fraction for v in got)
+        assert ours.random() == reference.random()
 
 
 def test_random_rational_state_properties():
