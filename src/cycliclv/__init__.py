@@ -10,10 +10,11 @@ numerically integrated trajectories.
 
 The public names are those of each module's ``__all__``; the package
 re-exports them all and lists none of them itself. Only ``model`` and
-``darboux`` load with the package. ``verify`` loads on the first lookup of
-``verify`` or of one of its names, and ``sim``, the one module that needs
-numpy, on the first lookup of ``__all__``, of ``sim`` or of one of its names.
-So computing integrals imports neither, and exact work never imports numpy.
+``darboux`` load with the package. A lookup of ``verify`` or ``sim`` loads
+that module alone, one of ``verify``'s names loads ``verify``, and one of
+``__all__`` or of ``sim``'s names loads both; ``sim`` is the one module that
+needs numpy. So computing integrals imports neither, simulating does not
+import ``verify``, and exact work never imports numpy.
 """
 
 import importlib
@@ -33,16 +34,14 @@ def __getattr__(name: str):
     # attribute of this package, so it cannot come back here
     if name in ("cli", "linalg") or name.startswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in ("sim", "verify"):
+        return importlib.import_module(f".{name}", __name__)
     verify = importlib.import_module(".verify", __name__)
-    if name == "verify":
-        return verify
     if name in verify.__all__:
         return getattr(verify, name)
     sim = importlib.import_module(".sim", __name__)
     if name == "__all__":
         return darboux.__all__ + model.__all__ + sim.__all__ + verify.__all__
-    if name == "sim":
-        return sim
     if name in sim.__all__:
         return getattr(sim, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

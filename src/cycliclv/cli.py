@@ -106,13 +106,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _monomial_text(name: str, mono: darboux.MonomialIntegral) -> list[str]:
-    factors = []
-    for i, e in enumerate(mono.exponents, start=1):
-        if e == 0:
-            continue
-        factors.append(f"x{i}" if e == 1 else f"x{i}^({e})")
-    exponents = ", ".join(str(e) for e in mono.exponents)
-    return [f"{name} = " + " * ".join(factors), f"{name} exponents: {exponents}"]
+    # each exponent's text once; a Fraction's text is "0" or "1" only at 0 or 1
+    texts = [str(e) for e in mono.exponents]
+    factors = [f"x{i}" if e == "1" else f"x{i}^({e})" for i, e in enumerate(texts, 1) if e != "0"]
+    return [f"{name} = " + " * ".join(factors), f"{name} exponents: " + ", ".join(texts)]
 
 
 def _integral_names(basis: darboux.IntegralBasis) -> list[str]:

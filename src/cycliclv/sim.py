@@ -53,12 +53,13 @@ as NaN, so the one integral test is that every drift of a row is finite,
 and a row that fails it ends the run with IntegralOutOfRange. The screen
 sees row 0, x0, alone before the first step, and refuses it with
 InputError. A basis whose exponent vectors have another length than the
-system is refused with InputError.
-These runtime aborts, the IntegrationAborted
-subclasses defined here, carry the partial Trajectory, cut before the
-failing row, on the exception. The float work runs with numpy's
-floating-point warnings off: an overflow or NaN it meets is reported by one
-of these exceptions, not printed.
+system is refused with InputError. The runtime aborts, the
+IntegrationAborted subclasses defined here, differ only in name: each is
+built as IntegrationAborted(t, message), worded where its failure is found,
+and carries t, its message and the partial Trajectory, cut before the
+failing row. The float work runs with numpy's floating-point warnings off:
+an overflow or NaN it meets is reported by one of these exceptions, not
+printed.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ _BLOCK_FLOATS = 16 * _BLOCK_ROWS
 
 
 class IntegrationAborted(CyclicLVError):
-    """Base for runtime integration failures at time ``t``.
+    """Base for runtime integration failures at time ``t``, and their one constructor.
 
     ``trajectory`` is None until integrate, just before raising, sets it
     to the Trajectory of every accepted state before the failure.
@@ -136,41 +137,21 @@ class IntegrationAborted(CyclicLVError):
 class PositivityBreached(IntegrationAborted):
     """A coordinate fell below POSITIVITY_FLOOR during integration."""
 
-    def __init__(self, t: float, coordinate: int):
-        self.coordinate = coordinate
-        super().__init__(t, f"coordinate x{coordinate} fell below the positivity floor")
-
 
 class NonFiniteState(IntegrationAborted):
     """A coordinate became NaN or infinite during integration."""
-
-    def __init__(self, t: float, coordinate: int):
-        self.coordinate = coordinate
-        super().__init__(t, f"coordinate x{coordinate} became non-finite")
 
 
 class IntegralOutOfRange(IntegrationAborted):
     """A first integral's value or drift left the float range during integration."""
 
-    def __init__(self, t: float, integral: int):
-        self.integral = integral
-        super().__init__(t, f"integral H{integral} left the float range")
-
 
 class StepUnderflow(IntegrationAborted):
     """The adaptive step size fell below MIN_STEP."""
 
-    def __init__(self, t: float, step: float):
-        self.step = step
-        super().__init__(t, f"adaptive step {step:.17g} fell below the minimum")
-
 
 class StepLimitReached(IntegrationAborted):
     """An adaptive run accepted its step limit, MAX_STEPS or fewer, before reaching t_end."""
-
-    def __init__(self, t: float, steps: int):
-        self.steps = steps
-        super().__init__(t, f"adaptive run reached the limit of {steps} steps")
 
 
 class Method(Enum):
@@ -476,7 +457,7 @@ def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig
             t += h
             x = x_new
             if accepted == limit:
-                yield row, StepLimitReached(t, limit)
+                yield row, StepLimitReached(t, f"adaptive run reached the limit of {limit} steps")
                 return
             if row == size:
                 yield row, None
@@ -485,7 +466,7 @@ def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig
             row += 1
             ts[row], xs[row] = t, x
         elif h * factor < MIN_STEP:
-            yield row, StepUnderflow(t, h * factor)
+            yield row, StepUnderflow(t, f"adaptive step {h * factor:.17g} fell below the minimum")
             return
         h *= factor
     yield row, None
@@ -571,11 +552,14 @@ def integrate(
                     )
                 when = float(ts[first + row])
                 if column < sys.n:
-                    abort = NonFiniteState(when, column + 1)
+                    abort = NonFiniteState(when, f"coordinate x{column + 1} became non-finite")
                 elif column == sys.n:
-                    abort = PositivityBreached(when, int(np.argmin(block[row])) + 1)
+                    low = int(np.argmin(block[row])) + 1
+                    abort = PositivityBreached(
+                        when, f"coordinate x{low} fell below the positivity floor")
                 else:
-                    abort = IntegralOutOfRange(when, column - sys.n)
+                    abort = IntegralOutOfRange(
+                        when, f"integral H{column - sys.n} left the float range")
                 good = row
             if good:
                 # copies, as the next block overwrites xs and ts

@@ -689,6 +689,8 @@ class TestRefusals:
              "t_end/step = 1e+303 exceeds the limit of 10000000 steps at n=3"),
             (WHEEL3, [*SIM, "--x0", "0.2,0.3,0.5", "--sample-every", "0"],
              "sample_every must be a positive integer, got 0"),
+            ('{"k": [1e9999999999999999999, 2, 3]}', ["integrals", "--system", "spec.json"],
+             "spec.json holds a number with an out-of-range exponent"),
             (None, ["integrals", "--system", "no\nsuch.json"],
              "cannot read system file no\\nsuch.json: "
              "[Errno 2] No such file or directory: 'no\\nsuch.json'"),
@@ -698,7 +700,8 @@ class TestRefusals:
             "zero-denominator-entry", "null-entry",
             "zero-rate", "single-rate", "rate-underflow", "exponent-overflow", "x0-unparseable",
             "x0-short", "x0-below-floor", "x0-integral-overflow", "step-nan",
-            "rk4-over-max-steps", "sample-every-0", "system-path-newline",
+            "rk4-over-max-steps", "sample-every-0", "exponent-out-of-range",
+            "system-path-newline",
         ],
     )
     def test_exact_stderr_line_exit_2(self, tmp_path, monkeypatch, capsys, spec, argv,

@@ -55,42 +55,50 @@ def test_export_list_is_pinned():
 
 
 # Run in a fresh interpreter under python -S, so that no site hook loads a
-# module first: which modules load depends on what ran first. Each stage
-# records which of MODULES are loaded yet. site-packages is off the path
-# under -S, so numpy's directory comes in as argv[1], added just before
-# simulate.
+# module first: which modules load depends on what ran first. The commands
+# named after argv[1] run in order, and each stage records which of MODULES
+# are loaded yet. site-packages is off the path under -S, so numpy's
+# directory comes in as argv[1], added just before simulate.
 IMPORT_GUARD = """
 import contextlib, io, json, sys
 import cycliclv, cycliclv.cli as cli
 
 MODULES = ("numpy", "cycliclv.sim", "cycliclv.verify", "cycliclv.linalg", "random",
            "dataclasses", "inspect")
+RUNS = {
+    "integrals": ["integrals", "--system", "spec.json", "--format", "json"],
+    "check": ["check", "--system", "spec.json"],
+    "simulate": ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5",
+                 "--t-end", "0.01", "--out", "t.csv"],
+}
 
 def loaded():
     return [name for name in MODULES if name in sys.modules]
 
 stages = {"import": loaded()}
-for argv in (["integrals", "--system", "spec.json", "--format", "json"],
-             ["check", "--system", "spec.json"],
-             ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5",
-              "--t-end", "0.01", "--out", "t.csv"]):
-    if argv[0] == "simulate":
+for command in sys.argv[2:]:
+    if command == "simulate":
         sys.path.append(sys.argv[1])
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-    stages[argv[0]] = loaded()
+        assert cli.main(RUNS[command]) == 0, command
+    stages[command] = loaded()
 stages["same integrate"] = cycliclv.integrate is cycliclv.sim.integrate
 print(json.dumps(stages))
 """
 
 
-def test_exact_commands_load_neither_numpy_nor_sim(tmp_path):
-    """integrals loads no module it does not run; check adds verify and linalg."""
+def _import_stages(tmp_path, *commands: str) -> dict:
+    """The modules loaded after import and after each command, run in order."""
     (tmp_path / "spec.json").write_text('{"k": [2, 1, 3]}', encoding="utf-8")
     numpy_dir = str(Path(np.__file__).resolve().parent.parent)
-    result = run_python(["-S", "-c", IMPORT_GUARD, numpy_dir], tmp_path, timeout=120)
+    result = run_python(["-S", "-c", IMPORT_GUARD, numpy_dir, *commands], tmp_path, timeout=120)
     assert result.returncode == 0, stderr_of(result)
-    stages = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_exact_commands_load_neither_numpy_nor_sim(tmp_path):
+    """integrals loads no module it does not run; check adds verify and linalg."""
+    stages = _import_stages(tmp_path, "integrals", "check", "simulate")
     # what numpy itself imports is numpy's business
     assert stages.pop("simulate")[:2] == ["numpy", "cycliclv.sim"]
     assert stages == {
@@ -99,3 +107,13 @@ def test_exact_commands_load_neither_numpy_nor_sim(tmp_path):
         "check": ["cycliclv.verify", "cycliclv.linalg", "random"],
         "same integrate": True,
     }
+
+
+def test_simulate_loads_neither_verify_nor_linalg(tmp_path):
+    """simulate, run first, adds sim and numpy and none of check's modules."""
+    stages = _import_stages(tmp_path, "simulate")
+    # numpy loads random itself, so random is left out
+    assert stages["import"] == []
+    assert stages["simulate"][:2] == ["numpy", "cycliclv.sim"]
+    assert "cycliclv.verify" not in stages["simulate"]
+    assert "cycliclv.linalg" not in stages["simulate"]

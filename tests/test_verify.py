@@ -285,8 +285,11 @@ class TestIndependence:
         sys = make_system([1, 2, 3, 4, 5][:system_n])
         basis = integral_basis(make_system([1, 2, 3, 4, 5][:basis_n]))
         samples = [random_rational_state(random.Random(5), system_n)]
-        with pytest.raises(InputError, match="^exponent vector length does not match the system$"):
+        refused = "^exponent vector length does not match the system$"
+        with pytest.raises(InputError, match=refused):
             check_independence(sys, basis, samples)
+        with pytest.raises(InputError, match=refused):
+            check_xh_zero(sys, basis.monomials[0])
 
     def test_linear_only_basis_has_rank_one(self):
         sys = make_system([1, 1, 1, 2])
