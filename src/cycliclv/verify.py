@@ -8,21 +8,21 @@ expanded through the generic product, power and quotient rules (letting the
 cancellation emerge rather than assuming it), and gradient independence is
 an exact rank computation.
 
-The multiplier identity is proved once per system: its divergence sum is
-built as one sparse polynomial S, and the check passes when S is the zero
-form, which holds at every point. Its samples are still read and checked
-in order, and when S is not zero they only name the witness, the first
-sample where S does not vanish. The rank is taken at each sample on int
-columns, built from the coordinates' numerators and denominators, and
-scans the gradient matrix's columns only until they span its 1 + m rows;
-it returns what plain Fraction arithmetic over the whole matrix returns.
+Each of the three identities is built as its own sparse polynomial and
+added up by one sum on int pairs; it holds at every point when that
+polynomial is zero, and a failure names its first surviving monomial and
+that monomial's coefficient. The multiplier check's samples are only read
+and checked in order. The rank is taken at each sample on int columns,
+built from the coordinates' numerators and denominators, and scans the
+gradient matrix's columns only until they span its 1 + m rows; it returns
+what plain Fraction arithmetic over the whole matrix returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .darboux import IntegralBasis, MonomialIntegral
 from .model import (
@@ -61,20 +61,30 @@ class VerificationReport(_Record):
         return self.witness is None
 
 
-def _cofactor_combination(
-    sys: CyclicLVSystem, exponents: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Coefficients of the linear form sum_i lambda_i K_i."""
-    if len(exponents) != sys.n:
-        raise InputError("exponent vector length does not match the system")
-    total = [Fraction(0)] * sys.n
-    for lam, row in zip(exponents, structure_matrix(sys)):
-        lam = Fraction(lam)
-        if lam == 0:
-            continue
-        for j, c in row:
-            total[j] += lam * c
-    return tuple(total)
+# A monomial as its coordinates in ascending order, each as often as its power.
+Monomial = tuple[int, ...]
+
+
+def _sparse_sum(terms: Iterable[tuple[Monomial, int, int]]) -> dict[Monomial, Fraction]:
+    """Sum (monomial, numerator, denominator) terms as {monomial: nonzero coefficient}.
+
+    Coefficients add up as unreduced (numerator, denominator) int pairs,
+    each made a Fraction once.
+    """
+    total: dict[Monomial, tuple[int, int]] = {}
+    for mono, p, q in terms:
+        num, den = total.get(mono, (0, 1))
+        total[mono] = (num * q + p * den, den * q)
+    return {m: Fraction(num, den) for m, (num, den) in total.items() if num}
+
+
+def _witness(form: dict[Monomial, Fraction]) -> VerificationReport:
+    """Pass on the zero form, else name its first surviving monomial in sorted order."""
+    if not form:
+        return VerificationReport()
+    mono = min(form)
+    monomial = "*".join(f"x{j + 1}" for j in mono)
+    return VerificationReport(f"coefficient of {monomial} is {form[mono]}")
 
 
 def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> VerificationReport:
@@ -84,11 +94,13 @@ def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> Verificati
     product itself times sum lambda_i K_i, so the integral is conserved iff
     that linear form has all coefficients exactly zero.
     """
-    combo = _cofactor_combination(sys, integral.exponents)
-    for j, c in enumerate(combo):
-        if c != 0:
-            return VerificationReport(f"coefficient of x{j + 1} is {c}")
-    return VerificationReport()
+    if len(integral.exponents) != sys.n:
+        raise InputError("exponent vector length does not match the system")
+    rows = zip(map(Fraction, integral.exponents), structure_matrix(sys))
+    return _witness(_sparse_sum(
+        ((j,), lam.numerator * c.numerator, lam.denominator * c.denominator)
+        for lam, row in rows if lam for j, c in row
+    ))
 
 
 def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
@@ -99,15 +111,10 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
     valid system; a sign slip anywhere in the index conventions shows up as
     a surviving monomial.
     """
-    total: dict[tuple[int, int], Fraction] = {}
-    for i0 in range(sys.n):
-        for key, c in _row_quadratic(sys, i0).items():
-            total[key] = total.get(key, Fraction(0)) + c
-    for key in sorted(total):
-        if total[key] != 0:
-            a, b = key
-            return VerificationReport(f"coefficient of x{a + 1}*x{b + 1} is {total[key]}")
-    return VerificationReport()
+    return _witness(_sparse_sum(
+        (key, c.numerator, c.denominator)
+        for i0 in range(sys.n) for key, c in _row_quadratic(sys, i0).items()
+    ))
 
 
 def _rational_point(state: Sequence, n: int) -> list[Fraction]:
@@ -122,10 +129,6 @@ def _rational_point(state: Sequence, n: int) -> list[Fraction]:
     return x
 
 
-# A monomial as its coordinates in ascending order, each as often as its power.
-Monomial = tuple[int, ...]
-
-
 def _multiplier_form(rows: Sequence[Sequence[Term]]) -> dict[Monomial, Fraction]:
     """S = sum_i (dP_i/dx_i - P_i/x_i), P_i = x_i K_i, as {monomial: nonzero coefficient}.
 
@@ -133,39 +136,16 @@ def _multiplier_form(rows: Sequence[Sequence[Term]]) -> dict[Monomial, Fraction]
     rule with dM/dx_i = -M/x_i, the divergence of the field times
     M = 1/(x1*...*xn) is M * sum_i (dP_i/dx_i - P_i/x_i) = S / (x1*...*xn),
     so M is a Jacobi multiplier exactly when S is the zero form. Each term
-    c x_j of K_i gives P_i the term c x^a = c x_i x_j, whose derivative by
-    the power rule is c a_i x^a / x_i and whose quotient by x_i is c x^a / x_i.
-    The K_i - K_i cancellation is left to the arithmetic, not assumed, so
-    the form does not rest on the structure matrix having a zero diagonal:
-    an entry c there survives as c x_i. Coefficients add up as unreduced
-    (numerator, denominator) int pairs, each made a Fraction once.
+    c x_j of K_i gives P_i the term c x_i x_j, in which x_i has the power
+    a = 1 + [j = i]: its derivative by the power rule is a c x_j and its
+    quotient by x_i is c x_j. The K_i - K_i cancellation is left to the
+    arithmetic, not assumed, so the form does not rest on the structure
+    matrix having a zero diagonal: an entry c there survives as c x_i.
     """
-    total: dict[Monomial, tuple[int, int]] = {}
-    for i0, row in enumerate(rows):
-        for j, c in row:
-            term = sorted((i0, j))
-            power = term.count(i0)
-            term.remove(i0)
-            lowered = tuple(term)
-            p, q = c.numerator, c.denominator
-            for value in (power * p, -p):
-                num, den = total.get(lowered, (0, 1))
-                total[lowered] = (num * q + value * den, den * q)
-    return {m: Fraction(num, den) for m, (num, den) in total.items() if num}
-
-
-def _jacobi_divergence(form: dict[Monomial, Fraction], state: Sequence, n: int) -> Fraction:
-    """The multiplied field's divergence S(x) / (x1*...*xn) at one point, S the form.
-
-    Raises InputError as _rational_point does, then for a zero coordinate.
-    """
-    x = _rational_point(state, n)
-    for i0, v in enumerate(x):
-        if not v:
-            raise InputError(f"coordinate x{i0 + 1} is zero")
-    if not form:
-        return Fraction(0)
-    return sum(c * prod(x[j] for j in mono) for mono, c in form.items()) / prod(x)
+    return _sparse_sum(
+        ((j,), a * c.numerator, c.denominator)
+        for i0, row in enumerate(rows) for j, c in row for a in (1 + (j == i0), -1)
+    )
 
 
 def _first_failing_sample(
@@ -184,22 +164,20 @@ def _first_failing_sample(
 def check_jacobi_multiplier(
     sys: CyclicLVSystem, samples: Sequence[Sequence]
 ) -> VerificationReport:
-    """Verify the reciprocal-product multiplier identity, naming a failing sample.
+    """Verify the reciprocal-product multiplier identity as a polynomial identity.
 
     Passes when S of _multiplier_form is the zero form, which proves the
-    identity at every point. Every sample is converted and checked in order
-    all the same: its coordinates must be nonzero rationals. When S is not
-    zero, the check fails at the first sample where the multiplied field's
-    divergence S(x) / (x1*...*xn) is not zero, with that value as witness,
-    and passes if there is none.
+    identity at every point; otherwise the witness is S's first surviving
+    monomial and its coefficient. The samples are only read: each must be
+    a point of nonzero rationals, where M = 1/(x1*...*xn) is defined.
     """
-    form = _multiplier_form(structure_matrix(sys))
+    def read(sample: Sequence) -> None:
+        x = _rational_point(sample, sys.n)
+        if 0 in x:
+            raise InputError(f"coordinate x{x.index(0) + 1} is zero")
 
-    def residual(sample: Sequence) -> Optional[str]:
-        value = _jacobi_divergence(form, sample, sys.n)
-        return f"residual {value}" if value else None
-
-    return _first_failing_sample(samples, residual)
+    _first_failing_sample(samples, read)
+    return _witness(_multiplier_form(structure_matrix(sys)))
 
 
 def _independence_rank(

@@ -10,7 +10,9 @@ are the plain forms of what the package computes on int pairs, once, or
 with an early exit: the Jacobi divergence term by term at one point in
 Fraction arithmetic, the independence rank as the RREF rank of the dense
 gradient rows, the exponent walks of ``integral_basis`` on Fractions, and
-``random_rational_state``'s draws through ``randint``.
+``random_rational_state``'s draws through ``randint``. ``verify`` proves
+the multiplier identity as a polynomial; its form's residual at one point
+is evaluated only here.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from cycliclv import (
 )
 from cycliclv import linalg
 from cycliclv.model import Term, _row_quadratic
-from cycliclv.verify import _jacobi_divergence, _multiplier_form
+from cycliclv.verify import Monomial, _multiplier_form, _rational_point
 
 
 def random_system(
@@ -196,11 +198,25 @@ def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:
     return _row_quadratic(sys, i - 1) == _form_times_coordinate(cof, i - 1)
 
 
+def _jacobi_divergence(form: dict[Monomial, Fraction], state: Sequence, n: int) -> Fraction:
+    """The multiplied field's divergence S(x) / (x1*...*xn) at one point, S the form.
+
+    Raises InputError as verify._rational_point does, then for a zero
+    coordinate, the refusals check_jacobi_multiplier applies to a sample.
+    """
+    x = _rational_point(state, n)
+    for i0, v in enumerate(x):
+        if not v:
+            raise InputError(f"coordinate x{i0 + 1} is zero")
+    if not form:
+        return Fraction(0)
+    return sum(c * math.prod(x[j] for j in mono) for mono, c in form.items()) / math.prod(x)
+
+
 def jacobi_divergence(sys: CyclicLVSystem, state: Sequence) -> Fraction:
     """Exact sum_i d(M P_i)/dx_i with M = 1/(x1*...*xn) at one point of a system.
 
-    verify's own route: the system's multiplier form, evaluated and
-    validated at the point as check_jacobi_multiplier does each sample.
+    verify's own route, the system's multiplier form, evaluated at the point.
     """
     return _jacobi_divergence(_multiplier_form(structure_matrix(sys)), state, sys.n)
 

@@ -50,7 +50,7 @@ class TestXhZero:
         mono = MonomialIntegral(exponents=(Fraction(1), Fraction(1), Fraction(1)))
         report = check_xh_zero(sys, mono)
         assert not report.passed
-        assert "x1" in report.witness
+        assert report.witness == "coefficient of x1 is 1"
 
     def test_symmetric_resonant(self):
         sys = make_system([1, 1, 1, 1])
@@ -90,7 +90,7 @@ class TestLinearIntegralCheck:
         monkeypatch.setattr(verify_mod, "_row_quadratic", flipped)
         report = check_linear_integral(make_system([1, 2, 3]))
         assert not report.passed
-        assert "coefficient of" in report.witness
+        assert report.witness == "coefficient of x1*x2 is -2"
 
 
 class TestJacobiMultiplier:
@@ -166,7 +166,7 @@ def _planted(rows, i0, c):
 
 
 class TestJacobiIntPairs:
-    """verify's multiplier form, and its witness against the Fraction reference in helpers."""
+    """verify's multiplier form and its witness, against the Fraction reference in helpers."""
 
     def test_matches_reference_on_signed_rational_fields(self):
         # S is the zero form, so the identity holds at every point
@@ -193,11 +193,11 @@ class TestJacobiIntPairs:
                 residual = fraction_jacobi_divergence(rows, point)
                 assert residual != 0
                 report = check_jacobi_multiplier(sys, [point, (1,) * n])
-                assert report.witness == f"sample 0: residual {residual}"
+                assert report.witness == f"coefficient of x{i0 + 1} is {c}"
 
     def test_planted_terms_that_cancel_give_zero(self, monkeypatch):
-        # S = 2 x1 - x2 vanishes at x1 = 1, x2 = 2, so sample 0 passes and
-        # the witness is sample 1
+        # S = 2 x1 - x2 vanishes at x1 = 1, x2 = 2 but not at x2 = 3; the
+        # witness is S's first monomial either way
         rows = structure_matrix(make_system([1, 2, 3]))
         rows = _planted(_planted(rows, 0, Fraction(2)), 1, Fraction(-1))
         assert _multiplier_form(rows) == {(0,): 2, (1,): -1}
@@ -206,7 +206,17 @@ class TestJacobiIntPairs:
         assert fraction_jacobi_divergence(rows, (1, 3, Fraction(5, 7))) == Fraction(-7, 15)
         monkeypatch.setattr(verify_mod, "structure_matrix", lambda sys: rows)
         report = check_jacobi_multiplier(make_system([1, 2, 3]), [point, (1, 3, Fraction(5, 7))])
-        assert report.witness == "sample 1: residual -7/15"
+        assert report.witness == "coefficient of x1 is 2"
+
+    def test_nonzero_form_fails_where_every_sample_vanishes(self, monkeypatch):
+        # S = 2 x1 - x2 is zero at both samples, and the identity still fails
+        rows = structure_matrix(make_system([1, 2, 3]))
+        rows = _planted(_planted(rows, 0, Fraction(2)), 1, Fraction(-1))
+        samples = [(1, 2, Fraction(5, 7)), (Fraction(1, 3), Fraction(2, 3), 9)]
+        assert all(fraction_jacobi_divergence(rows, point) == 0 for point in samples)
+        monkeypatch.setattr(verify_mod, "structure_matrix", lambda sys: rows)
+        report = check_jacobi_multiplier(make_system([1, 2, 3]), samples)
+        assert report.witness == "coefficient of x1 is 2"
 
     def test_failing_witness_bytes(self, monkeypatch):
         # x2 * 5/7 = -15/7 and M = 1/(1/2 * -3 * 4/5) = -5/6
@@ -215,8 +225,10 @@ class TestJacobiIntPairs:
             verify_mod, "structure_matrix", lambda sys: _planted(original(sys), 1, Fraction(5, 7))
         )
         sample = (Fraction(1, 2), Fraction(-3), Fraction(4, 5))
+        rows = verify_mod.structure_matrix(make_system([1, 2, 3]))
+        assert fraction_jacobi_divergence(rows, sample) == Fraction(25, 14)
         report = check_jacobi_multiplier(make_system([1, 2, 3]), [sample, (1, 1, 1)])
-        assert report.witness == "sample 0: residual 25/14"
+        assert report.witness == "coefficient of x2 is 5/7"
 
 
 def _check_divergences_against_sympy(rng, n):
