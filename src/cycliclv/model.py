@@ -247,19 +247,14 @@ def structure_matrix(sys: CyclicLVSystem) -> tuple[tuple[Term, Term], ...]:
     return tuple((((i + 1) % n, k[i]), ((i - 1) % n, -k[i - 1])) for i in range(n))
 
 
-def _row_quadratic(sys: CyclicLVSystem, i0: int) -> dict[tuple[int, int], Fraction]:
-    """Quadratic monomial coefficients of row i0 (0-based) of the field.
+def _row_quadratic(sys: CyclicLVSystem, i0: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """Row i0 (0-based) of the field as its two quadratic (key, coefficient) terms.
 
     Row i expands to k_i x_i x_{i+1} - k_{i-1} x_{i-1} x_i; keys are sorted
     0-based coordinate pairs. Built straight from the index rules, not from
-    ``structure_matrix``, so it can serve as an independent expansion.
+    ``structure_matrix``, so it can serve as an independent expansion. The
+    terms stay unsummed: for n = 2 both share one key, and a consumer adds them.
     """
-    n = sys.n
-    k = sys.rates
-    terms: dict[tuple[int, int], Fraction] = {}
-    for key, coeff in (
-        (tuple(sorted((i0, (i0 + 1) % n))), k[i0]),
-        (tuple(sorted(((i0 - 1) % n, i0))), -k[(i0 - 1) % n]),
-    ):
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return {key: c for key, c in terms.items() if c != 0}
+    n, k = sys.n, sys.rates
+    i1, im = (i0 + 1) % n, (i0 - 1) % n
+    return ((min(i0, i1), max(i0, i1)), k[i0]), ((min(im, i0), max(im, i0)), -k[im])

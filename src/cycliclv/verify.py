@@ -11,18 +11,19 @@ an exact rank computation.
 Each of the three identities is built as its own sparse polynomial and
 added up by one sum on int pairs; it holds at every point when that
 polynomial is zero, and a failure names its first surviving monomial and
-that monomial's coefficient. The multiplier check's samples are only read
-and checked in order. The rank is taken at each sample on int columns,
-built from the coordinates' numerators and denominators, and scans the
-gradient matrix's columns only until they span its 1 + m rows; it returns
-what plain Fraction arithmetic over the whole matrix returns.
+that monomial's coefficient. The sample points of both sampled checks come
+from the caller; the multiplier check only reads and checks them in order.
+The rank is taken at each sample on int columns, built from the
+coordinates' numerators and denominators, and scans the gradient matrix's
+columns only until they span its 1 + m rows; it returns what plain
+Fraction arithmetic over the whole matrix returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .darboux import IntegralBasis, MonomialIntegral
 from .model import (
@@ -35,16 +36,12 @@ from .model import (
     _row_quadratic,
 )
 
-if TYPE_CHECKING:
-    import random
-
 __all__ = [
     "VerificationReport",
     "check_xh_zero",
     "check_linear_integral",
     "check_jacobi_multiplier",
     "check_independence",
-    "random_rational_state",
 ]
 
 
@@ -113,7 +110,7 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
     """
     return _witness(_sparse_sum(
         (key, c.numerator, c.denominator)
-        for i0 in range(sys.n) for key, c in _row_quadratic(sys, i0).items()
+        for i0 in range(sys.n) for key, c in _row_quadratic(sys, i0)
     ))
 
 
@@ -239,29 +236,3 @@ def check_independence(
 
     return _first_failing_sample(samples, rank_shortfall)
 
-
-def random_rational_state(
-    rng: random.Random, n: int, *, positive: bool = True
-) -> tuple[Fraction, ...]:
-    """Random exact-rational point with nonzero (optionally positive) parts.
-
-    Each numerator and denominator is drawn from 1..99 as rng.randint(1, 99)
-    draws it, a getrandbits(7) drawn again while it is 99 or more, so the
-    point and the generator's state after it are randint's. Unless positive,
-    a part is then negative when rng.random() < 0.5.
-    """
-    bits = rng.getrandbits
-
-    def part() -> int:
-        r = bits(7)
-        while r >= 99:
-            r = bits(7)
-        return r + 1
-
-    out = []
-    for _ in range(n):
-        p, q = part(), part()
-        if not positive and rng.random() < 0.5:
-            p = -p
-        out.append(Fraction(p, q))
-    return tuple(out)

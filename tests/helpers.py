@@ -9,10 +9,11 @@ empirical order of RK4 from drift at two step sizes. The reference routes
 are the plain forms of what the package computes on int pairs, once, or
 with an early exit: the Jacobi divergence term by term at one point in
 Fraction arithmetic, the independence rank as the RREF rank of the dense
-gradient rows, the exponent walks of ``integral_basis`` on Fractions, and
-``random_rational_state``'s draws through ``randint``. ``verify`` proves
-the multiplier identity as a polynomial; its form's residual at one point
-is evaluated only here.
+gradient rows, and the exponent walks of ``integral_basis`` on Fractions.
+``verify`` proves the multiplier identity as a polynomial; its form's
+residual at one point is evaluated only here. ``randint_rational_state``
+is the tests' only sampler of points; its positive draws are the ones
+``cli.run_check_battery`` makes.
 """
 
 from __future__ import annotations
@@ -158,13 +159,17 @@ def stderr_of(*results: subprocess.CompletedProcess) -> str:
 # -- oracles ---------------------------------------------------------------
 
 
+def _merged(terms) -> dict[tuple[int, int], Fraction]:
+    """(key, coefficient) terms summed per key, zero sums dropped."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for key, c in terms:
+        total[key] = total.get(key, Fraction(0)) + c
+    return {key: c for key, c in total.items() if c != 0}
+
+
 def _form_times_coordinate(form, i0: int) -> dict[tuple[int, int], Fraction]:
     """Quadratic monomial coefficients of x_{i0+1} * form (0-based i0)."""
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j0, c in form:
-        key = tuple(sorted((i0, j0)))
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return {key: c for key, c in terms.items() if c != 0}
+    return _merged((tuple(sorted((i0, j0))), c) for j0, c in form)
 
 
 def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
@@ -191,11 +196,12 @@ def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:
     K_i is row i (1-based) of the structure matrix unless explicit
     (column, entry) terms are passed, which lets a test probe the check
     with a corrupted form. X(x_i) comes from model._row_quadratic, an
-    expansion built from the index rules and not from the structure matrix.
+    expansion built from the index rules and not from the structure matrix,
+    whose two terms are merged here.
     """
     if cof is None:
         cof = structure_matrix(sys)[i - 1]
-    return _row_quadratic(sys, i - 1) == _form_times_coordinate(cof, i - 1)
+    return _merged(_row_quadratic(sys, i - 1)) == _form_times_coordinate(cof, i - 1)
 
 
 def _jacobi_divergence(form: dict[Monomial, Fraction], state: Sequence, n: int) -> Fraction:
@@ -255,7 +261,10 @@ def fraction_jacobi_divergence(rows: Sequence[Sequence[Term]], state: Sequence) 
 def randint_rational_state(
     rng: random.Random, n: int, *, positive: bool = True
 ) -> tuple[Fraction, ...]:
-    """The reference for verify.random_rational_state: each part from rng.randint(1, 99)."""
+    """Random rational point, each part from rng.randint(1, 99).
+
+    Unless positive, a coordinate is then negated when rng.random() < 0.5.
+    """
     out = []
     for _ in range(n):
         q = Fraction(rng.randint(1, 99), rng.randint(1, 99))

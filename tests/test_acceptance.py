@@ -27,13 +27,13 @@ from cycliclv import (
     integrate,
     make_system,
     nullspace,
-    random_rational_state,
 )
 from cycliclv.cli import main
 from cycliclv.verify import _independence_rank
 from helpers import (
     field_divergence,
     jacobi_divergence,
+    randint_rational_state,
     random_system,
     resonant_system,
     run_cli,
@@ -169,7 +169,7 @@ def test_criterion_5_jacobi_multiplier():
     for n in range(3, 11):
         sys = random_system(rng, n)
         for _ in range(100):
-            point = random_rational_state(rng, n, positive=False)
+            point = randint_rational_state(rng, n, positive=False)
             assert jacobi_divergence(sys, point) == 0, (
                 f"nonzero residual at {point} for rates {sys.rates}"
             )
@@ -177,7 +177,7 @@ def test_criterion_5_jacobi_multiplier():
     nonzero = sum(
         1
         for _ in range(100)
-        if field_divergence(control, random_rational_state(rng, 3, positive=False))
+        if field_divergence(control, randint_rational_state(rng, 3, positive=False))
         != 0
     )
     _report(
@@ -203,7 +203,7 @@ def test_criterion_6_gradient_independence():
             hits = sum(
                 1
                 for _ in range(100)
-                if _independence_rank(sys, basis, random_rational_state(rng, n))
+                if _independence_rank(sys, basis, randint_rational_state(rng, n))
                 == required
             )
             worst = min(worst, hits)

@@ -26,6 +26,7 @@ from cycliclv.cli import main, run_check_battery
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
+    randint_rational_state,
     random_system,
     resonant_system,
     run_cli,
@@ -212,6 +213,44 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "check linear-integral: FAIL (forced)" in out
         assert "result: FAIL" in out
+
+    @pytest.mark.parametrize("rates, seed", [([2, 1, 3], 0), ([2, 1, 3, 6], 7), ([1, 5], 3)])
+    def test_sampled_checks_get_one_draw_of_positive_points(self, monkeypatch, rates, seed):
+        from cycliclv import verify
+
+        received = {}
+
+        def recorder(name, index):
+            def check(*args):
+                received[name] = args[index]
+                return VerificationReport()
+            return check
+
+        monkeypatch.setattr(verify, "check_jacobi_multiplier", recorder("jacobi", 1))
+        monkeypatch.setattr(verify, "check_independence", recorder("rank", 2))
+        system = make_system(rates)
+        lines, ok = run_check_battery(system, seed)
+        assert ok, lines
+        assert received["jacobi"] is received["rank"]
+        rng = random.Random(seed)
+        assert received["rank"] == [
+            randint_rational_state(rng, system.n) for _ in range(cli.DEFAULT_CHECK_SAMPLES)
+        ]
+        assert cli.DEFAULT_CHECK_SAMPLES == 32
+
+    @pytest.mark.parametrize("rates, classification", [
+        ([1, 5], "N2"), ([2, 1, 3], "ODD"),
+        ([2, 1, 3, 6], "EVEN_RESONANT"), ([1, 1, 1, 2], "EVEN_NONRESONANT"),
+    ])
+    def test_stdout_is_the_same_for_every_seed(self, tmp_path, capsys, rates, classification):
+        # a valid system passes every check, so the seed cannot reach stdout
+        assert integral_basis(make_system(rates)).classification.name == classification
+        spec = write_spec(tmp_path, "sys.json", [str(k) for k in rates])
+        outputs = set()
+        for seed in range(5):
+            assert main(["check", "--system", spec, "--seed", str(seed)]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
 
 class TestSimulate:

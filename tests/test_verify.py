@@ -18,7 +18,6 @@ from cycliclv import (
     check_xh_zero,
     integral_basis,
     make_system,
-    random_rational_state,
     structure_matrix,
 )
 from cycliclv import verify as verify_mod
@@ -81,16 +80,33 @@ class TestLinearIntegralCheck:
         original = verify_mod._row_quadratic
 
         def flipped(sys, i0):
-            terms = dict(original(sys, i0))
+            terms = sorted(original(sys, i0))
             if i0 == 0:
-                key = next(iter(sorted(terms)))
-                terms[key] = -terms[key]
+                key, c = terms[0]
+                terms[0] = (key, -c)
             return terms
 
         monkeypatch.setattr(verify_mod, "_row_quadratic", flipped)
         report = check_linear_integral(make_system([1, 2, 3]))
         assert not report.passed
         assert report.witness == "coefficient of x1*x2 is -2"
+
+    @pytest.mark.parametrize("rates, witness", [
+        ([3, 3], "coefficient of x1*x2 is -6"),
+        ([3, 5], "coefficient of x1*x2 is -6"),
+    ])
+    def test_sign_flip_at_n2_merges_a_rows_two_terms(self, monkeypatch, rates, witness):
+        # at n = 2 both terms of a row share the key x1*x2, so the sum, not
+        # _row_quadratic, merges them; flipping k1's term in row 1 leaves -2 k1
+        original = verify_mod._row_quadratic
+
+        def flipped(sys, i0):
+            (key, c), rest = original(sys, i0)
+            return ((key, -c), rest) if i0 == 0 else ((key, c), rest)
+
+        monkeypatch.setattr(verify_mod, "_row_quadratic", flipped)
+        report = check_linear_integral(make_system(rates))
+        assert report.witness == witness
 
 
 class TestJacobiMultiplier:
@@ -107,7 +123,7 @@ class TestJacobiMultiplier:
         rng = random.Random(73)
         for n in range(3, 11):
             sys = random_system(rng, n)
-            samples = [random_rational_state(rng, n, positive=False) for _ in range(10)]
+            samples = [randint_rational_state(rng, n, positive=False) for _ in range(10)]
             assert check_jacobi_multiplier(sys, samples).passed
 
     def test_unit_multiplier_control_is_nonzero(self):
@@ -116,7 +132,7 @@ class TestJacobiMultiplier:
         nonzero = sum(
             1
             for _ in range(50)
-            if field_divergence(sys, random_rational_state(rng, 3, positive=False))
+            if field_divergence(sys, randint_rational_state(rng, 3, positive=False))
             != 0
         )
         assert nonzero >= 48
@@ -175,7 +191,7 @@ class TestJacobiIntPairs:
             for _ in range(6):
                 sys = make_system([_signed_rational(rng) for _ in range(n)])
                 assert _multiplier_form(structure_matrix(sys)) == {}
-                point = random_rational_state(rng, n, positive=False)
+                point = randint_rational_state(rng, n, positive=False)
                 assert fraction_jacobi_divergence(structure_matrix(sys), point) == 0
                 assert check_jacobi_multiplier(sys, [point]).passed
 
@@ -189,7 +205,7 @@ class TestJacobiIntPairs:
                 rows = _planted(original(sys), i0, c)
                 assert _multiplier_form(rows) == {(i0,): c}
                 monkeypatch.setattr(verify_mod, "structure_matrix", lambda _, rows=rows: rows)
-                point = random_rational_state(rng, n, positive=False)
+                point = randint_rational_state(rng, n, positive=False)
                 residual = fraction_jacobi_divergence(rows, point)
                 assert residual != 0
                 report = check_jacobi_multiplier(sys, [point, (1,) * n])
@@ -243,7 +259,7 @@ def _check_divergences_against_sympy(rng, n):
     divergence = sum(sp.diff(multiplier * p[i], xs[i]) for i in range(n))
     raw = sum(sp.diff(p[i], xs[i]) for i in range(n))
     assert sp.simplify(divergence) == 0
-    point = random_rational_state(rng, n, positive=True)
+    point = randint_rational_state(rng, n, positive=True)
     subs = {x: sp.Rational(str(v)) for x, v in zip(xs, point)}
     assert jacobi_divergence(sys, point) == 0
     assert field_divergence(sys, point) == Fraction(str(raw.subs(subs)))
@@ -264,7 +280,7 @@ class TestIndependence:
         sys = make_system([2, 1, 3, 6])
         basis = integral_basis(sys)
         rng = random.Random(89)
-        samples = [random_rational_state(rng, 4) for _ in range(10)]
+        samples = [randint_rational_state(rng, 4) for _ in range(10)]
         assert check_independence(sys, basis, samples).passed
 
     def test_degenerate_locus_detected(self):
@@ -296,7 +312,7 @@ class TestIndependence:
     def test_basis_of_another_dimension_is_refused(self, system_n, basis_n):
         sys = make_system([1, 2, 3, 4, 5][:system_n])
         basis = integral_basis(make_system([1, 2, 3, 4, 5][:basis_n]))
-        samples = [random_rational_state(random.Random(5), system_n)]
+        samples = [randint_rational_state(random.Random(5), system_n)]
         refused = "^exponent vector length does not match the system$"
         with pytest.raises(InputError, match=refused):
             check_independence(sys, basis, samples)
@@ -307,7 +323,7 @@ class TestIndependence:
         sys = make_system([1, 1, 1, 2])
         basis = integral_basis(sys)
         rng = random.Random(97)
-        samples = [random_rational_state(rng, 4) for _ in range(5)]
+        samples = [randint_rational_state(rng, 4) for _ in range(5)]
         assert check_independence(sys, basis, samples).passed
 
 
@@ -323,7 +339,7 @@ class TestRankEarlyExit:
             basis = integral_basis(sys)
             seen.add(basis.classification)
             for _ in range(4):
-                point = random_rational_state(rng, n)
+                point = randint_rational_state(rng, n)
                 got = _independence_rank(sys, basis, point)
                 assert got == dense_gradient_rank(sys, basis, point)
         assert {Classification.ODD, Classification.EVEN_RESONANT,
@@ -335,23 +351,3 @@ class TestRankEarlyExit:
         basis = integral_basis(sys)
         assert _independence_rank(sys, basis, (1, 1, 1, 1)) == 2
         assert dense_gradient_rank(sys, basis, (1, 1, 1, 1)) == 2
-
-
-@pytest.mark.parametrize("positive", [True, False])
-@pytest.mark.parametrize("n", [1, 7, 64])
-def test_random_rational_state_draws_randints_stream(n, positive):
-    for seed in range(500):
-        ours, reference = random.Random(seed), random.Random(seed)
-        got = random_rational_state(ours, n, positive=positive)
-        assert got == randint_rational_state(reference, n, positive=positive)
-        assert all(type(v) is Fraction for v in got)
-        assert ours.random() == reference.random()
-
-
-def test_random_rational_state_properties():
-    rng = random.Random(101)
-    pos = random_rational_state(rng, 6, positive=True)
-    assert len(pos) == 6 and all(v > 0 for v in pos)
-    mixed = [random_rational_state(rng, 6, positive=False) for _ in range(20)]
-    assert any(v < 0 for s in mixed for v in s)
-    assert all(v != 0 for s in mixed for v in s)
