@@ -188,7 +188,13 @@ def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], boo
     else:
         space = darboux.nullspace(darboux.build_exponent_system(system))
         formulas = [mono.exponents for mono in basis.monomials]
-        witness = None if space == formulas else f"nullspace {space} vs formulas {formulas}"
+        differences = (
+            f"{name} exponent of x{i}: formula {a}, nullspace {b}"
+            for name, formula, vector in zip(names[1:], formulas, space)
+            for i, (a, b) in enumerate(zip(formula, vector), 1) if a != b
+        )
+        witness = (f"nullspace has {len(space)} vectors, formulas {len(formulas)}"
+                   if len(space) != len(formulas) else next(differences, None))
         checks.append((label, verify.VerificationReport(witness)))
 
     # one set of positive points serves both sampled checks

@@ -16,8 +16,9 @@ from lambda_2 = 1 covers the even indices, and each closes (comes back to
 1) only under the resonance condition k1 k3 ... k_{n-1} = k2 k4 ... kn.
 The system's matrix is the transpose of A, so the monomial integrals are
 the vectors A sends to zero. ``integral_basis`` takes the exponents from
-these walks; ``build_exponent_system`` and ``nullspace`` solve the system
-by exact elimination, the independent route that checks them.
+these walks. ``build_exponent_system`` writes the system as sparse rows,
+and ``nullspace`` reads its solutions off their RREF from ``linalg.rref``,
+one vector per free column: the independent route that checks the walks.
 """
 
 from __future__ import annotations
@@ -143,20 +144,26 @@ def build_exponent_system(sys: CyclicLVSystem) -> list[linalg.Row]:
 def nullspace(rows: linalg.Rows) -> list[tuple[Fraction, ...]]:
     """Exact nullspace basis of n sparse rows in n unknowns, normalized and ordered.
 
-    Each basis vector is scaled so its first nonzero entry is 1, and the
-    vectors are sorted by the index of that entry. An empty list means the
-    nullspace is trivial. linalg loads on the first call, so integrals never
-    imports it.
+    One vector per free column f of the rows' RREF: 1 at f, minus each pivot
+    row's entry at f at its pivot column, and 0 elsewhere, divided by its
+    first nonzero entry. The vectors are sorted by that entry's index; an
+    empty list means the nullspace is trivial. linalg loads on the first
+    call, so integrals never imports it.
     """
     from . import linalg
 
-    raw = linalg.nullspace_basis(rows, len(rows))
-    normalized = []
-    for v in raw:
-        lead = next(i for i, e in enumerate(v) if e != 0)
-        normalized.append((lead, tuple(e / v[lead] for e in v)))
-    normalized.sort(key=lambda pair: pair[0])
-    return [vec for _, vec in normalized]
+    n = len(rows)
+    reduced, pivots = linalg.rref(rows, n)
+    basis = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        entries = {c: -row[f] for row, c in zip(reduced, pivots) if f in row}
+        entries[f] = Fraction(1)
+        lead = min(entries)
+        vector = [Fraction(0)] * n
+        for j, e in entries.items():
+            vector[j] = e / entries[lead]
+        basis.append((lead, tuple(vector)))
+    return [vector for _, vector in sorted(basis, key=lambda pair: pair[0])]
 
 
 def _walk(

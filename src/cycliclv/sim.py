@@ -291,14 +291,6 @@ def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 # Fehlberg 4(5): the fourth-order solution is propagated, the fifth-order
 # companion supplies the local error estimate.
 _FEHLBERG_A = (
@@ -329,7 +321,11 @@ def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
     """count RK4 steps of h from row ``row`` of xs, each new state in the next row."""
     x = xs[row]
     for r in range(row + 1, row + count + 1):
-        x = _rk4_step(f, x, h)
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[r] = x
 
 
@@ -447,7 +443,7 @@ def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig
     limit = _step_limit(xs.shape[1])
     size = len(xs) - 1
     t = 0.0
-    h = min(cfg.step, cfg.t_end)
+    h = cfg.step
     row = accepted = 0
     while t < cfg.t_end * (1.0 - 1e-14):
         h = min(h, cfg.t_end - t)

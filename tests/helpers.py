@@ -312,6 +312,23 @@ def fraction_integral_basis(
     return Classification.EVEN_RESONANT, [odd_chain, walk(1)[0]]
 
 
+def sympy_nullspace(matrix) -> list[tuple[Fraction, ...]]:
+    """sympy's nullspace of a dense square matrix, as ``nullspace`` gives it.
+
+    Each vector is scaled so its first nonzero entry is 1, and the vectors
+    are sorted by the index of that entry.
+    """
+    import sympy as sp
+
+    basis = []
+    for v in sp.Matrix(matrix).nullspace():
+        vec = [Fraction(str(e)) for e in v]
+        lead = next(i for i, e in enumerate(vec) if e != 0)
+        basis.append((lead, tuple(e / vec[lead] for e in vec)))
+    basis.sort(key=lambda pair: pair[0])
+    return [vec for _, vec in basis]
+
+
 def rank(rows, ncols: int) -> int:
     """Rank of sparse rows over columns 0..ncols-1, from the RREF's pivots."""
     return len(linalg.rref(rows, ncols)[1])

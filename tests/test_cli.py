@@ -214,6 +214,40 @@ class TestCheck:
         assert "check linear-integral: FAIL (forced)" in out
         assert "result: FAIL" in out
 
+    def test_nullspace_failure_names_the_first_changed_exponent(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        rates = [i % 9 + 1 for i in range(1001)]
+        basis = integral_basis(make_system(rates))
+        exponents = list(basis.monomials[0].exponents)
+        e = exponents[500]
+        exponents[500] += 1
+        changed = darboux.IntegralBasis(
+            basis.classification, basis.linear,
+            (darboux.MonomialIntegral(exponents=tuple(exponents)),),
+        )
+        monkeypatch.setattr(darboux, "integral_basis", lambda system: changed)
+        assert main(["check", "--system", write_spec(tmp_path, "odd.json", rates)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        line = next(line for line in lines if "nullspace-formula-equivalence" in line)
+        assert line == (
+            "check nullspace-formula-equivalence: FAIL "
+            f"(H2 exponent of x501: formula {e + 1}, nullspace {e})"
+        )
+        assert len(line.encode()) < 300
+        assert lines[-1] == "result: FAIL"
+
+    def test_nullspace_failure_counts_the_vectors(self, resonant4, capsys, monkeypatch):
+        system = make_system([2, 1, 3, 6])
+        assert integral_basis(system).classification.name == "EVEN_RESONANT"
+        nonresonant = darboux.IntegralBasis(
+            darboux.Classification.EVEN_NONRESONANT, darboux.LinearIntegral(4), ()
+        )
+        monkeypatch.setattr(darboux, "integral_basis", lambda system: nonresonant)
+        assert main(["check", "--system", resonant4]) == 1
+        out = capsys.readouterr().out
+        assert "check nullspace-formula-equivalence: FAIL (nullspace has 2 vectors, formulas 0)\n" in out
+        assert out.endswith("result: FAIL\n")
+
     @pytest.mark.parametrize("rates, seed", [([2, 1, 3], 0), ([2, 1, 3, 6], 7), ([1, 5], 3)])
     def test_sampled_checks_get_one_draw_of_positive_points(self, monkeypatch, rates, seed):
         from cycliclv import verify

@@ -1,4 +1,4 @@
-"""Exact elimination cross-checked against an independent implementation."""
+"""Exact elimination, and the nullspace read off it, cross-checked against sympy."""
 
 import random
 from fractions import Fraction
@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from cycliclv import build_exponent_system, integral_basis, linalg
-from helpers import dense, random_system, rank, resonant_system, sparse
+from cycliclv import build_exponent_system, integral_basis, linalg, nullspace
+from helpers import dense, random_system, rank, resonant_system, sparse, sympy_nullspace
 
 
 def _random_matrix(rng, nrows, ncols, singularish=False, density=1.0):
@@ -35,8 +35,14 @@ def _rank(m):
     return rank(sparse(m), len(m[0]))
 
 
-def _nullspace_basis(m):
-    return linalg.nullspace_basis(sparse(m), len(m[0]))
+def _nullspace(m):
+    """nullspace of a matrix no taller than wide, padded square with empty rows."""
+    return nullspace(sparse(m) + [{}] * (len(m[0]) - len(m)))
+
+
+def _wide_matrix(rng, singularish):
+    ncols = rng.randint(2, 6)
+    return _random_matrix(rng, rng.randint(2, ncols), ncols, singularish=singularish)
 
 
 def test_rref_identity_passthrough():
@@ -54,8 +60,9 @@ def test_input_rows_left_unchanged():
 
 
 def test_no_rows_leave_every_column_free():
-    assert linalg.nullspace_basis([], 2) == [[1, 0], [0, 1]]
-    assert linalg.nullspace_basis([{}], 2) == [[1, 0], [0, 1]]
+    assert nullspace([]) == []
+    assert nullspace([{}]) == [(1,)]
+    assert nullspace([{}, {}]) == [(1, 0), (0, 1)]
 
 
 def test_rank_frozen():
@@ -70,12 +77,10 @@ def test_rank_frozen():
 def test_nullspace_vectors_annihilate():
     rng = random.Random(3)
     for trial in range(40):
-        nrows = rng.randint(2, 6)
-        ncols = rng.randint(2, 6)
-        m = _random_matrix(rng, nrows, ncols, singularish=trial % 2 == 0)
-        for v in _nullspace_basis(m):
+        m = _wide_matrix(rng, singularish=trial % 2 == 0)
+        for v in _nullspace(m):
             assert all(
-                sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m
+                sum(row[j] * v[j] for j in range(len(v))) == 0 for row in m
             )
 
 
@@ -91,10 +96,8 @@ def test_rank_matches_sympy():
 def test_nullspace_span_matches_sympy():
     rng = random.Random(9)
     for trial in range(30):
-        nrows = rng.randint(2, 6)
-        ncols = rng.randint(2, 6)
-        m = _random_matrix(rng, nrows, ncols, singularish=trial % 2 == 0)
-        mine = _nullspace_basis(m)
+        m = _wide_matrix(rng, singularish=trial % 2 == 0)
+        mine = _nullspace(m)
         theirs = sp.Matrix(m).nullspace()
         assert len(mine) == len(theirs)
         if mine:
@@ -152,8 +155,28 @@ def test_deterministic():
         [Fraction(0), Fraction(1), Fraction(-1)],
         [Fraction(0), Fraction(2), Fraction(-2)],
     ]
-    assert _nullspace_basis(m) == _nullspace_basis(m)
-    assert _nullspace_basis(m) == [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(1)],
+    assert _nullspace(m) == _nullspace(m)
+    assert _nullspace(m) == [
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(1), Fraction(1)),
     ]
+
+
+@pytest.mark.parametrize("nullity", range(4))
+def test_nullspace_matches_sympy_on_sparse_square_matrices(nullity):
+    # rows of a random sparse matrix, then nullity of them replaced by
+    # combinations of the rest, kept once sympy agrees on the rank
+    rng = random.Random(20 + nullity)
+    kept = 0
+    while kept < 25:
+        n = rng.randint(max(nullity, 2), 7)
+        m = _random_matrix(rng, n, n, density=0.4)
+        for i in rng.sample(range(n), nullity):
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[i] = [a * u + b * v for u, v in zip(m[(i + 1) % n], m[(i + 2) % n])]
+        if sp.Matrix(m).rank() != n - nullity:
+            continue
+        kept += 1
+        mine = nullspace(sparse(m))
+        assert len(mine) == nullity
+        assert mine == sympy_nullspace(m), m
