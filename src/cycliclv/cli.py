@@ -8,10 +8,12 @@ Subcommands:
 The system is described by a JSON file {"k": [...]} whose entries are
 integers, exact decimal literals, or "p/q" strings; the dimension is the
 list length. No literal's numerator or denominator may have more than 4300
-digits, nor the file more than MAX_SPEC_BYTES (4 MiB). Exit codes: 0
-success, 1 verification failure, 2 input error (an InputError, printed as
-one bounded "error: " line on stderr) or a stdout that cannot be written
-("error: cannot write stdout: REASON"), 3 runtime integration failure.
+digits, nor the file more than MAX_SPEC_BYTES (4 MiB). main reads it, runs
+the subcommand with no digit limit and writes the lines it returns to stdout
+once; a check line cuts each exact value to an excerpt, within 300 bytes.
+Exit codes: 0 success, 1 verification failure, 2 input error (an InputError,
+printed as one bounded "error: " line on stderr) or a stdout that cannot be
+written ("error: cannot write stdout: REASON"), 3 runtime integration failure.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import os
 import sys as _sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import darboux
 from .model import REASON_BYTES, CyclicLVSystem, InputError, _excerpt, make_system
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from . import sim, verify
 
 EXIT_OK = 0
@@ -122,7 +125,7 @@ def _unlimited_int_digits():
     """Lift Python's limit on the digits of an int turned to str, then restore it.
 
     Exact exponents can be far longer than the limit, which is meant for
-    untrusted input, so it stays on while the spec file is parsed.
+    untrusted input, so main lifts it only after the spec file is parsed.
     Interpreters older than the limit have nothing to lift.
     """
     if not hasattr(_sys, "set_int_max_str_digits"):
@@ -136,34 +139,30 @@ def _unlimited_int_digits():
         _sys.set_int_max_str_digits(limit)
 
 
-def cmd_integrals(args: argparse.Namespace) -> int:
-    system = load_system_spec(args.system)
+def cmd_integrals(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list[str], int]:
     basis = darboux.integral_basis(system)
-    with _unlimited_int_digits():
-        if args.format == "json":
-            payload = {
-                "n": system.n,
-                "k": [str(v) for v in system.rates],
-                "classification": basis.classification.name,
-                "linear": {"name": "H1", "weights": ["1"] * basis.linear.n},
-                "monomials": [
-                    {"name": name, "exponents": [str(e) for e in mono.exponents]}
-                    for name, mono in zip(_integral_names(basis)[1:], basis.monomials)
-                ],
-            }
-            _print(json.dumps(payload, indent=2))
-            return EXIT_OK
-        lines = [
-            f"n: {system.n}",
-            f"classification: {basis.classification.name}",
-            "H1 = " + " + ".join(f"x{i}" for i in range(1, system.n + 1)),
-        ]
-        for name, mono in zip(_integral_names(basis)[1:], basis.monomials):
-            lines += _monomial_text(name, mono)
+    if args.format == "json":
+        payload = {
+            "n": system.n,
+            "k": [str(v) for v in system.rates],
+            "classification": basis.classification.name,
+            "linear": {"name": "H1", "weights": ["1"] * basis.linear.n},
+            "monomials": [
+                {"name": name, "exponents": [str(e) for e in mono.exponents]}
+                for name, mono in zip(_integral_names(basis)[1:], basis.monomials)
+            ],
+        }
+        return [json.dumps(payload, indent=2)], EXIT_OK
+    lines = [
+        f"n: {system.n}",
+        f"classification: {basis.classification.name}",
+        "H1 = " + " + ".join(f"x{i}" for i in range(1, system.n + 1)),
+    ]
+    for name, mono in zip(_integral_names(basis)[1:], basis.monomials):
+        lines += _monomial_text(name, mono)
     if not basis.monomials:
         lines.append("no monomial integrals")
-    _print(*lines)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
 def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], bool]:
@@ -189,7 +188,7 @@ def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], boo
         space = darboux.nullspace(darboux.build_exponent_system(system))
         formulas = [mono.exponents for mono in basis.monomials]
         differences = (
-            f"{name} exponent of x{i}: formula {a}, nullspace {b}"
+            f"{name} exponent of x{i}: formula {_excerpt(a)}, nullspace {_excerpt(b)}"
             for name, formula, vector in zip(names[1:], formulas, space)
             for i, (a, b) in enumerate(zip(formula, vector), 1) if a != b
         )
@@ -227,11 +226,9 @@ def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], boo
     return lines, ok
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    system = load_system_spec(args.system)
+def cmd_check(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list[str], int]:
     lines, ok = run_check_battery(system, seed=args.seed)
-    _print(*lines, f"result: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return [*lines, f"result: {'PASS' if ok else 'FAIL'}"], EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _parse_x0(text: str) -> list[float]:
@@ -268,11 +265,10 @@ def _write_csv(path: str | Path, names: list[str], trajectory: sim.Trajectory) -
     return rows
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list[str], int]:
     # numpy and sim load here, so integrals and check never import them
     from . import sim
 
-    system = load_system_spec(args.system)
     x0 = _parse_x0(args.x0)
     cfg = sim.IntegratorConfig(method=args.method, step=args.step, t_end=args.t_end)
     basis = darboux.integral_basis(system)
@@ -300,11 +296,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             reason = _excerpt(exc, REASON_BYTES)
             raise InputError(f"cannot write --out {_excerpt(args.out)}: {reason}") from exc
         raise
-    drift = " ".join(
-        "max_drift_%s=%.17g" % pair for pair in zip(names, trajectory.max_drift.tolist())
-    )
-    _print("summary: rows=%d t_final=%.17g %s status=%s" % (rows, trajectory.t[-1], drift, status))
-    return exit_code
+    summary = ["summary: rows=%d" % rows, "t_final=%.17g" % trajectory.t[-1]]
+    summary += ["max_drift_%s=%.17g" % pair for pair in zip(names, trajectory.max_drift.tolist())]
+    return [" ".join([*summary, f"status={status}"])], exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,13 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Read the spec, run the subcommand's handler, write its lines; returns its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        system = load_system_spec(args.system)
+        with _unlimited_int_digits():
+            lines, code = args.handler(system, args)
     except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
+    _print(*lines)
+    return code
 
 
 def console_main() -> None:

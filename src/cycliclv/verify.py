@@ -11,7 +11,7 @@ an exact rank computation.
 Each of the three identities is built as its own sparse polynomial and
 added up by one sum on int pairs; it holds at every point when that
 polynomial is zero, and a failure names its first surviving monomial and
-that monomial's coefficient. The sample points of both sampled checks come
+its coefficient, cut to 64 bytes. The points of both sampled checks come
 from the caller; the multiplier check only reads and checks them in order.
 The rank is taken at each sample on int columns, built from the
 coordinates' numerators and denominators, and scans the gradient matrix's
@@ -31,6 +31,7 @@ from .model import (
     InputError,
     Term,
     _Record,
+    _excerpt,
     as_fraction,
     structure_matrix,
     _row_quadratic,
@@ -81,7 +82,7 @@ def _witness(form: dict[Monomial, Fraction]) -> VerificationReport:
         return VerificationReport()
     mono = min(form)
     monomial = "*".join(f"x{j + 1}" for j in mono)
-    return VerificationReport(f"coefficient of {monomial} is {form[mono]}")
+    return VerificationReport(f"coefficient of {monomial} is {_excerpt(form[mono])}")
 
 
 def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> VerificationReport:

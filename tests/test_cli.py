@@ -236,6 +236,42 @@ class TestCheck:
         assert len(line.encode()) < 300
         assert lines[-1] == "result: FAIL"
 
+    def test_failure_past_the_int_digit_limit_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # x2's exponent has 4451 digits; doubling it also makes the cofactor
+        # check's coefficient that long
+        rates = [123456789, 1] * 550 + [123456789]
+        basis = integral_basis(make_system(rates))
+        exponents = list(basis.monomials[0].exponents)
+        e = exponents[1]
+        exponents[1] = 2 * e
+        changed = darboux.IntegralBasis(
+            basis.classification, basis.linear,
+            (darboux.MonomialIntegral(exponents=tuple(exponents)),),
+        )
+        monkeypatch.setattr(darboux, "integral_basis", lambda system: changed)
+        limit = _sys.get_int_max_str_digits()
+        assert main(["check", "--system", write_spec(tmp_path, "long.json", rates)]) == 1
+        assert _sys.get_int_max_str_digits() == limit
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert max(len(line.encode()) for line in lines) <= 300
+        _sys.set_int_max_str_digits(0)
+        try:
+            formula, nullspace = str(2 * e), str(e)
+        finally:
+            _sys.set_int_max_str_digits(limit)
+        assert len(nullspace) > limit
+        assert lines[2] == (
+            "check nullspace-formula-equivalence: FAIL (H2 exponent of x2: "
+            f"formula {model._excerpt(formula)}, nullspace {model._excerpt(nullspace)})"
+        )
+        assert re.fullmatch(
+            r"check cofactor-cancellation\[H2\]: FAIL \(coefficient of x\d+ is "
+            r"-?\d+\.\.\. \(\d{4} bytes\)\)", lines[1]
+        ), lines[1]
+        assert lines[-1] == "result: FAIL"
+
     def test_nullspace_failure_counts_the_vectors(self, resonant4, capsys, monkeypatch):
         system = make_system([2, 1, 3, 6])
         assert integral_basis(system).classification.name == "EVEN_RESONANT"
@@ -1099,6 +1135,50 @@ class TestProcessEntry:
         frozen = gc.get_freeze_count()
         assert main(argv) == code
         assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.skipif(not hasattr(_sys, "set_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("argv, code", ENTRY_CALLS + [
+        (["check", "--system", "spec.json"], 0),
+        (["check", "--system", "spec.json"], 1),
+        (["simulate", "--system", "spec.json", "--x0", "0.5,0.5", "--out", "t.csv"], 2),
+    ], ids=ENTRY_CALL_IDS + ["check-pass", "check-fail", "x0-refused"])
+    def test_main_lifts_the_int_digit_limit_only_around_the_handler(
+            self, entry_specs, monkeypatch, capsys, argv, code):
+        from cycliclv import verify
+
+        monkeypatch.chdir(entry_specs)
+        if code == 1:
+            monkeypatch.setattr(verify, "check_linear_integral",
+                                lambda system: VerificationReport("forced"))
+        seen, basis_of = [], darboux.integral_basis
+
+        def recording_basis(system):
+            seen.append(_sys.get_int_max_str_digits())
+            return basis_of(system)
+
+        monkeypatch.setattr(darboux, "integral_basis", recording_basis)
+        limit = _sys.get_int_max_str_digits()
+        _sys.set_int_max_str_digits(5000)
+        try:
+            assert main(argv) == code
+            assert _sys.get_int_max_str_digits() == 5000
+        finally:
+            _sys.set_int_max_str_digits(limit)
+        # the spec is read under the limit, so a refused spec never reaches the handler
+        assert seen == ([] if "zero.json" in argv else [0])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_interpreter_without_the_digit_limit_prints_the_same(
+            self, entry_specs, monkeypatch, capsys, fmt):
+        monkeypatch.chdir(entry_specs)
+        argv = ["integrals", "--system", "spec.json", "--format", fmt]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        # as on Python before 3.10.7, which has no limit to lift
+        monkeypatch.delattr(_sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(_sys, "set_int_max_str_digits", raising=False)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
     def test_module_entry_freezes_the_heap_before_exit(self, entry_specs):
         result = run_python(["-c", FROZEN_CHILD, "integrals", "--system", "spec.json"],

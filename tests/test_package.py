@@ -64,7 +64,7 @@ import contextlib, io, json, sys
 import cycliclv, cycliclv.cli as cli
 
 MODULES = ("numpy", "cycliclv.sim", "cycliclv.verify", "cycliclv.linalg", "random",
-           "dataclasses", "inspect")
+           "dataclasses", "inspect", "pathlib")
 RUNS = {
     "integrals": ["integrals", "--system", "spec.json", "--format", "json"],
     "check": ["check", "--system", "spec.json"],
