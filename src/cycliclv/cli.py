@@ -26,6 +26,7 @@ import os
 import sys as _sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import darboux
@@ -34,7 +35,9 @@ from .model import REASON_BYTES, CyclicLVSystem, InputError, _excerpt, make_syst
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from . import sim, verify
+    import numpy as np
+
+    from . import verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,10 +46,6 @@ EXIT_RUNTIME_ERROR = 3
 
 DEFAULT_CHECK_SAMPLES = 32
 MAX_SPEC_BYTES = 4 << 20  # a spec of a million rates takes about 3 MB
-
-# Rows of a trajectory that _write_csv formats at a time.
-_CSV_BLOCK_ROWS = 4096
-
 
 def load_system_spec(path: str | Path) -> CyclicLVSystem:
     """Read a {"k": [...]} JSON file into a system.
@@ -125,7 +124,8 @@ def _unlimited_int_digits():
     """Lift Python's limit on the digits of an int turned to str, then restore it.
 
     Exact exponents can be far longer than the limit, which is meant for
-    untrusted input, so main lifts it only after the spec file is parsed.
+    untrusted input, so main lifts it only after the spec file is parsed;
+    run_check_battery, a library function too, lifts it for itself.
     Interpreters older than the limit have nothing to lift.
     """
     if not hasattr(_sys, "set_int_max_str_digits"):
@@ -165,8 +165,13 @@ def cmd_integrals(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[lis
     return lines, EXIT_OK
 
 
+@_unlimited_int_digits()
 def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], bool]:
-    """Every exact check against one system; returns (lines, all passed)."""
+    """Every exact check against one system; returns (lines, all passed).
+
+    It lifts the int digit limit itself, so a library call cuts a witness
+    past 4300 digits to its excerpt as main's check does.
+    """
     # verify, linalg and random load here, so integrals never imports them
     import random
 
@@ -241,28 +246,35 @@ def _parse_x0(text: str) -> list[float]:
         ) from exc
 
 
-def _write_csv(path: str | Path, names: list[str], trajectory: sim.Trajectory) -> int:
-    """Write every row of trajectory to path as CSV; returns the row count."""
+class _Csv:
+    """The --out file, its header and row template, and the rows written to it."""
+
+    def __init__(self, path: str | Path, n: int, names: list[str]):
+        header = ["t", *(f"x{i}" for i in range(1, n + 1)), *names,
+                  *(f"drift_{name}" for name in names)]
+        self.path, self.file, self.rows = path, None, 0
+        self.header = ",".join(header) + "\n"
+        self.template = ",".join(["%.17g"] * len(header)) + "\n"
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
+def write_csv_rows(csv: _Csv, *columns: np.ndarray) -> None:
+    """Write the rows of the columns t, x, values and drift to csv, each value as %.17g.
+
+    The row sink that cmd_simulate hands sim.integrate. The first call opens
+    and truncates the file and writes the header, so a run that integrate
+    refuses leaves an existing file as it was.
+    """
     import numpy as np
 
-    rows = len(trajectory.t)
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(1, trajectory.x.shape[1] + 1)]
-        + names
-        + [f"drift_{name}" for name in names]
-    )
-    columns = (trajectory.t, trajectory.x, trajectory.values, trajectory.drift)
-    template = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(header) + "\n")
-        # _CSV_BLOCK_ROWS rows at a time: one table of every row would
-        # copy the whole trajectory
-        for lo in range(0, rows, _CSV_BLOCK_ROWS):
-            table = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
-            for row in table:
-                out.write(template % tuple(row.tolist()))
-    return rows
+    if csv.file is None:
+        csv.file = open(csv.path, "w", encoding="utf-8", newline="\n")
+        csv.file.write(csv.header)
+    csv.file.writelines(csv.template % tuple(row) for row in np.column_stack(columns).tolist())
+    csv.rows += len(columns[0])
 
 
 def cmd_simulate(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list[str], int]:
@@ -273,6 +285,7 @@ def cmd_simulate(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list
     cfg = sim.IntegratorConfig(method=args.method, step=args.step, t_end=args.t_end)
     basis = darboux.integral_basis(system)
     names = _integral_names(basis)
+    csv = _Csv(args.out, system.n, names)
 
     status = "ok"
     exit_code = EXIT_OK
@@ -282,12 +295,16 @@ def cmd_simulate(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list
         # existing one, so an unwritable --out is refused before the first step
         open(args.out, "a").close()
         try:
-            trajectory = sim.integrate(system, x0, cfg, basis, args.sample_every)
+            # write_csv_rows is read from the module on each run, so a
+            # wrapper set there takes the rows
+            trajectory = sim.integrate(system, x0, cfg, basis, args.sample_every,
+                                       partial(write_csv_rows, csv))
         except sim.IntegrationAborted as exc:
             trajectory = exc.trajectory
             status = f"{type(exc).__name__}({exc})"
             exit_code = EXIT_RUNTIME_ERROR
-        rows = _write_csv(args.out, names, trajectory)
+        finally:
+            csv.close()
     except BaseException as exc:
         # a run refused, interrupted or unwritten leaves no file it created
         if created and os.path.lexists(args.out):
@@ -296,7 +313,7 @@ def cmd_simulate(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[list
             reason = _excerpt(exc, REASON_BYTES)
             raise InputError(f"cannot write --out {_excerpt(args.out)}: {reason}") from exc
         raise
-    summary = ["summary: rows=%d" % rows, "t_final=%.17g" % trajectory.t[-1]]
+    summary = ["summary: rows=%d" % csv.rows, "t_final=%.17g" % trajectory.t[-1]]
     summary += ["max_drift_%s=%.17g" % pair for pair in zip(names, trajectory.max_drift.tolist())]
     return [" ".join([*summary, f"status={status}"])], exit_code
 

@@ -236,11 +236,16 @@ class TestCheck:
         assert len(line.encode()) < 300
         assert lines[-1] == "result: FAIL"
 
-    def test_failure_past_the_int_digit_limit_is_bounded(self, tmp_path, capsys, monkeypatch):
-        # x2's exponent has 4451 digits; doubling it also makes the cofactor
-        # check's coefficient that long
-        rates = [123456789, 1] * 550 + [123456789]
-        basis = integral_basis(make_system(rates))
+    # x2's exponent has 4451 digits at these rates
+    LONG_RATES = [123456789, 1] * 550 + [123456789]
+
+    @classmethod
+    def _plant_doubled_x2_exponent(cls, monkeypatch):
+        """Make integral_basis double x2's exponent in H2; returns the true exponent.
+
+        Doubling it also makes the cofactor check's coefficient that long.
+        """
+        basis = integral_basis(make_system(cls.LONG_RATES))
         exponents = list(basis.monomials[0].exponents)
         e = exponents[1]
         exponents[1] = 2 * e
@@ -249,6 +254,11 @@ class TestCheck:
             (darboux.MonomialIntegral(exponents=tuple(exponents)),),
         )
         monkeypatch.setattr(darboux, "integral_basis", lambda system: changed)
+        return e
+
+    def test_failure_past_the_int_digit_limit_is_bounded(self, tmp_path, capsys, monkeypatch):
+        rates = self.LONG_RATES
+        e = self._plant_doubled_x2_exponent(monkeypatch)
         limit = _sys.get_int_max_str_digits()
         assert main(["check", "--system", write_spec(tmp_path, "long.json", rates)]) == 1
         assert _sys.get_int_max_str_digits() == limit
@@ -271,6 +281,18 @@ class TestCheck:
             r"-?\d+\.\.\. \(\d{4} bytes\)\)", lines[1]
         ), lines[1]
         assert lines[-1] == "result: FAIL"
+
+    def test_library_call_past_the_int_digit_limit_is_bounded(self, monkeypatch):
+        # run_check_battery called outside main meets the same witnesses
+        self._plant_doubled_x2_exponent(monkeypatch)
+        limit = _sys.get_int_max_str_digits()
+        lines, ok = run_check_battery(make_system(self.LONG_RATES), 0)
+        assert _sys.get_int_max_str_digits() == limit
+        assert not ok
+        assert max(len(line.encode()) for line in lines) <= 300
+        assert lines[1].startswith("check cofactor-cancellation[H2]: FAIL (coefficient of x")
+        assert lines[2].startswith(
+            "check nullspace-formula-equivalence: FAIL (H2 exponent of x2: formula ")
 
     def test_nullspace_failure_counts_the_vectors(self, resonant4, capsys, monkeypatch):
         system = make_system([2, 1, 3, 6])
@@ -496,8 +518,10 @@ class TestSimulate:
         x = np.full((3, 3), 0.5)
         drift = np.array([[0.0, 0.0], [np.nan, 1e-9], [1e-12, 0.0]])
 
-        def fake(system, x0, cfg, basis, sample_every):
-            return sim.Trajectory(t, x, np.ones((3, 2)), drift, np.array([np.nan, 1e-9]))
+        def fake(system, x0, cfg, basis, sample_every, sink):
+            sink(t, x, np.ones((3, 2)), drift)
+            return sim.Trajectory(t[-1:], x[-1:], np.ones((1, 2)), drift[-1:],
+                                  np.array([np.nan, 1e-9]))
 
         monkeypatch.setattr(sim, "integrate", fake)
         code = main(
@@ -700,27 +724,42 @@ class TestSimulate:
         assert "status=ok" in summary.split()
         assert float(summary.split("max_drift_H1=")[1].split()[0]) < 1e-11
 
+    @staticmethod
+    def _n9_rk4_peak(tmp_path, t_end, every):
+        """RK4 at step 1e-3 on an n=9 system, in a child: its summary line and VmHWM in KiB."""
+        write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(9)])
+        x0 = ",".join(repr(1 + 0.01 * (i % 5)) for i in range(9))
+        result = run_python(
+            ["-c", PEAK_CHILD, *SIM, "--x0", x0, "--step", "1e-3", "--t-end", t_end,
+             "--sample-every", every],
+            tmp_path,
+            timeout=120,
+        )
+        *out, last = result.stdout.decode().splitlines()
+        code, kib = last.split()
+        assert code == "0", stderr_of(result)
+        return out[-1], int(kib)
+
     @pytest.mark.skipif(not _sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_sampled_run_memory_does_not_grow_with_steps(self, tmp_path):
         # A run keeps only the rows it writes and one block, so 2e5 RK4 steps
         # written every 1000th peak within 8 MB of 100 steps. Keeping every
         # row costs 2e5 x 9 floats of state alone, 14 MB, and more for the
         # integrals and the screen.
-        write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(9)])
-        x0 = ",".join(repr(1 + 0.01 * (i % 5)) for i in range(9))
-        peaks = []
-        for t_end in ("0.1", "200"):
-            result = run_python(
-                ["-c", PEAK_CHILD, *SIM, "--x0", x0, "--step", "1e-3", "--t-end", t_end,
-                 "--sample-every", "1000"],
-                tmp_path,
-                timeout=120,
-            )
-            code, kib = result.stdout.splitlines()[-1].split()
-            assert code == b"0", stderr_of(result)
-            peaks.append(int(kib))
+        peaks = [self._n9_rk4_peak(tmp_path, t_end, "1000")[1] for t_end in ("0.1", "200")]
         assert (tmp_path / "t.csv").read_text().count("\n") == 1 + 201
         assert peaks[1] - peaks[0] < 8 * 1024, peaks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+    def test_dense_run_memory_does_not_grow_with_rows(self, tmp_path):
+        # integrate hands each block's rows to the CSV writer, so 1e5 RK4
+        # steps written every one peak within 8 MB of 100 steps. Collecting
+        # every row into a Trajectory before writing it peaked 51 MB, 22 MB
+        # above 100 steps.
+        (_, small), (summary, large) = (self._n9_rk4_peak(tmp_path, t_end, "1")
+                                        for t_end in ("0.1", "100"))
+        assert summary.startswith("summary: rows=100001 ") and summary.endswith(" status=ok")
+        assert large - small < 8 * 1024, (small, large)
 
     @pytest.mark.skipif(not _sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_block_memory_is_bounded_by_floats_above_16_coordinates(self, tmp_path):
@@ -865,12 +904,27 @@ class TestRefusals:
             "[Errno 2] No such file or directory: 'nodir/t.csv'\n"
         )
 
-    def test_refused_run_leaves_an_existing_out_untouched(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec, args",
+        [
+            (WHEEL3, ["--x0", "1e-13,0.5,0.5"]),
+            # integrate screens row 0 before the RK4 driver refuses the run
+            (WHEEL3, ["--x0", "0.2,0.3,0.5", "--step", "1e-3", "--t-end", "1e300"]),
+            ('{"k": ["1e200", "1e-200", 1]}', ["--x0", "0.2,0.3,0.5"]),
+        ],
+        ids=["x0-below-floor", "rk4-over-max-steps", "exponent-overflow"],
+    )
+    def test_refused_run_leaves_an_existing_out_untouched(self, tmp_path, monkeypatch, capsys,
+                                                          spec, args):
+        # each refusal that integrate makes comes before the first row reaches the CSV
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
-        (tmp_path / "t.csv").write_text("kept\n", encoding="utf-8")
-        assert main([*SIM, "--x0", "1e-13,0.5,0.5"]) == 2
-        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "kept\n"
+        (tmp_path / "spec.json").write_text(spec, encoding="utf-8")
+        assert main([*SIM, *args]) == 2
+        assert not (tmp_path / "t.csv").exists()
+        (tmp_path / "t.csv").write_bytes(b"kept\r\n")
+        assert main([*SIM, *args]) == 2
+        assert (tmp_path / "t.csv").read_bytes() == b"kept\r\n"
+        assert capsys.readouterr().out == ""
 
     def test_rk4_over_the_stored_floats_is_refused(self, tmp_path):
         # 10^7 steps are within MAX_STEPS, but 10^7 rows of 1000 floats would
@@ -1023,18 +1077,24 @@ class TestRefusals:
         assert (tmp_path / "t.csv").exists() == existed
 
     def test_interrupted_write_removes_the_file_it_created(self, tmp_path, monkeypatch):
+        # blocks of 3 rows, so the interrupt comes mid-run, with rows on disk
         monkeypatch.chdir(tmp_path)
         (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
-        write_csv = cli._write_csv
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 3)
+        write_rows, calls = cli.write_csv_rows, []
 
-        def write_then_interrupt(path, *args):
-            write_csv(path, *args)
-            assert Path(path).stat().st_size > 0
-            raise KeyboardInterrupt
+        def write_then_interrupt(csv, *columns):
+            write_rows(csv, *columns)
+            calls.append(len(columns[0]))
+            if len(calls) == 2:
+                csv.file.flush()
+                assert Path(csv.path).read_text().count("\n") == 1 + 4 + 3
+                raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_write_csv", write_then_interrupt)
+        monkeypatch.setattr(cli, "write_csv_rows", write_then_interrupt)
         with pytest.raises(KeyboardInterrupt):
             main([*SIM, "--x0", "0.2,0.3,0.5", "--t-end", "0.01"])
+        assert calls == [4, 3]
         assert not (tmp_path / "t.csv").exists()
 
     def test_endless_spec_is_refused_in_bounded_memory(self, tmp_path):
@@ -1311,11 +1371,13 @@ class TestDeterminism:
         special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -1e308, 1 / 3, 0.1, 1e22, 2.5]
         rng = random.Random(11)
         table = np.array([special] + [[rng.uniform(-1e3, 1e3) for _ in special] for _ in range(3)])
-        traj = sim.Trajectory(table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:],
-                              table[:, 7:].max(axis=0))
-        names = ["H1", "H2", "H3"]
         path = tmp_path / "t.csv"
-        assert cli._write_csv(path, names, traj) == 4
+        csv = cli._Csv(path, 3, ["H1", "H2", "H3"])
+        # in two calls, as a run's blocks come: the first writes the header
+        for rows in (table[:1], table[1:]):
+            cli.write_csv_rows(csv, rows[:, 0], rows[:, 1:4], rows[:, 4:7], rows[:, 7:])
+        csv.close()
+        assert csv.rows == 4
         header = "t,x1,x2,x3,H1,H2,H3,drift_H1,drift_H2,drift_H3\n"
         rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
         assert path.read_bytes() == (header + rows).encode()

@@ -639,6 +639,42 @@ class TestBlocks:
             _, got, (kind, _) = self._same_in_any_block(sys, x0, cfg, sample_every, monkeypatch)
             assert (got, kind) == (rows, StepLimitReached)
 
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    @pytest.mark.parametrize("run", ["rk4-n5", "rk45-n5", "rk4-mid", "rk45-mid"])
+    def test_sink_takes_the_rows_integrate_collects(self, run, sample_every, monkeypatch):
+        # blocks of 7 rows; the sink's rows, in order, are the collected
+        # Trajectory's, and a run with a sink returns or carries its last row
+        rates, x0, method, step, t_end, _ = self.RUNS[run]
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
+        sys = make_system(rates)
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig(method, step=step, t_end=t_end)
+        want, rows, abort = _outcome(sys, x0, cfg, basis, sample_every)
+        calls = []
+        try:
+            last = integrate(sys, x0, cfg, basis, sample_every, lambda *c: calls.append(c))
+        except sim.IntegrationAborted as exc:
+            last = exc.trajectory
+            assert (type(exc), exc.t) == abort
+        else:
+            assert abort is None
+        assert 1 < len(calls) <= rows
+        got = [np.concatenate(c) for c in zip(*calls)]
+        assert [a.tobytes() for a in got] == want[:4]
+        assert last.max_drift.tobytes() == want[4]
+        for name, column in zip(("t", "x", "values", "drift"), got):
+            assert getattr(last, name).tobytes() == column[-1:].tobytes()
+
+    def test_refused_run_calls_no_sink(self):
+        # row 0 passes the screen before the RK4 step limit refuses the run
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig("rk4", step=1e-3, t_end=1e300)
+        calls = []
+        with pytest.raises(InputError, match="exceeds the limit"):
+            integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys), 1,
+                      lambda *c: calls.append(c))
+        assert calls == []
+
     def test_sampled_rows_and_max_drift(self):
         # every sample_every-th row and the last, and the drift maximum of every row
         sys = make_system([2, 1, 3])
