@@ -16,7 +16,15 @@ writes. Without one, integrate collects the rows into a Trajectory, and a
 run's memory is the rows it keeps and one block. Each row's figures do not
 depend on the block it falls in.
 
-Each driver has two kernels, picked once from n. Up to _SCALAR_MAX_N
+RK4 steps on native code wherever it can, at any n: rk4_steps of _rk4.c,
+which does _rk4_steps' operations entry by entry in the same order, built
+once per machine with Python's own C compiler into the per-user cache and
+loaded with ctypes (_native_rk4). Where no build loads (no compiler, a cache
+that cannot be used, a failed build, or a build that does not step bit for
+bit as _rk4_steps does), RK4 falls back, with the same bits, to the Python
+kernels below, which RKF45 always uses.
+
+Each driver has two Python kernels, picked once from n. Up to _SCALAR_MAX_N
 coordinates, _compiled_step writes straight-line Python source over the
 locals x0 ... x{n-1} and compiles it once per integrate call. For RK4 that
 source is the whole fixed-step loop: the locals carry the state from step
@@ -68,13 +76,17 @@ printed.
 
 from __future__ import annotations
 
+import binascii
+import ctypes
 import math
+import os
+from contextlib import suppress
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from numbers import Real
-from sys import float_info
+from sys import float_info, platform
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,9 +126,15 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MIN_STEP = 1e-10
 
-# Systems with at most this many coordinates step on compiled straight-line
-# code over Python floats, larger ones on numpy arrays (see the module docstring).
+# On the Python kernels, systems with at most this many coordinates step on
+# compiled straight-line code over Python floats, larger ones on numpy arrays
+# (see the module docstring).
 _SCALAR_MAX_N = 16
+
+# The C source of the native RK4 loop and the flags it is built with: no FP
+# contraction, so that no a * b + c becomes one fused multiply-add.
+_RK4_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 # Rows that integrate steps, evaluates and screens at a time, fewer above 64
 # coordinates, so that no block holds more than _BLOCK_FLOATS state floats.
@@ -337,6 +355,120 @@ def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
         xs[r] = x
 
 
+@cache
+def _native_rk4():
+    """The rk4_steps function of a build of _rk4.c, or None where none loads.
+
+    A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
+    ~/.cache/cycliclv, made with mode 0700, under a name from the CRC-32 of
+    the source, _CFLAGS and the platform, and is loaded from there. Without
+    one, Python's own C compiler, sysconfig's CC, builds it (_build). No
+    compiler, a cache that is not a directory of this user's that only it
+    can write to, a failed build and a build that does not step as
+    _rk4_steps does all give None, and integrate steps RK4 on the Python
+    kernels, with the same bits. The answer holds for the process.
+    """
+    try:
+        with open(_RK4_SOURCE, "rb") as file:
+            key = file.read() + repr((_CFLAGS, platform, os.uname().machine)).encode()
+        home = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(home):
+            home = os.path.expanduser("~/.cache")
+        folder = os.path.join(home, "cycliclv")
+        if not os.path.isabs(folder):  # no home directory
+            return None
+        os.makedirs(folder, mode=0o700, exist_ok=True)
+        # a library loaded from here runs as this user
+        stat = os.stat(folder)
+        if stat.st_uid != os.getuid() or stat.st_mode & 0o022:
+            return None
+        path = os.path.join(folder, f"rk4-{binascii.crc32(key):08x}.so")
+        try:
+            return _declared(ctypes.CDLL(path).rk4_steps)
+        except OSError:  # not built yet, or not a library
+            return _build(path)
+    # AttributeError: a library without rk4_steps, or no os.uname or os.getuid
+    except (OSError, AttributeError):
+        return None
+
+
+def _declared(rk4_steps):
+    """rk4_steps with the argument and result types of its C declaration."""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    rk4_steps.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ctypes.c_double, ptr)
+    rk4_steps.restype = None
+    return rk4_steps
+
+
+def _build(path: str):
+    """Build _rk4.c at path and return its rk4_steps, or None if it steps otherwise.
+
+    The build goes to a temporary file beside path, which takes path's name
+    only once a run of its steps has the bits of _rk4_steps' (_probe), so a
+    build that steps otherwise is neither cached nor used. Raises OSError,
+    or AttributeError where Python records no compiler, as _native_rk4
+    expects; subprocess and sysconfig are imported only here.
+    """
+    import subprocess
+    import sysconfig
+
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*sysconfig.get_config_var("CC").split(), *_CFLAGS, "-o", temporary,
+                        _RK4_SOURCE], capture_output=True, check=True, timeout=120)
+        rk4_steps = _declared(ctypes.CDLL(temporary).rk4_steps)
+        if not _probe(rk4_steps):
+            return None
+        os.replace(temporary, path)
+        return rk4_steps
+    except subprocess.SubprocessError:
+        return None
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(temporary)
+
+
+def _probe(rk4_steps) -> bool:
+    """Whether rk4_steps takes 32 steps and a shorter one as _rk4_steps does, bit for bit.
+
+    The rates' floats are not dyadic, and a step of 0.37 moves the state by
+    about its own size, so that a fused multiply-add or another order in
+    any stage or sum changes a bit of the new states; a step of 0.1, which
+    moves it by about 2 %, let a reordered final sum through.
+    """
+    sys = CyclicLVSystem([Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13),
+                          Fraction(22, 17)])
+    runs = []
+    for steps in (_native_steps(rk4_steps, sys), partial(_rk4_steps, _rhs(sys))):
+        xs = np.empty((34, sys.n))
+        xs[0] = (0.2, 0.3, 0.5, 0.7, 1.1)
+        steps(xs, 0, 32, 0.37)
+        steps(xs, 32, 1, 0.137)
+        runs.append(xs.tobytes())
+    return runs[0] == runs[1]
+
+
+def _native_steps(rk4_steps, sys: CyclicLVSystem) -> Callable:
+    """The C loop rk4_steps on sys's field, called as _rk4_steps is, with (xs, row, count, h).
+
+    Raises InputError, as _terms does, for a rate whose float overflows or
+    rounds to zero.
+    """
+    n = sys.n
+    terms = [np.ascontiguousarray(a, kind) for a, kind in zip(_terms(sys), (np.int64, float) * 2)]
+    # each pointer keeps its array alive; work holds the four stages and a stage state
+    j1, c1, j2, c2, work = (a.ctypes.data_as(ctypes.c_void_p) for a in (*terms, np.empty(5 * n)))
+
+    def steps(xs: np.ndarray, row: int, count: int, h: float) -> None:
+        if not (xs.flags.c_contiguous and xs.dtype == float and xs.shape[1:] == (n,)
+                and 0 <= row <= row + count < len(xs)):
+            raise ValueError("xs must be a C-ordered float array of n columns with rows "
+                             "row to row + count")
+        rk4_steps(n, j1, c1, j2, c2, xs.ctypes.data, row, count, h, work)
+
+    return steps
+
+
 def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
     """_rk4_steps or _rkf45_step of sys as compiled straight-line Python.
 
@@ -410,9 +542,9 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     """Fixed-step RK4 from the state in xs[0]; yields (rows, None) for each block.
 
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
-    times into ts. steps(xs, row, count, h) is _rk4_steps or its compiled
-    form: a block's full steps take one call and the tail step, if any, a
-    second. Each block's last row is carried into xs[0] for the next. A
+    times into ts. steps(xs, row, count, h) is the native loop, _rk4_steps
+    or its compiled form: a block's full steps take one call and the tail
+    step, if any, a second. Each block's last row is carried into xs[0] for the next. A
     t_end / step over _step_limit(n), an infinite one that math.floor cannot
     take included, is refused with InputError: the one test of a run's length.
     """
@@ -519,7 +651,10 @@ def integrate(
     if x.shape != (sys.n,):
         raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     rk4 = cfg.method is Method.RK4_FIXED
-    if sys.n <= _SCALAR_MAX_N:
+    native = rk4 and _native_rk4()
+    if native:
+        step, state = _native_steps(native, sys), x
+    elif sys.n <= _SCALAR_MAX_N:
         step, state = _compiled_step(sys, rk4), x.tolist()
     else:
         step, state = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys)), x

@@ -702,9 +702,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     @pytest.mark.parametrize("side", [0, 1], ids=["bound", "bound+1"])
-    def test_both_sides_of_the_compiled_kernel_bound(self, tmp_path, capsys, side, method):
+    def test_both_sides_of_the_compiled_kernel_bound(self, tmp_path, capsys, side, method,
+                                                      monkeypatch):
         # no benchmark workload goes past sim._SCALAR_MAX_N, so this runs
-        # the compiled kernel at the bound and the array kernel one above it
+        # the compiled kernel at the bound and the array kernel one above it,
+        # with the native RK4 loop off
+        monkeypatch.setattr(sim, "_native_rk4", lambda: None)
         n = sim._SCALAR_MAX_N + side
         spec = write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(n)])
         x0 = ",".join(repr((1 + 0.1 * (i % 5)) / n) for i in range(n))

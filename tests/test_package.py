@@ -3,6 +3,7 @@ and that union is the pinned list below; ``verify`` and ``linalg`` load only
 for ``check``, ``sim`` and numpy only for simulation."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,7 @@ import contextlib, io, json, sys
 import cycliclv, cycliclv.cli as cli
 
 MODULES = ("numpy", "cycliclv.sim", "cycliclv.verify", "cycliclv.linalg", "random",
-           "dataclasses", "inspect", "pathlib")
+           "dataclasses", "inspect", "pathlib", "hashlib", "subprocess", "sysconfig")
 RUNS = {
     "integrals": ["integrals", "--system", "spec.json", "--format", "json"],
     "check": ["check", "--system", "spec.json"],
@@ -117,3 +118,21 @@ def test_simulate_loads_neither_verify_nor_linalg(tmp_path):
     assert stages["simulate"][:2] == ["numpy", "cycliclv.sim"]
     assert "cycliclv.verify" not in stages["simulate"]
     assert "cycliclv.linalg" not in stages["simulate"]
+
+
+def test_rk4_simulate_loads_no_hashlib(tmp_path, monkeypatch):
+    """An RK4 simulate that builds the native loop, and one that loads it, load no hashlib.
+
+    hashlib's OpenSSL cost an RK4 run 3.6 MB of peak RSS. subprocess and
+    sysconfig, which only a build needs, load only with the build.
+    """
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    built, loaded = (_import_stages(tmp_path, "simulate")["simulate"] for _ in range(2))
+    assert "subprocess" in built and "hashlib" not in built
+    assert not {"hashlib", "subprocess", "sysconfig"} & set(loaded)
+
+
+def test_the_suite_caches_native_builds_in_a_temporary_directory(tmp_path_factory):
+    """XDG_CACHE_HOME, which this process and its children read, is a temporary directory."""
+    cache = Path(os.environ["XDG_CACHE_HOME"])
+    assert cache.is_relative_to(tmp_path_factory.getbasetemp())

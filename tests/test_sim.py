@@ -1,7 +1,11 @@
 """Integrator behavior: conservation drift, abort events, measured order."""
 
 import math
+import os
 import random
+import shutil
+import subprocess
+import sysconfig
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +23,7 @@ from cycliclv import (
     integrate,
     make_system,
 )
-from cycliclv import sim
+from cycliclv import cli, sim
 from cycliclv.sim import _compiled_step, _rhs, _rk4_steps
 from helpers import (
     RATES_41,
@@ -118,12 +122,27 @@ def _reference_rhs(sys, x):
     return x * (k * x[ip1] - k_im1 * x[im1])
 
 
-# The two stepping kernels: numpy arrays, and straight-line code over floats.
-KERNELS = ("array", "compiled")
+# The stepping kernels: the native RK4 loop, straight-line code over floats,
+# and numpy arrays.
+KERNELS = ("native", "compiled", "array")
+NATIVE = sim._native_rk4
+
+
+def _has_compiler() -> bool:
+    """Whether the C compiler Python was built with is installed here."""
+    cc = sysconfig.get_config_var("CC")
+    return bool(cc and shutil.which(cc.split()[0]))
 
 
 def _force_kernel(monkeypatch, kernel, n):
-    """Make integrate step an n-coordinate system on the named kernel."""
+    """Make integrate step an n-coordinate system on the named kernel.
+
+    The native loop steps only RK4, so an RKF45 run on "native" takes the
+    array kernel. Where no native build loads, "native" is the array kernel
+    too, and TestNativeStepper.test_loads_where_python_has_a_compiler fails
+    unless this host has no compiler.
+    """
+    monkeypatch.setattr(sim, "_native_rk4", NATIVE if kernel == "native" else lambda: None)
     monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "compiled" else n - 1)
 
 
@@ -137,14 +156,14 @@ def _outcome(sys, x0, cfg, basis, sample_every=1):
     return [a.tobytes() for a in arrays], len(traj.t), abort
 
 
-def _on_both_kernels(monkeypatch, sys, x0, cfg):
-    """The rows and abort of a run, whose outcome both kernels must give in the same bits."""
+def _on_every_kernel(monkeypatch, sys, x0, cfg):
+    """The rows and abort of a run, whose outcome every kernel must give in the same bits."""
     basis = integral_basis(sys)
     got = []
     for kernel in KERNELS:
         _force_kernel(monkeypatch, kernel, sys.n)
         got.append(_outcome(sys, x0, cfg, basis))
-    assert got[0] == got[1]
+    assert got[1:] == got[:-1]
     return got[0][1:]
 
 
@@ -163,13 +182,18 @@ class TestRhsAgreesWithModel:
             x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
             expect = _reference_rhs(sys, x).tobytes()
             assert _rhs(sys)(x).tobytes() == expect
-            # the compiled kernel has no RHS of its own: a one-step run of it
-            # must match the array step on the reference field
+            # the compiled and native kernels have no RHS of their own: a
+            # one-step run of each must match the array step on the
+            # reference field
             reference = np.array([x, np.nan * x])
             _rk4_steps(lambda y: _reference_rhs(sys, y), reference, 0, 1, 0.01)
-            xs = np.array([x, np.nan * x])
-            _compiled_step(sys, True)(xs, 0, 1, 0.01)
-            assert xs[1].tobytes() == reference[1].tobytes()
+            kernels = [_compiled_step(sys, True)]
+            if NATIVE() is not None:
+                kernels.append(sim._native_steps(NATIVE(), sys))
+            for steps in kernels:
+                xs = np.array([x, np.nan * x])
+                steps(xs, 0, 1, 0.01)
+                assert xs[1].tobytes() == reference[1].tobytes()
 
     def test_matches_vector_field(self):
         rng = random.Random(103)
@@ -399,7 +423,7 @@ class TestAdaptive:
 
 
 class TestKernelsAgree:
-    """The compiled and array kernels give the same bits, aborts included."""
+    """The native, compiled and array kernels give the same bits, aborts included."""
 
     @pytest.mark.parametrize("n", range(2, sim._SCALAR_MAX_N + 3))
     @pytest.mark.parametrize(
@@ -415,7 +439,7 @@ class TestKernelsAgree:
         rng = random.Random(700 + n)
         sys = random_system(rng, n, lo=1, hi=2)
         x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
-        rows, abort = _on_both_kernels(monkeypatch, sys, x0, cfg)
+        rows, abort = _on_every_kernel(monkeypatch, sys, x0, cfg)
         assert abort is None
         if cfg.method is Method.RK4_FIXED:
             assert rows == 22  # x0, 20 full steps and the tail
@@ -443,7 +467,7 @@ class TestKernelsAgree:
             cfg = IntegratorConfig(method, step=0.05 * unit, t_end=1.013 * unit)
         else:
             cfg = IntegratorConfig(method, step=1e-3 * unit, t_end=unit)
-        rows, abort = _on_both_kernels(monkeypatch, sys, x0, cfg)
+        rows, abort = _on_every_kernel(monkeypatch, sys, x0, cfg)
         assert abort is None
         assert rows == 22 if method == "rk4" else rows > 100
 
@@ -465,7 +489,7 @@ class TestKernelsAgree:
             return j1, c1, j2, c2
 
         monkeypatch.setattr(sim, "_terms", poisoned)
-        rows, (kind, t) = _on_both_kernels(monkeypatch, sys, [1 / 16] * 16, cfg)
+        rows, (kind, t) = _on_every_kernel(monkeypatch, sys, [1 / 16] * 16, cfg)
         assert kind is StepUnderflow
         assert rows == 1
         assert t == 0.0
@@ -484,7 +508,7 @@ class TestKernelsAgree:
     @pytest.mark.parametrize("rates", [(1, 5), (5, 1)], ids=["x1-decays", "x2-decays"])
     def test_rk4_exits(self, rates, step, t_end, kind, t, monkeypatch):
         cfg = IntegratorConfig("rk4", step=step, t_end=t_end)
-        rows, abort = _on_both_kernels(monkeypatch, make_system(rates), [0.5, 0.5], cfg)
+        rows, abort = _on_every_kernel(monkeypatch, make_system(rates), [0.5, 0.5], cfg)
         assert abort == (kind, t)
         assert rows == round(t / step)
 
@@ -501,7 +525,7 @@ class TestKernelsAgree:
     def test_rk45_breaches(self, mirror, x1, t, rows, monkeypatch):
         rates, x0 = ((5, 1), [0.5, x1]) if mirror else ((1, 5), [x1, 0.5])
         cfg = IntegratorConfig("rk45", step=0.05, t_end=20.0)
-        assert _on_both_kernels(monkeypatch, make_system(rates), x0, cfg) == (
+        assert _on_every_kernel(monkeypatch, make_system(rates), x0, cfg) == (
             rows, (PositivityBreached, t))
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -526,12 +550,16 @@ class TestKernelsAgree:
                 return out
             return counting
 
-        compiled = sim._compiled_step
+        # a native build, if any, is made now, so that its probe's steps
+        # are not counted
+        _force_kernel(monkeypatch, kernel, 2)
+        sim._native_rk4()
+        compiled, native = sim._compiled_step, sim._native_steps
         monkeypatch.setattr(sim, "_compiled_step", lambda s, fixed: counted(compiled(s, fixed)))
+        monkeypatch.setattr(sim, "_native_steps", lambda f, s: counted(native(f, s)))
         monkeypatch.setattr(sim, "_rk4_steps", counted(sim._rk4_steps))
         monkeypatch.setattr(sim, "_rkf45_step", counted(sim._rkf45_step))
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
-        _force_kernel(monkeypatch, kernel, 2)
         sys = make_system([1, 5])
         cfg = IntegratorConfig(method, step=0.05, t_end=t_end)
         _, rows, abort = _outcome(sys, [x1, 0.5], cfg, integral_basis(sys))
@@ -547,7 +575,7 @@ class TestKernelsAgree:
         sys = random_system(rng, n, lo=1, hi=2)
         x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
         cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1e3)
-        rows, (kind, _) = _on_both_kernels(monkeypatch, sys, x0, cfg)
+        rows, (kind, _) = _on_every_kernel(monkeypatch, sys, x0, cfg)
         assert kind is StepLimitReached
         assert rows == sim.MAX_STEPS + 1
 
@@ -570,6 +598,101 @@ class TestKernelsAgree:
             want, norm = sim._rkf45_step(_rhs(sys), np.array(x), h)
         assert np.isnan([*want, norm]).all()
         assert np.isnan([*z, m]).all()
+
+
+class TestNativeStepper:
+    """The native RK4 loop is built once into the per-user cache and loaded from there.
+
+    Where it cannot be had, simulate steps on the Python kernels and gives
+    the same bytes, exit code and empty stderr.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self, tmp_path):
+        """A process that has not looked for a build, before the test and after it."""
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"k": [2, 1, 3]}', encoding="utf-8")
+        self.run = ["simulate", "--system", str(spec), "--x0", "0.2,0.3,0.5", "--step", "0.01",
+                    "--t-end", "5.003", "--out", str(tmp_path / "t.csv")]
+        NATIVE.cache_clear()
+        yield
+        NATIVE.cache_clear()
+
+    def _simulate(self, capsys):
+        """main's exit code, stdout and stderr, and the CSV's bytes, on an n = 3 RK4 run."""
+        code = cli.main(self.run)
+        out, err = capsys.readouterr()
+        with open(self.run[-1], "rb") as csv:
+            return code, out, err, csv.read()
+
+    @staticmethod
+    def _no_compiler(monkeypatch, tmp_path):
+        config_var = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: "no-such-cc" if name == "CC" else config_var(name))
+
+    @staticmethod
+    def _cache_is_a_file(monkeypatch, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+
+    @staticmethod
+    def _cache_writable_by_others(monkeypatch, tmp_path):
+        (tmp_path / "cache" / "cycliclv").mkdir(parents=True)
+        # mkdir applies the umask, chmod does not
+        (tmp_path / "cache" / "cycliclv").chmod(0o777)
+
+    @staticmethod
+    def _probe_differs(monkeypatch, tmp_path):
+        # the sixth of h as h / 6.5: a build that compiles and loads, and
+        # steps otherwise
+        with open(sim._RK4_SOURCE, encoding="utf-8") as file:
+            source = file.read()
+        assert source.count("sixth = h / 6.0;") == 1
+        source = source.replace("sixth = h / 6.0;", "sixth = h / 6.5;")
+        (tmp_path / "_rk4.c").write_text(source, encoding="utf-8")
+        monkeypatch.setattr(sim, "_RK4_SOURCE", str(tmp_path / "_rk4.c"))
+
+    @pytest.mark.parametrize(
+        "unusable", [_no_compiler, _cache_is_a_file, _cache_writable_by_others, _probe_differs],
+        ids=["no-compiler", "cache-is-a-file", "cache-writable-by-others", "probe-differs"],
+    )
+    def test_falls_back_to_the_same_bytes(self, unusable, monkeypatch, tmp_path, capsys):
+        # the suite's cache holds a build where one can be made
+        want = self._simulate(capsys)
+        assert want[0] == 0 and want[2] == ""
+        NATIVE.cache_clear()
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        unusable.__func__(monkeypatch, tmp_path)
+        assert NATIVE() is None
+        assert self._simulate(capsys) == want
+        # neither a build nor its temporary file is left behind
+        if (cache / "cycliclv").is_dir():
+            assert os.listdir(cache / "cycliclv") == []
+
+    def test_loads_where_python_has_a_compiler(self):
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        assert NATIVE() is not None
+
+    def test_a_cached_build_is_loaded_without_the_compiler(self, monkeypatch, tmp_path):
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        built = NATIVE()
+        assert built is not None
+        (name,) = os.listdir(tmp_path / "cache" / "cycliclv")
+        assert name.startswith("rk4-") and name.endswith(".so")
+        NATIVE.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        loaded = NATIVE()
+        assert loaded is not None and loaded is not built
+        assert sim._probe(loaded)
 
 
 class TestBlocks:
@@ -604,13 +727,18 @@ class TestBlocks:
 
     @staticmethod
     def _same_in_any_block(sys, x0, cfg, sample_every, monkeypatch):
-        """The outcome of one 10 000-row block, required of blocks of 1, 2 and 7 rows."""
+        """The outcome of one 10 000-row block, required of blocks of 1, 2 and 7 rows.
+
+        Each kernel must give it.
+        """
         basis = integral_basis(sys)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 10_000)
         want = _outcome(sys, x0, cfg, basis, sample_every)
-        for size in (1, 2, 7):
-            monkeypatch.setattr(sim, "_BLOCK_ROWS", size)
-            assert _outcome(sys, x0, cfg, basis, sample_every) == want
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel, sys.n)
+            for size in (1, 2, 7):
+                monkeypatch.setattr(sim, "_BLOCK_ROWS", size)
+                assert _outcome(sys, x0, cfg, basis, sample_every) == want
         return want
 
     @pytest.mark.parametrize("sample_every", [1, 3])
