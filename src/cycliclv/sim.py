@@ -16,13 +16,14 @@ writes. Without one, integrate collects the rows into a Trajectory, and a
 run's memory is the rows it keeps and one block. Each row's figures do not
 depend on the block it falls in.
 
-RK4 steps on native code wherever it can, at any n: rk4_steps of _rk4.c,
-which does _rk4_steps' operations entry by entry in the same order, built
+Both drivers step on native code wherever they can, at any n: rk4_steps
+and rkf45_block of _native.c, which do the operations of _rk4_steps and of
+_rkf45_rows on the compiled step entry by entry in the same order, built
 once per machine with Python's own C compiler into the per-user cache and
-loaded with ctypes (_native_rk4). Where no build loads (no compiler, a cache
+loaded with ctypes (_native). Where no build loads (no compiler, a cache
 that cannot be used, a failed build, or a build that does not step bit for
-bit as _rk4_steps does), RK4 falls back, with the same bits, to the Python
-kernels below, which RKF45 always uses.
+bit as the array kernels do), both fall back, with the same bits, to the
+Python kernels below.
 
 Each driver has two Python kernels, picked once from n. Up to _SCALAR_MAX_N
 coordinates, _compiled_step writes straight-line Python source over the
@@ -30,7 +31,7 @@ locals x0 ... x{n-1} and compiles it once per integrate call. For RK4 that
 source is the whole fixed-step loop: the locals carry the state from step
 to step, and each new state goes into the block buffer through a
 memoryview. Each step makes no numpy call and no list. For RKF45 it is one
-step on a list of floats, which _rkf45_blocks calls; the array step
+step on a list of floats, which _rkf45_rows calls; the array step
 keeps its state an array. Each rate, tolerance and tableau entry enters the
 source as its repr, the shortest decimal that reads back as the same
 float, so each literal is exactly the float the array kernel uses. Because
@@ -131,10 +132,18 @@ MIN_STEP = 1e-10
 # (see the module docstring).
 _SCALAR_MAX_N = 16
 
-# The C source of the native RK4 loop and the flags it is built with: no FP
-# contraction, so that no a * b + c becomes one fused multiply-add.
-_RK4_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+# The C source of the native loops and the flags it is built with: no FP
+# contraction, so that no a * b + c becomes one fused multiply-add. A build
+# that runs longer than _BUILD_SECONDS is stopped, so a temporary build file
+# older than that belongs to no live build.
+_NATIVE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_BUILD_SECONDS = 120
+
+# How a block of the adaptive loop ends, as rkf45_block of _native.c numbers
+# it: the block is full and the run goes on, the run reached t_end, the step
+# fell below MIN_STEP, or the run reached its step limit.
+_FULL, _DONE, _UNDERFLOW, _LIMIT = range(4)
 
 # Rows that integrate steps, evaluates and screens at a time, fewer above 64
 # coordinates, so that no block holds more than _BLOCK_FLOATS state floats.
@@ -356,20 +365,21 @@ def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
 
 
 @cache
-def _native_rk4():
-    """The rk4_steps function of a build of _rk4.c, or None where none loads.
+def _native():
+    """A build of _native.c with its two loops declared, or None where none loads.
 
     A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
     ~/.cache/cycliclv, made with mode 0700, under a name from the CRC-32 of
     the source, _CFLAGS and the platform, and is loaded from there. Without
-    one, Python's own C compiler, sysconfig's CC, builds it (_build). No
-    compiler, a cache that is not a directory of this user's that only it
-    can write to, a failed build and a build that does not step as
-    _rk4_steps does all give None, and integrate steps RK4 on the Python
-    kernels, with the same bits. The answer holds for the process.
+    one, Python's own C compiler, sysconfig's CC, builds it (_build), unless
+    the marker that name + ".failed" says that a build of it failed its
+    probe. No compiler, a cache that is not a directory of this user's that
+    only it can write to, a failed build and a failed probe all give None,
+    and integrate steps on the Python kernels, with the same bits. The
+    answer holds for the process.
     """
     try:
-        with open(_RK4_SOURCE, "rb") as file:
+        with open(_NATIVE_SOURCE, "rb") as file:
             key = file.read() + repr((_CFLAGS, platform, os.uname().machine)).encode()
         home = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(home):
@@ -382,45 +392,61 @@ def _native_rk4():
         stat = os.stat(folder)
         if stat.st_uid != os.getuid() or stat.st_mode & 0o022:
             return None
-        path = os.path.join(folder, f"rk4-{binascii.crc32(key):08x}.so")
+        path = os.path.join(folder, f"native-{binascii.crc32(key):08x}.so")
         try:
-            return _declared(ctypes.CDLL(path).rk4_steps)
+            return _declared(ctypes.CDLL(path))
         except OSError:  # not built yet, or not a library
-            return _build(path)
-    # AttributeError: a library without rk4_steps, or no os.uname or os.getuid
+            return None if os.path.exists(f"{path}.failed") else _build(path)
+    # AttributeError: a library without one of the loops, or no os.uname or os.getuid
     except (OSError, AttributeError):
         return None
 
 
-def _declared(rk4_steps):
-    """rk4_steps with the argument and result types of its C declaration."""
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    rk4_steps.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ctypes.c_double, ptr)
-    rk4_steps.restype = None
-    return rk4_steps
+def _declared(lib):
+    """lib, with the argument and result types of its loops' C declarations."""
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.rk4_steps.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, ptr)
+    lib.rk4_steps.restype = None
+    lib.rkf45_block.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64, f64, i64, ptr, ptr,
+                                ptr, ptr, ptr, i64, ptr)
+    lib.rkf45_block.restype = i64
+    return lib
 
 
 def _build(path: str):
-    """Build _rk4.c at path and return its rk4_steps, or None if it steps otherwise.
+    """Build _native.c at path and return it declared, or None if it steps otherwise.
 
+    First it removes the temporary files of builds that started more than
+    _BUILD_SECONDS ago, which only a process that ended mid-build leaves.
     The build goes to a temporary file beside path, which takes path's name
-    only once a run of its steps has the bits of _rk4_steps' (_probe), so a
-    build that steps otherwise is neither cached nor used. Raises OSError,
-    or AttributeError where Python records no compiler, as _native_rk4
-    expects; subprocess and sysconfig are imported only here.
+    only once a run of both loops has the bits of the array kernels
+    (_probe). A build that steps otherwise is neither cached nor used: it
+    leaves the marker path + ".failed", so that no later process builds it
+    again. Raises OSError, or AttributeError where Python records no
+    compiler, as _native expects; subprocess and sysconfig are imported
+    only here.
     """
     import subprocess
     import sysconfig
+    import time
 
+    stale = time.time() - _BUILD_SECONDS
+    with os.scandir(os.path.dirname(path)) as entries:
+        for entry in entries:
+            with suppress(FileNotFoundError):  # removed meanwhile by another process
+                if entry.name.endswith(".tmp") and entry.stat().st_mtime < stale:
+                    os.remove(entry.path)
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         subprocess.run([*sysconfig.get_config_var("CC").split(), *_CFLAGS, "-o", temporary,
-                        _RK4_SOURCE], capture_output=True, check=True, timeout=120)
-        rk4_steps = _declared(ctypes.CDLL(temporary).rk4_steps)
-        if not _probe(rk4_steps):
+                        _NATIVE_SOURCE, "-lm"], capture_output=True, check=True,
+                       timeout=_BUILD_SECONDS)
+        lib = _declared(ctypes.CDLL(temporary))
+        if not _probe(lib):
+            open(f"{path}.failed", "wb").close()
             return None
         os.replace(temporary, path)
-        return rk4_steps
+        return lib
     except subprocess.SubprocessError:
         return None
     finally:
@@ -428,45 +454,111 @@ def _build(path: str):
             os.remove(temporary)
 
 
-def _probe(rk4_steps) -> bool:
-    """Whether rk4_steps takes 32 steps and a shorter one as _rk4_steps does, bit for bit.
+def _probe(lib) -> bool:
+    """Whether both loops of lib step as the array kernels do, bit for bit.
 
     The rates' floats are not dyadic, and a step of 0.37 moves the state by
     about its own size, so that a fused multiply-add or another order in
     any stage or sum changes a bit of the new states; a step of 0.1, which
-    moves it by about 2 %, let a reordered final sum through.
+    moves it by about 2 %, let a reordered final sum through. RK4 takes 32
+    such steps and a shorter one. RKF45 starts with a trial step of 0.37,
+    rejects it until a step fits the tolerances, and runs to t = 1 in blocks
+    of 7 rows, so that every stage, sum and controller factor reaches its
+    times and states. A zero weight reaches no accepted state: it changes a
+    sum only when the stage it weighs is NaN or infinite, and then the error
+    norm is too. So a second run starts with x8 NaN, which each stage
+    spreads one coordinate further each way: at 15 coordinates only the
+    sixth stage is NaN at x2 and x14, where a dropped zero weight leaves the
+    trial state finite. Every trial of that run is rejected until
+    StepUnderflow, and its last trial's state and error norm must agree,
+    NaN for NaN.
     """
-    sys = CyclicLVSystem([Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13),
-                          Fraction(22, 17)])
+    rates = [Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13), Fraction(22, 17)]
+    sys = CyclicLVSystem(rates)
+    x0 = (0.2, 0.3, 0.5, 0.7, 1.1)
     runs = []
-    for steps in (_native_steps(rk4_steps, sys), partial(_rk4_steps, _rhs(sys))):
+    for steps in (_native_kernel(lib, sys, True), partial(_rk4_steps, _rhs(sys))):
         xs = np.empty((34, sys.n))
-        xs[0] = (0.2, 0.3, 0.5, 0.7, 1.1)
+        xs[0] = x0
         steps(xs, 0, 32, 0.37)
         steps(xs, 32, 1, 0.137)
         runs.append(xs.tobytes())
-    return runs[0] == runs[1]
+    wide = CyclicLVSystem(rates * 3)
+    with np.errstate(all="ignore"):
+        for system, start in ((sys, x0), (wide, [math.nan if i == 7 else 0.5 for i in range(15)])):
+            for rows in (_native_kernel(lib, system, False),
+                         partial(_rkf45_rows, partial(_rkf45_step, _rhs(system)))):
+                xs, ts = np.empty((8, system.n)), np.empty(8)
+                xs[0] = start
+                blocks, got = rows(xs[0].copy(), xs, ts, 1.0, 0.37, MAX_STEPS), []
+                while True:
+                    try:
+                        count, *ended = next(blocks)
+                    except StopIteration as stop:
+                        state, norm = stop.value
+                        got.append(np.array([*state, norm]))
+                        break
+                    got.append((count, *ended, xs[1 : count + 1].tobytes(),
+                                ts[1 : count + 1].tobytes()))
+                runs.append(got)
+    return (runs[0] == runs[1]
+            and all(native[:-1] == array[:-1]
+                    and np.array_equal(native[-1], array[-1], equal_nan=True)
+                    for native, array in (runs[2:4], runs[4:6])))
 
 
-def _native_steps(rk4_steps, sys: CyclicLVSystem) -> Callable:
-    """The C loop rk4_steps on sys's field, called as _rk4_steps is, with (xs, row, count, h).
+def _native_kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
+    """A loop of lib on sys's field, called as the Python loop it stands for.
 
-    Raises InputError, as _terms does, for a rate whose float overflows or
-    rounds to zero.
+    For RK4 it is rk4_steps, called as _rk4_steps is, with (xs, row, count,
+    h). For RKF45 it is rkf45_block, called as _rkf45_rows is once its step
+    is bound, with (x, xs, ts, t_end, h, limit): a generator that yields and
+    returns what _rkf45_rows does. It reads REL_TOL, ABS_TOL and MIN_STEP
+    when a run starts. Raises InputError, as _terms does, for a rate whose
+    float overflows or rounds to zero.
     """
     n = sys.n
     terms = [np.ascontiguousarray(a, kind) for a, kind in zip(_terms(sys), (np.int64, float) * 2)]
-    # each pointer keeps its array alive; work holds the four stages and a stage state
-    j1, c1, j2, c2, work = (a.ctypes.data_as(ctypes.c_void_p) for a in (*terms, np.empty(5 * n)))
+    # each pointer keeps its array alive
+    j1, c1, j2, c2 = (a.ctypes.data_as(ctypes.c_void_p) for a in terms)
 
-    def steps(xs: np.ndarray, row: int, count: int, h: float) -> None:
-        if not (xs.flags.c_contiguous and xs.dtype == float and xs.shape[1:] == (n,)
-                and 0 <= row <= row + count < len(xs)):
-            raise ValueError("xs must be a C-ordered float array of n columns with rows "
-                             "row to row + count")
-        rk4_steps(n, j1, c1, j2, c2, xs.ctypes.data, row, count, h, work)
+    def check(xs: np.ndarray, fits: bool) -> None:
+        if not (xs.flags.c_contiguous and xs.dtype == float and xs.shape[1:] == (n,) and fits):
+            raise ValueError("xs must be a C-ordered float array of n columns that holds the "
+                             "rows written")
 
-    return steps
+    if rk4:
+        # the four stages and a stage state
+        work = np.empty(5 * n).ctypes.data_as(ctypes.c_void_p)
+
+        def steps(xs: np.ndarray, row: int, count: int, h: float) -> None:
+            check(xs, 0 <= row <= row + count < len(xs))
+            lib.rk4_steps(n, j1, c1, j2, c2, xs.ctypes.data, row, count, h, work)
+
+        return steps
+
+    tableau = np.array([*chain(*_FEHLBERG_A), *_FEHLBERG_B4, *_FEHLBERG_ERR])
+
+    def blocks(x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
+        # the state; t, the trial step and the error norm; the accepted
+        # count and the end code; the six stages, a stage state and the
+        # trial state
+        x, run = np.array(x, dtype=float), np.array([0.0, h, 0.0])
+        check(xs, len(xs) > 1 and x.shape == (n,) and ts.flags.c_contiguous
+              and ts.dtype == float and ts.shape == (len(xs),))
+        state, work = np.array([0, _DONE], dtype=np.int64), np.empty(8 * n)
+        tolerances = (REL_TOL, ABS_TOL, MIN_STEP)
+        while True:
+            rows = lib.rkf45_block(n, j1, c1, j2, c2, tableau.ctypes.data, *tolerances, t_end,
+                                   limit, run.ctypes.data, state.ctypes.data, x.ctypes.data,
+                                   ts.ctypes.data, xs.ctypes.data, len(xs) - 1,
+                                   work.ctypes.data)
+            end = int(state[1])
+            yield rows, end, float(run[0]), float(run[1])
+            if end != _FULL:
+                return work[7 * n :], float(run[2])
+
+    return blocks
 
 
 def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
@@ -518,7 +610,7 @@ def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
         for i in ix:
             # a >= NaN is False, so a NaN in z makes its ratio NaN; a NaN
             # ratio replaces m, and a NaN m stays, as in np.max. So
-            # _rkf45_blocks never accepts a NaN state, and x, an accepted
+            # _rkf45_rows never accepts a NaN state, and x, an accepted
             # state, is not NaN.
             src += [
                 f"a = abs(x{i})",
@@ -570,42 +662,62 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
         base += count
 
 
-def _rkf45_blocks(step, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
-    """Fehlberg 4(5) from the state x, which xs[0] holds; yields (rows, abort) per block.
+def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
+    """Fehlberg 4(5) from the state x with trial step h; yields (rows, end, t, h) per block.
 
     step(x, h) is _rkf45_step, x an array, or its compiled form, x a list:
-    it returns the new state and its error norm. Each accepted row goes into
-    the next row of xs[1:] and its time into ts. A block is yielded full,
-    just before the row that would not fit, so only the last one can be
-    short. StepUnderflow, and StepLimitReached at _step_limit steps, come
-    with the last block.
+    it returns the new state and its error norm. Each accepted state goes
+    into the next row of xs after row 0 and its time into ts. A block ends
+    _FULL just before the row that would not fit, so only the last one can
+    be short; the last ends _DONE at t_end, _UNDERFLOW when a rejected step
+    times its factor falls below MIN_STEP, or _LIMIT when a step is accepted
+    after limit steps. Each yield gives the rows written, the end, t and the
+    next trial step, the one that fell below MIN_STEP at _UNDERFLOW. Returns
+    the last trial's new state and error norm, which _probe compares.
+    rkf45_block of _native.c runs this loop in C (_native_kernel).
     """
-    limit = _step_limit(xs.shape[1])
     size = len(xs) - 1
     t = 0.0
-    h = cfg.step
     row = accepted = 0
-    while t < cfg.t_end * (1.0 - 1e-14):
-        h = min(h, cfg.t_end - t)
+    end = _DONE
+    while end == _DONE and t < t_end * (1.0 - 1e-14):
+        h = min(h, t_end - t)
         x_new, enorm = step(x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
             x = x_new
             if accepted == limit:
-                yield row, StepLimitReached(t, f"adaptive run reached the limit of {limit} steps")
-                return
-            if row == size:
-                yield row, None
-                row = 0
-            accepted += 1
-            row += 1
-            ts[row], xs[row] = t, x
+                end = _LIMIT
+            else:
+                if row == size:
+                    yield row, _FULL, t, h * factor
+                    row = 0
+                accepted += 1
+                row += 1
+                ts[row], xs[row] = t, x
         elif h * factor < MIN_STEP:
-            yield row, StepUnderflow(t, f"adaptive step {h * factor:.17g} fell below the minimum")
-            return
+            end = _UNDERFLOW
         h *= factor
-    yield row, None
+    yield row, end, t, h
+    return x_new, enorm
+
+
+def _rkf45_blocks(rows, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
+    """Fehlberg 4(5) from the state x, which xs[0] holds; yields (rows, abort) per block.
+
+    rows is the native loop or _rkf45_rows with its step bound, each called
+    with (x, xs, ts, t_end, h, limit). StepUnderflow, and StepLimitReached
+    at _step_limit steps, come with the last block.
+    """
+    limit = _step_limit(xs.shape[1])
+    for count, end, t, h in rows(x, xs, ts, cfg.t_end, cfg.step, limit):
+        if end == _UNDERFLOW:
+            yield count, StepUnderflow(t, f"adaptive step {h:.17g} fell below the minimum")
+        elif end == _LIMIT:
+            yield count, StepLimitReached(t, f"adaptive run reached the limit of {limit} steps")
+        else:
+            yield count, None
 
 
 def integrate(
@@ -651,9 +763,9 @@ def integrate(
     if x.shape != (sys.n,):
         raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     rk4 = cfg.method is Method.RK4_FIXED
-    native = rk4 and _native_rk4()
+    native = _native()
     if native:
-        step, state = _native_steps(native, sys), x
+        step, state = _native_kernel(native, sys, rk4), x
     elif sys.n <= _SCALAR_MAX_N:
         step, state = _compiled_step(sys, rk4), x.tolist()
     else:
@@ -666,7 +778,8 @@ def integrate(
     size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
     xs, ts = np.empty((size, sys.n)), np.empty(size)
     xs[0], ts[0] = x, 0.0
-    blocks = _rk4_blocks(step, xs, ts, cfg) if rk4 else _rkf45_blocks(step, state, xs, ts, cfg)
+    blocks = (_rk4_blocks(step, xs, ts, cfg) if rk4 else
+              _rkf45_blocks(step if native else partial(_rkf45_rows, step), state, xs, ts, cfg))
     collect = sink is None
     if collect:
         kept = []

@@ -706,8 +706,8 @@ class TestSimulate:
                                                       monkeypatch):
         # no benchmark workload goes past sim._SCALAR_MAX_N, so this runs
         # the compiled kernel at the bound and the array kernel one above it,
-        # with the native RK4 loop off
-        monkeypatch.setattr(sim, "_native_rk4", lambda: None)
+        # with the native loops off
+        monkeypatch.setattr(sim, "_native", lambda: None)
         n = sim._SCALAR_MAX_N + side
         spec = write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(n)])
         x0 = ",".join(repr((1 + 0.1 * (i % 5)) / n) for i in range(n))

@@ -71,6 +71,8 @@ RUNS = {
     "check": ["check", "--system", "spec.json"],
     "simulate": ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5",
                  "--t-end", "0.01", "--out", "t.csv"],
+    "simulate-rk45": ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5",
+                      "--method", "rk45", "--t-end", "0.01", "--out", "t.csv"],
 }
 
 def loaded():
@@ -78,7 +80,7 @@ def loaded():
 
 stages = {"import": loaded()}
 for command in sys.argv[2:]:
-    if command == "simulate":
+    if command.startswith("simulate"):
         sys.path.append(sys.argv[1])
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(RUNS[command]) == 0, command
@@ -128,6 +130,14 @@ def test_rk4_simulate_loads_no_hashlib(tmp_path, monkeypatch):
     """
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     built, loaded = (_import_stages(tmp_path, "simulate")["simulate"] for _ in range(2))
+    assert "subprocess" in built and "hashlib" not in built
+    assert not {"hashlib", "subprocess", "sysconfig"} & set(loaded)
+
+
+def test_rk45_simulate_with_a_cached_build_loads_no_build_modules(tmp_path, monkeypatch):
+    """An RKF45 simulate builds the same library, and one that loads it imports no build module."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    built, loaded = (_import_stages(tmp_path, "simulate-rk45")["simulate-rk45"] for _ in range(2))
     assert "subprocess" in built and "hashlib" not in built
     assert not {"hashlib", "subprocess", "sysconfig"} & set(loaded)
 

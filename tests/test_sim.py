@@ -1,12 +1,15 @@
 """Integrator behavior: conservation drift, abort events, measured order."""
 
+import ctypes
 import math
 import os
 import random
 import shutil
 import subprocess
 import sysconfig
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +35,9 @@ from helpers import (
     convergence_order,
     random_system,
     resonant_system,
+    run_python,
     simplex_point,
+    stderr_of,
     vector_field,
 )
 
@@ -122,10 +127,10 @@ def _reference_rhs(sys, x):
     return x * (k * x[ip1] - k_im1 * x[im1])
 
 
-# The stepping kernels: the native RK4 loop, straight-line code over floats,
+# The stepping kernels: the native loops, straight-line code over floats,
 # and numpy arrays.
 KERNELS = ("native", "compiled", "array")
-NATIVE = sim._native_rk4
+NATIVE = sim._native
 
 
 def _has_compiler() -> bool:
@@ -137,12 +142,11 @@ def _has_compiler() -> bool:
 def _force_kernel(monkeypatch, kernel, n):
     """Make integrate step an n-coordinate system on the named kernel.
 
-    The native loop steps only RK4, so an RKF45 run on "native" takes the
-    array kernel. Where no native build loads, "native" is the array kernel
-    too, and TestNativeStepper.test_loads_where_python_has_a_compiler fails
-    unless this host has no compiler.
+    Where no native build loads, "native" is the array kernel, and
+    TestNativeStepper.test_loads_where_python_has_a_compiler fails unless
+    this host has no compiler.
     """
-    monkeypatch.setattr(sim, "_native_rk4", NATIVE if kernel == "native" else lambda: None)
+    monkeypatch.setattr(sim, "_native", NATIVE if kernel == "native" else lambda: None)
     monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "compiled" else n - 1)
 
 
@@ -189,7 +193,7 @@ class TestRhsAgreesWithModel:
             _rk4_steps(lambda y: _reference_rhs(sys, y), reference, 0, 1, 0.01)
             kernels = [_compiled_step(sys, True)]
             if NATIVE() is not None:
-                kernels.append(sim._native_steps(NATIVE(), sys))
+                kernels.append(sim._native_kernel(NATIVE(), sys, True))
             for steps in kernels:
                 xs = np.array([x, np.nan * x])
                 steps(xs, 0, 1, 0.01)
@@ -538,7 +542,8 @@ class TestKernelsAgree:
         # The kernels step on past the failing row to the end of its block,
         # where the screen finds it. Each wrapped kernel counts the steps it
         # takes: for RK4 the count it is asked for, for RKF45 each step whose
-        # error norm _rkf45_blocks accepts.
+        # error norm _rkf45_rows accepts, or on the native loop each step
+        # that rkf45_block adds to its accepted count.
         rk4 = method == "rk4"
         taken = 0
 
@@ -553,10 +558,27 @@ class TestKernelsAgree:
         # a native build, if any, is made now, so that its probe's steps
         # are not counted
         _force_kernel(monkeypatch, kernel, 2)
-        sim._native_rk4()
-        compiled, native = sim._compiled_step, sim._native_steps
+        lib = sim._native()
+        if lib is not None:
+            def rk4_steps(*args):
+                nonlocal taken
+                taken += args[7]  # count
+                return lib.rk4_steps(*args)
+
+            def rkf45_block(*args):
+                nonlocal taken
+                # args[12] points at the state, whose first entry is the
+                # accepted count
+                accepted = ctypes.c_int64.from_address(args[12])
+                before = accepted.value
+                rows = lib.rkf45_block(*args)
+                taken += accepted.value - before
+                return rows
+
+            wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block)
+            monkeypatch.setattr(sim, "_native", lambda: wrapped)
+        compiled = sim._compiled_step
         monkeypatch.setattr(sim, "_compiled_step", lambda s, fixed: counted(compiled(s, fixed)))
-        monkeypatch.setattr(sim, "_native_steps", lambda f, s: counted(native(f, s)))
         monkeypatch.setattr(sim, "_rk4_steps", counted(sim._rk4_steps))
         monkeypatch.setattr(sim, "_rkf45_step", counted(sim._rkf45_step))
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
@@ -601,10 +623,10 @@ class TestKernelsAgree:
 
 
 class TestNativeStepper:
-    """The native RK4 loop is built once into the per-user cache and loaded from there.
+    """The native loops are built once into the per-user cache and loaded from there.
 
-    Where it cannot be had, simulate steps on the Python kernels and gives
-    the same bytes, exit code and empty stderr.
+    Where they cannot be had, simulate steps on the Python kernels and gives
+    the same bytes, exit code and empty stderr, for RK4 and RKF45 alike.
     """
 
     @pytest.fixture(autouse=True)
@@ -612,18 +634,30 @@ class TestNativeStepper:
         """A process that has not looked for a build, before the test and after it."""
         spec = tmp_path / "spec.json"
         spec.write_text('{"k": [2, 1, 3]}', encoding="utf-8")
+        self.csv = tmp_path / "t.csv"
         self.run = ["simulate", "--system", str(spec), "--x0", "0.2,0.3,0.5", "--step", "0.01",
-                    "--t-end", "5.003", "--out", str(tmp_path / "t.csv")]
+                    "--t-end", "5.003", "--out", str(self.csv)]
         NATIVE.cache_clear()
         yield
         NATIVE.cache_clear()
 
     def _simulate(self, capsys):
-        """main's exit code, stdout and stderr, and the CSV's bytes, on an n = 3 RK4 run."""
-        code = cli.main(self.run)
-        out, err = capsys.readouterr()
-        with open(self.run[-1], "rb") as csv:
-            return code, out, err, csv.read()
+        """main's exit code, stdout and stderr, and the CSV's bytes, of n = 3 RK4 and RKF45 runs."""
+        outcomes = []
+        for method in ("rk4", "rk45"):
+            code = cli.main([*self.run, "--method", method])
+            out, err = capsys.readouterr()
+            outcomes.append((code, out, err, self.csv.read_bytes()))
+        return outcomes
+
+    @staticmethod
+    def _mutate(monkeypatch, tmp_path, old, new):
+        """Point sim at a copy of _native.c with its one text old replaced by new."""
+        with open(sim._NATIVE_SOURCE, encoding="utf-8") as file:
+            source = file.read()
+        assert source.count(old) == 1
+        (tmp_path / "_native.c").write_text(source.replace(old, new), encoding="utf-8")
+        monkeypatch.setattr(sim, "_NATIVE_SOURCE", str(tmp_path / "_native.c"))
 
     @staticmethod
     def _no_compiler(monkeypatch, tmp_path):
@@ -645,31 +679,134 @@ class TestNativeStepper:
     @staticmethod
     def _probe_differs(monkeypatch, tmp_path):
         # the sixth of h as h / 6.5: a build that compiles and loads, and
-        # steps otherwise
-        with open(sim._RK4_SOURCE, encoding="utf-8") as file:
-            source = file.read()
-        assert source.count("sixth = h / 6.0;") == 1
-        source = source.replace("sixth = h / 6.0;", "sixth = h / 6.5;")
-        (tmp_path / "_rk4.c").write_text(source, encoding="utf-8")
-        monkeypatch.setattr(sim, "_RK4_SOURCE", str(tmp_path / "_rk4.c"))
+        # steps RK4 otherwise
+        TestNativeStepper._mutate(monkeypatch, tmp_path, "sixth = h / 6.0;", "sixth = h / 6.5;")
 
     @pytest.mark.parametrize(
-        "unusable", [_no_compiler, _cache_is_a_file, _cache_writable_by_others, _probe_differs],
+        "unusable, marked",
+        [(_no_compiler, False), (_cache_is_a_file, False), (_cache_writable_by_others, False),
+         (_probe_differs, True)],
         ids=["no-compiler", "cache-is-a-file", "cache-writable-by-others", "probe-differs"],
     )
-    def test_falls_back_to_the_same_bytes(self, unusable, monkeypatch, tmp_path, capsys):
+    def test_falls_back_to_the_same_bytes(self, unusable, marked, monkeypatch, tmp_path, capsys):
         # the suite's cache holds a build where one can be made
         want = self._simulate(capsys)
-        assert want[0] == 0 and want[2] == ""
+        assert all(code == 0 and err == "" for code, _, err, _ in want)
         NATIVE.cache_clear()
         cache = tmp_path / "cache"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
         unusable.__func__(monkeypatch, tmp_path)
         assert NATIVE() is None
         assert self._simulate(capsys) == want
-        # neither a build nor its temporary file is left behind
+        # neither a build nor its temporary file is left behind; a failed
+        # probe leaves its marker
         if (cache / "cycliclv").is_dir():
-            assert os.listdir(cache / "cycliclv") == []
+            left = os.listdir(cache / "cycliclv")
+            if marked:
+                assert len(left) == 1 and left[0].endswith(".so.failed")
+            else:
+                assert left == []
+
+    # Five ways for the Fehlberg loop to step otherwise, each one text of
+    # _native.c and its replacement: a fused multiply-add in the fourth
+    # stage's state, the sixth stage's sum from its last term, the error sum
+    # from its last term, the sixth stage's zero weight dropped from the
+    # fourth-order sum, and the controller's power through exp and log.
+    FEHLBERG_MUTATIONS = {
+        "fma-in-one-stage": (
+            "                y[i] = x[i] + h * sum;",
+            "                y[i] = s == 3 ? fma(h, sum, x[i]) : x[i] + h * sum;",
+        ),
+        "stage-sum-reordered": (
+            "                y[i] = x[i] + h * sum;",
+            "                if (s == 5)\n"
+            "                    sum = (((a[4] * k[4 * n + i] + a[3] * k[3 * n + i])"
+            " + a[2] * k[2 * n + i]) + a[1] * k[n + i]) + a[0] * k[i];\n"
+            "                y[i] = x[i] + h * sum;",
+        ),
+        "error-sum-reordered": (
+            "            double a = fabs(x[i]), b = fabs(z[i]);",
+            "            e = ((((er[5] * k[5 * n + i] + er[4] * k[4 * n + i])"
+            " + er[3] * k[3 * n + i]) + er[2] * k[2 * n + i]) + er[1] * k[n + i]) + er[0] * k[i];\n"
+            "            double a = fabs(x[i]), b = fabs(z[i]);",
+        ),
+        "zero-weight-dropped": (
+            "                sum = sum + b4[q] * k[q * n + i];",
+            "                if (q != 5)\n"
+            "                    sum = sum + b4[q] * k[q * n + i];",
+        ),
+        "exp-log-for-pow": ("pow(m, -0.2)", "exp(-0.2 * log(m))"),
+    }
+
+    @pytest.mark.parametrize("old, new", FEHLBERG_MUTATIONS.values(), ids=FEHLBERG_MUTATIONS)
+    def test_probe_refuses_a_fehlberg_loop_that_steps_otherwise(self, old, new, monkeypatch,
+                                                               tmp_path):
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        self._mutate(monkeypatch, tmp_path, old, new)
+        assert NATIVE() is None
+        # the build compiled and loaded, and its probe refused it
+        (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
+        assert marker.endswith(".so.failed")
+
+    def test_the_probe_rejects_a_fehlberg_step(self, monkeypatch):
+        # a finite error norm above 1 is a rejected step of the probe's run
+        # to t_end; its NaN run rejects only NaN norms
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        norms = []
+        step = sim._rkf45_step
+
+        def recorded(f, x, h):
+            out = step(f, x, h)
+            norms.append(out[1])
+            return out
+
+        monkeypatch.setattr(sim, "_rkf45_step", recorded)
+        assert sim._probe(NATIVE())
+        assert any(1.0 < norm < math.inf for norm in norms)
+
+    def test_a_failed_probe_is_built_once(self, monkeypatch, tmp_path):
+        # a second process finds the marker and does not run the compiler
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        self._probe_differs(monkeypatch, tmp_path)
+        assert NATIVE() is None
+        (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
+        assert marker.startswith("native-") and marker.endswith(".so.failed")
+        second = "\n".join([
+            "import subprocess, sys",
+            "from cycliclv import sim",
+            "def no_compiler(*args, **kwargs):",
+            "    raise AssertionError('the compiler ran')",
+            "subprocess.run = no_compiler",
+            "sim._NATIVE_SOURCE = sys.argv[1]",
+            "print(sim._native())",
+        ])
+        result = run_python(["-c", second, sim._NATIVE_SOURCE], tmp_path, timeout=120)
+        assert result.returncode == 0, stderr_of(result)
+        assert result.stdout.strip() == b"None"
+        assert os.listdir(tmp_path / "cache" / "cycliclv") == [marker]
+
+    def test_a_build_removes_stale_temporary_files(self, monkeypatch, tmp_path):
+        # one left by a process killed mid-build, and one of a build that
+        # may still be running
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        folder = tmp_path / "cache" / "cycliclv"
+        folder.mkdir(parents=True, mode=0o700)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        stale, fresh = folder / "native-0.so.1.tmp", folder / "native-0.so.2.tmp"
+        stale.write_bytes(b"")
+        fresh.write_bytes(b"")
+        old = time.time() - sim._BUILD_SECONDS - 10
+        os.utime(stale, (old, old))
+        assert NATIVE() is not None
+        (built,) = set(os.listdir(folder)) - {fresh.name}
+        assert built.startswith("native-") and built.endswith(".so")
+        assert sorted(os.listdir(folder)) == sorted([built, fresh.name])
 
     def test_loads_where_python_has_a_compiler(self):
         if not _has_compiler():
@@ -683,7 +820,7 @@ class TestNativeStepper:
         built = NATIVE()
         assert built is not None
         (name,) = os.listdir(tmp_path / "cache" / "cycliclv")
-        assert name.startswith("rk4-") and name.endswith(".so")
+        assert name.startswith("native-") and name.endswith(".so")
         NATIVE.cache_clear()
 
         def no_compiler(*args, **kwargs):
