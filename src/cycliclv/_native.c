@@ -6,12 +6,16 @@
    with half = 0.5 * h, and x + sixth * (((k1 + 2 k2) + 2 k3) + k4) with
    sixth = h / 6.0.
 
-   rkf45_block runs the Fehlberg 4(5) loop of sim._rkf45_rows, whose step
-   is sim._compiled_step's: each stage and each sum of the tableau left to
-   right from its first term, zero weights kept, the error scale from
-   a >= b ? a : b, an error norm that keeps a NaN, and the controller
-   min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's argument order, so
-   that a NaN norm gives 0.2. The tableau and the tolerances come from sim.
+   rkf45_block runs the Fehlberg 4(5) loop of sim._rkf45_rows on the
+   operations of sim._rkf45_step: each stage and each sum of the tableau
+   left to right, as sum() adds the arrays, zero weights kept, so that a
+   NaN or infinite stage reaches every sum. sum() starts from int 0 and
+   these sums from their first term, which changes only the sign of an
+   exact zero sum; x + h * sum and fabs drop it. Then the error scale from
+   a >= b ? a : b, an error norm that keeps a NaN as np.max does, and the
+   controller min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's
+   argument order, so that a NaN norm gives 0.2. The tableau and the
+   tolerances come from sim.
 
    It is built with -ffp-contract=off, so that no a * b + c becomes one
    fused multiply-add, and sim uses a build only after both loops have

@@ -18,41 +18,12 @@ depend on the block it falls in.
 
 Both drivers step on native code wherever they can, at any n: rk4_steps
 and rkf45_block of _native.c, which do the operations of _rk4_steps and of
-_rkf45_rows on the compiled step entry by entry in the same order, built
-once per machine with Python's own C compiler into the per-user cache and
-loaded with ctypes (_native). Where no build loads (no compiler, a cache
-that cannot be used, a failed build, or a build that does not step bit for
-bit as the array kernels do), both fall back, with the same bits, to the
-Python kernels below.
-
-Each driver has two Python kernels, picked once from n. Up to _SCALAR_MAX_N
-coordinates, _compiled_step writes straight-line Python source over the
-locals x0 ... x{n-1} and compiles it once per integrate call. For RK4 that
-source is the whole fixed-step loop: the locals carry the state from step
-to step, and each new state goes into the block buffer through a
-memoryview. Each step makes no numpy call and no list. For RKF45 it is one
-step on a list of floats, which _rkf45_rows calls; the array step
-keeps its state an array. Each rate, tolerance and tableau entry enters the
-source as its repr, the shortest decimal that reads back as the same
-float, so each literal is exactly the float the array kernel uses. Because
-the tolerances are baked in, the source is generated again on every call,
-not cached. The bound is 16, where the benchmarked systems sit. Long runs
-step faster compiled up to about 40 coordinates, but compiling costs
-milliseconds per run, so larger systems keep the array kernel until short
-runs there are measured. There the RK4 loop is _rk4_steps, which takes the
-compiled loop's arguments. Both kernels give the same bits. The compiled
-code does the array kernel's operations per entry in the same order: each
-RHS entry as xi * (a * xj + b * xk), (0.5*h)*k, then
-(h/6)*(((k1 + 2 k2) + 2 k3) + k4), and each Fehlberg sum left to right, as
-sum() adds the arrays, zero weights kept so that a NaN or inf stage still
-reaches every sum, never with sum() over floats, which rounds with
-compensation from Python 3.12 on, or math.fsum. sum() starts from int 0
-and the compiled sum from its first term, which saves a slow int + float
-add per sum; the two differ only in the sign of an exact zero sum, which
-x + h * sum drops for the positive x and abs drops from the error. Its
-error norm keeps a NaN as np.maximum and np.max do, so neither kernel
-accepts a NaN state: a lost NaN would turn a StepUnderflow into a
-NonFiniteState.
+_rkf45_rows on _rkf45_step entry by entry in the same order, built once per
+machine with Python's own C compiler into the per-user cache and loaded
+with ctypes (_native). Where no build loads (no compiler, a cache that
+cannot be used, a failed build, or a build that does not step bit for bit
+as the array kernels do), both fall back, with the same bits, to those
+array kernels, which step on numpy arrays at any n (_array_kernel).
 
 The kernels only step; integrate screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
@@ -126,11 +97,6 @@ POSITIVITY_FLOOR = 1e-12
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MIN_STEP = 1e-10
-
-# On the Python kernels, systems with at most this many coordinates step on
-# compiled straight-line code over Python floats, larger ones on numpy arrays
-# (see the module docstring).
-_SCALAR_MAX_N = 16
 
 # The C source of the native loops and the flags it is built with: no FP
 # contraction, so that no a * b + c becomes one fused multiply-add. A build
@@ -375,7 +341,7 @@ def _native():
     the marker that name + ".failed" says that a build of it failed its
     probe. No compiler, a cache that is not a directory of this user's that
     only it can write to, a failed build and a failed probe all give None,
-    and integrate steps on the Python kernels, with the same bits. The
+    and integrate steps on the array kernels, with the same bits. The
     answer holds for the process.
     """
     try:
@@ -417,7 +383,8 @@ def _build(path: str):
     """Build _native.c at path and return it declared, or None if it steps otherwise.
 
     First it removes the temporary files of builds that started more than
-    _BUILD_SECONDS ago, which only a process that ended mid-build leaves.
+    _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
+    and the builds named rk4-*.so of an older, RK4-only source.
     The build goes to a temporary file beside path, which takes path's name
     only once a run of both loops has the bits of the array kernels
     (_probe). A build that steps otherwise is neither cached nor used: it
@@ -434,7 +401,11 @@ def _build(path: str):
     with os.scandir(os.path.dirname(path)) as entries:
         for entry in entries:
             with suppress(FileNotFoundError):  # removed meanwhile by another process
-                if entry.name.endswith(".tmp") and entry.stat().st_mtime < stale:
+                # A native-*.so of another CRC stays: two installed versions
+                # that each removed the other's build would compile again in
+                # every process that alternates between them.
+                if (entry.name.endswith(".tmp") and entry.stat().st_mtime < stale
+                        or entry.name.startswith("rk4-") and entry.name.endswith(".so")):
                     os.remove(entry.path)
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
@@ -477,7 +448,7 @@ def _probe(lib) -> bool:
     sys = CyclicLVSystem(rates)
     x0 = (0.2, 0.3, 0.5, 0.7, 1.1)
     runs = []
-    for steps in (_native_kernel(lib, sys, True), partial(_rk4_steps, _rhs(sys))):
+    for steps in (_native_kernel(lib, sys, True), _array_kernel(sys, True)):
         xs = np.empty((34, sys.n))
         xs[0] = x0
         steps(xs, 0, 32, 0.37)
@@ -486,8 +457,7 @@ def _probe(lib) -> bool:
     wide = CyclicLVSystem(rates * 3)
     with np.errstate(all="ignore"):
         for system, start in ((sys, x0), (wide, [math.nan if i == 7 else 0.5 for i in range(15)])):
-            for rows in (_native_kernel(lib, system, False),
-                         partial(_rkf45_rows, partial(_rkf45_step, _rhs(system)))):
+            for rows in (_native_kernel(lib, system, False), _array_kernel(system, False)):
                 xs, ts = np.empty((8, system.n)), np.empty(8)
                 xs[0] = start
                 blocks, got = rows(xs[0].copy(), xs, ts, 1.0, 0.37, MAX_STEPS), []
@@ -505,6 +475,16 @@ def _probe(lib) -> bool:
             and all(native[:-1] == array[:-1]
                     and np.array_equal(native[-1], array[-1], equal_nan=True)
                     for native, array in (runs[2:4], runs[4:6])))
+
+
+def _array_kernel(sys: CyclicLVSystem, rk4: bool) -> Callable:
+    """_rk4_steps, or _rkf45_rows on _rkf45_step, with sys's field bound.
+
+    Called as _native_kernel's loop is. Raises InputError, as _terms does,
+    for a rate whose float overflows or rounds to zero.
+    """
+    f = _rhs(sys)
+    return partial(_rk4_steps, f) if rk4 else partial(_rkf45_rows, partial(_rkf45_step, f))
 
 
 def _native_kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
@@ -561,70 +541,6 @@ def _native_kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
     return blocks
 
 
-def _compiled_step(sys: CyclicLVSystem, rk4: bool) -> Callable:
-    """_rk4_steps or _rkf45_step of sys as compiled straight-line Python.
-
-    For RK4 it takes the (xs, row, count, h) of _rk4_steps. For RKF45 it
-    takes (x, h), x a list of Python floats, and returns what _rkf45_step
-    returns, the new state as a list. The source holds only integer indices,
-    the names of locals and float literals: each rate, tolerance and tableau
-    entry is the repr of a float, never text from the spec file, and the
-    names inf and nan in its namespace make every repr an expression. Each
-    entry takes the array kernel's operations in its order.
-    """
-    rows = list(zip(*(v.tolist() for v in _terms(sys))))
-    n = len(rows)
-    ix = range(n)
-
-    def rhs(stage, y):
-        return [f"k{stage}_{i} = {y}{i} * ({a!r} * {y}{j} + {b!r} * {y}{k})"
-                for i, (j, a, k, b) in enumerate(rows)]
-
-    def weighted(weights, i):
-        # left to right from the first term, zero weights kept (module docstring)
-        return "(" + " + ".join(f"{w!r} * k{s}_{i}" for s, w in enumerate(weights, 1)) + ")"
-
-    unpack = "".join(f"x{i}, " for i in ix) + "= "
-    if rk4:
-        body = rhs(1, "x")
-        for stage, c in ((2, "half"), (3, "half"), (4, "h")):
-            body += [f"y{i} = x{i} + {c} * k{stage - 1}_{i}" for i in ix] + rhs(stage, "y")
-        # each new x{i} reads only x{i} and the stages, so it can replace x{i} at once
-        body += [f"x{i} = x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
-                 for i in ix]
-        body += [f"buf[p + {i}] = x{i}" for i in ix]
-        src = [
-            "def step(xs, row, count, h):",
-            'buf = memoryview(xs).cast("B").cast("d")',
-            unpack + "xs[row].tolist()",
-            "half = 0.5 * h",
-            "sixth = h / 6.0",
-            f"for p in range((row + 1) * {n}, (row + 1 + count) * {n}, {n}):",
-            *("    " + line for line in body),
-        ]
-    else:
-        src = ["def step(x, h):", unpack + "x", *rhs(1, "x")]
-        for stage, row in enumerate(_FEHLBERG_A[1:], 2):
-            src += [f"y{i} = x{i} + h * {weighted(row, i)}" for i in ix] + rhs(stage, "y")
-        src += [f"z{i} = x{i} + h * {weighted(_FEHLBERG_B4, i)}" for i in ix] + ["m = 0.0"]
-        for i in ix:
-            # a >= NaN is False, so a NaN in z makes its ratio NaN; a NaN
-            # ratio replaces m, and a NaN m stays, as in np.max. So
-            # _rkf45_rows never accepts a NaN state, and x, an accepted
-            # state, is not NaN.
-            src += [
-                f"a = abs(x{i})",
-                f"b = abs(z{i})",
-                f"r = abs(h * {weighted(_FEHLBERG_ERR, i)})"
-                f" / ({ABS_TOL!r} + {REL_TOL!r} * (a if a >= b else b))",
-                "m = r if m == m and not r <= m else m",
-            ]
-        src.append("return [" + ", ".join(f"z{i}" for i in ix) + "], m")
-    namespace = {"inf": math.inf, "nan": math.nan}
-    exec("\n    ".join(src), namespace)
-    return namespace["step"]
-
-
 def _step_limit(n: int) -> int:
     """Most steps a run of n coordinates may take: MAX_STEPS, or fewer for large n."""
     return min(MAX_STEPS, MAX_STORED_FLOATS // n)
@@ -634,11 +550,12 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     """Fixed-step RK4 from the state in xs[0]; yields (rows, None) for each block.
 
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
-    times into ts. steps(xs, row, count, h) is the native loop, _rk4_steps
-    or its compiled form: a block's full steps take one call and the tail
-    step, if any, a second. Each block's last row is carried into xs[0] for the next. A
-    t_end / step over _step_limit(n), an infinite one that math.floor cannot
-    take included, is refused with InputError: the one test of a run's length.
+    times into ts. steps(xs, row, count, h) is the native loop or
+    _rk4_steps with its field bound: a block's full steps take one call and
+    the tail step, if any, a second. Each block's last row is carried into
+    xs[0] for the next. A t_end / step over _step_limit(n), an infinite one
+    that math.floor cannot take included, is refused with InputError: the
+    one test of a run's length.
     """
     h, n, ratio = cfg.step, xs.shape[1], cfg.t_end / cfg.step
     if not ratio <= _step_limit(n):
@@ -665,16 +582,16 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
 def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
     """Fehlberg 4(5) from the state x with trial step h; yields (rows, end, t, h) per block.
 
-    step(x, h) is _rkf45_step, x an array, or its compiled form, x a list:
-    it returns the new state and its error norm. Each accepted state goes
-    into the next row of xs after row 0 and its time into ts. A block ends
-    _FULL just before the row that would not fit, so only the last one can
-    be short; the last ends _DONE at t_end, _UNDERFLOW when a rejected step
-    times its factor falls below MIN_STEP, or _LIMIT when a step is accepted
-    after limit steps. Each yield gives the rows written, the end, t and the
-    next trial step, the one that fell below MIN_STEP at _UNDERFLOW. Returns
-    the last trial's new state and error norm, which _probe compares.
-    rkf45_block of _native.c runs this loop in C (_native_kernel).
+    step(x, h) is _rkf45_step with its field bound: it returns the new state
+    and its error norm. Each accepted state goes into the next row of xs
+    after row 0 and its time into ts. A block ends _FULL just before the row
+    that would not fit, so only the last one can be short; the last ends
+    _DONE at t_end, _UNDERFLOW when a rejected step times its factor falls
+    below MIN_STEP, or _LIMIT when a step is accepted after limit steps.
+    Each yield gives the rows written, the end, t and the next trial step,
+    the one that fell below MIN_STEP at _UNDERFLOW. Returns the last trial's
+    new state and error norm, which _probe compares. rkf45_block of
+    _native.c runs this loop in C (_native_kernel).
     """
     size = len(xs) - 1
     t = 0.0
@@ -764,12 +681,7 @@ def integrate(
         raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     rk4 = cfg.method is Method.RK4_FIXED
     native = _native()
-    if native:
-        step, state = _native_kernel(native, sys, rk4), x
-    elif sys.n <= _SCALAR_MAX_N:
-        step, state = _compiled_step(sys, rk4), x.tolist()
-    else:
-        step, state = partial(_rk4_steps if rk4 else _rkf45_step, _rhs(sys)), x
+    step = _native_kernel(native, sys, rk4) if native else _array_kernel(sys, rk4)
     # after the kernel, so that a bad rate is refused before a bad exponent
     if any(len(mono.exponents) != sys.n for mono in basis.monomials):
         raise InputError("exponent vector length does not match the system")
@@ -778,8 +690,7 @@ def integrate(
     size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
     xs, ts = np.empty((size, sys.n)), np.empty(size)
     xs[0], ts[0] = x, 0.0
-    blocks = (_rk4_blocks(step, xs, ts, cfg) if rk4 else
-              _rkf45_blocks(step if native else partial(_rkf45_rows, step), state, xs, ts, cfg))
+    blocks = _rk4_blocks(step, xs, ts, cfg) if rk4 else _rkf45_blocks(step, x, xs, ts, cfg)
     collect = sink is None
     if collect:
         kept = []

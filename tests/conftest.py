@@ -1,4 +1,4 @@
-"""Suite-wide setup: the native RK4 loop is built into a temporary cache."""
+"""Suite-wide setup: the native loops are built into a temporary cache."""
 
 import pytest
 

@@ -701,14 +701,11 @@ class TestSimulate:
         assert out_csv.exists()
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
-    @pytest.mark.parametrize("side", [0, 1], ids=["bound", "bound+1"])
-    def test_both_sides_of_the_compiled_kernel_bound(self, tmp_path, capsys, side, method,
-                                                      monkeypatch):
-        # no benchmark workload goes past sim._SCALAR_MAX_N, so this runs
-        # the compiled kernel at the bound and the array kernel one above it,
-        # with the native loops off
+    def test_array_kernel_above_16_coordinates(self, tmp_path, capsys, method, monkeypatch):
+        # with the native loops off, the array kernel steps an n = 17
+        # system, past the n of every benchmarked simulate run
         monkeypatch.setattr(sim, "_native", lambda: None)
-        n = sim._SCALAR_MAX_N + side
+        n = 17
         spec = write_spec(tmp_path, "spec.json", [i % 3 + 1 for i in range(n)])
         x0 = ",".join(repr((1 + 0.1 * (i % 5)) / n) for i in range(n))
         code = main(

@@ -27,7 +27,7 @@ from cycliclv import (
     make_system,
 )
 from cycliclv import cli, sim
-from cycliclv.sim import _compiled_step, _rhs, _rk4_steps
+from cycliclv.sim import _rhs, _rk4_steps
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -127,9 +127,8 @@ def _reference_rhs(sys, x):
     return x * (k * x[ip1] - k_im1 * x[im1])
 
 
-# The stepping kernels: the native loops, straight-line code over floats,
-# and numpy arrays.
-KERNELS = ("native", "compiled", "array")
+# The stepping kernels: the native loops and numpy arrays.
+KERNELS = ("native", "array")
 NATIVE = sim._native
 
 
@@ -139,15 +138,14 @@ def _has_compiler() -> bool:
     return bool(cc and shutil.which(cc.split()[0]))
 
 
-def _force_kernel(monkeypatch, kernel, n):
-    """Make integrate step an n-coordinate system on the named kernel.
+def _force_kernel(monkeypatch, kernel):
+    """Make integrate step on the named kernel.
 
     Where no native build loads, "native" is the array kernel, and
     TestNativeStepper.test_loads_where_python_has_a_compiler fails unless
     this host has no compiler.
     """
     monkeypatch.setattr(sim, "_native", NATIVE if kernel == "native" else lambda: None)
-    monkeypatch.setattr(sim, "_SCALAR_MAX_N", n if kernel == "compiled" else n - 1)
 
 
 def _outcome(sys, x0, cfg, basis, sample_every=1):
@@ -165,7 +163,7 @@ def _on_every_kernel(monkeypatch, sys, x0, cfg):
     basis = integral_basis(sys)
     got = []
     for kernel in KERNELS:
-        _force_kernel(monkeypatch, kernel, sys.n)
+        _force_kernel(monkeypatch, kernel)
         got.append(_outcome(sys, x0, cfg, basis))
     assert got[1:] == got[:-1]
     return got[0][1:]
@@ -186,17 +184,13 @@ class TestRhsAgreesWithModel:
             x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
             expect = _reference_rhs(sys, x).tobytes()
             assert _rhs(sys)(x).tobytes() == expect
-            # the compiled and native kernels have no RHS of their own: a
-            # one-step run of each must match the array step on the
-            # reference field
-            reference = np.array([x, np.nan * x])
-            _rk4_steps(lambda y: _reference_rhs(sys, y), reference, 0, 1, 0.01)
-            kernels = [_compiled_step(sys, True)]
+            # the native kernel has no RHS of its own: a one-step run of it
+            # must match the array step on the reference field
             if NATIVE() is not None:
-                kernels.append(sim._native_kernel(NATIVE(), sys, True))
-            for steps in kernels:
+                reference = np.array([x, np.nan * x])
+                _rk4_steps(lambda y: _reference_rhs(sys, y), reference, 0, 1, 0.01)
                 xs = np.array([x, np.nan * x])
-                steps(xs, 0, 1, 0.01)
+                sim._native_kernel(NATIVE(), sys, True)(xs, 0, 1, 0.01)
                 assert xs[1].tobytes() == reference[1].tobytes()
 
     def test_matches_vector_field(self):
@@ -348,7 +342,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(sim, "_terms", poisoned)
         for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, sys.n)
+            _force_kernel(monkeypatch, kernel)
             with pytest.raises(NonFiniteState) as exc:
                 integrate(sys, [0.2, 0.3, 0.5], IntegratorConfig(step=0.1, t_end=1.0),
                           integral_basis(sys))
@@ -427,9 +421,9 @@ class TestAdaptive:
 
 
 class TestKernelsAgree:
-    """The native, compiled and array kernels give the same bits, aborts included."""
+    """The native and array kernels give the same bits, aborts included."""
 
-    @pytest.mark.parametrize("n", range(2, sim._SCALAR_MAX_N + 3))
+    @pytest.mark.parametrize("n", range(2, 19))
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -557,7 +551,7 @@ class TestKernelsAgree:
 
         # a native build, if any, is made now, so that its probe's steps
         # are not counted
-        _force_kernel(monkeypatch, kernel, 2)
+        _force_kernel(monkeypatch, kernel)
         lib = sim._native()
         if lib is not None:
             def rk4_steps(*args):
@@ -577,8 +571,6 @@ class TestKernelsAgree:
 
             wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block)
             monkeypatch.setattr(sim, "_native", lambda: wrapped)
-        compiled = sim._compiled_step
-        monkeypatch.setattr(sim, "_compiled_step", lambda s, fixed: counted(compiled(s, fixed)))
         monkeypatch.setattr(sim, "_rk4_steps", counted(sim._rk4_steps))
         monkeypatch.setattr(sim, "_rkf45_step", counted(sim._rkf45_step))
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
@@ -592,7 +584,7 @@ class TestKernelsAgree:
         # 1100 steps go past the 1024 rows an adaptive run once allocated
         # first, so the limit is met after the storage has grown
         monkeypatch.setattr(sim, "MAX_STEPS", 1100)
-        n = sim._SCALAR_MAX_N
+        n = 16
         rng = random.Random(716)
         sys = random_system(rng, n, lo=1, hi=2)
         x0 = [1.0 + 0.1 * rng.uniform(-1.0, 1.0) for _ in range(n)]
@@ -610,22 +602,18 @@ class TestKernelsAgree:
         # Near 1e153 a stage entry is near 1e307, so a tableau row's weighted
         # sum overflows before h scales it and a later stage is inf or NaN.
         # Its 0.0 weight in the fourth-order sum turns that into NaN in every
-        # entry, as in the array step; dropping the zero-weight terms leaves
-        # +-inf in the n3 state and a finite x2 in the n4 one. A NaN's sign
-        # bit is not compared.
+        # entry of the array step. The native loop's zero weights are the
+        # probe's to check (FEHLBERG_MUTATIONS["zero-weight-dropped"]).
         sys = make_system(rates)
-        h = 1e-306
-        z, m = _compiled_step(sys, False)(x, h)
         with np.errstate(all="ignore"):
-            want, norm = sim._rkf45_step(_rhs(sys), np.array(x), h)
+            want, norm = sim._rkf45_step(_rhs(sys), np.array(x), 1e-306)
         assert np.isnan([*want, norm]).all()
-        assert np.isnan([*z, m]).all()
 
 
 class TestNativeStepper:
     """The native loops are built once into the per-user cache and loaded from there.
 
-    Where they cannot be had, simulate steps on the Python kernels and gives
+    Where they cannot be had, simulate steps on the array kernels and gives
     the same bytes, exit code and empty stderr, for RK4 and RKF45 alike.
     """
 
@@ -792,21 +780,23 @@ class TestNativeStepper:
 
     def test_a_build_removes_stale_temporary_files(self, monkeypatch, tmp_path):
         # one left by a process killed mid-build, and one of a build that
-        # may still be running
+        # may still be running; a build of the older RK4-only source goes,
+        # and a native build of another source stays
         if not _has_compiler():
             pytest.skip("the C compiler Python was built with is not installed")
         folder = tmp_path / "cache" / "cycliclv"
         folder.mkdir(parents=True, mode=0o700)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         stale, fresh = folder / "native-0.so.1.tmp", folder / "native-0.so.2.tmp"
-        stale.write_bytes(b"")
-        fresh.write_bytes(b"")
+        retired, other = folder / "rk4-4acee1b7.so", folder / "native-0.so"
+        for file in (stale, fresh, retired, other):
+            file.write_bytes(b"")
         old = time.time() - sim._BUILD_SECONDS - 10
         os.utime(stale, (old, old))
         assert NATIVE() is not None
-        (built,) = set(os.listdir(folder)) - {fresh.name}
+        (built,) = set(os.listdir(folder)) - {fresh.name, other.name}
         assert built.startswith("native-") and built.endswith(".so")
-        assert sorted(os.listdir(folder)) == sorted([built, fresh.name])
+        assert sorted(os.listdir(folder)) == sorted([built, fresh.name, other.name])
 
     def test_loads_where_python_has_a_compiler(self):
         if not _has_compiler():
@@ -872,7 +862,7 @@ class TestBlocks:
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 10_000)
         want = _outcome(sys, x0, cfg, basis, sample_every)
         for kernel in KERNELS:
-            _force_kernel(monkeypatch, kernel, sys.n)
+            _force_kernel(monkeypatch, kernel)
             for size in (1, 2, 7):
                 monkeypatch.setattr(sim, "_BLOCK_ROWS", size)
                 assert _outcome(sys, x0, cfg, basis, sample_every) == want
