@@ -17,12 +17,17 @@
    argument order, so that a NaN norm gives 0.2. The tableau and the
    tolerances come from sim.
 
+   csv_rows writes a block of doubles as CSV lines, each value as Python's
+   '%.17g' % value writes it (see put_value).
+
    It is built with -ffp-contract=off, so that no a * b + c becomes one
-   fused multiply-add, and sim uses a build only after both loops have
-   matched the Python kernels bit for bit. */
+   fused multiply-add, and sim uses a build only after its two steppers
+   have matched the Python kernels bit for bit and csv_rows has matched
+   Python's % byte for byte. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 /* How a call of rkf45_block ended: its block is full and the run goes on,
@@ -147,4 +152,198 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
     state[0] = accepted;
     state[1] = end;
     return row;
+}
+
+/* 10^16 and 10^17, the bounds of a 17-digit significand, and the most
+   bytes csv_rows writes for one value, its separator included:
+   "-1.2345678901234567e-308" and a comma. */
+#define TEN16 10000000000000000ULL
+#define TEN17 100000000000000000ULL
+#define VALUE_BYTES 25
+
+/* Where the compiler has no 128-bit integers, every value but the zeros,
+   nan and inf goes to snprintf. */
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* 5^0 to 5^27, the powers of five below 2^64 */
+static const uint64_t POW5[28] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125, 244140625,
+    1220703125, 6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+    3814697265625ULL, 19073486328125ULL, 95367431640625ULL, 476837158203125ULL,
+    2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL
+};
+
+/* 5^q for q from 0 to 54 */
+static u128 pow5(int q)
+{
+    return q > 27 ? (u128)POW5[27] * POW5[q - 27] : POW5[q];
+}
+
+/* The 17 significant digits of m 2^e at decimal exponent k: m 2^e 10^(16 - k)
+   rounded half to even, exactly, in 128-bit integers. Returns 0 where they
+   need more than 128 bits. With q = 16 - k >= 0 that is m 5^q shifted by
+   e + q bits; with q < 0, m shifted by e + q bits and divided by 5^-q. */
+static int digits17(uint64_t m, int e, int k, u128 *d)
+{
+    int q = 16 - k, s = e + q;
+    u128 n, low, half;
+    if (q >= 0) {
+        if (q > 54 || __builtin_mul_overflow((u128)m, pow5(q), &n))
+            return 0;
+        if (s >= 0) {
+            if (s > 63 || n >> (127 - s))
+                return 0;
+            *d = n << s;
+            return 1;
+        }
+        if (-s > 127)
+            return 0;
+        *d = n >> -s;
+        low = n & (((u128)1 << -s) - 1);
+        half = (u128)1 << (-s - 1);
+    } else {
+        if (-q > 54 || s < 0 || s > 63)
+            return 0;
+        n = (u128)m << s;
+        half = pow5(-q);
+        *d = n / half;
+        /* twice the remainder against the divisor */
+        low = 2 * (n % half);
+    }
+    if (low > half || (low == half && (*d & 1)))
+        *d += 1;
+    return 1;
+}
+
+/* Writes the 17-digit significand d at decimal exponent k as '%.17g' lays
+   it out: fixed notation for k from -4 to 16, else d.ddde+kk with at least
+   two exponent digits, and no trailing zeros or bare point. Returns the end
+   of what it wrote. */
+static char *put_digits(char *p, uint64_t d, int k)
+{
+    char g[17];
+    int nd = 17;
+    for (int i = 16; i >= 0; i--, d /= 10)
+        g[i] = (char)('0' + d % 10);
+    while (g[nd - 1] == '0')
+        nd--;
+    if (k < -4 || k > 16) {
+        *p++ = g[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, g + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = k < 0 ? '-' : '+';
+        k = k < 0 ? -k : k;
+        /* digits17 holds no exponent past 99 */
+        *p++ = (char)('0' + k / 10);
+        *p++ = (char)('0' + k % 10);
+    } else if (k < 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', -k - 1);
+        p += -k - 1;
+        memcpy(p, g, nd);
+        p += nd;
+    } else if (nd <= k + 1) {
+        memcpy(p, g, nd);
+        memset(p + nd, '0', k + 1 - nd);
+        p += k + 1;
+    } else {
+        memcpy(p, g, k + 1);
+        p[k + 1] = '.';
+        memcpy(p + k + 2, g + k + 1, nd - k - 1);
+        p += nd + 1;
+    }
+    return p;
+}
+#endif
+
+/* Writes v as Python's '%.17g' % v: nan, inf and -inf, -0 for -0.0, and
+   correctly rounded digits, ties to even. A normal double whose digits fit
+   in 128 bits (about 1e-16 <= |v| < 1e46) gets them from digits17, at the
+   exponent floor(log10 |v|) moved until its digits lie in [10^16, 10^17).
+   Digits of exactly 10^16 may also be those of a value just below 10^k
+   that has 17 digits at k - 1, so that exponent is tried too and kept when
+   its digits stay below 10^17. Every other value goes to snprintf, whose
+   decimal point, the locale's, becomes '.'. Returns the end of what it
+   wrote: at most 24 bytes. */
+static char *put_value(char *p, double v)
+{
+    uint64_t bits;
+    char text[48];
+    if (isnan(v)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    v = fabs(v);
+    if (isinf(v)) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (v == 0.0) {
+        *p = '0';
+        return p + 1;
+    }
+#ifdef __SIZEOF_INT128__
+    /* a subnormal, exponent field 0, has no implicit bit */
+    if (bits >> 52 & 0x7ff) {
+        uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+        int e = (int)(bits >> 52 & 0x7ff) - 1075, k = (int)floor(log10(v));
+        u128 d, lower;
+        if (!digits17(m, e, k, &d))
+            goto libc;
+        if (d >= TEN17 && !digits17(m, e, ++k, &d))
+            goto libc;
+        if (d < TEN16 && !digits17(m, e, --k, &d))
+            goto libc;
+        if (d == TEN16) {
+            if (!digits17(m, e, k - 1, &lower))
+                goto libc;
+            if (lower < TEN17) {
+                d = lower;
+                k--;
+            }
+        }
+        if (d >= TEN16 && d < TEN17)
+            return put_digits(p, (uint64_t)d, k);
+    }
+libc:
+#endif
+    snprintf(text, sizeof text, "%.17g", v);
+    /* text starts with a digit, and each byte of the point follows one */
+    for (const char *c = text; *c; c++) {
+        if ((*c >= '0' && *c <= '9') || *c == 'e' || *c == '+' || *c == '-')
+            *p++ = *c;
+        else if (p[-1] != '.')
+            *p++ = '.';
+    }
+    return p;
+}
+
+/* Writes the row-major (rows, cols) array block into out as CSV lines,
+   values separated by ',' and each line ended by '\n'. Returns the bytes
+   written, or -1, having written nothing, when capacity bytes do not hold
+   VALUE_BYTES for each value, or for each empty line. */
+int64_t csv_rows(const double *block, int64_t rows, int64_t cols, char *out, int64_t capacity)
+{
+    char *p = out;
+    if (rows < 0 || cols < 0 || (rows && capacity / VALUE_BYTES / rows < (cols ? cols : 1)))
+        return -1;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t c = 0; c < cols; c++) {
+            if (c)
+                *p++ = ',';
+            p = put_value(p, *block++);
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

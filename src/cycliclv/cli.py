@@ -247,14 +247,13 @@ def _parse_x0(text: str) -> list[float]:
 
 
 class _Csv:
-    """The --out file, its header and row template, and the rows written to it."""
+    """The --out file, its header and the rows written to it."""
 
     def __init__(self, path: str | Path, n: int, names: list[str]):
         header = ["t", *(f"x{i}" for i in range(1, n + 1)), *names,
                   *(f"drift_{name}" for name in names)]
         self.path, self.file, self.rows = path, None, 0
-        self.header = ",".join(header) + "\n"
-        self.template = ",".join(["%.17g"] * len(header)) + "\n"
+        self.header = (",".join(header) + "\n").encode()
 
     def close(self) -> None:
         if self.file is not None:
@@ -262,18 +261,22 @@ class _Csv:
 
 
 def write_csv_rows(csv: _Csv, *columns: np.ndarray) -> None:
-    """Write the rows of the columns t, x, values and drift to csv, each value as %.17g.
+    """Write the rows of the columns t, x, values and drift to csv, each as '%.17g' % value.
 
     The row sink that cmd_simulate hands sim.integrate. The first call opens
     and truncates the file and writes the header, so a run that integrate
-    refuses leaves an existing file as it was.
+    refuses leaves an existing file as it was. The rows' bytes come from
+    sim._csv_bytes: the native formatter where a build loads, else Python's
+    %, with the same bytes.
     """
     import numpy as np
 
+    from . import sim
+
     if csv.file is None:
-        csv.file = open(csv.path, "w", encoding="utf-8", newline="\n")
+        csv.file = open(csv.path, "wb")
         csv.file.write(csv.header)
-    csv.file.writelines(csv.template % tuple(row) for row in np.column_stack(columns).tolist())
+    csv.file.write(sim._csv_bytes(np.column_stack(columns), sim._native()))
     csv.rows += len(columns[0])
 
 

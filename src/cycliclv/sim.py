@@ -20,10 +20,13 @@ Both drivers step on native code wherever they can, at any n: rk4_steps
 and rkf45_block of _native.c, which do the operations of _rk4_steps and of
 _rkf45_rows on _rkf45_step entry by entry in the same order, built once per
 machine with Python's own C compiler into the per-user cache and loaded
-with ctypes (_native). Where no build loads (no compiler, a cache that
-cannot be used, a failed build, or a build that does not step bit for bit
-as the array kernels do), both fall back, with the same bits, to those
-array kernels, which step on numpy arrays at any n (_array_kernel).
+with ctypes (_native). The same build's csv_rows formats the CLI's CSV
+rows (_csv_bytes), each value as Python's '%.17g' % value. Where no build
+loads (no compiler, a cache that cannot be used, a failed build, or a
+build that does not step bit for bit as the array kernels do or format
+byte for byte as % does), both drivers fall back, with the same bits, to
+those array kernels, which step on numpy arrays at any n (_array_kernel),
+and _csv_bytes to %, with the same bytes.
 
 The kernels only step; integrate screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
@@ -52,6 +55,7 @@ import binascii
 import ctypes
 import math
 import os
+import re
 from contextlib import suppress
 from enum import Enum
 from fractions import Fraction
@@ -105,6 +109,10 @@ MIN_STEP = 1e-10
 _NATIVE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_SECONDS = 120
+
+# The most bytes csv_rows of _native.c writes for one value and its
+# separator: "-1.2345678901234567e-308" and a comma.
+_CSV_VALUE_BYTES = 25
 
 # How a block of the adaptive loop ends, as rkf45_block of _native.c numbers
 # it: the block is full and the run goes on, the run reached t_end, the step
@@ -330,23 +338,35 @@ def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
         xs[r] = x
 
 
+def _native_name() -> str:
+    """The file name of a build of _NATIVE_SOURCE: native-<CRC-32>.so.
+
+    The CRC is of the source with its /* ... */ comments removed, _CFLAGS
+    and the platform, so that an edit of a comment alone keeps the name and
+    no machine builds again for it.
+    """
+    with open(_NATIVE_SOURCE, "rb") as file:
+        code = re.sub(rb"/\*.*?\*/", b"", file.read(), flags=re.DOTALL)
+    key = code + repr((_CFLAGS, platform, os.uname().machine)).encode()
+    return f"native-{binascii.crc32(key):08x}.so"
+
+
 @cache
 def _native():
-    """A build of _native.c with its two loops declared, or None where none loads.
+    """A build of _native.c with its three loops declared, or None where none loads.
 
     A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
-    ~/.cache/cycliclv, made with mode 0700, under a name from the CRC-32 of
-    the source, _CFLAGS and the platform, and is loaded from there. Without
-    one, Python's own C compiler, sysconfig's CC, builds it (_build), unless
-    the marker that name + ".failed" says that a build of it failed its
-    probe. No compiler, a cache that is not a directory of this user's that
-    only it can write to, a failed build and a failed probe all give None,
-    and integrate steps on the array kernels, with the same bits. The
-    answer holds for the process.
+    ~/.cache/cycliclv, made with mode 0700, under _native_name(), and is
+    loaded from there. Without one, Python's own C compiler, sysconfig's
+    CC, builds it (_build), unless the marker that name + ".failed" says
+    that a build of it failed its probe. No compiler, a cache that is not a
+    directory of this user's that only it can write to, a failed build and
+    a failed probe all give None, and integrate steps on the array kernels,
+    with the same bits, and _csv_bytes formats with %, with the same bytes.
+    The answer holds for the process.
     """
     try:
-        with open(_NATIVE_SOURCE, "rb") as file:
-            key = file.read() + repr((_CFLAGS, platform, os.uname().machine)).encode()
+        name = _native_name()
         home = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(home):
             home = os.path.expanduser("~/.cache")
@@ -358,7 +378,7 @@ def _native():
         stat = os.stat(folder)
         if stat.st_uid != os.getuid() or stat.st_mode & 0o022:
             return None
-        path = os.path.join(folder, f"native-{binascii.crc32(key):08x}.so")
+        path = os.path.join(folder, name)
         try:
             return _declared(ctypes.CDLL(path))
         except OSError:  # not built yet, or not a library
@@ -376,22 +396,24 @@ def _declared(lib):
     lib.rkf45_block.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64, f64, i64, ptr, ptr,
                                 ptr, ptr, ptr, i64, ptr)
     lib.rkf45_block.restype = i64
+    lib.csv_rows.argtypes = (ptr, i64, i64, ptr, i64)
+    lib.csv_rows.restype = i64
     return lib
 
 
 def _build(path: str):
-    """Build _native.c at path and return it declared, or None if it steps otherwise.
+    """Build _native.c at path and return it declared, or None if it fails its probe.
 
     First it removes the temporary files of builds that started more than
     _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
     and the builds named rk4-*.so of an older, RK4-only source.
     The build goes to a temporary file beside path, which takes path's name
-    only once a run of both loops has the bits of the array kernels
-    (_probe). A build that steps otherwise is neither cached nor used: it
-    leaves the marker path + ".failed", so that no later process builds it
-    again. Raises OSError, or AttributeError where Python records no
-    compiler, as _native expects; subprocess and sysconfig are imported
-    only here.
+    only once a run of both steppers has the bits of the array kernels and
+    csv_rows the bytes of % (_probe). A build that steps or formats
+    otherwise is neither cached nor used: it leaves the marker path +
+    ".failed", so that no later process builds it again. Raises OSError, or
+    AttributeError where Python records no compiler, as _native expects;
+    subprocess and sysconfig are imported only here.
     """
     import subprocess
     import sysconfig
@@ -425,8 +447,20 @@ def _build(path: str):
             os.remove(temporary)
 
 
+# What csv_rows must write as % does, with their negatives: a 17th digit
+# that ties, which goes to even (1000000000000000.2 and .8); the doubles
+# nearest 1e-12 and 1e24, whose digits at floor(log10) are exactly 10^16
+# but which have 17 digits one exponent lower (9.9999999999999998e-13);
+# exponents of one digit; zeros; the values that go to snprintf, a
+# subnormal, one below 1e-16 and the largest double, whose 17th digit
+# differs from a 16-digit rounding; and each layout of %g.
+_PROBE_FLOATS = (1000000000000000.25, 1000000000000000.75, 1e-12, 1e24, 1.2345678e-05, 7e-9,
+                 0.0, 5e-324, 1e-300 / 3, float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4,
+                 2.5, 123456.789, 1e16, 1e17, 1.2345e30)
+
+
 def _probe(lib) -> bool:
-    """Whether both loops of lib step as the array kernels do, bit for bit.
+    """Whether lib steps as the array kernels do, bit for bit, and formats as % does.
 
     The rates' floats are not dyadic, and a step of 0.37 moves the state by
     about its own size, so that a fused multiply-add or another order in
@@ -442,7 +476,8 @@ def _probe(lib) -> bool:
     sixth stage is NaN at x2 and x14, where a dropped zero weight leaves the
     trial state finite. Every trial of that run is rejected until
     StepUnderflow, and its last trial's state and error norm must agree,
-    NaN for NaN.
+    NaN for NaN. Then csv_rows must write _PROBE_FLOATS, a row of them and
+    a row of their negatives, byte for byte as _csv_bytes does with %.
     """
     rates = [Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13), Fraction(22, 17)]
     sys = CyclicLVSystem(rates)
@@ -471,10 +506,30 @@ def _probe(lib) -> bool:
                     got.append((count, *ended, xs[1 : count + 1].tobytes(),
                                 ts[1 : count + 1].tobytes()))
                 runs.append(got)
+    values = np.array([_PROBE_FLOATS, [-v for v in _PROBE_FLOATS]])
     return (runs[0] == runs[1]
             and all(native[:-1] == array[:-1]
                     and np.array_equal(native[-1], array[-1], equal_nan=True)
-                    for native, array in (runs[2:4], runs[4:6])))
+                    for native, array in (runs[2:4], runs[4:6]))
+            and _csv_bytes(values, lib) == _csv_bytes(values, None))
+
+
+def _csv_bytes(block: np.ndarray, lib) -> bytes:
+    """The rows of the 2-D float array block as CSV lines, each value as '%.17g' % value.
+
+    lib is a build of _native.c, whose csv_rows writes them, or None, and
+    then one % of a template for the whole block does, the reference that
+    _probe holds csv_rows to. Python's % ignores the locale, and so does
+    csv_rows.
+    """
+    rows, cols = block.shape
+    if lib is None:
+        line = ",".join(["%.17g"] * cols) + "\n"
+        return ((line * rows) % tuple(block.ravel().tolist())).encode()
+    block = np.ascontiguousarray(block, dtype=float)
+    out = np.empty(rows * max(cols, 1) * _CSV_VALUE_BYTES, np.uint8)
+    size = lib.csv_rows(block.ctypes.data, rows, cols, out.ctypes.data, len(out))
+    return out[:size].tobytes()
 
 
 def _array_kernel(sys: CyclicLVSystem, rk4: bool) -> Callable:

@@ -9,6 +9,7 @@ import subprocess
 import sysconfig
 import time
 from fractions import Fraction
+from sys import float_info
 from types import SimpleNamespace
 
 import numpy as np
@@ -738,6 +739,53 @@ class TestNativeStepper:
         (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
         assert marker.endswith(".so.failed")
 
+    # Five ways for csv_rows to write otherwise than %, each one text of
+    # _native.c and its replacement: a 17th digit that ties rounded half
+    # up, no second try one exponent lower when the digits come out 10^16,
+    # an exponent of one digit, -0.0 written 0, and 16 digits from
+    # snprintf.
+    FORMAT_MUTATIONS = {
+        "ties-half-up": (
+            "    if (low > half || (low == half && (*d & 1)))",
+            "    if (low >= half)",
+        ),
+        "no-recheck-at-10^16": ("        if (d == TEN16) {", "        if (0) {"),
+        "one-digit-exponent": (
+            "        *p++ = (char)('0' + k / 10);",
+            "        if (k > 9)\n            *p++ = (char)('0' + k / 10);",
+        ),
+        "minus-zero-as-zero": (
+            "    if (bits >> 63)\n        *p++ = '-';",
+            "    if (bits >> 63 && v != 0.0)\n        *p++ = '-';",
+        ),
+        "libc-16-digits": ('snprintf(text, sizeof text, "%.17g", v);',
+                           'snprintf(text, sizeof text, "%.16g", v);'),
+    }
+
+    @pytest.mark.parametrize("old, new", FORMAT_MUTATIONS.values(), ids=FORMAT_MUTATIONS)
+    def test_probe_refuses_a_formatter_that_writes_otherwise(self, old, new, monkeypatch,
+                                                             tmp_path, capsys):
+        # and simulate then writes the bytes of the suite's build through %
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        want = self._simulate(capsys)
+        NATIVE.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        self._mutate(monkeypatch, tmp_path, old, new)
+        assert NATIVE() is None
+        (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
+        assert marker.endswith(".so.failed")
+        assert self._simulate(capsys) == want
+
+    def test_a_comment_edit_keeps_the_build_name(self, monkeypatch, tmp_path):
+        # the name follows the code, not the comments around it
+        name = sim._native_name()
+        self._mutate(monkeypatch, tmp_path, "/* How a call of rkf45_block ended",
+                     "/* How one call of rkf45_block ended")
+        assert sim._native_name() == name
+        self._mutate(monkeypatch, tmp_path, "sixth = h / 6.0;", "sixth = h / 6.5;")
+        assert sim._native_name() != name
+
     def test_the_probe_rejects_a_fehlberg_step(self, monkeypatch):
         # a finite error norm above 1 is a rejected step of the probe's run
         # to t_end; its NaN run rejects only NaN norms
@@ -820,6 +868,141 @@ class TestNativeStepper:
         loaded = NATIVE()
         assert loaded is not None and loaded is not built
         assert sim._probe(loaded)
+
+
+def _powers_of_ten() -> list[float]:
+    """1e-323 to 1e308, each with the doubles either side of it."""
+    out = []
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        out += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+    return out
+
+
+def _halfway() -> list[float]:
+    """M/4 and M/8 for seeded odd M in [4e15, 9e15): 17th digits that tie or nearly do."""
+    rng = random.Random(43)
+    odd = [rng.randrange(4 * 10**15, 9 * 10**15) | 1 for _ in range(20_000)]
+    return [m / 4 for m in odd] + [m / 8 for m in odd]
+
+
+def _random_bits() -> list[float]:
+    """2e5 seeded random finite bit patterns, subnormals and zeros possible."""
+    bits = np.random.default_rng(43).integers(0, 2**64, 220_000, dtype=np.uint64)
+    values = bits.view(float)
+    return values[np.isfinite(values)][:200_000].tolist()
+
+
+# Values near the 128-bit path's edges: the double nearest 1e-16, which has
+# 17 digits one exponent lower, powers of ten and the largest and smallest
+# doubles, with both zeros.
+CSV_EDGES = [9.9999999999999998e-17, 1e-16, 1e16, 1e17, float_info.max, 5e-324, 0.0, -0.0,
+             math.nan, math.inf, -math.inf]
+
+
+class TestCsvBytes:
+    """_csv_bytes writes each value as '%.17g' % value does, on the native path and through %."""
+
+    FAMILIES = {"powers-of-ten": _powers_of_ten, "halfway": _halfway,
+                "random-bits": _random_bits, "edges": lambda: CSV_EDGES}
+
+    @staticmethod
+    def _lib():
+        if not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        return NATIVE()
+
+    @staticmethod
+    def _block(values) -> np.ndarray:
+        """values and their negatives in rows of 10, padded with 1.5."""
+        values = [*values, *(-v for v in values)]
+        values += [1.5] * (-len(values) % 10)
+        return np.array(values).reshape(-1, 10)
+
+    @staticmethod
+    def _percent(block: np.ndarray) -> bytes:
+        """block's CSV lines, each value through its own %."""
+        return "".join(",".join("%.17g" % v for v in row) + "\n"
+                       for row in block.tolist()).encode()
+
+    @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES)
+    def test_both_paths_write_what_percent_writes(self, family):
+        block = self._block(family())
+        want = self._percent(block)
+        assert sim._csv_bytes(block, None) == want
+        assert sim._csv_bytes(block, self._lib()) == want
+
+    def test_any_layout_and_no_rows(self):
+        # a Fortran-ordered block, a strided one, and a block of no rows
+        lib = self._lib()
+        block = self._block(_powers_of_ten())
+        for view in (np.asfortranarray(block), block[::3, ::2], block[:0]):
+            assert sim._csv_bytes(view, lib) == sim._csv_bytes(view, None) == self._percent(view)
+
+    def test_a_build_without_128_bit_integers_formats_through_snprintf(self, monkeypatch,
+                                                                        tmp_path):
+        # as on a compiler that has no unsigned __int128: every nonzero
+        # finite value goes to snprintf, and the probe passes
+        self._lib()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(sim, "_CFLAGS", (*sim._CFLAGS, "-U__SIZEOF_INT128__"))
+        NATIVE.cache_clear()
+        try:
+            lib = NATIVE()
+            assert lib is not None
+            block = self._block([*_powers_of_ten(), *_halfway()[:2000], *CSV_EDGES])
+            assert sim._csv_bytes(block, lib) == self._percent(block)
+        finally:
+            NATIVE.cache_clear()
+
+    def test_csv_rows_refuses_a_short_buffer(self):
+        # 24 bytes of "-1.2345678901234567e-308" and a separator per value
+        lib = self._lib()
+        block = np.full((3, 4), -1.2345678901234567e-308)
+        out = np.full(3 * 4 * 25, ord("#"), np.uint8)
+        assert lib.csv_rows(block.ctypes.data, 3, 4, out.ctypes.data, len(out) - 1) == -1
+        assert (out == ord("#")).all()
+        size = lib.csv_rows(block.ctypes.data, 3, 4, out.ctypes.data, len(out))
+        assert size == len(out)
+        assert out.tobytes() == self._percent(block)
+
+    @pytest.fixture
+    def comma_locale(self, monkeypatch, tmp_path):
+        """LC_NUMERIC set to a locale whose decimal point is ',', and restored after.
+
+        An installed one, else de_DE.UTF-8 built by localedef into tmp_path,
+        where glibc looks on each setlocale while LOCPATH names it.
+        """
+        import locale
+
+        before = locale.setlocale(locale.LC_NUMERIC)
+
+        def comma(name: str) -> bool:
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                return False
+            return locale.localeconv()["decimal_point"] == ","
+
+        found = any(map(comma, ["de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"]))
+        if not found and shutil.which("localedef"):
+            monkeypatch.setenv("LOCPATH", str(tmp_path))
+            subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8",
+                            str(tmp_path / "de_DE.UTF-8")], capture_output=True, timeout=120)
+            found = comma("de_DE.UTF-8")
+        if not found:
+            locale.setlocale(locale.LC_NUMERIC, before)
+            pytest.skip("no locale whose decimal point is ',' is installed or can be built")
+        yield
+        locale.setlocale(locale.LC_NUMERIC, before)
+
+    def test_the_locale_does_not_change_the_point(self, comma_locale):
+        # snprintf writes the locale's point for the values it formats
+        # (subnormals, values below 1e-16, the largest doubles); % never does
+        lib = self._lib()
+        assert "%.1f" % 1.5 == "1.5"
+        block = self._block([*CSV_EDGES, 1e-300 / 3, 2.2250738585072014e-308, 1.5e-17, 0.25])
+        assert sim._csv_bytes(block, lib) == self._percent(block)
 
 
 class TestBlocks:
