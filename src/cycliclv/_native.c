@@ -6,19 +6,20 @@
    with half = 0.5 * h, and x + sixth * (((k1 + 2 k2) + 2 k3) + k4) with
    sixth = h / 6.0.
 
-   rkf45_block runs the Fehlberg 4(5) loop of sim._rkf45_rows on the
-   operations of sim._rkf45_step: each stage and each sum of the tableau
-   left to right, as sum() adds the arrays, zero weights kept, so that a
-   NaN or infinite stage reaches every sum. sum() starts from int 0 and
-   these sums from their first term, which changes only the sign of an
-   exact zero sum; x + h * sum and fabs drop it. Then the error scale from
-   a >= b ? a : b, an error norm that keeps a NaN as np.max does, and the
-   controller min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's
+   rkf45_block runs the Fehlberg 4(5) loop of sim._rkf45_rows, one block a
+   call, on the operations of sim._rkf45_step: each stage and each sum of
+   the tableau left to right, as sum() adds the arrays, zero weights kept,
+   so that a NaN or infinite stage reaches every sum. sum() starts from int
+   0 and these sums from their first term, which changes only the sign of
+   an exact zero sum; x + h * sum and fabs drop it. Then the error scale
+   from a >= b ? a : b, an error norm that keeps a NaN as np.max does, and
+   the controller min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's
    argument order, so that a NaN norm gives 0.2. The tableau and the
    tolerances come from sim.
 
    csv_rows writes a block of doubles as CSV lines, each value as Python's
-   '%.17g' % value writes it (see put_value).
+   '%.17g' % value writes it: from about 1e-16 to 2^51 with exact digits
+   from 128-bit integers, and otherwise through snprintf (see put_value).
 
    It is built with -ffp-contract=off, so that no a * b + c becomes one
    fused multiply-add, and sim uses a build only after its two steppers
@@ -70,14 +71,15 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
 /* Fehlberg 4(5) steps from the state x, n doubles, at time run[0] with the
    trial step run[1], each accepted state written into the next row of the
    row-major (size + 1, n) array xs after row 0 and its time into ts, until
-   the block is full, the run ends or it fails. tableau holds the rows of
-   the stage matrix A, 15 entries, then the 6 fourth-order weights and the
-   6 error weights. state holds the steps accepted so far and the end code
-   of the last call: after FULL, the accepted state that did not fit, in x,
-   goes into row 1 first. Returns the rows written, and leaves in run the
+   the block is full, the run ends or it fails. A full block ends the call
+   before its next trial, so a call resumes from run, state[0] and x alone,
+   and after FULL the accepted count is the rows written. tableau holds the
+   rows of the stage matrix A, 15 entries, then the 6 fourth-order weights
+   and the 6 error weights. Returns the rows written, and leaves in run the
    time, the next trial step and the last trial's error norm, in state the
-   count and the end code, and in x the last accepted state. work holds
-   8 n doubles: the six stages, a stage state and the last trial's state. */
+   steps accepted so far and the end code, and in x the last accepted
+   state. work holds 8 n doubles: the six stages, a stage state and the
+   last trial's state. */
 int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2,
                     const double *c2, const double *tableau, double rel_tol, double abs_tol,
                     double min_step, double t_end, int64_t limit, double *run, int64_t *state,
@@ -87,12 +89,11 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
     double *k = work, *y = work + 6 * n, *z = work + 7 * n;
     double t = run[0], h = run[1], m = run[2];
     int64_t accepted = state[0], row = 0, end = DONE;
-    if (state[1] == FULL) {
-        row = 1;
-        ts[1] = t;
-        memcpy(xs + n, x, n * sizeof *x);
-    }
     while (end == DONE && t < t_end * (1.0 - 1e-14)) {
+        if (row == size) {
+            end = FULL;
+            break;
+        }
         double rest = t_end - t;
         h = rest < h ? rest : h;
         field(n, j1, c1, j2, c2, x, k);
@@ -132,9 +133,6 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
             memcpy(x, z, n * sizeof *x);
             if (accepted == limit) {
                 end = LIMIT;
-            } else if (row == size) {
-                end = FULL;
-                accepted++;
             } else {
                 accepted++;
                 row++;
@@ -182,45 +180,28 @@ static u128 pow5(int q)
 }
 
 /* The 17 significant digits of m 2^e at decimal exponent k: m 2^e 10^(16 - k)
-   rounded half to even, exactly, in 128-bit integers. Returns 0 where they
-   need more than 128 bits. With q = 16 - k >= 0 that is m 5^q shifted by
-   e + q bits; with q < 0, m shifted by e + q bits and divided by 5^-q. */
+   rounded half to even, exactly, in 128-bit integers, as m 5^q shifted
+   right by s = -(e + q) bits, q = 16 - k. Returns 0 where that is no right
+   shift, from m 2^e = 2^51 up, or needs more than 128 bits, below about
+   1e-16. */
 static int digits17(uint64_t m, int e, int k, u128 *d)
 {
-    int q = 16 - k, s = e + q;
+    int q = 16 - k, s = -(e + q);
     u128 n, low, half;
-    if (q >= 0) {
-        if (q > 54 || __builtin_mul_overflow((u128)m, pow5(q), &n))
-            return 0;
-        if (s >= 0) {
-            if (s > 63 || n >> (127 - s))
-                return 0;
-            *d = n << s;
-            return 1;
-        }
-        if (-s > 127)
-            return 0;
-        *d = n >> -s;
-        low = n & (((u128)1 << -s) - 1);
-        half = (u128)1 << (-s - 1);
-    } else {
-        if (-q > 54 || s < 0 || s > 63)
-            return 0;
-        n = (u128)m << s;
-        half = pow5(-q);
-        *d = n / half;
-        /* twice the remainder against the divisor */
-        low = 2 * (n % half);
-    }
+    if (q < 0 || q > 54 || s <= 0 || s > 127 || __builtin_mul_overflow((u128)m, pow5(q), &n))
+        return 0;
+    *d = n >> s;
+    low = n & (((u128)1 << s) - 1);
+    half = (u128)1 << (s - 1);
     if (low > half || (low == half && (*d & 1)))
         *d += 1;
     return 1;
 }
 
-/* Writes the 17-digit significand d at decimal exponent k as '%.17g' lays
-   it out: fixed notation for k from -4 to 16, else d.ddde+kk with at least
-   two exponent digits, and no trailing zeros or bare point. Returns the end
-   of what it wrote. */
+/* Writes the 17-digit significand d at decimal exponent k, from -16 to 15
+   as digits17 gives it, as '%.17g' lays it out: d.ddde-kk below -4, else
+   fixed notation, and no trailing zeros or bare point. Returns the end of
+   what it wrote. */
 static char *put_digits(char *p, uint64_t d, int k)
 {
     char g[17];
@@ -229,7 +210,7 @@ static char *put_digits(char *p, uint64_t d, int k)
         g[i] = (char)('0' + d % 10);
     while (g[nd - 1] == '0')
         nd--;
-    if (k < -4 || k > 16) {
+    if (k < -4) {
         *p++ = g[0];
         if (nd > 1) {
             *p++ = '.';
@@ -237,11 +218,9 @@ static char *put_digits(char *p, uint64_t d, int k)
             p += nd - 1;
         }
         *p++ = 'e';
-        *p++ = k < 0 ? '-' : '+';
-        k = k < 0 ? -k : k;
-        /* digits17 holds no exponent past 99 */
-        *p++ = (char)('0' + k / 10);
-        *p++ = (char)('0' + k % 10);
+        *p++ = '-';
+        *p++ = (char)('0' + -k / 10);
+        *p++ = (char)('0' + -k % 10);
     } else if (k < 0) {
         *p++ = '0';
         *p++ = '.';
@@ -264,8 +243,8 @@ static char *put_digits(char *p, uint64_t d, int k)
 #endif
 
 /* Writes v as Python's '%.17g' % v: nan, inf and -inf, -0 for -0.0, and
-   correctly rounded digits, ties to even. A normal double whose digits fit
-   in 128 bits (about 1e-16 <= |v| < 1e46) gets them from digits17, at the
+   correctly rounded digits, ties to even. A normal double from about 1e-16
+   up to 2^51, the range that runs write, gets them from digits17, at the
    exponent floor(log10 |v|) moved until its digits lie in [10^16, 10^17).
    Digits of exactly 10^16 may also be those of a value just below 10^k
    that has 17 digits at k - 1, so that exponent is tried too and kept when

@@ -447,16 +447,17 @@ def _build(path: str):
             os.remove(temporary)
 
 
-# What csv_rows must write as % does, with their negatives: a 17th digit
-# that ties, which goes to even (1000000000000000.2 and .8); the doubles
-# nearest 1e-12 and 1e24, whose digits at floor(log10) are exactly 10^16
-# but which have 17 digits one exponent lower (9.9999999999999998e-13);
-# exponents of one digit; zeros; the values that go to snprintf, a
-# subnormal, one below 1e-16 and the largest double, whose 17th digit
-# differs from a 16-digit rounding; and each layout of %g.
-_PROBE_FLOATS = (1000000000000000.25, 1000000000000000.75, 1e-12, 1e24, 1.2345678e-05, 7e-9,
-                 0.0, 5e-324, 1e-300 / 3, float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4,
-                 2.5, 123456.789, 1e16, 1e17, 1.2345e30)
+# What csv_rows must write as % does, with their negatives: 17th digits that
+# tie, which go to even (1000000000000000.2 and .8, 2251799813685247.8 just
+# below 2^51); the double nearest 1e-12, whose digits at floor(log10) are
+# exactly 10^16 but which has 17 digits one exponent lower; exponents of one
+# digit; zeros; the values that go to snprintf, 2^51 + 0.5, 1e24, a subnormal,
+# one below 1e-16 and the largest double, whose 17th digit differs from a
+# 16-digit rounding; and each layout of %g.
+_PROBE_FLOATS = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 1e-12,
+                 2251799813685248.5, 1e24, 1.2345678e-05, 7e-9, 0.0, 5e-324, 1e-300 / 3,
+                 float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4, 2.5, 123456.789, 1e16,
+                 1e17, 1.2345e30)
 
 
 def _probe(lib) -> bool:
@@ -477,7 +478,8 @@ def _probe(lib) -> bool:
     trial state finite. Every trial of that run is rejected until
     StepUnderflow, and its last trial's state and error norm must agree,
     NaN for NaN. Then csv_rows must write _PROBE_FLOATS, a row of them and
-    a row of their negatives, byte for byte as _csv_bytes does with %.
+    a row of their negatives, byte for byte as _csv_bytes does with %, on
+    both sides of 2^51, where csv_rows turns from its digits to snprintf's.
     """
     rates = [Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13), Fraction(22, 17)]
     sys = CyclicLVSystem(rates)
@@ -548,9 +550,10 @@ def _native_kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
     For RK4 it is rk4_steps, called as _rk4_steps is, with (xs, row, count,
     h). For RKF45 it is rkf45_block, called as _rkf45_rows is once its step
     is bound, with (x, xs, ts, t_end, h, limit): a generator that yields and
-    returns what _rkf45_rows does. It reads REL_TOL, ABS_TOL and MIN_STEP
-    when a run starts. Raises InputError, as _terms does, for a rate whose
-    float overflows or rounds to zero.
+    returns what _rkf45_rows does, a call per block, each resumed from what
+    the last one left. It reads REL_TOL, ABS_TOL and MIN_STEP when a run
+    starts. Raises InputError, as _terms does, for a rate whose float
+    overflows or rounds to zero.
     """
     n = sys.n
     terms = [np.ascontiguousarray(a, kind) for a, kind in zip(_terms(sys), (np.int64, float) * 2)]
@@ -576,12 +579,12 @@ def _native_kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
 
     def blocks(x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
         # the state; t, the trial step and the error norm; the accepted
-        # count and the end code; the six stages, a stage state and the
-        # trial state
+        # count and the end code, which rkf45_block only writes; the six
+        # stages, a stage state and the trial state
         x, run = np.array(x, dtype=float), np.array([0.0, h, 0.0])
         check(xs, len(xs) > 1 and x.shape == (n,) and ts.flags.c_contiguous
               and ts.dtype == float and ts.shape == (len(xs),))
-        state, work = np.array([0, _DONE], dtype=np.int64), np.empty(8 * n)
+        state, work = np.zeros(2, dtype=np.int64), np.empty(8 * n)
         tolerances = (REL_TOL, ABS_TOL, MIN_STEP)
         while True:
             rows = lib.rkf45_block(n, j1, c1, j2, c2, tableau.ctypes.data, *tolerances, t_end,
@@ -639,20 +642,21 @@ def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float,
 
     step(x, h) is _rkf45_step with its field bound: it returns the new state
     and its error norm. Each accepted state goes into the next row of xs
-    after row 0 and its time into ts. A block ends _FULL just before the row
-    that would not fit, so only the last one can be short; the last ends
-    _DONE at t_end, _UNDERFLOW when a rejected step times its factor falls
-    below MIN_STEP, or _LIMIT when a step is accepted after limit steps.
-    Each yield gives the rows written, the end, t and the next trial step,
-    the one that fell below MIN_STEP at _UNDERFLOW. Returns the last trial's
-    new state and error norm, which _probe compares. rkf45_block of
-    _native.c runs this loop in C (_native_kernel).
+    after row 0 and its time into ts. A full block ends _FULL before the
+    next trial, so the steps accepted by then are the rows yielded; only the
+    last block can be short, and it ends _DONE at t_end, _UNDERFLOW when a
+    rejected step times its factor falls below MIN_STEP, or _LIMIT when a
+    step is accepted after limit steps. Each yield gives the rows written,
+    the end, t and the next trial step, the one that fell below MIN_STEP at
+    _UNDERFLOW. Returns the last trial's new state and error norm, which
+    _probe compares. rkf45_block of _native.c runs this loop in C.
     """
-    size = len(xs) - 1
-    t = 0.0
+    size, t, end = len(xs) - 1, 0.0, _DONE
     row = accepted = 0
-    end = _DONE
     while end == _DONE and t < t_end * (1.0 - 1e-14):
+        if row == size:
+            yield row, _FULL, t, h
+            row = 0
         h = min(h, t_end - t)
         x_new, enorm = step(x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
@@ -662,9 +666,6 @@ def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float,
             if accepted == limit:
                 end = _LIMIT
             else:
-                if row == size:
-                    yield row, _FULL, t, h * factor
-                    row = 0
                 accepted += 1
                 row += 1
                 ts[row], xs[row] = t, x
@@ -692,6 +693,17 @@ def _rkf45_blocks(rows, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig
             yield count, None
 
 
+def _first_failure(block: np.ndarray, drift: np.ndarray) -> tuple[int, int]:
+    """The first row of block that fails the screen, len(block) if none does, and its failure.
+
+    A row's failures, in order: in column i < n, x_(i+1) not finite; in n,
+    a coordinate below POSITIVITY_FLOOR; in n + j, H_j's drift not finite.
+    """
+    fails = np.column_stack((~np.isfinite(block), block.min(axis=1) < POSITIVITY_FLOOR,
+                             ~np.isfinite(drift)))
+    return divmod(int(np.argmax(fails)), fails.shape[1]) if fails.any() else (len(block), 0)
+
+
 def integrate(
     sys: CyclicLVSystem,
     x0: Sequence,
@@ -712,22 +724,22 @@ def integrate(
     sink the run's memory is one block, and it returns the Trajectory of its
     last row alone with max_drift. Without one the kept rows are collected
     into the returned Trajectory, so its memory is those rows and one block.
-    Raises InputError up front, in this order, for a
-    sample_every that is not a positive integer, an x0 of the wrong length
-    or with an entry that is not a real number in the float range, a
-    nonzero rate or exponent whose float overflows or rounds to zero, a
-    basis whose exponent vectors have another length than the system, an x0
-    that the row screen fails (an entry NaN, infinite or below
+    Raises InputError up front, in this order, for a sample_every that is
+    not a positive integer, an x0 of the wrong length or with an entry that
+    is not a real number in the float range, a nonzero rate or exponent
+    whose float overflows or rounds to zero, a basis whose exponent vectors
+    have another length than the system, an x0 that fails the row screen,
+    which sees x0 before any step (an entry NaN, infinite or below
     POSITIVITY_FLOOR, or an integral outside the float range), and an RK4
-    run whose t_end / step passes its step limit, the lower of MAX_STEPS
-    and MAX_STORED_FLOATS // n. During the run it raises
-    PositivityBreached if a coordinate falls below POSITIVITY_FLOOR,
-    NonFiniteState if one becomes NaN or infinite, IntegralOutOfRange if an
-    integral's drift is not finite, a monomial outside LOG_RANGE being NaN,
-    StepUnderflow if the adaptive controller cannot satisfy its tolerances
-    above MIN_STEP, and StepLimitReached if an adaptive run reaches its step
-    limit; each carries the Trajectory up to the failure as ``trajectory``,
-    sampled the same way, or its last row alone when a sink took the rows.
+    run whose t_end / step passes its step limit, the lower of MAX_STEPS and
+    MAX_STORED_FLOATS // n. During the run it raises PositivityBreached if a
+    coordinate falls below POSITIVITY_FLOOR, NonFiniteState if one becomes
+    NaN or infinite, IntegralOutOfRange if an integral's drift is not
+    finite, a monomial outside LOG_RANGE being NaN, StepUnderflow if the
+    adaptive controller cannot satisfy its tolerances above MIN_STEP, and
+    StepLimitReached if an adaptive run reaches its step limit; each carries
+    the Trajectory up to the failure as ``trajectory``, sampled the same
+    way, or its last row alone when a sink took the rows.
     """
     if isinstance(sample_every, bool) or not (isinstance(sample_every, int) and sample_every >= 1):
         raise InputError(f"sample_every must be a positive integer, got {sample_every!r}")
@@ -755,45 +767,33 @@ def integrate(
     base = first = 0
     with np.errstate(all="ignore"):
         start = _values(x[None], exponents)[0]
-        # row 0 alone before the first step, then the driver's blocks, the
-        # first from row 0 again, so that the sink gets no row before the
-        # driver has stepped and every InputError is raised
-        for stepped, (rows, abort) in enumerate(chain([(0, None)], blocks)):
+        # x0 before the driver starts; once its coordinates pass, its drifts
+        # are finite where its values are
+        row, column = _first_failure(x[None], start[None])
+        if row == 0:
+            raise InputError(
+                ("initial state must be finite and at least the positivity floor "
+                 f"{POSITIVITY_FLOOR:g}") if column <= sys.n else
+                (f"integral H{column - sys.n} is outside the float range "
+                 "at the initial state")
+            )
+        for rows, abort in blocks:
             block = xs[first : rows + 1]
             values = _values(block, exponents)
-            # once row 0 passed the range rule, every start is a positive float
+            # once x0 passed the range rule, every start is a positive float
             drift = np.abs(values - start) / start
-            # each row, in order: a coordinate not finite, one below the
-            # floor, a drift not finite
-            fails = np.column_stack((
-                ~np.isfinite(block),
-                block.min(axis=1) < POSITIVITY_FLOOR,
-                ~np.isfinite(drift),
-            ))
-            good = len(block)
-            if fails.any():
-                # the first failing row, and its first failure
-                row, column = divmod(int(np.argmax(fails)), fails.shape[1])
-                if not stepped:  # row 0, x0
-                    raise InputError(
-                        ("initial state must be finite and at least the positivity floor "
-                         f"{POSITIVITY_FLOOR:g}") if column <= sys.n else
-                        (f"integral H{column - sys.n} is outside the float range "
-                         "at the initial state")
-                    )
-                when = float(ts[first + row])
+            good, column = _first_failure(block, drift)
+            if good < len(block):
+                when = float(ts[first + good])
                 if column < sys.n:
                     abort = NonFiniteState(when, f"coordinate x{column + 1} became non-finite")
                 elif column == sys.n:
-                    low = int(np.argmin(block[row])) + 1
+                    low = int(np.argmin(block[good])) + 1
                     abort = PositivityBreached(
                         when, f"coordinate x{low} fell below the positivity floor")
                 else:
                     abort = IntegralOutOfRange(
                         when, f"integral H{column - sys.n} left the float range")
-                good = row
-            if not stepped:
-                continue
             if good:
                 # copies, as the next block overwrites xs and ts
                 columns = (ts[first : rows + 1], block, values, drift)

@@ -581,6 +581,50 @@ class TestKernelsAgree:
         assert (rows, abort[0]) == (fails, PositivityBreached)
         assert fails <= taken <= fails + 7
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_full_block_has_accepted_its_rows(self, kernel, monkeypatch):
+        # A block ends _FULL before its next trial, so at each _FULL the
+        # steps accepted so far are the rows yielded so far, and a call
+        # resumes from its state alone. The native loop's count is the
+        # first entry of its state after each call of rkf45_block; the
+        # array kernel's is the error norms at or below 1 that _rkf45_step
+        # returns.
+        accepted = 0
+        sys = make_system([1, 2, 2, 1, 2])
+        if kernel == "native":
+            if not _has_compiler():
+                pytest.skip("the C compiler Python was built with is not installed")
+            lib = NATIVE()
+
+            def rkf45_block(*args):
+                nonlocal accepted
+                rows = lib.rkf45_block(*args)
+                # args[12] points at the state
+                accepted = ctypes.c_int64.from_address(args[12]).value
+                return rows
+
+            blocks = sim._native_kernel(SimpleNamespace(rkf45_block=rkf45_block), sys, False)
+        else:
+            step = sim._rkf45_step
+
+            def counted(f, x, h):
+                nonlocal accepted
+                out = step(f, x, h)
+                accepted += out[1] <= 1.0
+                return out
+
+            monkeypatch.setattr(sim, "_rkf45_step", counted)
+            blocks = sim._array_kernel(sys, False)
+        xs, ts = np.empty((8, sys.n)), np.empty(8)
+        xs[0] = [1.0, 1.1, 0.9, 1.0, 1.05]
+        written = full = 0
+        for rows, end, *_ in blocks(xs[0].copy(), xs, ts, 1.0, 0.01, sim.MAX_STEPS):
+            written += rows
+            if end == sim._FULL:
+                full += 1
+                assert accepted == written
+        assert full >= 2 and end == sim._DONE and accepted == written
+
     def test_step_limit_on_both_kernels(self, monkeypatch):
         # 1100 steps go past the 1024 rows an adaptive run once allocated
         # first, so the limit is met after the storage has grown
@@ -751,8 +795,8 @@ class TestNativeStepper:
         ),
         "no-recheck-at-10^16": ("        if (d == TEN16) {", "        if (0) {"),
         "one-digit-exponent": (
-            "        *p++ = (char)('0' + k / 10);",
-            "        if (k > 9)\n            *p++ = (char)('0' + k / 10);",
+            "        *p++ = (char)('0' + -k / 10);",
+            "        if (-k > 9)\n            *p++ = (char)('0' + -k / 10);",
         ),
         "minus-zero-as-zero": (
             "    if (bits >> 63)\n        *p++ = '-';",
@@ -895,9 +939,12 @@ def _random_bits() -> list[float]:
 
 # Values near the 128-bit path's edges: the double nearest 1e-16, which has
 # 17 digits one exponent lower, powers of ten and the largest and smallest
-# doubles, with both zeros.
-CSV_EDGES = [9.9999999999999998e-17, 1e-16, 1e16, 1e17, float_info.max, 5e-324, 0.0, -0.0,
-             math.nan, math.inf, -math.inf]
+# doubles, with both zeros; and 2^50, 2^51, where the path hands over to
+# snprintf, 2^52, 1e15 and 1e16, each with the doubles either side of it.
+CSV_EDGES = [9.9999999999999998e-17, 1e-16, 1e17, float_info.max, 5e-324, 0.0, -0.0,
+             math.nan, math.inf, -math.inf,
+             *(w for v in (2.0**50, 2.0**51, 2.0**52, 1e15, 1e16)
+               for w in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)))]
 
 
 class TestCsvBytes:
@@ -998,10 +1045,12 @@ class TestCsvBytes:
 
     def test_the_locale_does_not_change_the_point(self, comma_locale):
         # snprintf writes the locale's point for the values it formats
-        # (subnormals, values below 1e-16, the largest doubles); % never does
+        # (subnormals, values below 1e-16, from 2^51 up, where 2^51 + 0.5 is
+        # the first it writes in fixed notation with a point); % never does
         lib = self._lib()
         assert "%.1f" % 1.5 == "1.5"
-        block = self._block([*CSV_EDGES, 1e-300 / 3, 2.2250738585072014e-308, 1.5e-17, 0.25])
+        block = self._block([*CSV_EDGES, 1e-300 / 3, 2.2250738585072014e-308, 1.5e-17, 0.25,
+                             2251799813685248.5])
         assert sim._csv_bytes(block, lib) == self._percent(block)
 
 
