@@ -1,4 +1,5 @@
-/* The native steppers of the cyclic Lotka-Volterra field, for cycliclv.sim.
+/* The native code of cycliclv.sim: the steppers of the cyclic Lotka-Volterra
+   field, the pass over each block of states, and the CSV formatter.
 
    rk4_steps does the operations of sim._rk4_steps entry by entry in the
    same order, so each new state has the same bits: each field entry as
@@ -17,14 +18,21 @@
    argument order, so that a NaN norm gives 0.2. The tableau and the
    tolerances come from sim.
 
+   block_pass does the rest of sim.integrate's pass over a block once numpy
+   has taken each row's H1 and each monomial's s = lam . log x: each value
+   as exp(s), the libm exp that Python's math.exp calls, or NaN where s is
+   out of range, each drift as fabs(v - start) / start, the row screen in
+   the order of sim._first_failure, and the largest drift of each integral
+   over the rows that pass, as np.maximum folds them.
+
    csv_rows writes a block of doubles as CSV lines, each value as Python's
    '%.17g' % value writes it: from about 1e-16 to 2^51 with exact digits
    from 128-bit integers, and otherwise through snprintf (see put_value).
 
    It is built with -ffp-contract=off, so that no a * b + c becomes one
    fused multiply-add, and sim uses a build only after its two steppers
-   have matched the Python kernels bit for bit and csv_rows has matched
-   Python's % byte for byte. */
+   have matched the Python kernels bit for bit, block_pass the numpy pass,
+   and csv_rows has matched Python's % byte for byte. */
 
 #include <math.h>
 #include <stdint.h>
@@ -150,6 +158,46 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
     state[0] = accepted;
     state[1] = end;
     return row;
+}
+
+/* The pass of sim.integrate over a block of rows states of n coordinates,
+   the row-major array xs. values, row-major (rows, 1 + m), comes holding
+   each row's H1 and each monomial's s = lam . log x, as numpy computes
+   them; each s becomes its monomial's value, exp(s), or NaN when it lies
+   outside [lo, hi], and each value's drift, fabs(v - start) / start, goes
+   into drift. Each row is screened in sim._first_failure's order: a
+   coordinate that is not finite, then one below floor, then a drift that
+   is not finite. The pass stops at the first row that fails, and folds
+   the drifts of each row before it into max_drift. Returns the place of
+   that failure in the row-major (rows, n + 2 + m) table of failures that
+   sim._first_failure reads, or rows times its width when no row fails. */
+int64_t block_pass(int64_t rows, int64_t n, int64_t m, const double *xs, double *values,
+                   double *drift, const double *start, double *max_drift, double lo, double hi,
+                   double floor)
+{
+    int64_t width = n + 2 + m;
+    for (int64_t r = 0; r < rows; r++, xs += n, values += m + 1, drift += m + 1) {
+        int low = 0;
+        for (int64_t i = 0; i < n; i++) {
+            if (!isfinite(xs[i]))
+                return r * width + i;
+            low |= xs[i] < floor;
+        }
+        for (int64_t j = 0; j <= m; j++) {
+            double v = values[j];
+            if (j)
+                values[j] = v = v < lo || v > hi ? NAN : exp(v);
+            drift[j] = fabs(v - start[j]) / start[j];
+        }
+        if (low)
+            return r * width + n;
+        for (int64_t j = 0; j <= m; j++)
+            if (!isfinite(drift[j]))
+                return r * width + n + 1 + j;
+        for (int64_t j = 0; j <= m; j++)
+            max_drift[j] = drift[j] > max_drift[j] ? drift[j] : max_drift[j];
+    }
+    return rows * width;
 }
 
 /* 10^16 and 10^17, the bounds of a 17-digit significand, and the most

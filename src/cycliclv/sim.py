@@ -4,10 +4,11 @@ Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
 the embedded Fehlberg 4(5) pair with proportional step control. A run goes
 in blocks of at most _BLOCK_ROWS rows. Either driver steps into one reused
 block buffer, where RK4 starts each block from the last row of the one before;
-then one vectorised pass over the block evaluates each first integral of the
-basis, its relative drift |H - H(x0)| / H(x0) from its value at the initial
-state, which the range rule below keeps a positive float, and the screen
-below. A run keeps the times, states, values and drifts of every
+then one pass over the block evaluates each first integral of the basis and
+its relative drift |H - H(x0)| / H(x0) from its value at the initial state,
+which the range rule below keeps a positive float, applies the screen below,
+and folds the drifts of the rows that pass into each integral's largest.
+A run keeps the times, states, values and drifts of every
 sample_every-th row and of the last, and each integral's largest drift over
 every row. Each block's kept rows go to a row sink once the block passes
 the screen: integrate's caller may pass one, as the CLI passes its CSV
@@ -20,13 +21,16 @@ Both drivers step on native code wherever they can, at any n: rk4_steps
 and rkf45_block of _native.c, which do the operations of _rk4_steps and of
 _rkf45_rows on _rkf45_step entry by entry in the same order, built once per
 machine with Python's own C compiler into the per-user cache and loaded
-with ctypes (_native). The same build's csv_rows formats the CLI's CSV
-rows (_csv_bytes), each value as Python's '%.17g' % value. Where no build
-loads (no compiler, a cache that cannot be used, a failed build, or a
-build that does not step bit for bit as the array kernels do or format
+with ctypes (_native). The same build's block_pass does the pass over each
+block (_native_pass) from the H1 and the s = lam . log x of each row, which
+numpy still computes (_logs): each monomial's exp(s), the drifts, the
+screen and the largest drifts. Its csv_rows formats the CLI's CSV rows
+(_csv_bytes), each value as Python's '%.17g' % value. Where no build loads
+(no compiler, a cache that cannot be used, a failed build, or a build that
+does not step, evaluate and screen bit for bit as numpy does or format
 byte for byte as % does), both drivers fall back, with the same bits, to
-those array kernels, which step on numpy arrays at any n (_array_kernel),
-and _csv_bytes to %, with the same bytes.
+the array kernels, which step on numpy arrays at any n (_array_kernel),
+the pass to numpy (_array_pass), and _csv_bytes to %, with the same bytes.
 
 The kernels only step; integrate screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
@@ -270,17 +274,15 @@ def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
-    """H1 and each monomial for every row, shape (rows, 1 + m).
+def _logs(x: np.ndarray, exponents: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """H1 and each monomial's s = lam . log x for every row, one array each.
 
-    exponents holds each monomial's float exponent vector. A monomial whose
-    s = lam . log x lies outside LOG_RANGE is NaN, as math.exp(nan) is.
-    Each other value has the same bits as evaluating that state alone with
-    sum(x) and math.exp(np.dot(lam, log x)). x @ lam sums in another order
-    and np.exp rounds differently from math.exp. np.dot sends contiguous
-    operands to BLAS ddot, which uses FMA, and strided ones to numpy's own
-    loop: the rows of the F-ordered x[:, support] are strided, and on one
-    n=9 trajectory of 1001 rows, 479 of their dots differed from those of
+    exponents holds each monomial's float exponent vector. H1 has the bits
+    of sum(x) and each s those of np.dot(lam, log x), each on that state
+    alone. x @ lam sums in another order. np.dot sends contiguous operands
+    to BLAS ddot, which uses FMA, and strided ones to numpy's own loop: the
+    rows of the F-ordered x[:, support] are strided, and on one n=9
+    trajectory of 1001 rows, 479 of their dots differed from those of
     contiguous copies. So the support columns are taken with np.compress,
     whose result is C-ordered, and one np.matmul of (rows, 1, m) by (m, 1)
     sends each contiguous row of logs through the same ddot. np.log runs on
@@ -294,7 +296,20 @@ def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
         support = lam != 0.0
         # C-ordered, where x[:, support] would be F-ordered
         logs = np.log(np.compress(support, x, axis=1))
-        s = np.matmul(logs[:, None, :], lam[support][:, None])[:, 0, 0]
+        columns.append(np.matmul(logs[:, None, :], lam[support][:, None])[:, 0, 0])
+    return columns
+
+
+def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
+    """H1 and each monomial for every row, shape (rows, 1 + m).
+
+    Each monomial is math.exp(s) of its s from _logs, not np.exp(s), which
+    rounds otherwise; it is NaN, as math.exp(nan) is, where s lies outside
+    LOG_RANGE. So each value has the bits of evaluating that state alone.
+    """
+    h1, *logs = _logs(x, exponents)
+    columns = [h1]
+    for s in logs:
         s[(s < LOG_RANGE[0]) | (s > LOG_RANGE[1])] = math.nan
         columns.append(np.fromiter(map(math.exp, s.tolist()), dtype=float, count=len(s)))
     return np.column_stack(columns)
@@ -353,7 +368,7 @@ def _native_name() -> str:
 
 @cache
 def _native():
-    """A build of _native.c with its three loops declared, or None where none loads.
+    """A build of _native.c with its four functions declared, or None where none loads.
 
     A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
     ~/.cache/cycliclv, made with mode 0700, under _native_name(), and is
@@ -361,8 +376,9 @@ def _native():
     CC, builds it (_build), unless the marker that name + ".failed" says
     that a build of it failed its probe. No compiler, a cache that is not a
     directory of this user's that only it can write to, a failed build and
-    a failed probe all give None, and integrate steps on the array kernels,
-    with the same bits, and _csv_bytes formats with %, with the same bytes.
+    a failed probe all give None, and integrate steps on the array kernels
+    and passes over each block on numpy, with the same bits, and _csv_bytes
+    formats with %, with the same bytes.
     The answer holds for the process.
     """
     try:
@@ -383,13 +399,13 @@ def _native():
             return _declared(ctypes.CDLL(path))
         except OSError:  # not built yet, or not a library
             return None if os.path.exists(f"{path}.failed") else _build(path)
-    # AttributeError: a library without one of the loops, or no os.uname or os.getuid
+    # AttributeError: a library without one of the functions, or no os.uname or os.getuid
     except (OSError, AttributeError):
         return None
 
 
 def _declared(lib):
-    """lib, with the argument and result types of its loops' C declarations."""
+    """lib, with the argument and result types of its functions' C declarations."""
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.rk4_steps.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, ptr)
     lib.rk4_steps.restype = None
@@ -398,6 +414,8 @@ def _declared(lib):
     lib.rkf45_block.restype = i64
     lib.csv_rows.argtypes = (ptr, i64, i64, ptr, i64)
     lib.csv_rows.restype = i64
+    lib.block_pass.argtypes = (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64)
+    lib.block_pass.restype = i64
     return lib
 
 
@@ -408,12 +426,13 @@ def _build(path: str):
     _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
     and the builds named rk4-*.so of an older, RK4-only source.
     The build goes to a temporary file beside path, which takes path's name
-    only once a run of both steppers has the bits of the array kernels and
-    csv_rows the bytes of % (_probe). A build that steps or formats
-    otherwise is neither cached nor used: it leaves the marker path +
-    ".failed", so that no later process builds it again. Raises OSError, or
-    AttributeError where Python records no compiler, as _native expects;
-    subprocess and sysconfig are imported only here.
+    only once a run of both steppers has the bits of the array kernels,
+    block_pass those of the numpy pass and csv_rows the bytes of % (_probe).
+    A build that steps, passes or formats otherwise is neither cached nor
+    used: it leaves the marker path + ".failed", so that no later process
+    builds it again. Raises OSError, or AttributeError where Python records
+    no compiler, as _native expects; subprocess and sysconfig are imported
+    only here.
     """
     import subprocess
     import sysconfig
@@ -459,9 +478,24 @@ _PROBE_FLOATS = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 
                  float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4, 2.5, 123456.789, 1e16,
                  1e17, 1.2345e30)
 
+# What block_pass must evaluate and screen as the numpy pass does. The two
+# monomials' s are 30 log x1 - 1.5 log x2 and 0.5 log x1 + 0.25 log x2 -
+# 40 log x3. The first six rows pass: row 0 is the start, and row 5 sits on
+# POSITIVITY_FLOOR. Each later row fails: a NaN and an infinite coordinate;
+# one below the floor with larger drifts than any row before it, and one
+# below the floor whose s is also past LOG_RANGE; the first s past each end
+# of LOG_RANGE and the second past its top; and an H1 that overflows. The
+# probe passes over the first six rows alone, and over them followed by
+# each failing row and then the second row again.
+_PROBE_EXPONENTS = ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))
+_PROBE_ROWS = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),
+               (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
+               (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
+               (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
+
 
 def _probe(lib) -> bool:
-    """Whether lib steps as the array kernels do, bit for bit, and formats as % does.
+    """Whether lib steps and passes over blocks as numpy does, bit for bit, and formats as %.
 
     The rates' floats are not dyadic, and a step of 0.37 moves the state by
     about its own size, so that a fused multiply-add or another order in
@@ -480,6 +514,10 @@ def _probe(lib) -> bool:
     NaN for NaN. Then csv_rows must write _PROBE_FLOATS, a row of them and
     a row of their negatives, byte for byte as _csv_bytes does with %, on
     both sides of 2^51, where csv_rows turns from its digits to snprintf's.
+    Last, _native_pass must give each block of _PROBE_ROWS the first failing
+    row and failure, and the values, drifts and max_drift of the rows before
+    it, that _array_pass gives, bit for bit: the floor test, exp, the drift,
+    the screen's order and the rows max_drift folds in all show there.
     """
     rates = [Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13), Fraction(22, 17)]
     sys = CyclicLVSystem(rates)
@@ -508,12 +546,25 @@ def _probe(lib) -> bool:
                     got.append((count, *ended, xs[1 : count + 1].tobytes(),
                                 ts[1 : count + 1].tobytes()))
                 runs.append(got)
+        exponents = [np.array(lam) for lam in _PROBE_EXPONENTS]
+        start = _values(np.array(_PROBE_ROWS[:1]), exponents)[0]
+        screens = []
+        for tail in ((), *((row, _PROBE_ROWS[1]) for row in _PROBE_ROWS[6:])):
+            block = np.array([*_PROBE_ROWS[:6], *tail])
+            for native in (True, False):
+                max_drift = np.zeros(len(start))
+                evaluate = (_native_pass(lib, exponents, start, max_drift, len(block)) if native
+                            else _array_pass(exponents, start, max_drift))
+                values, drift, good, column = evaluate(block)
+                screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
+                                max_drift.tobytes()))
     values = np.array([_PROBE_FLOATS, [-v for v in _PROBE_FLOATS]])
     return (runs[0] == runs[1]
             and all(native[:-1] == array[:-1]
                     and np.array_equal(native[-1], array[-1], equal_nan=True)
                     for native, array in (runs[2:4], runs[4:6]))
-            and _csv_bytes(values, lib) == _csv_bytes(values, None))
+            and _csv_bytes(values, lib) == _csv_bytes(values, None)
+            and screens[0::2] == screens[1::2])
 
 
 def _csv_bytes(block: np.ndarray, lib) -> bytes:
@@ -704,6 +755,56 @@ def _first_failure(block: np.ndarray, drift: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmax(fails)), fails.shape[1]) if fails.any() else (len(block), 0)
 
 
+def _array_pass(exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np.ndarray):
+    """integrate's pass over a block, on numpy arrays.
+
+    It is a function of a block that returns the block's values (_values),
+    their drifts |v - start| / start, and its first failing row and failure
+    (_first_failure). It folds the drifts of the rows before that row into
+    max_drift, in place.
+    """
+    def run(block: np.ndarray):
+        values = _values(block, exponents)
+        drift = np.abs(values - start) / start
+        good, column = _first_failure(block, drift)
+        if good:
+            np.maximum(max_drift, drift[:good].max(axis=0), out=max_drift)
+        return values, drift, good, column
+
+    return run
+
+
+def _native_pass(lib, exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np.ndarray,
+                 size: int):
+    """block_pass of lib, called as _array_pass's pass is, on blocks of at most size rows.
+
+    numpy still computes each row's H1 and s (_logs) into a values buffer;
+    block_pass turns each s into its monomial's value, takes the drifts,
+    screens the rows and folds the drifts into max_drift. Its two buffers
+    are allocated once, so the values and drifts it returns are views that
+    the next block overwrites, and hold only the rows before the failing one.
+    """
+    width = len(start)
+    if not all(a.dtype == float and a.flags.c_contiguous and a.shape == (width,)
+               for a in (start, max_drift)):
+        raise ValueError("start and max_drift must be C-ordered float arrays of one length")
+    values, drift = np.empty((size, width)), np.empty((size, width))
+
+    def run(block: np.ndarray):
+        rows, n = block.shape
+        if rows > size:
+            raise ValueError(f"a block of {rows} rows passes the {size} rows of the buffers")
+        block = np.ascontiguousarray(block, dtype=float)
+        for j, column in enumerate(_logs(block, exponents)):
+            values[:rows, j] = column
+        at = lib.block_pass(rows, n, width - 1, block.ctypes.data, values.ctypes.data,
+                            drift.ctypes.data, start.ctypes.data, max_drift.ctypes.data,
+                            *LOG_RANGE, POSITIVITY_FLOOR)
+        return (values[:rows], drift[:rows], *divmod(at, n + 1 + width))
+
+    return run
+
+
 def integrate(
     sys: CyclicLVSystem,
     x0: Sequence,
@@ -777,12 +878,12 @@ def integrate(
                 (f"integral H{column - sys.n} is outside the float range "
                  "at the initial state")
             )
+        # once x0 passed the range rule, every start is a positive float
+        evaluate = (_native_pass(native, exponents, start, max_drift, size) if native
+                    else _array_pass(exponents, start, max_drift))
         for rows, abort in blocks:
             block = xs[first : rows + 1]
-            values = _values(block, exponents)
-            # once x0 passed the range rule, every start is a positive float
-            drift = np.abs(values - start) / start
-            good, column = _first_failure(block, drift)
+            values, drift, good, column = evaluate(block)
             if good < len(block):
                 when = float(ts[first + good])
                 if column < sys.n:
@@ -800,7 +901,6 @@ def integrate(
                 sink(*(c[-(base + first) % sample_every : good : sample_every].copy()
                        for c in columns))
                 last = (base + first + good - 1, [c[good - 1 : good].copy() for c in columns])
-                max_drift = np.maximum(max_drift, drift[:good].max(axis=0))
             if good < len(block):
                 break
             base, first = base + rows, 1

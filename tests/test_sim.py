@@ -17,6 +17,7 @@ import pytest
 
 from cycliclv import (
     InputError,
+    IntegralOutOfRange,
     IntegratorConfig,
     Method,
     NonFiniteState,
@@ -150,13 +151,17 @@ def _force_kernel(monkeypatch, kernel):
 
 
 def _outcome(sys, x0, cfg, basis, sample_every=1):
-    """The trajectory's arrays as bytes, its rows, and the abort's class and time or None."""
+    """The trajectory's arrays as bytes with the abort's message, its rows, and the abort.
+
+    The abort is its class and time; it and the message are None when the
+    run does not abort.
+    """
     try:
-        traj, abort = integrate(sys, x0, cfg, basis, sample_every), None
+        traj, abort, message = integrate(sys, x0, cfg, basis, sample_every), None, None
     except sim.IntegrationAborted as exc:
-        traj, abort = exc.trajectory, (type(exc), exc.t)
+        traj, abort, message = exc.trajectory, (type(exc), exc.t), str(exc)
     arrays = (traj.t, traj.x, traj.values, traj.drift, traj.max_drift)
-    return [a.tobytes() for a in arrays], len(traj.t), abort
+    return [*(a.tobytes() for a in arrays), message], len(traj.t), abort
 
 
 def _on_every_kernel(monkeypatch, sys, x0, cfg):
@@ -527,6 +532,36 @@ class TestKernelsAgree:
         assert _on_every_kernel(monkeypatch, make_system(rates), x0, cfg) == (
             rows, (PositivityBreached, t))
 
+    # Runs that fail on a block's first new row, on one in its middle or on
+    # its last row, in blocks of 7 rows, each of the three ways a row fails
+    # the screen: a coordinate that is not finite, where k = (1, 5) from
+    # (1e300, x2) grows x2 until its field overflows; x1 below the floor, as
+    # in EXITS; and a monomial out of range, where the exponents of rates
+    # [7, 1] * 15 + [7] reach 7^15, so that RK4's error moves s by about
+    # 60 a row. Each gives the rates, x0, the step, t_end, the abort and the
+    # failing row.
+    BLOCK_EDGE_EXITS = {
+        "non-finite-first": ([1, 5], [1e300, 1e-9], 1e-301, 1e-298, NonFiniteState, 92),
+        "non-finite-mid": ([1, 5], [1e300, 1e-8], 1e-301, 1e-298, NonFiniteState, 87),
+        "non-finite-last": ([1, 5], [1e300, 1e-10], 1e-301, 1e-298, NonFiniteState, 98),
+        "floor-first": ([1, 5], [0.5, 0.5], 0.049, 8.0, PositivityBreached, 141),
+        "floor-mid": ([1, 5], [0.5, 0.5], 0.048, 8.0, PositivityBreached, 144),
+        "floor-last": ([1, 5], [0.5, 0.5], 0.047, 8.0, PositivityBreached, 147),
+        "integral-first": ([7, 1] * 15 + [7], [1.0] * 31, 0.0022, 1.0, IntegralOutOfRange, 15),
+        "integral-mid": ([7, 1] * 15 + [7], [1.0] * 31, 0.0025, 1.0, IntegralOutOfRange, 10),
+        "integral-last": ([7, 1] * 15 + [7], [1.0] * 31, 0.002, 1.0, IntegralOutOfRange, 21),
+    }
+
+    @pytest.mark.parametrize("rates, x0, step, t_end, kind, fails", BLOCK_EDGE_EXITS.values(),
+                             ids=BLOCK_EDGE_EXITS)
+    def test_aborts_at_block_edges(self, rates, x0, step, t_end, kind, fails, monkeypatch):
+        # the rows after row 0 fall in blocks of 7, so row g is a block's
+        # first new row when g % 7 == 1 and its last when g % 7 == 0
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
+        cfg = IntegratorConfig("rk4", step=step, t_end=t_end)
+        rows, abort = _on_every_kernel(monkeypatch, make_system(rates), x0, cfg)
+        assert (rows, abort) == (fails, (kind, fails * step))
+
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
         "method, x1, t_end, fails", [("rk4", 0.5, 8.0, 139), ("rk45", 1e-7, 20.0, 20)],
@@ -570,7 +605,8 @@ class TestKernelsAgree:
                 taken += accepted.value - before
                 return rows
 
-            wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block)
+            wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block,
+                                      block_pass=lib.block_pass)
             monkeypatch.setattr(sim, "_native", lambda: wrapped)
         monkeypatch.setattr(sim, "_rk4_steps", counted(sim._rk4_steps))
         monkeypatch.setattr(sim, "_rkf45_step", counted(sim._rkf45_step))
@@ -806,10 +842,8 @@ class TestNativeStepper:
                            'snprintf(text, sizeof text, "%.16g", v);'),
     }
 
-    @pytest.mark.parametrize("old, new", FORMAT_MUTATIONS.values(), ids=FORMAT_MUTATIONS)
-    def test_probe_refuses_a_formatter_that_writes_otherwise(self, old, new, monkeypatch,
-                                                             tmp_path, capsys):
-        # and simulate then writes the bytes of the suite's build through %
+    def _refused_with_the_same_bytes(self, old, new, monkeypatch, tmp_path, capsys):
+        """A build with old replaced by new fails its probe; simulate keeps the suite's bytes."""
         if not _has_compiler():
             pytest.skip("the C compiler Python was built with is not installed")
         want = self._simulate(capsys)
@@ -820,6 +854,47 @@ class TestNativeStepper:
         (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
         assert marker.endswith(".so.failed")
         assert self._simulate(capsys) == want
+
+    @pytest.mark.parametrize("old, new", FORMAT_MUTATIONS.values(), ids=FORMAT_MUTATIONS)
+    def test_probe_refuses_a_formatter_that_writes_otherwise(self, old, new, monkeypatch,
+                                                             tmp_path, capsys):
+        # and simulate then writes the bytes of the suite's build through %
+        self._refused_with_the_same_bytes(old, new, monkeypatch, tmp_path, capsys)
+
+    # Five ways for block_pass to screen or evaluate otherwise than the numpy
+    # pass, each one text of _native.c and its replacement: a row on the
+    # floor taken as below it, exp(s) as expm1(s) + 1, the drift as
+    # |v / start - 1|, the drift test ahead of the floor test, and a
+    # max_drift that also folds in the failing row.
+    PASS_MUTATIONS = {
+        "floor-inclusive": ("low |= xs[i] < floor;", "low |= xs[i] <= floor;"),
+        "expm1-for-exp": ("exp(v);", "expm1(v) + 1.0;"),
+        "drift-as-ratio": ("fabs(v - start[j]) / start[j];", "fabs(v / start[j] - 1.0);"),
+        "drift-before-floor": (
+            "        if (low)\n"
+            "            return r * width + n;\n"
+            "        for (int64_t j = 0; j <= m; j++)\n"
+            "            if (!isfinite(drift[j]))\n"
+            "                return r * width + n + 1 + j;\n",
+            "        for (int64_t j = 0; j <= m; j++)\n"
+            "            if (!isfinite(drift[j]))\n"
+            "                return r * width + n + 1 + j;\n"
+            "        if (low)\n"
+            "            return r * width + n;\n",
+        ),
+        "failing-row-folded": (
+            "        if (low)\n",
+            "        for (int64_t j = 0; j <= m; j++)\n"
+            "            max_drift[j] = drift[j] > max_drift[j] ? drift[j] : max_drift[j];\n"
+            "        if (low)\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("old, new", PASS_MUTATIONS.values(), ids=PASS_MUTATIONS)
+    def test_probe_refuses_a_pass_that_screens_otherwise(self, old, new, monkeypatch, tmp_path,
+                                                         capsys):
+        # and simulate then gives the bytes of the suite's build on the numpy pass
+        self._refused_with_the_same_bytes(old, new, monkeypatch, tmp_path, capsys)
 
     def test_a_comment_edit_keeps_the_build_name(self, monkeypatch, tmp_path):
         # the name follows the code, not the comments around it
@@ -1297,6 +1372,7 @@ def test_values_match_per_state_in_any_layout(n):
         assert sim._values(x, exponents).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize(
     "make, n, method",
     [
@@ -1305,7 +1381,9 @@ def test_values_match_per_state_in_any_layout(n):
         (random_system, 9, Method.ADAPTIVE_RK45),
     ],
 )
-def test_values_and_drift_match_per_state_formula(make, n, method, monkeypatch):
+def test_values_and_drift_match_per_state_formula(make, n, method, kernel, monkeypatch):
+    # on the native pass and on the numpy pass alike
+    _force_kernel(monkeypatch, kernel)
     rng = random.Random(109)
     sys = make(rng, n, lo=1, hi=9)
     basis = integral_basis(sys)
