@@ -1,38 +1,12 @@
 /* The native code of cycliclv.sim: the steppers of the cyclic Lotka-Volterra
-   field, the pass over each block of states, and the CSV formatter.
-
-   rk4_steps does the operations of sim._rk4_steps entry by entry in the
-   same order, so each new state has the same bits: each field entry as
-   y_i * (c1_i * y_{j1_i} + c2_i * y_{j2_i}), the stages from x + half * k
-   with half = 0.5 * h, and x + sixth * (((k1 + 2 k2) + 2 k3) + k4) with
-   sixth = h / 6.0.
-
-   rkf45_block runs the Fehlberg 4(5) loop of sim._rkf45_rows, one block a
-   call, on the operations of sim._rkf45_step: each stage and each sum of
-   the tableau left to right, as sum() adds the arrays, zero weights kept,
-   so that a NaN or infinite stage reaches every sum. sum() starts from int
-   0 and these sums from their first term, which changes only the sign of
-   an exact zero sum; x + h * sum and fabs drop it. Then the error scale
-   from a >= b ? a : b, an error norm that keeps a NaN as np.max does, and
-   the controller min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's
-   argument order, so that a NaN norm gives 0.2. The tableau and the
-   tolerances come from sim.
-
-   block_pass does the rest of sim.integrate's pass over a block once numpy
-   has taken each row's H1 and each monomial's s = lam . log x: each value
-   as exp(s), the libm exp that Python's math.exp calls, or NaN where s is
-   out of range, each drift as fabs(v - start) / start, the row screen in
-   the order of sim._first_failure, and the largest drift of each integral
-   over the rows that pass, as np.maximum folds them.
-
-   csv_rows writes a block of doubles as CSV lines, each value as Python's
-   '%.17g' % value writes it: from about 1e-16 to 2^51 with exact digits
-   from 128-bit integers, and otherwise through snprintf (see put_value).
+   field, the pass over each block of states, and the CSV formatter. Each
+   function that is not static stands for a Python reference in sim, and
+   the comment on it states the order of operations that gives the
+   reference's bits or bytes; sim uses a build only after a probe of each
+   has matched its reference (sim._probe).
 
    It is built with -ffp-contract=off, so that no a * b + c becomes one
-   fused multiply-add, and sim uses a build only after its two steppers
-   have matched the Python kernels bit for bit, block_pass the numpy pass,
-   and csv_rows has matched Python's % byte for byte. */
+   fused multiply-add. */
 
 #include <math.h>
 #include <stdint.h>
@@ -43,7 +17,9 @@
    the run reached t_end, the step fell below min_step, or the run reached
    its step limit. sim reads them as _FULL, _DONE, _UNDERFLOW and _LIMIT. */
 enum { FULL, DONE, UNDERFLOW, LIMIT };
-
+/* The field y * (A y) into k, each entry as y_i * (c1_i * y_{j1_i} +
+   c2_i * y_{j2_i}), as sim._rhs computes it: a row's two terms stay two
+   products, as summing them changes n = 2's bits. */
 static void field(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2,
                   const double *c2, const double *y, double *k)
 {
@@ -51,8 +27,12 @@ static void field(int64_t n, const int64_t *j1, const double *c1, const int64_t 
         k[i] = y[i] * (c1[i] * y[j1[i]] + c2[i] * y[j2[i]]);
 }
 
-/* count steps of h from row `row` of the row-major (rows, n) array xs, each
-   new state in the next row; work holds 5 n doubles. */
+/* The RK4 loop of sim._rk4_steps, with its operations entry by entry in
+   the same order, so that each new state has the same bits: count steps
+   of h from row `row` of the row-major (rows, n) array xs, each new state
+   in the next row, the stages from x + half * k with half = 0.5 * h and
+   then from x + h * k3, and the state x + sixth * (((k1 + 2 k2) + 2 k3) +
+   k4) with sixth = h / 6.0. work holds 5 n doubles. */
 void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2,
                const double *c2, double *xs, int64_t row, int64_t count, double h,
                double *work)
@@ -76,10 +56,21 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
     }
 }
 
-/* Fehlberg 4(5) steps from the state x, n doubles, at time run[0] with the
-   trial step run[1], each accepted state written into the next row of the
-   row-major (size + 1, n) array xs after row 0 and its time into ts, until
-   the block is full, the run ends or it fails. A full block ends the call
+/* The Fehlberg 4(5) loop of sim._rkf45_rows, one block a call, on the
+   operations of sim._rkf45_step: each stage and each sum of the tableau
+   left to right, as sum() adds the arrays, zero weights kept, so that a
+   NaN or infinite stage reaches every sum. sum() starts from int 0 and
+   these sums from their first term, which changes only the sign of an
+   exact zero sum; x + h * sum and fabs drop it. Then the error scale from
+   a >= b ? a : b, an error norm that keeps a NaN as np.max does, and the
+   controller min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's
+   argument order, so that a NaN norm gives 0.2. The tableau and the
+   tolerances come from sim.
+
+   It steps from the state x, n doubles, at time run[0] with the trial step
+   run[1], each accepted state written into the next row of the row-major
+   (size + 1, n) array xs after row 0 and its time into ts, until the
+   block is full, the run ends or it fails. A full block ends the call
    before its next trial, so a call resumes from run, state[0] and x alone,
    and after FULL the accepted count is the rows written. tableau holds the
    rows of the stage matrix A, 15 entries, then the 6 fourth-order weights
@@ -161,16 +152,18 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
 }
 
 /* The pass of sim.integrate over a block of rows states of n coordinates,
-   the row-major array xs. values, row-major (rows, 1 + m), comes holding
-   each row's H1 and each monomial's s = lam . log x, as numpy computes
-   them; each s becomes its monomial's value, exp(s), or NaN when it lies
-   outside [lo, hi], and each value's drift, fabs(v - start) / start, goes
-   into drift. Each row is screened in sim._first_failure's order: a
-   coordinate that is not finite, then one below floor, then a drift that
-   is not finite. The pass stops at the first row that fails, and folds
-   the drifts of each row before it into max_drift. Returns the place of
-   that failure in the row-major (rows, n + 2 + m) table of failures that
-   sim._first_failure reads, or rows times its width when no row fails. */
+   the row-major array xs, as sim._pass does it on numpy. values, row-major
+   (rows, 1 + m), comes holding each row's H1 and each monomial's
+   s = lam . log x, as numpy computes them; each s becomes its monomial's
+   value, exp(s), the libm exp that Python's math.exp calls, or NaN when
+   it lies outside [lo, hi], and each value's drift, fabs(v - start) /
+   start, goes into drift. Each row is screened in sim._first_failure's
+   order: a coordinate that is not finite, then one below floor, then a
+   drift that is not finite. The pass stops at the first row that fails,
+   and folds the drifts of each row before it into max_drift, as
+   np.maximum folds them. Returns the place of that failure in the
+   row-major (rows, n + 2 + m) table of failures that sim._first_failure
+   reads, or rows times its width when no row fails. */
 int64_t block_pass(int64_t rows, int64_t n, int64_t m, const double *xs, double *values,
                    double *drift, const double *start, double *max_drift, double lo, double hi,
                    double floor)
@@ -356,7 +349,8 @@ libc:
 }
 
 /* Writes the row-major (rows, cols) array block into out as CSV lines,
-   values separated by ',' and each line ended by '\n'. Returns the bytes
+   each value as put_value writes it, Python's '%.17g' % value, values
+   separated by ',' and each line ended by '\n'. Returns the bytes
    written, or -1, having written nothing, when capacity bytes do not hold
    VALUE_BYTES for each value, or for each empty line. */
 int64_t csv_rows(const double *block, int64_t rows, int64_t cols, char *out, int64_t capacity)

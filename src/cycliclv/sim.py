@@ -17,20 +17,18 @@ writes. Without one, integrate collects the rows into a Trajectory, and a
 run's memory is the rows it keeps and one block. Each row's figures do not
 depend on the block it falls in.
 
-Both drivers step on native code wherever they can, at any n: rk4_steps
-and rkf45_block of _native.c, which do the operations of _rk4_steps and of
-_rkf45_rows on _rkf45_step entry by entry in the same order, built once per
-machine with Python's own C compiler into the per-user cache and loaded
-with ctypes (_native). The same build's block_pass does the pass over each
-block (_native_pass) from the H1 and the s = lam . log x of each row, which
-numpy still computes (_logs): each monomial's exp(s), the drifts, the
-screen and the largest drifts. Its csv_rows formats the CLI's CSV rows
-(_csv_bytes), each value as Python's '%.17g' % value. Where no build loads
-(no compiler, a cache that cannot be used, a failed build, or a build that
-does not step, evaluate and screen bit for bit as numpy does or format
-byte for byte as % does), both drivers fall back, with the same bits, to
-the array kernels, which step on numpy arrays at any n (_array_kernel),
-the pass to numpy (_array_pass), and _csv_bytes to %, with the same bytes.
+Each function of _native.c stands for a Python reference here, with the
+same bits or bytes, and the comment on it in _native.c states the order of
+operations that makes them so. Each is wired once: an entry of
+_ENTRY_POINTS gives its C types and its probe case, and a front door that
+takes lib, a build or None, calls it or its reference: _kernel for
+rk4_steps and rkf45_block, _pass for block_pass and _csv_bytes for
+csv_rows. A build is made once per machine with Python's own C compiler
+into the per-user cache, loaded with ctypes (_native), and used only after
+each probe case gives with it what it gives with None (_probe). Where none
+loads (no compiler, a cache that cannot be used, a failed build or a
+failed probe), lib is None, and each front door runs its reference at any
+n, with the same bits and bytes.
 
 The kernels only step; integrate screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
@@ -368,7 +366,7 @@ def _native_name() -> str:
 
 @cache
 def _native():
-    """A build of _native.c with its four functions declared, or None where none loads.
+    """A build of _native.c with the functions of _ENTRY_POINTS declared, or None where none loads.
 
     A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
     ~/.cache/cycliclv, made with mode 0700, under _native_name(), and is
@@ -376,9 +374,8 @@ def _native():
     CC, builds it (_build), unless the marker that name + ".failed" says
     that a build of it failed its probe. No compiler, a cache that is not a
     directory of this user's that only it can write to, a failed build and
-    a failed probe all give None, and integrate steps on the array kernels
-    and passes over each block on numpy, with the same bits, and _csv_bytes
-    formats with %, with the same bytes.
+    a failed probe all give None, and then each front door, _kernel, _pass
+    and _csv_bytes, runs its Python reference, with the same bits and bytes.
     The answer holds for the process.
     """
     try:
@@ -396,7 +393,7 @@ def _native():
             return None
         path = os.path.join(folder, name)
         try:
-            return _declared(ctypes.CDLL(path))
+            return _load(path)
         except OSError:  # not built yet, or not a library
             return None if os.path.exists(f"{path}.failed") else _build(path)
     # AttributeError: a library without one of the functions, or no os.uname or os.getuid
@@ -404,31 +401,23 @@ def _native():
         return None
 
 
-def _declared(lib):
-    """lib, with the argument and result types of its functions' C declarations."""
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.rk4_steps.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, ptr)
-    lib.rk4_steps.restype = None
-    lib.rkf45_block.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64, f64, i64, ptr, ptr,
-                                ptr, ptr, ptr, i64, ptr)
-    lib.rkf45_block.restype = i64
-    lib.csv_rows.argtypes = (ptr, i64, i64, ptr, i64)
-    lib.csv_rows.restype = i64
-    lib.block_pass.argtypes = (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, f64, f64, f64)
-    lib.block_pass.restype = i64
+def _load(path: str):
+    """The library at path, with each function of _ENTRY_POINTS given its C types."""
+    lib = ctypes.CDLL(path)
+    for name, (restype, argtypes, _) in _ENTRY_POINTS.items():
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
     return lib
 
 
 def _build(path: str):
-    """Build _native.c at path and return it declared, or None if it fails its probe.
+    """Build _native.c at path and return it loaded, or None if it fails its probe.
 
     First it removes the temporary files of builds that started more than
     _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
     and the builds named rk4-*.so of an older, RK4-only source.
     The build goes to a temporary file beside path, which takes path's name
-    only once a run of both steppers has the bits of the array kernels,
-    block_pass those of the numpy pass and csv_rows the bytes of % (_probe).
-    A build that steps, passes or formats otherwise is neither cached nor
+    only once it passes _probe. A build that fails it is neither cached nor
     used: it leaves the marker path + ".failed", so that no later process
     builds it again. Raises OSError, or AttributeError where Python records
     no compiler, as _native expects; subprocess and sysconfig are imported
@@ -453,7 +442,7 @@ def _build(path: str):
         subprocess.run([*sysconfig.get_config_var("CC").split(), *_CFLAGS, "-o", temporary,
                         _NATIVE_SOURCE, "-lm"], capture_output=True, check=True,
                        timeout=_BUILD_SECONDS)
-        lib = _declared(ctypes.CDLL(temporary))
+        lib = _load(temporary)
         if not _probe(lib):
             open(f"{path}.failed", "wb").close()
             return None
@@ -466,113 +455,144 @@ def _build(path: str):
             os.remove(temporary)
 
 
-# What csv_rows must write as % does, with their negatives: 17th digits that
-# tie, which go to even (1000000000000000.2 and .8, 2251799813685247.8 just
-# below 2^51); the double nearest 1e-12, whose digits at floor(log10) are
-# exactly 10^16 but which has 17 digits one exponent lower; exponents of one
-# digit; zeros; the values that go to snprintf, 2^51 + 0.5, 1e24, a subnormal,
-# one below 1e-16 and the largest double, whose 17th digit differs from a
-# 16-digit rounding; and each layout of %g.
-_PROBE_FLOATS = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 1e-12,
-                 2251799813685248.5, 1e24, 1.2345678e-05, 7e-9, 0.0, 5e-324, 1e-300 / 3,
-                 float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4, 2.5, 123456.789, 1e16,
-                 1e17, 1.2345e30)
-
-# What block_pass must evaluate and screen as the numpy pass does. The two
-# monomials' s are 30 log x1 - 1.5 log x2 and 0.5 log x1 + 0.25 log x2 -
-# 40 log x3. The first six rows pass: row 0 is the start, and row 5 sits on
-# POSITIVITY_FLOOR. Each later row fails: a NaN and an infinite coordinate;
-# one below the floor with larger drifts than any row before it, and one
-# below the floor whose s is also past LOG_RANGE; the first s past each end
-# of LOG_RANGE and the second past its top; and an H1 that overflows. The
-# probe passes over the first six rows alone, and over them followed by
-# each failing row and then the second row again.
-_PROBE_EXPONENTS = ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))
-_PROBE_ROWS = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),
-               (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
-               (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
-               (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
-
-
 def _probe(lib) -> bool:
-    """Whether lib steps and passes over blocks as numpy does, bit for bit, and formats as %.
+    """Whether lib gives each probe case of _ENTRY_POINTS the result that None gives.
 
-    The rates' floats are not dyadic, and a step of 0.37 moves the state by
-    about its own size, so that a fused multiply-add or another order in
-    any stage or sum changes a bit of the new states; a step of 0.1, which
-    moves it by about 2 %, let a reordered final sum through. RK4 takes 32
-    such steps and a shorter one. RKF45 starts with a trial step of 0.37,
-    rejects it until a step fits the tolerances, and runs to t = 1 in blocks
-    of 7 rows, so that every stage, sum and controller factor reaches its
-    times and states. A zero weight reaches no accepted state: it changes a
-    sum only when the stage it weighs is NaN or infinite, and then the error
-    norm is too. So a second run starts with x8 NaN, which each stage
-    spreads one coordinate further each way: at 15 coordinates only the
-    sixth stage is NaN at x2 and x14, where a dropped zero weight leaves the
-    trial state finite. Every trial of that run is rejected until
-    StepUnderflow, and its last trial's state and error norm must agree,
-    NaN for NaN. Then csv_rows must write _PROBE_FLOATS, a row of them and
-    a row of their negatives, byte for byte as _csv_bytes does with %, on
-    both sides of 2^51, where csv_rows turns from its digits to snprintf's.
-    Last, _native_pass must give each block of _PROBE_ROWS the first failing
-    row and failure, and the values, drifts and max_drift of the rows before
-    it, that _array_pass gives, bit for bit: the floor test, exp, the drift,
-    the screen's order and the rows max_drift folds in all show there.
+    With None each front door runs its Python reference, and the comment on
+    each function in _native.c states the order of operations that gives
+    the reference's bits. A case's result compares with ==: the CSV as its
+    bytes, and states, times, values and drifts as theirs, so bit for bit,
+    but for the last RKF45 trials (_probe_rkf45_block).
     """
-    rates = [Fraction(4, 3), Fraction(9, 7), Fraction(10, 11), Fraction(14, 13), Fraction(22, 17)]
-    sys = CyclicLVSystem(rates)
-    x0 = (0.2, 0.3, 0.5, 0.7, 1.1)
-    runs = []
-    for steps in (_native_kernel(lib, sys, True), _array_kernel(sys, True)):
-        xs = np.empty((34, sys.n))
-        xs[0] = x0
-        steps(xs, 0, 32, 0.37)
-        steps(xs, 32, 1, 0.137)
-        runs.append(xs.tobytes())
-    wide = CyclicLVSystem(rates * 3)
     with np.errstate(all="ignore"):
-        for system, start in ((sys, x0), (wide, [math.nan if i == 7 else 0.5 for i in range(15)])):
-            for rows in (_native_kernel(lib, system, False), _array_kernel(system, False)):
-                xs, ts = np.empty((8, system.n)), np.empty(8)
-                xs[0] = start
-                blocks, got = rows(xs[0].copy(), xs, ts, 1.0, 0.37, MAX_STEPS), []
-                while True:
-                    try:
-                        count, *ended = next(blocks)
-                    except StopIteration as stop:
-                        state, norm = stop.value
-                        got.append(np.array([*state, norm]))
-                        break
-                    got.append((count, *ended, xs[1 : count + 1].tobytes(),
-                                ts[1 : count + 1].tobytes()))
-                runs.append(got)
-        exponents = [np.array(lam) for lam in _PROBE_EXPONENTS]
-        start = _values(np.array(_PROBE_ROWS[:1]), exponents)[0]
-        screens = []
-        for tail in ((), *((row, _PROBE_ROWS[1]) for row in _PROBE_ROWS[6:])):
-            block = np.array([*_PROBE_ROWS[:6], *tail])
-            for native in (True, False):
-                max_drift = np.zeros(len(start))
-                evaluate = (_native_pass(lib, exponents, start, max_drift, len(block)) if native
-                            else _array_pass(exponents, start, max_drift))
-                values, drift, good, column = evaluate(block)
-                screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
-                                max_drift.tobytes()))
-    values = np.array([_PROBE_FLOATS, [-v for v in _PROBE_FLOATS]])
-    return (runs[0] == runs[1]
-            and all(native[:-1] == array[:-1]
-                    and np.array_equal(native[-1], array[-1], equal_nan=True)
-                    for native, array in (runs[2:4], runs[4:6]))
-            and _csv_bytes(values, lib) == _csv_bytes(values, None)
-            and screens[0::2] == screens[1::2])
+        return all(case(lib) == case(None) for _, _, case in _ENTRY_POINTS.values())
+
+
+# The RK4 and RKF45 probe cases' rates, whose floats are not dyadic, and start.
+_PROBE_RATES = ((4, 3), (9, 7), (10, 11), (14, 13), (22, 17))
+_PROBE_X0 = (0.2, 0.3, 0.5, 0.7, 1.1)
+
+
+def _probe_rk4_steps(lib) -> bytes:
+    """The states of 32 RK4 steps of 0.37 and one of 0.137 on _kernel(lib, ...).
+
+    A step of 0.37 moves the state by about its own size, so that a fused
+    multiply-add or another order in any stage or sum changes a bit of the
+    new states; a step of 0.1, which moves it by about 2 %, let a reordered
+    final sum through.
+    """
+    sys = CyclicLVSystem([Fraction(*q) for q in _PROBE_RATES])
+    xs = np.empty((34, sys.n))
+    xs[0] = _PROBE_X0
+    steps = _kernel(lib, sys, True)
+    steps(xs, 0, 32, 0.37)
+    steps(xs, 32, 1, 0.137)
+    return xs.tobytes()
+
+
+def _probe_rkf45_block(lib) -> list:
+    """Each block of two RKF45 runs of _kernel(lib, ...) in blocks of 7 rows, and their last trials.
+
+    The first starts with a trial step of 0.37, rejects it until a step
+    fits the tolerances, and runs to t = 1, so that every stage, sum and
+    controller factor reaches its times and states. A zero weight reaches
+    no accepted state: it changes a sum only when the stage it weighs is
+    NaN or infinite, and then the error norm is too. So the second run
+    starts 15 coordinates with x8 NaN, which each stage spreads one
+    coordinate further each way: only the sixth stage is NaN at x2 and x14,
+    where a dropped zero weight leaves the trial state finite. Every trial
+    of that run is rejected until StepUnderflow. Each run's last trial
+    state and error norm compare as np.array_equal(equal_nan=True) has
+    them: every NaN alike, and -0.0 as 0.0.
+    """
+    rates = [Fraction(*q) for q in _PROBE_RATES]
+    nan8 = [math.nan if i == 7 else 0.5 for i in range(15)]
+    got = []
+    for sys, start in ((CyclicLVSystem(rates), _PROBE_X0), (CyclicLVSystem(rates * 3), nan8)):
+        xs, ts = np.empty((8, sys.n)), np.empty(8)
+        blocks = _kernel(lib, sys, False)(np.array(start), xs, ts, 1.0, 0.37, MAX_STEPS)
+        while True:
+            try:
+                count, *ended = next(blocks)
+            except StopIteration as stop:
+                last = np.array([*stop.value[0], stop.value[1]])
+                break
+            got.append((count, *ended, xs[1 : count + 1].tobytes(), ts[1 : count + 1].tobytes()))
+        # one NaN for every NaN, and -0.0 + 0.0 is 0.0
+        got.append(np.where(np.isnan(last), math.nan, last + 0.0).tobytes())
+    return got
+
+
+def _probe_block_pass(lib) -> list:
+    """Each literal block's first failing row and failure, and the figures of the rows before it.
+
+    The figures are the values, drifts and max_drift of _pass(lib, ...).
+    The two monomials' s are 30 log x1 - 1.5 log x2 and 0.5 log x1 + 0.25
+    log x2 - 40 log x3. The first six rows pass: row 0 is the start, and
+    row 5 sits on POSITIVITY_FLOOR. Each later row fails: a NaN and an
+    infinite coordinate; one below the floor with larger drifts than any
+    row before it, and one below the floor whose s is also past LOG_RANGE;
+    the first s past each end of LOG_RANGE and the second past its top; and
+    an H1 that overflows. The pass goes over the first six rows alone, and
+    over them followed by each failing row and then the second row again,
+    so that the floor test, exp, the drift, the screen's order and the rows
+    max_drift folds in all show.
+    """
+    exponents = [np.array(lam) for lam in ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))]
+    rows = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),
+            (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
+            (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
+            (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
+    start = _values(np.array(rows[:1]), exponents)[0]
+    screens = []
+    for tail in ((), *((row, rows[1]) for row in rows[6:])):
+        block = np.array([*rows[:6], *tail])
+        max_drift = np.zeros(len(start))
+        values, drift, good, column = _pass(lib, exponents, start, max_drift, len(block))(block)
+        screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
+                        max_drift.tobytes()))
+    return screens
+
+
+def _probe_csv_rows(lib) -> bytes:
+    """Literal values and their negatives, a row of each, as _csv_bytes(..., lib) writes them.
+
+    The values: 17th digits that tie, which go to even (1000000000000000.2
+    and .8, 2251799813685247.8 just below 2^51); the double nearest 1e-12,
+    whose digits at floor(log10) are exactly 10^16 but which has 17 digits
+    one exponent lower; exponents of one digit; zeros; the values that go
+    to snprintf, 2^51 + 0.5, 1e24, a subnormal, one below 1e-16 and the
+    largest double, whose 17th digit differs from a 16-digit rounding; and
+    each layout of %g.
+    """
+    floats = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 1e-12,
+              2251799813685248.5, 1e24, 1.2345678e-05, 7e-9, 0.0, 5e-324, 1e-300 / 3,
+              float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4, 2.5, 123456.789, 1e16, 1e17,
+              1.2345e30)
+    return _csv_bytes(np.array([floats, [-v for v in floats]]), lib)
+
+
+# Each C function of _native.c: its result type, its argument types and its
+# probe case. ctypes needs both types: without argtypes a float argument
+# raises ArgumentError, and without restype an int64 result is cut to a C int.
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_ENTRY_POINTS = {
+    "rk4_steps": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _F64, _PTR),
+                  _probe_rk4_steps),
+    "rkf45_block": (_I64, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _PTR,
+                           _PTR, _PTR, _PTR, _PTR, _I64, _PTR), _probe_rkf45_block),
+    "block_pass": (_I64, (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64),
+                   _probe_block_pass),
+    "csv_rows": (_I64, (_PTR, _I64, _I64, _PTR, _I64), _probe_csv_rows),
+}
 
 
 def _csv_bytes(block: np.ndarray, lib) -> bytes:
     """The rows of the 2-D float array block as CSV lines, each value as '%.17g' % value.
 
-    lib is a build of _native.c, whose csv_rows writes them, or None, and
-    then one % of a template for the whole block does, the reference that
-    _probe holds csv_rows to. Python's % ignores the locale, and so does
+    lib is a build of _native.c, whose csv_rows writes them as the comment
+    on put_value there states, or None, and then one % of a template for
+    the whole block does. Python's % ignores the locale, and so does
     csv_rows.
     """
     rows, cols = block.shape
@@ -585,27 +605,22 @@ def _csv_bytes(block: np.ndarray, lib) -> bytes:
     return out[:size].tobytes()
 
 
-def _array_kernel(sys: CyclicLVSystem, rk4: bool) -> Callable:
-    """_rk4_steps, or _rkf45_rows on _rkf45_step, with sys's field bound.
+def _kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
+    """sys's RK4 or RKF45 loop: rk4_steps or rkf45_block of lib, or where lib is None its reference.
 
-    Called as _native_kernel's loop is. Raises InputError, as _terms does,
-    for a rate whose float overflows or rounds to zero.
+    The references are _rk4_steps and _rkf45_rows on _rkf45_step, with
+    sys's field bound; the comments on rk4_steps and rkf45_block in
+    _native.c state the order of operations that gives their bits. The RK4
+    loop is called with (xs, row, count, h). The RKF45 loop is called with
+    (x, xs, ts, t_end, h, limit): a generator that yields and returns what
+    _rkf45_rows does, natively a call of rkf45_block per block, each
+    resumed from what the last one left, which reads REL_TOL, ABS_TOL and
+    MIN_STEP when a run starts. Raises InputError, as _terms does, for a
+    rate whose float overflows or rounds to zero.
     """
-    f = _rhs(sys)
-    return partial(_rk4_steps, f) if rk4 else partial(_rkf45_rows, partial(_rkf45_step, f))
-
-
-def _native_kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
-    """A loop of lib on sys's field, called as the Python loop it stands for.
-
-    For RK4 it is rk4_steps, called as _rk4_steps is, with (xs, row, count,
-    h). For RKF45 it is rkf45_block, called as _rkf45_rows is once its step
-    is bound, with (x, xs, ts, t_end, h, limit): a generator that yields and
-    returns what _rkf45_rows does, a call per block, each resumed from what
-    the last one left. It reads REL_TOL, ABS_TOL and MIN_STEP when a run
-    starts. Raises InputError, as _terms does, for a rate whose float
-    overflows or rounds to zero.
-    """
+    if lib is None:
+        f = _rhs(sys)
+        return partial(_rk4_steps, f) if rk4 else partial(_rkf45_rows, partial(_rkf45_step, f))
     n = sys.n
     terms = [np.ascontiguousarray(a, kind) for a, kind in zip(_terms(sys), (np.int64, float) * 2)]
     # each pointer keeps its array alive
@@ -659,12 +674,11 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     """Fixed-step RK4 from the state in xs[0]; yields (rows, None) for each block.
 
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
-    times into ts. steps(xs, row, count, h) is the native loop or
-    _rk4_steps with its field bound: a block's full steps take one call and
-    the tail step, if any, a second. Each block's last row is carried into
-    xs[0] for the next. A t_end / step over _step_limit(n), an infinite one
-    that math.floor cannot take included, is refused with InputError: the
-    one test of a run's length.
+    times into ts. steps(xs, row, count, h) is _kernel's RK4 loop: a
+    block's full steps take one call and the tail step, if any, a second.
+    Each block's last row is carried into xs[0] for the next. A t_end /
+    step over _step_limit(n), an infinite one that math.floor cannot take
+    included, is refused with InputError: the one test of a run's length.
     """
     h, n, ratio = cfg.step, xs.shape[1], cfg.t_end / cfg.step
     if not ratio <= _step_limit(n):
@@ -730,9 +744,9 @@ def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float,
 def _rkf45_blocks(rows, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     """Fehlberg 4(5) from the state x, which xs[0] holds; yields (rows, abort) per block.
 
-    rows is the native loop or _rkf45_rows with its step bound, each called
-    with (x, xs, ts, t_end, h, limit). StepUnderflow, and StepLimitReached
-    at _step_limit steps, come with the last block.
+    rows is _kernel's RKF45 loop, called with (x, xs, ts, t_end, h, limit).
+    StepUnderflow, and StepLimitReached at _step_limit steps, come with the
+    last block.
     """
     limit = _step_limit(xs.shape[1])
     for count, end, t, h in rows(x, xs, ts, cfg.t_end, cfg.step, limit):
@@ -755,39 +769,35 @@ def _first_failure(block: np.ndarray, drift: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmax(fails)), fails.shape[1]) if fails.any() else (len(block), 0)
 
 
-def _array_pass(exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np.ndarray):
-    """integrate's pass over a block, on numpy arrays.
+def _pass(lib, exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np.ndarray,
+          size: int):
+    """integrate's pass over blocks of at most size rows: block_pass of lib, or numpy's for None.
 
-    It is a function of a block that returns the block's values (_values),
-    their drifts |v - start| / start, and its first failing row and failure
-    (_first_failure). It folds the drifts of the rows before that row into
-    max_drift, in place.
-    """
-    def run(block: np.ndarray):
-        values = _values(block, exponents)
-        drift = np.abs(values - start) / start
-        good, column = _first_failure(block, drift)
-        if good:
-            np.maximum(max_drift, drift[:good].max(axis=0), out=max_drift)
-        return values, drift, good, column
-
-    return run
-
-
-def _native_pass(lib, exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np.ndarray,
-                 size: int):
-    """block_pass of lib, called as _array_pass's pass is, on blocks of at most size rows.
-
-    numpy still computes each row's H1 and s (_logs) into a values buffer;
-    block_pass turns each s into its monomial's value, takes the drifts,
-    screens the rows and folds the drifts into max_drift. Its two buffers
-    are allocated once, so the values and drifts it returns are views that
-    the next block overwrites, and hold only the rows before the failing one.
+    The pass is a function of a block that returns the block's values
+    (_values), their drifts |v - start| / start, and its first failing row
+    and failure (_first_failure). It folds the drifts of the rows before
+    that row into max_drift, in place. Natively, numpy still computes each
+    row's H1 and s (_logs) into a values buffer, and block_pass does the
+    rest, as the comment on it in _native.c states. Its two buffers are
+    allocated once, so the values and drifts it returns are views that the
+    next block overwrites, and hold only the rows before the failing one.
     """
     width = len(start)
     if not all(a.dtype == float and a.flags.c_contiguous and a.shape == (width,)
                for a in (start, max_drift)):
         raise ValueError("start and max_drift must be C-ordered float arrays of one length")
+
+    if lib is None:
+        def run(block: np.ndarray):
+            values = _values(block, exponents)
+            drift = np.abs(values - start) / start
+            good, column = _first_failure(block, drift)
+            if good:
+                np.maximum(max_drift, drift[:good].max(axis=0), out=max_drift)
+            return values, drift, good, column
+
+        return run
+
     values, drift = np.empty((size, width)), np.empty((size, width))
 
     def run(block: np.ndarray):
@@ -849,7 +859,7 @@ def integrate(
         raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
     rk4 = cfg.method is Method.RK4_FIXED
     native = _native()
-    step = _native_kernel(native, sys, rk4) if native else _array_kernel(sys, rk4)
+    step = _kernel(native, sys, rk4)
     # after the kernel, so that a bad rate is refused before a bad exponent
     if any(len(mono.exponents) != sys.n for mono in basis.monomials):
         raise InputError("exponent vector length does not match the system")
@@ -879,8 +889,7 @@ def integrate(
                  "at the initial state")
             )
         # once x0 passed the range rule, every start is a positive float
-        evaluate = (_native_pass(native, exponents, start, max_drift, size) if native
-                    else _array_pass(exponents, start, max_drift))
+        evaluate = _pass(native, exponents, start, max_drift, size)
         for rows, abort in blocks:
             block = xs[first : rows + 1]
             values, drift, good, column = evaluate(block)

@@ -4,6 +4,7 @@ import ctypes
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sysconfig
@@ -196,7 +197,7 @@ class TestRhsAgreesWithModel:
                 reference = np.array([x, np.nan * x])
                 _rk4_steps(lambda y: _reference_rhs(sys, y), reference, 0, 1, 0.01)
                 xs = np.array([x, np.nan * x])
-                sim._native_kernel(NATIVE(), sys, True)(xs, 0, 1, 0.01)
+                sim._kernel(NATIVE(), sys, True)(xs, 0, 1, 0.01)
                 assert xs[1].tobytes() == reference[1].tobytes()
 
     def test_matches_vector_field(self):
@@ -448,6 +449,27 @@ class TestKernelsAgree:
         if cfg.method is Method.RK4_FIXED:
             assert rows == 22  # x0, 20 full steps and the tail
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("n", [2, 3, 9, 17])
+    def test_rotation_rotates_every_state(self, n, method, kernel, monkeypatch):
+        # Rotating x0 and the rates by r rotates the field's entries, each
+        # with the same operations, and RKF45's error norm is a max, so each
+        # x row is rotated bit for bit at the same t. H1 and the drifts are
+        # not compared: a rotation reorders H1's sum.
+        _force_kernel(monkeypatch, kernel)
+        rng = random.Random(900 + n)
+        rates = [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
+        x0 = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        r = rng.randrange(1, n)
+        cfg = IntegratorConfig(method, step=0.01, t_end=1.013)
+        runs = []
+        for k, x in ((rates, x0), (rates[r:] + rates[:r], x0[r:] + x0[:r])):
+            sys = make_system(k)
+            runs.append(integrate(sys, x, cfg, integral_basis(sys)))
+        assert runs[1].t.tobytes() == runs[0].t.tobytes()
+        assert runs[1].x.tobytes() == np.roll(runs[0].x, -r, axis=1).tobytes()
+
     # rates whose floats are not dyadic, are signed, or sit near the top or
     # the bottom of the float range, each with the unit of time that keeps a
     # step's change of state near 1e-2; at n = 2 both terms of a row land on
@@ -639,7 +661,7 @@ class TestKernelsAgree:
                 accepted = ctypes.c_int64.from_address(args[12]).value
                 return rows
 
-            blocks = sim._native_kernel(SimpleNamespace(rkf45_block=rkf45_block), sys, False)
+            blocks = sim._kernel(SimpleNamespace(rkf45_block=rkf45_block), sys, False)
         else:
             step = sim._rkf45_step
 
@@ -650,7 +672,7 @@ class TestKernelsAgree:
                 return out
 
             monkeypatch.setattr(sim, "_rkf45_step", counted)
-            blocks = sim._array_kernel(sys, False)
+            blocks = sim._kernel(None, sys, False)
         xs, ts = np.empty((8, sys.n)), np.empty(8)
         xs[0] = [1.0, 1.1, 0.9, 1.0, 1.05]
         written = full = 0
@@ -683,8 +705,8 @@ class TestKernelsAgree:
         # Near 1e153 a stage entry is near 1e307, so a tableau row's weighted
         # sum overflows before h scales it and a later stage is inf or NaN.
         # Its 0.0 weight in the fourth-order sum turns that into NaN in every
-        # entry of the array step. The native loop's zero weights are the
-        # probe's to check (FEHLBERG_MUTATIONS["zero-weight-dropped"]).
+        # entry of the array step. The native loop's zero weights are the probe's
+        # to check (TestNativeStepper.MUTATIONS["rkf45_block"]["zero-weight-dropped"]).
         sys = make_system(rates)
         with np.errstate(all="ignore"):
             want, norm = sim._rkf45_step(_rhs(sys), np.array(x), 1e-306)
@@ -745,20 +767,14 @@ class TestNativeStepper:
         # mkdir applies the umask, chmod does not
         (tmp_path / "cache" / "cycliclv").chmod(0o777)
 
-    @staticmethod
-    def _probe_differs(monkeypatch, tmp_path):
-        # the sixth of h as h / 6.5: a build that compiles and loads, and
-        # steps RK4 otherwise
-        TestNativeStepper._mutate(monkeypatch, tmp_path, "sixth = h / 6.0;", "sixth = h / 6.5;")
-
     @pytest.mark.parametrize(
-        "unusable, marked",
-        [(_no_compiler, False), (_cache_is_a_file, False), (_cache_writable_by_others, False),
-         (_probe_differs, True)],
-        ids=["no-compiler", "cache-is-a-file", "cache-writable-by-others", "probe-differs"],
+        "unusable",
+        [_no_compiler, _cache_is_a_file, _cache_writable_by_others],
+        ids=["no-compiler", "cache-is-a-file", "cache-writable-by-others"],
     )
-    def test_falls_back_to_the_same_bytes(self, unusable, marked, monkeypatch, tmp_path, capsys):
-        # the suite's cache holds a build where one can be made
+    def test_falls_back_to_the_same_bytes(self, unusable, monkeypatch, tmp_path, capsys):
+        # the suite's cache holds a build where one can be made; a build
+        # whose probe differs is each of MUTATIONS
         want = self._simulate(capsys)
         assert all(code == 0 and err == "" for code, _, err, _ in want)
         NATIVE.cache_clear()
@@ -767,134 +783,142 @@ class TestNativeStepper:
         unusable.__func__(monkeypatch, tmp_path)
         assert NATIVE() is None
         assert self._simulate(capsys) == want
-        # neither a build nor its temporary file is left behind; a failed
-        # probe leaves its marker
+        # neither a build nor its temporary file is left behind
         if (cache / "cycliclv").is_dir():
-            left = os.listdir(cache / "cycliclv")
-            if marked:
-                assert len(left) == 1 and left[0].endswith(".so.failed")
-            else:
-                assert left == []
+            assert os.listdir(cache / "cycliclv") == []
 
-    # Five ways for the Fehlberg loop to step otherwise, each one text of
-    # _native.c and its replacement: a fused multiply-add in the fourth
-    # stage's state, the sixth stage's sum from its last term, the error sum
-    # from its last term, the sixth stage's zero weight dropped from the
-    # fourth-order sum, and the controller's power through exp and log.
-    FEHLBERG_MUTATIONS = {
-        "fma-in-one-stage": (
-            "                y[i] = x[i] + h * sum;",
-            "                y[i] = s == 3 ? fma(h, sum, x[i]) : x[i] + h * sum;",
-        ),
-        "stage-sum-reordered": (
-            "                y[i] = x[i] + h * sum;",
-            "                if (s == 5)\n"
-            "                    sum = (((a[4] * k[4 * n + i] + a[3] * k[3 * n + i])"
-            " + a[2] * k[2 * n + i]) + a[1] * k[n + i]) + a[0] * k[i];\n"
-            "                y[i] = x[i] + h * sum;",
-        ),
-        "error-sum-reordered": (
-            "            double a = fabs(x[i]), b = fabs(z[i]);",
-            "            e = ((((er[5] * k[5 * n + i] + er[4] * k[4 * n + i])"
-            " + er[3] * k[3 * n + i]) + er[2] * k[2 * n + i]) + er[1] * k[n + i]) + er[0] * k[i];\n"
-            "            double a = fabs(x[i]), b = fabs(z[i]);",
-        ),
-        "zero-weight-dropped": (
-            "                sum = sum + b4[q] * k[q * n + i];",
-            "                if (q != 5)\n"
-            "                    sum = sum + b4[q] * k[q * n + i];",
-        ),
-        "exp-log-for-pow": ("pow(m, -0.2)", "exp(-0.2 * log(m))"),
+    # Ways for each C function of _native.c to compute otherwise than its
+    # Python reference, each one text of _native.c and its replacement.
+    MUTATIONS = {
+        "rk4_steps": {
+            "fma-in-new-state": (
+                "x[n + i] = x[i] + sixth * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);",
+                "x[n + i] = fma(sixth, ((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i], x[i]);",
+            ),
+            "new-state-sum-regrouped": (
+                "(((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i])",
+                "((k1[i] + 2.0 * k2[i]) + (2.0 * k3[i] + k4[i]))",
+            ),
+            "field-distributed": (
+                "k[i] = y[i] * (c1[i] * y[j1[i]] + c2[i] * y[j2[i]]);",
+                "k[i] = y[i] * c1[i] * y[j1[i]] + y[i] * c2[i] * y[j2[i]];",
+            ),
+            "fma-in-fourth-stage": ("y[i] = x[i] + h * k3[i];", "y[i] = fma(h, k3[i], x[i]);"),
+            "sixth-as-h-over-6.5": ("sixth = h / 6.0;", "sixth = h / 6.5;"),
+        },
+        "rkf45_block": {
+            "fma-in-one-stage": (
+                "                y[i] = x[i] + h * sum;",
+                "                y[i] = s == 3 ? fma(h, sum, x[i]) : x[i] + h * sum;",
+            ),
+            "stage-sum-reordered": (
+                "                y[i] = x[i] + h * sum;",
+                "                if (s == 5)\n"
+                "                    sum = (((a[4] * k[4 * n + i] + a[3] * k[3 * n + i])"
+                " + a[2] * k[2 * n + i]) + a[1] * k[n + i]) + a[0] * k[i];\n"
+                "                y[i] = x[i] + h * sum;",
+            ),
+            "error-sum-reordered": (
+                "            double a = fabs(x[i]), b = fabs(z[i]);",
+                "            e = ((((er[5] * k[5 * n + i] + er[4] * k[4 * n + i])"
+                " + er[3] * k[3 * n + i]) + er[2] * k[2 * n + i]) + er[1] * k[n + i])"
+                " + er[0] * k[i];\n"
+                "            double a = fabs(x[i]), b = fabs(z[i]);",
+            ),
+            "zero-weight-dropped": (
+                "                sum = sum + b4[q] * k[q * n + i];",
+                "                if (q != 5)\n"
+                "                    sum = sum + b4[q] * k[q * n + i];",
+            ),
+            "exp-log-for-pow": ("pow(m, -0.2)", "exp(-0.2 * log(m))"),
+        },
+        "block_pass": {
+            "floor-inclusive": ("low |= xs[i] < floor;", "low |= xs[i] <= floor;"),
+            "expm1-for-exp": ("exp(v);", "expm1(v) + 1.0;"),
+            "drift-as-ratio": ("fabs(v - start[j]) / start[j];", "fabs(v / start[j] - 1.0);"),
+            "drift-before-floor": (
+                "        if (low)\n"
+                "            return r * width + n;\n"
+                "        for (int64_t j = 0; j <= m; j++)\n"
+                "            if (!isfinite(drift[j]))\n"
+                "                return r * width + n + 1 + j;\n",
+                "        for (int64_t j = 0; j <= m; j++)\n"
+                "            if (!isfinite(drift[j]))\n"
+                "                return r * width + n + 1 + j;\n"
+                "        if (low)\n"
+                "            return r * width + n;\n",
+            ),
+            "failing-row-folded": (
+                "        if (low)\n",
+                "        for (int64_t j = 0; j <= m; j++)\n"
+                "            max_drift[j] = drift[j] > max_drift[j] ? drift[j] : max_drift[j];\n"
+                "        if (low)\n",
+            ),
+        },
+        "csv_rows": {
+            "ties-half-up": (
+                "    if (low > half || (low == half && (*d & 1)))",
+                "    if (low >= half)",
+            ),
+            "no-recheck-at-10^16": ("        if (d == TEN16) {", "        if (0) {"),
+            "one-digit-exponent": (
+                "        *p++ = (char)('0' + -k / 10);",
+                "        if (-k > 9)\n            *p++ = (char)('0' + -k / 10);",
+            ),
+            "minus-zero-as-zero": (
+                "    if (bits >> 63)\n        *p++ = '-';",
+                "    if (bits >> 63 && v != 0.0)\n        *p++ = '-';",
+            ),
+            "libc-16-digits": ('snprintf(text, sizeof text, "%.17g", v);',
+                               'snprintf(text, sizeof text, "%.16g", v);'),
+        },
     }
 
-    @pytest.mark.parametrize("old, new", FEHLBERG_MUTATIONS.values(), ids=FEHLBERG_MUTATIONS)
-    def test_probe_refuses_a_fehlberg_loop_that_steps_otherwise(self, old, new, monkeypatch,
-                                                               tmp_path):
-        if not _has_compiler():
-            pytest.skip("the C compiler Python was built with is not installed")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        self._mutate(monkeypatch, tmp_path, old, new)
-        assert NATIVE() is None
-        # the build compiled and loaded, and its probe refused it
-        (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
-        assert marker.endswith(".so.failed")
+    def test_each_c_function_has_one_entry_and_its_mutations(self):
+        # A function of _native.c without a declaration would take floats
+        # as ArgumentError and cut an int64 result to an int; without a
+        # probe case or mutations it would be held to nothing.
+        with open(sim._NATIVE_SOURCE, encoding="utf-8") as file:
+            code = re.sub(r"/\*.*?\*/", "", file.read(), flags=re.DOTALL)
+        defined = set(re.findall(r"^(?!static\b)\w[\w *]*?\b(\w+)\(", code, flags=re.MULTILINE))
+        assert defined == set(sim._ENTRY_POINTS) == set(self.MUTATIONS)
 
-    # Five ways for csv_rows to write otherwise than %, each one text of
-    # _native.c and its replacement: a 17th digit that ties rounded half
-    # up, no second try one exponent lower when the digits come out 10^16,
-    # an exponent of one digit, -0.0 written 0, and 16 digits from
-    # snprintf.
-    FORMAT_MUTATIONS = {
-        "ties-half-up": (
-            "    if (low > half || (low == half && (*d & 1)))",
-            "    if (low >= half)",
-        ),
-        "no-recheck-at-10^16": ("        if (d == TEN16) {", "        if (0) {"),
-        "one-digit-exponent": (
-            "        *p++ = (char)('0' + -k / 10);",
-            "        if (-k > 9)\n            *p++ = (char)('0' + -k / 10);",
-        ),
-        "minus-zero-as-zero": (
-            "    if (bits >> 63)\n        *p++ = '-';",
-            "    if (bits >> 63 && v != 0.0)\n        *p++ = '-';",
-        ),
-        "libc-16-digits": ('snprintf(text, sizeof text, "%.17g", v);',
-                           'snprintf(text, sizeof text, "%.16g", v);'),
-    }
+    def _refused(self, function, mutation, monkeypatch, tmp_path, capsys):
+        """A build with one mutation of function loads, fails its probe and leaves one marker.
 
-    def _refused_with_the_same_bytes(self, old, new, monkeypatch, tmp_path, capsys):
-        """A build with old replaced by new fails its probe; simulate keeps the suite's bytes."""
+        simulate then gives the suite build's bytes on the Python references.
+        """
         if not _has_compiler():
             pytest.skip("the C compiler Python was built with is not installed")
         want = self._simulate(capsys)
         NATIVE.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        self._mutate(monkeypatch, tmp_path, old, new)
+        self._mutate(monkeypatch, tmp_path, *self.MUTATIONS[function][mutation])
         assert NATIVE() is None
         (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
         assert marker.endswith(".so.failed")
         assert self._simulate(capsys) == want
 
-    @pytest.mark.parametrize("old, new", FORMAT_MUTATIONS.values(), ids=FORMAT_MUTATIONS)
-    def test_probe_refuses_a_formatter_that_writes_otherwise(self, old, new, monkeypatch,
-                                                             tmp_path, capsys):
-        # and simulate then writes the bytes of the suite's build through %
-        self._refused_with_the_same_bytes(old, new, monkeypatch, tmp_path, capsys)
+    # one test per C function, each under the name its mutations have had
+    @pytest.mark.parametrize("mutation", MUTATIONS["rk4_steps"])
+    def test_probe_refuses_an_rk4_loop_that_steps_otherwise(self, mutation, monkeypatch, tmp_path,
+                                                           capsys):
+        self._refused("rk4_steps", mutation, monkeypatch, tmp_path, capsys)
 
-    # Five ways for block_pass to screen or evaluate otherwise than the numpy
-    # pass, each one text of _native.c and its replacement: a row on the
-    # floor taken as below it, exp(s) as expm1(s) + 1, the drift as
-    # |v / start - 1|, the drift test ahead of the floor test, and a
-    # max_drift that also folds in the failing row.
-    PASS_MUTATIONS = {
-        "floor-inclusive": ("low |= xs[i] < floor;", "low |= xs[i] <= floor;"),
-        "expm1-for-exp": ("exp(v);", "expm1(v) + 1.0;"),
-        "drift-as-ratio": ("fabs(v - start[j]) / start[j];", "fabs(v / start[j] - 1.0);"),
-        "drift-before-floor": (
-            "        if (low)\n"
-            "            return r * width + n;\n"
-            "        for (int64_t j = 0; j <= m; j++)\n"
-            "            if (!isfinite(drift[j]))\n"
-            "                return r * width + n + 1 + j;\n",
-            "        for (int64_t j = 0; j <= m; j++)\n"
-            "            if (!isfinite(drift[j]))\n"
-            "                return r * width + n + 1 + j;\n"
-            "        if (low)\n"
-            "            return r * width + n;\n",
-        ),
-        "failing-row-folded": (
-            "        if (low)\n",
-            "        for (int64_t j = 0; j <= m; j++)\n"
-            "            max_drift[j] = drift[j] > max_drift[j] ? drift[j] : max_drift[j];\n"
-            "        if (low)\n",
-        ),
-    }
+    @pytest.mark.parametrize("mutation", MUTATIONS["rkf45_block"])
+    def test_probe_refuses_a_fehlberg_loop_that_steps_otherwise(self, mutation, monkeypatch,
+                                                               tmp_path, capsys):
+        self._refused("rkf45_block", mutation, monkeypatch, tmp_path, capsys)
 
-    @pytest.mark.parametrize("old, new", PASS_MUTATIONS.values(), ids=PASS_MUTATIONS)
-    def test_probe_refuses_a_pass_that_screens_otherwise(self, old, new, monkeypatch, tmp_path,
+    @pytest.mark.parametrize("mutation", MUTATIONS["block_pass"])
+    def test_probe_refuses_a_pass_that_screens_otherwise(self, mutation, monkeypatch, tmp_path,
                                                          capsys):
-        # and simulate then gives the bytes of the suite's build on the numpy pass
-        self._refused_with_the_same_bytes(old, new, monkeypatch, tmp_path, capsys)
+        self._refused("block_pass", mutation, monkeypatch, tmp_path, capsys)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS["csv_rows"])
+    def test_probe_refuses_a_formatter_that_writes_otherwise(self, mutation, monkeypatch,
+                                                             tmp_path, capsys):
+        self._refused("csv_rows", mutation, monkeypatch, tmp_path, capsys)
 
     def test_a_comment_edit_keeps_the_build_name(self, monkeypatch, tmp_path):
         # the name follows the code, not the comments around it
@@ -902,7 +926,7 @@ class TestNativeStepper:
         self._mutate(monkeypatch, tmp_path, "/* How a call of rkf45_block ended",
                      "/* How one call of rkf45_block ended")
         assert sim._native_name() == name
-        self._mutate(monkeypatch, tmp_path, "sixth = h / 6.0;", "sixth = h / 6.5;")
+        self._mutate(monkeypatch, tmp_path, *self.MUTATIONS["rk4_steps"]["sixth-as-h-over-6.5"])
         assert sim._native_name() != name
 
     def test_the_probe_rejects_a_fehlberg_step(self, monkeypatch):
@@ -927,7 +951,7 @@ class TestNativeStepper:
         if not _has_compiler():
             pytest.skip("the C compiler Python was built with is not installed")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        self._probe_differs(monkeypatch, tmp_path)
+        self._mutate(monkeypatch, tmp_path, *self.MUTATIONS["rk4_steps"]["sixth-as-h-over-6.5"])
         assert NATIVE() is None
         (marker,) = os.listdir(tmp_path / "cache" / "cycliclv")
         assert marker.startswith("native-") and marker.endswith(".so.failed")
