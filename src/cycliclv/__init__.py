@@ -32,7 +32,7 @@ def __getattr__(name: str):
     # linalg, so the names of submodules not re-exported must not load sim
     # and numpy. import_module, unlike "from . import sim", looks up no
     # attribute of this package, so it cannot come back here
-    if name in ("cli", "linalg") or name.startswith("__") and name != "__all__":
+    if name in ("cli", "linalg", "_reference") or name.startswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if name in ("sim", "verify"):
         return importlib.import_module(f".{name}", __name__)

@@ -1,9 +1,9 @@
 /* The native code of cycliclv.sim: the steppers of the cyclic Lotka-Volterra
    field, the pass over each block of states, and the CSV formatter. Each
-   function that is not static stands for a Python reference in sim, and
-   the comment on it states the order of operations that gives the
-   reference's bits or bytes; sim uses a build only after a probe of each
-   has matched its reference (sim._probe).
+   function that is not static stands for a Python reference in sim or
+   cycliclv._reference, and the comment on it states the order of
+   operations that gives the reference's bits or bytes; sim uses a build
+   only after a probe of each has matched its reference (_reference._probe).
 
    It is built with -ffp-contract=off, so that no a * b + c becomes one
    fused multiply-add. */
@@ -18,8 +18,8 @@
    its step limit. sim reads them as _FULL, _DONE, _UNDERFLOW and _LIMIT. */
 enum { FULL, DONE, UNDERFLOW, LIMIT };
 /* The field y * (A y) into k, each entry as y_i * (c1_i * y_{j1_i} +
-   c2_i * y_{j2_i}), as sim._rhs computes it: a row's two terms stay two
-   products, as summing them changes n = 2's bits. */
+   c2_i * y_{j2_i}), as _reference._rhs computes it: a row's two terms stay
+   two products, as summing them changes n = 2's bits. */
 static void field(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2,
                   const double *c2, const double *y, double *k)
 {
@@ -27,7 +27,7 @@ static void field(int64_t n, const int64_t *j1, const double *c1, const int64_t 
         k[i] = y[i] * (c1[i] * y[j1[i]] + c2[i] * y[j2[i]]);
 }
 
-/* The RK4 loop of sim._rk4_steps, with its operations entry by entry in
+/* The RK4 loop of _reference._rk4_steps, with its operations entry by entry in
    the same order, so that each new state has the same bits: count steps
    of h from row `row` of the row-major (rows, n) array xs, each new state
    in the next row, the stages from x + half * k with half = 0.5 * h and
@@ -56,10 +56,10 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
     }
 }
 
-/* The Fehlberg 4(5) loop of sim._rkf45_rows, one block a call, on the
-   operations of sim._rkf45_step: each stage and each sum of the tableau
-   left to right, as sum() adds the arrays, zero weights kept, so that a
-   NaN or infinite stage reaches every sum. sum() starts from int 0 and
+/* The Fehlberg 4(5) loop of _reference._rkf45_rows, one block a call, on
+   the operations of _reference._rkf45_step: each stage and each sum of the
+   tableau left to right, as sum() adds the arrays, zero weights kept, so
+   that a NaN or infinite stage reaches every sum. sum() starts from int 0 and
    these sums from their first term, which changes only the sign of an
    exact zero sum; x + h * sum and fabs drop it. Then the error scale from
    a >= b ? a : b, an error norm that keeps a NaN as np.max does, and the
@@ -214,41 +214,60 @@ static const uint64_t POW5[28] = {
     1490116119384765625ULL, 7450580596923828125ULL
 };
 
-/* 5^q for q from 0 to 54 */
-static u128 pow5(int q)
-{
-    return q > 27 ? (u128)POW5[27] * POW5[q - 27] : POW5[q];
-}
+/* The doubles nearest 10^-16 to 10^16: POW10[j] is 10^(j - 16) */
+static const double POW10[33] = {
+    1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3,
+    1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13,
+    1e14, 1e15, 1e16
+};
+
+/* The two digits of 0 to 99, the pair of i at PAIRS + 2 i */
+static const char PAIRS[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
 
 /* The 17 significant digits of m 2^e at decimal exponent k: m 2^e 10^(16 - k)
    rounded half to even, exactly, in 128-bit integers, as m 5^q shifted
-   right by s = -(e + q) bits, q = 16 - k. Returns 0 where that is no right
-   shift, from m 2^e = 2^51 up, or needs more than 128 bits, below about
-   1e-16. */
+   right by s = -(e + q) bits, q = 16 - k. m 5^q is one 64 by 64 bit product
+   up to q = 27, as 5^27 < 2^64. Returns 0 where that is no right shift,
+   from m 2^e = 2^51 up, or needs more than 128 bits, below about 1e-16. */
 static int digits17(uint64_t m, int e, int k, u128 *d)
 {
     int q = 16 - k, s = -(e + q);
     u128 n, low, half;
-    if (q < 0 || q > 54 || s <= 0 || s > 127 || __builtin_mul_overflow((u128)m, pow5(q), &n))
+    if (q < 0 || q > 54 || s <= 0 || s > 127)
+        return 0;
+    if (q <= 27)
+        n = (u128)m * POW5[q];
+    else if (__builtin_mul_overflow((u128)m, (u128)POW5[27] * POW5[q - 27], &n))
         return 0;
     *d = n >> s;
     low = n & (((u128)1 << s) - 1);
     half = (u128)1 << (s - 1);
-    if (low > half || (low == half && (*d & 1)))
-        *d += 1;
+    /* no branch: about half of all values round up, unpredictably */
+    *d += (low > half) | ((low == half) & (int)(*d & 1));
     return 1;
 }
 
 /* Writes the 17-digit significand d at decimal exponent k, from -16 to 15
    as digits17 gives it, as '%.17g' lays it out: d.ddde-kk below -4, else
-   fixed notation, and no trailing zeros or bare point. Returns the end of
-   what it wrote. */
+   fixed notation, and no trailing zeros or bare point. The digits come as
+   a 9-digit half and an 8-digit half of d, two at a time from PAIRS.
+   Returns the end of what it wrote. */
 static char *put_digits(char *p, uint64_t d, int k)
 {
     char g[17];
     int nd = 17;
-    for (int i = 16; i >= 0; i--, d /= 10)
-        g[i] = (char)('0' + d % 10);
+    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
+    g[0] = (char)('0' + hi / 100000000);
+    hi %= 100000000;
+    for (int i = 7; i > 0; i -= 2, hi /= 100, lo /= 100) {
+        memcpy(g + i, PAIRS + 2 * (hi % 100), 2);
+        memcpy(g + 8 + i, PAIRS + 2 * (lo % 100), 2);
+    }
     while (g[nd - 1] == '0')
         nd--;
     if (k < -4) {
@@ -285,13 +304,20 @@ static char *put_digits(char *p, uint64_t d, int k)
 
 /* Writes v as Python's '%.17g' % v: nan, inf and -inf, -0 for -0.0, and
    correctly rounded digits, ties to even. A normal double from about 1e-16
-   up to 2^51, the range that runs write, gets them from digits17, at the
-   exponent floor(log10 |v|) moved until its digits lie in [10^16, 10^17).
-   Digits of exactly 10^16 may also be those of a value just below 10^k
-   that has 17 digits at k - 1, so that exponent is tried too and kept when
-   its digits stay below 10^17. Every other value goes to snprintf, whose
-   decimal point, the locale's, becomes '.'. Returns the end of what it
-   wrote: at most 24 bytes. */
+   up to 2^51, the range that runs write, gets them from digits17. Its
+   decimal exponent k starts as floor(E log10 2), 2^E <= v < 2^(E + 1):
+   E * 78913 / 2^18 rounded down, which is exact for every E of a double.
+   2^28, 2^10 times 2^18, is added before the division and 2^10 taken off
+   after it, so that C's division, which rounds toward zero, divides a
+   positive number. That k is floor(log10 v) or one less, and it rises by
+   one where v reaches POW10's double nearest 10^(k + 1). Where that double
+   lies below 10^(k + 1), v equal to it gets a k one too high, so k then
+   moves until its digits lie in [10^16, 10^17). Digits of exactly 10^16
+   may also be those of a value just below 10^k that has 17 digits at
+   k - 1, so that exponent is tried too and kept when its digits stay below
+   10^17. Every other value goes to snprintf, whose decimal point, the
+   locale's, becomes '.'. Returns the end of what it wrote: at most 24
+   bytes. */
 static char *put_value(char *p, double v)
 {
     uint64_t bits;
@@ -316,8 +342,12 @@ static char *put_value(char *p, double v)
     /* a subnormal, exponent field 0, has no implicit bit */
     if (bits >> 52 & 0x7ff) {
         uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
-        int e = (int)(bits >> 52 & 0x7ff) - 1075, k = (int)floor(log10(v));
+        int e = (int)(bits >> 52 & 0x7ff) - 1075;
+        int k = ((e + 52) * 78913 + (1 << 28)) / (1 << 18) - (1 << 10);
         u128 d, lower;
+        if (k < -17 || k > 15)
+            goto libc;
+        k += v >= POW10[k + 17];
         if (!digits17(m, e, k, &d))
             goto libc;
         if (d >= TEN17 && !digits17(m, e, ++k, &d))

@@ -1,0 +1,277 @@
+"""The code of sim that runs only where no cached build of _native.c loads.
+
+These are the Python references of the two C loops, the build, and the
+probe that holds a build to its references: the field (_rhs), the RK4
+steps (_rk4_steps), the Fehlberg 4(5) step and loop (_rkf45_step,
+_rkf45_rows), _build, and _probe with its four cases. sim imports this
+module only where it must build _native.c (sim._native) or run a
+reference loop (sim._kernel with None), so a process that loads a cached
+build neither compiles nor runs any of it. The references of block_pass
+and csv_rows, numpy's pass and Python's %, stay in sim, which runs them
+where no build loads. Every constant and every other function comes from
+sim, read when it is called, so that a value set on sim holds here too.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from contextlib import suppress
+from fractions import Fraction
+from sys import float_info
+from typing import Callable
+
+import numpy as np
+
+from . import sim
+from .model import CyclicLVSystem
+
+# A build that runs longer than this is stopped, so a temporary build file
+# older than that belongs to no live build.
+_BUILD_SECONDS = 120
+
+
+def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """The field x * (A x) on a float array, A the structure matrix.
+
+    Each row's two terms stay two products; summing them changes n = 2's bits.
+    """
+    j1, c1, j2, c2 = sim._terms(sys)
+
+    def f(x: np.ndarray) -> np.ndarray:
+        return x * (c1 * x[j1] + c2 * x[j2])
+
+    return f
+
+
+def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
+    """count RK4 steps of h from row ``row`` of xs, each new state in the next row."""
+    x = xs[row]
+    for r in range(row + 1, row + count + 1):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[r] = x
+
+
+def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """One Fehlberg 4(5) step: the fourth-order state and its error norm."""
+    stages = [f(x)]
+    for row in sim._FEHLBERG_A[1:]:
+        xs = x + h * sum(a * s for a, s in zip(row, stages))
+        stages.append(f(xs))
+    x_new = x + h * sum(b * s for b, s in zip(sim._FEHLBERG_B4, stages))
+    err = h * sum(e * s for e, s in zip(sim._FEHLBERG_ERR, stages))
+    scale = sim.ABS_TOL + sim.REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
+    return x_new, float(np.max(np.abs(err) / scale))
+
+
+def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
+    """Fehlberg 4(5) from the state x with trial step h; yields (rows, end, t, h) per block.
+
+    step(x, h) is _rkf45_step with its field bound: it returns the new state
+    and its error norm. Each accepted state goes into the next row of xs
+    after row 0 and its time into ts. A full block ends _FULL before the
+    next trial, so the steps accepted by then are the rows yielded; only the
+    last block can be short, and it ends _DONE at t_end, _UNDERFLOW when a
+    rejected step times its factor falls below MIN_STEP, or _LIMIT when a
+    step is accepted after limit steps. Each yield gives the rows written,
+    the end, t and the next trial step, the one that fell below MIN_STEP at
+    _UNDERFLOW. Returns the last trial's new state and error norm, which
+    _probe compares. rkf45_block of _native.c runs this loop in C.
+    """
+    size, t, end = len(xs) - 1, 0.0, sim._DONE
+    row = accepted = 0
+    while end == sim._DONE and t < t_end * (1.0 - 1e-14):
+        if row == size:
+            yield row, sim._FULL, t, h
+            row = 0
+        h = min(h, t_end - t)
+        x_new, enorm = step(x, h)
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
+        if enorm <= 1.0:
+            t += h
+            x = x_new
+            if accepted == limit:
+                end = sim._LIMIT
+            else:
+                accepted += 1
+                row += 1
+                ts[row], xs[row] = t, x
+        elif h * factor < sim.MIN_STEP:
+            end = sim._UNDERFLOW
+        h *= factor
+    yield row, end, t, h
+    return x_new, enorm
+
+
+def _build(path: str):
+    """Build _native.c at path and return it loaded, or None if it fails its probe.
+
+    First it removes the temporary files of builds that started more than
+    _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
+    and the builds named rk4-*.so of an older, RK4-only source.
+    The build goes to a temporary file beside path, which takes path's name
+    only once it passes _probe. A build that fails it is neither cached nor
+    used: it leaves the marker path + ".failed", so that no later process
+    builds it again. Raises OSError, or AttributeError where Python records
+    no compiler, as sim._native expects; subprocess and sysconfig are
+    imported only here.
+    """
+    import subprocess
+    import sysconfig
+    import time
+
+    stale = time.time() - _BUILD_SECONDS
+    with os.scandir(os.path.dirname(path)) as entries:
+        for entry in entries:
+            with suppress(FileNotFoundError):  # removed meanwhile by another process
+                # A native-*.so of another CRC stays: two installed versions
+                # that each removed the other's build would compile again in
+                # every process that alternates between them.
+                if (entry.name.endswith(".tmp") and entry.stat().st_mtime < stale
+                        or entry.name.startswith("rk4-") and entry.name.endswith(".so")):
+                    os.remove(entry.path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*sysconfig.get_config_var("CC").split(), *sim._CFLAGS, "-o", temporary,
+                        sim._NATIVE_SOURCE, "-lm"], capture_output=True, check=True,
+                       timeout=_BUILD_SECONDS)
+        lib = sim._load(temporary)
+        if not _probe(lib):
+            open(f"{path}.failed", "wb").close()
+            return None
+        os.replace(temporary, path)
+        return lib
+    except subprocess.SubprocessError:
+        return None
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(temporary)
+
+
+def _probe(lib) -> bool:
+    """Whether lib gives each probe case that sim._ENTRY_POINTS names the result that None gives.
+
+    With None each front door runs its Python reference, and the comment on
+    each function in _native.c states the order of operations that gives
+    the reference's bits. A case's result compares with ==: the CSV as its
+    bytes, and states, times, values and drifts as theirs, so bit for bit,
+    but for the last RKF45 trials (_probe_rkf45_block).
+    """
+    cases = [globals()[name] for _, _, name in sim._ENTRY_POINTS.values()]
+    with np.errstate(all="ignore"):
+        return all(case(lib) == case(None) for case in cases)
+
+
+# The RK4 and RKF45 probe cases' rates, whose floats are not dyadic, and start.
+_PROBE_RATES = ((4, 3), (9, 7), (10, 11), (14, 13), (22, 17))
+_PROBE_X0 = (0.2, 0.3, 0.5, 0.7, 1.1)
+
+
+def _probe_rk4_steps(lib) -> bytes:
+    """The states of 32 RK4 steps of 0.37 and one of 0.137 on sim._kernel(lib, ...).
+
+    A step of 0.37 moves the state by about its own size, so that a fused
+    multiply-add or another order in any stage or sum changes a bit of the
+    new states; a step of 0.1, which moves it by about 2 %, let a reordered
+    final sum through.
+    """
+    sys = CyclicLVSystem([Fraction(*q) for q in _PROBE_RATES])
+    xs = np.empty((34, sys.n))
+    xs[0] = _PROBE_X0
+    steps = sim._kernel(lib, sys, True)
+    steps(xs, 0, 32, 0.37)
+    steps(xs, 32, 1, 0.137)
+    return xs.tobytes()
+
+
+def _probe_rkf45_block(lib) -> list:
+    """Each block of two RKF45 runs of sim._kernel(lib, ...) in blocks of 7 rows, and last trials.
+
+    The first starts with a trial step of 0.37, rejects it until a step
+    fits the tolerances, and runs to t = 1, so that every stage, sum and
+    controller factor reaches its times and states. A zero weight reaches
+    no accepted state: it changes a sum only when the stage it weighs is
+    NaN or infinite, and then the error norm is too. So the second run
+    starts 15 coordinates with x8 NaN, which each stage spreads one
+    coordinate further each way: only the sixth stage is NaN at x2 and x14,
+    where a dropped zero weight leaves the trial state finite. Every trial
+    of that run is rejected until StepUnderflow. Each run's last trial
+    state and error norm compare as np.array_equal(equal_nan=True) has
+    them: every NaN alike, and -0.0 as 0.0.
+    """
+    rates = [Fraction(*q) for q in _PROBE_RATES]
+    nan8 = [math.nan if i == 7 else 0.5 for i in range(15)]
+    got = []
+    for sys, start in ((CyclicLVSystem(rates), _PROBE_X0), (CyclicLVSystem(rates * 3), nan8)):
+        xs, ts = np.empty((8, sys.n)), np.empty(8)
+        blocks = sim._kernel(lib, sys, False)(np.array(start), xs, ts, 1.0, 0.37, sim.MAX_STEPS)
+        while True:
+            try:
+                count, *ended = next(blocks)
+            except StopIteration as stop:
+                last = np.array([*stop.value[0], stop.value[1]])
+                break
+            got.append((count, *ended, xs[1 : count + 1].tobytes(), ts[1 : count + 1].tobytes()))
+        # one NaN for every NaN, and -0.0 + 0.0 is 0.0
+        got.append(np.where(np.isnan(last), math.nan, last + 0.0).tobytes())
+    return got
+
+
+def _probe_block_pass(lib) -> list:
+    """Each literal block's first failing row and failure, and the figures of the rows before it.
+
+    The figures are the values, drifts and max_drift of sim._pass(lib, ...).
+    The two monomials' s are 30 log x1 - 1.5 log x2 and 0.5 log x1 + 0.25
+    log x2 - 40 log x3. The first six rows pass: row 0 is the start, and
+    row 5 sits on POSITIVITY_FLOOR. Each later row fails: a NaN and an
+    infinite coordinate; one below the floor with larger drifts than any
+    row before it, and one below the floor whose s is also past LOG_RANGE;
+    the first s past each end of LOG_RANGE and the second past its top; and
+    an H1 that overflows. The pass goes over the first six rows alone, and
+    over them followed by each failing row and then the second row again,
+    so that the floor test, exp, the drift, the screen's order and the rows
+    max_drift folds in all show.
+    """
+    exponents = [np.array(lam) for lam in ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))]
+    rows = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),
+            (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
+            (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
+            (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
+    start = sim._values(np.array(rows[:1]), exponents)[0]
+    screens = []
+    for tail in ((), *((row, rows[1]) for row in rows[6:])):
+        block = np.array([*rows[:6], *tail])
+        max_drift = np.zeros(len(start))
+        run = sim._pass(lib, exponents, start, max_drift, len(block))
+        values, drift, good, column = run(block)
+        screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
+                        max_drift.tobytes()))
+    return screens
+
+
+def _probe_csv_rows(lib) -> bytes:
+    """Literal values and their negatives, a row of each, as sim._csv_bytes(..., lib) writes them.
+
+    The values: 17th digits that tie, which go to even (1000000000000000.2
+    and .8, 2251799813685247.8 just below 2^51); the double nearest 1e-12,
+    whose digits at floor(log10) are exactly 10^16 but which has 17 digits
+    one exponent lower; exponents of one digit; zeros; the values that go
+    to snprintf, 2^51 + 0.5, 1e24, a subnormal, one below 1e-16 and the
+    largest double, whose 17th digit differs from a 16-digit rounding; and
+    each layout of %g. Then 100 to 199, whose second and third digits are
+    each pair that csv_rows takes from its table, and the doubles nearest
+    10^-17 to 10^16, where its exponent estimate meets its correction, each
+    with the doubles either side of it.
+    """
+    floats = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 1e-12,
+              2251799813685248.5, 1e24, 1.2345678e-05, 7e-9, 0.0, 5e-324, 1e-300 / 3,
+              float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4, 2.5, 123456.789, 1e16, 1e17,
+              1.2345e30)
+    decades = [w for k in range(-17, 17) for p in [float(f"1e{k}")]
+               for w in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+    values = [*floats, *map(float, range(100, 200)), *decades]
+    return sim._csv_bytes(np.array([values, [-v for v in values]]), lib)

@@ -17,18 +17,20 @@ writes. Without one, integrate collects the rows into a Trajectory, and a
 run's memory is the rows it keeps and one block. Each row's figures do not
 depend on the block it falls in.
 
-Each function of _native.c stands for a Python reference here, with the
-same bits or bytes, and the comment on it in _native.c states the order of
+Each function of _native.c stands for a Python reference, with the same
+bits or bytes, and the comment on it in _native.c states the order of
 operations that makes them so. Each is wired once: an entry of
-_ENTRY_POINTS gives its C types and its probe case, and a front door that
-takes lib, a build or None, calls it or its reference: _kernel for
+_ENTRY_POINTS gives its C types and names its probe case, and a front door
+that takes lib, a build or None, calls it or its reference: _kernel for
 rk4_steps and rkf45_block, _pass for block_pass and _csv_bytes for
-csv_rows. A build is made once per machine with Python's own C compiler
-into the per-user cache, loaded with ctypes (_native), and used only after
-each probe case gives with it what it gives with None (_probe). Where none
-loads (no compiler, a cache that cannot be used, a failed build or a
-failed probe), lib is None, and each front door runs its reference at any
-n, with the same bits and bytes.
+csv_rows. The references of the steppers, the build and the probe live in
+_reference, which is imported only where no cached build loads; numpy's
+pass and Python's % stay here. A build is made once per machine with
+Python's own C compiler into the per-user cache, loaded with ctypes
+(_native), and used only after each probe case gives with it what it gives
+with None (_reference._probe). Where none loads (no compiler, a cache that
+cannot be used, a failed build or a failed probe), lib is None, and each
+front door runs its reference at any n, with the same bits and bytes.
 
 The kernels only step; integrate screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
@@ -58,7 +60,6 @@ import ctypes
 import math
 import os
 import re
-from contextlib import suppress
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
@@ -105,12 +106,9 @@ ABS_TOL = 1e-12
 MIN_STEP = 1e-10
 
 # The C source of the native loops and the flags it is built with: no FP
-# contraction, so that no a * b + c becomes one fused multiply-add. A build
-# that runs longer than _BUILD_SECONDS is stopped, so a temporary build file
-# older than that belongs to no live build.
+# contraction, so that no a * b + c becomes one fused multiply-add.
 _NATIVE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_BUILD_SECONDS = 120
 
 # The most bytes csv_rows of _native.c writes for one value and its
 # separator: "-1.2345678901234567e-308" and a comma.
@@ -259,19 +257,6 @@ def _terms(sys: CyclicLVSystem) -> tuple[np.ndarray, ...]:
     return j1, c1, j2, c2
 
 
-def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """The field x * (A x) on a float array, A the structure matrix.
-
-    Each row's two terms stay two products; summing them changes n = 2's bits.
-    """
-    j1, c1, j2, c2 = _terms(sys)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return x * (c1 * x[j1] + c2 * x[j2])
-
-    return f
-
-
 def _logs(x: np.ndarray, exponents: Sequence[np.ndarray]) -> list[np.ndarray]:
     """H1 and each monomial's s = lam . log x for every row, one array each.
 
@@ -327,30 +312,6 @@ _FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _FEHLBERG_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """One Fehlberg 4(5) step: the fourth-order state and its error norm."""
-    stages = [f(x)]
-    for row in _FEHLBERG_A[1:]:
-        xs = x + h * sum(a * s for a, s in zip(row, stages))
-        stages.append(f(xs))
-    x_new = x + h * sum(b * s for b, s in zip(_FEHLBERG_B4, stages))
-    err = h * sum(e * s for e, s in zip(_FEHLBERG_ERR, stages))
-    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-    return x_new, float(np.max(np.abs(err) / scale))
-
-
-def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
-    """count RK4 steps of h from row ``row`` of xs, each new state in the next row."""
-    x = xs[row]
-    for r in range(row + 1, row + count + 1):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[r] = x
-
-
 def _native_name() -> str:
     """The file name of a build of _NATIVE_SOURCE: native-<CRC-32>.so.
 
@@ -371,12 +332,12 @@ def _native():
     A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
     ~/.cache/cycliclv, made with mode 0700, under _native_name(), and is
     loaded from there. Without one, Python's own C compiler, sysconfig's
-    CC, builds it (_build), unless the marker that name + ".failed" says
-    that a build of it failed its probe. No compiler, a cache that is not a
-    directory of this user's that only it can write to, a failed build and
-    a failed probe all give None, and then each front door, _kernel, _pass
-    and _csv_bytes, runs its Python reference, with the same bits and bytes.
-    The answer holds for the process.
+    CC, builds it (_reference._build), unless the marker that name +
+    ".failed" says that a build of it failed its probe. No compiler, a
+    cache that is not a directory of this user's that only it can write to,
+    a failed build and a failed probe all give None, and then each front
+    door, _kernel, _pass and _csv_bytes, runs its Python reference, with the
+    same bits and bytes. The answer holds for the process.
     """
     try:
         name = _native_name()
@@ -395,7 +356,11 @@ def _native():
         try:
             return _load(path)
         except OSError:  # not built yet, or not a library
-            return None if os.path.exists(f"{path}.failed") else _build(path)
+            if os.path.exists(f"{path}.failed"):
+                return None
+            from . import _reference
+
+            return _reference._build(path)
     # AttributeError: a library without one of the functions, or no os.uname or os.getuid
     except (OSError, AttributeError):
         return None
@@ -410,180 +375,19 @@ def _load(path: str):
     return lib
 
 
-def _build(path: str):
-    """Build _native.c at path and return it loaded, or None if it fails its probe.
-
-    First it removes the temporary files of builds that started more than
-    _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
-    and the builds named rk4-*.so of an older, RK4-only source.
-    The build goes to a temporary file beside path, which takes path's name
-    only once it passes _probe. A build that fails it is neither cached nor
-    used: it leaves the marker path + ".failed", so that no later process
-    builds it again. Raises OSError, or AttributeError where Python records
-    no compiler, as _native expects; subprocess and sysconfig are imported
-    only here.
-    """
-    import subprocess
-    import sysconfig
-    import time
-
-    stale = time.time() - _BUILD_SECONDS
-    with os.scandir(os.path.dirname(path)) as entries:
-        for entry in entries:
-            with suppress(FileNotFoundError):  # removed meanwhile by another process
-                # A native-*.so of another CRC stays: two installed versions
-                # that each removed the other's build would compile again in
-                # every process that alternates between them.
-                if (entry.name.endswith(".tmp") and entry.stat().st_mtime < stale
-                        or entry.name.startswith("rk4-") and entry.name.endswith(".so")):
-                    os.remove(entry.path)
-    temporary = f"{path}.{os.getpid()}.tmp"
-    try:
-        subprocess.run([*sysconfig.get_config_var("CC").split(), *_CFLAGS, "-o", temporary,
-                        _NATIVE_SOURCE, "-lm"], capture_output=True, check=True,
-                       timeout=_BUILD_SECONDS)
-        lib = _load(temporary)
-        if not _probe(lib):
-            open(f"{path}.failed", "wb").close()
-            return None
-        os.replace(temporary, path)
-        return lib
-    except subprocess.SubprocessError:
-        return None
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(temporary)
-
-
-def _probe(lib) -> bool:
-    """Whether lib gives each probe case of _ENTRY_POINTS the result that None gives.
-
-    With None each front door runs its Python reference, and the comment on
-    each function in _native.c states the order of operations that gives
-    the reference's bits. A case's result compares with ==: the CSV as its
-    bytes, and states, times, values and drifts as theirs, so bit for bit,
-    but for the last RKF45 trials (_probe_rkf45_block).
-    """
-    with np.errstate(all="ignore"):
-        return all(case(lib) == case(None) for _, _, case in _ENTRY_POINTS.values())
-
-
-# The RK4 and RKF45 probe cases' rates, whose floats are not dyadic, and start.
-_PROBE_RATES = ((4, 3), (9, 7), (10, 11), (14, 13), (22, 17))
-_PROBE_X0 = (0.2, 0.3, 0.5, 0.7, 1.1)
-
-
-def _probe_rk4_steps(lib) -> bytes:
-    """The states of 32 RK4 steps of 0.37 and one of 0.137 on _kernel(lib, ...).
-
-    A step of 0.37 moves the state by about its own size, so that a fused
-    multiply-add or another order in any stage or sum changes a bit of the
-    new states; a step of 0.1, which moves it by about 2 %, let a reordered
-    final sum through.
-    """
-    sys = CyclicLVSystem([Fraction(*q) for q in _PROBE_RATES])
-    xs = np.empty((34, sys.n))
-    xs[0] = _PROBE_X0
-    steps = _kernel(lib, sys, True)
-    steps(xs, 0, 32, 0.37)
-    steps(xs, 32, 1, 0.137)
-    return xs.tobytes()
-
-
-def _probe_rkf45_block(lib) -> list:
-    """Each block of two RKF45 runs of _kernel(lib, ...) in blocks of 7 rows, and their last trials.
-
-    The first starts with a trial step of 0.37, rejects it until a step
-    fits the tolerances, and runs to t = 1, so that every stage, sum and
-    controller factor reaches its times and states. A zero weight reaches
-    no accepted state: it changes a sum only when the stage it weighs is
-    NaN or infinite, and then the error norm is too. So the second run
-    starts 15 coordinates with x8 NaN, which each stage spreads one
-    coordinate further each way: only the sixth stage is NaN at x2 and x14,
-    where a dropped zero weight leaves the trial state finite. Every trial
-    of that run is rejected until StepUnderflow. Each run's last trial
-    state and error norm compare as np.array_equal(equal_nan=True) has
-    them: every NaN alike, and -0.0 as 0.0.
-    """
-    rates = [Fraction(*q) for q in _PROBE_RATES]
-    nan8 = [math.nan if i == 7 else 0.5 for i in range(15)]
-    got = []
-    for sys, start in ((CyclicLVSystem(rates), _PROBE_X0), (CyclicLVSystem(rates * 3), nan8)):
-        xs, ts = np.empty((8, sys.n)), np.empty(8)
-        blocks = _kernel(lib, sys, False)(np.array(start), xs, ts, 1.0, 0.37, MAX_STEPS)
-        while True:
-            try:
-                count, *ended = next(blocks)
-            except StopIteration as stop:
-                last = np.array([*stop.value[0], stop.value[1]])
-                break
-            got.append((count, *ended, xs[1 : count + 1].tobytes(), ts[1 : count + 1].tobytes()))
-        # one NaN for every NaN, and -0.0 + 0.0 is 0.0
-        got.append(np.where(np.isnan(last), math.nan, last + 0.0).tobytes())
-    return got
-
-
-def _probe_block_pass(lib) -> list:
-    """Each literal block's first failing row and failure, and the figures of the rows before it.
-
-    The figures are the values, drifts and max_drift of _pass(lib, ...).
-    The two monomials' s are 30 log x1 - 1.5 log x2 and 0.5 log x1 + 0.25
-    log x2 - 40 log x3. The first six rows pass: row 0 is the start, and
-    row 5 sits on POSITIVITY_FLOOR. Each later row fails: a NaN and an
-    infinite coordinate; one below the floor with larger drifts than any
-    row before it, and one below the floor whose s is also past LOG_RANGE;
-    the first s past each end of LOG_RANGE and the second past its top; and
-    an H1 that overflows. The pass goes over the first six rows alone, and
-    over them followed by each failing row and then the second row again,
-    so that the floor test, exp, the drift, the screen's order and the rows
-    max_drift folds in all show.
-    """
-    exponents = [np.array(lam) for lam in ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))]
-    rows = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),
-            (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
-            (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
-            (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
-    start = _values(np.array(rows[:1]), exponents)[0]
-    screens = []
-    for tail in ((), *((row, rows[1]) for row in rows[6:])):
-        block = np.array([*rows[:6], *tail])
-        max_drift = np.zeros(len(start))
-        values, drift, good, column = _pass(lib, exponents, start, max_drift, len(block))(block)
-        screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
-                        max_drift.tobytes()))
-    return screens
-
-
-def _probe_csv_rows(lib) -> bytes:
-    """Literal values and their negatives, a row of each, as _csv_bytes(..., lib) writes them.
-
-    The values: 17th digits that tie, which go to even (1000000000000000.2
-    and .8, 2251799813685247.8 just below 2^51); the double nearest 1e-12,
-    whose digits at floor(log10) are exactly 10^16 but which has 17 digits
-    one exponent lower; exponents of one digit; zeros; the values that go
-    to snprintf, 2^51 + 0.5, 1e24, a subnormal, one below 1e-16 and the
-    largest double, whose 17th digit differs from a 16-digit rounding; and
-    each layout of %g.
-    """
-    floats = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 1e-12,
-              2251799813685248.5, 1e24, 1.2345678e-05, 7e-9, 0.0, 5e-324, 1e-300 / 3,
-              float_info.max, math.nan, math.inf, 0.1, 1 / 3, 1e-4, 2.5, 123456.789, 1e16, 1e17,
-              1.2345e30)
-    return _csv_bytes(np.array([floats, [-v for v in floats]]), lib)
-
-
-# Each C function of _native.c: its result type, its argument types and its
-# probe case. ctypes needs both types: without argtypes a float argument
-# raises ArgumentError, and without restype an int64 result is cut to a C int.
+# Each C function of _native.c: its result type, its argument types and the
+# name of its probe case in _reference. ctypes needs both types: without
+# argtypes a float argument raises ArgumentError, and without restype an
+# int64 result is cut to a C int.
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _ENTRY_POINTS = {
     "rk4_steps": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _F64, _PTR),
-                  _probe_rk4_steps),
+                  "_probe_rk4_steps"),
     "rkf45_block": (_I64, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _PTR,
-                           _PTR, _PTR, _PTR, _PTR, _I64, _PTR), _probe_rkf45_block),
+                           _PTR, _PTR, _PTR, _PTR, _I64, _PTR), "_probe_rkf45_block"),
     "block_pass": (_I64, (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64),
-                   _probe_block_pass),
-    "csv_rows": (_I64, (_PTR, _I64, _I64, _PTR, _I64), _probe_csv_rows),
+                   "_probe_block_pass"),
+    "csv_rows": (_I64, (_PTR, _I64, _I64, _PTR, _I64), "_probe_csv_rows"),
 }
 
 
@@ -602,6 +406,8 @@ def _csv_bytes(block: np.ndarray, lib) -> bytes:
     block = np.ascontiguousarray(block, dtype=float)
     out = np.empty(rows * max(cols, 1) * _CSV_VALUE_BYTES, np.uint8)
     size = lib.csv_rows(block.ctypes.data, rows, cols, out.ctypes.data, len(out))
+    if size < 0:
+        raise RuntimeError(f"csv_rows refused {len(out)} bytes for {rows} rows of {cols} values")
     return out[:size].tobytes()
 
 
@@ -609,8 +415,9 @@ def _kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
     """sys's RK4 or RKF45 loop: rk4_steps or rkf45_block of lib, or where lib is None its reference.
 
     The references are _rk4_steps and _rkf45_rows on _rkf45_step, with
-    sys's field bound; the comments on rk4_steps and rkf45_block in
-    _native.c state the order of operations that gives their bits. The RK4
+    sys's field _rhs bound, all of _reference, which a call with None
+    imports; the comments on rk4_steps and rkf45_block in _native.c state
+    the order of operations that gives their bits. The RK4
     loop is called with (xs, row, count, h). The RKF45 loop is called with
     (x, xs, ts, t_end, h, limit): a generator that yields and returns what
     _rkf45_rows does, natively a call of rkf45_block per block, each
@@ -619,8 +426,11 @@ def _kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
     rate whose float overflows or rounds to zero.
     """
     if lib is None:
-        f = _rhs(sys)
-        return partial(_rk4_steps, f) if rk4 else partial(_rkf45_rows, partial(_rkf45_step, f))
+        from . import _reference
+
+        f = _reference._rhs(sys)
+        return (partial(_reference._rk4_steps, f) if rk4 else
+                partial(_reference._rkf45_rows, partial(_reference._rkf45_step, f)))
     n = sys.n
     terms = [np.ascontiguousarray(a, kind) for a, kind in zip(_terms(sys), (np.int64, float) * 2)]
     # each pointer keeps its array alive
@@ -700,45 +510,6 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
         yield count, None
         xs[0] = xs[count]
         base += count
-
-
-def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
-    """Fehlberg 4(5) from the state x with trial step h; yields (rows, end, t, h) per block.
-
-    step(x, h) is _rkf45_step with its field bound: it returns the new state
-    and its error norm. Each accepted state goes into the next row of xs
-    after row 0 and its time into ts. A full block ends _FULL before the
-    next trial, so the steps accepted by then are the rows yielded; only the
-    last block can be short, and it ends _DONE at t_end, _UNDERFLOW when a
-    rejected step times its factor falls below MIN_STEP, or _LIMIT when a
-    step is accepted after limit steps. Each yield gives the rows written,
-    the end, t and the next trial step, the one that fell below MIN_STEP at
-    _UNDERFLOW. Returns the last trial's new state and error norm, which
-    _probe compares. rkf45_block of _native.c runs this loop in C.
-    """
-    size, t, end = len(xs) - 1, 0.0, _DONE
-    row = accepted = 0
-    while end == _DONE and t < t_end * (1.0 - 1e-14):
-        if row == size:
-            yield row, _FULL, t, h
-            row = 0
-        h = min(h, t_end - t)
-        x_new, enorm = step(x, h)
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-        if enorm <= 1.0:
-            t += h
-            x = x_new
-            if accepted == limit:
-                end = _LIMIT
-            else:
-                accepted += 1
-                row += 1
-                ts[row], xs[row] = t, x
-        elif h * factor < MIN_STEP:
-            end = _UNDERFLOW
-        h *= factor
-    yield row, end, t, h
-    return x_new, enorm
 
 
 def _rkf45_blocks(rows, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):

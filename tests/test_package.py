@@ -64,8 +64,8 @@ IMPORT_GUARD = """
 import contextlib, io, json, sys
 import cycliclv, cycliclv.cli as cli
 
-MODULES = ("numpy", "cycliclv.sim", "cycliclv.verify", "cycliclv.linalg", "random",
-           "dataclasses", "inspect", "pathlib", "hashlib", "subprocess", "sysconfig")
+MODULES = ("numpy", "cycliclv.sim", "cycliclv._reference", "cycliclv.verify", "cycliclv.linalg",
+           "random", "dataclasses", "inspect", "pathlib", "hashlib", "subprocess", "sysconfig")
 RUNS = {
     "integrals": ["integrals", "--system", "spec.json", "--format", "json"],
     "check": ["check", "--system", "spec.json"],
@@ -122,24 +122,38 @@ def test_simulate_loads_neither_verify_nor_linalg(tmp_path):
     assert "cycliclv.linalg" not in stages["simulate"]
 
 
+# What only a build of the native code or a process without one loads.
+BUILD_MODULES = {"cycliclv._reference", "hashlib", "subprocess", "sysconfig"}
+
+
 def test_rk4_simulate_loads_no_hashlib(tmp_path, monkeypatch):
     """An RK4 simulate that builds the native loop, and one that loads it, load no hashlib.
 
     hashlib's OpenSSL cost an RK4 run 3.6 MB of peak RSS. subprocess and
-    sysconfig, which only a build needs, load only with the build.
+    sysconfig, which only a build needs, load only with the build, and so
+    does _reference, which holds the build, the probe and the references.
     """
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     built, loaded = (_import_stages(tmp_path, "simulate")["simulate"] for _ in range(2))
-    assert "subprocess" in built and "hashlib" not in built
-    assert not {"hashlib", "subprocess", "sysconfig"} & set(loaded)
+    assert {"subprocess", "cycliclv._reference"} <= set(built) and "hashlib" not in built
+    assert not BUILD_MODULES & set(loaded)
 
 
 def test_rk45_simulate_with_a_cached_build_loads_no_build_modules(tmp_path, monkeypatch):
     """An RKF45 simulate builds the same library, and one that loads it imports no build module."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     built, loaded = (_import_stages(tmp_path, "simulate-rk45")["simulate-rk45"] for _ in range(2))
-    assert "subprocess" in built and "hashlib" not in built
-    assert not {"hashlib", "subprocess", "sysconfig"} & set(loaded)
+    assert {"subprocess", "cycliclv._reference"} <= set(built) and "hashlib" not in built
+    assert not BUILD_MODULES & set(loaded)
+
+
+def test_simulate_without_a_build_loads_the_references(tmp_path, monkeypatch):
+    """Where no build loads, as with a cache that is a regular file, simulate runs _reference."""
+    (tmp_path / "file").write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    for command in ("simulate", "simulate-rk45"):
+        loaded = _import_stages(tmp_path, command)[command]
+        assert "cycliclv._reference" in loaded and "subprocess" not in loaded
 
 
 def test_the_suite_caches_native_builds_in_a_temporary_directory(tmp_path_factory):

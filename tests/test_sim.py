@@ -29,8 +29,8 @@ from cycliclv import (
     integrate,
     make_system,
 )
-from cycliclv import cli, sim
-from cycliclv.sim import _rhs, _rk4_steps
+from cycliclv import _reference, cli, sim
+from cycliclv._reference import _rhs, _rk4_steps
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -630,8 +630,8 @@ class TestKernelsAgree:
             wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block,
                                       block_pass=lib.block_pass)
             monkeypatch.setattr(sim, "_native", lambda: wrapped)
-        monkeypatch.setattr(sim, "_rk4_steps", counted(sim._rk4_steps))
-        monkeypatch.setattr(sim, "_rkf45_step", counted(sim._rkf45_step))
+        monkeypatch.setattr(_reference, "_rk4_steps", counted(_reference._rk4_steps))
+        monkeypatch.setattr(_reference, "_rkf45_step", counted(_reference._rkf45_step))
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
         sys = make_system([1, 5])
         cfg = IntegratorConfig(method, step=0.05, t_end=t_end)
@@ -663,7 +663,7 @@ class TestKernelsAgree:
 
             blocks = sim._kernel(SimpleNamespace(rkf45_block=rkf45_block), sys, False)
         else:
-            step = sim._rkf45_step
+            step = _reference._rkf45_step
 
             def counted(f, x, h):
                 nonlocal accepted
@@ -671,7 +671,7 @@ class TestKernelsAgree:
                 accepted += out[1] <= 1.0
                 return out
 
-            monkeypatch.setattr(sim, "_rkf45_step", counted)
+            monkeypatch.setattr(_reference, "_rkf45_step", counted)
             blocks = sim._kernel(None, sys, False)
         xs, ts = np.empty((8, sys.n)), np.empty(8)
         xs[0] = [1.0, 1.1, 0.9, 1.0, 1.05]
@@ -709,7 +709,7 @@ class TestKernelsAgree:
         # to check (TestNativeStepper.MUTATIONS["rkf45_block"]["zero-weight-dropped"]).
         sys = make_system(rates)
         with np.errstate(all="ignore"):
-            want, norm = sim._rkf45_step(_rhs(sys), np.array(x), 1e-306)
+            want, norm = _reference._rkf45_step(_rhs(sys), np.array(x), 1e-306)
         assert np.isnan([*want, norm]).all()
 
 
@@ -857,8 +857,8 @@ class TestNativeStepper:
         },
         "csv_rows": {
             "ties-half-up": (
-                "    if (low > half || (low == half && (*d & 1)))",
-                "    if (low >= half)",
+                "    *d += (low > half) | ((low == half) & (int)(*d & 1));",
+                "    *d += low >= half;",
             ),
             "no-recheck-at-10^16": ("        if (d == TEN16) {", "        if (0) {"),
             "one-digit-exponent": (
@@ -871,6 +871,12 @@ class TestNativeStepper:
             ),
             "libc-16-digits": ('snprintf(text, sizeof text, "%.17g", v);',
                                'snprintf(text, sizeof text, "%.16g", v);'),
+            "pair-table-58-59-swapped": ('"4041424344454647484950515253545556575859"',
+                                         '"4041424344454647484950515253545556575958"'),
+            "split-at-10^9": (
+                "hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);",
+                "hi = (uint32_t)(d / 1000000000), lo = (uint32_t)(d % 1000000000);",
+            ),
         },
     }
 
@@ -935,15 +941,15 @@ class TestNativeStepper:
         if not _has_compiler():
             pytest.skip("the C compiler Python was built with is not installed")
         norms = []
-        step = sim._rkf45_step
+        step = _reference._rkf45_step
 
         def recorded(f, x, h):
             out = step(f, x, h)
             norms.append(out[1])
             return out
 
-        monkeypatch.setattr(sim, "_rkf45_step", recorded)
-        assert sim._probe(NATIVE())
+        monkeypatch.setattr(_reference, "_rkf45_step", recorded)
+        assert _reference._probe(NATIVE())
         assert any(1.0 < norm < math.inf for norm in norms)
 
     def test_a_failed_probe_is_built_once(self, monkeypatch, tmp_path):
@@ -982,7 +988,7 @@ class TestNativeStepper:
         retired, other = folder / "rk4-4acee1b7.so", folder / "native-0.so"
         for file in (stale, fresh, retired, other):
             file.write_bytes(b"")
-        old = time.time() - sim._BUILD_SECONDS - 10
+        old = time.time() - _reference._BUILD_SECONDS - 10
         os.utime(stale, (old, old))
         assert NATIVE() is not None
         (built,) = set(os.listdir(folder)) - {fresh.name, other.name}
@@ -1010,7 +1016,7 @@ class TestNativeStepper:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         loaded = NATIVE()
         assert loaded is not None and loaded is not built
-        assert sim._probe(loaded)
+        assert _reference._probe(loaded)
 
 
 def _powers_of_ten() -> list[float]:
@@ -1034,6 +1040,19 @@ def _random_bits() -> list[float]:
     bits = np.random.default_rng(43).integers(0, 2**64, 220_000, dtype=np.uint64)
     values = bits.view(float)
     return values[np.isfinite(values)][:200_000].tolist()
+
+
+def _decades() -> list[float]:
+    """c * 10^k for c = 1 to 9 and k = -17 to 17, each with the doubles either side of it.
+
+    These are where csv_rows's exponent estimate and its correction meet.
+    """
+    out = []
+    for c in range(1, 10):
+        for k in range(-17, 18):
+            v = float(f"{c}e{k}")
+            out += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    return out
 
 
 # Values near the 128-bit path's edges: the double nearest 1e-16, which has
@@ -1077,6 +1096,30 @@ class TestCsvBytes:
         want = self._percent(block)
         assert sim._csv_bytes(block, None) == want
         assert sim._csv_bytes(block, self._lib()) == want
+
+    def test_the_native_digits_are_those_of_percent(self):
+        # the decades, 2^k +- 0.5 for k <= 52, seeded log-uniform magnitudes
+        # from 1e-20 to 1e20 and seeded random bit patterns, with their
+        # negatives: about 4e5 values
+        lib = NATIVE()
+        if lib is None:
+            pytest.skip("no native build loads here")
+        rng = np.random.default_rng(47)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)
+        values = [*_decades(), *(2.0**k + d for k in range(53) for d in (-0.5, 0.5)),
+                  *np.power(10.0, rng.uniform(-20.0, 20.0, 100_000)).tolist(), *bits.tolist()]
+        block = self._block(values)
+        assert sim._csv_bytes(block, lib) == self._percent(block)
+
+    def test_a_short_buffer_raises(self, monkeypatch):
+        # csv_rows refuses a buffer without _CSV_VALUE_BYTES for each value
+        lib = NATIVE()
+        if lib is None:
+            pytest.skip("no native build loads here")
+        monkeypatch.setattr(sim, "_CSV_VALUE_BYTES", 24)
+        refused = "^csv_rows refused 288 bytes for 3 rows of 4 values$"
+        with pytest.raises(RuntimeError, match=refused):
+            sim._csv_bytes(np.full((3, 4), 0.5), lib)
 
     def test_any_layout_and_no_rows(self):
         # a Fortran-ordered block, a strided one, and a block of no rows
