@@ -311,13 +311,16 @@ static char *put_digits(char *p, uint64_t d, int k)
    after it, so that C's division, which rounds toward zero, divides a
    positive number. That k is floor(log10 v) or one less, and it rises by
    one where v reaches POW10's double nearest 10^(k + 1). Where that double
-   lies below 10^(k + 1), v equal to it gets a k one too high, so k then
-   moves until its digits lie in [10^16, 10^17). Digits of exactly 10^16
-   may also be those of a value just below 10^k that has 17 digits at
-   k - 1, so that exponent is tried too and kept when its digits stay below
-   10^17. Every other value goes to snprintf, whose decimal point, the
-   locale's, becomes '.'. Returns the end of what it wrote: at most 24
-   bytes. */
+   lies below 10^(k + 1), v equal to it gets a k one too high, whose digits
+   are at most 10^16, so k falls by one where they lie below 10^16. No k is
+   one too low, and no digits reach 10^17: each double below POW10's double
+   nearest 10^(k + 1) lies more than half a unit of its 17th digit below
+   10^(k + 1), as '%.16e' shows on the 8 below each (tests/test_sim.py).
+   Digits of exactly 10^16 may also be those of a value just below 10^k
+   that has 17 digits at k - 1, so that exponent is tried too and kept
+   when its digits stay below 10^17. Every other value goes to snprintf,
+   whose decimal point, the locale's, becomes '.'. Returns the end of what
+   it wrote: at most 24 bytes. */
 static char *put_value(char *p, double v)
 {
     uint64_t bits;
@@ -349,8 +352,6 @@ static char *put_value(char *p, double v)
             goto libc;
         k += v >= POW10[k + 17];
         if (!digits17(m, e, k, &d))
-            goto libc;
-        if (d >= TEN17 && !digits17(m, e, ++k, &d))
             goto libc;
         if (d < TEN16 && !digits17(m, e, --k, &d))
             goto libc;

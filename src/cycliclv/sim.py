@@ -41,16 +41,16 @@ of the failing row's block, at most _BLOCK_ROWS rows, before the screen
 finds that row. Each monomial's s = lam . log x must lie in LOG_RANGE, so
 that exp(s) neither overflows nor underflows; one outside it is evaluated
 as NaN, so the one integral test is that every drift of a row is finite,
-and a row that fails it ends the run with IntegralOutOfRange. The screen
-sees row 0, x0, alone before the first step, and refuses it with
-InputError. A basis whose exponent vectors have another length than the
-system is refused with InputError. The runtime aborts, the
-IntegrationAborted subclasses defined here, differ only in name: each is
-built as IntegrationAborted(t, message), worded where its failure is found,
-and carries t, its message and the partial Trajectory, cut before the
-failing row. The float work runs with numpy's floating-point warnings off:
-an overflow or NaN it meets is reported by one of these exceptions, not
-printed.
+and a row that fails it ends the run with IntegralOutOfRange. Row 0, x0,
+goes alone through the run's own pass, against a start of ones, before
+the first step, and a failure there is InputError. A basis whose exponent
+vectors have another length than the system is refused with InputError.
+The runtime aborts, the IntegrationAborted subclasses defined here, differ
+only in name: each is built as IntegrationAborted(t, message), worded
+where its failure is found, and carries t, its message and the partial
+Trajectory, cut before the failing row. The float work runs with numpy's
+floating-point warnings off: an overflow or NaN it meets is reported by
+one of these exceptions, not printed.
 """
 
 from __future__ import annotations
@@ -257,40 +257,54 @@ def _terms(sys: CyclicLVSystem) -> tuple[np.ndarray, ...]:
     return j1, c1, j2, c2
 
 
-def _logs(x: np.ndarray, exponents: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _monomial(exponents: Sequence, what: Callable[[int], str]) -> tuple:
+    """A monomial's support and its float exponents there, for _logs.
+
+    The support is None where every exponent is nonzero, as in every ODD
+    basis, else the mask of the nonzero ones. It is read once per run from
+    exponents themselves, exact rationals or floats: _floats keeps each
+    zero and makes no other exponent zero. Raises InputError as _floats
+    does, naming what(i).
+    """
+    lam = _floats(exponents, what)
+    support = None if all(exponents) else np.array([e != 0 for e in exponents])
+    return support, lam if support is None else lam[support]
+
+
+def _logs(x: np.ndarray, monomials: Sequence[tuple]) -> list[np.ndarray]:
     """H1 and each monomial's s = lam . log x for every row, one array each.
 
-    exponents holds each monomial's float exponent vector. H1 has the bits
-    of sum(x) and each s those of np.dot(lam, log x), each on that state
-    alone. x @ lam sums in another order. np.dot sends contiguous operands
-    to BLAS ddot, which uses FMA, and strided ones to numpy's own loop: the
-    rows of the F-ordered x[:, support] are strided, and on one n=9
-    trajectory of 1001 rows, 479 of their dots differed from those of
-    contiguous copies. So the support columns are taken with np.compress,
-    whose result is C-ordered, and one np.matmul of (rows, 1, m) by (m, 1)
-    sends each contiguous row of logs through the same ddot. np.log runs on
-    contiguous memory either way, and gives each entry the bits it gives
-    that entry alone. x may have any layout: it is made C-contiguous first,
-    since sum(axis=1) adds the entries of an F-ordered row in another order.
+    monomials holds each monomial's support and exponents from _monomial.
+    H1 has the bits of sum(x) and each s those of np.dot(lam, log x) on
+    the support, each on that state alone. x @ lam sums in another order.
+    np.dot sends contiguous operands to BLAS ddot, which uses FMA, and
+    strided ones to numpy's own loop: the rows of the F-ordered
+    x[:, support] are strided, and on one n=9 trajectory of 1001 rows, 479
+    of their dots differed from those of contiguous copies. So a partial
+    support's columns are taken with np.compress, whose result is
+    C-ordered, a full support takes x itself, and one np.matmul of (rows,
+    1, m) by (m, 1) sends each contiguous row of logs through the same
+    ddot. np.log runs on contiguous memory either way, and gives each entry
+    the bits it gives that entry alone. x may have any layout: it is made
+    C-contiguous first, since sum(axis=1) adds the entries of an F-ordered
+    row in another order.
     """
     x = np.ascontiguousarray(x)
     columns = [x.sum(axis=1)]
-    for lam in exponents:
-        support = lam != 0.0
-        # C-ordered, where x[:, support] would be F-ordered
-        logs = np.log(np.compress(support, x, axis=1))
-        columns.append(np.matmul(logs[:, None, :], lam[support][:, None])[:, 0, 0])
+    for support, lam in monomials:
+        logs = np.log(x if support is None else np.compress(support, x, axis=1))
+        columns.append(np.matmul(logs[:, None, :], lam[:, None])[:, 0, 0])
     return columns
 
 
-def _values(x: np.ndarray, exponents: Sequence[np.ndarray]) -> np.ndarray:
+def _values(x: np.ndarray, monomials: Sequence[tuple]) -> np.ndarray:
     """H1 and each monomial for every row, shape (rows, 1 + m).
 
     Each monomial is math.exp(s) of its s from _logs, not np.exp(s), which
     rounds otherwise; it is NaN, as math.exp(nan) is, where s lies outside
     LOG_RANGE. So each value has the bits of evaluating that state alone.
     """
-    h1, *logs = _logs(x, exponents)
+    h1, *logs = _logs(x, monomials)
     columns = [h1]
     for s in logs:
         s[(s < LOG_RANGE[0]) | (s > LOG_RANGE[1])] = math.nan
@@ -540,18 +554,20 @@ def _first_failure(block: np.ndarray, drift: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmax(fails)), fails.shape[1]) if fails.any() else (len(block), 0)
 
 
-def _pass(lib, exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np.ndarray,
+def _pass(lib, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.ndarray,
           size: int):
     """integrate's pass over blocks of at most size rows: block_pass of lib, or numpy's for None.
 
     The pass is a function of a block that returns the block's values
     (_values), their drifts |v - start| / start, and its first failing row
     and failure (_first_failure). It folds the drifts of the rows before
-    that row into max_drift, in place. Natively, numpy still computes each
-    row's H1 and s (_logs) into a values buffer, and block_pass does the
-    rest, as the comment on it in _native.c states. Its two buffers are
-    allocated once, so the values and drifts it returns are views that the
-    next block overwrites, and hold only the rows before the failing one.
+    that row into max_drift, in place. It reads start and max_drift when it
+    runs, so a caller may set them between blocks. Natively, numpy still
+    computes each row's H1 and s (_logs) into a values buffer, and
+    block_pass does the rest, as the comment on it in _native.c states;
+    neither _values nor _first_failure runs. Its two buffers are allocated
+    once, so the values and drifts it returns are views that the next block
+    overwrites, and hold only the rows before the failing one.
     """
     width = len(start)
     if not all(a.dtype == float and a.flags.c_contiguous and a.shape == (width,)
@@ -560,7 +576,7 @@ def _pass(lib, exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np
 
     if lib is None:
         def run(block: np.ndarray):
-            values = _values(block, exponents)
+            values = _values(block, monomials)
             drift = np.abs(values - start) / start
             good, column = _first_failure(block, drift)
             if good:
@@ -576,7 +592,7 @@ def _pass(lib, exponents: Sequence[np.ndarray], start: np.ndarray, max_drift: np
         if rows > size:
             raise ValueError(f"a block of {rows} rows passes the {size} rows of the buffers")
         block = np.ascontiguousarray(block, dtype=float)
-        for j, column in enumerate(_logs(block, exponents)):
+        for j, column in enumerate(_logs(block, monomials)):
             values[:rows, j] = column
         at = lib.block_pass(rows, n, width - 1, block.ctypes.data, values.ctypes.data,
                             drift.ctypes.data, start.ctypes.data, max_drift.ctypes.data,
@@ -634,7 +650,7 @@ def integrate(
     # after the kernel, so that a bad rate is refused before a bad exponent
     if any(len(mono.exponents) != sys.n for mono in basis.monomials):
         raise InputError("exponent vector length does not match the system")
-    exponents = [_floats(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
+    monomials = [_monomial(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
                  for j, mono in enumerate(basis.monomials, start=2)]
     size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
     xs, ts = np.empty((size, sys.n)), np.empty(size)
@@ -644,15 +660,15 @@ def integrate(
     if collect:
         kept = []
         sink = lambda *columns: kept.append(columns)
-    max_drift = np.zeros(1 + len(exponents))
+    start, max_drift = np.ones(1 + len(monomials)), np.zeros(1 + len(monomials))
     # the index of xs[0] in the run, and the first row of xs a block adds
     base = first = 0
     with np.errstate(all="ignore"):
-        start = _values(x[None], exponents)[0]
-        # x0 before the driver starts; once its coordinates pass, its drifts
-        # are finite where its values are
-        row, column = _first_failure(x[None], start[None])
-        if row == 0:
+        evaluate = _pass(native, monomials, start, max_drift, size)
+        # x0 goes through the run's own pass, alone, before the driver
+        # starts; its drifts from 1 are finite exactly where its values are
+        values, _, good, column = evaluate(x[None])
+        if not good:
             raise InputError(
                 ("initial state must be finite and at least the positivity floor "
                  f"{POSITIVITY_FLOOR:g}") if column <= sys.n else
@@ -660,7 +676,7 @@ def integrate(
                  "at the initial state")
             )
         # once x0 passed the range rule, every start is a positive float
-        evaluate = _pass(native, exponents, start, max_drift, size)
+        start[:], max_drift[:] = values[0], 0.0
         for rows, abort in blocks:
             block = xs[first : rows + 1]
             values, drift, good, column = evaluate(block)

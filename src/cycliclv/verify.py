@@ -116,12 +116,14 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
 
 
 def _rational_point(state: Sequence, n: int) -> list[Fraction]:
-    """Each coordinate as as_fraction reads it.
+    """Each coordinate as as_fraction reads it, a Fraction as it is.
 
-    Raises InputError for a coordinate as_fraction refuses, then for a point
-    of another length than n.
+    cli.run_check_battery draws its points as Fractions, so both sampled
+    checks take them without reading them again. Raises InputError for a
+    coordinate as_fraction refuses, then for a point of another length
+    than n.
     """
-    x = [as_fraction(v) for v in state]
+    x = [v if isinstance(v, Fraction) else as_fraction(v) for v in state]
     if len(x) != n:
         raise InputError("state length does not match the system")
     return x

@@ -365,6 +365,31 @@ class TestIntegrate:
         ):
             integrate(sys, [1e308] * 3, IntegratorConfig(), integral_basis(sys))
 
+    FLOOR = "initial state must be finite and at least the positivity floor 1e-12"
+    X0_REFUSALS = {
+        "nan": ([2, 1, 3], [0.2, math.nan, 0.5], FLOOR),
+        "inf": ([2, 1, 3], [math.inf, 0.3, 0.5], FLOOR),
+        "below-floor": ([2, 1, 3], [0.5, 1e-13, 0.5], FLOOR),
+        "h1-overflow": ([2, 1, 3], [1e308] * 3, "integral H1 is outside the float range"),
+        "h2-overflow": (RATES_41, [2.0] * 41, "integral H2 is outside the float range"),
+        "h2-underflow": (RATES_41, [0.999, 1.001] * 20 + [0.999],
+                         "integral H2 is outside the float range"),
+    }
+
+    @pytest.mark.parametrize("rates, x0, message", X0_REFUSALS.values(), ids=X0_REFUSALS)
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_x0_is_refused_in_the_same_words_on_both_kernels(self, rates, x0, message, method,
+                                                             monkeypatch):
+        # x0 goes through the pass of the kernel that runs, against a start
+        # of ones; a monomial outside LOG_RANGE is NaN, past either end
+        sys = make_system(rates)
+        refused = f"^{message}" + ("$" if message == self.FLOOR else " at the initial state$")
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel)
+            with pytest.raises(InputError, match=refused):
+                integrate(sys, x0, IntegratorConfig(method, step=1e-3, t_end=0.01),
+                          integral_basis(sys))
+
     def test_configurable_floor(self, monkeypatch):
         sys = make_system([1, 5])
         cfg = IntegratorConfig(step=1e-3, t_end=20.0)
@@ -469,6 +494,29 @@ class TestKernelsAgree:
             runs.append(integrate(sys, x, cfg, integral_basis(sys)))
         assert runs[1].t.tobytes() == runs[0].t.tobytes()
         assert runs[1].x.tobytes() == np.roll(runs[0].x, -r, axis=1).tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("n", [2, 3, 9, 17])
+    def test_reflection_reflects_every_state(self, n, method, kernel, monkeypatch):
+        # y_i = x_(-i) solves the system of rates k'_i = -k_(-i-1), indices
+        # mod n: each entry of its field is the reflected entry's two
+        # products, added in the other order, which IEEE addition allows. So
+        # each x row is reflected bit for bit at the same t; H1 and the
+        # drifts are not compared, as a reflection reorders H1's sum.
+        _force_kernel(monkeypatch, kernel)
+        rng = random.Random(950 + n)
+        rates = [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
+        x0 = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        mirror = [-i % n for i in range(n)]
+        cfg = IntegratorConfig(method, step=0.01, t_end=1.013)
+        runs = []
+        for k, x in ((rates, x0), ([-rates[(-i - 1) % n] for i in range(n)],
+                                   [x0[i] for i in mirror])):
+            sys = make_system(k)
+            runs.append(integrate(sys, x, cfg, integral_basis(sys)))
+        assert runs[1].t.tobytes() == runs[0].t.tobytes()
+        assert runs[1].x.tobytes() == runs[0].x[:, mirror].tobytes()
 
     # rates whose floats are not dyadic, are signed, or sit near the top or
     # the bottom of the float range, each with the unit of time that keeps a
@@ -1111,6 +1159,24 @@ class TestCsvBytes:
         block = self._block(values)
         assert sim._csv_bytes(block, lib) == self._percent(block)
 
+    def test_no_digits_below_a_power_of_ten_round_up_to_it(self):
+        # put_value takes no step up from digits of 10^17: the 8 doubles below
+        # the one nearest 10^k, for k = -17 to 16, keep the exponent k - 1 at
+        # 17 digits; csv_rows writes them and that double as % does
+        values = []
+        for k in range(-17, 17):
+            v = float(f"1e{k}")
+            values.append(v)
+            for _ in range(8):
+                v = math.nextafter(v, 0.0)
+                assert int(("%.16e" % v)[-3:]) == k - 1
+                values.append(v)
+        lib = NATIVE()
+        if lib is None:
+            pytest.skip("no native build loads here")
+        block = self._block(values)
+        assert sim._csv_bytes(block, lib) == self._percent(block)
+
     def test_a_short_buffer_raises(self, monkeypatch):
         # csv_rows refuses a buffer without _CSV_VALUE_BYTES for each value
         lib = NATIVE()
@@ -1434,9 +1500,9 @@ def test_values_match_per_state_in_any_layout(n):
     xs = np.array([[math.exp(rng.uniform(-700.0, 700.0) / widest) for _ in range(n)]
                    for _ in range(301)])
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
-    exponents = [np.array([float(e) for e in m.exponents]) for m in basis.monomials]
+    monomials = [sim._monomial(m.exponents, str) for m in basis.monomials]
     for x, want in ((xs, expect), (np.asfortranarray(xs), expect), (xs[::3], expect[::3])):
-        assert sim._values(x, exponents).tobytes() == want.tobytes()
+        assert sim._values(x, monomials).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -1467,6 +1533,54 @@ def test_values_and_drift_match_per_state_formula(make, n, method, kernel, monke
         for row in expect
     ]
     assert traj.drift.tolist() == drift
+
+
+@pytest.mark.parametrize("make, n, supports, kind", [
+    (random_system, 9, [None], "ODD"),
+    (resonant_system, 8, [[1, 0] * 4, [0, 1] * 4], "EVEN_RESONANT"),
+], ids=["odd-full", "even-resonant-half"])
+def test_full_and_half_supports_give_the_reference_bits(make, n, supports, kind):
+    # a full support takes np.log of the block itself, a half one of its
+    # np.compress copy; on either, both passes give each state's own bits
+    rng = random.Random(113)
+    sys = make(rng, n, lo=1, hi=3)
+    basis = integral_basis(sys)
+    assert basis.classification.value == kind
+    monomials = [sim._monomial(m.exponents, str) for m in basis.monomials]
+    assert [s if s is None else s.astype(int).tolist() for s, _ in monomials] == supports
+    xs = np.array([simplex_point(rng, n) for _ in range(200)])
+    expect = np.array([_per_state(x.copy(), basis) for x in xs])
+    width = 1 + len(monomials)
+    for lib in {NATIVE(), None}:
+        values, drift, good, _ = sim._pass(lib, monomials, expect[0].copy(), np.zeros(width),
+                                           len(xs))(xs)
+        assert good == len(xs)
+        assert values.tobytes() == expect.tobytes()
+        assert drift.tobytes() == (np.abs(expect - expect[0]) / expect[0]).tobytes()
+
+
+def test_native_runs_call_neither_values_nor_first_failure(monkeypatch):
+    # natively, x0 and every block go through block_pass alone, with the
+    # bits of the numpy pass
+    if NATIVE() is None:
+        pytest.skip("no native build loads here")
+    sys = make_system([2, 1, 3, 5, 4, 1, 2, 7, 3])
+    basis, x0 = integral_basis(sys), [1.0 + 0.01 * i for i in range(9)]
+    cfgs = [IntegratorConfig("rk4", step=0.01, t_end=20.0),
+            IntegratorConfig("rk45", step=0.01, t_end=20.0)]
+    _force_kernel(monkeypatch, "array")
+    want = [_outcome(sys, x0, cfg, basis) for cfg in cfgs]
+
+    def unused(*args):
+        raise AssertionError("the numpy pass ran")
+
+    _force_kernel(monkeypatch, "native")
+    monkeypatch.setattr(sim, "_values", unused)
+    monkeypatch.setattr(sim, "_first_failure", unused)
+    assert [_outcome(sys, x0, cfg, basis) for cfg in cfgs] == want
+    assert want[0][1] == 2001 and want[1][2] is None
+    with pytest.raises(InputError, match="^initial state must be finite"):
+        integrate(sys, [1e-13] + x0[1:], cfgs[0], basis)
 
 
 def test_rk4_state_error_is_fourth_order():

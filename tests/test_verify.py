@@ -158,6 +158,24 @@ class TestJacobiMultiplier:
         with pytest.raises(InputError, match=f"^{re.escape(message)}"):
             check_jacobi_multiplier(sys, samples)
 
+    def test_fraction_points_are_not_read_again(self, monkeypatch):
+        # both sampled checks take the battery's Fraction points as they are,
+        # and still refuse a str, a float or a zero coordinate
+        calls, read = [], verify_mod.as_fraction
+        monkeypatch.setattr(verify_mod, "as_fraction", lambda v: calls.append(v) or read(v))
+        sys = make_system([2, 1, 3])
+        points = [randint_rational_state(random.Random(7), 3) for _ in range(4)]
+        assert all(isinstance(v, Fraction) for point in points for v in point)
+        assert check_jacobi_multiplier(sys, points).passed
+        assert check_independence(sys, integral_basis(sys), points).passed
+        assert calls == []
+        for bad, message in (("x", "invalid literal for a rational: 'x'"),
+                             (0.5, "refusing to convert float 0.5"),
+                             (Fraction(0), "coordinate x2 is zero")):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+                check_jacobi_multiplier(sys, [(Fraction(1), bad, Fraction(2))])
+        assert calls == ["x", 0.5]
+
     def test_state_length_mismatch(self):
         sys = make_system([1, 2, 3])
         for divergence in (jacobi_divergence, field_divergence):
