@@ -1,9 +1,12 @@
 /* The native code of cycliclv.sim: the steppers of the cyclic Lotka-Volterra
    field, the pass over each block of states, and the CSV formatter. Each
-   function that is not static stands for a Python reference in sim or
-   cycliclv._reference, and the comment on it states the order of
-   operations that gives the reference's bits or bytes; sim uses a build
-   only after a probe of each has matched its reference (_reference._probe).
+   function that is not static has a Python reference of the same name in
+   cycliclv._reference, which takes the same parameters in the same order,
+   a numpy array for each pointer, and writes the same outputs; the comment
+   on the function states the order of operations that gives the
+   reference's bits or bytes. sim calls a build and the references alike,
+   and uses a build only after a probe of each function has matched its
+   reference (_reference._probe).
 
    It is built with -ffp-contract=off, so that no a * b + c becomes one
    fused multiply-add. */
@@ -18,7 +21,7 @@
    its step limit. sim reads them as _FULL, _DONE, _UNDERFLOW and _LIMIT. */
 enum { FULL, DONE, UNDERFLOW, LIMIT };
 /* The field y * (A y) into k, each entry as y_i * (c1_i * y_{j1_i} +
-   c2_i * y_{j2_i}), as _reference._rhs computes it: a row's two terms stay
+   c2_i * y_{j2_i}), as _reference._field computes it: a row's two terms stay
    two products, as summing them changes n = 2's bits. */
 static void field(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2,
                   const double *c2, const double *y, double *k)
@@ -27,7 +30,7 @@ static void field(int64_t n, const int64_t *j1, const double *c1, const int64_t 
         k[i] = y[i] * (c1[i] * y[j1[i]] + c2[i] * y[j2[i]]);
 }
 
-/* The RK4 loop of _reference._rk4_steps, with its operations entry by entry in
+/* The RK4 loop of _reference.rk4_steps, with its operations entry by entry in
    the same order, so that each new state has the same bits: count steps
    of h from row `row` of the row-major (rows, n) array xs, each new state
    in the next row, the stages from x + half * k with half = 0.5 * h and
@@ -56,7 +59,7 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
     }
 }
 
-/* The Fehlberg 4(5) loop of _reference._rkf45_rows, one block a call, on
+/* The Fehlberg 4(5) loop of _reference.rkf45_block, one block a call, on
    the operations of _reference._rkf45_step: each stage and each sum of the
    tableau left to right, as sum() adds the arrays, zero weights kept, so
    that a NaN or infinite stage reaches every sum. sum() starts from int 0 and
@@ -65,7 +68,7 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
    a >= b ? a : b, an error norm that keeps a NaN as np.max does, and the
    controller min(5.0, max(0.2, 0.9 * enorm ** -0.2)) with Python's
    argument order, so that a NaN norm gives 0.2. The tableau and the
-   tolerances come from sim.
+   tolerances come from sim, the tableau as sim._FEHLBERG.
 
    It steps from the state x, n doubles, at time run[0] with the trial step
    run[1], each accepted state written into the next row of the row-major
@@ -152,18 +155,19 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
 }
 
 /* The pass of sim.integrate over a block of rows states of n coordinates,
-   the row-major array xs, as sim._pass does it on numpy. values, row-major
-   (rows, 1 + m), comes holding each row's H1 and each monomial's
-   s = lam . log x, as numpy computes them; each s becomes its monomial's
-   value, exp(s), the libm exp that Python's math.exp calls, or NaN when
-   it lies outside [lo, hi], and each value's drift, fabs(v - start) /
-   start, goes into drift. Each row is screened in sim._first_failure's
+   the row-major array xs, as _reference.block_pass does it on numpy.
+   values, row-major (rows, 1 + m), comes holding each row's H1 and each
+   monomial's s = lam . log x, as numpy computes them; each s becomes its
+   monomial's value, exp(s), the libm exp that Python's math.exp calls, or
+   NaN when it lies outside [lo, hi], and each value's drift,
+   fabs(v - start) / start, goes into drift. Each row is screened in this
    order: a coordinate that is not finite, then one below floor, then a
    drift that is not finite. The pass stops at the first row that fails,
    and folds the drifts of each row before it into max_drift, as
    np.maximum folds them. Returns the place of that failure in the
-   row-major (rows, n + 2 + m) table of failures that sim._first_failure
-   reads, or rows times its width when no row fails. */
+   row-major (rows, n + 2 + m) table of failures, one column for each
+   coordinate, then the floor, then each drift, or rows times its width
+   when no row fails. */
 int64_t block_pass(int64_t rows, int64_t n, int64_t m, const double *xs, double *values,
                    double *drift, const double *start, double *max_drift, double lo, double hi,
                    double floor)

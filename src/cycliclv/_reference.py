@@ -1,15 +1,17 @@
-"""The code of sim that runs only where no cached build of _native.c loads.
+"""The Python references of the four C functions of _native.c, the build and the probe.
 
-These are the Python references of the two C loops, the build, and the
-probe that holds a build to its references: the field (_rhs), the RK4
-steps (_rk4_steps), the Fehlberg 4(5) step and loop (_rkf45_step,
-_rkf45_rows), _build, and _probe with its four cases. sim imports this
-module only where it must build _native.c (sim._native) or run a
-reference loop (sim._kernel with None), so a process that loads a cached
-build neither compiles nor runs any of it. The references of block_pass
-and csv_rows, numpy's pass and Python's %, stay in sim, which runs them
-where no build loads. Every constant and every other function comes from
-sim, read when it is called, so that a value set on sim holds here too.
+rk4_steps, rkf45_block, block_pass and csv_rows each take the parameters
+of the C function of that name, in the same order, with a numpy array
+where C takes a pointer, and write the same outputs with the same bits or
+bytes; the comment on each function in _native.c states the order of
+operations that makes them so. sim calls either set the same way, as
+impl.<name>(...), where impl is a build (sim._load) or this module
+(sim._impl). _probe holds a build to this module on four cases, one per
+function. sim imports this module only where it must build _native.c
+(sim._native) or where no cached build loads, so a process that loads a
+cached build neither compiles nor runs any of it. Every constant and
+every other function comes from sim, read when it is called, so that a
+value set on sim holds here too.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import math
 import os
 from contextlib import suppress
 from fractions import Fraction
-from sys import float_info
-from typing import Callable
+from functools import partial
+from sys import float_info, modules
 
 import numpy as np
 
@@ -31,22 +33,20 @@ from .model import CyclicLVSystem
 _BUILD_SECONDS = 120
 
 
-def _rhs(sys: CyclicLVSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """The field x * (A x) on a float array, A the structure matrix.
+def _field(j1, c1, j2, c2, y: np.ndarray) -> np.ndarray:
+    """The field y * (A y) of sim._terms' arrays, as field of _native.c computes it.
 
     Each row's two terms stay two products; summing them changes n = 2's bits.
     """
-    j1, c1, j2, c2 = sim._terms(sys)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return x * (c1 * x[j1] + c2 * x[j2])
-
-    return f
+    return y * (c1 * y[j1] + c2 * y[j2])
 
 
-def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
-    """count RK4 steps of h from row ``row`` of xs, each new state in the next row."""
-    x = xs[row]
+def rk4_steps(n, j1, c1, j2, c2, xs, row, count, h, work) -> None:
+    """count RK4 steps of h from row ``row`` of xs, each new state in the next row.
+
+    work, where the C function keeps its stages, is not used.
+    """
+    f, x = partial(_field, j1, c1, j2, c2), xs[row]
     for r in range(row + 1, row + count + 1):
         k1 = f(x)
         k2 = f(x + 0.5 * h * k1)
@@ -56,55 +56,89 @@ def _rk4_steps(f, xs: np.ndarray, row: int, count: int, h: float) -> None:
         xs[r] = x
 
 
-def _rkf45_step(f, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """One Fehlberg 4(5) step: the fourth-order state and its error norm."""
+def _rkf45_step(f, tableau: list, rel_tol: float, abs_tol: float, x: np.ndarray, h: float):
+    """One Fehlberg 4(5) trial from x: the fourth-order state and its error norm."""
     stages = [f(x)]
-    for row in sim._FEHLBERG_A[1:]:
-        xs = x + h * sum(a * s for a, s in zip(row, stages))
-        stages.append(f(xs))
-    x_new = x + h * sum(b * s for b, s in zip(sim._FEHLBERG_B4, stages))
-    err = h * sum(e * s for e, s in zip(sim._FEHLBERG_ERR, stages))
-    scale = sim.ABS_TOL + sim.REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
+    for s in range(1, 6):
+        row = tableau[s * (s - 1) // 2 : s * (s + 1) // 2]
+        stages.append(f(x + h * sum(a * k for a, k in zip(row, stages))))
+    x_new = x + h * sum(b * k for b, k in zip(tableau[15:21], stages))
+    err = h * sum(e * k for e, k in zip(tableau[21:], stages))
+    scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x_new))
     return x_new, float(np.max(np.abs(err) / scale))
 
 
-def _rkf45_rows(step, x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
-    """Fehlberg 4(5) from the state x with trial step h; yields (rows, end, t, h) per block.
+def rkf45_block(n, j1, c1, j2, c2, tableau, rel_tol, abs_tol, min_step, t_end, limit, run, state,
+                x, ts, xs, size, work) -> int:
+    """One block of the Fehlberg 4(5) loop, each trial from _rkf45_step.
 
-    step(x, h) is _rkf45_step with its field bound: it returns the new state
-    and its error norm. Each accepted state goes into the next row of xs
-    after row 0 and its time into ts. A full block ends _FULL before the
-    next trial, so the steps accepted by then are the rows yielded; only the
-    last block can be short, and it ends _DONE at t_end, _UNDERFLOW when a
-    rejected step times its factor falls below MIN_STEP, or _LIMIT when a
-    step is accepted after limit steps. Each yield gives the rows written,
-    the end, t and the next trial step, the one that fell below MIN_STEP at
-    _UNDERFLOW. Returns the last trial's new state and error norm, which
-    _probe compares. rkf45_block of _native.c runs this loop in C.
+    As in C, a call resumes from the time, trial step and error norm in
+    run, the accepted count in state[0] and the state x, writes each
+    accepted state into the next row of xs after row 0 and its time into
+    ts, and ends _FULL before the trial after its size-th row, _DONE at
+    t_end, _UNDERFLOW when a rejected step times its factor falls below
+    min_step, or _LIMIT when a step is accepted after limit steps. It
+    leaves run, the count and end code in state, the last accepted state in
+    x and the last trial state in work[7 n:], and returns the rows written.
     """
-    size, t, end = len(xs) - 1, 0.0, sim._DONE
-    row = accepted = 0
+    f, tableau = partial(_field, j1, c1, j2, c2), tableau.tolist()
+    (t, h, enorm), accepted = run.tolist(), int(state[0])
+    row, end = 0, sim._DONE
     while end == sim._DONE and t < t_end * (1.0 - 1e-14):
         if row == size:
-            yield row, sim._FULL, t, h
-            row = 0
+            end = sim._FULL
+            break
         h = min(h, t_end - t)
-        x_new, enorm = step(x, h)
+        work[7 * n :], enorm = _rkf45_step(f, tableau, rel_tol, abs_tol, x, h)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
-            x = x_new
+            x[:] = work[7 * n :]
             if accepted == limit:
                 end = sim._LIMIT
             else:
                 accepted += 1
                 row += 1
                 ts[row], xs[row] = t, x
-        elif h * factor < sim.MIN_STEP:
+        elif h * factor < min_step:
             end = sim._UNDERFLOW
         h *= factor
-    yield row, end, t, h
-    return x_new, enorm
+    run[:], state[:] = (t, h, enorm), (accepted, end)
+    return row
+
+
+def block_pass(rows, n, m, xs, values, drift, start, max_drift, lo, hi, floor) -> int:
+    """The pass over the block xs, in the rows of values and drift, with C's return.
+
+    Each monomial's value is math.exp(s), which np.exp would round
+    otherwise, or NaN where s lies outside [lo, hi]. The whole block is
+    evaluated before it is screened, so only the figures of the rows before
+    the failing one are those that C leaves; no caller reads the others.
+    """
+    values, drift = values[:rows], drift[:rows]
+    s = values[:, 1:]
+    s[(s < lo) | (s > hi)] = math.nan
+    s[:] = np.reshape([*map(math.exp, s.ravel().tolist())], s.shape)
+    np.divide(np.abs(values - start), start, out=drift)
+    fails = np.column_stack((~np.isfinite(xs), xs.min(axis=1) < floor, ~np.isfinite(drift)))
+    at = int(np.argmax(fails)) if fails.any() else fails.size
+    good = at // fails.shape[1]
+    if good:
+        np.maximum(max_drift, drift[:good].max(axis=0), out=max_drift)
+    return at
+
+
+def csv_rows(block, rows, cols, out, capacity) -> int:
+    """The lines of csv_rows into out, through one % of a template for the whole block.
+
+    Python's % ignores the locale, as csv_rows does.
+    """
+    if rows < 0 or cols < 0 or rows and capacity // sim._CSV_VALUE_BYTES // rows < max(cols, 1):
+        return -1
+    line = ",".join(["%.17g"] * cols) + "\n"
+    text = ((line * rows) % tuple(block.ravel().tolist())).encode()
+    out[: len(text)] = np.frombuffer(text, np.uint8)
+    return len(text)
 
 
 def _build(path: str):
@@ -153,17 +187,17 @@ def _build(path: str):
 
 
 def _probe(lib) -> bool:
-    """Whether lib gives each probe case that sim._ENTRY_POINTS names the result that None gives.
+    """Whether lib gives each probe case that sim._ENTRY_POINTS names the result this module gives.
 
-    With None each front door runs its Python reference, and the comment on
-    each function in _native.c states the order of operations that gives
-    the reference's bits. A case's result compares with ==: the CSV as its
-    bytes, and states, times, values and drifts as theirs, so bit for bit,
-    but for the last RKF45 trials (_probe_rkf45_block).
+    The comment on each function in _native.c states the order of
+    operations that gives its reference's bits. A case's result compares
+    with ==: the CSV as its bytes, and states, times, values and drifts as
+    theirs, so bit for bit, but for the last RKF45 trials
+    (_probe_rkf45_block).
     """
     cases = [globals()[name] for _, _, name in sim._ENTRY_POINTS.values()]
     with np.errstate(all="ignore"):
-        return all(case(lib) == case(None) for case in cases)
+        return all(case(lib) == case(modules[__name__]) for case in cases)
 
 
 # The RK4 and RKF45 probe cases' rates, whose floats are not dyadic, and start.
@@ -171,8 +205,8 @@ _PROBE_RATES = ((4, 3), (9, 7), (10, 11), (14, 13), (22, 17))
 _PROBE_X0 = (0.2, 0.3, 0.5, 0.7, 1.1)
 
 
-def _probe_rk4_steps(lib) -> bytes:
-    """The states of 32 RK4 steps of 0.37 and one of 0.137 on sim._kernel(lib, ...).
+def _probe_rk4_steps(impl) -> bytes:
+    """The states of 32 RK4 steps of 0.37 and one of 0.137 by impl.rk4_steps.
 
     A step of 0.37 moves the state by about its own size, so that a fused
     multiply-add or another order in any stage or sum changes a bit of the
@@ -180,16 +214,15 @@ def _probe_rk4_steps(lib) -> bytes:
     final sum through.
     """
     sys = CyclicLVSystem([Fraction(*q) for q in _PROBE_RATES])
-    xs = np.empty((34, sys.n))
+    terms, xs, work = sim._terms(sys), np.empty((34, sys.n)), np.empty(5 * sys.n)
     xs[0] = _PROBE_X0
-    steps = sim._kernel(lib, sys, True)
-    steps(xs, 0, 32, 0.37)
-    steps(xs, 32, 1, 0.137)
+    impl.rk4_steps(sys.n, *terms, xs, 0, 32, 0.37, work)
+    impl.rk4_steps(sys.n, *terms, xs, 32, 1, 0.137, work)
     return xs.tobytes()
 
 
-def _probe_rkf45_block(lib) -> list:
-    """Each block of two RKF45 runs of sim._kernel(lib, ...) in blocks of 7 rows, and last trials.
+def _probe_rkf45_block(impl) -> list:
+    """Each call of two RKF45 runs of impl.rkf45_block in blocks of 7 rows, and last trials.
 
     The first starts with a trial step of 0.37, rejects it until a step
     fits the tolerances, and runs to t = 1, so that every stage, sum and
@@ -205,26 +238,28 @@ def _probe_rkf45_block(lib) -> list:
     """
     rates = [Fraction(*q) for q in _PROBE_RATES]
     nan8 = [math.nan if i == 7 else 0.5 for i in range(15)]
-    got = []
+    tableau, got = np.array(sim._FEHLBERG), []
     for sys, start in ((CyclicLVSystem(rates), _PROBE_X0), (CyclicLVSystem(rates * 3), nan8)):
-        xs, ts = np.empty((8, sys.n)), np.empty(8)
-        blocks = sim._kernel(lib, sys, False)(np.array(start), xs, ts, 1.0, 0.37, sim.MAX_STEPS)
-        while True:
-            try:
-                count, *ended = next(blocks)
-            except StopIteration as stop:
-                last = np.array([*stop.value[0], stop.value[1]])
-                break
-            got.append((count, *ended, xs[1 : count + 1].tobytes(), ts[1 : count + 1].tobytes()))
+        n, x, xs, ts = sys.n, np.array(start), np.empty((8, sys.n)), np.empty(8)
+        # a run starts at t = 0 with no step accepted, and each call that
+        # fills its block ends _FULL, which is 0
+        run, state, work = np.array([0.0, 0.37, 0.0]), np.zeros(2, np.int64), np.empty(8 * n)
+        while state[1] == sim._FULL:
+            rows = impl.rkf45_block(n, *sim._terms(sys), tableau, sim.REL_TOL, sim.ABS_TOL,
+                                    sim.MIN_STEP, 1.0, sim.MAX_STEPS, run, state, x, ts, xs, 7,
+                                    work)
+            got.append((rows, *state.tolist(), *run[:2].tolist(), xs[1 : rows + 1].tobytes(),
+                        ts[1 : rows + 1].tobytes()))
+        last = np.array([*work[7 * n :], run[2]])
         # one NaN for every NaN, and -0.0 + 0.0 is 0.0
         got.append(np.where(np.isnan(last), math.nan, last + 0.0).tobytes())
     return got
 
 
-def _probe_block_pass(lib) -> list:
+def _probe_block_pass(impl) -> list:
     """Each literal block's first failing row and failure, and the figures of the rows before it.
 
-    The figures are the values, drifts and max_drift of sim._pass(lib, ...).
+    The figures are the values, drifts and max_drift of sim._pass(impl, ...).
     The two monomials' s are 30 log x1 - 1.5 log x2, on a partial support,
     and 0.5 log x1 + 0.25 log x2 - 40 log x3, on a full one. The first six
     rows pass: row 0 is the start, which a pass of it alone against a start
@@ -242,20 +277,20 @@ def _probe_block_pass(lib) -> list:
             (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
             (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
             (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
-    start = sim._pass(lib, monomials, np.ones(3), np.zeros(3), 1)(np.array(rows[:1]))[0][0]
+    start = sim._pass(impl, monomials, np.ones(3), np.zeros(3), 1)(np.array(rows[:1]))[0][0]
     screens = []
     for tail in ((), *((row, rows[1]) for row in rows[6:])):
         block = np.array([*rows[:6], *tail])
         max_drift = np.zeros(len(start))
-        run = sim._pass(lib, monomials, start, max_drift, len(block))
+        run = sim._pass(impl, monomials, start, max_drift, len(block))
         values, drift, good, column = run(block)
         screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
                         max_drift.tobytes()))
     return screens
 
 
-def _probe_csv_rows(lib) -> bytes:
-    """Literal values and their negatives, a row of each, as sim._csv_bytes(..., lib) writes them.
+def _probe_csv_rows(impl) -> bytes:
+    """Literal values and their negatives, a row of each, as sim._csv_bytes(..., impl) writes them.
 
     The values: 17th digits that tie, which go to even (1000000000000000.2
     and .8, 2251799813685247.8 just below 2^51); the double nearest 1e-12,
@@ -275,4 +310,4 @@ def _probe_csv_rows(lib) -> bytes:
     decades = [w for k in range(-17, 17) for p in [float(f"1e{k}")]
                for w in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
     values = [*floats, *map(float, range(100, 200)), *decades]
-    return sim._csv_bytes(np.array([values, [-v for v in values]]), lib)
+    return sim._csv_bytes(np.array([values, [-v for v in values]]), impl)

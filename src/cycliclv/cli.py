@@ -276,7 +276,7 @@ def write_csv_rows(csv: _Csv, *columns: np.ndarray) -> None:
     if csv.file is None:
         csv.file = open(csv.path, "wb")
         csv.file.write(csv.header)
-    csv.file.write(sim._csv_bytes(np.column_stack(columns), sim._native()))
+    csv.file.write(sim._csv_bytes(np.column_stack(columns), sim._impl()))
     csv.rows += len(columns[0])
 
 

@@ -17,20 +17,21 @@ writes. Without one, integrate collects the rows into a Trajectory, and a
 run's memory is the rows it keeps and one block. Each row's figures do not
 depend on the block it falls in.
 
-Each function of _native.c stands for a Python reference, with the same
-bits or bytes, and the comment on it in _native.c states the order of
-operations that makes them so. Each is wired once: an entry of
-_ENTRY_POINTS gives its C types and names its probe case, and a front door
-that takes lib, a build or None, calls it or its reference: _kernel for
-rk4_steps and rkf45_block, _pass for block_pass and _csv_bytes for
-csv_rows. The references of the steppers, the build and the probe live in
-_reference, which is imported only where no cached build loads; numpy's
-pass and Python's % stay here. A build is made once per machine with
-Python's own C compiler into the per-user cache, loaded with ctypes
-(_native), and used only after each probe case gives with it what it gives
-with None (_reference._probe). Where none loads (no compiler, a cache that
-cannot be used, a failed build or a failed probe), lib is None, and each
-front door runs its reference at any n, with the same bits and bytes.
+Each function of _native.c has a Python reference of the same name in
+_reference, which takes the same parameters, writes the same outputs and
+gives the same bits or bytes; the comment on each function in _native.c
+states the order of operations that makes them so. _rk4_blocks,
+_rkf45_blocks, _pass and _csv_bytes call impl.<name>(...) alone, where
+impl (_impl) is a build of _native.c or, where none loads, _reference,
+which is imported only then.
+Each C function is wired once: an entry of _ENTRY_POINTS gives its C
+types and names its probe case, and _load wraps it to take numpy arrays.
+A build is made once per machine with Python's own C compiler into the
+per-user cache, loaded with ctypes (_native), and used only after each
+probe case gives with it what it gives with _reference (_reference._probe).
+Where none loads (no compiler, a cache that cannot be used, a failed build
+or a failed probe), the references run at any n, with the same bits and
+bytes. numpy's _logs gives both of them each row's H1 and s.
 
 The kernels only step; integrate screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
@@ -63,9 +64,10 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
+from importlib import import_module
 from numbers import Real
 from sys import float_info, platform
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,10 +248,11 @@ def _floats(qs: Sequence[Fraction], what: Callable[[int], str]) -> np.ndarray:
 def _terms(sys: CyclicLVSystem) -> tuple[np.ndarray, ...]:
     """Arrays j1, c1, j2, c2 of each structure-matrix row's two columns and float entries.
 
+    The columns are int64 and the entries float, as the steppers take them.
     Raises InputError for a rate whose float overflows or rounds to zero.
     """
     first, second = zip(*structure_matrix(sys))
-    j1, j2 = (np.array([j for j, _ in terms]) for terms in (first, second))
+    j1, j2 = (np.array([j for j, _ in terms], np.int64) for terms in (first, second))
     # row i's first entry is k_i, so this column holds every rate once and
     # the second column's -k_{i-1} then always has a float
     c1 = _floats([c for _, c in first], lambda i: f"rate k{i}")
@@ -297,33 +300,18 @@ def _logs(x: np.ndarray, monomials: Sequence[tuple]) -> list[np.ndarray]:
     return columns
 
 
-def _values(x: np.ndarray, monomials: Sequence[tuple]) -> np.ndarray:
-    """H1 and each monomial for every row, shape (rows, 1 + m).
-
-    Each monomial is math.exp(s) of its s from _logs, not np.exp(s), which
-    rounds otherwise; it is NaN, as math.exp(nan) is, where s lies outside
-    LOG_RANGE. So each value has the bits of evaluating that state alone.
-    """
-    h1, *logs = _logs(x, monomials)
-    columns = [h1]
-    for s in logs:
-        s[(s < LOG_RANGE[0]) | (s > LOG_RANGE[1])] = math.nan
-        columns.append(np.fromiter(map(math.exp, s.tolist()), dtype=float, count=len(s)))
-    return np.column_stack(columns)
-
-
-# Fehlberg 4(5): the fourth-order solution is propagated, the fifth-order
-# companion supplies the local error estimate.
-_FEHLBERG_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3554 / 2565, 1859 / 4104, -11 / 40),
+# Fehlberg 4(5), as rkf45_block takes it: the rows of the stage matrix A,
+# then the weights of the fourth-order solution, which is propagated, then
+# those of the error estimate, the fifth-order companion's difference.
+_FEHLBERG = (
+    1 / 4,
+    3 / 32, 9 / 32,
+    1932 / 2197, -7200 / 2197, 7296 / 2197,
+    439 / 216, -8.0, 3680 / 513, -845 / 4104,
+    -8 / 27, 2.0, -3554 / 2565, 1859 / 4104, -11 / 40,
+    25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0,
+    1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55,
 )
-_FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_FEHLBERG_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 def _native_name() -> str:
@@ -341,7 +329,7 @@ def _native_name() -> str:
 
 @cache
 def _native():
-    """A build of _native.c with the functions of _ENTRY_POINTS declared, or None where none loads.
+    """A build of _native.c as _load wraps it, or None where none loads.
 
     A build lives in the per-user cache, $XDG_CACHE_HOME/cycliclv, else
     ~/.cache/cycliclv, made with mode 0700, under _native_name(), and is
@@ -349,9 +337,9 @@ def _native():
     CC, builds it (_reference._build), unless the marker that name +
     ".failed" says that a build of it failed its probe. No compiler, a
     cache that is not a directory of this user's that only it can write to,
-    a failed build and a failed probe all give None, and then each front
-    door, _kernel, _pass and _csv_bytes, runs its Python reference, with the
-    same bits and bytes. The answer holds for the process.
+    a failed build and a failed probe all give None, and then _impl gives
+    _reference, with the same bits and bytes. The answer holds for the
+    process.
     """
     try:
         name = _native_name()
@@ -380,13 +368,35 @@ def _native():
         return None
 
 
-def _load(path: str):
-    """The library at path, with each function of _ENTRY_POINTS given its C types."""
-    lib = ctypes.CDLL(path)
+def _load(path: str) -> SimpleNamespace:
+    """The library at path, as a namespace of its functions of _ENTRY_POINTS.
+
+    Each is given its C types and wrapped once, to take each pointer as an
+    ndarray, which the call passes by its address, as _reference takes it.
+    """
+    lib, functions = ctypes.CDLL(path), {}
     for name, (restype, argtypes, _) in _ENTRY_POINTS.items():
         function = getattr(lib, name)
         function.restype, function.argtypes = restype, argtypes
-    return lib
+        functions[name] = partial(_call, function)
+    return SimpleNamespace(**functions)
+
+
+def _call(function, *args):
+    """function of args, each ndarray among them passed by address; the caller holds them alive.
+
+    Raises ValueError for an array that is not C-ordered, whose address is
+    not that of its rows one after another. The callers allocate every
+    array, of the dtype and size that the comment in _native.c gives.
+    """
+    if any(isinstance(a, np.ndarray) and not a.flags.c_contiguous for a in args):
+        raise ValueError(f"{function.__name__} takes C-ordered arrays")
+    return function(*[a.ctypes.data if isinstance(a, np.ndarray) else a for a in args])
+
+
+def _impl():
+    """The functions of _ENTRY_POINTS: a build (_native), or where none loads _reference."""
+    return _native() or import_module("._reference", __package__)
 
 
 # Each C function of _native.c: its result type, its argument types and the
@@ -405,88 +415,20 @@ _ENTRY_POINTS = {
 }
 
 
-def _csv_bytes(block: np.ndarray, lib) -> bytes:
+def _csv_bytes(block: np.ndarray, impl) -> bytes:
     """The rows of the 2-D float array block as CSV lines, each value as '%.17g' % value.
 
-    lib is a build of _native.c, whose csv_rows writes them as the comment
-    on put_value there states, or None, and then one % of a template for
-    the whole block does. Python's % ignores the locale, and so does
-    csv_rows.
+    impl.csv_rows writes them: natively as the comment on put_value in
+    _native.c states, or in _reference through Python's %. Neither reads
+    the locale.
     """
     rows, cols = block.shape
-    if lib is None:
-        line = ",".join(["%.17g"] * cols) + "\n"
-        return ((line * rows) % tuple(block.ravel().tolist())).encode()
     block = np.ascontiguousarray(block, dtype=float)
     out = np.empty(rows * max(cols, 1) * _CSV_VALUE_BYTES, np.uint8)
-    size = lib.csv_rows(block.ctypes.data, rows, cols, out.ctypes.data, len(out))
+    size = impl.csv_rows(block, rows, cols, out, len(out))
     if size < 0:
         raise RuntimeError(f"csv_rows refused {len(out)} bytes for {rows} rows of {cols} values")
     return out[:size].tobytes()
-
-
-def _kernel(lib, sys: CyclicLVSystem, rk4: bool) -> Callable:
-    """sys's RK4 or RKF45 loop: rk4_steps or rkf45_block of lib, or where lib is None its reference.
-
-    The references are _rk4_steps and _rkf45_rows on _rkf45_step, with
-    sys's field _rhs bound, all of _reference, which a call with None
-    imports; the comments on rk4_steps and rkf45_block in _native.c state
-    the order of operations that gives their bits. The RK4
-    loop is called with (xs, row, count, h). The RKF45 loop is called with
-    (x, xs, ts, t_end, h, limit): a generator that yields and returns what
-    _rkf45_rows does, natively a call of rkf45_block per block, each
-    resumed from what the last one left, which reads REL_TOL, ABS_TOL and
-    MIN_STEP when a run starts. Raises InputError, as _terms does, for a
-    rate whose float overflows or rounds to zero.
-    """
-    if lib is None:
-        from . import _reference
-
-        f = _reference._rhs(sys)
-        return (partial(_reference._rk4_steps, f) if rk4 else
-                partial(_reference._rkf45_rows, partial(_reference._rkf45_step, f)))
-    n = sys.n
-    terms = [np.ascontiguousarray(a, kind) for a, kind in zip(_terms(sys), (np.int64, float) * 2)]
-    # each pointer keeps its array alive
-    j1, c1, j2, c2 = (a.ctypes.data_as(ctypes.c_void_p) for a in terms)
-
-    def check(xs: np.ndarray, fits: bool) -> None:
-        if not (xs.flags.c_contiguous and xs.dtype == float and xs.shape[1:] == (n,) and fits):
-            raise ValueError("xs must be a C-ordered float array of n columns that holds the "
-                             "rows written")
-
-    if rk4:
-        # the four stages and a stage state
-        work = np.empty(5 * n).ctypes.data_as(ctypes.c_void_p)
-
-        def steps(xs: np.ndarray, row: int, count: int, h: float) -> None:
-            check(xs, 0 <= row <= row + count < len(xs))
-            lib.rk4_steps(n, j1, c1, j2, c2, xs.ctypes.data, row, count, h, work)
-
-        return steps
-
-    tableau = np.array([*chain(*_FEHLBERG_A), *_FEHLBERG_B4, *_FEHLBERG_ERR])
-
-    def blocks(x, xs: np.ndarray, ts: np.ndarray, t_end: float, h: float, limit: int):
-        # the state; t, the trial step and the error norm; the accepted
-        # count and the end code, which rkf45_block only writes; the six
-        # stages, a stage state and the trial state
-        x, run = np.array(x, dtype=float), np.array([0.0, h, 0.0])
-        check(xs, len(xs) > 1 and x.shape == (n,) and ts.flags.c_contiguous
-              and ts.dtype == float and ts.shape == (len(xs),))
-        state, work = np.zeros(2, dtype=np.int64), np.empty(8 * n)
-        tolerances = (REL_TOL, ABS_TOL, MIN_STEP)
-        while True:
-            rows = lib.rkf45_block(n, j1, c1, j2, c2, tableau.ctypes.data, *tolerances, t_end,
-                                   limit, run.ctypes.data, state.ctypes.data, x.ctypes.data,
-                                   ts.ctypes.data, xs.ctypes.data, len(xs) - 1,
-                                   work.ctypes.data)
-            end = int(state[1])
-            yield rows, end, float(run[0]), float(run[1])
-            if end != _FULL:
-                return work[7 * n :], float(run[2])
-
-    return blocks
 
 
 def _step_limit(n: int) -> int:
@@ -494,11 +436,11 @@ def _step_limit(n: int) -> int:
     return min(MAX_STEPS, MAX_STORED_FLOATS // n)
 
 
-def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
+def _rk4_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     """Fixed-step RK4 from the state in xs[0]; yields (rows, None) for each block.
 
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
-    times into ts. steps(xs, row, count, h) is _kernel's RK4 loop: a
+    times into ts, by impl.rk4_steps on the system's terms (_terms): a
     block's full steps take one call and the tail step, if any, a second.
     Each block's last row is carried into xs[0] for the next. A t_end /
     step over _step_limit(n), an infinite one that math.floor cannot take
@@ -511,13 +453,14 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
     n_full = int(math.floor(ratio + 1e-9))
     remainder = cfg.t_end - n_full * h
     total = n_full + (remainder > 1e-12 * cfg.t_end)
-    base = 0
+    # the four stages and a stage state
+    base, work = 0, np.empty(5 * n)
     while base < total:
         count = min(len(xs) - 1, total - base)
         full = min(count, n_full - base)
-        steps(xs, 0, full, h)
+        impl.rk4_steps(n, *terms, xs, 0, full, h, work)
         if full < count:
-            steps(xs, full, 1, remainder)
+            impl.rk4_steps(n, *terms, xs, full, 1, remainder, work)
         ts[: count + 1] = np.arange(base, base + count + 1) * h
         if base + count == total:
             ts[count] = cfg.t_end
@@ -526,65 +469,51 @@ def _rk4_blocks(steps, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
         base += count
 
 
-def _rkf45_blocks(rows, x, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
-    """Fehlberg 4(5) from the state x, which xs[0] holds; yields (rows, abort) per block.
+def _rkf45_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: IntegratorConfig):
+    """Fehlberg 4(5) from the state in xs[0]; yields (rows, abort) for each block.
 
-    rows is _kernel's RKF45 loop, called with (x, xs, ts, t_end, h, limit).
-    StepUnderflow, and StepLimitReached at _step_limit steps, come with the
-    last block.
+    Each block is one call of impl.rkf45_block on the system's terms
+    (_terms), resumed from what the last one left, with REL_TOL, ABS_TOL
+    and MIN_STEP as they are when the run starts. StepUnderflow, and
+    StepLimitReached at _step_limit steps, come with the last block.
     """
-    limit = _step_limit(xs.shape[1])
-    for count, end, t, h in rows(x, xs, ts, cfg.t_end, cfg.step, limit):
+    n, limit, tableau = xs.shape[1], _step_limit(xs.shape[1]), np.array(_FEHLBERG)
+    tolerances = (REL_TOL, ABS_TOL, MIN_STEP)
+    # t, the trial step and the error norm; the accepted count and the end
+    # code, which rkf45_block only writes; the state; the six stages, a
+    # stage state and the trial state
+    run, state = np.array([0.0, cfg.step, 0.0]), np.zeros(2, dtype=np.int64)
+    x, work, end = xs[0].copy(), np.empty(8 * n), _FULL
+    while end == _FULL:
+        rows = impl.rkf45_block(n, *terms, tableau, *tolerances, cfg.t_end, limit, run, state, x,
+                                ts, xs, len(xs) - 1, work)
+        (t, h), end = run[:2].tolist(), int(state[1])
         if end == _UNDERFLOW:
-            yield count, StepUnderflow(t, f"adaptive step {h:.17g} fell below the minimum")
+            yield rows, StepUnderflow(t, f"adaptive step {h:.17g} fell below the minimum")
         elif end == _LIMIT:
-            yield count, StepLimitReached(t, f"adaptive run reached the limit of {limit} steps")
+            yield rows, StepLimitReached(t, f"adaptive run reached the limit of {limit} steps")
         else:
-            yield count, None
+            yield rows, None
 
 
-def _first_failure(block: np.ndarray, drift: np.ndarray) -> tuple[int, int]:
-    """The first row of block that fails the screen, len(block) if none does, and its failure.
-
-    A row's failures, in order: in column i < n, x_(i+1) not finite; in n,
-    a coordinate below POSITIVITY_FLOOR; in n + j, H_j's drift not finite.
-    """
-    fails = np.column_stack((~np.isfinite(block), block.min(axis=1) < POSITIVITY_FLOOR,
-                             ~np.isfinite(drift)))
-    return divmod(int(np.argmax(fails)), fails.shape[1]) if fails.any() else (len(block), 0)
-
-
-def _pass(lib, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.ndarray,
+def _pass(impl, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.ndarray,
           size: int):
-    """integrate's pass over blocks of at most size rows: block_pass of lib, or numpy's for None.
+    """integrate's pass over blocks of at most size rows: _logs, then impl.block_pass.
 
-    The pass is a function of a block that returns the block's values
-    (_values), their drifts |v - start| / start, and its first failing row
-    and failure (_first_failure). It folds the drifts of the rows before
-    that row into max_drift, in place. It reads start and max_drift when it
-    runs, so a caller may set them between blocks. Natively, numpy still
-    computes each row's H1 and s (_logs) into a values buffer, and
-    block_pass does the rest, as the comment on it in _native.c states;
-    neither _values nor _first_failure runs. Its two buffers are allocated
-    once, so the values and drifts it returns are views that the next block
+    The pass is a function of a block that returns the block's values,
+    their drifts |v - start| / start, and its first failing row and
+    failure. numpy computes each row's H1 and s (_logs) into a values
+    buffer, and block_pass does the rest, as the comment on it in _native.c
+    states: it folds the drifts of the rows before the failing one into
+    max_drift, in place. It reads start and max_drift when it runs, so a
+    caller may set them between blocks. Its two buffers are allocated once,
+    so the values and drifts it returns are views that the next block
     overwrites, and hold only the rows before the failing one.
     """
     width = len(start)
     if not all(a.dtype == float and a.flags.c_contiguous and a.shape == (width,)
                for a in (start, max_drift)):
         raise ValueError("start and max_drift must be C-ordered float arrays of one length")
-
-    if lib is None:
-        def run(block: np.ndarray):
-            values = _values(block, monomials)
-            drift = np.abs(values - start) / start
-            good, column = _first_failure(block, drift)
-            if good:
-                np.maximum(max_drift, drift[:good].max(axis=0), out=max_drift)
-            return values, drift, good, column
-
-        return run
-
     values, drift = np.empty((size, width)), np.empty((size, width))
 
     def run(block: np.ndarray):
@@ -594,9 +523,8 @@ def _pass(lib, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.ndar
         block = np.ascontiguousarray(block, dtype=float)
         for j, column in enumerate(_logs(block, monomials)):
             values[:rows, j] = column
-        at = lib.block_pass(rows, n, width - 1, block.ctypes.data, values.ctypes.data,
-                            drift.ctypes.data, start.ctypes.data, max_drift.ctypes.data,
-                            *LOG_RANGE, POSITIVITY_FLOOR)
+        at = impl.block_pass(rows, n, width - 1, block, values, drift, start, max_drift,
+                             *LOG_RANGE, POSITIVITY_FLOOR)
         return (values[:rows], drift[:rows], *divmod(at, n + 1 + width))
 
     return run
@@ -644,10 +572,8 @@ def integrate(
     x = np.asarray([_float(v, f"initial state entry x{i}") for i, v in enumerate(x0, 1)])
     if x.shape != (sys.n,):
         raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
-    rk4 = cfg.method is Method.RK4_FIXED
-    native = _native()
-    step = _kernel(native, sys, rk4)
-    # after the kernel, so that a bad rate is refused before a bad exponent
+    impl, terms = _impl(), _terms(sys)
+    # after the terms, so that a bad rate is refused before a bad exponent
     if any(len(mono.exponents) != sys.n for mono in basis.monomials):
         raise InputError("exponent vector length does not match the system")
     monomials = [_monomial(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
@@ -655,7 +581,8 @@ def integrate(
     size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
     xs, ts = np.empty((size, sys.n)), np.empty(size)
     xs[0], ts[0] = x, 0.0
-    blocks = _rk4_blocks(step, xs, ts, cfg) if rk4 else _rkf45_blocks(step, x, xs, ts, cfg)
+    stepper = _rk4_blocks if cfg.method is Method.RK4_FIXED else _rkf45_blocks
+    blocks = stepper(impl, terms, xs, ts, cfg)
     collect = sink is None
     if collect:
         kept = []
@@ -664,7 +591,7 @@ def integrate(
     # the index of xs[0] in the run, and the first row of xs a block adds
     base = first = 0
     with np.errstate(all="ignore"):
-        evaluate = _pass(native, monomials, start, max_drift, size)
+        evaluate = _pass(impl, monomials, start, max_drift, size)
         # x0 goes through the run's own pass, alone, before the driver
         # starts; its drifts from 1 are finite exactly where its values are
         values, _, good, column = evaluate(x[None])

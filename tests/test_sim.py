@@ -1,6 +1,6 @@
 """Integrator behavior: conservation drift, abort events, measured order."""
 
-import ctypes
+import inspect
 import math
 import os
 import random
@@ -10,6 +10,7 @@ import subprocess
 import sysconfig
 import time
 from fractions import Fraction
+from functools import partial
 from sys import float_info
 from types import SimpleNamespace
 
@@ -30,7 +31,6 @@ from cycliclv import (
     make_system,
 )
 from cycliclv import _reference, cli, sim
-from cycliclv._reference import _rhs, _rk4_steps
 from helpers import (
     RATES_41,
     X0_41_TINY_H2,
@@ -135,6 +135,11 @@ KERNELS = ("native", "array")
 NATIVE = sim._native
 
 
+def _impls() -> list:
+    """_reference, and the native build where one loads."""
+    return [impl for impl in (_reference, NATIVE()) if impl is not None]
+
+
 def _has_compiler() -> bool:
     """Whether the C compiler Python was built with is installed here."""
     cc = sysconfig.get_config_var("CC")
@@ -188,17 +193,17 @@ class TestRhsAgreesWithModel:
                 for _ in range(n)
             ]
             sys = make_system(rates)
+            terms = sim._terms(sys)
             x = np.array([rng.uniform(1e-3, 10.0) for _ in range(n)])
-            expect = _reference_rhs(sys, x).tobytes()
-            assert _rhs(sys)(x).tobytes() == expect
-            # the native kernel has no RHS of its own: a one-step run of it
-            # must match the array step on the reference field
-            if NATIVE() is not None:
-                reference = np.array([x, np.nan * x])
-                _rk4_steps(lambda y: _reference_rhs(sys, y), reference, 0, 1, 0.01)
+            assert _reference._field(*terms, x).tobytes() == _reference_rhs(sys, x).tobytes()
+            # the native kernel has no RHS of its own: a step of it must
+            # match the array step on that field
+            steps = []
+            for impl in _impls():
                 xs = np.array([x, np.nan * x])
-                sim._kernel(NATIVE(), sys, True)(xs, 0, 1, 0.01)
-                assert xs[1].tobytes() == reference[1].tobytes()
+                impl.rk4_steps(n, *terms, xs, 0, 1, 0.01, np.empty(5 * n))
+                steps.append(xs[1].tobytes())
+            assert steps[1:] == steps[:-1]
 
     def test_matches_vector_field(self):
         rng = random.Random(103)
@@ -206,7 +211,8 @@ class TestRhsAgreesWithModel:
             sys = random_system(rng, rng.randint(2, 9))
             x = np.array([0.05 + rng.random() for _ in range(sys.n)])
             expect = [float(v) for v in vector_field(sys, list(x))]
-            assert _rhs(sys)(x) == pytest.approx(expect, rel=1e-14, abs=1e-300)
+            got = _reference._field(*sim._terms(sys), x)
+            assert got == pytest.approx(expect, rel=1e-14, abs=1e-300)
 
 
 class TestIntegrate:
@@ -498,6 +504,36 @@ class TestKernelsAgree:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     @pytest.mark.parametrize("n", [2, 3, 9, 17])
+    def test_doubling_rates_or_x0_halves_every_time(self, n, method, kernel, monkeypatch):
+        """Rates x 2, or for RK4 x0 x 2, with step and t_end / 2 halve each t.
+
+        Doubling the rates doubles each entry of the field exactly, and
+        doubling x0 quadruples it; with the step halved, each stage and sum
+        scales by a power of two, so each state stays equal, or doubles,
+        bit for bit, at half the time. RKF45's error scale
+        ABS_TOL + REL_TOL |x| does not double with x, so x0 x 2 is run on
+        RK4 alone. H1 and the drifts are not compared, as in the rotation.
+        """
+        _force_kernel(monkeypatch, kernel)
+        rng = random.Random(980 + n)
+        rates = [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
+        x0 = [rng.uniform(0.5, 1.5) for _ in range(n)]
+
+        def run(k, x, step, t_end):
+            sys = make_system(k)
+            return integrate(sys, x, IntegratorConfig(method, step, t_end), integral_basis(sys))
+
+        base = run(rates, x0, 0.01, 1.013)
+        images = [(run([2 * q for q in rates], x0, 0.005, 0.5065), 1.0)]
+        if method == "rk4":
+            images.append((run(rates, [2 * v for v in x0], 0.005, 0.5065), 2.0))
+        for image, scale in images:
+            assert image.t.tobytes() == (base.t / 2).tobytes()
+            assert image.x.tobytes() == (base.x * scale).tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("n", [2, 3, 9, 17])
     def test_reflection_reflects_every_state(self, n, method, kernel, monkeypatch):
         # y_i = x_(-i) solves the system of rates k'_i = -k_(-i-1), indices
         # mod n: each entry of its field is the reflected entry's two
@@ -641,45 +677,29 @@ class TestKernelsAgree:
                                                       monkeypatch):
         # The kernels step on past the failing row to the end of its block,
         # where the screen finds it. Each wrapped kernel counts the steps it
-        # takes: for RK4 the count it is asked for, for RKF45 each step whose
-        # error norm _rkf45_rows accepts, or on the native loop each step
-        # that rkf45_block adds to its accepted count.
-        rk4 = method == "rk4"
+        # takes: for RK4 the count it is asked for, for RKF45 each step that
+        # rkf45_block adds to the accepted count in its state.
         taken = 0
-
-        def counted(step):
-            def counting(*args):
-                nonlocal taken
-                out = step(*args)
-                taken += args[-2] if rk4 else out[1] <= 1.0
-                return out
-            return counting
-
         # a native build, if any, is made now, so that its probe's steps
         # are not counted
         _force_kernel(monkeypatch, kernel)
-        lib = sim._native()
-        if lib is not None:
-            def rk4_steps(*args):
-                nonlocal taken
-                taken += args[7]  # count
-                return lib.rk4_steps(*args)
+        impl = sim._impl()
 
-            def rkf45_block(*args):
-                nonlocal taken
-                # args[12] points at the state, whose first entry is the
-                # accepted count
-                accepted = ctypes.c_int64.from_address(args[12])
-                before = accepted.value
-                rows = lib.rkf45_block(*args)
-                taken += accepted.value - before
-                return rows
+        def rk4_steps(*args):
+            nonlocal taken
+            taken += args[7]  # count
+            return impl.rk4_steps(*args)
 
-            wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block,
-                                      block_pass=lib.block_pass)
-            monkeypatch.setattr(sim, "_native", lambda: wrapped)
-        monkeypatch.setattr(_reference, "_rk4_steps", counted(_reference._rk4_steps))
-        monkeypatch.setattr(_reference, "_rkf45_step", counted(_reference._rkf45_step))
+        def rkf45_block(*args):
+            nonlocal taken
+            before = int(args[12][0])  # the state: the accepted count, then the end
+            rows = impl.rkf45_block(*args)
+            taken += int(args[12][0]) - before
+            return rows
+
+        wrapped = SimpleNamespace(rk4_steps=rk4_steps, rkf45_block=rkf45_block,
+                                  block_pass=impl.block_pass)
+        monkeypatch.setattr(sim, "_impl", lambda: wrapped)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
         sys = make_system([1, 5])
         cfg = IntegratorConfig(method, step=0.05, t_end=t_end)
@@ -691,45 +711,29 @@ class TestKernelsAgree:
     def test_a_full_block_has_accepted_its_rows(self, kernel, monkeypatch):
         # A block ends _FULL before its next trial, so at each _FULL the
         # steps accepted so far are the rows yielded so far, and a call
-        # resumes from its state alone. The native loop's count is the
-        # first entry of its state after each call of rkf45_block; the
-        # array kernel's is the error norms at or below 1 that _rkf45_step
-        # returns.
-        accepted = 0
+        # resumes from its state alone. The count and the end are the
+        # state's entries after each call of rkf45_block.
+        if kernel == "native" and not _has_compiler():
+            pytest.skip("the C compiler Python was built with is not installed")
+        _force_kernel(monkeypatch, kernel)
+        impl, written, ends = sim._impl(), 0, []
+
+        def rkf45_block(*args):
+            rows = impl.rkf45_block(*args)
+            accepted, end = args[12].tolist()
+            ends.append(end)
+            assert accepted == written + rows
+            return rows
+
         sys = make_system([1, 2, 2, 1, 2])
-        if kernel == "native":
-            if not _has_compiler():
-                pytest.skip("the C compiler Python was built with is not installed")
-            lib = NATIVE()
-
-            def rkf45_block(*args):
-                nonlocal accepted
-                rows = lib.rkf45_block(*args)
-                # args[12] points at the state
-                accepted = ctypes.c_int64.from_address(args[12]).value
-                return rows
-
-            blocks = sim._kernel(SimpleNamespace(rkf45_block=rkf45_block), sys, False)
-        else:
-            step = _reference._rkf45_step
-
-            def counted(f, x, h):
-                nonlocal accepted
-                out = step(f, x, h)
-                accepted += out[1] <= 1.0
-                return out
-
-            monkeypatch.setattr(_reference, "_rkf45_step", counted)
-            blocks = sim._kernel(None, sys, False)
         xs, ts = np.empty((8, sys.n)), np.empty(8)
         xs[0] = [1.0, 1.1, 0.9, 1.0, 1.05]
-        written = full = 0
-        for rows, end, *_ in blocks(xs[0].copy(), xs, ts, 1.0, 0.01, sim.MAX_STEPS):
+        cfg = IntegratorConfig("rk45", step=0.01, t_end=1.0)
+        for rows, abort in sim._rkf45_blocks(SimpleNamespace(rkf45_block=rkf45_block),
+                                             sim._terms(sys), xs, ts, cfg):
+            assert abort is None
             written += rows
-            if end == sim._FULL:
-                full += 1
-                assert accepted == written
-        assert full >= 2 and end == sim._DONE and accepted == written
+        assert ends.count(sim._FULL) >= 2 and ends[-1] == sim._DONE
 
     def test_step_limit_on_both_kernels(self, monkeypatch):
         # 1100 steps go past the 1024 rows an adaptive run once allocated
@@ -755,9 +759,10 @@ class TestKernelsAgree:
         # Its 0.0 weight in the fourth-order sum turns that into NaN in every
         # entry of the array step. The native loop's zero weights are the probe's
         # to check (TestNativeStepper.MUTATIONS["rkf45_block"]["zero-weight-dropped"]).
-        sys = make_system(rates)
+        f = partial(_reference._field, *sim._terms(make_system(rates)))
         with np.errstate(all="ignore"):
-            want, norm = _reference._rkf45_step(_rhs(sys), np.array(x), 1e-306)
+            want, norm = _reference._rkf45_step(f, list(sim._FEHLBERG), sim.REL_TOL, sim.ABS_TOL,
+                                                np.array(x), 1e-306)
         assert np.isnan([*want, norm]).all()
 
 
@@ -931,11 +936,16 @@ class TestNativeStepper:
     def test_each_c_function_has_one_entry_and_its_mutations(self):
         # A function of _native.c without a declaration would take floats
         # as ArgumentError and cut an int64 result to an int; without a
-        # probe case or mutations it would be held to nothing.
+        # probe case or mutations it would be held to nothing. Its
+        # reference of the same name takes its arguments one for one.
         with open(sim._NATIVE_SOURCE, encoding="utf-8") as file:
             code = re.sub(r"/\*.*?\*/", "", file.read(), flags=re.DOTALL)
         defined = set(re.findall(r"^(?!static\b)\w[\w *]*?\b(\w+)\(", code, flags=re.MULTILINE))
         assert defined == set(sim._ENTRY_POINTS) == set(self.MUTATIONS)
+        for name, (_, argtypes, _) in sim._ENTRY_POINTS.items():
+            reference = getattr(_reference, name)
+            assert inspect.isfunction(reference)
+            assert len(inspect.signature(reference).parameters) == len(argtypes)
 
     def _refused(self, function, mutation, monkeypatch, tmp_path, capsys):
         """A build with one mutation of function loads, fails its probe and leaves one marker.
@@ -974,6 +984,14 @@ class TestNativeStepper:
                                                              tmp_path, capsys):
         self._refused("csv_rows", mutation, monkeypatch, tmp_path, capsys)
 
+    def test_a_build_refuses_an_array_that_is_not_c_ordered(self):
+        # a build reads each array at its address, row after row
+        if NATIVE() is None:
+            pytest.skip("no native build loads here")
+        block, out = np.asfortranarray(np.full((3, 4), 0.5)), np.empty(300, np.uint8)
+        with pytest.raises(ValueError, match="^csv_rows takes C-ordered arrays$"):
+            NATIVE().csv_rows(block, 3, 4, out, len(out))
+
     def test_a_comment_edit_keeps_the_build_name(self, monkeypatch, tmp_path):
         # the name follows the code, not the comments around it
         name = sim._native_name()
@@ -991,8 +1009,8 @@ class TestNativeStepper:
         norms = []
         step = _reference._rkf45_step
 
-        def recorded(f, x, h):
-            out = step(f, x, h)
+        def recorded(*args):
+            out = step(*args)
             norms.append(out[1])
             return out
 
@@ -1142,7 +1160,7 @@ class TestCsvBytes:
     def test_both_paths_write_what_percent_writes(self, family):
         block = self._block(family())
         want = self._percent(block)
-        assert sim._csv_bytes(block, None) == want
+        assert sim._csv_bytes(block, _reference) == want
         assert sim._csv_bytes(block, self._lib()) == want
 
     def test_the_native_digits_are_those_of_percent(self):
@@ -1192,7 +1210,8 @@ class TestCsvBytes:
         lib = self._lib()
         block = self._block(_powers_of_ten())
         for view in (np.asfortranarray(block), block[::3, ::2], block[:0]):
-            assert sim._csv_bytes(view, lib) == sim._csv_bytes(view, None) == self._percent(view)
+            assert (sim._csv_bytes(view, lib) == sim._csv_bytes(view, _reference)
+                    == self._percent(view))
 
     def test_a_build_without_128_bit_integers_formats_through_snprintf(self, monkeypatch,
                                                                         tmp_path):
@@ -1211,15 +1230,15 @@ class TestCsvBytes:
             NATIVE.cache_clear()
 
     def test_csv_rows_refuses_a_short_buffer(self):
-        # 24 bytes of "-1.2345678901234567e-308" and a separator per value
-        lib = self._lib()
+        # 24 bytes of "-1.2345678901234567e-308" and a separator per value,
+        # on every kernel
         block = np.full((3, 4), -1.2345678901234567e-308)
-        out = np.full(3 * 4 * 25, ord("#"), np.uint8)
-        assert lib.csv_rows(block.ctypes.data, 3, 4, out.ctypes.data, len(out) - 1) == -1
-        assert (out == ord("#")).all()
-        size = lib.csv_rows(block.ctypes.data, 3, 4, out.ctypes.data, len(out))
-        assert size == len(out)
-        assert out.tobytes() == self._percent(block)
+        for impl in _impls():
+            out = np.full(3 * 4 * 25, ord("#"), np.uint8)
+            assert impl.csv_rows(block, 3, 4, out, len(out) - 1) == -1
+            assert (out == ord("#")).all()
+            assert impl.csv_rows(block, 3, 4, out, len(out)) == len(out)
+            assert out.tobytes() == self._percent(block)
 
     @pytest.fixture
     def comma_locale(self, monkeypatch, tmp_path):
@@ -1485,10 +1504,11 @@ def _per_state(x, basis):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 16, 17, 33, 41, 64])
 def test_values_match_per_state_in_any_layout(n):
-    # _values takes every row's s from one np.matmul, which gives np.dot's
+    # _logs takes every row's s from one np.matmul, which gives np.dot's
     # bits only on contiguous rows, so it must lay x out again whatever
     # layout it is given. Each state is drawn so that |lam . log x| <= 700
-    # for every monomial, and so stays in range.
+    # for every monomial, and so stays in range; each monomial is then
+    # math.exp(s), as either kernel's block_pass takes it.
     rng = random.Random(900 + n)
     if n % 2 == 0 and n >= 4:
         sys = resonant_system(rng, n, lo=1, hi=3)
@@ -1502,7 +1522,9 @@ def test_values_match_per_state_in_any_layout(n):
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
     monomials = [sim._monomial(m.exponents, str) for m in basis.monomials]
     for x, want in ((xs, expect), (np.asfortranarray(xs), expect), (xs[::3], expect[::3])):
-        assert sim._values(x, monomials).tobytes() == want.tobytes()
+        h1, *logs = sim._logs(x, monomials)
+        values = np.column_stack([h1, *([math.exp(v) for v in s] for s in logs)])
+        assert values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -1551,36 +1573,12 @@ def test_full_and_half_supports_give_the_reference_bits(make, n, supports, kind)
     xs = np.array([simplex_point(rng, n) for _ in range(200)])
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
     width = 1 + len(monomials)
-    for lib in {NATIVE(), None}:
-        values, drift, good, _ = sim._pass(lib, monomials, expect[0].copy(), np.zeros(width),
+    for impl in _impls():
+        values, drift, good, _ = sim._pass(impl, monomials, expect[0].copy(), np.zeros(width),
                                            len(xs))(xs)
         assert good == len(xs)
         assert values.tobytes() == expect.tobytes()
         assert drift.tobytes() == (np.abs(expect - expect[0]) / expect[0]).tobytes()
-
-
-def test_native_runs_call_neither_values_nor_first_failure(monkeypatch):
-    # natively, x0 and every block go through block_pass alone, with the
-    # bits of the numpy pass
-    if NATIVE() is None:
-        pytest.skip("no native build loads here")
-    sys = make_system([2, 1, 3, 5, 4, 1, 2, 7, 3])
-    basis, x0 = integral_basis(sys), [1.0 + 0.01 * i for i in range(9)]
-    cfgs = [IntegratorConfig("rk4", step=0.01, t_end=20.0),
-            IntegratorConfig("rk45", step=0.01, t_end=20.0)]
-    _force_kernel(monkeypatch, "array")
-    want = [_outcome(sys, x0, cfg, basis) for cfg in cfgs]
-
-    def unused(*args):
-        raise AssertionError("the numpy pass ran")
-
-    _force_kernel(monkeypatch, "native")
-    monkeypatch.setattr(sim, "_values", unused)
-    monkeypatch.setattr(sim, "_first_failure", unused)
-    assert [_outcome(sys, x0, cfg, basis) for cfg in cfgs] == want
-    assert want[0][1] == 2001 and want[1][2] is None
-    with pytest.raises(InputError, match="^initial state must be finite"):
-        integrate(sys, [1e-13] + x0[1:], cfgs[0], basis)
 
 
 def test_rk4_state_error_is_fourth_order():
