@@ -70,25 +70,26 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
    argument order, so that a NaN norm gives 0.2. The tableau and the
    tolerances come from sim, the tableau as sim._FEHLBERG.
 
-   It steps from the state x, n doubles, at time run[0] with the trial step
-   run[1], each accepted state written into the next row of the row-major
-   (size + 1, n) array xs after row 0 and its time into ts, until the
-   block is full, the run ends or it fails. A full block ends the call
-   before its next trial, so a call resumes from run, state[0] and x alone,
-   and after FULL the accepted count is the rows written. tableau holds the
-   rows of the stage matrix A, 15 entries, then the 6 fourth-order weights
-   and the 6 error weights. Returns the rows written, and leaves in run the
-   time, the next trial step and the last trial's error norm, in state the
-   steps accepted so far and the end code, and in x the last accepted
-   state. work holds 8 n doubles: the six stages, a stage state and the
-   last trial's state. */
+   It steps from the state in row 0 of the row-major (size + 1, n) array
+   xs, at time run[0] with the trial step run[1], as rk4_steps steps from
+   its row: each accepted state goes into the next row and its time into
+   ts, until the block is full, the run ends or it fails. A full block
+   ends the call before its next trial, so a call resumes from run,
+   state[0] and row 0 alone, which sim.integrate sets to the last row
+   written, and after FULL the accepted count is the rows written.
+   tableau holds the rows of the stage matrix A, 15 entries, then the 6
+   fourth-order weights and the 6 error weights. Returns the rows written,
+   and leaves in run the time, the next trial step and the last trial's
+   error norm, and in state the steps accepted so far and the end code.
+   work holds 8 n doubles: the six stages, a stage state and the last
+   trial's state. */
 int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2,
                     const double *c2, const double *tableau, double rel_tol, double abs_tol,
                     double min_step, double t_end, int64_t limit, double *run, int64_t *state,
-                    double *x, double *ts, double *xs, int64_t size, double *work)
+                    double *ts, double *xs, int64_t size, double *work)
 {
     const double *b4 = tableau + 15, *er = tableau + 21;
-    double *k = work, *y = work + 6 * n, *z = work + 7 * n;
+    double *k = work, *y = work + 6 * n, *z = work + 7 * n, *x = xs;
     double t = run[0], h = run[1], m = run[2];
     int64_t accepted = state[0], row = 0, end = DONE;
     while (end == DONE && t < t_end * (1.0 - 1e-14)) {
@@ -132,14 +133,14 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
         }
         if (m <= 1.0) {
             t += h;
-            memcpy(x, z, n * sizeof *x);
             if (accepted == limit) {
                 end = LIMIT;
             } else {
                 accepted++;
                 row++;
                 ts[row] = t;
-                memcpy(xs + row * n, x, n * sizeof *x);
+                x += n;
+                memcpy(x, z, n * sizeof *x);
             }
         } else if (h * factor < min_step) {
             end = UNDERFLOW;
@@ -160,41 +161,33 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
    monomial's s = lam . log x, as numpy computes them; each s becomes its
    monomial's value, exp(s), the libm exp that Python's math.exp calls, or
    NaN when it lies outside [lo, hi], and each value's drift,
-   fabs(v - start) / start, goes into drift. Each row is screened in this
-   order: a coordinate that is not finite, then one below floor, then a
-   drift that is not finite. The pass stops at the first row that fails,
-   and folds the drifts of each row before it into max_drift, as
-   np.maximum folds them. Returns the place of that failure in the
-   row-major (rows, n + 2 + m) table of failures, one column for each
-   coordinate, then the floor, then each drift, or rows times its width
-   when no row fails. */
+   fabs(v - start) / start, goes into drift. A row fails when a coordinate
+   is not finite or lies below floor, or a drift is not finite; which test
+   failed is sim._failure's to say. The pass stops at the first row that
+   fails, with its values and drifts written, and folds the drifts of each
+   row before it into max_drift, as np.maximum folds them. Returns that
+   row, or rows when none fails. */
 int64_t block_pass(int64_t rows, int64_t n, int64_t m, const double *xs, double *values,
                    double *drift, const double *start, double *max_drift, double lo, double hi,
                    double floor)
 {
-    int64_t width = n + 2 + m;
     for (int64_t r = 0; r < rows; r++, xs += n, values += m + 1, drift += m + 1) {
-        int low = 0;
-        for (int64_t i = 0; i < n; i++) {
-            if (!isfinite(xs[i]))
-                return r * width + i;
-            low |= xs[i] < floor;
-        }
+        int fails = 0;
+        for (int64_t i = 0; i < n; i++)
+            fails |= !isfinite(xs[i]) || xs[i] < floor;
         for (int64_t j = 0; j <= m; j++) {
             double v = values[j];
             if (j)
                 values[j] = v = v < lo || v > hi ? NAN : exp(v);
             drift[j] = fabs(v - start[j]) / start[j];
+            fails |= !isfinite(drift[j]);
         }
-        if (low)
-            return r * width + n;
-        for (int64_t j = 0; j <= m; j++)
-            if (!isfinite(drift[j]))
-                return r * width + n + 1 + j;
+        if (fails)
+            return r;
         for (int64_t j = 0; j <= m; j++)
             max_drift[j] = drift[j] > max_drift[j] ? drift[j] : max_drift[j];
     }
-    return rows * width;
+    return rows;
 }
 
 /* 10^16 and 10^17, the bounds of a 17-digit significand, and the most

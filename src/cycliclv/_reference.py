@@ -4,14 +4,16 @@ rk4_steps, rkf45_block, block_pass and csv_rows each take the parameters
 of the C function of that name, in the same order, with a numpy array
 where C takes a pointer, and write the same outputs with the same bits or
 bytes; the comment on each function in _native.c states the order of
-operations that makes them so. sim calls either set the same way, as
+operations that makes them so. Both steppers step from row 0 of xs into
+the rows after it, and block_pass returns the first failing row, which
+sim._failure names. sim calls either set the same way, as
 impl.<name>(...), where impl is a build (sim._load) or this module
 (sim._impl). _probe holds a build to this module on four cases, one per
-function. sim imports this module only where it must build _native.c
-(sim._native) or where no cached build loads, so a process that loads a
-cached build neither compiles nor runs any of it. Every constant and
-every other function comes from sim, read when it is called, so that a
-value set on sim holds here too.
+function, each named _probe_<name>. sim imports this module only where
+it must build _native.c (sim._native) or where no cached build loads, so
+a process that loads a cached build neither compiles nor runs any of it.
+Every constant and every other function comes from sim, read when it is
+called, so that a value set on sim holds here too.
 """
 
 from __future__ import annotations
@@ -69,21 +71,21 @@ def _rkf45_step(f, tableau: list, rel_tol: float, abs_tol: float, x: np.ndarray,
 
 
 def rkf45_block(n, j1, c1, j2, c2, tableau, rel_tol, abs_tol, min_step, t_end, limit, run, state,
-                x, ts, xs, size, work) -> int:
+                ts, xs, size, work) -> int:
     """One block of the Fehlberg 4(5) loop, each trial from _rkf45_step.
 
-    As in C, a call resumes from the time, trial step and error norm in
-    run, the accepted count in state[0] and the state x, writes each
-    accepted state into the next row of xs after row 0 and its time into
-    ts, and ends _FULL before the trial after its size-th row, _DONE at
-    t_end, _UNDERFLOW when a rejected step times its factor falls below
-    min_step, or _LIMIT when a step is accepted after limit steps. It
-    leaves run, the count and end code in state, the last accepted state in
-    x and the last trial state in work[7 n:], and returns the rows written.
+    As in C, a call steps from row 0 of xs, resuming from the time, trial
+    step and error norm in run and the accepted count in state[0], writes
+    each accepted state into the next row of xs and its time into ts, and
+    ends _FULL before the trial after its size-th row, _DONE at t_end,
+    _UNDERFLOW when a rejected step times its factor falls below min_step,
+    or _LIMIT when a step is accepted after limit steps. It leaves run, the
+    count and end code in state and the last trial state in work[7 n:],
+    and returns the rows written.
     """
     f, tableau = partial(_field, j1, c1, j2, c2), tableau.tolist()
     (t, h, enorm), accepted = run.tolist(), int(state[0])
-    row, end = 0, sim._DONE
+    row, end, x = 0, sim._DONE, xs[0]
     while end == sim._DONE and t < t_end * (1.0 - 1e-14):
         if row == size:
             end = sim._FULL
@@ -93,13 +95,13 @@ def rkf45_block(n, j1, c1, j2, c2, tableau, rel_tol, abs_tol, min_step, t_end, l
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         if enorm <= 1.0:
             t += h
-            x[:] = work[7 * n :]
             if accepted == limit:
                 end = sim._LIMIT
             else:
                 accepted += 1
                 row += 1
-                ts[row], xs[row] = t, x
+                ts[row], xs[row] = t, work[7 * n :]
+                x = xs[row]
         elif h * factor < min_step:
             end = sim._UNDERFLOW
         h *= factor
@@ -112,7 +114,7 @@ def block_pass(rows, n, m, xs, values, drift, start, max_drift, lo, hi, floor) -
 
     Each monomial's value is math.exp(s), which np.exp would round
     otherwise, or NaN where s lies outside [lo, hi]. The whole block is
-    evaluated before it is screened, so only the figures of the rows before
+    evaluated before it is screened, so only the figures of the rows up to
     the failing one are those that C leaves; no caller reads the others.
     """
     values, drift = values[:rows], drift[:rows]
@@ -120,12 +122,11 @@ def block_pass(rows, n, m, xs, values, drift, start, max_drift, lo, hi, floor) -
     s[(s < lo) | (s > hi)] = math.nan
     s[:] = np.reshape([*map(math.exp, s.ravel().tolist())], s.shape)
     np.divide(np.abs(values - start), start, out=drift)
-    fails = np.column_stack((~np.isfinite(xs), xs.min(axis=1) < floor, ~np.isfinite(drift)))
-    at = int(np.argmax(fails)) if fails.any() else fails.size
-    good = at // fails.shape[1]
+    fails = (~np.isfinite(xs) | (xs < floor)).any(axis=1) | ~np.isfinite(drift).all(axis=1)
+    good = int(np.argmax(fails)) if fails.any() else rows
     if good:
         np.maximum(max_drift, drift[:good].max(axis=0), out=max_drift)
-    return at
+    return good
 
 
 def csv_rows(block, rows, cols, out, capacity) -> int:
@@ -145,8 +146,7 @@ def _build(path: str):
     """Build _native.c at path and return it loaded, or None if it fails its probe.
 
     First it removes the temporary files of builds that started more than
-    _BUILD_SECONDS ago, which only a process that ended mid-build leaves,
-    and the builds named rk4-*.so of an older, RK4-only source.
+    _BUILD_SECONDS ago, which only a process that ended mid-build leaves.
     The build goes to a temporary file beside path, which takes path's name
     only once it passes _probe. A build that fails it is neither cached nor
     used: it leaves the marker path + ".failed", so that no later process
@@ -162,11 +162,10 @@ def _build(path: str):
     with os.scandir(os.path.dirname(path)) as entries:
         for entry in entries:
             with suppress(FileNotFoundError):  # removed meanwhile by another process
-                # A native-*.so of another CRC stays: two installed versions
+                # A build of another source stays: two installed versions
                 # that each removed the other's build would compile again in
                 # every process that alternates between them.
-                if (entry.name.endswith(".tmp") and entry.stat().st_mtime < stale
-                        or entry.name.startswith("rk4-") and entry.name.endswith(".so")):
+                if entry.name.endswith(".tmp") and entry.stat().st_mtime < stale:
                     os.remove(entry.path)
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
@@ -187,7 +186,7 @@ def _build(path: str):
 
 
 def _probe(lib) -> bool:
-    """Whether lib gives each probe case that sim._ENTRY_POINTS names the result this module gives.
+    """Whether lib gives what this module gives on _probe_<name> for each sim._ENTRY_POINTS name.
 
     The comment on each function in _native.c states the order of
     operations that gives its reference's bits. A case's result compares
@@ -195,7 +194,7 @@ def _probe(lib) -> bool:
     theirs, so bit for bit, but for the last RKF45 trials
     (_probe_rkf45_block).
     """
-    cases = [globals()[name] for _, _, name in sim._ENTRY_POINTS.values()]
+    cases = [globals()[f"_probe_{name}"] for name in sim._ENTRY_POINTS]
     with np.errstate(all="ignore"):
         return all(case(lib) == case(modules[__name__]) for case in cases)
 
@@ -203,6 +202,8 @@ def _probe(lib) -> bool:
 # The RK4 and RKF45 probe cases' rates, whose floats are not dyadic, and start.
 _PROBE_RATES = ((4, 3), (9, 7), (10, 11), (14, 13), (22, 17))
 _PROBE_X0 = (0.2, 0.3, 0.5, 0.7, 1.1)
+# The rows of the RKF45 probe case's buffer: its first run takes 579 steps to t = 1.
+_PROBE_ROWS = 600
 
 
 def _probe_rk4_steps(impl) -> bytes:
@@ -232,44 +233,51 @@ def _probe_rkf45_block(impl) -> list:
     starts 15 coordinates with x8 NaN, which each stage spreads one
     coordinate further each way: only the sixth stage is NaN at x2 and x14,
     where a dropped zero weight leaves the trial state finite. Every trial
-    of that run is rejected until StepUnderflow. Each run's last trial
-    state and error norm compare as np.array_equal(equal_nan=True) has
-    them: every NaN alike, and -0.0 as 0.0.
+    of that run is rejected until StepUnderflow. Each call passes the rows
+    from the last one's last row on, so that it steps from its row 0 and
+    the run's rows lie in one buffer, which ends it after _PROBE_ROWS. Each
+    run's last trial state and error norm compare as
+    np.array_equal(equal_nan=True) has them: every NaN alike, and -0.0 as
+    0.0.
     """
     rates = [Fraction(*q) for q in _PROBE_RATES]
     nan8 = [math.nan if i == 7 else 0.5 for i in range(15)]
     tableau, got = np.array(sim._FEHLBERG), []
     for sys, start in ((CyclicLVSystem(rates), _PROBE_X0), (CyclicLVSystem(rates * 3), nan8)):
-        n, x, xs, ts = sys.n, np.array(start), np.empty((8, sys.n)), np.empty(8)
+        n, xs, ts, done = sys.n, np.empty((_PROBE_ROWS, sys.n)), np.empty(_PROBE_ROWS), 0
+        xs[0] = start
         # a run starts at t = 0 with no step accepted, and each call that
         # fills its block ends _FULL, which is 0
         run, state, work = np.array([0.0, 0.37, 0.0]), np.zeros(2, np.int64), np.empty(8 * n)
-        while state[1] == sim._FULL:
+        while state[1] == sim._FULL and done + 8 <= _PROBE_ROWS:
             rows = impl.rkf45_block(n, *sim._terms(sys), tableau, sim.REL_TOL, sim.ABS_TOL,
-                                    sim.MIN_STEP, 1.0, sim.MAX_STEPS, run, state, x, ts, xs, 7,
-                                    work)
-            got.append((rows, *state.tolist(), *run[:2].tolist(), xs[1 : rows + 1].tobytes(),
-                        ts[1 : rows + 1].tobytes()))
+                                    sim.MIN_STEP, 1.0, sim.MAX_STEPS, run, state, ts[done:],
+                                    xs[done:], 7, work)
+            done += rows
+            got.append((rows, *state.tolist(), *run[:2].tolist()))
         last = np.array([*work[7 * n :], run[2]])
         # one NaN for every NaN, and -0.0 + 0.0 is 0.0
-        got.append(np.where(np.isnan(last), math.nan, last + 0.0).tobytes())
+        got += [xs[1 : done + 1].tobytes(), ts[1 : done + 1].tobytes(),
+                np.where(np.isnan(last), math.nan, last + 0.0).tobytes()]
     return got
 
 
 def _probe_block_pass(impl) -> list:
-    """Each literal block's first failing row and failure, and the figures of the rows before it.
+    """Each literal block's first failing row, and the figures of the rows up to it.
 
-    The figures are the values, drifts and max_drift of sim._pass(impl, ...).
-    The two monomials' s are 30 log x1 - 1.5 log x2, on a partial support,
-    and 0.5 log x1 + 0.25 log x2 - 40 log x3, on a full one. The first six
-    rows pass: row 0 is the start, which a pass of it alone against a start
-    of ones gives, as in integrate, and row 5 sits on POSITIVITY_FLOOR.
-    Each later row fails: a NaN and an infinite coordinate; one below the
-    floor with larger drifts than any row before it, and one below the
-    floor whose s is also past LOG_RANGE; the first s past each end of
-    LOG_RANGE and the second past its top; and an H1 that overflows. The pass goes over the first six rows alone, and
-    over them followed by each failing row and then the second row again,
-    so that the floor test, exp, the drift, the screen's order and the rows
+    The figures are the values, drifts and max_drift of sim._pass(impl, ...),
+    the failing row's drifts as which of them are finite, as sim._failure
+    reads them. The two monomials' s are 30 log x1 - 1.5 log x2, on a
+    partial support, and 0.5 log x1 + 0.25 log x2 - 40 log x3, on a full
+    one. The first six rows pass: row 0 is the start, which a pass of it
+    alone against a start of ones gives, as in integrate, and row 5 sits on
+    POSITIVITY_FLOOR. Each later row fails: a NaN and an infinite
+    coordinate; one below the floor with larger drifts than any row before
+    it, and one below the floor whose s is also past LOG_RANGE; the first s
+    past each end of LOG_RANGE and the second past its top; and an H1 that
+    overflows. The pass goes over the first six rows alone, and over them
+    followed by each failing row and then the second row again, so that
+    the floor test, exp, the drift, each test of a row and the rows
     max_drift folds in all show.
     """
     monomials = [sim._monomial(lam, str) for lam in ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))]
@@ -282,10 +290,9 @@ def _probe_block_pass(impl) -> list:
     for tail in ((), *((row, rows[1]) for row in rows[6:])):
         block = np.array([*rows[:6], *tail])
         max_drift = np.zeros(len(start))
-        run = sim._pass(impl, monomials, start, max_drift, len(block))
-        values, drift, good, column = run(block)
-        screens.append((good, column, values[:good].tobytes(), drift[:good].tobytes(),
-                        max_drift.tobytes()))
+        values, drift, good = sim._pass(impl, monomials, start, max_drift, len(block))(block)
+        screens.append((good, values[:good].tobytes(), drift[:good].tobytes(),
+                        np.isfinite(drift[good : good + 1]).tobytes(), max_drift.tobytes()))
     return screens
 
 

@@ -2,9 +2,10 @@
 
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
 the embedded Fehlberg 4(5) pair with proportional step control. A run goes
-in blocks of at most _BLOCK_ROWS rows. Either driver steps into one reused
-block buffer, where RK4 starts each block from the last row of the one before;
-then one pass over the block evaluates each first integral of the basis and
+in blocks of at most _BLOCK_ROWS rows. Either driver steps from row 0 of
+one reused block buffer into the rows after it, and integrate copies each
+block's last row, and its time, into row 0 for the next; then one pass
+over the block evaluates each first integral of the basis and
 its relative drift |H - H(x0)| / H(x0) from its value at the initial state,
 which the range rule below keeps a positive float, applies the screen below,
 and folds the drifts of the rows that pass into each integral's largest.
@@ -25,10 +26,12 @@ _rkf45_blocks, _pass and _csv_bytes call impl.<name>(...) alone, where
 impl (_impl) is a build of _native.c or, where none loads, _reference,
 which is imported only then.
 Each C function is wired once: an entry of _ENTRY_POINTS gives its C
-types and names its probe case, and _load wraps it to take numpy arrays.
+types, each pointer as the dtype of its array, and _load wraps it to take
+numpy arrays of those dtypes alone.
 A build is made once per machine with Python's own C compiler into the
 per-user cache, loaded with ctypes (_native), and used only after each
-probe case gives with it what it gives with _reference (_reference._probe).
+probe case, _reference._probe_<name> for each C function, gives with it
+what it gives with _reference (_reference._probe).
 Where none loads (no compiler, a cache that cannot be used, a failed build
 or a failed probe), the references run at any n, with the same bits and
 bytes. numpy's _logs gives both of them each row's H1 and s.
@@ -42,10 +45,13 @@ of the failing row's block, at most _BLOCK_ROWS rows, before the screen
 finds that row. Each monomial's s = lam . log x must lie in LOG_RANGE, so
 that exp(s) neither overflows nor underflows; one outside it is evaluated
 as NaN, so the one integral test is that every drift of a row is finite,
-and a row that fails it ends the run with IntegralOutOfRange. Row 0, x0,
-goes alone through the run's own pass, against a start of ones, before
-the first step, and a failure there is InputError. A basis whose exponent
-vectors have another length than the system is refused with InputError.
+and a row that fails it ends the run with IntegralOutOfRange. block_pass
+finds the first row that fails any of these tests, and _failure alone
+names the failure, testing in the order above: a non-finite coordinate,
+the floor, then the drifts. Row 0, x0, goes alone through the run's own
+pass, against a start of ones, before the first step, and _failure names
+a failure there as InputError. A basis whose exponent vectors have
+another length than the system is refused with InputError.
 The runtime aborts, the IntegrationAborted subclasses defined here, differ
 only in name: each is built as IntegrationAborted(t, message), worded
 where its failure is found, and carries t, its message and the partial
@@ -371,26 +377,31 @@ def _native():
 def _load(path: str) -> SimpleNamespace:
     """The library at path, as a namespace of its functions of _ENTRY_POINTS.
 
-    Each is given its C types and wrapped once, to take each pointer as an
-    ndarray, which the call passes by its address, as _reference takes it.
+    Each is given its C types, a pointer as void *, and wrapped once
+    (_call), to take each pointer as an ndarray of its dtype, as _reference
+    takes it.
     """
     lib, functions = ctypes.CDLL(path), {}
-    for name, (restype, argtypes, _) in _ENTRY_POINTS.items():
+    for name, (restype, params) in _ENTRY_POINTS.items():
         function = getattr(lib, name)
-        function.restype, function.argtypes = restype, argtypes
-        functions[name] = partial(_call, function)
+        function.restype = restype
+        function.argtypes = [ctypes.c_void_p if isinstance(p, np.dtype) else p for p in params]
+        functions[name] = partial(_call, function, params)
     return SimpleNamespace(**functions)
 
 
-def _call(function, *args):
+def _call(function, params: tuple, *args):
     """function of args, each ndarray among them passed by address; the caller holds them alive.
 
-    Raises ValueError for an array that is not C-ordered, whose address is
-    not that of its rows one after another. The callers allocate every
-    array, of the dtype and size that the comment in _native.c gives.
+    params are the function's parameter types of _ENTRY_POINTS. Raises
+    ValueError where a pointer's argument is not a C-ordered ndarray of its
+    dtype: C reads each entry as that type, and the rows one after another
+    from the array's address. The callers allocate every array, of the size
+    that the comment in _native.c gives.
     """
-    if any(isinstance(a, np.ndarray) and not a.flags.c_contiguous for a in args):
-        raise ValueError(f"{function.__name__} takes C-ordered arrays")
+    if not all(isinstance(a, np.ndarray) and a.dtype == p and a.flags.c_contiguous
+               for a, p in zip(args, params) if isinstance(p, np.dtype)):
+        raise ValueError(f"{function.__name__} takes C-ordered arrays of the dtypes declared")
     return function(*[a.ctypes.data if isinstance(a, np.ndarray) else a for a in args])
 
 
@@ -399,19 +410,18 @@ def _impl():
     return _native() or import_module("._reference", __package__)
 
 
-# Each C function of _native.c: its result type, its argument types and the
-# name of its probe case in _reference. ctypes needs both types: without
-# argtypes a float argument raises ArgumentError, and without restype an
-# int64 result is cut to a C int.
-_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+# Each C function of _native.c: its result type and the types of its
+# parameters, a pointer as the dtype of its array. ctypes needs both
+# types: without argtypes a float argument raises ArgumentError, and
+# without restype an int64 result is cut to a C int.
+_I64, _F64 = ctypes.c_int64, ctypes.c_double
+_I64S, _F64S, _BYTES = np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.uint8)
 _ENTRY_POINTS = {
-    "rk4_steps": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _F64, _PTR),
-                  "_probe_rk4_steps"),
-    "rkf45_block": (_I64, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _PTR,
-                           _PTR, _PTR, _PTR, _PTR, _I64, _PTR), "_probe_rkf45_block"),
-    "block_pass": (_I64, (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64),
-                   "_probe_block_pass"),
-    "csv_rows": (_I64, (_PTR, _I64, _I64, _PTR, _I64), "_probe_csv_rows"),
+    "rk4_steps": (None, (_I64, _I64S, _F64S, _I64S, _F64S, _F64S, _I64, _I64, _F64, _F64S)),
+    "rkf45_block": (_I64, (_I64, _I64S, _F64S, _I64S, _F64S, _F64S, _F64, _F64, _F64, _F64, _I64,
+                           _F64S, _I64S, _F64S, _F64S, _I64, _F64S)),
+    "block_pass": (_I64, (_I64, _I64, _I64, _F64S, _F64S, _F64S, _F64S, _F64S, _F64, _F64, _F64)),
+    "csv_rows": (_I64, (_F64S, _I64, _I64, _BYTES, _I64)),
 }
 
 
@@ -440,11 +450,12 @@ def _rk4_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integra
     """Fixed-step RK4 from the state in xs[0]; yields (rows, None) for each block.
 
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
-    times into ts, by impl.rk4_steps on the system's terms (_terms): a
+    times into ts[1:], by impl.rk4_steps on the system's terms (_terms): a
     block's full steps take one call and the tail step, if any, a second.
-    Each block's last row is carried into xs[0] for the next. A t_end /
-    step over _step_limit(n), an infinite one that math.floor cannot take
-    included, is refused with InputError: the one test of a run's length.
+    Each block steps from xs[0], where integrate puts the last one's last
+    row. A t_end / step over _step_limit(n), an infinite one that
+    math.floor cannot take included, is refused with InputError: the one
+    test of a run's length.
     """
     h, n, ratio = cfg.step, xs.shape[1], cfg.t_end / cfg.step
     if not ratio <= _step_limit(n):
@@ -461,11 +472,10 @@ def _rk4_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integra
         impl.rk4_steps(n, *terms, xs, 0, full, h, work)
         if full < count:
             impl.rk4_steps(n, *terms, xs, full, 1, remainder, work)
-        ts[: count + 1] = np.arange(base, base + count + 1) * h
+        ts[1 : count + 1] = np.arange(base + 1, base + count + 1) * h
         if base + count == total:
             ts[count] = cfg.t_end
         yield count, None
-        xs[0] = xs[count]
         base += count
 
 
@@ -473,20 +483,21 @@ def _rkf45_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integ
     """Fehlberg 4(5) from the state in xs[0]; yields (rows, abort) for each block.
 
     Each block is one call of impl.rkf45_block on the system's terms
-    (_terms), resumed from what the last one left, with REL_TOL, ABS_TOL
-    and MIN_STEP as they are when the run starts. StepUnderflow, and
+    (_terms), which steps from xs[0], as _rk4_blocks does, and resumes from
+    the time, step and count the last one left, with REL_TOL, ABS_TOL and
+    MIN_STEP as they are when the run starts. StepUnderflow, and
     StepLimitReached at _step_limit steps, come with the last block.
     """
     n, limit, tableau = xs.shape[1], _step_limit(xs.shape[1]), np.array(_FEHLBERG)
     tolerances = (REL_TOL, ABS_TOL, MIN_STEP)
     # t, the trial step and the error norm; the accepted count and the end
-    # code, which rkf45_block only writes; the state; the six stages, a
-    # stage state and the trial state
+    # code, which rkf45_block only writes; the six stages, a stage state
+    # and the trial state
     run, state = np.array([0.0, cfg.step, 0.0]), np.zeros(2, dtype=np.int64)
-    x, work, end = xs[0].copy(), np.empty(8 * n), _FULL
+    work, end = np.empty(8 * n), _FULL
     while end == _FULL:
-        rows = impl.rkf45_block(n, *terms, tableau, *tolerances, cfg.t_end, limit, run, state, x,
-                                ts, xs, len(xs) - 1, work)
+        rows = impl.rkf45_block(n, *terms, tableau, *tolerances, cfg.t_end, limit, run, state, ts,
+                                xs, len(xs) - 1, work)
         (t, h), end = run[:2].tolist(), int(state[1])
         if end == _UNDERFLOW:
             yield rows, StepUnderflow(t, f"adaptive step {h:.17g} fell below the minimum")
@@ -501,14 +512,14 @@ def _pass(impl, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.nda
     """integrate's pass over blocks of at most size rows: _logs, then impl.block_pass.
 
     The pass is a function of a block that returns the block's values,
-    their drifts |v - start| / start, and its first failing row and
-    failure. numpy computes each row's H1 and s (_logs) into a values
-    buffer, and block_pass does the rest, as the comment on it in _native.c
-    states: it folds the drifts of the rows before the failing one into
-    max_drift, in place. It reads start and max_drift when it runs, so a
-    caller may set them between blocks. Its two buffers are allocated once,
-    so the values and drifts it returns are views that the next block
-    overwrites, and hold only the rows before the failing one.
+    their drifts |v - start| / start, and its first failing row, or its
+    length when none fails. numpy computes each row's H1 and s (_logs) into
+    a values buffer, and block_pass does the rest, as the comment on it in
+    _native.c states: it folds the drifts of the rows before the failing
+    one into max_drift, in place. It reads start and max_drift when it
+    runs, so a caller may set them between blocks. Its two buffers are
+    allocated once, so the values and drifts it returns are views that the
+    next block overwrites, and hold only the rows up to the failing one.
     """
     width = len(start)
     if not all(a.dtype == float and a.flags.c_contiguous and a.shape == (width,)
@@ -523,11 +534,36 @@ def _pass(impl, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.nda
         block = np.ascontiguousarray(block, dtype=float)
         for j, column in enumerate(_logs(block, monomials)):
             values[:rows, j] = column
-        at = impl.block_pass(rows, n, width - 1, block, values, drift, start, max_drift,
-                             *LOG_RANGE, POSITIVITY_FLOOR)
-        return (values[:rows], drift[:rows], *divmod(at, n + 1 + width))
+        good = impl.block_pass(rows, n, width - 1, block, values, drift, start, max_drift,
+                               *LOG_RANGE, POSITIVITY_FLOOR)
+        return values[:rows], drift[:rows], good
 
     return run
+
+
+def _failure(x: np.ndarray, drift: np.ndarray, t: float | None) -> CyclicLVError:
+    """The error that names why the row x, with its drifts, failed block_pass.
+
+    The screen's order is stated here alone: the first coordinate that is
+    not finite, else the first lowest one when it lies below
+    POSITIVITY_FLOOR, else the first integral whose drift is not finite,
+    H1 first. t is the row's time, or None for x0, whose failure is
+    integrate's InputError.
+    """
+    x, drift = x.tolist(), drift.tolist()
+    nonfinite = [i for i, v in enumerate(x, 1) if not math.isfinite(v)]
+    low = nonfinite or min(x) < POSITIVITY_FLOOR
+    j = next((j for j, d in enumerate(drift, 1) if not math.isfinite(d)), None)
+    if t is None:
+        return InputError(("initial state must be finite and at least the positivity floor "
+                           f"{POSITIVITY_FLOOR:g}") if low else
+                          f"integral H{j} is outside the float range at the initial state")
+    if nonfinite:
+        return NonFiniteState(t, f"coordinate x{nonfinite[0]} became non-finite")
+    if low:
+        return PositivityBreached(
+            t, f"coordinate x{x.index(min(x)) + 1} fell below the positivity floor")
+    return IntegralOutOfRange(t, f"integral H{j} left the float range")
 
 
 def integrate(
@@ -594,30 +630,14 @@ def integrate(
         evaluate = _pass(impl, monomials, start, max_drift, size)
         # x0 goes through the run's own pass, alone, before the driver
         # starts; its drifts from 1 are finite exactly where its values are
-        values, _, good, column = evaluate(x[None])
+        values, drift, good = evaluate(x[None])
         if not good:
-            raise InputError(
-                ("initial state must be finite and at least the positivity floor "
-                 f"{POSITIVITY_FLOOR:g}") if column <= sys.n else
-                (f"integral H{column - sys.n} is outside the float range "
-                 "at the initial state")
-            )
+            raise _failure(x, drift[0], None)
         # once x0 passed the range rule, every start is a positive float
         start[:], max_drift[:] = values[0], 0.0
         for rows, abort in blocks:
             block = xs[first : rows + 1]
-            values, drift, good, column = evaluate(block)
-            if good < len(block):
-                when = float(ts[first + good])
-                if column < sys.n:
-                    abort = NonFiniteState(when, f"coordinate x{column + 1} became non-finite")
-                elif column == sys.n:
-                    low = int(np.argmin(block[good])) + 1
-                    abort = PositivityBreached(
-                        when, f"coordinate x{low} fell below the positivity floor")
-                else:
-                    abort = IntegralOutOfRange(
-                        when, f"integral H{column - sys.n} left the float range")
+            values, drift, good = evaluate(block)
             if good:
                 # copies, as the next block overwrites xs and ts
                 columns = (ts[first : rows + 1], block, values, drift)
@@ -625,7 +645,10 @@ def integrate(
                        for c in columns))
                 last = (base + first + good - 1, [c[good - 1 : good].copy() for c in columns])
             if good < len(block):
+                abort = _failure(block[good], drift[good], float(ts[first + good]))
                 break
+            # the next block steps from this one's last row
+            xs[0], ts[0] = xs[rows], ts[rows]
             base, first = base + rows, 1
     if last[0] % sample_every:
         sink(*last[1])

@@ -24,6 +24,7 @@ from cycliclv import (
     nullspace,
 )
 from cycliclv import darboux
+from cycliclv.cli import run_check_battery
 from helpers import (
     dense, fraction_integral_basis, random_system, rank, resonant_system, sympy_nullspace,
 )
@@ -252,6 +253,50 @@ class TestHomogeneity:
             m.exponents for m in base.monomials
         ]
         assert integral_basis(scaled).classification is base.classification
+
+
+def _normalised(vectors) -> list[tuple]:
+    """Each exponent vector divided by its first nonzero entry, in sorted order."""
+    return sorted(tuple(e / next(v for v in vec if v) for e in vec) for vec in vectors)
+
+
+class TestSymmetries:
+    """Rotating, reflecting or scaling the rates maps the basis as it maps the system.
+
+    y_i = x_(i+r) solves the system of rates k_(i+r), and y_i = x_(-i) that
+    of rates k'_i = -k_(-i-1), indices mod n, so an integral prod x_i^lam_i
+    of one is prod y_i^lam_(i+r), or prod y_i^lam_(-i), of the other; c * k
+    for rational c != 0 rescales time alone and keeps every exponent.
+    """
+
+    @given(st.integers(min_value=3, max_value=12), st.integers(min_value=0, max_value=10**6),
+           st.fractions(min_value=-5, max_value=5, max_denominator=99).filter(lambda q: q != 0))
+    @settings(max_examples=30, deadline=None)
+    def test_images_keep_the_basis_up_to_the_permutation(self, n, seed, scale):
+        rng = random.Random(seed)
+        resonant = n % 2 == 0 and rng.random() < 0.5
+        k = list((resonant_system if resonant else random_system)(rng, n).rates)
+        r, mirror = rng.randrange(1, n), [-i % n for i in range(n)]
+        images = [  # rates, and where each exponent moves
+            (k[r:] + k[:r], lambda lam: lam[r:] + lam[:r]),
+            ([-k[(-i - 1) % n] for i in range(n)], lambda lam: [lam[i] for i in mirror]),
+            ([scale * q for q in k], list),
+        ]
+        basis = integral_basis(make_system(k))
+        # the resonance verdict, k1 k3 ... k_(n-1) == k2 k4 ... kn, which
+        # the even classification gives
+        verdict = math.prod(k[0::2]) == math.prod(k[1::2])
+        if n % 2 == 0:
+            assert verdict is (basis.classification is Classification.EVEN_RESONANT)
+        assert run_check_battery(make_system(k), 0)[1]
+        for rates, moved in images:
+            image = integral_basis(make_system(rates))
+            assert image.classification is basis.classification
+            assert _normalised(m.exponents for m in image.monomials) == _normalised(
+                moved(list(m.exponents)) for m in basis.monomials)
+            if n % 2 == 0:
+                assert (math.prod(rates[0::2]) == math.prod(rates[1::2])) is verdict
+            assert run_check_battery(make_system(rates), 0)[1]
 
 
 class TestIntegralBasis:

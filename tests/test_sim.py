@@ -1,5 +1,6 @@
 """Integrator behavior: conservation drift, abort events, measured order."""
 
+import ctypes
 import inspect
 import math
 import os
@@ -886,26 +887,16 @@ class TestNativeStepper:
             "exp-log-for-pow": ("pow(m, -0.2)", "exp(-0.2 * log(m))"),
         },
         "block_pass": {
-            "floor-inclusive": ("low |= xs[i] < floor;", "low |= xs[i] <= floor;"),
+            "floor-inclusive": ("fails |= !isfinite(xs[i]) || xs[i] < floor;",
+                                "fails |= !isfinite(xs[i]) || xs[i] <= floor;"),
             "expm1-for-exp": ("exp(v);", "expm1(v) + 1.0;"),
             "drift-as-ratio": ("fabs(v - start[j]) / start[j];", "fabs(v / start[j] - 1.0);"),
-            "drift-before-floor": (
-                "        if (low)\n"
-                "            return r * width + n;\n"
-                "        for (int64_t j = 0; j <= m; j++)\n"
-                "            if (!isfinite(drift[j]))\n"
-                "                return r * width + n + 1 + j;\n",
-                "        for (int64_t j = 0; j <= m; j++)\n"
-                "            if (!isfinite(drift[j]))\n"
-                "                return r * width + n + 1 + j;\n"
-                "        if (low)\n"
-                "            return r * width + n;\n",
-            ),
+            "low-s-as-exp": ("v < lo || v > hi ? NAN : exp(v);", "v > hi ? NAN : exp(v);"),
             "failing-row-folded": (
-                "        if (low)\n",
+                "        if (fails)\n",
                 "        for (int64_t j = 0; j <= m; j++)\n"
                 "            max_drift[j] = drift[j] > max_drift[j] ? drift[j] : max_drift[j];\n"
-                "        if (low)\n",
+                "        if (fails)\n",
             ),
         },
         "csv_rows": {
@@ -935,17 +926,32 @@ class TestNativeStepper:
 
     def test_each_c_function_has_one_entry_and_its_mutations(self):
         # A function of _native.c without a declaration would take floats
-        # as ArgumentError and cut an int64 result to an int; without a
-        # probe case or mutations it would be held to nothing. Its
-        # reference of the same name takes its arguments one for one.
+        # as ArgumentError and cut an int64 result to an int, and one whose
+        # pointer is declared with another dtype would read its array's
+        # bytes as another type; without a probe case or mutations it would
+        # be held to nothing. Its reference of the same name takes its
+        # arguments one for one.
         with open(sim._NATIVE_SOURCE, encoding="utf-8") as file:
             code = re.sub(r"/\*.*?\*/", "", file.read(), flags=re.DOTALL)
-        defined = set(re.findall(r"^(?!static\b)\w[\w *]*?\b(\w+)\(", code, flags=re.MULTILINE))
+        prototypes = re.findall(r"^(?!static\b)(\w[\w *]*?)\b(\w+)\(([^)]*)\)", code,
+                                flags=re.MULTILINE)
+        defined = {name for _, name, _ in prototypes}
         assert defined == set(sim._ENTRY_POINTS) == set(self.MUTATIONS)
-        for name, (_, argtypes, _) in sim._ENTRY_POINTS.items():
+        c_types = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
+                   "int64_t *": np.dtype(np.int64), "double *": np.dtype(np.float64),
+                   "char *": np.dtype(np.uint8)}
+
+        def declared(text):
+            # "const double *xs" and "double *" are both "double *"
+            return c_types[" ".join(text.replace("const ", "").replace("*", " *").split())]
+
+        for restype, name, params in prototypes:
+            types = tuple(declared(re.sub(r"\w+$", "", p.strip())) for p in params.split(","))
+            assert sim._ENTRY_POINTS[name] == (declared(restype), types)
             reference = getattr(_reference, name)
             assert inspect.isfunction(reference)
-            assert len(inspect.signature(reference).parameters) == len(argtypes)
+            assert len(inspect.signature(reference).parameters) == len(types)
+            assert inspect.isfunction(getattr(_reference, f"_probe_{name}"))
 
     def _refused(self, function, mutation, monkeypatch, tmp_path, capsys):
         """A build with one mutation of function loads, fails its probe and leaves one marker.
@@ -984,13 +990,24 @@ class TestNativeStepper:
                                                              tmp_path, capsys):
         self._refused("csv_rows", mutation, monkeypatch, tmp_path, capsys)
 
+    REFUSED = "^csv_rows takes C-ordered arrays of the dtypes declared$"
+
     def test_a_build_refuses_an_array_that_is_not_c_ordered(self):
         # a build reads each array at its address, row after row
         if NATIVE() is None:
             pytest.skip("no native build loads here")
         block, out = np.asfortranarray(np.full((3, 4), 0.5)), np.empty(300, np.uint8)
-        with pytest.raises(ValueError, match="^csv_rows takes C-ordered arrays$"):
+        with pytest.raises(ValueError, match=self.REFUSED):
             NATIVE().csv_rows(block, 3, 4, out, len(out))
+
+    def test_a_build_refuses_an_array_of_another_dtype(self):
+        # C would read the bytes of an int64 block as doubles, with no error
+        if NATIVE() is None:
+            pytest.skip("no native build loads here")
+        block, out = np.ones((3, 4)), np.empty(300, np.uint8)
+        for args in ((block.astype(np.int64), out), (block, out.view(np.int8))):
+            with pytest.raises(ValueError, match=self.REFUSED):
+                NATIVE().csv_rows(args[0], 3, 4, args[1], len(out))
 
     def test_a_comment_edit_keeps_the_build_name(self, monkeypatch, tmp_path):
         # the name follows the code, not the comments around it
@@ -1043,16 +1060,15 @@ class TestNativeStepper:
 
     def test_a_build_removes_stale_temporary_files(self, monkeypatch, tmp_path):
         # one left by a process killed mid-build, and one of a build that
-        # may still be running; a build of the older RK4-only source goes,
-        # and a native build of another source stays
+        # may still be running; a build of another source stays
         if not _has_compiler():
             pytest.skip("the C compiler Python was built with is not installed")
         folder = tmp_path / "cache" / "cycliclv"
         folder.mkdir(parents=True, mode=0o700)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         stale, fresh = folder / "native-0.so.1.tmp", folder / "native-0.so.2.tmp"
-        retired, other = folder / "rk4-4acee1b7.so", folder / "native-0.so"
-        for file in (stale, fresh, retired, other):
+        other = folder / "native-0.so"
+        for file in (stale, fresh, other):
             file.write_bytes(b"")
         old = time.time() - _reference._BUILD_SECONDS - 10
         os.utime(stale, (old, old))
@@ -1574,8 +1590,8 @@ def test_full_and_half_supports_give_the_reference_bits(make, n, supports, kind)
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
     width = 1 + len(monomials)
     for impl in _impls():
-        values, drift, good, _ = sim._pass(impl, monomials, expect[0].copy(), np.zeros(width),
-                                           len(xs))(xs)
+        values, drift, good = sim._pass(impl, monomials, expect[0].copy(), np.zeros(width),
+                                        len(xs))(xs)
         assert good == len(xs)
         assert values.tobytes() == expect.tobytes()
         assert drift.tobytes() == (np.abs(expect - expect[0]) / expect[0]).tobytes()
