@@ -270,15 +270,15 @@ def _probe_block_pass(impl) -> list:
     reads them. The two monomials' s are 30 log x1 - 1.5 log x2, on a
     partial support, and 0.5 log x1 + 0.25 log x2 - 40 log x3, on a full
     one. The first six rows pass: row 0 is the start, which a pass of it
-    alone against a start of ones gives, as in integrate, and row 5 sits on
-    POSITIVITY_FLOOR. Each later row fails: a NaN and an infinite
-    coordinate; one below the floor with larger drifts than any row before
-    it, and one below the floor whose s is also past LOG_RANGE; the first s
-    past each end of LOG_RANGE and the second past its top; and an H1 that
-    overflows. The pass goes over the first six rows alone, and over them
-    followed by each failing row and then the second row again, so that
-    the floor test, exp, the drift, each test of a row and the rows
-    max_drift folds in all show.
+    alone against a start of ones gives, as x0's one pass in sim._screened
+    does, and row 5 sits on POSITIVITY_FLOOR. Each later row fails: a NaN
+    and an infinite coordinate; one below the floor with larger drifts than
+    any row before it, and one below the floor whose s is also past
+    LOG_RANGE; the first s past each end of LOG_RANGE and the second past
+    its top; and an H1 that overflows. The pass goes over the first six
+    rows alone, and over them followed by each failing row and then the
+    second row again, so that the floor test, exp, the drift, each test of
+    a row and the rows max_drift folds in all show.
     """
     monomials = [sim._monomial(lam, str) for lam in ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))]
     rows = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),

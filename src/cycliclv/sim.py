@@ -1,22 +1,24 @@
 """Trajectory integration with conservation-drift monitoring.
 
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
-the embedded Fehlberg 4(5) pair with proportional step control. A run goes
-in blocks of at most _BLOCK_ROWS rows. Either driver steps from row 0 of
-one reused block buffer into the rows after it, and integrate copies each
-block's last row, and its time, into row 0 for the next; then one pass
-over the block evaluates each first integral of the basis and
-its relative drift |H - H(x0)| / H(x0) from its value at the initial state,
-which the range rule below keeps a positive float, applies the screen below,
-and folds the drifts of the rows that pass into each integral's largest.
-A run keeps the times, states, values and drifts of every
-sample_every-th row and of the last, and each integral's largest drift over
-every row. Each block's kept rows go to a row sink once the block passes
-the screen: integrate's caller may pass one, as the CLI passes its CSV
-writer, and then a run's memory is one block, however many rows it
-writes. Without one, integrate collects the rows into a Trajectory, and a
-run's memory is the rows it keeps and one block. Each row's figures do not
-depend on the block it falls in.
+the embedded Fehlberg 4(5) pair with proportional step control. A run is
+one stream of screened blocks (_screened) of at most _BLOCK_ROWS rows,
+which integrate consumes. Either method steps from row 0 of one reused
+block buffer into the rows after it, and the stream copies each block's
+last row, and its time, into row 0 for the next; then one pass over the
+new rows evaluates each first integral of the basis and its relative
+drift |H - H(x0)| / H(x0) from its value at the initial state, which the
+range rule below keeps a positive float, applies the screen below, and
+folds the drifts of the rows that pass into each integral's largest. The
+stream yields every row that passes, x0's with the first block, and keeps
+none. integrate samples them: a run keeps the times, states, values and
+drifts of every sample_every-th row and of the last, and each integral's
+largest drift over every row. Each block's kept rows go to a row sink once
+the block passes the screen: integrate's caller may pass one, as the CLI
+passes its CSV writer, and then a run's memory is one block, however many
+rows it writes. Without one, integrate collects the rows into a
+Trajectory, and a run's memory is the rows it keeps and one block. Each
+row's figures do not depend on the block it falls in.
 
 Each function of _native.c has a Python reference of the same name in
 _reference, which takes the same parameters, writes the same outputs and
@@ -36,7 +38,7 @@ Where none loads (no compiler, a cache that cannot be used, a failed build
 or a failed probe), the references run at any n, with the same bits and
 bytes. numpy's _logs gives both of them each row's H1 and s.
 
-The kernels only step; integrate screens every row. The positive orthant
+The kernels only step; the stream screens every row. The positive orthant
 is invariant for the true flow; a coordinate crossing zero can only be a
 numerical artifact, so the run ends with PositivityBreached at the first
 row with a coordinate below POSITIVITY_FLOOR, and with NonFiniteState at
@@ -48,10 +50,12 @@ as NaN, so the one integral test is that every drift of a row is finite,
 and a row that fails it ends the run with IntegralOutOfRange. block_pass
 finds the first row that fails any of these tests, and _failure alone
 names the failure, testing in the order above: a non-finite coordinate,
-the floor, then the drifts. Row 0, x0, goes alone through the run's own
-pass, against a start of ones, before the first step, and _failure names
-a failure there as InputError. A basis whose exponent vectors have
-another length than the system is refused with InputError.
+the floor, then the drifts. Row 0, x0, goes through the run's own pass
+once, alone, against a start of ones, before the first step, and _failure
+names a failure there as InputError. Its values become the start, so its
+row is those values with drifts of zero, and the first block's pass
+starts at row 1. A basis whose exponent vectors have another length than
+the system is refused with InputError.
 The runtime aborts, the IntegrationAborted subclasses defined here, differ
 only in name: each is built as IntegrationAborted(t, message), worded
 where its failure is found, and carries t, its message and the partial
@@ -127,7 +131,7 @@ _CSV_VALUE_BYTES = 25
 # fell below MIN_STEP, or the run reached its step limit.
 _FULL, _DONE, _UNDERFLOW, _LIMIT = range(4)
 
-# Rows that integrate steps, evaluates and screens at a time, fewer above 64
+# Rows that the stream steps, evaluates and screens at a time, fewer above 64
 # coordinates, so that no block holds more than _BLOCK_FLOATS state floats.
 # On an n = 9 RK4 run of 5e4 steps writing every 100th row, a process's peak
 # RSS was 31.4 MB with blocks of 4096 rows, 30.9 with 2048 and 30.6 with 1024
@@ -452,7 +456,7 @@ def _rk4_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integra
     Each block writes up to len(xs) - 1 new rows after xs[0], and their
     times into ts[1:], by impl.rk4_steps on the system's terms (_terms): a
     block's full steps take one call and the tail step, if any, a second.
-    Each block steps from xs[0], where integrate puts the last one's last
+    Each block steps from xs[0], where _screened puts the last one's last
     row. A t_end / step over _step_limit(n), an infinite one that
     math.floor cannot take included, is refused with InputError: the one
     test of a run's length.
@@ -509,7 +513,7 @@ def _rkf45_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integ
 
 def _pass(impl, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.ndarray,
           size: int):
-    """integrate's pass over blocks of at most size rows: _logs, then impl.block_pass.
+    """The stream's pass over blocks of at most size rows: _logs, then impl.block_pass.
 
     The pass is a function of a block that returns the block's values,
     their drifts |v - start| / start, and its first failing row, or its
@@ -566,6 +570,58 @@ def _failure(x: np.ndarray, drift: np.ndarray, t: float | None) -> CyclicLVError
     return IntegralOutOfRange(t, f"integral H{j} left the float range")
 
 
+def _screened(sys: CyclicLVSystem, x0: Sequence, cfg: IntegratorConfig, basis: IntegralBasis):
+    """The run's screened rows, block by block: yields (groups, max_drift, abort).
+
+    groups is a list of row groups (t, x, values, drift) of Trajectory's
+    shapes, views of buffers that the next block overwrites, so a consumer
+    copies what it keeps before it asks for the next. The first stepped
+    block's groups are x0's row, (0.0, x0, start, zeros), and then the
+    block's rows that pass the screen; every later block's are those rows
+    alone, which are none where its first row fails. max_drift is each
+    integral's largest drift over every row so far, and abort the block's
+    IntegrationAborted or None; after an abort the stream ends. Raises
+    InputError as integrate does, all but the RK4 step limit's before the
+    first step and that one with it, so no row comes before every
+    InputError. The float work runs with the caller's numpy error state,
+    which integrate sets to ignore around its loop: a with block here would
+    stay entered while the stream is suspended.
+    """
+    x = np.asarray([_float(v, f"initial state entry x{i}") for i, v in enumerate(x0, 1)])
+    if x.shape != (sys.n,):
+        raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
+    impl, terms = _impl(), _terms(sys)
+    # after the terms, so that a bad rate is refused before a bad exponent
+    if any(len(mono.exponents) != sys.n for mono in basis.monomials):
+        raise InputError("exponent vector length does not match the system")
+    monomials = [_monomial(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
+                 for j, mono in enumerate(basis.monomials, start=2)]
+    size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
+    xs, ts = np.empty((size, sys.n)), np.empty(size)
+    xs[0], ts[0] = x, 0.0
+    start, max_drift = np.ones(1 + len(monomials)), np.zeros(1 + len(monomials))
+    evaluate = _pass(impl, monomials, start, max_drift, size)
+    # x0 goes through the run's own pass, alone, before the first step;
+    # its drifts from 1 are finite exactly where its values are
+    values, drift, good = evaluate(x[None])
+    if not good:
+        raise _failure(x, drift[0], None)
+    # once x0 passed the range rule, every start is a positive float
+    start[:], max_drift[:] = values[0], 0.0
+    groups = [(ts[:1], xs[:1], start[None], np.zeros((1, len(start))))]  # x0's row
+    stepper = _rk4_blocks if cfg.method is Method.RK4_FIXED else _rkf45_blocks
+    for rows, abort in stepper(impl, terms, xs, ts, cfg):
+        values, drift, good = evaluate(xs[1 : rows + 1])
+        groups.append((ts[1 : good + 1], xs[1 : good + 1], values[:good], drift[:good]))
+        if good < rows:
+            yield groups, max_drift, _failure(xs[good + 1], drift[good], float(ts[good + 1]))
+            return
+        yield groups, max_drift, abort
+        # the next block steps from this one's last row
+        xs[0], ts[0] = xs[rows], ts[rows]
+        groups = []
+
+
 def integrate(
     sys: CyclicLVSystem,
     x0: Sequence,
@@ -579,10 +635,11 @@ def integrate(
     The run keeps rows 0, sample_every, 2 * sample_every, ... and the last
     row, and the largest drift of every row. It steps, evaluates and screens
     a block of at most _BLOCK_ROWS rows and _BLOCK_FLOATS state floats at a
-    time. Each block's kept rows go to sink(t, x, values, drift), four new
-    arrays of Trajectory's shapes, as soon as the block passes the screen;
-    the last row, when sampling skipped it, goes in one more call. The first
-    call comes with the first stepped block, after every InputError. With a
+    time (_screened). Each block's kept rows go to sink(t, x, values, drift),
+    four new arrays of Trajectory's shapes, as soon as the block passes the
+    screen, in one call when there are any; the last row, when sampling
+    skipped it, goes in one more call. The first call comes with the first
+    stepped block, after every InputError, and holds x0's row. With a
     sink the run's memory is one block, and it returns the Trajectory of its
     last row alone with max_drift. Without one the kept rows are collected
     into the returned Trajectory, so its memory is those rows and one block.
@@ -605,54 +662,23 @@ def integrate(
     """
     if isinstance(sample_every, bool) or not (isinstance(sample_every, int) and sample_every >= 1):
         raise InputError(f"sample_every must be a positive integer, got {sample_every!r}")
-    x = np.asarray([_float(v, f"initial state entry x{i}") for i, v in enumerate(x0, 1)])
-    if x.shape != (sys.n,):
-        raise InputError(f"initial state has length {len(x)}, system has n={sys.n}")
-    impl, terms = _impl(), _terms(sys)
-    # after the terms, so that a bad rate is refused before a bad exponent
-    if any(len(mono.exponents) != sys.n for mono in basis.monomials):
-        raise InputError("exponent vector length does not match the system")
-    monomials = [_monomial(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
-                 for j, mono in enumerate(basis.monomials, start=2)]
-    size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
-    xs, ts = np.empty((size, sys.n)), np.empty(size)
-    xs[0], ts[0] = x, 0.0
-    stepper = _rk4_blocks if cfg.method is Method.RK4_FIXED else _rkf45_blocks
-    blocks = stepper(impl, terms, xs, ts, cfg)
-    collect = sink is None
-    if collect:
-        kept = []
-        sink = lambda *columns: kept.append(columns)
-    start, max_drift = np.ones(1 + len(monomials)), np.zeros(1 + len(monomials))
-    # the index of xs[0] in the run, and the first row of xs a block adds
-    base = first = 0
+    kept = []
+    put = (lambda *columns: kept.append(columns)) if sink is None else sink
+    count = 0  # the rows the stream has yielded so far
     with np.errstate(all="ignore"):
-        evaluate = _pass(impl, monomials, start, max_drift, size)
-        # x0 goes through the run's own pass, alone, before the driver
-        # starts; its drifts from 1 are finite exactly where its values are
-        values, drift, good = evaluate(x[None])
-        if not good:
-            raise _failure(x, drift[0], None)
-        # once x0 passed the range rule, every start is a positive float
-        start[:], max_drift[:] = values[0], 0.0
-        for rows, abort in blocks:
-            block = xs[first : rows + 1]
-            values, drift, good = evaluate(block)
-            if good:
-                # copies, as the next block overwrites xs and ts
-                columns = (ts[first : rows + 1], block, values, drift)
-                sink(*(c[-(base + first) % sample_every : good : sample_every].copy()
-                       for c in columns))
-                last = (base + first + good - 1, [c[good - 1 : good].copy() for c in columns])
-            if good < len(block):
-                abort = _failure(block[good], drift[good], float(ts[first + good]))
-                break
-            # the next block steps from this one's last row
-            xs[0], ts[0] = xs[rows], ts[rows]
-            base, first = base + rows, 1
-    if last[0] % sample_every:
-        sink(*last[1])
-    trajectory = Trajectory(*(map(np.concatenate, zip(*kept)) if collect else last[1]), max_drift)
+        for groups, max_drift, abort in _screened(sys, x0, cfg, basis):
+            picked = []
+            for group in groups:
+                picked.append([c[-count % sample_every :: sample_every] for c in group])
+                count += len(group[0])
+                if len(group[0]):
+                    last = [c[-1:].copy() for c in group]
+            # copies, as the next block overwrites the stream's buffers
+            if any(len(columns[0]) for columns in picked):
+                put(*map(np.concatenate, zip(*picked)))
+    if (count - 1) % sample_every:
+        put(*last)
+    trajectory = Trajectory(*(map(np.concatenate, zip(*kept)) if sink is None else last), max_drift)
     if abort is not None:
         abort.trajectory = trajectory
         raise abort

@@ -17,6 +17,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycliclv import (
     InputError,
@@ -1325,6 +1327,13 @@ class TestBlocks:
         # x3 decays below the floor on the array kernel's adaptive pair
         "rk45-n17-mid": ([1, 5] + [1] * 15, [1e-6, 0.5, 2e-12] + [0.5] * 14, "rk45", 0.05, 20.0,
                          90),
+        # x1 starts on the floor and falls below it at the first step, so
+        # x0's row is kept alone: RK4 aborts at t = 0.01 and RKF45 near
+        # 0.00842, on a full support, and near 0.00237 on partial ones
+        "rk4-first-step": ([2, 1, 3], [1e-12, 0.3, 0.5], "rk4", 1e-2, 1.0, 1),
+        "rk45-first-step": ([2, 1, 3], [1e-12, 0.3, 0.5], "rk45", 1e-2, 1.0, 1),
+        "rk4-first-step-n4": ([2, 1, 3, 6], [1e-12, 0.3, 0.5, 0.4], "rk4", 1e-2, 1.0, 1),
+        "rk45-first-step-n4": ([2, 1, 3, 6], [1e-12, 0.3, 0.5, 0.4], "rk45", 1e-2, 1.0, 1),
     }
 
     @staticmethod
@@ -1370,30 +1379,76 @@ class TestBlocks:
             assert (got, kind) == (rows, StepLimitReached)
 
     @pytest.mark.parametrize("sample_every", [1, 3])
-    @pytest.mark.parametrize("run", ["rk4-n5", "rk45-n5", "rk4-mid", "rk45-mid"])
+    @pytest.mark.parametrize("run", ["rk4-n5", "rk45-n5", "rk4-mid", "rk45-mid", "rk4-first-step",
+                                     "rk45-first-step", "rk4-first-step-n4", "rk45-first-step-n4"])
     def test_sink_takes_the_rows_integrate_collects(self, run, sample_every, monkeypatch):
-        # blocks of 7 rows; the sink's rows, in order, are the collected
-        # Trajectory's, and a run with a sink returns or carries its last row
+        # blocks of 7 rows, on each kernel; the sink's rows, in order, are
+        # the collected Trajectory's, every call holds a row, and a run with a
+        # sink returns or carries its last row
         rates, x0, method, step, t_end, _ = self.RUNS[run]
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
         sys = make_system(rates)
         basis = integral_basis(sys)
         cfg = IntegratorConfig(method, step=step, t_end=t_end)
-        want, rows, abort = _outcome(sys, x0, cfg, basis, sample_every)
-        calls = []
-        try:
-            last = integrate(sys, x0, cfg, basis, sample_every, lambda *c: calls.append(c))
-        except sim.IntegrationAborted as exc:
-            last = exc.trajectory
-            assert (type(exc), exc.t) == abort
-        else:
-            assert abort is None
-        assert 1 < len(calls) <= rows
-        got = [np.concatenate(c) for c in zip(*calls)]
-        assert [a.tobytes() for a in got] == want[:4]
-        assert last.max_drift.tobytes() == want[4]
-        for name, column in zip(("t", "x", "values", "drift"), got):
-            assert getattr(last, name).tobytes() == column[-1:].tobytes()
+        for kernel in KERNELS:
+            _force_kernel(monkeypatch, kernel)
+            want, rows, abort = _outcome(sys, x0, cfg, basis, sample_every)
+            calls = []
+            try:
+                last = integrate(sys, x0, cfg, basis, sample_every, lambda *c: calls.append(c))
+            except sim.IntegrationAborted as exc:
+                last = exc.trajectory
+                assert (type(exc), exc.t) == abort
+            else:
+                assert abort is None
+            # more than one call, but where x0's row is kept alone
+            assert min(2, rows) <= len(calls) <= rows
+            assert all(len(c[0]) >= 1 for c in calls)
+            got = [np.concatenate(c) for c in zip(*calls)]
+            assert [a.tobytes() for a in got] == want[:4]
+            assert last.max_drift.tobytes() == want[4]
+            for name, column in zip(("t", "x", "values", "drift"), got):
+                assert getattr(last, name).tobytes() == column[-1:].tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_x0_reaches_block_pass_once(self, kernel, monkeypatch):
+        # x0 passes alone before the first step, and the first block starts
+        # at row 1's state
+        _force_kernel(monkeypatch, kernel)
+        impl, blocks = sim._impl(), []
+
+        def block_pass(rows, n, m, xs, *args):
+            blocks.append(xs[:rows].copy())
+            return impl.block_pass(rows, n, m, xs, *args)
+
+        wrapped = SimpleNamespace(rk4_steps=impl.rk4_steps, rkf45_block=impl.rkf45_block,
+                                  block_pass=block_pass)
+        monkeypatch.setattr(sim, "_impl", lambda: wrapped)
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig("rk4", step=0.01, t_end=0.05)
+        trajectory = integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys))
+        assert len(trajectory.t) == 6
+        assert [len(b) for b in blocks] == [1, 5]
+        assert blocks[0].tobytes() == trajectory.x[:1].tobytes()
+        assert blocks[1].tobytes() == trajectory.x[1:].tobytes()
+
+    def test_an_interrupted_sink_leaves_numpys_error_state(self):
+        # integrate ignores numpy's float errors around its loop alone, so
+        # the caller's except block sees its own state again
+        sys = make_system([2, 1, 3])
+        cfg = IntegratorConfig("rk4", step=0.01, t_end=1.0)
+
+        def sink(*columns):
+            raise KeyboardInterrupt
+
+        with np.errstate(all="warn"):
+            try:
+                integrate(sys, [0.2, 0.3, 0.5], cfg, integral_basis(sys), 1, sink)
+            except KeyboardInterrupt:
+                assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"),
+                                                    "warn")
+            else:
+                pytest.fail("the sink's KeyboardInterrupt did not reach the caller")
 
     def test_refused_run_calls_no_sink(self):
         # row 0 passes the screen before the RK4 step limit refuses the run
@@ -1595,6 +1650,80 @@ def test_full_and_half_supports_give_the_reference_bits(make, n, supports, kind)
         assert good == len(xs)
         assert values.tobytes() == expect.tobytes()
         assert drift.tobytes() == (np.abs(expect - expect[0]) / expect[0]).tobytes()
+
+
+# Coordinates that a row screen must refuse or that reach the edges of the
+# float range: NaN, both infinities, zeros, a negative, subnormals,
+# POSITIVITY_FLOOR and the float below it, 1e300 and the largest float.
+_EDGE_COORDINATES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310,
+                     sim.POSITIVITY_FLOOR, math.nextafter(sim.POSITIVITY_FLOOR, 0.0), 1e300,
+                     float_info.max)
+
+
+@st.composite
+def _pass_inputs(draw):
+    """Monomials, a start row, an initial max_drift and a block for sim._pass.
+
+    Each row is ordinary, has coordinates of _EDGE_COORDINATES, or puts
+    one monomial's s within about 3 ulps of an end of LOG_RANGE, either
+    side, through one coordinate on its support with every other
+    coordinate 1.
+    """
+    n = draw(st.integers(2, 5))
+    exponent = st.one_of(st.just(0.0), st.floats(-50.0, -1.5), st.floats(1.5, 50.0))
+    lams = draw(st.lists(st.lists(exponent, min_size=n, max_size=n).filter(any), min_size=1,
+                         max_size=3))
+    ordinary = st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)
+
+    @st.composite
+    def edge(draw):
+        row = draw(ordinary)
+        for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                 st.sampled_from(_EDGE_COORDINATES)),
+                                       min_size=1, max_size=n)):
+            row[i] = value
+        return row
+
+    @st.composite
+    def near_range(draw):
+        lam = draw(st.sampled_from(lams))
+        i = draw(st.sampled_from([i for i, e in enumerate(lam) if e]))
+        end = draw(st.sampled_from(sim.LOG_RANGE))
+        s = end + draw(st.integers(-3, 3)) * math.ulp(end)
+        return [math.exp(s / lam[i]) if j == i else 1.0 for j in range(n)]
+
+    block = draw(st.lists(st.one_of(ordinary, edge(), near_range()), min_size=1, max_size=12))
+    max_drift = draw(st.lists(st.floats(0.0, 1.0), min_size=len(lams) + 1,
+                              max_size=len(lams) + 1))
+    return lams, draw(ordinary), max_drift, block
+
+
+@given(_pass_inputs())
+@settings(max_examples=100, deadline=None)
+def test_a_build_passes_random_blocks_as_the_reference_does(inputs):
+    # what _reference._probe_block_pass compares: the start that x0's pass
+    # gives, and for the block and then each of its rows alone, so that no
+    # failing row hides a later one, the first failing row, the figures of
+    # the rows before it, which drifts of the failing row are finite, and
+    # max_drift
+    if NATIVE() is None:
+        pytest.skip("no native build loads here")
+    lams, x0, max_drift, block = inputs
+    monomials = [sim._monomial(lam, str) for lam in lams]
+    width = len(monomials) + 1
+    got = []
+    with np.errstate(all="ignore"):
+        for impl in (_reference, NATIVE()):
+            start = sim._pass(impl, monomials, np.ones(width), np.zeros(width), 1)(
+                np.array([x0]))[0][0].copy()
+            got.append([start.tobytes()])
+            for rows in (block, *([row] for row in block)):
+                drifts = np.array(max_drift)
+                values, drift, good = sim._pass(impl, monomials, start, drifts, len(rows))(
+                    np.array(rows))
+                got[-1].append((good, values[:good].tobytes(), drift[:good].tobytes(),
+                                np.isfinite(drift[good : good + 1]).tobytes(), drifts.tobytes()))
+    assert got[0] == got[1]
 
 
 def test_rk4_state_error_is_fourth_order():
