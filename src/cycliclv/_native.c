@@ -75,7 +75,7 @@ void rk4_steps(int64_t n, const int64_t *j1, const double *c1, const int64_t *j2
    its row: each accepted state goes into the next row and its time into
    ts, until the block is full, the run ends or it fails. A full block
    ends the call before its next trial, so a call resumes from run,
-   state[0] and row 0 alone, which sim.integrate sets to the last row
+   state[0] and row 0 alone, which sim._screened sets to the last row
    written, and after FULL the accepted count is the rows written.
    tableau holds the rows of the stage matrix A, 15 entries, then the 6
    fourth-order weights and the 6 error weights. Returns the rows written,
@@ -155,7 +155,7 @@ int64_t rkf45_block(int64_t n, const int64_t *j1, const double *c1, const int64_
     return row;
 }
 
-/* The pass of sim.integrate over a block of rows states of n coordinates,
+/* The pass of sim._pass over a block of rows states of n coordinates,
    the row-major array xs, as _reference.block_pass does it on numpy.
    values, row-major (rows, 1 + m), comes holding each row's H1 and each
    monomial's s = lam . log x, as numpy computes them; each s becomes its

@@ -265,32 +265,34 @@ def _probe_rkf45_block(impl) -> list:
 def _probe_block_pass(impl) -> list:
     """Each literal block's first failing row, and the figures of the rows up to it.
 
-    The figures are the values, drifts and max_drift of sim._pass(impl, ...),
-    the failing row's drifts as which of them are finite, as sim._failure
-    reads them. The two monomials' s are 30 log x1 - 1.5 log x2, on a
-    partial support, and 0.5 log x1 + 0.25 log x2 - 40 log x3, on a full
-    one. The first six rows pass: row 0 is the start, which a pass of it
-    alone against a start of ones gives, as x0's one pass in sim._screened
-    does, and row 5 sits on POSITIVITY_FLOOR. Each later row fails: a NaN
-    and an infinite coordinate; one below the floor with larger drifts than
-    any row before it, and one below the floor whose s is also past
-    LOG_RANGE; the first s past each end of LOG_RANGE and the second past
-    its top; and an H1 that overflows. The pass goes over the first six
-    rows alone, and over them followed by each failing row and then the
-    second row again, so that the floor test, exp, the drift, each test of
-    a row and the rows max_drift folds in all show.
+    The figures are the values and drifts that sim._pass(impl, ...) writes
+    into buffers of the block's rows, and max_drift, the failing row's
+    drifts as which of them are finite, as sim._failure reads them. The two
+    monomials' s are 30 log x1 - 1.5 log x2, on a partial support, and 0.5
+    log x1 + 0.25 log x2 - 40 log x3, on a full one. The first six rows
+    pass: row 0 is the start, which a pass of it alone against a start of
+    ones writes, as x0's one pass in sim._screened does, and row 5 sits on
+    POSITIVITY_FLOOR. Each later row fails: a NaN and an infinite
+    coordinate; one below the floor with larger drifts than any row before
+    it, and one below the floor whose s is also past LOG_RANGE; the first s
+    past each end of LOG_RANGE and the second past its top; and an H1 that
+    overflows. The pass goes over the first six rows alone, and over them
+    followed by each failing row and then the second row again, so that the
+    floor test, exp, the drift, each test of a row and the rows max_drift
+    folds in all show.
     """
     monomials = [sim._monomial(lam, str) for lam in ((30.0, -1.5, 0.0), (0.5, 0.25, -40.0))]
     rows = ((0.2, 0.3, 0.5), (0.21, 0.29, 0.5), (0.35, 0.1, 0.55), (1.3, 0.07, 2.5),
             (0.9, 3.1, 0.011), (0.6, 1e-12, 0.4), (math.nan, 0.3, 0.5), (0.2, math.inf, 0.5),
             (5.0, 1e-13, 6.0), (1e-13, 0.3, 0.5), (1e11, 0.3, 0.5), (1e-11, 0.3, 0.5),
             (0.2, 0.3, 1e-9), (1e308, 1e308, 0.5))
-    start = sim._pass(impl, monomials, np.ones(3), np.zeros(3), 1)(np.array(rows[:1]))[0][0]
+    start = np.empty((1, 3))
+    sim._pass(impl, monomials, np.array(rows[:1]), start, np.empty((1, 3)), np.ones(3), np.zeros(3))
     screens = []
-    for tail in ((), *((row, rows[1]) for row in rows[6:])):
-        block = np.array([*rows[:6], *tail])
-        max_drift = np.zeros(len(start))
-        values, drift, good = sim._pass(impl, monomials, start, max_drift, len(block))(block)
+    for block in (rows[:6], *((*rows[:6], row, rows[1]) for row in rows[6:])):
+        values, drift = np.empty((2, len(block), 3))
+        max_drift = np.zeros(3)
+        good = sim._pass(impl, monomials, np.array(block), values, drift, start[0], max_drift)
         screens.append((good, values[:good].tobytes(), drift[:good].tobytes(),
                         np.isfinite(drift[good : good + 1]).tobytes(), max_drift.tobytes()))
     return screens

@@ -3,17 +3,20 @@
 Two drivers are provided: classic fixed-step fourth-order Runge-Kutta and
 the embedded Fehlberg 4(5) pair with proportional step control. A run is
 one stream of screened blocks (_screened) of at most _BLOCK_ROWS rows,
-which integrate consumes. Either method steps from row 0 of one reused
-block buffer into the rows after it, and the stream copies each block's
-last row, and its time, into row 0 for the next; then one pass over the
-new rows evaluates each first integral of the basis and its relative
-drift |H - H(x0)| / H(x0) from its value at the initial state, which the
-range rule below keeps a positive float, applies the screen below, and
-folds the drifts of the rows that pass into each integral's largest. The
-stream yields every row that passes, x0's with the first block, and keeps
-none. integrate samples them: a run keeps the times, states, values and
-drifts of every sample_every-th row and of the last, and each integral's
-largest drift over every row. Each block's kept rows go to a row sink once
+which integrate consumes. The stream holds four aligned buffers of
+times, states, values and drifts, whose row r holds one row of the run.
+Either method steps from row 0 of the states into the rows after it, and
+the stream copies each block's last state into row 0 for the next, whose
+time nothing reads; then one pass over the new rows writes into the same
+rows each first integral of the basis and its relative drift
+|H - H(x0)| / H(x0) from its value at the initial state, which the range
+rule below keeps a positive float, applies the screen below, and folds
+the drifts of the rows that pass into each integral's largest. The
+stream yields every row that passes, as one view of each buffer per
+block, x0's row with the first block, and keeps none. integrate samples
+them: a run keeps the times, states, values and drifts of every
+sample_every-th row and of the last, and each integral's largest drift
+over every row. Each block's kept rows go to a row sink once
 the block passes the screen: integrate's caller may pass one, as the CLI
 passes its CSV writer, and then a run's memory is one block, however many
 rows it writes. Without one, integrate collects the rows into a
@@ -53,8 +56,8 @@ names the failure, testing in the order above: a non-finite coordinate,
 the floor, then the drifts. Row 0, x0, goes through the run's own pass
 once, alone, against a start of ones, before the first step, and _failure
 names a failure there as InputError. Its values become the start, so its
-row is those values with drifts of zero, and the first block's pass
-starts at row 1. A basis whose exponent vectors have another length than
+row 0 is those values with drifts of zero, and each block's pass writes
+rows 1 on. A basis whose exponent vectors have another length than
 the system is refused with InputError.
 The runtime aborts, the IntegrationAborted subclasses defined here, differ
 only in name: each is built as IntegrationAborted(t, message), worded
@@ -457,9 +460,10 @@ def _rk4_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integra
     times into ts[1:], by impl.rk4_steps on the system's terms (_terms): a
     block's full steps take one call and the tail step, if any, a second.
     Each block steps from xs[0], where _screened puts the last one's last
-    row. A t_end / step over _step_limit(n), an infinite one that
-    math.floor cannot take included, is refused with InputError: the one
-    test of a run's length.
+    state; each time comes from its step count, so ts[0] is not read. A
+    t_end / step over _step_limit(n), an infinite one that math.floor
+    cannot take included, is refused with InputError: the one test of a
+    run's length.
     """
     h, n, ratio = cfg.step, xs.shape[1], cfg.t_end / cfg.step
     if not ratio <= _step_limit(n):
@@ -511,38 +515,30 @@ def _rkf45_blocks(impl, terms: tuple, xs: np.ndarray, ts: np.ndarray, cfg: Integ
             yield rows, None
 
 
-def _pass(impl, monomials: Sequence[tuple], start: np.ndarray, max_drift: np.ndarray,
-          size: int):
-    """The stream's pass over blocks of at most size rows: _logs, then impl.block_pass.
+def _pass(impl, monomials: Sequence[tuple], block: np.ndarray, values: np.ndarray,
+          drift: np.ndarray, start: np.ndarray, max_drift: np.ndarray) -> int:
+    """The stream's pass over the rows of block: _logs, then impl.block_pass; returns its good.
 
-    The pass is a function of a block that returns the block's values,
-    their drifts |v - start| / start, and its first failing row, or its
-    length when none fails. numpy computes each row's H1 and s (_logs) into
-    a values buffer, and block_pass does the rest, as the comment on it in
-    _native.c states: it folds the drifts of the rows before the failing
-    one into max_drift, in place. It reads start and max_drift when it
-    runs, so a caller may set them between blocks. Its two buffers are
-    allocated once, so the values and drifts it returns are views that the
-    next block overwrites, and hold only the rows up to the failing one.
+    It writes each row's values into the same row of values, and their
+    drifts |v - start| / start into drift, and returns the first failing
+    row, or len(block) when none fails. numpy computes each row's H1 and s
+    (_logs) into values, and block_pass does the rest, as the comment on it
+    in _native.c states: it folds the drifts of the rows before the failing
+    one into max_drift, in place. Only the rows up to the failing one hold
+    their figures. Each array must be C-ordered float: block of shape
+    (rows, n), values and drift of (rows, len(start)), and max_drift of
+    start's length; any other raises ValueError before impl is called.
     """
-    width = len(start)
-    if not all(a.dtype == float and a.flags.c_contiguous and a.shape == (width,)
-               for a in (start, max_drift)):
-        raise ValueError("start and max_drift must be C-ordered float arrays of one length")
-    values, drift = np.empty((size, width)), np.empty((size, width))
-
-    def run(block: np.ndarray):
-        rows, n = block.shape
-        if rows > size:
-            raise ValueError(f"a block of {rows} rows passes the {size} rows of the buffers")
-        block = np.ascontiguousarray(block, dtype=float)
-        for j, column in enumerate(_logs(block, monomials)):
-            values[:rows, j] = column
-        good = impl.block_pass(rows, n, width - 1, block, values, drift, start, max_drift,
-                               *LOG_RANGE, POSITIVITY_FLOOR)
-        return values[:rows], drift[:rows], good
-
-    return run
+    rows, n = block.shape
+    shape = (rows, len(start))
+    if not all(a.dtype == float and a.flags.c_contiguous and a.shape == want for a, want in
+               ((block, (rows, n)), (values, shape), (drift, shape), (start, shape[1:]),
+                (max_drift, shape[1:]))):
+        raise ValueError(f"_pass takes C-ordered float arrays, buffers of {shape} and {shape[1:]}")
+    for j, column in enumerate(_logs(block, monomials)):
+        values[:, j] = column
+    return impl.block_pass(rows, n, shape[1] - 1, block, values, drift, start, max_drift,
+                           *LOG_RANGE, POSITIVITY_FLOOR)
 
 
 def _failure(x: np.ndarray, drift: np.ndarray, t: float | None) -> CyclicLVError:
@@ -571,14 +567,18 @@ def _failure(x: np.ndarray, drift: np.ndarray, t: float | None) -> CyclicLVError
 
 
 def _screened(sys: CyclicLVSystem, x0: Sequence, cfg: IntegratorConfig, basis: IntegralBasis):
-    """The run's screened rows, block by block: yields (groups, max_drift, abort).
+    """The run's screened rows, block by block: yields (t, x, values, drift, max_drift, abort).
 
-    groups is a list of row groups (t, x, values, drift) of Trajectory's
-    shapes, views of buffers that the next block overwrites, so a consumer
-    copies what it keeps before it asks for the next. The first stepped
-    block's groups are x0's row, (0.0, x0, start, zeros), and then the
-    block's rows that pass the screen; every later block's are those rows
-    alone, which are none where its first row fails. max_drift is each
+    t, x, values and drift are one view each of rows low to good - 1 of
+    four aligned buffers, of Trajectory's shapes: row r of values and drift
+    holds the integrals, and their drifts, of the state in row r of x, at
+    the time in row r of t. The next block overwrites them, so a consumer
+    copies what it keeps before it asks for the next. A block's pass writes
+    rows 1 to rows, and good is the first of them that fails the screen, or
+    rows + 1. low is 0 for the first stepped block, whose row 0 is x0's,
+    (0.0, x0, start, zeros), and 1 after it, where row 0 holds the last
+    block's last state alone. So a block whose first row fails yields x0's
+    row alone, or four empty arrays. max_drift is each
     integral's largest drift over every row so far, and abort the block's
     IntegrationAborted or None; after an abort the stream ends. Raises
     InputError as integrate does, all but the RK4 step limit's before the
@@ -597,29 +597,30 @@ def _screened(sys: CyclicLVSystem, x0: Sequence, cfg: IntegratorConfig, basis: I
     monomials = [_monomial(mono.exponents, lambda i: f"exponent of x{i} in H{j}")
                  for j, mono in enumerate(basis.monomials, start=2)]
     size = min(_BLOCK_ROWS, max(1, _BLOCK_FLOATS // sys.n)) + 1
+    width = 1 + len(monomials)
     xs, ts = np.empty((size, sys.n)), np.empty(size)
+    values, drift = np.empty((size, width)), np.empty((size, width))
     xs[0], ts[0] = x, 0.0
-    start, max_drift = np.ones(1 + len(monomials)), np.zeros(1 + len(monomials))
-    evaluate = _pass(impl, monomials, start, max_drift, size)
+    start, max_drift = np.ones(width), np.zeros(width)
     # x0 goes through the run's own pass, alone, before the first step;
     # its drifts from 1 are finite exactly where its values are
-    values, drift, good = evaluate(x[None])
-    if not good:
+    if not _pass(impl, monomials, xs[:1], values[:1], drift[:1], start, max_drift):
         raise _failure(x, drift[0], None)
     # once x0 passed the range rule, every start is a positive float
     start[:], max_drift[:] = values[0], 0.0
-    groups = [(ts[:1], xs[:1], start[None], np.zeros((1, len(start))))]  # x0's row
+    drift[0] = 0.0
+    low = 0
     stepper = _rk4_blocks if cfg.method is Method.RK4_FIXED else _rkf45_blocks
     for rows, abort in stepper(impl, terms, xs, ts, cfg):
-        values, drift, good = evaluate(xs[1 : rows + 1])
-        groups.append((ts[1 : good + 1], xs[1 : good + 1], values[:good], drift[:good]))
-        if good < rows:
-            yield groups, max_drift, _failure(xs[good + 1], drift[good], float(ts[good + 1]))
+        new = slice(1, rows + 1)
+        good = 1 + _pass(impl, monomials, xs[new], values[new], drift[new], start, max_drift)
+        if good <= rows:
+            abort = _failure(xs[good], drift[good], float(ts[good]))
+        yield ts[low:good], xs[low:good], values[low:good], drift[low:good], max_drift, abort
+        if abort is not None:
             return
-        yield groups, max_drift, abort
         # the next block steps from this one's last row
-        xs[0], ts[0] = xs[rows], ts[rows]
-        groups = []
+        xs[0], low = xs[rows], 1
 
 
 def integrate(
@@ -635,10 +636,11 @@ def integrate(
     The run keeps rows 0, sample_every, 2 * sample_every, ... and the last
     row, and the largest drift of every row. It steps, evaluates and screens
     a block of at most _BLOCK_ROWS rows and _BLOCK_FLOATS state floats at a
-    time (_screened). Each block's kept rows go to sink(t, x, values, drift),
-    four new arrays of Trajectory's shapes, as soon as the block passes the
-    screen, in one call when there are any; the last row, when sampling
-    skipped it, goes in one more call. The first call comes with the first
+    time (_screened), and samples the rows of each block's views. Each
+    block's kept rows go to sink(t, x, values, drift), four new arrays of
+    Trajectory's shapes, as soon as the block passes the screen, in one
+    call when there are any; the last row, when sampling skipped it, goes
+    in one more call. The first call comes with the first
     stepped block, after every InputError, and holds x0's row. With a
     sink the run's memory is one block, and it returns the Trajectory of its
     last row alone with max_drift. Without one the kept rows are collected
@@ -666,16 +668,14 @@ def integrate(
     put = (lambda *columns: kept.append(columns)) if sink is None else sink
     count = 0  # the rows the stream has yielded so far
     with np.errstate(all="ignore"):
-        for groups, max_drift, abort in _screened(sys, x0, cfg, basis):
-            picked = []
-            for group in groups:
-                picked.append([c[-count % sample_every :: sample_every] for c in group])
-                count += len(group[0])
-                if len(group[0]):
-                    last = [c[-1:].copy() for c in group]
-            # copies, as the next block overwrites the stream's buffers
-            if any(len(columns[0]) for columns in picked):
-                put(*map(np.concatenate, zip(*picked)))
+        for *block, max_drift, abort in _screened(sys, x0, cfg, basis):
+            if len(block[0]):
+                # copies, as the next block overwrites the stream's buffers
+                picked = [c[-count % sample_every :: sample_every].copy() for c in block]
+                count += len(block[0])
+                last = [c[-1:].copy() for c in block]
+                if len(picked[0]):
+                    put(*picked)
     if (count - 1) % sample_every:
         put(*last)
     trajectory = Trajectory(*(map(np.concatenate, zip(*kept)) if sink is None else last), max_drift)

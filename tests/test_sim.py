@@ -1432,6 +1432,52 @@ class TestBlocks:
         assert blocks[0].tobytes() == trajectory.x[:1].tobytes()
         assert blocks[1].tobytes() == trajectory.x[1:].tobytes()
 
+    @pytest.mark.parametrize("size", [3, 1])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("run", ["rk4-n5", "rk45-n5", "rk4-mid", "rk45-mid"])
+    def test_the_stream_yields_aligned_rows(self, run, kernel, size, monkeypatch):
+        # each yield is rows of one index of the four buffers: every values
+        # and drift row is the pass of its own x row alone against the
+        # start, and a block whose first row fails yields no row
+        rates, x0, method, step, t_end, fails = self.RUNS[run]
+        _force_kernel(monkeypatch, kernel)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", size)
+        sys = make_system(rates)
+        basis = integral_basis(sys)
+        cfg = IntegratorConfig(method, step=step, t_end=t_end)
+        yields = []
+        with np.errstate(all="ignore"):
+            for *block, max_drift, abort in sim._screened(sys, x0, cfg, basis):
+                assert len({len(c) for c in block}) == 1
+                yields.append(([c.copy() for c in block], abort))
+        t, x, values, drift = map(np.concatenate, zip(*(block for block, _ in yields)))
+        assert t[0] == 0.0 and (np.diff(t) > 0).all()
+        impl, width = sim._impl(), len(basis.monomials) + 1
+        monomials = [sim._monomial(m.exponents, str) for m in basis.monomials]
+        start, scratch = np.empty((2, 1, width))
+        assert sim._pass(impl, monomials, np.array([x0]), start, scratch, np.ones(width),
+                         np.zeros(width)) == 1
+        assert x[0].tobytes() == np.array(x0).tobytes()
+        assert values[0].tobytes() == start[0].tobytes()
+        assert drift[0].tobytes() == np.zeros(width).tobytes()
+        for row in range(len(t)):
+            got = np.empty((2, 1, width))
+            assert sim._pass(impl, monomials, x[row : row + 1], got[0], got[1], start[0],
+                             np.zeros(width)) == 1
+            assert got[0].tobytes() == values[row : row + 1].tobytes()
+            assert got[1].tobytes() == drift[row : row + 1].tobytes()
+        assert max_drift.tobytes() == drift.max(axis=0).tobytes()
+        # the abort comes with the last yield alone
+        assert [abort is None for _, abort in yields[:-1]] == [True] * (len(yields) - 1)
+        if fails is None:
+            assert yields[-1][1] is None
+        else:
+            assert isinstance(yields[-1][1], PositivityBreached)
+            assert len(t) == fails
+            # row fails is its block's first, and the block yields no row,
+            # where size divides fails - 1
+            assert (len(yields[-1][0][0]) == 0) == ((fails - 1) % size == 0)
+
     def test_an_interrupted_sink_leaves_numpys_error_state(self):
         # integrate ignores numpy's float errors around its loop alone, so
         # the caller's except block sees its own state again
@@ -1645,11 +1691,46 @@ def test_full_and_half_supports_give_the_reference_bits(make, n, supports, kind)
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
     width = 1 + len(monomials)
     for impl in _impls():
-        values, drift, good = sim._pass(impl, monomials, expect[0].copy(), np.zeros(width),
-                                        len(xs))(xs)
+        values, drift = np.empty((2, len(xs), width))
+        good = sim._pass(impl, monomials, xs, values, drift, expect[0].copy(), np.zeros(width))
         assert good == len(xs)
         assert values.tobytes() == expect.tobytes()
         assert drift.tobytes() == (np.abs(expect - expect[0]) / expect[0]).tobytes()
+
+
+# Each array of sim._pass, block, values, drift, start and max_drift, and
+# its mis-shaped replacements for a block of 3 rows of 3 coordinates and
+# one monomial: another row count, width, dtype or layout, or another length
+_MISSHAPEN = {
+    "block-dtype": (0, np.full((3, 3), 0.5, np.float32)),
+    "block-layout": (0, np.asfortranarray(np.full((3, 3), 0.5))),
+    "values-rows": (1, np.empty((4, 2))),
+    "values-width": (1, np.empty((3, 3))),
+    "values-dtype": (1, np.empty((3, 2), np.float32)),
+    "values-layout": (1, np.empty((2, 3)).T),
+    "drift-rows": (2, np.empty((2, 2))),
+    "drift-width": (2, np.empty((3, 1))),
+    "drift-dtype": (2, np.empty((3, 2), np.int64)),
+    "drift-layout": (2, np.empty((6, 2))[::2]),
+    "start-length": (3, np.ones(3)),
+    "max-drift-length": (4, np.zeros(1)),
+}
+
+
+@pytest.mark.parametrize("position, misshapen", _MISSHAPEN.values(), ids=_MISSHAPEN)
+def test_pass_refuses_a_misshapen_array_before_any_call(position, misshapen):
+    # impl.block_pass would write past a short buffer, or read its rows in
+    # another order, so _pass refuses each before it calls impl
+    calls = []
+    impl = SimpleNamespace(block_pass=lambda rows, *args: calls.append(rows) or rows)
+    monomials = [sim._monomial((1.0, -2.0, 0.0), str)]
+    arrays = [np.full((3, 3), 0.5), np.empty((3, 2)), np.empty((3, 2)), np.ones(2), np.zeros(2)]
+    assert sim._pass(impl, monomials, *arrays) == 3
+    assert calls == [3]
+    arrays[position] = misshapen
+    with pytest.raises(ValueError, match="^_pass takes C-ordered float arrays"):
+        sim._pass(impl, monomials, *arrays)
+    assert calls == [3]
 
 
 # Coordinates that a row screen must refuse or that reach the edges of the
@@ -1714,16 +1795,96 @@ def test_a_build_passes_random_blocks_as_the_reference_does(inputs):
     got = []
     with np.errstate(all="ignore"):
         for impl in (_reference, NATIVE()):
-            start = sim._pass(impl, monomials, np.ones(width), np.zeros(width), 1)(
-                np.array([x0]))[0][0].copy()
+            start = np.empty((1, width))
+            sim._pass(impl, monomials, np.array([x0]), start, np.empty((1, width)), np.ones(width),
+                      np.zeros(width))
             got.append([start.tobytes()])
             for rows in (block, *([row] for row in block)):
                 drifts = np.array(max_drift)
-                values, drift, good = sim._pass(impl, monomials, start, drifts, len(rows))(
-                    np.array(rows))
+                values, drift = np.empty((2, len(rows), width))
+                good = sim._pass(impl, monomials, np.array(rows), values, drift, start[0], drifts)
                 got[-1].append((good, values[:good].tobytes(), drift[:good].tobytes(),
                                 np.isfinite(drift[good : good + 1]).tobytes(), drifts.tobytes()))
     assert got[0] == got[1]
+
+
+_NO_BUILD = "no native build loads here"
+
+
+@st.composite
+def _systems(draw, n_min: int = 2):
+    """A system of n_min to 18 random rational rates, negative ones among them, and its x0."""
+    n = draw(st.integers(n_min, 18))
+    rate = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    rates = draw(st.lists(rate, min_size=n, max_size=n))
+    return make_system(rates), draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+
+
+def _nan_as_one(a: np.ndarray) -> bytes:
+    """The bytes of a with every NaN made numpy's own, as the probe compares them."""
+    return np.where(np.isnan(a), math.nan, a).tobytes()
+
+
+@given(_systems(), st.integers(0, 12), st.floats(1e-3, 0.2), st.floats(1e-4, 0.2))
+@settings(max_examples=60, deadline=None)
+def test_a_build_steps_rk4_as_the_reference_does(system, full, h, tail):
+    # the full steps from row 0 and a tail step from the row after them,
+    # as _rk4_blocks calls them; a state that overflows takes its NaNs along
+    if NATIVE() is None:
+        pytest.skip(_NO_BUILD)
+    sys, x0 = system
+    got = []
+    with np.errstate(all="ignore"):
+        for impl in (_reference, NATIVE()):
+            xs = np.zeros((full + 2, sys.n))
+            xs[0] = x0
+            impl.rk4_steps(sys.n, *sim._terms(sys), xs, 0, full, h, np.empty(5 * sys.n))
+            impl.rk4_steps(sys.n, *sim._terms(sys), xs, full, 1, tail, np.empty(5 * sys.n))
+            got.append(_nan_as_one(xs))
+    assert got[0] == got[1]
+
+
+@given(_systems(), st.floats(1e-3, 0.5), st.floats(0.01, 1.0), st.integers(1, 8),
+       st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_a_build_steps_rkf45_blocks_as_the_reference_does(system, h, t_end, size, limit):
+    # up to four blocks of size rows, each from row 0, where the last
+    # block's last row goes, as _screened puts it; each call's rows, times,
+    # run and state, and the last trial as _probe_rkf45_block compares it
+    if NATIVE() is None:
+        pytest.skip(_NO_BUILD)
+    sys, x0 = system
+    n, tableau, got = sys.n, np.array(sim._FEHLBERG), []
+    with np.errstate(all="ignore"):
+        for impl in (_reference, NATIVE()):
+            xs, ts = np.zeros((size + 1, n)), np.zeros(size + 1)
+            xs[0] = x0
+            run, state, work = np.array([0.0, h, 0.0]), np.zeros(2, np.int64), np.zeros(8 * n)
+            calls = []
+            while len(calls) < 4 and state[1] == sim._FULL:
+                rows = impl.rkf45_block(n, *sim._terms(sys), tableau, sim.REL_TOL, sim.ABS_TOL,
+                                        sim.MIN_STEP, t_end, limit, run, state, ts, xs, size, work)
+                calls.append((rows, state.tobytes(), run[:2].tobytes(),
+                              xs[1 : rows + 1].tobytes(), ts[1 : rows + 1].tobytes()))
+                xs[0] = xs[rows]
+            # one NaN for every NaN, and -0.0 + 0.0 is 0.0
+            calls.append(_nan_as_one(np.array([*work[7 * n :], run[2]]) + 0.0))
+            got.append(calls)
+    assert got[0] == got[1]
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_a_build_writes_random_bit_patterns_as_the_reference_does(data, rows, cols):
+    # mostly values that csv_rows hands to snprintf, with random bits, and
+    # values of every kind from st.floats, as '%.17g' % value writes them
+    if NATIVE() is None:
+        pytest.skip(_NO_BUILD)
+    value = st.one_of(st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(float)),
+                      st.floats())
+    block = np.array(data.draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+    block = block.reshape(rows, cols)
+    assert sim._csv_bytes(block, NATIVE()) == sim._csv_bytes(block, _reference)
 
 
 def test_rk4_state_error_is_fourth_order():
