@@ -190,10 +190,9 @@ int64_t block_pass(int64_t rows, int64_t n, int64_t m, const double *xs, double 
     return rows;
 }
 
-/* 10^16 and 10^17, the bounds of a 17-digit significand, and the most
-   bytes csv_rows writes for one value, its separator included:
+/* 10^17, the bound of a 17-digit significand, and the most bytes
+   csv_rows writes for one value, its separator included:
    "-1.2345678901234567e-308" and a comma. */
-#define TEN16 10000000000000000ULL
 #define TEN17 100000000000000000ULL
 #define VALUE_BYTES 25
 
@@ -211,13 +210,6 @@ static const uint64_t POW5[28] = {
     1490116119384765625ULL, 7450580596923828125ULL
 };
 
-/* The doubles nearest 10^-16 to 10^16: POW10[j] is 10^(j - 16) */
-static const double POW10[33] = {
-    1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3,
-    1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13,
-    1e14, 1e15, 1e16
-};
-
 /* The two digits of 0 to 99, the pair of i at PAIRS + 2 i */
 static const char PAIRS[200] =
     "0001020304050607080910111213141516171819"
@@ -230,7 +222,7 @@ static const char PAIRS[200] =
    rounded half to even, exactly, in 128-bit integers, as m 5^q shifted
    right by s = -(e + q) bits, q = 16 - k. m 5^q is one 64 by 64 bit product
    up to q = 27, as 5^27 < 2^64. Returns 0 where that is no right shift,
-   from m 2^e = 2^51 up, or needs more than 128 bits, below about 1e-16. */
+   from m 2^e = 2^51 up, or needs more than 128 bits, at every k below -16. */
 static int digits17(uint64_t m, int e, int k, u128 *d)
 {
     int q = 16 - k, s = -(e + q);
@@ -300,24 +292,18 @@ static char *put_digits(char *p, uint64_t d, int k)
 #endif
 
 /* Writes v as Python's '%.17g' % v: nan, inf and -inf, -0 for -0.0, and
-   correctly rounded digits, ties to even. A normal double from about 1e-16
-   up to 2^51, the range that runs write, gets them from digits17. Its
-   decimal exponent k starts as floor(E log10 2), 2^E <= v < 2^(E + 1):
-   E * 78913 / 2^18 rounded down, which is exact for every E of a double.
-   2^28, 2^10 times 2^18, is added before the division and 2^10 taken off
-   after it, so that C's division, which rounds toward zero, divides a
-   positive number. That k is floor(log10 v) or one less, and it rises by
-   one where v reaches POW10's double nearest 10^(k + 1). Where that double
-   lies below 10^(k + 1), v equal to it gets a k one too high, whose digits
-   are at most 10^16, so k falls by one where they lie below 10^16. No k is
-   one too low, and no digits reach 10^17: each double below POW10's double
-   nearest 10^(k + 1) lies more than half a unit of its 17th digit below
-   10^(k + 1), as '%.16e' shows on the 8 below each (tests/test_sim.py).
-   Digits of exactly 10^16 may also be those of a value just below 10^k
-   that has 17 digits at k - 1, so that exponent is tried too and kept
-   when its digits stay below 10^17. Every other value goes to snprintf,
-   whose decimal point, the locale's, becomes '.'. Returns the end of what
-   it wrote: at most 24 bytes. */
+   correctly rounded digits, ties to even. '%.17g' writes the digits17 of
+   the lowest exponent k at which they stay below 10^17. For a normal
+   double from 2^-53 up to 2^51, the range that runs write, k starts below
+   floor(log10 v), at floor(E log10 2) - 1 for 2^E <= v < 2^(E + 1), and
+   steps up: at most three times, as floor(log10 v) is at most
+   floor(E log10 2) + 1, and a rounding carry to 10^17 leaves exactly 10^16
+   one exponent up. floor(E log10 2) is E * 78913 / 2^18 rounded down,
+   exact for every E of a double; 2^28, 2^10 times 2^18, is added before
+   the division and 2^10 taken off after it, so that C's division, which
+   rounds toward zero, divides a positive number. Every value that
+   digits17 refuses goes to snprintf, whose decimal point, the locale's,
+   becomes '.'. Returns the end of what it wrote: at most 24 bytes. */
 static char *put_value(char *p, double v)
 {
     uint64_t bits;
@@ -343,25 +329,12 @@ static char *put_value(char *p, double v)
     if (bits >> 52 & 0x7ff) {
         uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
         int e = (int)(bits >> 52 & 0x7ff) - 1075;
-        int k = ((e + 52) * 78913 + (1 << 28)) / (1 << 18) - (1 << 10);
-        u128 d, lower;
-        if (k < -17 || k > 15)
-            goto libc;
-        k += v >= POW10[k + 17];
-        if (!digits17(m, e, k, &d))
-            goto libc;
-        if (d < TEN16 && !digits17(m, e, --k, &d))
-            goto libc;
-        if (d == TEN16) {
-            if (!digits17(m, e, k - 1, &lower))
+        int k = ((e + 52) * 78913 + (1 << 28)) / (1 << 18) - (1 << 10) - 1;
+        u128 d = TEN17;
+        while (d >= TEN17)
+            if (!digits17(m, e, ++k, &d))
                 goto libc;
-            if (lower < TEN17) {
-                d = lower;
-                k--;
-            }
-        }
-        if (d >= TEN16 && d < TEN17)
-            return put_digits(p, (uint64_t)d, k);
+        return put_digits(p, (uint64_t)d, k);
     }
 libc:
 #endif

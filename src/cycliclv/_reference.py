@@ -303,14 +303,14 @@ def _probe_csv_rows(impl) -> bytes:
 
     The values: 17th digits that tie, which go to even (1000000000000000.2
     and .8, 2251799813685247.8 just below 2^51); the double nearest 1e-12,
-    whose digits at floor(log10) are exactly 10^16 but which has 17 digits
-    one exponent lower; exponents of one digit; zeros; the values that go
-    to snprintf, 2^51 + 0.5, 1e24, a subnormal, one below 1e-16 and the
-    largest double, whose 17th digit differs from a 16-digit rounding; and
-    each layout of %g. Then 100 to 199, whose second and third digits are
-    each pair that csv_rows takes from its table, and the doubles nearest
-    10^-17 to 10^16, where its exponent estimate meets its correction, each
-    with the doubles either side of it.
+    which lies below it and so has 17 digits one exponent lower; exponents
+    of one digit; zeros; the values that go to snprintf, 2^51 + 0.5, 1e24,
+    a subnormal, one below 2^-53 and the largest double, whose 17th digit
+    differs from a 16-digit rounding; and each layout of %g. Then 100 to
+    199, whose second and third digits are each pair that csv_rows takes
+    from its table, and the doubles nearest 10^-17 to 10^16, each with the
+    doubles either side of it, where csv_rows's carry loop stops one
+    exponent apart.
     """
     floats = (1000000000000000.25, 1000000000000000.75, 2251799813685247.75, 1e-12,
               2251799813685248.5, 1e24, 1.2345678e-05, 7e-9, 0.0, 5e-324, 1e-300 / 3,

@@ -300,12 +300,10 @@ def _logs(x: np.ndarray, monomials: Sequence[tuple]) -> list[np.ndarray]:
     support's columns are taken with np.compress, whose result is
     C-ordered, a full support takes x itself, and one np.matmul of (rows,
     1, m) by (m, 1) sends each contiguous row of logs through the same
-    ddot. np.log runs on contiguous memory either way, and gives each entry
-    the bits it gives that entry alone. x may have any layout: it is made
-    C-contiguous first, since sum(axis=1) adds the entries of an F-ordered
-    row in another order.
+    ddot. np.log gives each entry the bits it gives that entry alone. x is
+    C-ordered, as _pass refuses any other block: sum(axis=1) adds the
+    entries of an F-ordered row in another order.
     """
-    x = np.ascontiguousarray(x)
     columns = [x.sum(axis=1)]
     for support, lam in monomials:
         logs = np.log(x if support is None else np.compress(support, x, axis=1))

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cycliclv import (
@@ -461,6 +461,102 @@ class TestAdaptive:
         assert len(exc.value.trajectory.t) >= 1
 
 
+def _seeded_rates(rng: random.Random, n: int) -> list:
+    """n positive rates p/q with p and q drawn from 50 to 200."""
+    return [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
+
+
+@st.composite
+def _signed_systems(draw):
+    """Rates +-p/q, p and q from 50 to 200, at n = 2 to 18, x0 in [0.5, 1.5], r and p.
+
+    r, from 1 to n - 1, is a rotation and p, from -2 to 2 but 0, a power of two.
+    """
+    n = draw(st.integers(2, 18))
+    part = st.integers(50, 200)
+    rates = draw(st.lists(st.builds(lambda sign, p, q: Fraction(sign * p, q),
+                                    st.sampled_from([1, -1]), part, part), min_size=n, max_size=n))
+    x0 = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    return rates, x0, draw(st.integers(1, n - 1)), draw(st.sampled_from([-2, -1, 1, 2]))
+
+
+def _run(rates, x0, cfg):
+    """The t, x and abort of a run; the abort is None or its class and time."""
+    sys = make_system(rates)
+    try:
+        traj, abort = integrate(sys, x0, cfg, integral_basis(sys)), None
+    except sim.IntegrationAborted as exc:
+        traj, abort = exc.trajectory, (type(exc), exc.t)
+    return traj.t, traj.x, abort
+
+
+# The symmetries of the field that each kernel keeps bit for bit. Each gives
+# its images of rates and x0: their rates, their x0, the p of their time
+# scale 2^-p and the map of a run's x onto theirs. H1 and the drifts are not
+# compared: a rotation or a reflection reorders H1's sum.
+
+
+def _rotation(rates, x0, r):
+    """The rates and x0 rotated by r, whose run has each x row rotated, bit for bit, at the same t.
+
+    Rotating them rotates the field's entries, each with the same
+    operations, and RKF45's error norm is a max.
+    """
+    return [(rates[r:] + rates[:r], x0[r:] + x0[:r], 0, lambda x: np.roll(x, -r, axis=1))]
+
+
+def _reflection(rates, x0):
+    """Rates k'_i = -k_(-i-1) from x0 reflected, whose run has each x row reflected, bit for bit.
+
+    y_i = x_(-i), indices mod n, solves that system: each entry of its
+    field is the reflected entry's two products, added in the other
+    order, which IEEE addition allows. The times are the same.
+    """
+    n = len(rates)
+    mirror = [-i % n for i in range(n)]
+    return [([-rates[(-i - 1) % n] for i in range(n)], [x0[i] for i in mirror], 0,
+             lambda x: x[:, mirror])]
+
+
+def _doubling(rates, x0, method, p):
+    """Rates x 2^p, or for RK4 x0 x 2^p, with step and t_end x 2^-p.
+
+    Rates x 2^p scale each entry of the field by 2^p exactly, and x0 x 2^p
+    by 2^2p; with the step scaled by 2^-p, each stage and sum scales by a
+    power of two, so each state stays equal, or scales by 2^p, bit for
+    bit, at 2^-p the time. RKF45's error scale ABS_TOL + REL_TOL |x| does
+    not scale with x, so x0 x 2^p is run on RK4 alone.
+    """
+    images = [([q * Fraction(2) ** p for q in rates], x0, p, lambda x: x)]
+    if method == "rk4":
+        images.append((rates, [v * 2.0**p for v in x0], p, lambda x: x * 2.0**p))
+    return images
+
+
+def _image_runs(rates, x0, method, images, t_end=1.013):
+    """Each image's run beside the base run mapped onto it, both as _run's (t, x, abort).
+
+    The base run steps by 0.01 to t_end, and an image with time scale 2^-p
+    by 0.01 2^-p to t_end 2^-p.
+    """
+    t, x, abort = _run(rates, x0, IntegratorConfig(method, 0.01, t_end))
+    pairs = []
+    for image_rates, image_x0, p, x_map in images:
+        scale = 2.0**-p
+        cfg = IntegratorConfig(method, 0.01 * scale, t_end * scale)
+        pairs.append((_run(image_rates, image_x0, cfg),
+                      (t * scale, x_map(x), abort and (abort[0], abort[1] * scale))))
+    return pairs
+
+
+def _assert_agree(pairs):
+    """Each image's run has the bits of t and x, and the abort, of the base run mapped."""
+    for (t, x, abort), (want_t, want_x, want_abort) in pairs:
+        assert t.tobytes() == want_t.tobytes()
+        assert x.tobytes() == want_x.tobytes()
+        assert abort == want_abort
+
+
 class TestKernelsAgree:
     """The native and array kernels give the same bits, aborts included."""
 
@@ -487,75 +583,50 @@ class TestKernelsAgree:
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     @pytest.mark.parametrize("n", [2, 3, 9, 17])
     def test_rotation_rotates_every_state(self, n, method, kernel, monkeypatch):
-        # Rotating x0 and the rates by r rotates the field's entries, each
-        # with the same operations, and RKF45's error norm is a max, so each
-        # x row is rotated bit for bit at the same t. H1 and the drifts are
-        # not compared: a rotation reorders H1's sum.
         _force_kernel(monkeypatch, kernel)
         rng = random.Random(900 + n)
-        rates = [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
-        x0 = [rng.uniform(0.5, 1.5) for _ in range(n)]
-        r = rng.randrange(1, n)
-        cfg = IntegratorConfig(method, step=0.01, t_end=1.013)
-        runs = []
-        for k, x in ((rates, x0), (rates[r:] + rates[:r], x0[r:] + x0[:r])):
-            sys = make_system(k)
-            runs.append(integrate(sys, x, cfg, integral_basis(sys)))
-        assert runs[1].t.tobytes() == runs[0].t.tobytes()
-        assert runs[1].x.tobytes() == np.roll(runs[0].x, -r, axis=1).tobytes()
+        rates, x0 = _seeded_rates(rng, n), [rng.uniform(0.5, 1.5) for _ in range(n)]
+        _assert_agree(_image_runs(rates, x0, method, _rotation(rates, x0, rng.randrange(1, n))))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     @pytest.mark.parametrize("n", [2, 3, 9, 17])
     def test_doubling_rates_or_x0_halves_every_time(self, n, method, kernel, monkeypatch):
-        """Rates x 2, or for RK4 x0 x 2, with step and t_end / 2 halve each t.
-
-        Doubling the rates doubles each entry of the field exactly, and
-        doubling x0 quadruples it; with the step halved, each stage and sum
-        scales by a power of two, so each state stays equal, or doubles,
-        bit for bit, at half the time. RKF45's error scale
-        ABS_TOL + REL_TOL |x| does not double with x, so x0 x 2 is run on
-        RK4 alone. H1 and the drifts are not compared, as in the rotation.
-        """
         _force_kernel(monkeypatch, kernel)
         rng = random.Random(980 + n)
-        rates = [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
-        x0 = [rng.uniform(0.5, 1.5) for _ in range(n)]
-
-        def run(k, x, step, t_end):
-            sys = make_system(k)
-            return integrate(sys, x, IntegratorConfig(method, step, t_end), integral_basis(sys))
-
-        base = run(rates, x0, 0.01, 1.013)
-        images = [(run([2 * q for q in rates], x0, 0.005, 0.5065), 1.0)]
-        if method == "rk4":
-            images.append((run(rates, [2 * v for v in x0], 0.005, 0.5065), 2.0))
-        for image, scale in images:
-            assert image.t.tobytes() == (base.t / 2).tobytes()
-            assert image.x.tobytes() == (base.x * scale).tobytes()
+        rates, x0 = _seeded_rates(rng, n), [rng.uniform(0.5, 1.5) for _ in range(n)]
+        _assert_agree(_image_runs(rates, x0, method, _doubling(rates, x0, method, 1)))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     @pytest.mark.parametrize("n", [2, 3, 9, 17])
     def test_reflection_reflects_every_state(self, n, method, kernel, monkeypatch):
-        # y_i = x_(-i) solves the system of rates k'_i = -k_(-i-1), indices
-        # mod n: each entry of its field is the reflected entry's two
-        # products, added in the other order, which IEEE addition allows. So
-        # each x row is reflected bit for bit at the same t; H1 and the
-        # drifts are not compared, as a reflection reorders H1's sum.
         _force_kernel(monkeypatch, kernel)
         rng = random.Random(950 + n)
-        rates = [Fraction(rng.randint(50, 200), rng.randint(50, 200)) for _ in range(n)]
-        x0 = [rng.uniform(0.5, 1.5) for _ in range(n)]
-        mirror = [-i % n for i in range(n)]
-        cfg = IntegratorConfig(method, step=0.01, t_end=1.013)
-        runs = []
-        for k, x in ((rates, x0), ([-rates[(-i - 1) % n] for i in range(n)],
-                                   [x0[i] for i in mirror])):
-            sys = make_system(k)
-            runs.append(integrate(sys, x, cfg, integral_basis(sys)))
-        assert runs[1].t.tobytes() == runs[0].t.tobytes()
-        assert runs[1].x.tobytes() == runs[0].x[:, mirror].tobytes()
+        rates, x0 = _seeded_rates(rng, n), [rng.uniform(0.5, 1.5) for _ in range(n)]
+        _assert_agree(_image_runs(rates, x0, method, _reflection(rates, x0)))
+
+    @given(st.sampled_from(["rotation", "reflection", "doubling"]), _signed_systems(),
+           st.sampled_from(["rk4", "rk45"]), st.sampled_from(KERNELS))
+    @settings(max_examples=48, deadline=None)
+    def test_symmetries_map_drawn_runs(self, symmetry, system, method, kernel):
+        # The three symmetries above on signed rates at n = 2 to 18. An abort
+        # must map to the same abort at the mapped time, though H1, the sum
+        # of the coordinates, bounds each of them, so these runs seldom
+        # abort. IntegralOutOfRange need not map: a rotated or reflected
+        # basis is normalised by its own first entry, and x0 x 2^p moves s.
+        rates, x0, r, p = system
+        images = {"rotation": _rotation(rates, x0, r), "reflection": _reflection(rates, x0),
+                  "doubling": _doubling(rates, x0, method, p)}[symmetry]
+        with pytest.MonkeyPatch.context() as patch:
+            _force_kernel(patch, kernel)
+            try:
+                pairs = _image_runs(rates, x0, method, images, t_end=0.263)
+            except InputError:
+                reject()  # an integral outside the float range at x0
+        assume(all(run[2] is None or run[2][0] is not IntegralOutOfRange
+                   for pair in pairs for run in pair))
+        _assert_agree(pairs)
 
     # rates whose floats are not dyadic, are signed, or sit near the top or
     # the bottom of the float range, each with the unit of time that keeps a
@@ -906,7 +977,7 @@ class TestNativeStepper:
                 "    *d += (low > half) | ((low == half) & (int)(*d & 1));",
                 "    *d += low >= half;",
             ),
-            "no-recheck-at-10^16": ("        if (d == TEN16) {", "        if (0) {"),
+            "carry-once": ("        while (d >= TEN17)", "        if (d >= TEN17)"),
             "one-digit-exponent": (
                 "        *p++ = (char)('0' + -k / 10);",
                 "        if (-k > 9)\n            *p++ = (char)('0' + -k / 10);",
@@ -1129,7 +1200,7 @@ def _random_bits() -> list[float]:
 def _decades() -> list[float]:
     """c * 10^k for c = 1 to 9 and k = -17 to 17, each with the doubles either side of it.
 
-    These are where csv_rows's exponent estimate and its correction meet.
+    These are where csv_rows's carry loop stops one exponent apart.
     """
     out = []
     for c in range(1, 10):
@@ -1141,11 +1212,11 @@ def _decades() -> list[float]:
 
 # Values near the 128-bit path's edges: the double nearest 1e-16, which has
 # 17 digits one exponent lower, powers of ten and the largest and smallest
-# doubles, with both zeros; and 2^50, 2^51, where the path hands over to
-# snprintf, 2^52, 1e15 and 1e16, each with the doubles either side of it.
+# doubles, with both zeros; and 2^-53 and 2^51, where the path hands over to
+# snprintf, 2^50, 2^52, 1e15 and 1e16, each with the doubles either side of it.
 CSV_EDGES = [9.9999999999999998e-17, 1e-16, 1e17, float_info.max, 5e-324, 0.0, -0.0,
              math.nan, math.inf, -math.inf,
-             *(w for v in (2.0**50, 2.0**51, 2.0**52, 1e15, 1e16)
+             *(w for v in (2.0**-53, 2.0**50, 2.0**51, 2.0**52, 1e15, 1e16)
                for w in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)))]
 
 
@@ -1196,9 +1267,10 @@ class TestCsvBytes:
         assert sim._csv_bytes(block, lib) == self._percent(block)
 
     def test_no_digits_below_a_power_of_ten_round_up_to_it(self):
-        # put_value takes no step up from digits of 10^17: the 8 doubles below
-        # the one nearest 10^k, for k = -17 to 16, keep the exponent k - 1 at
-        # 17 digits; csv_rows writes them and that double as % does
+        # put_value steps its exponent up while the digits reach 10^17: the 8
+        # doubles below the one nearest 10^k, for k = -17 to 16, keep the
+        # exponent k - 1 at 17 digits, so the loop stops there and does not
+        # carry them to k; csv_rows writes them and that double as % does
         values = []
         for k in range(-17, 17):
             v = float(f"1e{k}")
@@ -1622,10 +1694,12 @@ def _per_state(x, basis):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 16, 17, 33, 41, 64])
 def test_values_match_per_state_in_any_layout(n):
     # _logs takes every row's s from one np.matmul, which gives np.dot's
-    # bits only on contiguous rows, so it must lay x out again whatever
-    # layout it is given. Each state is drawn so that |lam . log x| <= 700
-    # for every monomial, and so stays in range; each monomial is then
-    # math.exp(s), as either kernel's block_pass takes it.
+    # bits only on contiguous rows; it is given C-ordered rows alone, as
+    # _pass refuses any other layout
+    # (test_pass_refuses_a_misshapen_array_before_any_call). Each state is
+    # drawn so that |lam . log x| <= 700 for every monomial, and so stays
+    # in range; each monomial is then math.exp(s), as either kernel's
+    # block_pass takes it.
     rng = random.Random(900 + n)
     if n % 2 == 0 and n >= 4:
         sys = resonant_system(rng, n, lo=1, hi=3)
@@ -1638,10 +1712,9 @@ def test_values_match_per_state_in_any_layout(n):
                    for _ in range(301)])
     expect = np.array([_per_state(x.copy(), basis) for x in xs])
     monomials = [sim._monomial(m.exponents, str) for m in basis.monomials]
-    for x, want in ((xs, expect), (np.asfortranarray(xs), expect), (xs[::3], expect[::3])):
-        h1, *logs = sim._logs(x, monomials)
-        values = np.column_stack([h1, *([math.exp(v) for v in s] for s in logs)])
-        assert values.tobytes() == want.tobytes()
+    h1, *logs = sim._logs(xs, monomials)
+    values = np.column_stack([h1, *([math.exp(v) for v in s] for s in logs)])
+    assert values.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
