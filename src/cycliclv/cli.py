@@ -201,7 +201,7 @@ def run_check_battery(system: CyclicLVSystem, seed: int) -> tuple[list[str], boo
                    if len(space) != len(formulas) else next(differences, None))
         checks.append((label, verify.VerificationReport(witness)))
 
-    # one set of positive points serves both sampled checks
+    # one set of positive points goes to both sampled checks; only the rank reads it
     points = [
         tuple(Fraction(draw(1, 99), draw(1, 99)) for _ in range(system.n))
         for _ in range(DEFAULT_CHECK_SAMPLES)

@@ -11,8 +11,9 @@ an exact rank computation.
 Each of the three identities is built as its own sparse polynomial and
 added up by one sum on int pairs; it holds at every point when that
 polynomial is zero, and a failure names its first surviving monomial and
-its coefficient, cut to 64 bytes. The points of both sampled checks come
-from the caller; the multiplier check only reads and checks them in order.
+its coefficient, cut to 64 bytes. Of the two checks that take the caller's
+sample points, only the independence check reads them; the multiplier
+check proves its identity at every point and leaves them unread.
 The rank is taken at each sample on int columns, built from the
 coordinates' numerators and denominators, and scans the gradient matrix's
 columns only until they span its 1 + m rows; it returns what plain
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .darboux import IntegralBasis, MonomialIntegral
 from .model import (
@@ -118,8 +119,8 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
 def _rational_point(state: Sequence, n: int) -> list[Fraction]:
     """Each coordinate as as_fraction reads it, a Fraction as it is.
 
-    cli.run_check_battery draws its points as Fractions, so both sampled
-    checks take them without reading them again. Raises InputError for a
+    cli.run_check_battery draws its points as Fractions, so the independence
+    check takes them without reading them again. Raises InputError for a
     coordinate as_fraction refuses, then for a point of another length
     than n.
     """
@@ -148,19 +149,6 @@ def _multiplier_form(rows: Sequence[Sequence[Term]]) -> dict[Monomial, Fraction]
     )
 
 
-def _first_failing_sample(
-    samples: Sequence[Sequence], failure: Callable[[Sequence], Optional[str]]
-) -> VerificationReport:
-    """The report of the first sample whose failure(sample) is not None."""
-    if not samples:
-        raise InputError("at least one sample point is required")
-    for idx, sample in enumerate(samples):
-        reason = failure(sample)
-        if reason is not None:
-            return VerificationReport(f"sample {idx}: {reason}")
-    return VerificationReport()
-
-
 def check_jacobi_multiplier(
     sys: CyclicLVSystem, samples: Sequence[Sequence]
 ) -> VerificationReport:
@@ -168,15 +156,11 @@ def check_jacobi_multiplier(
 
     Passes when S of _multiplier_form is the zero form, which proves the
     identity at every point; otherwise the witness is S's first surviving
-    monomial and its coefficient. The samples are only read: each must be
-    a point of nonzero rationals, where M = 1/(x1*...*xn) is defined.
+    monomial and its coefficient. samples is not read. The parameter stays
+    because cli.run_check_battery hands one set of points to both sampled
+    checks and bench/tracing.py counts them as len(samples) of this call;
+    it goes when that count is taken from check_independence alone.
     """
-    def read(sample: Sequence) -> None:
-        x = _rational_point(sample, sys.n)
-        if 0 in x:
-            raise InputError(f"coordinate x{x.index(0) + 1} is zero")
-
-    _first_failing_sample(samples, read)
     return _witness(_multiplier_form(structure_matrix(sys)))
 
 
@@ -226,16 +210,18 @@ def check_independence(
 ) -> VerificationReport:
     """Require full rank 1 + #monomials at every sample point.
 
-    Raises InputError for a basis whose exponent vectors have another
-    length than the system.
+    The witness names the first sample short of that rank. Raises
+    InputError for a basis whose exponent vectors have another length than
+    the system, then for an empty sample set, then, in order, for the first
+    sample that _independence_rank refuses.
     """
     if any(len(mono.exponents) != sys.n for mono in basis.monomials):
         raise InputError("exponent vector length does not match the system")
+    if not samples:
+        raise InputError("at least one sample point is required")
     required = 1 + len(basis.monomials)
-
-    def rank_shortfall(sample: Sequence) -> Optional[str]:
+    for idx, sample in enumerate(samples):
         got = _independence_rank(sys, basis, sample)
-        return f"rank {got}, expected {required}" if got != required else None
-
-    return _first_failing_sample(samples, rank_shortfall)
-
+        if got != required:
+            return VerificationReport(f"sample {idx}: rank {got}, expected {required}")
+    return VerificationReport()

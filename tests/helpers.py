@@ -208,7 +208,8 @@ def _jacobi_divergence(form: dict[Monomial, Fraction], state: Sequence, n: int) 
     """The multiplied field's divergence S(x) / (x1*...*xn) at one point, S the form.
 
     Raises InputError as verify._rational_point does, then for a zero
-    coordinate, the refusals check_jacobi_multiplier applies to a sample.
+    coordinate, where M is not defined; check_jacobi_multiplier proves the
+    identity as a form and reads no point.
     """
     x = _rational_point(state, n)
     for i0, v in enumerate(x):

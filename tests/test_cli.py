@@ -330,6 +330,22 @@ class TestCheck:
         ]
         assert cli.DEFAULT_CHECK_SAMPLES == 32
 
+    def test_benchmark_tracer_counts_the_sampled_checks_points(self, monkeypatch):
+        # bench/tracing.py counts the points from the sampled checks' own
+        # arguments, and the traced benchmark run requires that count to be
+        # nonzero, so a change to either check's signature must show here
+        from cycliclv import verify
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        with tracer.installed([verify]):
+            lines, ok = run_check_battery(make_system([2, 1, 3]), 0)
+        assert ok, lines
+        counts = tracing.summarize(tracer.spans)["counts"]
+        assert counts == {"samples": 64, "failed_checks": 0}
+
     @pytest.mark.parametrize("rates, classification", [
         ([1, 5], "N2"), ([2, 1, 3], "ODD"),
         ([2, 1, 3, 6], "EVEN_RESONANT"), ([1, 1, 1, 2], "EVEN_NONRESONANT"),

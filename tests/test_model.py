@@ -28,7 +28,7 @@ from cycliclv import (
     VerificationReport,
     as_fraction,
     build_exponent_system,
-    check_jacobi_multiplier,
+    check_independence,
     integral_basis,
     make_system,
     structure_matrix,
@@ -135,8 +135,9 @@ class TestMakeSystem:
         ):
             with pytest.raises(InputError, match=re.escape(message)):
                 make_system([rate, 1, 1])
+        system = make_system([1, 1, 1])
         with pytest.raises(InputError, match="refusing to convert float 0.5"):
-            check_jacobi_multiplier(make_system([1, 1, 1]), [[0.5] * 3])
+            check_independence(system, integral_basis(system), [[0.5] * 3])
 
     def test_string_rates(self):
         sys = make_system(["1/2", "0.75", "-3"])

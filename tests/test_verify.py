@@ -142,38 +142,32 @@ class TestJacobiMultiplier:
         with pytest.raises(InputError, match="coordinate x2 is zero"):
             jacobi_divergence(sys, [Fraction(1), Fraction(0), Fraction(2)])
 
-    def test_empty_sample_set(self):
-        with pytest.raises(InputError, match="at least one sample point is required"):
-            check_jacobi_multiplier(make_system([1, 2, 3]), [])
+    def test_samples_are_not_read(self, monkeypatch):
+        # the form proves the identity at every point, so no sample is read,
+        # not even one the independence check refuses
+        def refuse(v):
+            raise AssertionError(f"sample coordinate {v!r} was read")
 
-    @pytest.mark.parametrize("samples, message", [
-        ([], "at least one sample point is required"),
-        ([(1, 2, 3), (1, 2)], "state length does not match the system"),
-        ([(1, 2, 3), (Fraction(1, 2), 0, 3)], "coordinate x2 is zero"),
-        ([(1, 2, 3), (1, 0.5, 3)], "refusing to convert float 0.5"),
-    ], ids=["empty", "wrong-length", "zero-coordinate", "float-coordinate"])
-    def test_samples_are_checked_when_the_form_is_zero(self, samples, message):
+        monkeypatch.setattr(verify_mod, "as_fraction", refuse)
         sys = make_system([1, 2, 3])
-        assert _multiplier_form(structure_matrix(sys)) == {}
-        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
-            check_jacobi_multiplier(sys, samples)
+        for samples in ([], [(1, 2)], [(Fraction(1, 2), Fraction(0), Fraction(3))]):
+            assert check_jacobi_multiplier(sys, samples).passed
 
     def test_fraction_points_are_not_read_again(self, monkeypatch):
-        # both sampled checks take the battery's Fraction points as they are,
-        # and still refuse a str, a float or a zero coordinate
+        # the independence check takes the battery's Fraction points as they
+        # are, and still refuses a str or a float coordinate
         calls, read = [], verify_mod.as_fraction
         monkeypatch.setattr(verify_mod, "as_fraction", lambda v: calls.append(v) or read(v))
         sys = make_system([2, 1, 3])
+        basis = integral_basis(sys)
         points = [randint_rational_state(random.Random(7), 3) for _ in range(4)]
         assert all(isinstance(v, Fraction) for point in points for v in point)
-        assert check_jacobi_multiplier(sys, points).passed
-        assert check_independence(sys, integral_basis(sys), points).passed
+        assert check_independence(sys, basis, points).passed
         assert calls == []
         for bad, message in (("x", "invalid literal for a rational: 'x'"),
-                             (0.5, "refusing to convert float 0.5"),
-                             (Fraction(0), "coordinate x2 is zero")):
+                             (0.5, "refusing to convert float 0.5")):
             with pytest.raises(InputError, match=f"^{re.escape(message)}"):
-                check_jacobi_multiplier(sys, [(Fraction(1), bad, Fraction(2))])
+                check_independence(sys, basis, [(Fraction(1), bad, Fraction(2))])
         assert calls == ["x", 0.5]
 
     def test_state_length_mismatch(self):
@@ -316,6 +310,16 @@ class TestIndependence:
         sys = make_system([2, 1, 3])
         with pytest.raises(InputError, match="at least one sample point is required"):
             check_independence(sys, integral_basis(sys), [])
+
+    @pytest.mark.parametrize("samples, message", [
+        ([(1, 2, 3), (1, 2)], "state length does not match the system"),
+        ([(1, 2, 3), (Fraction(1, 2), 0, 3)], "independence samples must be strictly positive"),
+        ([(1, 2, 3), (1, 0.5, 3)], "refusing to convert float 0.5"),
+    ], ids=["wrong-length", "zero-coordinate", "float-coordinate"])
+    def test_bad_samples_are_refused(self, samples, message):
+        sys = make_system([2, 1, 3])
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            check_independence(sys, integral_basis(sys), samples)
 
     def test_positive_required(self):
         sys = make_system([2, 1, 3])
