@@ -10,9 +10,9 @@ classification of first integrals is discontinuous in the rates, so
 floating-point parameters would misclassify.
 
 The field is x_i K_i, where the cofactor K_i of the invariant hyperplane
-x_i = 0 is row i of the structure matrix A. For n = 2 both neighbor terms
-of a row land on the same coordinate and are summed, e.g.
-dx1/dt = (k1 - k2) x1 x2.
+x_i = 0 is row i of the structure matrix A, the package's one expansion of
+the field. For n = 2 both neighbor terms of a row land on the same
+coordinate and are summed, e.g. dx1/dt = (k1 - k2) x1 x2.
 
 Every error the package raises is a CyclicLVError; refused input of any
 kind is an InputError, defined here with the rate checks that raise it and
@@ -239,22 +239,12 @@ def structure_matrix(sys: CyclicLVSystem) -> tuple[tuple[Term, Term], ...]:
 
     With u = log x the system is u' = A e^u for this constant antisymmetric
     A. Row i is the cofactor K_i = k_i x_{i+1} - k_{i-1} x_{i-1}, with
-    X(x_i) = K_i x_i, its x_{i+1} term first as in the field. The terms stay
-    unsummed: for n = 2 both land on one column, where a consumer that needs
-    the entry adds them and the float right-hand side keeps two products.
+    X(x_i) = K_i x_i, its x_{i+1} term first as in the field. It is the
+    field's one expansion: sim steps it, darboux builds the exponent system
+    from it and verify's polynomial checks read it. The terms stay unsummed:
+    for n = 2 both land on one column, where a consumer that needs the entry
+    adds them and the float right-hand side keeps two products.
     """
     n, k = sys.n, sys.rates
     return tuple((((i + 1) % n, k[i]), ((i - 1) % n, -k[i - 1])) for i in range(n))
 
-
-def _row_quadratic(sys: CyclicLVSystem, i0: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    """Row i0 (0-based) of the field as its two quadratic (key, coefficient) terms.
-
-    Row i expands to k_i x_i x_{i+1} - k_{i-1} x_{i-1} x_i; keys are sorted
-    0-based coordinate pairs. Built straight from the index rules, not from
-    ``structure_matrix``, so it can serve as an independent expansion. The
-    terms stay unsummed: for n = 2 both share one key, and a consumer adds them.
-    """
-    n, k = sys.n, sys.rates
-    i1, im = (i0 + 1) % n, (i0 - 1) % n
-    return ((min(i0, i1), max(i0, i1)), k[i0]), ((min(im, i0), max(im, i0)), -k[im])

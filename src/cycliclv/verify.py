@@ -2,11 +2,11 @@
 
 Every check here works by a route different from the construction it
 verifies: cofactor cancellation is checked coefficient by coefficient,
-conservation of the sum is checked by expanding the full quadratic
-polynomial sum_i x_i K_i, the reciprocal-product multiplier identity is
-expanded through the generic product, power and quotient rules (letting the
-cancellation emerge rather than assuming it), and gradient independence is
-an exact rank computation.
+conservation of the sum H1 by expanding in full its Lie derivative X(H1)
+along the field x_i K_i of the structure matrix, the reciprocal-product
+multiplier identity is expanded through the generic product, power and
+quotient rules (letting the cancellation emerge rather than assuming it),
+and gradient independence is an exact rank computation.
 
 Each of the three identities is built as its own sparse polynomial and
 added up by one sum on int pairs; it holds at every point when that
@@ -35,7 +35,6 @@ from .model import (
     _excerpt,
     as_fraction,
     structure_matrix,
-    _row_quadratic,
 )
 
 __all__ = [
@@ -102,18 +101,29 @@ def check_xh_zero(sys: CyclicLVSystem, integral: MonomialIntegral) -> Verificati
     ))
 
 
+def _lie(sys: CyclicLVSystem, form: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """X(F) = sum_i x_i K_i dF/dx_i, F and the result as {monomial: nonzero coefficient}.
+
+    The cofactors K_i are the rows of the structure matrix. Since
+    x_i d(x^m)/dx_i = m_i x^m, each term c x^m of F goes to c x^m K_i once
+    for every factor x_i of m, as often as its power.
+    """
+    rows = structure_matrix(sys)
+    return _sparse_sum(
+        (tuple(sorted(mono + (j,))), c.numerator * e.numerator, c.denominator * e.denominator)
+        for mono, c in form.items() for i in mono for j, e in rows[i]
+    )
+
+
 def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
-    """Expand sum_i x_i K_i and require every quadratic coefficient to cancel.
+    """Expand X(H1), H1 = x1 + ... + xn, and require every coefficient to cancel.
 
     Each product k_i x_i x_{i+1} appears once with sign + (row i) and once
     with sign - (row i+1), so the expansion is identically zero for every
-    valid system; a sign slip anywhere in the index conventions shows up as
+    valid system; a sign slip anywhere in the structure matrix shows up as
     a surviving monomial.
     """
-    return _witness(_sparse_sum(
-        (key, c.numerator, c.denominator)
-        for i0 in range(sys.n) for key, c in _row_quadratic(sys, i0)
-    ))
+    return _witness(_lie(sys, dict.fromkeys([(i,) for i in range(sys.n)], Fraction(1))))
 
 
 def _rational_point(state: Sequence, n: int) -> list[Fraction]:

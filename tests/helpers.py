@@ -2,17 +2,19 @@
 and the oracles that only tests call.
 
 The oracles check the package by routes other than its own: the vector
-field in the state's own arithmetic for both of ``sim``'s RHS kernels,
-hyperplane invariance by an independent expansion of each field row, the
-raw field's divergence as the control for the Jacobi multiplier, and the
-empirical order of RK4 from drift at two step sizes. The reference routes
-are the plain forms of what the package computes on int pairs, once, or
-with an early exit: the Jacobi divergence term by term at one point in
-Fraction arithmetic, the independence rank as the RREF rank of the dense
-gradient rows, and the exponent walks of ``integral_basis`` on Fractions.
-``verify`` proves the multiplier identity as a polynomial; its form's
-residual at one point is evaluated only here. ``randint_rational_state``
-is the tests' only sampler of points; its positive draws are the ones
+field in the state's own arithmetic for ``_reference``'s field,
+hyperplane invariance by ``_row_quadratic``, which expands each field
+row from the index rules for comparison with the structure matrix, the
+package's one expansion of the field, the raw field's divergence as the
+control for the Jacobi multiplier, and the empirical order of RK4 from
+drift at two step sizes. The reference routes are the plain forms of
+what the package computes on int pairs, once, or with an early exit: the
+Jacobi divergence term by term at one point in Fraction arithmetic, the
+independence rank as the RREF rank of the dense gradient rows, and the
+exponent walks of ``integral_basis`` on Fractions. ``verify`` proves the
+multiplier identity as a polynomial; its form's residual at one point is
+evaluated only here. ``randint_rational_state`` is the tests' only
+sampler of points; its positive draws are the ones
 ``cli.run_check_battery`` makes.
 """
 
@@ -44,7 +46,7 @@ from cycliclv import (
     structure_matrix,
 )
 from cycliclv import linalg
-from cycliclv.model import Term, _row_quadratic
+from cycliclv.model import Term
 from cycliclv.verify import Monomial, _multiplier_form, _rational_point
 
 
@@ -173,7 +175,7 @@ def _form_times_coordinate(form, i0: int) -> dict[tuple[int, int], Fraction]:
 
 
 def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
-    """Right-hand side of the system at a state, the oracle for sim's RHS kernels.
+    """Right-hand side of the system at a state, the oracle for _reference's field.
 
     Component i is x_i * (k_i x_{i+1} - k_{i-1} x_{i-1}) with cyclic
     indices, read off row i of the structure matrix. Arithmetic follows the
@@ -190,14 +192,27 @@ def vector_field(sys: CyclicLVSystem, state: Sequence) -> list:
     ]
 
 
+def _row_quadratic(sys: CyclicLVSystem, i0: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """Row i0 (0-based) of the field as its two quadratic (key, coefficient) terms.
+
+    Row i expands to k_i x_i x_{i+1} - k_{i-1} x_{i-1} x_i; keys are sorted
+    0-based coordinate pairs. Built straight from the index rules, not from
+    ``structure_matrix``, so it can serve as an independent expansion. The
+    terms stay unsummed: for n = 2 both share one key, and a consumer adds them.
+    """
+    n, k = sys.n, sys.rates
+    i1, im = (i0 + 1) % n, (i0 - 1) % n
+    return ((min(i0, i1), max(i0, i1)), k[i0]), ((min(im, i0), max(im, i0)), -k[im])
+
+
 def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:
     """Exact symbolic check that X(x_i) - K_i * x_i is the zero polynomial.
 
     K_i is row i (1-based) of the structure matrix unless explicit
     (column, entry) terms are passed, which lets a test probe the check
-    with a corrupted form. X(x_i) comes from model._row_quadratic, an
-    expansion built from the index rules and not from the structure matrix,
-    whose two terms are merged here.
+    with a corrupted form. X(x_i) comes from _row_quadratic, the index-rule
+    expansion and not the structure matrix, whose two terms are merged
+    here; this is the one place where two expansions of the field meet.
     """
     if cof is None:
         cof = structure_matrix(sys)[i - 1]

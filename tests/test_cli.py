@@ -718,7 +718,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_array_kernel_above_16_coordinates(self, tmp_path, capsys, method, monkeypatch):
-        # with the native loops off, the array kernel steps an n = 17
+        # with the native loops off, _reference steps an n = 17
         # system, past the n of every benchmarked simulate run
         monkeypatch.setattr(sim, "_native", lambda: None)
         n = 17

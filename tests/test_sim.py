@@ -152,7 +152,7 @@ def _has_compiler() -> bool:
 def _force_kernel(monkeypatch, kernel):
     """Make integrate step on the named kernel.
 
-    Where no native build loads, "native" is the array kernel, and
+    Where no native build loads, "native" is _reference, and
     TestNativeStepper.test_loads_where_python_has_a_compiler fails unless
     this host has no compiler.
     """
@@ -558,7 +558,7 @@ def _assert_agree(pairs):
 
 
 class TestKernelsAgree:
-    """The native and array kernels give the same bits, aborts included."""
+    """A native build and _reference give the same bits, aborts included."""
 
     @pytest.mark.parametrize("n", range(2, 19))
     @pytest.mark.parametrize(
@@ -843,7 +843,7 @@ class TestKernelsAgree:
 class TestNativeStepper:
     """The native loops are built once into the per-user cache and loaded from there.
 
-    Where they cannot be had, simulate steps on the array kernels and gives
+    Where they cannot be had, simulate steps on _reference and gives
     the same bytes, exit code and empty stderr, for RK4 and RKF45 alike.
     """
 
@@ -1396,7 +1396,7 @@ class TestBlocks:
         "rk45-first": ([1, 5], [1e-9, 0.5], "rk45", 0.05, 20.0, 8),
         "rk45-last": ([1, 5], [2e-8, 0.5], "rk45", 0.05, 20.0, 14),
         "rk4-n17-mid": ([1, 5] + [1] * 15, [1e-6] + [0.5] * 16, "rk4", 0.05, 20.0, 136),
-        # x3 decays below the floor on the array kernel's adaptive pair
+        # x3 decays below the floor on _reference's adaptive pair
         "rk45-n17-mid": ([1, 5] + [1] * 15, [1e-6, 0.5, 2e-12] + [0.5] * 14, "rk45", 0.05, 20.0,
                          90),
         # x1 starts on the floor and falls below it at the first step, so

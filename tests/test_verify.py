@@ -21,7 +21,7 @@ from cycliclv import (
     structure_matrix,
 )
 from cycliclv import verify as verify_mod
-from cycliclv.verify import _independence_rank, _multiplier_form
+from cycliclv.verify import _independence_rank, _lie, _multiplier_form
 from helpers import (
     dense_gradient_rank,
     field_divergence,
@@ -75,18 +75,9 @@ class TestLinearIntegralCheck:
             assert check_linear_integral(sys).passed
 
     def test_sign_flip_detected(self, monkeypatch):
-        # flip the sign of one field term and the quadratic expansion no
-        # longer cancels
-        original = verify_mod._row_quadratic
-
-        def flipped(sys, i0):
-            terms = sorted(original(sys, i0))
-            if i0 == 0:
-                key, c = terms[0]
-                terms[0] = (key, -c)
-            return terms
-
-        monkeypatch.setattr(verify_mod, "_row_quadratic", flipped)
+        # flip the sign of one structure matrix entry and X(H1) no longer
+        # cancels: the check reads the matrix that simulate steps
+        _flip_first_entry(monkeypatch)
         report = check_linear_integral(make_system([1, 2, 3]))
         assert not report.passed
         assert report.witness == "coefficient of x1*x2 is -2"
@@ -96,17 +87,124 @@ class TestLinearIntegralCheck:
         ([3, 5], "coefficient of x1*x2 is -6"),
     ])
     def test_sign_flip_at_n2_merges_a_rows_two_terms(self, monkeypatch, rates, witness):
-        # at n = 2 both terms of a row share the key x1*x2, so the sum, not
-        # _row_quadratic, merges them; flipping k1's term in row 1 leaves -2 k1
-        original = verify_mod._row_quadratic
-
-        def flipped(sys, i0):
-            (key, c), rest = original(sys, i0)
-            return ((key, -c), rest) if i0 == 0 else ((key, c), rest)
-
-        monkeypatch.setattr(verify_mod, "_row_quadratic", flipped)
+        # at n = 2 both terms of a structure matrix row land on one column,
+        # so the sum, not structure_matrix, merges them; flipping k1's term
+        # in row 1 leaves -2 k1
+        _flip_first_entry(monkeypatch)
         report = check_linear_integral(make_system(rates))
         assert report.witness == witness
+
+
+def _flip_first_entry(monkeypatch):
+    """Make verify read a structure matrix whose row 1 has its k1 term negated."""
+    original = verify_mod.structure_matrix
+
+    def flipped(sys):
+        ((j, c), rest), *others = original(sys)
+        return (((j, -c), rest), *others)
+
+    monkeypatch.setattr(verify_mod, "structure_matrix", flipped)
+
+
+def _paper_field(sys):
+    """Symbols x1..xn and the field x_i (k_i x_{i+1} - k_{i-1} x_{i-1}) in sympy.
+
+    Built from the paper's formula with cyclic indices, not from
+    structure_matrix, so it is an independent expansion of the field.
+    """
+    n = sys.n
+    xs = sp.symbols(f"x1:{n + 1}")
+    k = [sp.Rational(v.numerator, v.denominator) for v in sys.rates]
+    cofactors = [k[i] * xs[(i + 1) % n] - k[i - 1] * xs[i - 1] for i in range(n)]
+    return xs, cofactors, [xs[i] * cofactors[i] for i in range(n)]
+
+
+def _to_sympy(form, xs):
+    return sum(
+        (sp.Rational(c.numerator, c.denominator) * sp.prod([xs[j] for j in mono])
+         for mono, c in form.items()),
+        sp.Integer(0),
+    )
+
+
+def _from_sympy(expr, xs):
+    """An expanded sympy polynomial as verify's {monomial: nonzero coefficient}."""
+    return {
+        tuple(j for j, e in enumerate(exps) for _ in range(e)): Fraction(int(c.p), int(c.q))
+        for exps, c in sp.Poly(expr, *xs).terms() if c
+    }
+
+
+def _sympy_lie(expr, xs, field):
+    return sp.expand(sum(p * sp.diff(expr, x) for x, p in zip(xs, field)))
+
+
+def _random_form(rng, n):
+    """Up to six terms of degree at most 3 with rational coefficients.
+
+    A square and a cube of a random coordinate are always among them, so
+    the power rule is exercised on every form.
+    """
+    i, j = rng.randrange(n), rng.randrange(n)
+    monos = [(i, i), (j, j, j)]
+    monos += [tuple(sorted(rng.choices(range(n), k=rng.randint(0, 3)))) for _ in range(4)]
+    return {mono: _signed_rational(rng) for mono in monos}
+
+
+def _rational_system(rng, n):
+    return make_system([_signed_rational(rng) for _ in range(n)])
+
+
+class TestLieDerivative:
+    """_lie against sympy, on the field built from the paper's formula."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_sympy_on_random_polynomials(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(6):
+            sys = _rational_system(rng, n)
+            xs, _, field = _paper_field(sys)
+            form = _random_form(rng, n)
+            want = _from_sympy(_sympy_lie(_to_sympy(form, xs), xs, field), xs)
+            assert _lie(sys, form) == want
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_linear_integral_is_annihilated(self, n):
+        rng = random.Random(1100 + n)
+        sys = _rational_system(rng, n)
+        xs, _, field = _paper_field(sys)
+        h1 = {(i,): Fraction(1) for i in range(n)}
+        assert _sympy_lie(sum(xs), xs, field) == 0
+        assert _lie(sys, h1) == {}
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_leibniz_rule(self, n):
+        rng = random.Random(1200 + n)
+        for _ in range(4):
+            sys = _rational_system(rng, n)
+            xs, _, _ = _paper_field(sys)
+            f, g = _random_form(rng, n), _random_form(rng, n)
+            f_s, g_s = _to_sympy(f, xs), _to_sympy(g, xs)
+            product = _from_sympy(sp.expand(f_s * g_s), xs)
+            leibniz = sp.expand(
+                _to_sympy(_lie(sys, f), xs) * g_s + f_s * _to_sympy(_lie(sys, g), xs)
+            )
+            assert _lie(sys, product) == _from_sympy(leibniz, xs)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_monomial_gains_its_cofactor(self, n):
+        # X(x^lambda) = (sum_i lambda_i K_i) x^lambda for integer lambda >= 0
+        rng = random.Random(1300 + n)
+        for _ in range(6):
+            sys = _rational_system(rng, n)
+            xs, cofactors, _ = _paper_field(sys)
+            lam = [rng.randint(0, 3) for _ in range(n)]
+            mono = tuple(i for i, a in enumerate(lam) for _ in range(a))
+            c = _signed_rational(rng)
+            cofactor = sum(a * k for a, k in zip(lam, cofactors))
+            want = sp.expand(sp.Rational(c.numerator, c.denominator) * cofactor
+                             * sp.prod([x**a for x, a in zip(xs, lam)]))
+            assert _lie(sys, {mono: c}) == _from_sympy(want, xs)
 
 
 class TestJacobiMultiplier:
