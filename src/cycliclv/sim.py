@@ -645,9 +645,10 @@ def integrate(
     into the returned Trajectory, so its memory is those rows and one block.
     Raises InputError up front, in this order, for a sample_every that is
     not a positive integer, an x0 of the wrong length or with an entry that
-    is not a real number in the float range, a nonzero rate or exponent
-    whose float overflows or rounds to zero, a basis whose exponent vectors
-    have another length than the system, an x0 that fails the row screen,
+    is not a real number in the float range, a nonzero rate whose float
+    overflows or rounds to zero, a basis whose exponent vectors have another
+    length than the system, a nonzero exponent whose float overflows or
+    rounds to zero, an x0 that fails the row screen,
     which sees x0 before any step (an entry NaN, infinite or below
     POSITIVITY_FLOOR, or an integral outside the float range), and an RK4
     run whose t_end / step passes its step limit, the lower of MAX_STEPS and

@@ -14,16 +14,15 @@ polynomial is zero, and a failure names its first surviving monomial and
 its coefficient, cut to 64 bytes. Of the two checks that take the caller's
 sample points, only the independence check reads them; the multiplier
 check proves its identity at every point and leaves them unread.
-The rank is taken at each sample on int columns, built from the
-coordinates' numerators and denominators, and scans the gradient matrix's
-columns only until they span its 1 + m rows; it returns what plain
-Fraction arithmetic over the whole matrix returns.
+The rank is taken at each sample as the rank of [x; Lambda], x over the
+m exponent vectors: the gradient matrix times diag(x). It runs on
+Fractions, scans the columns only until they span the 1 + m rows, and
+returns the rank of the whole matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .darboux import IntegralBasis, MonomialIntegral
@@ -126,20 +125,6 @@ def check_linear_integral(sys: CyclicLVSystem) -> VerificationReport:
     return _witness(_lie(sys, dict.fromkeys([(i,) for i in range(sys.n)], Fraction(1))))
 
 
-def _rational_point(state: Sequence, n: int) -> list[Fraction]:
-    """Each coordinate as as_fraction reads it, a Fraction as it is.
-
-    cli.run_check_battery draws its points as Fractions, so the independence
-    check takes them without reading them again. Raises InputError for a
-    coordinate as_fraction refuses, then for a point of another length
-    than n.
-    """
-    x = [v if isinstance(v, Fraction) else as_fraction(v) for v in state]
-    if len(x) != n:
-        raise InputError("state length does not match the system")
-    return x
-
-
 def _multiplier_form(rows: Sequence[Sequence[Term]]) -> dict[Monomial, Fraction]:
     """S = sum_i (dP_i/dx_i - P_i/x_i), P_i = x_i K_i, as {monomial: nonzero coefficient}.
 
@@ -183,26 +168,27 @@ def _independence_rank(
     each monomial integral. The monomial row is its gradient divided by the
     integral's (nonzero) value, and scaling a row by a nonzero scalar
     preserves rank, so this restates gradient independence exactly.
+    Scaling column j by x_j > 0 preserves it too, so the rank is that of
+    [x; Lambda], x over the exponent vectors, whose column j is
+    (x_j, lambda_j, mu_j, ...).
 
     Row rank equals column rank, and the matrix has only 1 + m rows for m
-    monomials, so the columns (1, lambda_j / x_j, mu_j / x_j, ...) are
-    built one at a time and eliminated against an echelon basis of at most
-    1 + m short vectors. Each column is scaled by x_j's numerator and the
-    denominators of its exponents, which keeps the rank and makes it an int
-    vector, and elimination cross-multiplies, so no Fraction is built. The
-    scan stops once that basis is full; at a rank-deficient point it
-    reaches every column, and the rank it returns is still exact.
+    monomials, so the columns are read one at a time and eliminated, by
+    cross-multiplying, against an echelon basis of at most 1 + m short
+    vectors. The scan stops once that basis is full; at a rank-deficient
+    point it reaches every column, and the rank it returns is still exact.
+    Raises InputError for a coordinate as_fraction refuses, then for a
+    point of another length than the system, then for one not positive;
+    cli.run_check_battery draws Fractions, which are taken as they are.
     """
-    x = _rational_point(state, sys.n)
+    x = [v if isinstance(v, Fraction) else as_fraction(v) for v in state]
+    if len(x) != sys.n:
+        raise InputError("state length does not match the system")
     if any(v.numerator <= 0 for v in x):
         raise InputError("independence samples must be strictly positive")
     full = 1 + len(basis.monomials)
-    echelon: list[tuple[int, list[int]]] = []  # (pivot, vector nonzero there)
-    for j, v in enumerate(x):
-        a, b = v.numerator, v.denominator
-        lams = [mono.exponents[j] for mono in basis.monomials]
-        scale = a * prod(lam.denominator for lam in lams)
-        col = [scale] + [lam.numerator * b * (scale // (a * lam.denominator)) for lam in lams]
+    echelon: list[tuple[int, Sequence[Fraction]]] = []  # (pivot, vector nonzero there)
+    for col in zip(x, *(mono.exponents for mono in basis.monomials), strict=True):
         for p, vec in echelon:
             f, g = col[p], vec[p]
             if f:

@@ -47,7 +47,7 @@ from cycliclv import (
 )
 from cycliclv import linalg
 from cycliclv.model import Term
-from cycliclv.verify import Monomial, _multiplier_form, _rational_point
+from cycliclv.verify import Monomial, _multiplier_form
 
 
 def random_system(
@@ -222,11 +222,14 @@ def verify_hyperplane_invariance(sys: CyclicLVSystem, i: int, cof=None) -> bool:
 def _jacobi_divergence(form: dict[Monomial, Fraction], state: Sequence, n: int) -> Fraction:
     """The multiplied field's divergence S(x) / (x1*...*xn) at one point, S the form.
 
-    Raises InputError as verify._rational_point does, then for a zero
-    coordinate, where M is not defined; check_jacobi_multiplier proves the
-    identity as a form and reads no point.
+    Raises InputError for a coordinate as_fraction refuses, then for a
+    point of another length than n, then for a zero coordinate, where M is
+    not defined; check_jacobi_multiplier proves the identity as a form and
+    reads no point.
     """
-    x = _rational_point(state, n)
+    x = [as_fraction(v) for v in state]
+    if len(x) != n:
+        raise InputError("state length does not match the system")
     for i0, v in enumerate(x):
         if not v:
             raise InputError(f"coordinate x{i0 + 1} is zero")
@@ -354,7 +357,9 @@ def dense_gradient_rank(sys: CyclicLVSystem, basis: IntegralBasis, state: Sequen
     """The reference for verify._independence_rank: the rank of every row.
 
     Rows are (1,...,1) and (lambda_i / x_i)_i for each monomial, all of
-    them built, and the rank is read off their full RREF.
+    them built, and the rank is read off their full RREF. The rows are the
+    gradients unscaled on purpose: verify ranks [x; Lambda], the columns
+    scaled by x, so this reference also tests that scaling.
     """
     x = [as_fraction(v) for v in state]
     rows = [dict.fromkeys(range(sys.n), Fraction(1))]

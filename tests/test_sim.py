@@ -21,10 +21,14 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cycliclv import (
+    Classification,
     InputError,
+    IntegralBasis,
     IntegralOutOfRange,
     IntegratorConfig,
+    LinearIntegral,
     Method,
+    MonomialIntegral,
     NonFiniteState,
     PositivityBreached,
     StepLimitReached,
@@ -1618,6 +1622,13 @@ class TestBasisDimension:
         x0 = [1.0] * system_n
         with pytest.raises(InputError, match="^exponent vector length does not match the system$"):
             integrate(sys, x0, IntegratorConfig(step=0.01, t_end=0.1), basis)
+
+    def test_dimension_is_refused_before_an_exponent_without_float(self):
+        sys = make_system([1, 2, 3])
+        exponents = (Fraction(1), Fraction(10**400), Fraction(1), Fraction(1))
+        basis = IntegralBasis(Classification.ODD, LinearIntegral(4), (MonomialIntegral(exponents),))
+        with pytest.raises(InputError, match="^exponent vector length does not match the system$"):
+            integrate(sys, [1.0] * 3, IntegratorConfig(step=0.01, t_end=0.1), basis)
 
 
 class TestConvergenceOrder:

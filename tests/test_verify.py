@@ -400,9 +400,10 @@ class TestIndependence:
         sample = (Fraction(2), Fraction(2), Fraction(2))
         assert _independence_rank(sys, basis, sample) == 1
         assert dense_gradient_rank(sys, basis, sample) == 1
-        report = check_independence(sys, basis, [sample])
-        assert not report.passed
-        assert "rank 1" in report.witness
+        # two points of full rank pass, and the equilibrium third is the witness
+        p, q = (1, 2, 3), (Fraction(1, 2), 5, Fraction(7, 3))
+        report = check_independence(sys, basis, [p, q, sample])
+        assert report.witness == "sample 2: rank 1, expected 2"
 
     def test_empty_sample_set(self):
         sys = make_system([2, 1, 3])
@@ -464,6 +465,17 @@ class TestRankEarlyExit:
                 assert got == dense_gradient_rank(sys, basis, point)
         assert {Classification.ODD, Classification.EVEN_RESONANT,
                 Classification.EVEN_NONRESONANT} <= seen
+        # With positive rates the exponent vectors solve A^T lam = 0 and A is
+        # antisymmetric, so their sum lies in ker A: an interior equilibrium,
+        # in the span of the exponent rows, where the scan reaches every column.
+        for n in [*range(3, 13)] * 3:
+            sys = resonant_system(rng, n, 1, 9) if n % 2 == 0 else random_system(rng, n, 1, 9)
+            basis = integral_basis(sys)
+            assert basis.classification in (Classification.ODD, Classification.EVEN_RESONANT)
+            point = [sum(col) for col in zip(*(mono.exponents for mono in basis.monomials))]
+            assert min(point) > 0
+            got = _independence_rank(sys, basis, point)
+            assert got == dense_gradient_rank(sys, basis, point) == len(basis.monomials)
 
     def test_deficient_resonant_point_scans_every_column(self):
         # at k = x = (1,1,1,1) the gradients of x1*x3 and x2*x4 sum to H1's
