@@ -146,7 +146,7 @@ def cmd_integrals(system: CyclicLVSystem, args: argparse.Namespace) -> tuple[lis
             "n": system.n,
             "k": [str(v) for v in system.rates],
             "classification": basis.classification.name,
-            "linear": {"name": "H1", "weights": ["1"] * basis.linear.n},
+            "linear": {"name": "H1", "weights": ["1"] * system.n},
             "monomials": [
                 {"name": name, "exponents": [str(e) for e in mono.exponents]}
                 for name, mono in zip(_integral_names(basis)[1:], basis.monomials)

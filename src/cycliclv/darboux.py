@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Classification",
     "MonomialIntegral",
-    "LinearIntegral",
     "IntegralBasis",
     "build_exponent_system",
     "nullspace",
@@ -90,21 +89,15 @@ class MonomialIntegral(_Record):
         super().__init__(exponents)
 
 
-class LinearIntegral(_Record):
-    """The integral x1 + ... + xn of an n-dimensional system."""
-
-    __slots__ = ("n",)
-
-
 class IntegralBasis(_Record):
-    """Classification plus the integrals: one linear, 0..2 monomial."""
+    """The classification, H1 = x1 + ... + xn as its dimension n, and 0..2 monomials."""
 
     __slots__ = ("classification", "linear", "monomials")
 
     def __init__(
         self,
         classification: Classification,
-        linear: LinearIntegral,
+        linear: int,
         monomials: tuple[MonomialIntegral, ...],
     ):
         expected = {
@@ -214,14 +207,13 @@ def integral_basis(sys: CyclicLVSystem) -> IntegralBasis:
     Exponents of more than MAX_EXPONENT_BITS bits in all raise InputError.
     """
     n = sys.n
-    linear = LinearIntegral(n)
     if n == 2:
-        return IntegralBasis(Classification.N2, linear, ())
+        return IntegralBasis(Classification.N2, n, ())
     k = [(r.numerator, r.denominator) for r in sys.rates]
     odd_chain, closes, bits = _walk(k, 0)
     if n % 2 == 1:
-        return IntegralBasis(Classification.ODD, linear, (odd_chain,))
+        return IntegralBasis(Classification.ODD, n, (odd_chain,))
     if not closes:
-        return IntegralBasis(Classification.EVEN_NONRESONANT, linear, ())
+        return IntegralBasis(Classification.EVEN_NONRESONANT, n, ())
     even_chain, _, _ = _walk(k, 1, bits)
-    return IntegralBasis(Classification.EVEN_RESONANT, linear, (odd_chain, even_chain))
+    return IntegralBasis(Classification.EVEN_RESONANT, n, (odd_chain, even_chain))

@@ -159,6 +159,16 @@ class TestIntegrals:
         long_int.write_text('{"k": [%s, 1, 2]}' % ("7" * 5000), encoding="utf-8")
         assert main(["integrals", "--system", str(long_int)]) == 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 1001])
+    def test_json_linear_is_h1_with_n_unit_weights(self, tmp_path, capsys, n):
+        # the weights come from the system's dimension, one "1" per coordinate
+        spec = write_spec(tmp_path, "sys.json", [i % 9 + 1 for i in range(n)])
+        assert main(["integrals", "--system", spec, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        weights = ",\n".join(['      "1"'] * n)
+        assert f'  "linear": {{\n    "name": "H1",\n    "weights": [\n{weights}\n    ]\n  }},\n' in out
+        assert json.loads(out)["linear"] == {"name": "H1", "weights": ["1"] * n}
+
     def test_exact_decimal_entries(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "dec.json", [0.25, "1/2", 3])
         assert main(["integrals", "--system", spec, "--format", "json"]) == 0
@@ -298,7 +308,7 @@ class TestCheck:
         system = make_system([2, 1, 3, 6])
         assert integral_basis(system).classification.name == "EVEN_RESONANT"
         nonresonant = darboux.IntegralBasis(
-            darboux.Classification.EVEN_NONRESONANT, darboux.LinearIntegral(4), ()
+            darboux.Classification.EVEN_NONRESONANT, 4, ()
         )
         monkeypatch.setattr(darboux, "integral_basis", lambda system: nonresonant)
         assert main(["check", "--system", resonant4]) == 1

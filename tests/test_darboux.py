@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cycliclv import (
     Classification,
     IntegralBasis,
-    LinearIntegral,
     InputError,
     MonomialIntegral,
     build_exponent_system,
@@ -304,7 +303,7 @@ class TestIntegralBasis:
         basis = integral_basis(make_system([2, 1, 3]))
         assert basis.classification is Classification.ODD
         assert len(basis.monomials) == 1
-        assert basis.linear == LinearIntegral(3)
+        assert basis.linear == 3
 
     def test_even_resonant(self):
         basis = integral_basis(make_system([2, 1, 3, 6]))
@@ -321,9 +320,20 @@ class TestIntegralBasis:
         assert basis.classification is Classification.N2
         assert basis.monomials == ()
 
+    @pytest.mark.parametrize("rates, classification", [
+        ([5, 7], Classification.N2), ([2, 1, 3], Classification.ODD),
+        ([2, 1, 3, 6], Classification.EVEN_RESONANT),
+        ([1, 1, 1, 2], Classification.EVEN_NONRESONANT),
+    ])
+    def test_linear_is_the_dimension(self, rates, classification):
+        sys = make_system(rates)
+        basis = integral_basis(sys)
+        assert basis.classification is classification
+        assert basis.linear == sys.n and type(basis.linear) is int
+
     def test_monomial_count_enforced(self):
         with pytest.raises(ValueError):
-            IntegralBasis(Classification.ODD, LinearIntegral(3), ())
+            IntegralBasis(Classification.ODD, 3, ())
 
     def test_exponent_bits_are_bounded_over_the_basis(self, monkeypatch):
         # (1, 0, 2, 0) and (0, 1, 0, 1/3) take 2 + 3 and 2 + 3 bits; the
@@ -391,7 +401,7 @@ class TestMonomialIntegralInvariants:
     [
         (lambda: MonomialIntegral((0, 0, 0)), "exponent vector must not be identically zero"),
         (lambda: MonomialIntegral((2, 1, 0)), "first nonzero exponent must be normalized to 1"),
-        (lambda: IntegralBasis(Classification.ODD, LinearIntegral(3), ()),
+        (lambda: IntegralBasis(Classification.ODD, 3, ()),
          "ODD basis must hold 1 monomial integrals, got 0"),
     ],
     ids=["zero-exponents", "unnormalized", "wrong-monomial-count"],

@@ -12,6 +12,7 @@ import sysconfig
 import time
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from sys import float_info
 from types import SimpleNamespace
 
@@ -26,7 +27,6 @@ from cycliclv import (
     IntegralBasis,
     IntegralOutOfRange,
     IntegratorConfig,
-    LinearIntegral,
     Method,
     MonomialIntegral,
     NonFiniteState,
@@ -1626,9 +1626,29 @@ class TestBasisDimension:
     def test_dimension_is_refused_before_an_exponent_without_float(self):
         sys = make_system([1, 2, 3])
         exponents = (Fraction(1), Fraction(10**400), Fraction(1), Fraction(1))
-        basis = IntegralBasis(Classification.ODD, LinearIntegral(4), (MonomialIntegral(exponents),))
+        basis = IntegralBasis(Classification.ODD, 4, (MonomialIntegral(exponents),))
         with pytest.raises(InputError, match="^exponent vector length does not match the system$"):
             integrate(sys, [1.0] * 3, IntegratorConfig(step=0.01, t_end=0.1), basis)
+
+    def test_benchmark_rebuilds_a_linear_only_basis_from_the_field(self, tmp_path, monkeypatch):
+        # bench/tracing.py times integrate on IntegralBasis(cls, basis.linear, ()),
+        # so a basis rebuilt from that field must still integrate
+        import cycliclv
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracing
+        import workloads
+
+        (inv,) = [i for i in workloads.build("layer-probe", 0, tmp_path) if i.method == "rk4"]
+        bases = []
+
+        def recording(system, x0, config, basis):
+            bases.append(basis)
+            return integrate(system, x0, config, basis)
+
+        monkeypatch.setattr(cycliclv, "integrate", recording)
+        assert tracing._integrate_s(cycliclv, inv, True, 0.1) > 0
+        assert bases == [IntegralBasis(Classification.EVEN_NONRESONANT, inv.n, ())]
 
 
 class TestConvergenceOrder:
