@@ -30,7 +30,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import darboux
-from .model import REASON_BYTES, CyclicLVSystem, InputError, _excerpt, make_system
+from .model import REASON_BYTES, CyclicLVSystem, InputError, _excerpt
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -52,8 +52,8 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
 
     At most MAX_SPEC_BYTES of the file are read and parsed as JSON here,
     and each message echoes at most a bounded excerpt of the path. The "k"
-    list goes to make_system, which converts and names a refused entry, and
-    CyclicLVSystem refuses fewer than two rates or a zero one.
+    list goes to CyclicLVSystem, which converts it, names a refused entry,
+    and refuses fewer than two rates or a zero one.
     """
     name = _excerpt(path)
     try:
@@ -68,7 +68,7 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
         raise InputError(f"cannot read system file {name}: {reason}") from exc
     try:
         # parse_float sees the raw literal, so decimals convert exactly; a
-        # Decimal costs the same for any exponent, and make_system refuses
+        # Decimal costs the same for any exponent, and CyclicLVSystem refuses
         # one too long to build
         data = json.loads(text, parse_float=Decimal)
     except (ValueError, RecursionError) as exc:
@@ -79,7 +79,7 @@ def load_system_spec(path: str | Path) -> CyclicLVSystem:
         raise InputError(f"{name} holds a number with an out-of-range exponent") from exc
     if not isinstance(data, dict) or not isinstance(data.get("k"), list):
         raise InputError(f'{name} must be a JSON object with a "k" list')
-    return make_system(data["k"])
+    return CyclicLVSystem(data["k"])
 
 
 class _StdoutUnwritable(Exception):

@@ -80,7 +80,8 @@ class MonomialIntegral(_Record):
 
     __slots__ = ("exponents",)
 
-    def __init__(self, exponents: tuple[Fraction, ...]):
+    def __init__(self, exponents: Sequence[Fraction]):
+        exponents = tuple(exponents)
         first = next((e for e in exponents if e != 0), None)
         if first is None:
             raise InputError("exponent vector must not be identically zero")
@@ -98,7 +99,7 @@ class IntegralBasis(_Record):
         self,
         classification: Classification,
         linear: int,
-        monomials: tuple[MonomialIntegral, ...],
+        monomials: Sequence[MonomialIntegral],
     ):
         expected = {
             Classification.N2: 0,
@@ -111,7 +112,7 @@ class IntegralBasis(_Record):
                 f"{classification.name} basis must hold {expected} monomial "
                 f"integrals, got {len(monomials)}"
             )
-        super().__init__(classification, linear, monomials)
+        super().__init__(classification, linear, tuple(monomials))
 
 
 def build_exponent_system(sys: CyclicLVSystem) -> list[linalg.Row]:

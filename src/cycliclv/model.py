@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction, Decimal]
 
@@ -191,44 +191,38 @@ class _Record:
 class CyclicLVSystem(_Record):
     """The n >= 2 nonzero rational rate constants; n is their count.
 
-    It takes Fractions and owns the checks on them: at least two rates, and
-    none zero, each refusal an InputError naming the 1-based entry. Turning
-    raw entries into Fractions is ``make_system``'s work.
+    The one path from raw rate entries to a system, also named
+    ``make_system``. Each entry goes through as_fraction; one it refuses
+    raises InputError naming its 1-based position with bounded excerpts of
+    the entry and the reason. Then fewer than two rates, and then a zero
+    one, are refused. A str or a bytes-like object is refused whole. The
+    rates are kept as a tuple of Fractions.
     """
 
     __slots__ = ("rates",)
 
-    def __init__(self, rates: tuple[Fraction, ...]):
-        if len(rates) < 2:
-            raise InputError(f"need n >= 2, got n={len(rates)}")
-        for i, k in enumerate(rates):
-            if k == 0:
-                raise InputError(f"entry {i + 1}: rate parameters must be nonzero")
-        super().__init__(rates)
+    def __init__(self, rates: Iterable[RationalLike]):
+        if isinstance(rates, (str, bytes, bytearray, memoryview)):
+            raise InputError(f"rates must be a collection of entries, not {type(rates).__name__}")
+        parsed = []
+        for pos, entry in enumerate(rates, start=1):
+            try:
+                parsed.append(as_fraction(entry))
+            except InputError as exc:
+                raise InputError(f"entry {pos}: cannot parse {_excerpt(repr(entry))} as a "
+                                 f"rational ({_excerpt(exc, REASON_BYTES)})") from exc
+        if len(parsed) < 2:
+            raise InputError(f"need n >= 2, got n={len(parsed)}")
+        if 0 in parsed:
+            raise InputError(f"entry {parsed.index(0) + 1}: rate parameters must be nonzero")
+        super().__init__(tuple(parsed))
 
     @property
     def n(self) -> int:
         return len(self.rates)
 
 
-def make_system(k: Sequence[RationalLike]) -> CyclicLVSystem:
-    """Convert rate parameters exactly and build the system.
-
-    This is the one path from raw entries to a system; the CLI spec loader
-    ends here too. An entry as_fraction refuses raises InputError naming its
-    1-based position with bounded excerpts of the entry and the reason;
-    CyclicLVSystem then refuses fewer than two rates or a zero one.
-    """
-    rates = []
-    for pos, entry in enumerate(k, start=1):
-        try:
-            rates.append(as_fraction(entry))
-        except InputError as exc:
-            raise InputError(
-                f"entry {pos}: cannot parse {_excerpt(repr(entry))} as a rational "
-                f"({_excerpt(exc, REASON_BYTES)})"
-            ) from exc
-    return CyclicLVSystem(tuple(rates))
+make_system = CyclicLVSystem
 
 
 Term = tuple[int, Fraction]

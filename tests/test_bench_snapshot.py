@@ -3,8 +3,9 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 UNITS = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 HOST = {"python": "3", "numpy": "2", "nproc": 2, "cpu": "cpu", "commit": "abc", "starts": 7,
-        "python_c_pass_s": 0.04, "python_S_c_pass_s": 0.01, "native": True}
+        "python_c_pass_s": 0.04, "python_S_c_pass_s": 0.01, "native": True,
+        "cc_version": "cc 12", "numpy_cpu": {"baseline": ["X86_V2"], "dispatched": ["X86_V3"]}}
 
 
 def canned(value: float, drop: str = "") -> str:
@@ -98,10 +100,47 @@ def test_a_previous_file_recorded_otherwise_is_refused_before_any_run(feed, tmp_
 
 
 def test_host_block_times_at_least_five_starts():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
     host = snap.host()
     assert set(host) == set(HOST) and host["starts"] >= 5
     assert 0 < host["python_S_c_pass_s"] and 0 < host["python_c_pass_s"]
     assert isinstance(host["native"], bool) and host["nproc"] >= 1
+    assert host["cc_version"] is None or "\n" not in host["cc_version"]
+    assert host["numpy_cpu"]["baseline"] == list(umath.__cpu_baseline__)
+    assert set(host["numpy_cpu"]["dispatched"]) <= set(umath.__cpu_dispatch__)
+
+
+def test_cc_version_is_the_first_line_or_null_without_a_compiler(monkeypatch, tmp_path):
+    fake = tmp_path / "fakecc.py"
+    fake.write_text("import sys\nprint('fakecc 1.0', sys.argv[1:])\nprint('second line')\n")
+    for cc, version in ((f"{sys.executable} {fake}", "fakecc 1.0 ['--version']"),
+                        (str(tmp_path / "no-such-cc"), None), (None, None),
+                        (f"{sys.executable} -c raise", None)):
+        monkeypatch.setattr(snap.sysconfig, "get_config_var", lambda name, cc=cc: cc)
+        assert snap.cc_version() == version, cc
+
+
+def test_numpy_cpu_keeps_the_dispatched_features_present(monkeypatch):
+    def package(name, baseline, dispatch, features):
+        umath = ModuleType(f"{name}._multiarray_umath")
+        umath.__cpu_baseline__, umath.__cpu_dispatch__ = baseline, dispatch
+        umath.__cpu_features__ = features
+        module = ModuleType(name)
+        module._multiarray_umath = umath
+        monkeypatch.setitem(sys.modules, name, module)
+
+    package("numpy._core", ["B"], ["X", "Y", "Z"], {"X": True, "Y": False})
+    assert snap.numpy_cpu() == {"baseline": ["B"], "dispatched": ["X"]}
+    # numpy 1.x has the module under numpy.core only
+    monkeypatch.setitem(sys.modules, "numpy._core", None)
+    package("numpy.core", [], ["Y"], {"Y": True})
+    assert snap.numpy_cpu() == {"baseline": [], "dispatched": ["Y"]}
+    monkeypatch.setitem(sys.modules, "numpy.core", None)
+    assert snap.numpy_cpu() is None
 
 
 @pytest.mark.parametrize("dropped", list(UNITS))

@@ -930,6 +930,21 @@ class TestRefusals:
             "[Errno 2] No such file or directory: 'nodir/t.csv'\n"
         )
 
+    def test_out_dev_null_prints_what_a_file_run_prints(self, tmp_path, monkeypatch, capsys):
+        # the append probe and the CSV's "wb" open are two opens: a single
+        # append-mode handle truncated on the first rows is refused by
+        # /dev/null with [Errno 22] Invalid argument
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null on this platform")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(WHEEL3, encoding="utf-8")
+        argv = ["simulate", "--system", "spec.json", "--x0", "0.2,0.3,0.5", "--t-end", "1"]
+        assert main([*argv, "--out", "t.csv"]) == 0
+        to_file = capsys.readouterr()
+        assert main([*argv, "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == to_file
+        assert to_file.out.startswith("summary: rows=1001 ") and to_file.err == ""
+
     @pytest.mark.parametrize(
         "spec, args",
         [

@@ -125,15 +125,20 @@ class TestMakeSystem:
 
     def test_every_refusal_is_an_input_error(self):
         # each with the message it carried as a TypeError, ZeroDivisionError
-        # or plain ValueError
-        for rate, message in (
-            (0.5, "refusing to convert float 0.5; pass the decimal literal"),
-            ("1/0", "Fraction(1, 0)"),
-            ("abc", "invalid literal for a rational: 'abc'"),
-            (None, "cannot interpret None as an exact rational"),
-        ):
-            with pytest.raises(InputError, match=re.escape(message)):
-                make_system([rate, 1, 1])
+        # or plain ValueError; the class is the one rate path, in the same words
+        for build in (make_system, CyclicLVSystem):
+            for rate, message in (
+                (0.5, "refusing to convert float 0.5; pass the decimal literal"),
+                ("1/0", "Fraction(1, 0)"),
+                ("abc", "invalid literal for a rational: 'abc'"),
+                (None, "cannot interpret None as an exact rational"),
+                (True, "booleans are not rational parameters"),
+            ):
+                with pytest.raises(InputError, match=re.escape(message)):
+                    build([rate, 1, 1])
+            with pytest.raises(InputError, match=re.escape(
+                    "entry 2: cannot parse 2.5 as a rational (refusing to convert float 2.5")):
+                build((Fraction(1), 2.5, Fraction(3)))
         system = make_system([1, 1, 1])
         with pytest.raises(InputError, match="refusing to convert float 0.5"):
             check_independence(system, integral_basis(system), [[0.5] * 3])
@@ -142,23 +147,44 @@ class TestMakeSystem:
         sys = make_system(["1/2", "0.75", "-3"])
         assert sys.rates == (Fraction(1, 2), Fraction(3, 4), -3)
 
+    def test_the_class_builds_what_make_system_builds(self):
+        assert make_system is CyclicLVSystem
+        system = CyclicLVSystem((Fraction(1), "5/2", 3))
+        assert system.rates == (1, Fraction(5, 2), 3)
+        assert all(type(k) is Fraction for k in system.rates)
+
+    def test_a_string_is_not_a_list_of_rates(self):
+        # iterated, "12" would be the rates (1, 2) and b"12" the rates (49, 50)
+        for rates in ("12", b"12", bytearray(b"12"), memoryview(b"12")):
+            with pytest.raises(InputError, match=f"^rates must be a collection of entries, "
+                                                 f"not {type(rates).__name__}$"):
+                CyclicLVSystem(rates)
+        entries = (1, "5/2", Decimal("0.5"))
+        built = [CyclicLVSystem(entries), CyclicLVSystem(list(entries)),
+                 CyclicLVSystem(e for e in entries)]
+        assert built[0] == built[1] == built[2]
+        assert all(type(s.rates) is tuple for s in built)
+        assert len({hash(s) for s in built}) == 1
+
 
 class TestRecords:
     """Every value type is an immutable record that compares by its fields."""
 
-    def records(self):
+    def records(self, sequence=tuple):
         basis = integral_basis(make_system([2, 1, 3]))
         return [
-            make_system(["1/2", 3, 5]),
-            basis.monomials[0],
-            CyclicLVSystem((Fraction(1), Fraction(2))),
-            basis,
+            make_system(sequence(["1/2", 3, 5])),
+            MonomialIntegral(sequence(basis.monomials[0].exponents)),
+            CyclicLVSystem(sequence((Fraction(1), Fraction(2)))),
+            IntegralBasis(basis.classification, basis.linear, sequence(basis.monomials)),
             VerificationReport("witness"),
             IntegratorConfig("rk45", 0.01, 2.0),
         ]
 
     def test_equal_fields_make_equal_hashable_values(self):
-        for a, b in zip(self.records(), self.records()):
+        # a record built from a list holds a tuple, so it equals and hashes
+        # as its twin built from a tuple
+        for a, b in zip(self.records(), self.records(list)):
             assert a is not b and a == b and hash(a) == hash(b), a
             assert a != VerificationReport("other")
 

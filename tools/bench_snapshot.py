@@ -11,10 +11,13 @@ repeat.py takes them, and whether every run was correct and how many
 operations failed. A host block holds ``bench/run.py``'s environment
 (Python and numpy versions, CPU model, CPU count), the commit, marked dirty
 when tracked files differ from it, the median wall time of
-``python -c pass`` and ``python -S -c pass`` over STARTS starts each, and
-whether a native build of the package loads. With --previous each median
-also gets its ratio to that file's median: below 1 is lower, and every
-end-to-end metric is better lower. A previous file recorded with other
+``python -c pass`` and ``python -S -c pass`` over STARTS starts each,
+whether a native build of the package loads, the first line of
+``CC --version`` for the compiler that build runs (sysconfig's CC; null
+where there is none), and numpy's CPU baseline and the dispatched features
+this CPU has. With --previous each median also gets its ratio to that
+file's median: below 1 is lower, and every end-to-end metric is better
+lower. A previous file recorded with other
 seeds, another run length, CPU model or CPU count is refused.
 
 A metric or key that run.py stops printing ends the script with exit 1 and
@@ -30,6 +33,7 @@ import os
 import statistics
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -111,8 +115,34 @@ def _median_start_s(*flags: str) -> float:
     return statistics.median(times)
 
 
+def cc_version() -> str | None:
+    """The first line of --version of sysconfig's CC, which the native build runs."""
+    cc = sysconfig.get_config_var("CC")
+    try:
+        out = subprocess.run([*cc.split(), "--version"], capture_output=True, text=True,
+                             timeout=60)
+    except (AttributeError, OSError, subprocess.SubprocessError):  # no CC, or none runs
+        return None
+    lines = out.stdout.splitlines()
+    return lines[0] if out.returncode == 0 and lines else None
+
+
+def numpy_cpu() -> dict | None:
+    """numpy's CPU baseline, and the features of its dispatch list that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        try:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        except ImportError:
+            return None
+    present = umath.__cpu_features__
+    return {"baseline": list(umath.__cpu_baseline__),
+            "dispatched": [f for f in umath.__cpu_dispatch__ if present.get(f)]}
+
+
 def host() -> dict:
-    """run.py's environment, the dirty-marked commit, start-up times, the native build."""
+    """run.py's environment, the dirty-marked commit, start-ups, native build, compiler, CPU."""
     # "<hash>-dirty" when tracked files differ from it, where run.py's
     # environment() names the unedited commit; None outside a git checkout,
     # as in an unpacked git archive
@@ -126,7 +156,7 @@ def host() -> dict:
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).returncode == 0
     return {**environment(), "commit": commit, "starts": STARTS,
             "python_c_pass_s": _median_start_s(), "python_S_c_pass_s": _median_start_s("-S"),
-            "native": native}
+            "native": native, "cc_version": cc_version(), "numpy_cpu": numpy_cpu()}
 
 
 def snapshot(label: str, previous: Path | None = None) -> dict:
